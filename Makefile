@@ -1,7 +1,7 @@
 # paragonio — reproduction of Smirni et al., HPDC 1996.
 GO ?= go
 
-.PHONY: all build test test-short vet vet-race vet-race-clientcache vet-race-scaled vet-race-faults vet-race-logtier fmt bench bench-smoke bench-json bench-diff tables experiments docs-verify service-smoke clean
+.PHONY: all build test test-short vet vet-race vet-race-clientcache vet-race-scaled vet-race-faults vet-race-logtier fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke clean
 
 all: build test
 
@@ -89,6 +89,13 @@ bench-diff:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=1x ./... | $(GO) run ./cmd/benchjson -o bench-new.json
 	$(GO) run ./cmd/benchjson -diff $$(ls BENCH_*.json | sort | tail -1) bench-new.json
 	@rm -f bench-new.json
+
+# Build and test the repository benchmark (bench/, a Go module of its
+# own, so `go test ./...` at the root never compiles it): its input
+# generators, profile fold, and a tiny-size run of every workload against
+# this checkout's simulator APIs. About 5 s.
+bench-module:
+	cd bench && $(GO) test ./...
 
 # Regenerate the paper's tables and figures to stdout (and artifacts/).
 tables:

@@ -33,10 +33,10 @@ type advisorLoop struct {
 	id         string
 	title      string
 	adviseFrom func(*Suite) (*core.Result, error) // trace the advisor reads
-	baseline   func(*Suite) (*core.Result, error) // canonical cache-off run
-	rerun      func(*Suite, cache.Tiers) (*core.Result, error)
-	headline   string // the headline operation's column name
-	opTime     func(*core.Result) time.Duration
+	baseline   func(*Suite) (*RunSummary, error)  // canonical cache-off run
+	run        runFunc                            // the workload the advice is validated on
+	headline   string                             // the headline operation's column name
+	opTime     func(*RunSummary) time.Duration
 	oracle     func(*Suite) ([]oracleRow, error) // existing-sweep candidate pool
 }
 
@@ -46,31 +46,29 @@ type oracleRow struct {
 	t     time.Duration
 }
 
-func quadTime(res *core.Result, op pablo.Op) time.Duration {
-	return fileOpTime(res.Trace, op, func(f string) bool {
+func quadTime(res *RunSummary, op pablo.Op) time.Duration {
+	return fileOpTime(res, op, func(f string) bool {
 		return strings.HasPrefix(f, escat.QuadFile(0)[:len("escat/quad.")])
 	})
 }
 
-func restartReadTime(res *core.Result) time.Duration {
-	return fileOpTime(res.Trace, pablo.OpRead, func(f string) bool {
+func restartReadTime(res *RunSummary) time.Duration {
+	return fileOpTime(res, pablo.OpRead, func(f string) bool {
 		return f == prism.RestartFile
 	})
 }
 
 // advisedRun reruns a workload under the advised tiers through the
 // suite cache, so iotables/iobench invocations share the work.
-func (s *Suite) advisedRun(key string, tiers cache.Tiers, run func(core.Config) (*core.Result, error)) (*core.Result, error) {
-	return s.run("advisor/"+key, func() (*core.Result, error) {
-		cfg := s.cfg()
-		cfg.Tiers = tiers
-		return run(cfg)
-	})
+func (s *Suite) advisedRun(key string, tiers cache.Tiers, run runFunc) (*RunSummary, error) {
+	cfg := s.cfg()
+	cfg.Tiers = tiers
+	return s.measure("advisor/"+key, cfg, run)
 }
 
 func advisorLoops() []advisorLoop {
-	cachePool := func(s *Suite, fetch func(cacheVariant) (*core.Result, error),
-		opTime func(*core.Result) time.Duration) ([]oracleRow, error) {
+	cachePool := func(s *Suite, fetch func(cacheVariant) (*RunSummary, error),
+		opTime func(*RunSummary) time.Duration) ([]oracleRow, error) {
 		var rows []oracleRow
 		for _, v := range cacheVariants() {
 			if v.cfg == nil {
@@ -84,8 +82,8 @@ func advisorLoops() []advisorLoop {
 		}
 		return rows, nil
 	}
-	clientPool := func(s *Suite, fetch func(clientVariant) (*core.Result, error),
-		opTime func(*core.Result) time.Duration) ([]oracleRow, error) {
+	clientPool := func(s *Suite, fetch func(clientVariant) (*RunSummary, error),
+		opTime func(*RunSummary) time.Duration) ([]oracleRow, error) {
 		var rows []oracleRow
 		for _, v := range clientVariants() {
 			if !v.tiers.Enabled() {
@@ -104,8 +102,8 @@ func advisorLoops() []advisorLoop {
 	// unchanged: the log tier never serves reads, so its rungs cannot be
 	// oracle-best there, and the 256-node reruns are the suite's most
 	// expensive.
-	logPool := func(s *Suite, fetch func(logVariant) (*core.Result, error),
-		opTime func(*core.Result) time.Duration) ([]oracleRow, error) {
+	logPool := func(s *Suite, fetch func(logVariant) (*RunSummary, error),
+		opTime func(*RunSummary) time.Duration) ([]oracleRow, error) {
 		var rows []oracleRow
 		for _, v := range logTierVariants() {
 			res, err := fetch(v)
@@ -121,22 +119,18 @@ func advisorLoops() []advisorLoop {
 			id:         "eth",
 			title:      "ESCAT C (ethylene) staging",
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.Ethylene("A") },
-			baseline:   func(s *Suite) (*core.Result, error) { return s.Ethylene("C") },
-			rerun: func(s *Suite, t cache.Tiers) (*core.Result, error) {
-				return s.advisedRun("eth", t, func(cfg core.Config) (*core.Result, error) {
-					return escat.RunOn(cfg, escat.Ethylene(), escat.VersionC())
-				})
-			},
-			headline: "quad_write_s",
-			opTime:   func(res *core.Result) time.Duration { return quadTime(res, pablo.OpWrite) },
+			baseline:   func(s *Suite) (*RunSummary, error) { return summaryOf(s.ethylene("C")) },
+			run:        runEthylene(escat.VersionC()),
+			headline:   "quad_write_s",
+			opTime:     func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpWrite) },
 			oracle: func(s *Suite) ([]oracleRow, error) {
 				rows, err := cachePool(s, s.EthyleneCached,
-					func(res *core.Result) time.Duration { return quadTime(res, pablo.OpWrite) })
+					func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpWrite) })
 				if err != nil {
 					return nil, err
 				}
 				more, err := logPool(s, s.EthyleneLog,
-					func(res *core.Result) time.Duration { return quadTime(res, pablo.OpWrite) })
+					func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpWrite) })
 				if err != nil {
 					return nil, err
 				}
@@ -147,14 +141,10 @@ func advisorLoops() []advisorLoop {
 			id:         "prism",
 			title:      "PRISM C restart",
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.Prism("A") },
-			baseline:   func(s *Suite) (*core.Result, error) { return s.Prism("C") },
-			rerun: func(s *Suite, t cache.Tiers) (*core.Result, error) {
-				return s.advisedRun("prism", t, func(cfg core.Config) (*core.Result, error) {
-					return prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
-				})
-			},
-			headline: "rst_read_s",
-			opTime:   restartReadTime,
+			baseline:   func(s *Suite) (*RunSummary, error) { return summaryOf(s.prism("C")) },
+			run:        runPrism(prism.VersionC()),
+			headline:   "rst_read_s",
+			opTime:     restartReadTime,
 			oracle: func(s *Suite) ([]oracleRow, error) {
 				rows, err := cachePool(s, s.PrismCached, restartReadTime)
 				if err != nil {
@@ -176,22 +166,18 @@ func advisorLoops() []advisorLoop {
 			id:         "co",
 			title:      "ESCAT C (carbon monoxide) reload",
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.CarbonMonoxide() },
-			baseline:   func(s *Suite) (*core.Result, error) { return s.CarbonMonoxide() },
-			rerun: func(s *Suite, t cache.Tiers) (*core.Result, error) {
-				return s.advisedRun("co", t, func(cfg core.Config) (*core.Result, error) {
-					return escat.RunOn(cfg, escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
-				})
-			},
-			headline: "quad_read_s",
-			opTime:   func(res *core.Result) time.Duration { return quadTime(res, pablo.OpRead) },
+			baseline:   func(s *Suite) (*RunSummary, error) { return summaryOf(s.carbonMonoxide()) },
+			run:        runCarbonMonoxide,
+			headline:   "quad_read_s",
+			opTime:     func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpRead) },
 			oracle: func(s *Suite) ([]oracleRow, error) {
 				rows, err := cachePool(s, s.CarbonMonoxideCached,
-					func(res *core.Result) time.Duration { return quadTime(res, pablo.OpRead) })
+					func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpRead) })
 				if err != nil {
 					return nil, err
 				}
 				more, err := clientPool(s, s.CarbonMonoxideClient,
-					func(res *core.Result) time.Duration { return quadTime(res, pablo.OpRead) })
+					func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpRead) })
 				if err != nil {
 					return nil, err
 				}
@@ -218,7 +204,7 @@ func advisorExp(s *Suite) (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		advised, err := loop.rerun(s, plan.Tiers)
+		advised, err := s.advisedRun(loop.id, plan.Tiers, loop.run)
 		if err != nil {
 			return nil, err
 		}

@@ -52,51 +52,36 @@ func (s *Suite) cachedCfg(v cacheVariant) core.Config {
 	return cfg
 }
 
-// PrismCached returns the PRISM version C run under a cache variant.
-// The cache-off variant shares the canonical "prism/C" suite entry.
-func (s *Suite) PrismCached(v cacheVariant) (*core.Result, error) {
+// PrismCached returns the summary of the PRISM version C run under a
+// cache variant. The cache-off variant summarizes the canonical
+// "prism/C" trace run.
+func (s *Suite) PrismCached(v cacheVariant) (*RunSummary, error) {
 	if v.cfg == nil {
-		return s.Prism("C")
+		return summaryOf(s.prism("C"))
 	}
-	return s.run("cache/prism/"+v.id, func() (*core.Result, error) {
-		return prism.RunOn(s.cachedCfg(v), prism.TestProblem(), prism.VersionC())
-	})
+	return s.measure("cache/prism/"+v.id, s.cachedCfg(v), runPrism(prism.VersionC()))
 }
 
-// EthyleneCached returns the ESCAT ethylene version C run under a cache
-// variant. The cache-off variant shares the canonical "eth/C" entry.
-func (s *Suite) EthyleneCached(v cacheVariant) (*core.Result, error) {
+// EthyleneCached returns the summary of the ESCAT ethylene version C run
+// under a cache variant. The cache-off variant summarizes the canonical
+// "eth/C" trace run.
+func (s *Suite) EthyleneCached(v cacheVariant) (*RunSummary, error) {
 	if v.cfg == nil {
-		return s.Ethylene("C")
+		return summaryOf(s.ethylene("C"))
 	}
-	return s.run("cache/eth/"+v.id, func() (*core.Result, error) {
-		return escat.RunOn(s.cachedCfg(v), escat.Ethylene(), escat.VersionC())
-	})
+	return s.measure("cache/eth/"+v.id, s.cachedCfg(v), runEthylene(escat.VersionC()))
 }
 
-// CarbonMonoxideCached returns the ESCAT carbon-monoxide version C run
-// under a cache variant — the suite's largest working set (256 nodes, 13
-// collision channels), where cache-size sensitivity and forced-flush
-// stalls have room to appear. The cache-off variant shares the canonical
-// "co/C" entry.
-func (s *Suite) CarbonMonoxideCached(v cacheVariant) (*core.Result, error) {
+// CarbonMonoxideCached returns the summary of the ESCAT carbon-monoxide
+// version C run under a cache variant — the suite's largest working set
+// (256 nodes, 13 collision channels), where cache-size sensitivity and
+// forced-flush stalls have room to appear. The cache-off variant
+// summarizes the canonical "co/C" trace run.
+func (s *Suite) CarbonMonoxideCached(v cacheVariant) (*RunSummary, error) {
 	if v.cfg == nil {
-		return s.CarbonMonoxide()
+		return summaryOf(s.carbonMonoxide())
 	}
-	return s.run("cache/co/"+v.id, func() (*core.Result, error) {
-		return escat.RunOn(s.cachedCfg(v), escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
-	})
-}
-
-// fileOpTime sums the duration of op events on files selected by pred.
-func fileOpTime(t *pablo.Trace, op pablo.Op, pred func(file string) bool) time.Duration {
-	var d time.Duration
-	for _, ev := range t.Events() {
-		if ev.Op == op && pred(ev.File) {
-			d += ev.Duration
-		}
-	}
-	return d
+	return s.measure("cache/co/"+v.id, s.cachedCfg(v), runCarbonMonoxide)
 }
 
 // cacheRow is the measured shape of one (workload, variant) cell.
@@ -124,17 +109,15 @@ func cacheWhatIf(s *Suite) (*Artifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		ct := res.CacheTotals()
+		ct := res.Cache
 		prismRows = append(prismRows, cacheRow{
 			variant: v,
 			exec:    res.Exec,
-			io:      res.IOTime(),
-			target: fileOpTime(res.Trace, pablo.OpWrite, func(f string) bool {
+			io:      res.IO,
+			target: fileOpTime(res, pablo.OpWrite, func(f string) bool {
 				return f == prism.CheckpointFile
 			}),
-			aux: fileOpTime(res.Trace, pablo.OpRead, func(f string) bool {
-				return f == prism.RestartFile
-			}),
+			aux:      restartReadTime(res),
 			hitPct:   100 * ct.HitRatio(),
 			maxDirty: ct.MaxDirty,
 			stalls:   ct.ForcedFlushStalls,
@@ -145,21 +128,19 @@ func cacheWhatIf(s *Suite) (*Artifact, error) {
 	// The ESCAT headline op differs per problem: ethylene's tuning story
 	// is the staging writes; carbon monoxide restarts from staged data,
 	// so its I/O is dominated by the quadrature reload reads.
-	escatRows := func(op pablo.Op, fetch func(cacheVariant) (*core.Result, error)) ([]cacheRow, error) {
+	escatRows := func(op pablo.Op, fetch func(cacheVariant) (*RunSummary, error)) ([]cacheRow, error) {
 		rows := make([]cacheRow, 0, len(variants))
 		for _, v := range variants {
 			res, err := fetch(v)
 			if err != nil {
 				return nil, err
 			}
-			ct := res.CacheTotals()
+			ct := res.Cache
 			rows = append(rows, cacheRow{
-				variant: v,
-				exec:    res.Exec,
-				io:      res.IOTime(),
-				target: fileOpTime(res.Trace, op, func(f string) bool {
-					return strings.HasPrefix(f, escat.QuadFile(0)[:len("escat/quad.")])
-				}),
+				variant:  v,
+				exec:     res.Exec,
+				io:       res.IO,
+				target:   quadTime(res, op),
 				hitPct:   100 * ct.HitRatio(),
 				maxDirty: ct.MaxDirty,
 				stalls:   ct.ForcedFlushStalls,

@@ -58,7 +58,7 @@ func TestCacheWhatIfWriteBehindWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := res.CacheTotals()
+	ct := res.Cache
 	if ct.HitRatio() < 0.5 {
 		t.Fatalf("hit ratio %.2f too low for the checkpoint/restart pattern", ct.HitRatio())
 	}
@@ -102,7 +102,7 @@ func TestCacheWhatIfCarbonMonoxide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, lt := small.CacheTotals(), large.CacheTotals()
+	st, lt := small.Cache, large.Cache
 	if st.ReadAheadAccuracy() >= lt.ReadAheadAccuracy() {
 		t.Fatalf("read-ahead accuracy %.3f at 1 MB not below %.3f at 32 MB — cache-size sensitivity vanished",
 			st.ReadAheadAccuracy(), lt.ReadAheadAccuracy())

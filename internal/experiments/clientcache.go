@@ -63,27 +63,24 @@ func (s *Suite) clientCfg(v clientVariant) core.Config {
 	return cfg
 }
 
-// PrismClient returns the PRISM version C run under a client-tier
-// variant. The tiers-off variant shares the canonical "prism/C" entry.
-func (s *Suite) PrismClient(v clientVariant) (*core.Result, error) {
+// PrismClient returns the summary of the PRISM version C run under a
+// client-tier variant. The tiers-off variant summarizes the canonical
+// "prism/C" trace run.
+func (s *Suite) PrismClient(v clientVariant) (*RunSummary, error) {
 	if !v.tiers.Enabled() {
-		return s.Prism("C")
+		return summaryOf(s.prism("C"))
 	}
-	return s.run("client/prism/"+v.id, func() (*core.Result, error) {
-		return prism.RunOn(s.clientCfg(v), prism.TestProblem(), prism.VersionC())
-	})
+	return s.measure("client/prism/"+v.id, s.clientCfg(v), runPrism(prism.VersionC()))
 }
 
-// CarbonMonoxideClient returns the ESCAT carbon-monoxide version C run
-// under a client-tier variant. The tiers-off variant shares the
-// canonical "co/C" entry.
-func (s *Suite) CarbonMonoxideClient(v clientVariant) (*core.Result, error) {
+// CarbonMonoxideClient returns the summary of the ESCAT carbon-monoxide
+// version C run under a client-tier variant. The tiers-off variant
+// summarizes the canonical "co/C" trace run.
+func (s *Suite) CarbonMonoxideClient(v clientVariant) (*RunSummary, error) {
 	if !v.tiers.Enabled() {
-		return s.CarbonMonoxide()
+		return summaryOf(s.carbonMonoxide())
 	}
-	return s.run("client/co/"+v.id, func() (*core.Result, error) {
-		return escat.RunOn(s.clientCfg(v), escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
-	})
+	return s.measure("client/co/"+v.id, s.clientCfg(v), runCarbonMonoxide)
 }
 
 // clientRow is the measured shape of one (workload, variant) cell.
@@ -126,21 +123,21 @@ func clientRowStrings(r clientRow) []string {
 func clientCache(s *Suite) (*Artifact, error) {
 	variants := clientVariants()
 
-	measure := func(res *core.Result, v clientVariant,
+	measure := func(res *RunSummary, v clientVariant,
 		target, aux func(file string) bool) clientRow {
 		cs := res.Client
 		return clientRow{
 			variant:    v,
 			exec:       res.Exec,
-			io:         res.IOTime(),
-			target:     fileOpTime(res.Trace, pablo.OpRead, target),
-			aux:        fileOpTime(res.Trace, pablo.OpWrite, aux),
+			io:         res.IO,
+			target:     fileOpTime(res, pablo.OpRead, target),
+			aux:        fileOpTime(res, pablo.OpWrite, aux),
 			hitPct:     100 * cs.HitRatio(),
 			recalls:    cs.Recalls,
 			staleAv:    cs.StaleAverted,
 			expired:    cs.LeaseExpired,
 			recallWait: cs.RecallWait,
-			ionHitPct:  100 * res.CacheTotals().HitRatio(),
+			ionHitPct:  100 * res.Cache.HitRatio(),
 		}
 	}
 	quad := func(f string) bool {

@@ -69,8 +69,10 @@ func TestClientCacheGoldenDigests(t *testing.T) {
 }
 
 // TestClientVariantsShareCanonicalRuns pins the singleflight contract:
-// the tiers-off variant of the clientcache sweep is the canonical run
-// object itself, not a re-execution.
+// the tiers-off variant of the clientcache sweep summarizes the
+// canonical trace run, not a re-execution — one summary object, shared
+// with the cachewhatif sweep's cache-off rung, with the canonical trace
+// still held.
 func TestClientVariantsShareCanonicalRuns(t *testing.T) {
 	vs := clientVariants()
 	if vs[0].tiers.Enabled() {
@@ -92,8 +94,23 @@ func TestClientVariantsShareCanonicalRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canonical != shared {
-		t.Error("tiers-off PrismClient re-ran instead of sharing prism/C")
+	cacheOff, err := s.PrismCached(cacheVariants()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared != cacheOff {
+		t.Error("tiers-off PrismClient and cache-off PrismCached hold different summaries of prism/C")
+	}
+	if len(s.traces) != 1 || len(s.measured) != 0 {
+		t.Errorf("suite holds %d trace runs and %d measured runs, want 1 and 0 — a tiers-off rung re-ran prism/C",
+			len(s.traces), len(s.measured))
+	}
+	if shared.Events != canonical.Trace.Len() || shared.Digest != canonical.Trace.Digest() {
+		t.Errorf("tiers-off summary (%d events, %#016x) is not prism/C's trace (%d events, %#016x)",
+			shared.Events, shared.Digest, canonical.Trace.Len(), canonical.Trace.Digest())
+	}
+	if canonical.Trace.Len() == 0 {
+		t.Error("summarizing prism/C released its trace")
 	}
 	if _, ok := ByID("clientcache"); !ok {
 		t.Error("clientcache experiment not registered")

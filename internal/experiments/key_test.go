@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"regexp"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"paragonio/internal/disk"
 	"paragonio/internal/faults"
 	"paragonio/internal/mesh"
+	"paragonio/internal/pfs"
 )
 
 // TestConfigKeySemanticEquality pins that configurations meaning the
@@ -94,6 +96,101 @@ func TestConfigKeyFieldSensitivity(t *testing.T) {
 			t.Errorf("mutation %q hashes identically to %q (key %s)", m.name, prev, k)
 		}
 		seen[k] = m.name
+	}
+}
+
+// perfOnlyFields are the core.Config fields documented as never changing
+// a run's outcome: performance knobs the key may leave out.
+var perfOnlyFields = map[string]bool{"Shards": true, "Window": true}
+
+// TestConfigKeyExhaustive walks core.Config and every struct it nests —
+// the tiers, the fault plan, the mesh, disk and cost overrides — by
+// reflection, and mutates each leaf field in turn. Every field must
+// change the key unless it is on the perf-only allowlist, so a field
+// added without a matching line in canonicalConfig fails here instead
+// of serving a cached result of a different run. A fault field counts as
+// keyed when it changes the key in the fault whose kind uses it: the
+// plan holds one fault of each field-carrying kind.
+func TestConfigKeyExhaustive(t *testing.T) {
+	m, d, c := mesh.DefaultConfig(), disk.DefaultParams(), pfs.DefaultCosts()
+	cfg := core.Config{
+		Nodes: 128, Mesh: &m, Disk: &d, Costs: &c, Seed: 1,
+		Tiers: cache.Tiers{IONode: &cache.Config{}, Client: &cache.ClientConfig{}, Log: &cache.LogConfig{}},
+		Faults: faults.Plan{Faults: []faults.Fault{
+			{Kind: faults.Straggler, At: time.Second, Until: 2 * time.Second, IONode: 1, Factor: 4},
+			{Kind: faults.ClientFlap, At: time.Second, Node: 3, Period: time.Second, Count: 3},
+		}},
+	}
+	base := ConfigKey(cfg, "eth/C")
+	seen, keyed := map[string]bool{}, map[string]bool{}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() {
+				t.Fatalf("%s is nil in the base config; set it so its fields are walked", path)
+			}
+			walk(v.Elem(), path)
+			return
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Type().Field(i)
+				if !f.IsExported() {
+					t.Errorf("%s.%s is unexported: the walk cannot mutate it", path, f.Name)
+					continue
+				}
+				name := f.Name
+				if path != "" {
+					name = path + "." + f.Name
+				}
+				walk(v.Field(i), name)
+			}
+			return
+		case reflect.Slice:
+			if v.Len() == 0 {
+				t.Fatalf("%s is empty in the base config; add an element so its fields are walked", path)
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), path+"[]")
+			}
+			return
+		}
+		old := reflect.ValueOf(v.Interface())
+		switch v.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float32, reflect.Float64:
+			v.SetFloat(v.Float() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		default:
+			t.Fatalf("%s: no mutation for a %s field; teach this test one", path, v.Kind())
+		}
+		seen[path] = true
+		if ConfigKey(cfg, "eth/C") != base {
+			keyed[path] = true
+		}
+		v.Set(old)
+	}
+	walk(reflect.ValueOf(&cfg).Elem(), "")
+
+	if ConfigKey(cfg, "eth/C") != base {
+		t.Fatal("the walk did not restore the base config")
+	}
+	for path := range seen {
+		if !keyed[path] && !perfOnlyFields[path] {
+			t.Errorf("changing core.Config field %s leaves ConfigKey unchanged: key it in canonicalConfig, "+
+				"or allowlist it in perfOnlyFields if it can never change a run's outcome", path)
+		}
+	}
+	for f := range perfOnlyFields {
+		if !seen[f] {
+			t.Errorf("perf-only field %s is no longer in core.Config", f)
+		}
 	}
 }
 

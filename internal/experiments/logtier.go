@@ -57,19 +57,16 @@ func (s *Suite) logCfg(v logVariant) core.Config {
 	return cfg
 }
 
-// EthyleneLog returns the ESCAT ethylene version C run under a log-tier
-// variant.
-func (s *Suite) EthyleneLog(v logVariant) (*core.Result, error) {
-	return s.run("logtier/eth/"+v.id, func() (*core.Result, error) {
-		return escat.RunOn(s.logCfg(v), escat.Ethylene(), escat.VersionC())
-	})
+// EthyleneLog returns the summary of the ESCAT ethylene version C run
+// under a log-tier variant.
+func (s *Suite) EthyleneLog(v logVariant) (*RunSummary, error) {
+	return s.measure("logtier/eth/"+v.id, s.logCfg(v), runEthylene(escat.VersionC()))
 }
 
-// PrismLog returns the PRISM version C run under a log-tier variant.
-func (s *Suite) PrismLog(v logVariant) (*core.Result, error) {
-	return s.run("logtier/prism/"+v.id, func() (*core.Result, error) {
-		return prism.RunOn(s.logCfg(v), prism.TestProblem(), prism.VersionC())
-	})
+// PrismLog returns the summary of the PRISM version C run under a
+// log-tier variant.
+func (s *Suite) PrismLog(v logVariant) (*RunSummary, error) {
+	return s.measure("logtier/prism/"+v.id, s.logCfg(v), runPrism(prism.VersionC()))
 }
 
 // logTierExp runs both checkpoint-shaped ladders and the application-

@@ -22,6 +22,17 @@ import (
 // traces feed Table 4-5 and Figures 6-9). Runs are deterministic in the
 // seed.
 //
+// The suite keeps two kinds of run, Pablo's split between full event
+// traces and statistical summaries. Trace runs are the seven canonical
+// paper runs (eth/A|B|C, co/C, prism/A|B|C): the tables, the figures and
+// the advisor's classifier read them event by event, so they keep their
+// full trace. Measured runs are everything else — the what-if rungs, the
+// advised reruns and the non-canonical Figure 1 builds — which are only
+// ever read through run-level totals and per-file operation times. A
+// measured run keeps a RunSummary; its trace goes back to the pablo
+// event pool as soon as the summary is made, so the next run reuses the
+// buffer.
+//
 // A Suite is safe for concurrent use: each distinct run executes exactly
 // once (concurrent requesters of the same run wait for the first), and
 // distinct runs proceed in parallel — each builds its own single-threaded
@@ -37,38 +48,67 @@ type Suite struct {
 	// core.Config.Window). 0 uses the full lookahead.
 	Window time.Duration
 
-	mu   sync.Mutex
-	runs map[string]*runSlot
+	mu       sync.Mutex
+	traces   map[string]*traceRun
+	measured map[string]*measuredRun
 }
 
-// runSlot is the singleflight cell for one cached application run.
-type runSlot struct {
+// traceRun is the singleflight cell of one trace run. sum is the run's
+// summary, made on first request by a tiers-off what-if rung and kept
+// beside the trace.
+type traceRun struct {
+	once    sync.Once
+	res     *core.Result
+	err     error
+	sumOnce sync.Once
+	sum     *RunSummary
+}
+
+// measuredRun is the singleflight cell of one measured run.
+type measuredRun struct {
 	once sync.Once
-	res  *core.Result
+	sum  *RunSummary
 	err  error
+}
+
+// runFunc makes one application run under a configuration.
+type runFunc func(core.Config) (*core.Result, error)
+
+func runEthylene(v escat.Version) runFunc {
+	return func(cfg core.Config) (*core.Result, error) { return escat.RunOn(cfg, escat.Ethylene(), v) }
+}
+
+func runCarbonMonoxide(cfg core.Config) (*core.Result, error) {
+	return escat.RunOn(cfg, escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
+}
+
+func runPrism(v prism.Version) runFunc {
+	return func(cfg core.Config) (*core.Result, error) { return prism.RunOn(cfg, prism.TestProblem(), v) }
 }
 
 // NewSuite creates an empty suite; runs happen lazily.
 func NewSuite(seed int64) *Suite {
-	return &Suite{Seed: seed, runs: make(map[string]*runSlot)}
+	return &Suite{Seed: seed}
 }
 
-// Release hands every cached run's trace buffer back to the pablo event
-// pool and empties the run cache. Call it when the suite's results —
-// including every Events() view derived from them — are no longer
-// referenced: the buffers will be overwritten by the next recording
-// run. High-churn callers (benchmark re-runs, batch drivers creating a
-// suite per pass) use it to recycle the dominant allocation of a pass;
-// everyone else can let the GC do the work.
+// Release hands every trace run's buffer back to the pablo event pool
+// and empties the run cache. Measured runs hold no trace — theirs went
+// back to the pool when their summary was made — so only the trace runs
+// are recycled here. Call it when the suite's results — including every
+// Events() view derived from them — are no longer referenced: the
+// buffers will be overwritten by the next recording run. High-churn
+// callers (benchmark re-runs, batch drivers creating a suite per pass)
+// use it to recycle the dominant allocation of a pass; everyone else can
+// let the GC do the work.
 func (s *Suite) Release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, slot := range s.runs {
-		if slot.res != nil && slot.res.Trace != nil {
-			slot.res.Trace.Release()
+	for _, t := range s.traces {
+		if t.res != nil && t.res.Trace != nil {
+			t.res.Trace.Release()
 		}
 	}
-	s.runs = make(map[string]*runSlot)
+	s.traces, s.measured = nil, nil
 }
 
 // cfg returns the platform configuration all suite runs share.
@@ -76,30 +116,75 @@ func (s *Suite) cfg() core.Config {
 	return core.Config{Seed: s.Seed, Shards: s.Shards, Window: s.Window}
 }
 
-// run returns the cached result for the run identified by id, executing
-// f on first use. The cache key is ConfigKey(s.cfg(), id) rather than id
-// alone, so a Suite whose Seed/Shards/Window fields are mutated after
-// runs began never serves a result computed under the old configuration
-// — the new configuration simply misses and recomputes.
-func (s *Suite) run(id string, f func() (*core.Result, error)) (*core.Result, error) {
-	key := ConfigKey(s.cfg(), id)
+// cell returns the singleflight cell for key in m, creating it on first
+// use.
+func cell[T any](s *Suite, m *map[string]*T, key string) *T {
 	s.mu.Lock()
-	if s.runs == nil {
-		s.runs = make(map[string]*runSlot)
+	defer s.mu.Unlock()
+	if *m == nil {
+		*m = make(map[string]*T)
 	}
-	slot, ok := s.runs[key]
+	c, ok := (*m)[key]
 	if !ok {
-		slot = &runSlot{}
-		s.runs[key] = slot
+		c = new(T)
+		(*m)[key] = c
 	}
-	s.mu.Unlock()
-	slot.once.Do(func() { slot.res, slot.err = f() })
-	return slot.res, slot.err
+	return c
 }
 
-// Ethylene returns the cached ESCAT ethylene run for a paper version
-// ("A", "B", "C"), executing it on first use.
-func (s *Suite) Ethylene(id string) (*core.Result, error) {
+// trace returns the trace run identified by id, executing f on first
+// use. The cache key is ConfigKey(s.cfg(), id) rather than id alone, so
+// a Suite whose Seed/Shards/Window fields are mutated after runs began
+// never serves a result computed under the old configuration — the new
+// configuration simply misses and recomputes.
+func (s *Suite) trace(id string, f runFunc) *traceRun {
+	cfg := s.cfg()
+	t := cell(s, &s.traces, ConfigKey(cfg, id))
+	t.once.Do(func() { t.res, t.err = f(cfg) })
+	return t
+}
+
+// measure returns the summary of the measured run id under cfg,
+// executing f on first use. It is keyed by ConfigKey(cfg, id), so every
+// field that can change the run — tiers included — separates entries.
+// The run's trace lives only until its summary is made.
+func (s *Suite) measure(id string, cfg core.Config, f runFunc) (*RunSummary, error) {
+	m := cell(s, &s.measured, ConfigKey(cfg, id))
+	m.once.Do(func() {
+		res, err := f(cfg)
+		if err != nil {
+			m.err = err
+			return
+		}
+		m.sum = summarize(res)
+		res.Trace.Release()
+	})
+	return m.sum, m.err
+}
+
+// resultOf unwraps a trace run's result.
+func resultOf(t *traceRun, err error) (*core.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return t.res, t.err
+}
+
+// summaryOf returns a trace run's summary, making it on first use. The
+// trace is kept: the summary is what a tiers-off what-if rung reads of
+// the canonical run it shares.
+func summaryOf(t *traceRun, err error) (*RunSummary, error) {
+	if err != nil {
+		return nil, err
+	}
+	if t.err != nil {
+		return nil, t.err
+	}
+	t.sumOnce.Do(func() { t.sum = summarize(t.res) })
+	return t.sum, nil
+}
+
+func (s *Suite) ethylene(id string) (*traceRun, error) {
 	var v escat.Version
 	switch id {
 	case "A":
@@ -111,52 +196,14 @@ func (s *Suite) Ethylene(id string) (*core.Result, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown ESCAT version %q", id)
 	}
-	return s.run("eth/"+id, func() (*core.Result, error) {
-		return escat.RunOn(s.cfg(), escat.Ethylene(), v)
-	})
+	return s.trace("eth/"+id, runEthylene(v)), nil
 }
 
-// Progressions returns the six ESCAT builds of Figure 1, in order. The
-// builds identical to paper versions share the Ethylene cache entries;
-// uncached builds run concurrently.
-func (s *Suite) Progressions() ([]*core.Result, error) {
-	versions := escat.Progressions()
-	out := make([]*core.Result, len(versions))
-	errs := make([]error, len(versions))
-	var wg sync.WaitGroup
-	for i, v := range versions {
-		i, v := i, v
-		key := "prog/" + v.ID
-		switch v.ID {
-		case "A", "B", "C": // identical builds to the paper versions
-			key = "eth/" + v.ID
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i], errs[i] = s.run(key, func() (*core.Result, error) {
-				return escat.RunOn(s.cfg(), escat.Ethylene(), v)
-			})
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+func (s *Suite) carbonMonoxide() (*traceRun, error) {
+	return s.trace("co/C", runCarbonMonoxide), nil
 }
 
-// CarbonMonoxide returns the cached ESCAT carbon-monoxide version C run.
-func (s *Suite) CarbonMonoxide() (*core.Result, error) {
-	return s.run("co/C", func() (*core.Result, error) {
-		return escat.RunOn(s.cfg(), escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
-	})
-}
-
-// Prism returns the cached PRISM run for a version ("A", "B", "C").
-func (s *Suite) Prism(id string) (*core.Result, error) {
+func (s *Suite) prism(id string) (*traceRun, error) {
 	var v prism.Version
 	switch id {
 	case "A":
@@ -168,9 +215,46 @@ func (s *Suite) Prism(id string) (*core.Result, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown PRISM version %q", id)
 	}
-	return s.run("prism/"+id, func() (*core.Result, error) {
-		return prism.RunOn(s.cfg(), prism.TestProblem(), v)
-	})
+	return s.trace("prism/"+id, runPrism(v)), nil
+}
+
+// Ethylene returns the cached ESCAT ethylene run for a paper version
+// ("A", "B", "C"), executing it on first use.
+func (s *Suite) Ethylene(id string) (*core.Result, error) { return resultOf(s.ethylene(id)) }
+
+// CarbonMonoxide returns the cached ESCAT carbon-monoxide version C run.
+func (s *Suite) CarbonMonoxide() (*core.Result, error) { return resultOf(s.carbonMonoxide()) }
+
+// Prism returns the cached PRISM run for a version ("A", "B", "C").
+func (s *Suite) Prism(id string) (*core.Result, error) { return resultOf(s.prism(id)) }
+
+// Progressions returns the summaries of the six ESCAT builds of Figure
+// 1, in order. The builds identical to paper versions share the Ethylene
+// trace runs; the others are measured runs, made concurrently.
+func (s *Suite) Progressions() ([]*RunSummary, error) {
+	versions := escat.Progressions()
+	out := make([]*RunSummary, len(versions))
+	errs := make([]error, len(versions))
+	var wg sync.WaitGroup
+	for i, v := range versions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch v.ID {
+			case "A", "B", "C": // identical builds to the paper versions
+				out[i], errs[i] = summaryOf(s.ethylene(v.ID))
+			default:
+				out[i], errs[i] = s.measure("prog/"+v.ID, s.cfg(), runEthylene(v))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Artifact is one regenerated table or figure with its paper-vs-measured

@@ -3,6 +3,7 @@ package pablo
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Event-buffer pool. A full application run records hundreds of
@@ -34,7 +35,9 @@ const (
 	// classes; beyond it, returned buffers fall to the GC.
 	maxPoolBytes = 192 << 20
 
-	eventBytes = 80 // approximate unsafe.Sizeof(Event{})
+	// eventBytes is the size of one pooled slot, so the retention cap
+	// stays exact if Event changes.
+	eventBytes = int64(unsafe.Sizeof(Event{}))
 )
 
 type eventPool struct {

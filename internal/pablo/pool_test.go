@@ -3,6 +3,7 @@ package pablo
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestRecordPooledAllocs pins the zero-alloc steady state of the
@@ -56,6 +57,47 @@ func TestPoolRejectsForeignBuffers(t *testing.T) {
 	p.mu.Unlock()
 	if after != before {
 		t.Errorf("foreign buffers entered the pool: %d -> %d bytes", before, after)
+	}
+}
+
+// TestPoolAccountingExact puts one buffer of every size class a paper
+// run grows through — up to 2^17 events, the carbon-monoxide trace —
+// into an empty pool and takes each back. The byte count must track
+// cap x unsafe.Sizeof(Event{}) exactly and return to zero, so the
+// retention cap means what it says.
+func TestPoolAccountingExact(t *testing.T) {
+	p := &sharedEventPool
+	p.mu.Lock()
+	saved, savedBytes := p.byClass, p.bytes
+	p.byClass, p.bytes = make(map[int][][]Event), 0
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.byClass, p.bytes = saved, savedBytes
+		p.mu.Unlock()
+	}()
+	bytes := func() int64 {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.bytes
+	}
+
+	var want int64
+	for c := minPooledEvents; c <= 1<<17; c <<= 1 {
+		putEventBuf(make([]Event, 0, c))
+		want += int64(c) * int64(unsafe.Sizeof(Event{}))
+		if got := bytes(); got != want {
+			t.Fatalf("after putting a %d-event buffer: pool holds %d bytes, want %d", c, got, want)
+		}
+	}
+	for c := minPooledEvents; c <= 1<<17; c <<= 1 {
+		buf := tryGetEventBuf(c)
+		if cap(buf) != c {
+			t.Fatalf("took back a buffer of cap %d from class %d", cap(buf), c)
+		}
+	}
+	if got := bytes(); got != 0 {
+		t.Errorf("pool holds %d bytes after every buffer was taken back, want 0", got)
 	}
 }
 
