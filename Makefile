@@ -20,11 +20,12 @@ vet:
 # Race-check the concurrent pieces: the sharded kernel (the randomized
 # sharded-vs-oracle property test and the sharded golden digests both
 # live in these packages), the parallel suite runner, the kernel
-# primitives they drive, and the iosimd daemon (fair-share admission,
-# sweep fan-out, flight coalescing, warm-start cache).
+# primitives they drive, the iobench ladder runner's worker pool, and
+# the iosimd daemon (fair-share admission, sweep fan-out, flight
+# coalescing, warm-start cache).
 vet-race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/server/
+	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/iobench/ ./internal/server/
 
 # Race-check the client cache tier: the lease-coherence property test
 # (randomized sharing schedules against the version oracle), the

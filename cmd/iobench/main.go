@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"paragonio/internal/cliflags"
 	"paragonio/internal/core"
@@ -30,7 +31,7 @@ import (
 func main() {
 	var (
 		kernel  = flag.String("kernel", "", "kernel slug (empty = all)")
-		sweep   = flag.String("sweep", "modes", "sweep dimension: modes, request, ionodes, cache, clientcache, advisor, flush, faults, logtier")
+		sweep   = flag.String("sweep", "modes", "sweep dimension: "+strings.Join(iobench.SweepIDs(), ", "))
 		mode    = flag.String("mode", "M_ASYNC", "access mode for request/ionodes sweeps")
 		nodes   = flag.Int("nodes", 32, "compute nodes")
 		request = flag.Int64("request", 128<<10, "request size (bytes)")
@@ -77,64 +78,23 @@ func run(kernel, sweep, modeName string, nodes int, request, volume, seed int64,
 	if err != nil {
 		return err
 	}
+	sw, ok := iobench.LookupSweep(sweep)
+	if !ok {
+		return cliflags.Sweep(sweep, iobench.SweepIDs())
+	}
 	for _, k := range kernels {
 		base := iobench.Params{
 			Kernel: k, Mode: mode, Nodes: nodes,
 			Request: request, Volume: volume, Seed: seed,
 			Shards: shards,
 		}
-		var results []*iobench.Result
-		var label func(*iobench.Result) string
-		switch sweep {
-		case "modes":
-			results, err = iobench.SweepModes(base)
-			label = func(r *iobench.Result) string { return r.Params.Mode.String() }
-		case "request":
-			results, err = iobench.SweepRequestSizes(base,
-				[]int64{4 << 10, 16 << 10, 64 << 10, 128 << 10, 512 << 10})
-			label = func(r *iobench.Result) string {
-				return fmt.Sprintf("%d KB", r.Params.Request>>10)
-			}
-		case "ionodes":
-			results, err = iobench.SweepIONodes(base, []int{2, 4, 8, 16, 32})
-			label = func(r *iobench.Result) string {
-				return fmt.Sprintf("%d io nodes", r.Params.IONodes)
-			}
-		case "cache":
-			results, err = iobench.SweepCache(base)
-			label = func(r *iobench.Result) string { return r.CacheLabel }
-		case "clientcache":
-			results, err = iobench.SweepClientCache(base)
-			label = func(r *iobench.Result) string { return r.CacheLabel }
-		case "advisor":
-			results, err = iobench.SweepAdvisor(base)
-			label = func(r *iobench.Result) string { return r.CacheLabel }
-		case "flush":
-			results, err = iobench.SweepFlush(base)
-		case "faults":
-			results, err = iobench.SweepFaults(base)
-		case "logtier":
-			results, err = iobench.SweepLogTier(base)
-		default:
-			return cliflags.Sweep(sweep,
-				[]string{"modes", "request", "ionodes", "cache", "clientcache", "advisor", "flush", "faults", "logtier"})
-		}
+		results, err := sw.Run(base)
 		if err != nil {
 			return err
 		}
 		title := fmt.Sprintf("%s: %d nodes, %d KB requests, %d MB volume (sweep: %s)",
 			k, nodes, request>>10, volume>>20, sweep)
-		switch sweep {
-		case "flush":
-			err = iobench.WriteFlushTable(os.Stdout, title, results)
-		case "faults":
-			err = iobench.WriteFaultTable(os.Stdout, title, results)
-		case "logtier":
-			err = iobench.WriteLogTierTable(os.Stdout, title, results)
-		default:
-			err = iobench.WriteTable(os.Stdout, title, results, label)
-		}
-		if err != nil {
+		if err := iobench.WriteTable(os.Stdout, title, results, sw.Columns); err != nil {
 			return err
 		}
 		fmt.Println()

@@ -33,11 +33,18 @@ type advisorLoop struct {
 	id         string
 	title      string
 	adviseFrom func(*Suite) (*core.Result, error) // trace the advisor reads
-	baseline   func(*Suite) (*RunSummary, error)  // canonical cache-off run
-	run        runFunc                            // the workload the advice is validated on
+	app        app                                // the workload the advice is validated on
 	headline   string                             // the headline operation's column name
 	opTime     func(*RunSummary) time.Duration
-	oracle     func(*Suite) ([]oracleRow, error) // existing-sweep candidate pool
+	oracle     []string // tierLadders the candidate pool is drawn from
+}
+
+// tierLadders are the application-scale what-if ladders by experiment
+// id; the advisor's oracle pools draw their candidates from them.
+var tierLadders = map[string]func() []variant{
+	"cachewhatif": cacheVariants,
+	"clientcache": clientVariants,
+	"logtier":     logTierVariants,
 }
 
 // oracleRow is one candidate configuration from the existing sweeps.
@@ -58,131 +65,57 @@ func restartReadTime(res *RunSummary) time.Duration {
 	})
 }
 
-// advisedRun reruns a workload under the advised tiers through the
-// suite cache, so iotables/iobench invocations share the work.
-func (s *Suite) advisedRun(key string, tiers cache.Tiers, run runFunc) (*RunSummary, error) {
-	cfg := s.cfg()
-	cfg.Tiers = tiers
-	return s.measure("advisor/"+key, cfg, run)
-}
-
-func advisorLoops() []advisorLoop {
-	cachePool := func(s *Suite, fetch func(cacheVariant) (*RunSummary, error),
-		opTime func(*RunSummary) time.Duration) ([]oracleRow, error) {
-		var rows []oracleRow
-		for _, v := range cacheVariants() {
-			if v.cfg == nil {
-				continue // the baseline is scored separately
-			}
-			res, err := fetch(v)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, oracleRow{label: "cachewhatif/" + v.id, t: opTime(res)})
-		}
-		return rows, nil
-	}
-	clientPool := func(s *Suite, fetch func(clientVariant) (*RunSummary, error),
-		opTime func(*RunSummary) time.Duration) ([]oracleRow, error) {
-		var rows []oracleRow
-		for _, v := range clientVariants() {
+// oraclePool runs the loop's workload under every tiers-on rung of its
+// oracle ladders (the baseline is scored separately), in ladder order.
+func (loop advisorLoop) oraclePool(s *Suite) ([]oracleRow, error) {
+	var rows []oracleRow
+	for _, ladder := range loop.oracle {
+		for _, v := range tierLadders[ladder]() {
 			if !v.tiers.Enabled() {
 				continue
 			}
-			res, err := fetch(v)
+			res, err := s.underTiers(loop.app, v.tiers)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, oracleRow{label: "clientcache/" + v.id, t: opTime(res)})
+			rows = append(rows, oracleRow{label: ladder + "/" + v.id, t: loop.opTime(res)})
 		}
-		return rows, nil
 	}
-	// logPool adds the log-tier rungs of the logtier study to the search
-	// space. The read-dominated carbon-monoxide loop keeps its pool
-	// unchanged: the log tier never serves reads, so its rungs cannot be
-	// oracle-best there, and the 256-node reruns are the suite's most
-	// expensive.
-	logPool := func(s *Suite, fetch func(logVariant) (*RunSummary, error),
-		opTime func(*RunSummary) time.Duration) ([]oracleRow, error) {
-		var rows []oracleRow
-		for _, v := range logTierVariants() {
-			res, err := fetch(v)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, oracleRow{label: "logtier/" + v.id, t: opTime(res)})
-		}
-		return rows, nil
-	}
+	return rows, nil
+}
+
+// advisorLoops returns the closed loops. The read-dominated carbon-
+// monoxide loop leaves the logtier rungs out of its pool: the log tier
+// never serves reads, so its rungs cannot be oracle-best there, and the
+// 256-node reruns are the suite's most expensive.
+func advisorLoops() []advisorLoop {
 	return []advisorLoop{
 		{
 			id:         "eth",
 			title:      "ESCAT C (ethylene) staging",
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.Ethylene("A") },
-			baseline:   func(s *Suite) (*RunSummary, error) { return summaryOf(s.ethylene("C")) },
-			run:        runEthylene(escat.VersionC()),
+			app:        ethC,
 			headline:   "quad_write_s",
 			opTime:     func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpWrite) },
-			oracle: func(s *Suite) ([]oracleRow, error) {
-				rows, err := cachePool(s, s.EthyleneCached,
-					func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpWrite) })
-				if err != nil {
-					return nil, err
-				}
-				more, err := logPool(s, s.EthyleneLog,
-					func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpWrite) })
-				if err != nil {
-					return nil, err
-				}
-				return append(rows, more...), nil
-			},
+			oracle:     []string{"cachewhatif", "logtier"},
 		},
 		{
 			id:         "prism",
 			title:      "PRISM C restart",
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.Prism("A") },
-			baseline:   func(s *Suite) (*RunSummary, error) { return summaryOf(s.prism("C")) },
-			run:        runPrism(prism.VersionC()),
+			app:        prismC,
 			headline:   "rst_read_s",
 			opTime:     restartReadTime,
-			oracle: func(s *Suite) ([]oracleRow, error) {
-				rows, err := cachePool(s, s.PrismCached, restartReadTime)
-				if err != nil {
-					return nil, err
-				}
-				more, err := clientPool(s, s.PrismClient, restartReadTime)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, more...)
-				more, err = logPool(s, s.PrismLog, restartReadTime)
-				if err != nil {
-					return nil, err
-				}
-				return append(rows, more...), nil
-			},
+			oracle:     []string{"cachewhatif", "clientcache", "logtier"},
 		},
 		{
 			id:         "co",
 			title:      "ESCAT C (carbon monoxide) reload",
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.CarbonMonoxide() },
-			baseline:   func(s *Suite) (*RunSummary, error) { return summaryOf(s.carbonMonoxide()) },
-			run:        runCarbonMonoxide,
+			app:        coC,
 			headline:   "quad_read_s",
 			opTime:     func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpRead) },
-			oracle: func(s *Suite) ([]oracleRow, error) {
-				rows, err := cachePool(s, s.CarbonMonoxideCached,
-					func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpRead) })
-				if err != nil {
-					return nil, err
-				}
-				more, err := clientPool(s, s.CarbonMonoxideClient,
-					func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpRead) })
-				if err != nil {
-					return nil, err
-				}
-				return append(rows, more...), nil
-			},
+			oracle:     []string{"cachewhatif", "clientcache"},
 		},
 	}
 }
@@ -200,15 +133,15 @@ func advisorExp(s *Suite) (*Artifact, error) {
 		}
 		plan := policy.AdviseTiers(policy.Classify(src.Trace), policy.CacheOptions{})
 
-		base, err := loop.baseline(s)
+		base, err := s.underTiers(loop.app, cache.Tiers{})
 		if err != nil {
 			return nil, err
 		}
-		advised, err := s.advisedRun(loop.id, plan.Tiers, loop.run)
+		advised, err := s.underTiers(loop.app, plan.Tiers)
 		if err != nil {
 			return nil, err
 		}
-		pool, err := loop.oracle(s)
+		pool, err := loop.oraclePool(s)
 		if err != nil {
 			return nil, err
 		}

@@ -5,10 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
-	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 	"paragonio/internal/report"
 )
@@ -22,71 +20,27 @@ import (
 // (internal/cache). Cache off reuses the canonical golden-digest runs;
 // each cached variant is a fresh deterministic run.
 
-// cacheVariant is one point of the what-if sweep.
-type cacheVariant struct {
-	id    string
-	label string
-	cfg   *cache.Config
-}
-
 // cacheVariants returns the sweep: no cache, write-behind at two cache
-// sizes, and write-behind plus read-ahead at the same sizes.
-func cacheVariants() []cacheVariant {
-	wb := func(mb int64, ra int) *cache.Config {
-		return &cache.Config{CapacityBytes: mb << 20, WriteBehind: true, ReadAhead: ra}
+// sizes, and write-behind plus read-ahead at the same sizes. Carbon
+// monoxide (256 nodes, 13 collision channels) is the suite's largest
+// working set, where cache-size sensitivity and forced-flush stalls
+// have room to appear.
+func cacheVariants() []variant {
+	wb := func(mb int64, ra int) cache.Tiers {
+		return cache.Tiers{IONode: &cache.Config{CapacityBytes: mb << 20, WriteBehind: true, ReadAhead: ra}}
 	}
-	return []cacheVariant{
-		{id: "off", label: "no cache (paper PFS)", cfg: nil},
-		{id: "wb1", label: "write-behind, 1 MB/node", cfg: wb(1, 0)},
-		{id: "wb32", label: "write-behind, 32 MB/node", cfg: wb(32, 0)},
-		{id: "wbra1", label: "wb + read-ahead 4, 1 MB/node", cfg: wb(1, 4)},
-		{id: "wbra32", label: "wb + read-ahead 4, 32 MB/node", cfg: wb(32, 4)},
+	return []variant{
+		{id: "off", label: "no cache (paper PFS)"},
+		{id: "wb1", label: "write-behind, 1 MB/node", tiers: wb(1, 0)},
+		{id: "wb32", label: "write-behind, 32 MB/node", tiers: wb(32, 0)},
+		{id: "wbra1", label: "wb + read-ahead 4, 1 MB/node", tiers: wb(1, 4)},
+		{id: "wbra32", label: "wb + read-ahead 4, 32 MB/node", tiers: wb(32, 4)},
 	}
-}
-
-// cachedCfg is the suite configuration (seed, shards) plus one cache
-// variant — cached runs honor the -shards knob like every other run.
-func (s *Suite) cachedCfg(v cacheVariant) core.Config {
-	cfg := s.cfg()
-	cfg.Tiers.IONode = v.cfg
-	return cfg
-}
-
-// PrismCached returns the summary of the PRISM version C run under a
-// cache variant. The cache-off variant summarizes the canonical
-// "prism/C" trace run.
-func (s *Suite) PrismCached(v cacheVariant) (*RunSummary, error) {
-	if v.cfg == nil {
-		return summaryOf(s.prism("C"))
-	}
-	return s.measure("cache/prism/"+v.id, s.cachedCfg(v), runPrism(prism.VersionC()))
-}
-
-// EthyleneCached returns the summary of the ESCAT ethylene version C run
-// under a cache variant. The cache-off variant summarizes the canonical
-// "eth/C" trace run.
-func (s *Suite) EthyleneCached(v cacheVariant) (*RunSummary, error) {
-	if v.cfg == nil {
-		return summaryOf(s.ethylene("C"))
-	}
-	return s.measure("cache/eth/"+v.id, s.cachedCfg(v), runEthylene(escat.VersionC()))
-}
-
-// CarbonMonoxideCached returns the summary of the ESCAT carbon-monoxide
-// version C run under a cache variant — the suite's largest working set
-// (256 nodes, 13 collision channels), where cache-size sensitivity and
-// forced-flush stalls have room to appear. The cache-off variant
-// summarizes the canonical "co/C" trace run.
-func (s *Suite) CarbonMonoxideCached(v cacheVariant) (*RunSummary, error) {
-	if v.cfg == nil {
-		return summaryOf(s.carbonMonoxide())
-	}
-	return s.measure("cache/co/"+v.id, s.cachedCfg(v), runCarbonMonoxide)
 }
 
 // cacheRow is the measured shape of one (workload, variant) cell.
 type cacheRow struct {
-	variant  cacheVariant
+	variant  variant
 	exec     time.Duration
 	io       time.Duration
 	target   time.Duration // the workload's headline operation time
@@ -105,7 +59,7 @@ func cacheWhatIf(s *Suite) (*Artifact, error) {
 
 	prismRows := make([]cacheRow, 0, len(variants))
 	for _, v := range variants {
-		res, err := s.PrismCached(v)
+		res, err := s.underTiers(prismC, v.tiers)
 		if err != nil {
 			return nil, err
 		}
@@ -128,10 +82,10 @@ func cacheWhatIf(s *Suite) (*Artifact, error) {
 	// The ESCAT headline op differs per problem: ethylene's tuning story
 	// is the staging writes; carbon monoxide restarts from staged data,
 	// so its I/O is dominated by the quadrature reload reads.
-	escatRows := func(op pablo.Op, fetch func(cacheVariant) (*RunSummary, error)) ([]cacheRow, error) {
+	escatRows := func(op pablo.Op, a app) ([]cacheRow, error) {
 		rows := make([]cacheRow, 0, len(variants))
 		for _, v := range variants {
-			res, err := fetch(v)
+			res, err := s.underTiers(a, v.tiers)
 			if err != nil {
 				return nil, err
 			}
@@ -149,11 +103,11 @@ func cacheWhatIf(s *Suite) (*Artifact, error) {
 		}
 		return rows, nil
 	}
-	ethRows, err := escatRows(pablo.OpWrite, s.EthyleneCached)
+	ethRows, err := escatRows(pablo.OpWrite, ethC)
 	if err != nil {
 		return nil, err
 	}
-	coRows, err := escatRows(pablo.OpRead, s.CarbonMonoxideCached)
+	coRows, err := escatRows(pablo.OpRead, coC)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func TestCacheWhatIfWriteBehindWins(t *testing.T) {
 
 	// The mechanism, from the run itself: server-side hits and a working
 	// write-behind queue.
-	res, err := sharedSuite.PrismCached(cacheVariants()[2]) // wb32
+	res, err := sharedSuite.underTiers(prismC, cacheVariants()[2].tiers) // wb32
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestCacheWhatIfCarbonMonoxide(t *testing.T) {
 	}
 
 	variants := cacheVariants()
-	small, err := sharedSuite.CarbonMonoxideCached(variants[3]) // wbra1
+	small, err := sharedSuite.underTiers(coC, variants[3].tiers) // wbra1
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := sharedSuite.CarbonMonoxideCached(variants[4]) // wbra32
+	large, err := sharedSuite.underTiers(coC, variants[4].tiers) // wbra32
 	if err != nil {
 		t.Fatal(err)
 	}

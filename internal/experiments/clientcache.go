@@ -8,7 +8,6 @@ import (
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
-	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 	"paragonio/internal/report"
 )
@@ -27,24 +26,17 @@ import (
 // blocks.
 // Client-off variants reuse the canonical golden-digest runs.
 
-// clientVariant is one point of the client-tier sweep.
-type clientVariant struct {
-	id    string
-	label string
-	tiers cache.Tiers
-}
-
 // clientVariants returns the sweep. The lease TTL is a real axis: the
 // 500 ms default expires long before the next energy sweep returns to
 // the same records, so the first row isolates what expiry costs; the
 // 10-minute rows isolate capacity; the last row stacks the I/O-node
 // cache under the best client configuration.
-func clientVariants() []clientVariant {
+func clientVariants() []variant {
 	client := func(mb int64, ttl time.Duration) *cache.ClientConfig {
 		return &cache.ClientConfig{CapacityBytes: mb << 20, LeaseTTL: ttl}
 	}
 	const long = 10 * time.Minute
-	return []clientVariant{
+	return []variant{
 		{id: "off", label: "no cache (paper PFS)"},
 		{id: "cttl", label: "client 8 MB, 500 ms lease", tiers: cache.Tiers{Client: client(8, 0)}},
 		{id: "c1", label: "client 1 MB, 10 min lease", tiers: cache.Tiers{Client: client(1, long)}},
@@ -56,36 +48,9 @@ func clientVariants() []clientVariant {
 	}
 }
 
-// clientCfg is the suite configuration plus one tier variant.
-func (s *Suite) clientCfg(v clientVariant) core.Config {
-	cfg := s.cfg()
-	cfg.Tiers = v.tiers
-	return cfg
-}
-
-// PrismClient returns the summary of the PRISM version C run under a
-// client-tier variant. The tiers-off variant summarizes the canonical
-// "prism/C" trace run.
-func (s *Suite) PrismClient(v clientVariant) (*RunSummary, error) {
-	if !v.tiers.Enabled() {
-		return summaryOf(s.prism("C"))
-	}
-	return s.measure("client/prism/"+v.id, s.clientCfg(v), runPrism(prism.VersionC()))
-}
-
-// CarbonMonoxideClient returns the summary of the ESCAT carbon-monoxide
-// version C run under a client-tier variant. The tiers-off variant
-// summarizes the canonical "co/C" trace run.
-func (s *Suite) CarbonMonoxideClient(v clientVariant) (*RunSummary, error) {
-	if !v.tiers.Enabled() {
-		return summaryOf(s.carbonMonoxide())
-	}
-	return s.measure("client/co/"+v.id, s.clientCfg(v), runCarbonMonoxide)
-}
-
 // clientRow is the measured shape of one (workload, variant) cell.
 type clientRow struct {
-	variant    clientVariant
+	variant    variant
 	exec       time.Duration
 	io         time.Duration
 	target     time.Duration // headline op time (quad reload / restart read)
@@ -123,7 +88,7 @@ func clientRowStrings(r clientRow) []string {
 func clientCache(s *Suite) (*Artifact, error) {
 	variants := clientVariants()
 
-	measure := func(res *RunSummary, v clientVariant,
+	measure := func(res *RunSummary, v variant,
 		target, aux func(file string) bool) clientRow {
 		cs := res.Client
 		return clientRow{
@@ -152,13 +117,13 @@ func clientCache(s *Suite) (*Artifact, error) {
 	coRows := make([]clientRow, 0, len(variants))
 	prismRows := make([]clientRow, 0, len(variants))
 	for _, v := range variants {
-		res, err := s.CarbonMonoxideClient(v)
+		res, err := s.underTiers(coC, v.tiers)
 		if err != nil {
 			return nil, err
 		}
 		coRows = append(coRows, measure(res, v, quad, out))
 
-		res, err = s.PrismClient(v)
+		res, err = s.underTiers(prismC, v.tiers)
 		if err != nil {
 			return nil, err
 		}

@@ -90,16 +90,16 @@ func TestClientVariantsShareCanonicalRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := s.PrismClient(vs[0])
+	shared, err := s.underTiers(prismC, vs[0].tiers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheOff, err := s.PrismCached(cacheVariants()[0])
+	cacheOff, err := s.underTiers(prismC, cacheVariants()[0].tiers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if shared != cacheOff {
-		t.Error("tiers-off PrismClient and cache-off PrismCached hold different summaries of prism/C")
+		t.Error("the tiers-off clientcache and cachewhatif rungs hold different summaries of prism/C")
 	}
 	if len(s.traces) != 1 || len(s.measured) != 0 {
 		t.Errorf("suite holds %d trace runs and %d measured runs, want 1 and 0 — a tiers-off rung re-ran prism/C",

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -59,43 +58,25 @@ func faultsEscatWorkload(s *Suite) iobench.Params {
 // faultsExp runs both workloads down the fault ladder and renders the
 // comparison.
 func faultsExp(s *Suite) (*Artifact, error) {
-	prismRes, err := iobench.SweepFaults(faultsPrismWorkload(s))
-	if err != nil {
-		return nil, err
-	}
-	escatRes, err := iobench.SweepFaults(faultsEscatWorkload(s))
-	if err != nil {
-		return nil, err
-	}
-
 	var b strings.Builder
-	if err := iobench.WriteFaultTable(&b,
+	prismRes, err := kernelLadder(&b, "faults",
 		"PRISM-shaped checkpoint (4 x 8 MB bursts, 4 I/O nodes) under injected faults",
-		prismRes); err != nil {
+		faultsPrismWorkload(s))
+	if err != nil {
 		return nil, err
 	}
 	b.WriteString("\n")
-	if err := iobench.WriteFaultTable(&b,
+	if _, err := kernelLadder(&b, "faults",
 		"ESCAT-shaped staging writes (8 nodes interleaving, 4 I/O nodes) under injected faults",
-		escatRes); err != nil {
+		faultsEscatWorkload(s)); err != nil {
 		return nil, err
 	}
 
-	find := func(rs []*iobench.Result, label string) *iobench.Result {
-		for _, r := range rs {
-			if r.CacheLabel == label {
-				return r
-			}
-		}
-		return nil
+	rungs, err := iobench.FindRungs(prismRes, "healthy", "disk-fail", "node-crash", "straggler x4")
+	if err != nil {
+		return nil, err
 	}
-	healthy := find(prismRes, "healthy")
-	disk := find(prismRes, "disk-fail")
-	crash := find(prismRes, "node-crash")
-	strag := find(prismRes, "straggler x4")
-	if healthy == nil || disk == nil || crash == nil || strag == nil {
-		return nil, fmt.Errorf("faults: ladder rungs missing")
-	}
+	healthy, disk, crash, strag := rungs[0], rungs[1], rungs[2], rungs[3]
 
 	// Shared keys: 'paper' holds the healthy machine (the only machine
 	// the paper ever measured), 'measured' the degraded runs.

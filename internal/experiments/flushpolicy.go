@@ -40,17 +40,27 @@ func flushWorkload(s *Suite) iobench.Params {
 	}
 }
 
-// flushPolicy runs the ladder and renders the comparison.
-func flushPolicy(s *Suite) (*Artifact, error) {
-	results, err := iobench.SweepFlush(flushWorkload(s))
+// kernelLadder runs the iobench sweep registered as id on base and
+// renders its table under title into b.
+func kernelLadder(b *strings.Builder, id, title string, base iobench.Params) ([]*iobench.Result, error) {
+	sw, ok := iobench.LookupSweep(id)
+	if !ok {
+		return nil, fmt.Errorf("experiments: no iobench sweep %q", id)
+	}
+	results, err := sw.Run(base)
 	if err != nil {
 		return nil, err
 	}
+	return results, iobench.WriteTable(b, title, results, sw.Columns)
+}
 
+// flushPolicy runs the ladder and renders the comparison.
+func flushPolicy(s *Suite) (*Artifact, error) {
 	var b strings.Builder
-	if err := iobench.WriteFlushTable(&b,
+	results, err := kernelLadder(&b, "flush",
 		"Checkpoint bursts (8 x 8 MB striped over two 2 MB write-behind caches) by flush policy",
-		results); err != nil {
+		flushWorkload(s))
+	if err != nil {
 		return nil, err
 	}
 
@@ -59,19 +69,11 @@ func flushPolicy(s *Suite) (*Artifact, error) {
 	// queue reach the watermark and stalls burst writes behind dirty
 	// evictions, while the deadline policy's age-based passes drain the
 	// queue before the next burst lands.
-	find := func(label string) *iobench.Result {
-		for _, r := range results {
-			if r.CacheLabel == label {
-				return r
-			}
-		}
-		return nil
+	rungs, err := iobench.FindRungs(results, "hw-idle b=4 hw=75%", "deadline=1s b=4 hw=75%")
+	if err != nil {
+		return nil, err
 	}
-	hw := find("hw-idle b=4 hw=75%")
-	dl := find("deadline=1s b=4 hw=75%")
-	if hw == nil || dl == nil {
-		return nil, fmt.Errorf("flushpolicy: ladder rungs missing")
-	}
+	hw, dl := rungs[0], rungs[1]
 
 	// Shared keys: 'paper' is the legacy high-water + idle policy,
 	// 'measured' the deadline policy, both at the lazy b=4 hw=75% shape.

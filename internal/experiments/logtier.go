@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"paragonio/internal/apps/escat"
-	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
-	"paragonio/internal/core"
 	"paragonio/internal/iobench"
 	"paragonio/internal/pablo"
 )
@@ -29,19 +26,14 @@ func logOnTiers() cache.Tiers {
 	return cache.Tiers{Log: &cache.LogConfig{}}
 }
 
-// logVariant is one point of the application-level log-tier sweep.
-type logVariant struct {
-	id    string
-	label string
-	tiers cache.Tiers
-}
-
 // logTierVariants returns the sweep: the log tier alone (writes at
 // memory speed, reads at disk speed), and the log stacked on the 32 MB
 // write-behind block cache — the pairing the advisor emits for
-// read-back workloads, where drained blocks stay resident.
-func logTierVariants() []logVariant {
-	return []logVariant{
+// read-back workloads, where drained blocks stay resident. The kernel
+// ladder of the same study (iobench's "logtier" sweep) stacks the log on
+// a 2 MB deadline-flushed cache instead; see the iobench registry.
+func logTierVariants() []variant {
+	return []variant{
 		{id: "log", label: "log tier alone", tiers: logOnTiers()},
 		{id: "logwb32", label: "log + write-behind 32 MB", tiers: cache.Tiers{
 			Log:    &cache.LogConfig{},
@@ -50,70 +42,31 @@ func logTierVariants() []logVariant {
 	}
 }
 
-// logCfg is the suite configuration plus one log-tier variant.
-func (s *Suite) logCfg(v logVariant) core.Config {
-	cfg := s.cfg()
-	cfg.Tiers = v.tiers
-	return cfg
-}
-
-// EthyleneLog returns the summary of the ESCAT ethylene version C run
-// under a log-tier variant.
-func (s *Suite) EthyleneLog(v logVariant) (*RunSummary, error) {
-	return s.measure("logtier/eth/"+v.id, s.logCfg(v), runEthylene(escat.VersionC()))
-}
-
-// PrismLog returns the summary of the PRISM version C run under a
-// log-tier variant.
-func (s *Suite) PrismLog(v logVariant) (*RunSummary, error) {
-	return s.measure("logtier/prism/"+v.id, s.logCfg(v), runPrism(prism.VersionC()))
-}
-
 // logTierExp runs both checkpoint-shaped ladders and the application-
 // level read-back race, and renders the comparison.
 func logTierExp(s *Suite) (*Artifact, error) {
-	chkRes, err := iobench.SweepLogTier(faultsPrismWorkload(s))
-	if err != nil {
-		return nil, err
-	}
-	stgRes, err := iobench.SweepLogTier(faultsEscatWorkload(s))
-	if err != nil {
-		return nil, err
-	}
-
 	var b strings.Builder
-	if err := iobench.WriteLogTierTable(&b,
+	chkRes, err := kernelLadder(&b, "logtier",
 		"PRISM-shaped checkpoint (4 x 8 MB bursts, 4 I/O nodes) down the log-tier ladder",
-		chkRes); err != nil {
+		faultsPrismWorkload(s))
+	if err != nil {
 		return nil, err
 	}
 	b.WriteString("\n")
-	if err := iobench.WriteLogTierTable(&b,
+	stgRes, err := kernelLadder(&b, "logtier",
 		"ESCAT-shaped staging writes (8 nodes interleaving, 4 I/O nodes) down the log-tier ladder",
-		stgRes); err != nil {
+		faultsEscatWorkload(s))
+	if err != nil {
 		return nil, err
 	}
 
-	find := func(rs []*iobench.Result, label string) *iobench.Result {
-		for _, r := range rs {
-			if r.CacheLabel == label {
-				return r
-			}
-		}
-		return nil
-	}
 	type ladder struct{ off, wb, log, logion *iobench.Result }
 	rungs := func(rs []*iobench.Result) (ladder, error) {
-		l := ladder{
-			off:    find(rs, "no-cache"),
-			wb:     find(rs, "write-behind"),
-			log:    find(rs, "log-tier"),
-			logion: find(rs, "log+ion"),
+		r, err := iobench.FindRungs(rs, "no-cache", "write-behind", "log-tier", "log+ion")
+		if err != nil {
+			return ladder{}, err
 		}
-		if l.off == nil || l.wb == nil || l.log == nil || l.logion == nil {
-			return l, fmt.Errorf("logtier: ladder rungs missing")
-		}
-		return l, nil
+		return ladder{r[0], r[1], r[2], r[3]}, nil
 	}
 	chk, err := rungs(chkRes)
 	if err != nil {
@@ -126,31 +79,21 @@ func logTierExp(s *Suite) (*Artifact, error) {
 
 	// The application-level read-back race: the same runs feed the
 	// advisor experiment's oracle pool through the suite cache.
-	var wb32 cacheVariant
-	for _, v := range cacheVariants() {
-		if v.id == "wb32" {
-			wb32 = v
-		}
-	}
-	var logOnly logVariant
-	for _, v := range logTierVariants() {
-		if v.id == "log" {
-			logOnly = v
-		}
-	}
-	ethLog, err := s.EthyleneLog(logOnly)
+	wb32 := tiersOf(cacheVariants(), "wb32")
+	logOnly := tiersOf(logTierVariants(), "log")
+	ethLog, err := s.underTiers(ethC, logOnly)
 	if err != nil {
 		return nil, err
 	}
-	ethWB, err := s.EthyleneCached(wb32)
+	ethWB, err := s.underTiers(ethC, wb32)
 	if err != nil {
 		return nil, err
 	}
-	prismLog, err := s.PrismLog(logOnly)
+	prismLog, err := s.underTiers(prismC, logOnly)
 	if err != nil {
 		return nil, err
 	}
-	prismWB, err := s.PrismCached(wb32)
+	prismWB, err := s.underTiers(prismC, wb32)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ import (
 
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
+	"paragonio/internal/cache"
 	"paragonio/internal/core"
 )
 
@@ -84,6 +85,48 @@ func runCarbonMonoxide(cfg core.Config) (*core.Result, error) {
 
 func runPrism(v prism.Version) runFunc {
 	return func(cfg core.Config) (*core.Result, error) { return prism.RunOn(cfg, prism.TestProblem(), v) }
+}
+
+// app is a version-C workload the what-if ladders re-run: the id of its
+// canonical trace run and how to run it.
+type app struct {
+	id  string
+	run runFunc
+}
+
+var (
+	ethC   = app{"eth/C", runEthylene(escat.VersionC())}
+	coC    = app{"co/C", runCarbonMonoxide}
+	prismC = app{"prism/C", runPrism(prism.VersionC())}
+)
+
+// variant is one rung of an application-scale what-if ladder.
+type variant struct {
+	id, label string
+	tiers     cache.Tiers
+}
+
+// tiersOf returns the tiers of the variant in vs with the given id.
+func tiersOf(vs []variant, id string) cache.Tiers {
+	for _, v := range vs {
+		if v.id == id {
+			return v.tiers
+		}
+	}
+	panic("experiments: no variant " + id)
+}
+
+// underTiers returns the summary of a's run under tiers. A tiers-off run
+// is the canonical trace run's summary. Any other is a measured run keyed
+// by ConfigKey(cfg-with-tiers, a.id), so every ladder rung and advised
+// rerun that lands on the same tiers shares one run.
+func (s *Suite) underTiers(a app, tiers cache.Tiers) (*RunSummary, error) {
+	if !tiers.Enabled() {
+		return summaryOf(s.trace(a.id, a.run), nil)
+	}
+	cfg := s.cfg()
+	cfg.Tiers = tiers
+	return s.measure(a.id, cfg, a.run)
 }
 
 // NewSuite creates an empty suite; runs happen lazily.

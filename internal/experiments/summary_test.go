@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"paragonio/internal/apps/escat"
-	"paragonio/internal/apps/prism"
 	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 )
@@ -28,26 +27,26 @@ func TestMeasuredRunsMatchTraces(t *testing.T) {
 		t.Fatalf("rungs moved: %s %s %s %s", wb32.id, both.id, logOnly.id, b1.ID)
 	}
 
-	cases := []struct {
+	type measuredCase struct {
 		name  string
 		cfg   core.Config
 		run   runFunc
 		fetch func() (*RunSummary, error)
-	}{
-		{"cache/eth/wb32", s.cachedCfg(wb32), runEthylene(escat.VersionC()),
-			func() (*RunSummary, error) { return s.EthyleneCached(wb32) }},
-		{"cache/prism/wb32", s.cachedCfg(wb32), runPrism(prism.VersionC()),
-			func() (*RunSummary, error) { return s.PrismCached(wb32) }},
-		{"client/prism/both", s.clientCfg(both), runPrism(prism.VersionC()),
-			func() (*RunSummary, error) { return s.PrismClient(both) }},
-		{"logtier/eth/log", s.logCfg(logOnly), runEthylene(escat.VersionC()),
-			func() (*RunSummary, error) { return s.EthyleneLog(logOnly) }},
-		{"logtier/prism/log", s.logCfg(logOnly), runPrism(prism.VersionC()),
-			func() (*RunSummary, error) { return s.PrismLog(logOnly) }},
-		{"advisor/eth", s.clientCfg(both), runEthylene(escat.VersionC()),
-			func() (*RunSummary, error) { return s.advisedRun("eth", both.tiers, runEthylene(escat.VersionC())) }},
-		{"advisor/prism", s.clientCfg(both), runPrism(prism.VersionC()),
-			func() (*RunSummary, error) { return s.advisedRun("prism", both.tiers, runPrism(prism.VersionC())) }},
+	}
+	tiered := func(a app, v variant) measuredCase {
+		cfg := s.cfg()
+		cfg.Tiers = v.tiers
+		return measuredCase{a.id + " " + v.id, cfg, a.run,
+			func() (*RunSummary, error) { return s.underTiers(a, v.tiers) }}
+	}
+	cases := []measuredCase{
+		tiered(ethC, wb32),
+		tiered(prismC, wb32),
+		tiered(prismC, both),
+		tiered(ethC, logOnly),
+		tiered(prismC, logOnly),
+		tiered(ethC, both),
+		tiered(prismC, both), // an advised rerun landing on a ladder rung's tiers
 		{"prog/B1", s.cfg(), runEthylene(b1),
 			func() (*RunSummary, error) { return s.measure("prog/B1", s.cfg(), runEthylene(b1)) }},
 	}
@@ -100,6 +99,12 @@ func TestMeasuredRunsMatchTraces(t *testing.T) {
 			t.Errorf("%s: summary covers %d (file, op) pairs, trace %d", c.name, got, len(count))
 		}
 		res.Trace.Release()
+	}
+	// Measured cells are keyed by (app, config with tiers), not by the
+	// ladder that asked: the two PRISM C runs under the same tiers share
+	// one cell.
+	if len(s.measured) != len(cases)-1 {
+		t.Errorf("suite holds %d measured runs for %d cases with one repeat", len(s.measured), len(cases))
 	}
 }
 

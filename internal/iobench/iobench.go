@@ -143,10 +143,9 @@ type Result struct {
 	// P50Op and P95Op are data-operation duration percentiles
 	// (queueing included).
 	P50Op, P95Op time.Duration
-	// CacheLabel names the ladder rung for configuration sweeps —
-	// SweepCache, SweepClientCache, SweepFlush, SweepFaults,
-	// SweepLogTier — ("" for other sweeps).
-	CacheLabel string
+	// Label names the sweep rung the result ran under ("" for a bare
+	// Run).
+	Label string
 	// Cache aggregates the I/O-node cache tier's counters across all
 	// I/O nodes (zero value when the tier is off) — the flush-policy
 	// sweep reads stall and flush counts from here.
@@ -162,10 +161,6 @@ type Result struct {
 	Degraded uint64
 	Rerouted uint64
 	Recalls  uint64
-
-	// trace is the run's event trace, kept for the advisor sweep
-	// (classification needs the events, not just the counts).
-	trace *pablo.Trace
 }
 
 // BandwidthMBs returns achieved aggregate bandwidth in MB/s of virtual
@@ -196,9 +191,17 @@ func Run(p Params) (*Result, error) {
 // all simulated-process goroutines exit, and the context's error is
 // returned — so an abandoned caller stops burning shard workers.
 func RunContext(ctx context.Context, p Params) (*Result, error) {
+	out, _, err := runTraced(ctx, p)
+	return out, err
+}
+
+// runTraced is RunContext that also returns the platform result, trace
+// included, for the advisor sweep (classification needs the events, not
+// just the counts).
+func runTraced(ctx context.Context, p Params) (*Result, *core.Result, error) {
 	p, err := p.withDefaults()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg := core.Config{
 		Nodes:      p.Nodes,
@@ -214,10 +217,10 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 			return install(m, p, seed)
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := &Result{Params: p, Wall: res.Exec, TraceLen: res.Trace.Len(),
-		Cache: res.CacheTotals(), Log: res.Log, trace: res.Trace,
+		Cache: res.CacheTotals(), Log: res.Log,
 		Rerouted: res.Rerouted, Recalls: res.Client.Recalls}
 	for _, ds := range res.IONodes {
 		out.Degraded += ds.Degraded
@@ -239,7 +242,7 @@ func RunContext(ctx context.Context, p Params) (*Result, error) {
 		out.P50Op = time.Duration(stats.Percentile(durs, 50))
 		out.P95Op = time.Duration(stats.Percentile(durs, 95))
 	}
-	return out, nil
+	return out, res, nil
 }
 
 // install wires the kernel's script onto the machine.

@@ -135,26 +135,97 @@ func TestReloadRecordNearAsync(t *testing.T) {
 	}
 }
 
-func TestSweepModes(t *testing.T) {
-	rs, err := SweepModes(small(StridedReload, 0))
+// sweep runs the registered sweep id on base.
+func sweep(t *testing.T, id string, base Params) []*Result {
+	t.Helper()
+	sw, ok := LookupSweep(id)
+	if !ok {
+		t.Fatalf("sweep %q not registered", id)
+	}
+	rs, err := sw.Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rs
+}
+
+func TestSweepModes(t *testing.T) {
+	rs := sweep(t, "modes", small(StridedReload, 0))
 	if len(rs) != 6 {
 		t.Fatalf("sweep returned %d results", len(rs))
 	}
 	seen := map[string]bool{}
 	for _, r := range rs {
-		seen[r.Params.Mode.String()] = true
+		if r.Label != r.Params.Mode.String() {
+			t.Errorf("rung %q ran mode %s", r.Label, r.Params.Mode)
+		}
+		seen[r.Label] = true
 	}
 	if !seen["M_RECORD"] || !seen["M_LOG"] {
 		t.Fatalf("modes covered: %v", seen)
 	}
 }
 
+// TestSweepRegistry pins the registry: the ids in the order the CLI lists
+// them, a rung ladder (or the advisor's own runner) and a config column
+// for each, and distinct rung labels within every ladder.
+func TestSweepRegistry(t *testing.T) {
+	want := "modes request ionodes cache clientcache advisor flush faults logtier"
+	if got := strings.Join(SweepIDs(), " "); got != want {
+		t.Fatalf("sweep ids %q, want %q", got, want)
+	}
+	for _, sw := range sweeps {
+		if (sw.Rungs == nil) == (sw.run == nil) {
+			t.Errorf("%s: want exactly one of a rung ladder and a runner", sw.ID)
+		}
+		if len(sw.Columns) == 0 || sw.Columns[0].Head != "config" {
+			t.Errorf("%s: first column is not the rung label", sw.ID)
+		}
+		if sw.Rungs == nil {
+			continue
+		}
+		seen := map[string]bool{}
+		for _, r := range sw.Rungs(small(StridedReload, pfs.MAsync)) {
+			if seen[r.Label] {
+				t.Errorf("%s: duplicate rung %q", sw.ID, r.Label)
+			}
+			seen[r.Label] = true
+		}
+	}
+}
+
+// TestLadderReportsFirstFailingRung pins the runner's error rule: every
+// rung runs, and the first failure in rung order is reported with the
+// kernel, the sweep id and the rung label.
+func TestLadderReportsFirstFailingRung(t *testing.T) {
+	bad := func(label string) Rung { return Rung{label, func(p *Params) { p.Nodes = 0 }} }
+	good := Rung{"ok", func(*Params) {}}
+	_, err := runLadder(small(StridedReload, pfs.MAsync), "test", []Rung{good, bad("first"), good, bad("second")})
+	if err == nil {
+		t.Fatal("failing rung accepted")
+	}
+	if want := "strided-reload test=first: iobench: Nodes = 0"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
+func TestFindRungs(t *testing.T) {
+	rs := sweep(t, "cache", small(Checkpoint, pfs.MAsync))
+	got, err := FindRungs(rs, "wb+read-ahead", "no-cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != rs[2] || got[1] != rs[0] {
+		t.Fatalf("FindRungs returned %q, %q", got[0].Label, got[1].Label)
+	}
+	if _, err := FindRungs(rs, "no-cache", "nosuch"); err == nil {
+		t.Fatal("missing rung found")
+	}
+}
+
 func TestSweepRequestSizesMonotoneBandwidth(t *testing.T) {
 	base := small(StridedReload, pfs.MAsync)
-	rs, err := SweepRequestSizes(base, []int64{4 << 10, 64 << 10, 256 << 10})
+	rs, err := runLadder(base, "request", requestRungs(4<<10, 64<<10, 256<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +240,7 @@ func TestSweepRequestSizesMonotoneBandwidth(t *testing.T) {
 
 func TestSweepIONodesImproves(t *testing.T) {
 	base := small(StridedReload, pfs.MAsync)
-	rs, err := SweepIONodes(base, []int{2, 16})
+	rs, err := runLadder(base, "ionodes", ioNodeRungs(2, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +250,9 @@ func TestSweepIONodesImproves(t *testing.T) {
 }
 
 func TestWriteTable(t *testing.T) {
-	rs, err := SweepModes(small(StridedReload, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := sweep(t, "modes", small(StridedReload, 0))
 	var b strings.Builder
-	if err := WriteTable(&b, "reload", rs, func(r *Result) string {
-		return r.Params.Mode.String()
-	}); err != nil {
+	if err := WriteTable(&b, "reload", rs, standardCols); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

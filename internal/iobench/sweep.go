@@ -1,6 +1,7 @@
 package iobench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -25,18 +26,124 @@ func ModesFor(k Kernel) []pfs.Mode {
 	}
 }
 
-// runSweep executes one Run per parameter set with a GOMAXPROCS-sized
-// worker pool — each run builds its own single-threaded simulation, so
-// sweep points are embarrassingly parallel — and returns results in
-// input order. Results are deterministic in the parameters regardless of
-// worker count; on error, the first failing sweep point (in input order)
-// is reported via wrap.
-func runSweep(params []Params, wrap func(i int, err error) error) ([]*Result, error) {
-	out := make([]*Result, len(params))
-	errs := make([]error, len(params))
+// Rung is one point of a ladder: the label its result carries and the
+// change it makes to the sweep's base parameters. Apply runs on a copy
+// of the base, so it assigns fields and never mutates what they point
+// to.
+type Rung struct {
+	Label string
+	Apply func(*Params)
+}
+
+// Column is one column of a sweep table: its header and how a result
+// renders in it.
+type Column struct {
+	Head string
+	Cell func(*Result) string
+}
+
+// Sweep is one registered ladder: the id `iobench -sweep` names it by,
+// the rungs it walks from a base configuration, and the columns of its
+// table.
+type Sweep struct {
+	ID string
+	// Rungs returns the ladder for a base configuration. It is nil for
+	// the advisor, whose second run depends on the first run's trace.
+	Rungs   func(base Params) []Rung
+	Columns []Column
+	run     func(base Params) ([]*Result, error)
+}
+
+// sweeps is the ladder registry, in the order `iobench -sweep` lists its
+// ids. The CLI and the flushpolicy, faults and logtier experiments all
+// resolve their ladders here.
+//
+// The logtier ladder is the kernel-scale one: its write-behind rungs
+// hold the I/O-node cache at 2 MB with a 50 ms flush deadline, so a
+// checkpoint burst overruns it — the regime the log tier is built for.
+// The experiments package's application-scale log ladder stacks the log
+// on the 32 MB write-behind cache instead, the pairing the advisor emits
+// for read-back workloads, where drained blocks stay resident. The two
+// feed different pinned results (the burst tables vs the read-back race
+// and the advisor's oracle pool), so they differ on purpose.
+var sweeps = []Sweep{
+	{ID: "modes", Columns: standardCols, Rungs: func(base Params) []Rung {
+		var rungs []Rung
+		for _, m := range ModesFor(base.Kernel) {
+			rungs = append(rungs, Rung{m.String(), func(p *Params) { p.Mode = m }})
+		}
+		return rungs
+	}},
+	{ID: "request", Columns: standardCols, Rungs: func(Params) []Rung {
+		return requestRungs(4<<10, 16<<10, 64<<10, 128<<10, 512<<10)
+	}},
+	{ID: "ionodes", Columns: standardCols, Rungs: func(Params) []Rung {
+		return ioNodeRungs(2, 4, 8, 16, 32)
+	}},
+	{ID: "cache", Columns: standardCols, Rungs: cacheRungs},
+	{ID: "clientcache", Columns: standardCols, Rungs: clientCacheRungs},
+	{ID: "advisor", Columns: standardCols, run: adviseSweep},
+	{ID: "flush", Columns: []Column{configCol, wallCol,
+		seconds("io (s)", func(r *Result) time.Duration { return r.IOTime }),
+		p95Col,
+		count("stalls", func(r *Result) uint64 { return r.Cache.ForcedFlushStalls }),
+		count("flushes", func(r *Result) uint64 { return r.Cache.Flushes }),
+		count("deadline_flushes", func(r *Result) uint64 { return r.Cache.DeadlineFlushes }),
+		count("max_dirty", func(r *Result) int { return r.Cache.MaxDirty }),
+	}, Rungs: flushRungs},
+	{ID: "faults", Columns: []Column{configCol, wallCol, mbsCol, p95Col,
+		count("degraded", func(r *Result) uint64 { return r.Degraded }),
+		count("rerouted", func(r *Result) uint64 { return r.Rerouted }),
+		count("recalls", func(r *Result) uint64 { return r.Recalls }),
+	}, Rungs: faultRungs},
+	{ID: "logtier", Columns: []Column{configCol, wallCol, mbsCol, p95Col,
+		count("appends", func(r *Result) uint64 { return r.Log.Appends }),
+		count("drains", func(r *Result) uint64 { return r.Log.Drains }),
+		count("rd_stalls", func(r *Result) uint64 { return r.Log.ReadBackStalls }),
+		count("bp_stalls", func(r *Result) uint64 { return r.Log.AppendStalls }),
+		seconds("stall (s)", func(r *Result) time.Duration { return r.Log.StallWait }),
+	}, Rungs: logTierRungs},
+}
+
+// SweepIDs lists the registered sweep ids in registry order.
+func SweepIDs() []string {
+	ids := make([]string, len(sweeps))
+	for i, sw := range sweeps {
+		ids[i] = sw.ID
+	}
+	return ids
+}
+
+// LookupSweep returns the registered sweep with the given id.
+func LookupSweep(id string) (Sweep, bool) {
+	for _, sw := range sweeps {
+		if sw.ID == id {
+			return sw, true
+		}
+	}
+	return Sweep{}, false
+}
+
+// Run executes the sweep on base and returns one labelled result per
+// rung, in rung order.
+func (sw Sweep) Run(base Params) ([]*Result, error) {
+	if sw.run != nil {
+		return sw.run(base)
+	}
+	return runLadder(base, sw.ID, sw.Rungs(base))
+}
+
+// runLadder runs base under every rung with a GOMAXPROCS-sized worker
+// pool — each run builds its own single-threaded simulation, so rungs
+// are embarrassingly parallel — and returns the results in rung order.
+// Results are deterministic in the parameters regardless of worker
+// count; on error, the first failing rung (in rung order) is reported.
+func runLadder(base Params, id string, rungs []Rung) ([]*Result, error) {
+	out := make([]*Result, len(rungs))
+	errs := make([]error, len(rungs))
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(params) {
-		workers = len(params)
+	if workers > len(rungs) {
+		workers = len(rungs)
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -45,211 +152,209 @@ func runSweep(params []Params, wrap func(i int, err error) error) ([]*Result, er
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i], errs[i] = Run(params[i])
+				p := base
+				rungs[i].Apply(&p)
+				out[i], errs[i] = Run(p)
 			}
 		}()
 	}
-	for i := range params {
+	for i := range rungs {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, wrap(i, err)
+			return nil, fmt.Errorf("%s %s=%s: %w", base.Kernel, id, rungs[i].Label, err)
+		}
+		out[i].Label = rungs[i].Label
+	}
+	return out, nil
+}
+
+// adviseSweep closes the advisor loop on one kernel: run it bare,
+// classify the trace (policy.Classify), derive a cache configuration for
+// the I/O nodes the bare run had (policy.AdviseTiers), and re-run under
+// the advised tiers. Two rows come back: the bare run and the advised
+// run, labelled with the advised cache.Tiers.
+func adviseSweep(base Params) ([]*Result, error) {
+	bare := base
+	bare.Tiers = cache.Tiers{}
+	baseRes, traced, err := runTraced(context.Background(), bare)
+	if err != nil {
+		return nil, err
+	}
+	plan := policy.AdviseTiers(policy.Classify(traced.Trace),
+		policy.CacheOptions{IONodes: len(traced.IONodes)})
+	advised := bare
+	advised.Tiers = plan.Tiers
+	advRes, err := Run(advised)
+	if err != nil {
+		return nil, err
+	}
+	baseRes.Label = "no-cache"
+	advRes.Label = "advised: " + plan.Tiers.String()
+	return []*Result{baseRes, advRes}, nil
+}
+
+// WriteTable renders results as an aligned table: one row per result,
+// one column per cols entry.
+func WriteTable(w io.Writer, title string, results []*Result, cols []Column) error {
+	heads := make([]string, len(cols))
+	for i, c := range cols {
+		heads[i] = c.Head
+	}
+	rows := make([][]string, len(results))
+	for i, r := range results {
+		rows[i] = make([]string, len(cols))
+		for j, c := range cols {
+			rows[i][j] = c.Cell(r)
+		}
+	}
+	return report.Table(w, title, heads, rows)
+}
+
+// FindRungs returns the results labelled with labels, in argument order;
+// it fails on the first label no result carries.
+func FindRungs(results []*Result, labels ...string) ([]*Result, error) {
+	out := make([]*Result, len(labels))
+	for i, label := range labels {
+		for _, r := range results {
+			if r.Label == label {
+				out[i] = r
+				break
+			}
+		}
+		if out[i] == nil {
+			return nil, fmt.Errorf("iobench: no rung labelled %q", label)
 		}
 	}
 	return out, nil
 }
 
-// SweepModes runs one kernel across all applicable access modes.
-func SweepModes(base Params) ([]*Result, error) {
-	modes := ModesFor(base.Kernel)
-	params := make([]Params, len(modes))
-	for i, mode := range modes {
-		params[i] = base
-		params[i].Mode = mode
-	}
-	return runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s/%s: %w", base.Kernel, modes[i], err)
-	})
+func seconds(head string, f func(*Result) time.Duration) Column {
+	return Column{head, func(r *Result) string { return fmt.Sprintf("%.3f", f(r).Seconds()) }}
 }
 
-// SweepRequestSizes runs one kernel/mode across request sizes.
-func SweepRequestSizes(base Params, sizes []int64) ([]*Result, error) {
-	params := make([]Params, len(sizes))
+func millis(head string, f func(*Result) time.Duration) Column {
+	return Column{head, func(r *Result) string { return fmt.Sprintf("%.2f", f(r).Seconds()*1000) }}
+}
+
+func count[T int | uint64](head string, f func(*Result) T) Column {
+	return Column{head, func(r *Result) string { return fmt.Sprintf("%d", f(r)) }}
+}
+
+// The columns every table shares.
+var (
+	configCol = Column{"config", func(r *Result) string { return r.Label }}
+	wallCol   = seconds("wall (s)", func(r *Result) time.Duration { return r.Wall })
+	mbsCol    = Column{"MB/s", func(r *Result) string { return fmt.Sprintf("%.2f", r.BandwidthMBs()) }}
+	p95Col    = millis("p95 (ms)", func(r *Result) time.Duration { return r.P95Op })
+)
+
+// standardCols is the table of ladders without counters of their own.
+var standardCols = []Column{configCol, wallCol, mbsCol,
+	count("ops", func(r *Result) int { return r.Ops }),
+	{"mean op (ms)", func(r *Result) string { return fmt.Sprintf("%.2f", r.MeanOpMillis()) }},
+	millis("p50 (ms)", func(r *Result) time.Duration { return r.P50Op }),
+	p95Col,
+}
+
+// requestRungs varies the request size — the kernel's access grain.
+func requestRungs(sizes ...int64) []Rung {
+	rungs := make([]Rung, len(sizes))
 	for i, s := range sizes {
-		params[i] = base
-		params[i].Request = s
+		rungs[i] = Rung{fmt.Sprintf("%d KB", s>>10), func(p *Params) { p.Request = s }}
 	}
-	return runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s req=%d: %w", base.Kernel, sizes[i], err)
-	})
+	return rungs
 }
 
-// SweepIONodes runs one kernel/mode across I/O node counts — the
-// machine-configuration study of the paper's future work.
-func SweepIONodes(base Params, counts []int) ([]*Result, error) {
-	params := make([]Params, len(counts))
+// ioNodeRungs varies the I/O node count — the machine-configuration
+// study of the paper's future work.
+func ioNodeRungs(counts ...int) []Rung {
+	rungs := make([]Rung, len(counts))
 	for i, c := range counts {
-		params[i] = base
-		params[i].IONodes = c
+		rungs[i] = Rung{fmt.Sprintf("%d io nodes", c), func(p *Params) { p.IONodes = c }}
 	}
-	return runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s ionodes=%d: %w", base.Kernel, counts[i], err)
-	})
+	return rungs
 }
 
-// CacheConfigs returns the canonical what-if cache ladder for SweepCache:
-// no cache, write-behind, and write-behind + read-ahead. Labels align
-// with the cachewhatif experiment family.
-func CacheConfigs() []struct {
-	Label string
-	Cfg   *cache.Config
-} {
-	return []struct {
-		Label string
-		Cfg   *cache.Config
-	}{
-		{"no-cache", nil},
-		{"write-behind", &cache.Config{WriteBehind: true}},
-		{"wb+read-ahead", &cache.Config{WriteBehind: true, ReadAhead: 4}},
+// tiersRung replaces the base's whole tier stack.
+func tiersRung(label string, t cache.Tiers) Rung {
+	return Rung{label, func(p *Params) { p.Tiers = t }}
+}
+
+// cacheRungs is the canonical what-if I/O-node cache ladder: no cache,
+// write-behind, and write-behind + read-ahead. Labels align with the
+// cachewhatif experiment family; the base's other tiers are kept.
+func cacheRungs(Params) []Rung {
+	ionode := func(label string, c *cache.Config) Rung {
+		return Rung{label, func(p *Params) { p.Tiers.IONode = c }}
+	}
+	return []Rung{
+		ionode("no-cache", nil),
+		ionode("write-behind", &cache.Config{WriteBehind: true}),
+		ionode("wb+read-ahead", &cache.Config{WriteBehind: true, ReadAhead: 4}),
 	}
 }
 
-// SweepCache runs one kernel/mode across the I/O-node cache ladder — the
-// what-if counterpart of the machine-configuration sweeps.
-func SweepCache(base Params) ([]*Result, error) {
-	ladder := CacheConfigs()
-	params := make([]Params, len(ladder))
-	for i, c := range ladder {
-		params[i] = base
-		params[i].Tiers.IONode = c.Cfg
-	}
-	results, err := runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s cache=%s: %w", base.Kernel, ladder[i].Label, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		r.CacheLabel = ladder[i].Label
-	}
-	return results, nil
+// benchClient is the client tier of the kernel ladders. The lease TTL
+// is long because benchmark kernels re-reference within one run; the
+// TTL axis itself is studied by the clientcache experiment family.
+func benchClient() *cache.ClientConfig {
+	return &cache.ClientConfig{CapacityBytes: 8 << 20, LeaseTTL: 10 * time.Minute}
 }
 
-// ClientCacheConfigs returns the client-tier ladder for
-// SweepClientCache: no cache, the lease-coherent client cache alone,
-// and the client cache stacked on the I/O-node cache. The lease TTL is
-// long because benchmark kernels re-reference within one run; the TTL
-// axis itself is studied by the clientcache experiment family.
-func ClientCacheConfigs() []struct {
-	Label string
-	Tiers cache.Tiers
-} {
-	client := func() *cache.ClientConfig {
-		return &cache.ClientConfig{CapacityBytes: 8 << 20, LeaseTTL: 10 * time.Minute}
-	}
-	return []struct {
-		Label string
-		Tiers cache.Tiers
-	}{
-		{"no-cache", cache.Tiers{}},
-		{"client", cache.Tiers{Client: client()}},
-		{"client+ion", cache.Tiers{
-			Client: client(),
+// clientCacheRungs is the client-tier ladder: no cache, the
+// lease-coherent client cache alone, and the client cache stacked on
+// the I/O-node cache.
+func clientCacheRungs(Params) []Rung {
+	return []Rung{
+		tiersRung("no-cache", cache.Tiers{}),
+		tiersRung("client", cache.Tiers{Client: benchClient()}),
+		tiersRung("client+ion", cache.Tiers{
+			Client: benchClient(),
 			IONode: &cache.Config{WriteBehind: true, ReadAhead: 4},
-		}},
+		}),
 	}
 }
 
-// SweepClientCache runs one kernel/mode across the client-tier ladder.
-func SweepClientCache(base Params) ([]*Result, error) {
-	ladder := ClientCacheConfigs()
-	params := make([]Params, len(ladder))
-	for i, c := range ladder {
-		params[i] = base
-		params[i].Tiers = c.Tiers
-	}
-	results, err := runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s clientcache=%s: %w", base.Kernel, ladder[i].Label, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		r.CacheLabel = ladder[i].Label
-	}
-	return results, nil
-}
-
-// FlushConfigs returns the flush-policy ladder for SweepFlush: the
-// legacy high-water + idle policy and the deadline policy across batch
-// size, watermark, and deadline settings. Capacity is held at 2 MB so a
-// checkpoint burst overruns it — the regime where the flush policy,
-// not the cache size, decides how many writes stall.
-func FlushConfigs() []struct {
-	Label string
-	Cfg   *cache.Config
-} {
-	mk := func(batch, hw int, deadline time.Duration) *cache.Config {
-		return &cache.Config{
+// flushRungs is the flush-policy ladder: the legacy high-water + idle
+// policy and the deadline policy across batch size, watermark, and
+// deadline settings. Capacity is held at 2 MB so a checkpoint burst
+// overruns it — the regime where the flush policy, not the cache size,
+// decides how many writes stall.
+func flushRungs(Params) []Rung {
+	mk := func(label string, batch, hw int, deadline time.Duration) Rung {
+		return tiersRung(label, cache.Tiers{IONode: &cache.Config{
 			WriteBehind:    true,
 			CapacityBytes:  2 << 20,
 			FlushBatch:     batch,
 			DirtyHighWater: hw,
 			FlushDeadline:  deadline,
-		}
+		}})
 	}
-	return []struct {
-		Label string
-		Cfg   *cache.Config
-	}{
-		{"hw-idle b=4 hw=25%", mk(4, 8, 0)},
-		{"hw-idle b=4 hw=75%", mk(4, 24, 0)},
-		{"hw-idle b=32 hw=25%", mk(32, 8, 0)},
-		{"hw-idle b=32 hw=75%", mk(32, 24, 0)},
-		{"deadline=50ms b=4 hw=25%", mk(4, 8, 50*time.Millisecond)},
-		{"deadline=50ms b=4 hw=75%", mk(4, 24, 50*time.Millisecond)},
-		{"deadline=50ms b=32 hw=25%", mk(32, 8, 50*time.Millisecond)},
-		{"deadline=50ms b=32 hw=75%", mk(32, 24, 50*time.Millisecond)},
-		{"deadline=1s b=4 hw=25%", mk(4, 8, time.Second)},
-		{"deadline=1s b=4 hw=75%", mk(4, 24, time.Second)},
-		{"deadline=1s b=32 hw=25%", mk(32, 8, time.Second)},
-		{"deadline=1s b=32 hw=75%", mk(32, 24, time.Second)},
+	return []Rung{
+		mk("hw-idle b=4 hw=25%", 4, 8, 0),
+		mk("hw-idle b=4 hw=75%", 4, 24, 0),
+		mk("hw-idle b=32 hw=25%", 32, 8, 0),
+		mk("hw-idle b=32 hw=75%", 32, 24, 0),
+		mk("deadline=50ms b=4 hw=25%", 4, 8, 50*time.Millisecond),
+		mk("deadline=50ms b=4 hw=75%", 4, 24, 50*time.Millisecond),
+		mk("deadline=50ms b=32 hw=25%", 32, 8, 50*time.Millisecond),
+		mk("deadline=50ms b=32 hw=75%", 32, 24, 50*time.Millisecond),
+		mk("deadline=1s b=4 hw=25%", 4, 8, time.Second),
+		mk("deadline=1s b=4 hw=75%", 4, 24, time.Second),
+		mk("deadline=1s b=32 hw=25%", 32, 8, time.Second),
+		mk("deadline=1s b=32 hw=75%", 32, 24, time.Second),
 	}
 }
 
-// SweepFlush runs one kernel/mode across the flush-policy ladder.
-func SweepFlush(base Params) ([]*Result, error) {
-	ladder := FlushConfigs()
-	params := make([]Params, len(ladder))
-	for i, c := range ladder {
-		params[i] = base
-		params[i].Tiers = cache.Tiers{IONode: c.Cfg}
-	}
-	results, err := runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s flush=%s: %w", base.Kernel, ladder[i].Label, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		r.CacheLabel = ladder[i].Label
-	}
-	return results, nil
-}
-
-// LogTierConfigs returns the burst-absorption ladder for SweepLogTier:
-// no tier at all, write-behind through a deadline-flushed I/O-node cache
-// (the server-side answer to bursts), the host-side log alone, and the
-// log draining through the block cache. Capacity is held at 2 MB on the
-// write-behind rung so a checkpoint burst overruns it — the regime the
-// log tier is built for.
-func LogTierConfigs() []struct {
-	Label string
-	Tiers cache.Tiers
-} {
+// logTierRungs is the burst-absorption ladder: no tier at all,
+// write-behind through a deadline-flushed I/O-node cache (the
+// server-side answer to bursts), the host-side log alone, and the log
+// draining through the block cache.
+func logTierRungs(Params) []Rung {
 	wb := func() *cache.Config {
 		return &cache.Config{
 			WriteBehind:   true,
@@ -257,205 +362,38 @@ func LogTierConfigs() []struct {
 			FlushDeadline: 50 * time.Millisecond,
 		}
 	}
-	return []struct {
-		Label string
-		Tiers cache.Tiers
-	}{
-		{"no-cache", cache.Tiers{}},
-		{"write-behind", cache.Tiers{IONode: wb()}},
-		{"log-tier", cache.Tiers{Log: &cache.LogConfig{}}},
-		{"log+ion", cache.Tiers{Log: &cache.LogConfig{}, IONode: wb()}},
+	return []Rung{
+		tiersRung("no-cache", cache.Tiers{}),
+		tiersRung("write-behind", cache.Tiers{IONode: wb()}),
+		tiersRung("log-tier", cache.Tiers{Log: &cache.LogConfig{}}),
+		tiersRung("log+ion", cache.Tiers{Log: &cache.LogConfig{}, IONode: wb()}),
 	}
 }
 
-// SweepLogTier runs one kernel/mode across the log-tier ladder — the
-// host-side burst buffer raced against server-side write-behind.
-func SweepLogTier(base Params) ([]*Result, error) {
-	ladder := LogTierConfigs()
-	params := make([]Params, len(ladder))
-	for i, c := range ladder {
-		params[i] = base
-		params[i].Tiers = c.Tiers
-	}
-	results, err := runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s logtier=%s: %w", base.Kernel, ladder[i].Label, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		r.CacheLabel = ladder[i].Label
-	}
-	return results, nil
-}
-
-// WriteLogTierTable renders log-tier-sweep results with the tier's own
-// counters: records appended, drain passes, and the two stall kinds
-// (read barriers and capacity backpressure) with their summed wait.
-func WriteLogTierTable(w io.Writer, title string, results []*Result) error {
-	rows := make([][]string, 0, len(results))
-	for _, r := range results {
-		rows = append(rows, []string{
-			r.CacheLabel,
-			fmt.Sprintf("%.3f", r.Wall.Seconds()),
-			fmt.Sprintf("%.2f", r.BandwidthMBs()),
-			fmt.Sprintf("%.2f", r.P95Op.Seconds()*1000),
-			fmt.Sprintf("%d", r.Log.Appends),
-			fmt.Sprintf("%d", r.Log.Drains),
-			fmt.Sprintf("%d", r.Log.ReadBackStalls),
-			fmt.Sprintf("%d", r.Log.AppendStalls),
-			fmt.Sprintf("%.3f", r.Log.StallWait.Seconds()),
-		})
-	}
-	return report.Table(w, title,
-		[]string{"config", "wall (s)", "MB/s", "p95 (ms)",
-			"appends", "drains", "rd_stalls", "bp_stalls", "stall (s)"}, rows)
-}
-
-// FaultConfigs returns the degraded-mode ladder for SweepFaults: the
-// healthy machine, then each fault kind injected alone. The client-flap
-// rungs carry the lease-coherent client tier (the fault needs leases to
-// storm), so they get their own healthy baseline for an apples-to-apples
-// comparison. Injection times sit early in the run so most of the
-// workload executes degraded.
-func FaultConfigs() []struct {
-	Label  string
-	Plan   faults.Plan
-	Client bool
-} {
+// faultRungs is the degraded-mode ladder: the healthy machine, then each
+// fault kind injected alone. The client-flap rungs carry the
+// lease-coherent client tier (the fault needs leases to storm), so they
+// get their own healthy baseline for an apples-to-apples comparison.
+// Injection times sit early in the run so most of the workload executes
+// degraded. Each rung overrides the base's Faults and Tiers.Client.
+func faultRungs(Params) []Rung {
 	at := 250 * time.Millisecond
-	return []struct {
-		Label  string
-		Plan   faults.Plan
-		Client bool
-	}{
-		{"healthy", faults.Plan{}, false},
-		{"disk-fail", faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.DiskFail, At: at, IONode: 0}}}, false},
-		{"node-crash", faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.NodeCrash, At: at, IONode: 0}}}, false},
-		{"straggler x4", faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.Straggler, At: at, IONode: 0, Factor: 4}}}, false},
-		{"client healthy", faults.Plan{}, true},
-		{"client-flap x5", faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.ClientFlap, At: at, Node: 1, Count: 5, Period: 500 * time.Millisecond}}}, true},
+	rung := func(label string, client bool, fs ...faults.Fault) Rung {
+		return Rung{label, func(p *Params) {
+			p.Faults = faults.Plan{Faults: fs}
+			p.Tiers.Client = nil
+			if client {
+				p.Tiers.Client = benchClient()
+			}
+		}}
 	}
-}
-
-// SweepFaults runs one kernel/mode across the fault ladder. The base
-// params' own Faults and Tiers.Client are overridden per rung.
-func SweepFaults(base Params) ([]*Result, error) {
-	ladder := FaultConfigs()
-	params := make([]Params, len(ladder))
-	for i, c := range ladder {
-		params[i] = base
-		params[i].Faults = c.Plan
-		if c.Client {
-			params[i].Tiers.Client = &cache.ClientConfig{
-				CapacityBytes: 8 << 20, LeaseTTL: 10 * time.Minute}
-		} else {
-			params[i].Tiers.Client = nil
-		}
+	return []Rung{
+		rung("healthy", false),
+		rung("disk-fail", false, faults.Fault{Kind: faults.DiskFail, At: at, IONode: 0}),
+		rung("node-crash", false, faults.Fault{Kind: faults.NodeCrash, At: at, IONode: 0}),
+		rung("straggler x4", false, faults.Fault{Kind: faults.Straggler, At: at, IONode: 0, Factor: 4}),
+		rung("client healthy", true),
+		rung("client-flap x5", true,
+			faults.Fault{Kind: faults.ClientFlap, At: at, Node: 1, Count: 5, Period: 500 * time.Millisecond}),
 	}
-	results, err := runSweep(params, func(i int, err error) error {
-		return fmt.Errorf("%s fault=%s: %w", base.Kernel, ladder[i].Label, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		r.CacheLabel = ladder[i].Label
-	}
-	return results, nil
-}
-
-// WriteFaultTable renders fault-sweep results with the degraded-mode
-// counters WriteTable omits: reconstruction-mode array requests,
-// failover reroutes, and lease recalls delivered.
-func WriteFaultTable(w io.Writer, title string, results []*Result) error {
-	rows := make([][]string, 0, len(results))
-	for _, r := range results {
-		rows = append(rows, []string{
-			r.CacheLabel,
-			fmt.Sprintf("%.3f", r.Wall.Seconds()),
-			fmt.Sprintf("%.2f", r.BandwidthMBs()),
-			fmt.Sprintf("%.2f", r.P95Op.Seconds()*1000),
-			fmt.Sprintf("%d", r.Degraded),
-			fmt.Sprintf("%d", r.Rerouted),
-			fmt.Sprintf("%d", r.Recalls),
-		})
-	}
-	return report.Table(w, title,
-		[]string{"config", "wall (s)", "MB/s", "p95 (ms)",
-			"degraded", "rerouted", "recalls"}, rows)
-}
-
-// SweepAdvisor closes the advisor loop on one kernel: run it bare,
-// classify the trace (policy.Classify), derive a cache configuration
-// (policy.AdviseTiers), and re-run under the advised tiers. Two rows
-// come back: the bare run and the advised run, labelled with the
-// advised cache.Tiers.
-func SweepAdvisor(base Params) ([]*Result, error) {
-	bare := base
-	bare.Tiers = cache.Tiers{}
-	baseRes, err := Run(bare)
-	if err != nil {
-		return nil, err
-	}
-	ionodes := base.IONodes
-	if ionodes == 0 {
-		ionodes = 16
-	}
-	plan := policy.AdviseTiers(policy.Classify(baseRes.trace),
-		policy.CacheOptions{IONodes: ionodes})
-	advised := bare
-	advised.Tiers = plan.Tiers
-	advRes, err := Run(advised)
-	if err != nil {
-		return nil, err
-	}
-	baseRes.CacheLabel = "no-cache"
-	advRes.CacheLabel = "advised: " + plan.Tiers.String()
-	return []*Result{baseRes, advRes}, nil
-}
-
-// WriteFlushTable renders flush-sweep results with the policy counters
-// WriteTable omits: forced-flush stalls, flusher passes, deadline-
-// limited passes, and the dirty-queue high-water mark.
-func WriteFlushTable(w io.Writer, title string, results []*Result) error {
-	rows := make([][]string, 0, len(results))
-	for _, r := range results {
-		rows = append(rows, []string{
-			r.CacheLabel,
-			fmt.Sprintf("%.3f", r.Wall.Seconds()),
-			fmt.Sprintf("%.3f", r.IOTime.Seconds()),
-			fmt.Sprintf("%.2f", r.P95Op.Seconds()*1000),
-			fmt.Sprintf("%d", r.Cache.ForcedFlushStalls),
-			fmt.Sprintf("%d", r.Cache.Flushes),
-			fmt.Sprintf("%d", r.Cache.DeadlineFlushes),
-			fmt.Sprintf("%d", r.Cache.MaxDirty),
-		})
-	}
-	return report.Table(w, title,
-		[]string{"config", "wall (s)", "io (s)", "p95 (ms)",
-			"stalls", "flushes", "deadline_flushes", "max_dirty"}, rows)
-}
-
-// WriteTable renders sweep results as an aligned table. label extracts
-// the swept dimension from each result.
-func WriteTable(w io.Writer, title string, results []*Result, label func(*Result) string) error {
-	rows := make([][]string, 0, len(results))
-	for _, r := range results {
-		rows = append(rows, []string{
-			label(r),
-			fmt.Sprintf("%.3f", r.Wall.Seconds()),
-			fmt.Sprintf("%.2f", r.BandwidthMBs()),
-			fmt.Sprintf("%d", r.Ops),
-			fmt.Sprintf("%.2f", r.MeanOpMillis()),
-			fmt.Sprintf("%.2f", r.P50Op.Seconds()*1000),
-			fmt.Sprintf("%.2f", r.P95Op.Seconds()*1000),
-		})
-	}
-	return report.Table(w, title,
-		[]string{"config", "wall (s)", "MB/s", "ops", "mean op (ms)", "p50 (ms)", "p95 (ms)"}, rows)
 }
