@@ -1,7 +1,7 @@
 # paragonio — reproduction of Smirni et al., HPDC 1996.
 GO ?= go
 
-.PHONY: all build test test-short vet vet-race vet-race-clientcache vet-race-scaled vet-race-faults vet-race-logtier fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke clean
+.PHONY: all build test test-short vet vet-race vet-race-clientcache vet-race-faults vet-race-logtier fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke clean
 
 all: build test
 
@@ -17,29 +17,26 @@ test-short:
 vet:
 	$(GO) vet ./...
 
-# Race-check the concurrent pieces: the sharded kernel (the randomized
-# sharded-vs-oracle property test and the sharded golden digests both
-# live in these packages), the parallel suite runner, the kernel
-# primitives they drive, the iobench ladder runner's worker pool, and
-# the iosimd daemon (fair-share admission, sweep fan-out, flight
-# coalescing, warm-start cache).
+# Race-check the concurrent pieces: the parallel suite runner (distinct
+# runs simulate on their own kernels at once), the kernel's process
+# handoff, the iobench ladder runner's worker pool, and the iosimd daemon
+# (fair-share admission, sweep fan-out, flight coalescing, warm-start
+# cache).
 vet-race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/iobench/ ./internal/server/
 
 # Race-check the client cache tier: the lease-coherence property test
 # (randomized sharing schedules against the version oracle), the
-# client-tier unit tests, and the client-on golden digests at
-# 1/4/16 shards.
+# client-tier unit tests, and the client-on golden digests.
 vet-race-clientcache:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/cache/ ./internal/pfs/
 	$(GO) test -race -run 'ClientCache|ClientVariants' ./internal/experiments/
 
-# Race-check the fault plane: the per-kind degraded golden digests at
-# 1/4/16 shards, the empty-plan healthy-equivalence property, and the
-# pfs fault-injection behavior tests — faults arm events across the
-# sharded kernel's lanes, so they run under the race detector.
+# Race-check the fault plane: the per-kind degraded golden digests, the
+# empty-plan healthy-equivalence property, the pfs fault-injection
+# behavior tests, and the daemon's fault-plan requests.
 vet-race-faults:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/faults/
@@ -48,18 +45,11 @@ vet-race-faults:
 # Race-check the log tier: the crash-replay property test (randomized
 # writer/drain/crash schedules against the observer-built consistent-cut
 # oracle), the log-tier unit tests, and the log-on healthy + degraded
-# golden digests at 1/4/16 shards.
+# golden digests.
 vet-race-logtier:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/cache/
 	$(GO) test -race -run 'LogTier|LogVariants' ./internal/experiments/
-
-# Race-check the window protocol on a scaled machine: a 32x32 mesh with
-# 64 I/O lanes — four times the paper topology — at auto/wide/narrow
-# shard settings must stay bit-identical under the race detector.
-vet-race-scaled:
-	$(GO) vet ./...
-	$(GO) test -race -run TestScaledMeshShardedDigest .
 
 fmt:
 	gofmt -l .

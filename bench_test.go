@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"paragonio/internal/apps/escat"
 	"paragonio/internal/core"
 	"paragonio/internal/disk"
 	"paragonio/internal/experiments"
@@ -487,48 +486,6 @@ func BenchmarkSuiteParallel(b *testing.B) {
 	b.Run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		runAll(b, runtime.GOMAXPROCS(0))
 	})
-	// All cores at both levels: experiments in parallel AND each
-	// simulation sharded — the end-to-end configuration of
-	// `iotables -j 0 -shards auto`.
-	b.Run(fmt.Sprintf("workers=%d/shards=%d", runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := experiments.NewSuite(1)
-			s.Shards = runtime.GOMAXPROCS(0)
-			if _, err := experiments.RunAll(s, nil, runtime.GOMAXPROCS(0)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkShardedCarbonMonoxide runs the suite's longest single
-// simulation (carbon monoxide: 256 nodes, 13 channels, ~107k trace
-// events) on the single-threaded kernel and on the sharded kernel —
-// the tentpole intra-run parallelism number. Every row produces the
-// bit-identical trace (the golden-digest tests enforce it); only the
-// wall clock may differ. On a single-core host the sharded rows measure
-// pure coordination overhead instead of speedup.
-func BenchmarkShardedCarbonMonoxide(b *testing.B) {
-	shardCounts := []int{1, 2, 4, 8, 16}
-	var digest uint64
-	for _, shards := range shardCounts {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := escat.RunOn(core.Config{Seed: 1, Shards: shards},
-					escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
-				if err != nil {
-					b.Fatal(err)
-				}
-				d := res.Trace.Digest()
-				if digest == 0 {
-					digest = d
-				} else if d != digest {
-					b.Fatalf("shards=%d: digest %#x, want %#x — sharding changed the trace", shards, d, digest)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkPFSSmallRead(b *testing.B) {

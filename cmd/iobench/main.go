@@ -13,7 +13,6 @@
 //	iobench -kernel checkpoint     -sweep faults  -mode M_ASYNC
 //	iobench -kernel checkpoint     -sweep logtier -mode M_ASYNC
 //	iobench -nodes 64 -volume 67108864 -request 131072
-//	iobench -shards auto           # shard each simulation across all cores
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"strings"
 
 	"paragonio/internal/cliflags"
-	"paragonio/internal/core"
 	"paragonio/internal/iobench"
 	"paragonio/internal/pfs"
 )
@@ -37,28 +35,15 @@ func main() {
 		request = flag.Int64("request", 128<<10, "request size (bytes)")
 		volume  = flag.Int64("volume", 32<<20, "total bytes per kernel")
 		seed    = flag.Int64("seed", 1, "workload seed")
-		shards  = flag.String("shards", "1",
-			"kernel shards per simulation: 1 = single-threaded, N >= 2 = I/O + compute lanes, auto = GOMAXPROCS (results are identical for any value)")
 	)
 	flag.Parse()
-	ns, err := cliflags.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iobench:", err)
-		os.Exit(1)
-	}
-	// The benchmark machine keeps the paper's 16 I/O nodes (the -sweep
-	// ionodes dimension varies it per run, but the notice is about the
-	// base topology).
-	if notice := core.ShardNotice(ns, 16, *nodes); notice != "" {
-		fmt.Fprintln(os.Stderr, "iobench:", notice)
-	}
-	if err := run(*kernel, *sweep, *mode, *nodes, *request, *volume, *seed, ns); err != nil {
+	if err := run(*kernel, *sweep, *mode, *nodes, *request, *volume, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "iobench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kernel, sweep, modeName string, nodes int, request, volume, seed int64, shards int) error {
+func run(kernel, sweep, modeName string, nodes int, request, volume, seed int64) error {
 	var kernels []iobench.Kernel
 	if kernel == "" {
 		kernels = iobench.Kernels()
@@ -86,7 +71,6 @@ func run(kernel, sweep, modeName string, nodes int, request, volume, seed int64,
 		base := iobench.Params{
 			Kernel: k, Mode: mode, Nodes: nodes,
 			Request: request, Volume: volume, Seed: seed,
-			Shards: shards,
 		}
 		results, err := sw.Run(base)
 		if err != nil {

@@ -8,7 +8,6 @@
 //	iotables -only table2,figure5
 //	iotables -seed 7 -summary
 //	iotables -j 8             # regenerate with 8 parallel workers
-//	iotables -shards auto     # shard each simulation across all cores
 package main
 
 import (
@@ -18,7 +17,6 @@ import (
 	"path/filepath"
 
 	"paragonio/internal/cliflags"
-	"paragonio/internal/core"
 	"paragonio/internal/experiments"
 )
 
@@ -30,33 +28,20 @@ func main() {
 		outDir  = flag.String("out", "", "also write each artifact to <dir>/<id>.txt")
 		jobs    = flag.String("j", "auto",
 			"experiments regenerated in parallel: a count or auto = GOMAXPROCS (sims are deterministic; output is identical for any -j)")
-		shards = flag.String("shards", "1",
-			"kernel shards per simulation: 1 = single-threaded, N >= 2 = I/O + compute lanes, auto = GOMAXPROCS (output is identical for any value)")
 	)
 	flag.Parse()
-	n, err := cliflags.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iotables:", err)
-		os.Exit(1)
-	}
 	j, err := cliflags.ParseJobs(*jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iotables:", err)
 		os.Exit(1)
 	}
-	// The suite runs the paper machine (16 I/O nodes); its smallest
-	// workload is 64-node PRISM, so shard requests beyond 80 lanes clamp
-	// on at least one run.
-	if notice := core.ShardNotice(n, 16, 64); notice != "" {
-		fmt.Fprintln(os.Stderr, "iotables:", notice)
-	}
-	if err := run(*only, *seed, *summary, *outDir, j, n); err != nil {
+	if err := run(*only, *seed, *summary, *outDir, j); err != nil {
 		fmt.Fprintln(os.Stderr, "iotables:", err)
 		os.Exit(1)
 	}
 }
 
-func run(only string, seed int64, summary bool, outDir string, jobs, shards int) error {
+func run(only string, seed int64, summary bool, outDir string, jobs int) error {
 	exps := experiments.All()
 	valid := make([]string, 0, len(exps))
 	for _, e := range exps {
@@ -80,9 +65,7 @@ func run(only string, seed int64, summary bool, outDir string, jobs, shards int)
 			return err
 		}
 	}
-	suite := experiments.NewSuite(seed)
-	suite.Shards = shards
-	arts, err := experiments.RunAll(suite, exps, jobs)
+	arts, err := experiments.RunAll(experiments.NewSuite(seed), exps, jobs)
 	if err != nil {
 		return err
 	}

@@ -2,14 +2,13 @@ package main
 
 import (
 	"os"
-	"paragonio/internal/cliflags"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	if err := run("table99", 1, true, "", 1, 1); err == nil {
+	if err := run("table99", 1, true, "", 1); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -21,7 +20,7 @@ func TestRunSingleExperimentToDir(t *testing.T) {
 	dir := t.TempDir()
 	// table4 is cheap: PRISM mode tables need no simulation runs beyond
 	// configuration rendering... it still renders from static configs.
-	if err := run("table4", 1, true, dir, 1, 1); err != nil {
+	if err := run("table4", 1, true, dir, 1); err != nil {
 		t.Fatal(err)
 	}
 	body, err := os.ReadFile(filepath.Join(dir, "table4.txt"))
@@ -42,10 +41,10 @@ func TestRunParallelArtifactsIdentical(t *testing.T) {
 	}
 	serialDir, parDir := t.TempDir(), t.TempDir()
 	const only = "table4,table5,figure9"
-	if err := run(only, 1, true, serialDir, 1, 1); err != nil {
+	if err := run(only, 1, true, serialDir, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(only, 1, true, parDir, 4, 1); err != nil {
+	if err := run(only, 1, true, parDir, 4); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"table4", "table5", "figure9"} {
@@ -59,57 +58,6 @@ func TestRunParallelArtifactsIdentical(t *testing.T) {
 		}
 		if string(a) != string(b) {
 			t.Errorf("%s differs between -j 1 and -j 4", id)
-		}
-	}
-}
-
-// TestRunShardedArtifactsIdentical regenerates the same artifacts on the
-// single-threaded kernel and on sharded kernels, crossed with serial and
-// parallel workers, and requires byte-identical files on disk — the
-// -shards flag, like -j, must never change output.
-func TestRunShardedArtifactsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full-size workloads")
-	}
-	const only = "table5,figure6,figure9"
-	ids := []string{"table5", "figure6", "figure9"}
-	baseDir := t.TempDir()
-	if err := run(only, 1, true, baseDir, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []struct{ jobs, shards int }{{1, 2}, {4, 4}, {2, 16}} {
-		dir := t.TempDir()
-		if err := run(only, 1, true, dir, cfg.jobs, cfg.shards); err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range ids {
-			a, err := os.ReadFile(filepath.Join(baseDir, id+".txt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := os.ReadFile(filepath.Join(dir, id+".txt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(a) != string(b) {
-				t.Errorf("%s differs between -shards 1 and -j %d -shards %d", id, cfg.jobs, cfg.shards)
-			}
-		}
-	}
-}
-
-// TestParseShards pins the -shards flag grammar, now shared through
-// internal/cliflags (its own tests pin the exact error text).
-func TestParseShards(t *testing.T) {
-	if n, err := cliflags.ParseShards("4"); err != nil || n != 4 {
-		t.Fatalf("ParseShards(4) = %d, %v", n, err)
-	}
-	if n, err := cliflags.ParseShards("auto"); err != nil || n < 1 {
-		t.Fatalf("ParseShards(auto) = %d, %v", n, err)
-	}
-	for _, bad := range []string{"0", "-2", "many", ""} {
-		if _, err := cliflags.ParseShards(bad); err == nil {
-			t.Errorf("ParseShards(%q) accepted", bad)
 		}
 	}
 }

@@ -306,7 +306,6 @@ func (q *keyQueue) pop() blockKey {
 // no locking and is deterministic by construction.
 type Cache struct {
 	k         *sim.Kernel
-	sched     *sim.Shard // the I/O node's shard lane; all timers route here
 	res       *sim.Resource
 	array     *disk.Array
 	cfg       Config
@@ -333,7 +332,6 @@ func New(k *sim.Kernel, res *sim.Resource, array *disk.Array, cfg Config) (*Cach
 	}
 	return &Cache{
 		k:         k,
-		sched:     res.Lane(),
 		res:       res,
 		array:     array,
 		cfg:       cfg,
@@ -438,7 +436,7 @@ func (c *Cache) writeBlock(streamName string, idx, n int64) time.Duration {
 	b.prefetched = false
 	if !b.dirty {
 		b.dirty = true
-		b.dirtyAt = c.sched.Now()
+		b.dirtyAt = c.k.Now()
 		c.dirtyCount++
 		if c.dirtyCount > c.stats.MaxDirty {
 			c.stats.MaxDirty = c.dirtyCount
@@ -567,12 +565,12 @@ func (c *Cache) scheduleFlush() {
 			delay = 0
 		}
 		c.flushPending = true
-		c.sched.After(delay, func() {
+		c.k.After(delay, func() {
 			c.res.UseFn(c.flushHold, c.flushDone)
 		})
 		return
 	}
-	now := c.sched.Now()
+	now := c.k.Now()
 	delay := c.cfg.IdleFlush
 	if b := c.oldestDirty(); b != nil {
 		delay = b.dirtyAt + c.cfg.FlushDeadline - now
@@ -598,7 +596,7 @@ func (c *Cache) scheduleFlush() {
 		i--
 	}
 	c.flushq[i] = at
-	c.sched.After(delay, func() {
+	c.k.After(delay, func() {
 		// Timers fire in time order, so this firing is flushq's head.
 		c.flushq = c.flushq[1:]
 		if c.dirtyCount == 0 {
@@ -617,7 +615,7 @@ func (c *Cache) scheduleFlush() {
 // still drains a full batch regardless of age.
 func (c *Cache) flushHold() sim.Time {
 	expiredOnly := c.cfg.FlushDeadline > 0 && c.dirtyCount < c.cfg.DirtyHighWater
-	now := c.sched.Now()
+	now := c.k.Now()
 	var d time.Duration
 	wrote := 0
 	for wrote < c.cfg.FlushBatch && c.dirtyCount > 0 {

@@ -30,13 +30,11 @@
 //     fetch and the write raced through the I/O-node queues, so the
 //     fetched bytes could be either generation.
 //
-// All tier state lives on shard lane 0 and is mutated exclusively from
-// process context (the compute side of the sharded kernel), so the tier
-// is deterministic and race-free for every shard count; only the block
-// fills it triggers cross LP boundaries, through the PFS data path's
-// existing sim.Shard routing. Blocks are never dirty — PFS stays
-// write-through underneath — so eviction is free and recalls never lose
-// data, only leases.
+// All tier state is mutated exclusively from process context (the
+// compute side of the simulation), so the tier is deterministic and
+// race-free. Blocks are never dirty — PFS stays write-through
+// underneath — so eviction is free and recalls never lose data, only
+// leases.
 //
 // Versions exist purely for verification: the coherence oracle test
 // subscribes via SetObserver and asserts that no read is ever served a
@@ -228,8 +226,7 @@ type clientNode struct {
 // ClientTier is the whole client cache tier: one lazily-created cache
 // per compute node plus the coherence directory. All methods must be
 // called from process context (the simulation's compute side), which
-// serializes them; no locking is needed and runs are deterministic for
-// every shard count.
+// serializes them; no locking is needed and runs are deterministic.
 type ClientTier struct {
 	k         *sim.Kernel
 	m         *mesh.Mesh

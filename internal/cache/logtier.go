@@ -10,12 +10,11 @@ package cache
 // paper's machine had nothing like it — the tier exists to ask what one
 // would have bought the checkpoint-dominated phases.
 //
-// Determinism follows the client tier's pattern: all LogTier state lives
-// on the sequential plane (lane 0) and is mutated only from process
-// context or lane-0 events — appends by the writing process, drain
-// timers via Kernel.After, drain completions through the PFS fan-out's
-// Shard.Deferred continuations. No I/O lane ever touches the tier, so
-// log-tier runs are bit-identical at every shard count.
+// Determinism follows the client tier's pattern: LogTier state is
+// mutated only from process context or kernel callbacks — appends by the
+// writing process, drain timers via Kernel.After, drain completions
+// through the PFS fan-out's continuations — all on the kernel's single
+// dispatch loop, so log-tier runs are bit-reproducible.
 //
 // Two stall paths keep the model honest. A read overlapping an
 // undrained record blocks until the drain catches up through it (the
@@ -213,15 +212,14 @@ type logNode struct {
 // logWaiter is a process blocked until the drain watermark passes seq.
 type logWaiter struct {
 	seq   uint64
-	node  int
 	p     *sim.Proc
 	start sim.Time
 	read  bool // read barrier (vs append backpressure)
 }
 
 // LogTier is the per-compute-node log-structured write buffer. All
-// methods must be called from the sequential plane (process context or
-// lane-0 events); see the package comment for the ownership argument.
+// methods must be called from process context or kernel callbacks; see
+// the package comment for the ownership argument.
 type LogTier struct {
 	k   *sim.Kernel
 	cfg LogConfig
@@ -263,8 +261,8 @@ func NewLogTier(k *sim.Kernel, cfg LogConfig) (*LogTier, error) {
 func (lt *LogTier) Config() LogConfig { return lt.cfg }
 
 // SetDrainer installs the drain sink: the PFS hands it batches of
-// records to write through the data path, calling done (from the
-// sequential plane) when the whole batch has been served.
+// records to write through the data path, calling done when the whole
+// batch has been served.
 func (lt *LogTier) SetDrainer(fn func(batch []LogRecord, done func())) { lt.drainer = fn }
 
 // SetObserver installs an observer receiving one LogOp per state
@@ -384,7 +382,7 @@ func (lt *LogTier) ReadBarrier(stream string, off, size int64) uint64 {
 // immediate drain pass. read selects which stall counter the wait is
 // charged to (read barrier vs append backpressure). It returns the time
 // p spent blocked.
-func (lt *LogTier) Wait(p *sim.Proc, node int, seq uint64, read bool) time.Duration {
+func (lt *LogTier) Wait(p *sim.Proc, seq uint64, read bool) time.Duration {
 	if seq == 0 || lt.drained >= seq || lt.crashed {
 		return 0
 	}
@@ -395,7 +393,7 @@ func (lt *LogTier) Wait(p *sim.Proc, node int, seq uint64, read bool) time.Durat
 	}
 	start := lt.k.Now()
 	lt.waiters = append(lt.waiters,
-		logWaiter{seq: seq, node: node, p: p, start: start, read: read})
+		logWaiter{seq: seq, p: p, start: start, read: read})
 	lt.scheduleDrain()
 	p.Suspend("cache: log-tier drain")
 	return lt.k.Now() - start
@@ -453,8 +451,7 @@ func (lt *LogTier) startDrain() {
 }
 
 // drainDone commits the pass's records, advances the watermark, wakes
-// every waiter it satisfies, and re-arms the drain. Runs on the
-// sequential plane (the PFS routes it through Shard.Deferred).
+// every waiter it satisfies, and re-arms the drain.
 func (lt *LogTier) drainDone(n int) {
 	lt.draining = false
 	if lt.crashed {
@@ -481,7 +478,7 @@ func (lt *LogTier) drainDone(n int) {
 	for _, w := range lt.waiters {
 		if w.seq <= lt.drained {
 			lt.stats.StallWait += time.Duration(lt.k.Now() - w.start)
-			lt.k.ComputeLane(w.node).Wake(w.p)
+			lt.k.Wake(w.p)
 			continue
 		}
 		kept = append(kept, w)
@@ -501,7 +498,7 @@ func (lt *LogTier) Crash() {
 	lt.crashed = true
 	for _, w := range lt.waiters {
 		lt.stats.StallWait += time.Duration(lt.k.Now() - w.start)
-		lt.k.ComputeLane(w.node).Wake(w.p)
+		lt.k.Wake(w.p)
 	}
 	lt.waiters = nil
 	if lt.observer != nil {

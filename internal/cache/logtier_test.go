@@ -146,7 +146,7 @@ func TestLogTierReadBarrier(t *testing.T) {
 		if seq != 1 {
 			t.Fatalf("overlapping barrier = %d, want 1", seq)
 		}
-		stalled = r.lt.Wait(p, 0, seq, true)
+		stalled = r.lt.Wait(p, seq, true)
 		if got := r.lt.ReadBarrier("log/a", 8<<10, 16<<10); got != 0 {
 			t.Errorf("barrier after drain = %d, want 0", got)
 		}
@@ -183,7 +183,7 @@ func TestLogTierBackpressure(t *testing.T) {
 			p.Wait(sim.Time(cost))
 			if stall != 0 {
 				stalls++
-				if d := r.lt.Wait(p, 0, stall, false); d <= 0 {
+				if d := r.lt.Wait(p, stall, false); d <= 0 {
 					t.Errorf("append %d: backpressure wait returned %v", i, d)
 				}
 			}
@@ -298,7 +298,7 @@ func TestLogTierReplayConsistentCut(t *testing.T) {
 					off += size
 					p.Wait(sim.Time(cost))
 					if stall != 0 {
-						lt.Wait(p, node, stall, false)
+						lt.Wait(p, stall, false)
 					}
 					p.Wait(sim.Time(time.Duration(rng.Intn(500)) * time.Microsecond))
 				}

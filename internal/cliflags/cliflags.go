@@ -12,25 +12,8 @@ import (
 	"time"
 )
 
-// ParseShards resolves a -shards flag value: a positive integer or
-// "auto" (all cores). The resolved count never needs trimming to the
-// I/O-node count by hand: the kernel splits it into I/O lanes plus
-// compute lanes itself (core.LaneSplit) and only requests beyond the
-// whole topology clamp — commands surface that with core.ShardNotice.
-func ParseShards(s string) (int, error) {
-	if s == "auto" {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("invalid -shards %q (want a positive integer or auto)", s)
-	}
-	return n, nil
-}
-
 // ParseJobs resolves a -j flag value: a positive integer or "auto"
-// (all cores) — the same spelling -shards accepts, so `-shards auto
-// -j auto` works as a pair.
+// (all cores).
 func ParseJobs(s string) (int, error) {
 	if s == "auto" {
 		return runtime.GOMAXPROCS(0), nil

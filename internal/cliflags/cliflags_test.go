@@ -46,28 +46,6 @@ func TestParseTimeout(t *testing.T) {
 	}
 }
 
-func TestParseShards(t *testing.T) {
-	if n, err := ParseShards("4"); err != nil || n != 4 {
-		t.Errorf("ParseShards(4) = %d, %v", n, err)
-	}
-	if n, err := ParseShards("auto"); err != nil || n != runtime.GOMAXPROCS(0) {
-		t.Errorf("ParseShards(auto) = %d, %v", n, err)
-	}
-	for _, bad := range []string{"", "0", "-2", "two", "1.5"} {
-		_, err := ParseShards(bad)
-		if err == nil {
-			t.Errorf("ParseShards(%q) accepted", bad)
-			continue
-		}
-		// The error text is a compatibility contract: it predates this
-		// package and scripts may match on it.
-		want := `invalid -shards "` + bad + `" (want a positive integer or auto)`
-		if err.Error() != want {
-			t.Errorf("ParseShards(%q) error %q, want %q", bad, err, want)
-		}
-	}
-}
-
 func TestOnly(t *testing.T) {
 	valid := []string{"table1", "table2", "figure1"}
 	if got, err := Only("", "experiment", valid); err != nil || got != nil {

@@ -51,51 +51,12 @@ type Config struct {
 	// are exactly as deterministic as healthy ones; the zero value keeps
 	// the machine healthy and the golden digests untouched.
 	Faults faults.Plan
-	// Shards, when >= 2, shards the simulation kernel into that many
-	// conservative lanes: up to one I/O lane per I/O node executing sync
-	// windows on parallel OS threads, with any surplus becoming compute
-	// lanes that partition process wakeups off the shared event heap (see
-	// LaneSplit). The merge is deterministic: traces are bit-identical
-	// for every shard count and window width. 0 or 1 (the default) runs
-	// today's single-threaded kernel.
+	// Shards is ignored: the simulation kernel is single-threaded.
+	//
+	// Deprecated: runs parallelize across configurations (iotables -j,
+	// sweep fan-out), never within one. The field remains so existing
+	// callers compile.
 	Shards int
-	// Window overrides the sync-window width of a sharded kernel (see
-	// sim.Kernel.SetWindow). 0, the default, uses the full lookahead;
-	// widths above the lookahead are clamped to it. Results never depend
-	// on it — it is a performance knob and a test surface.
-	Window time.Duration
-}
-
-// LaneSplit resolves a requested shard count against a topology: I/O
-// lanes are capped at one per I/O node, the surplus becomes compute
-// lanes capped at one per compute node. A request larger than
-// ioNodes+nodes clamps; callers that want to surface the clamp print
-// ShardNotice.
-func LaneSplit(shards, ioNodes, nodes int) (io, compute int) {
-	if shards < 2 {
-		return 0, 0
-	}
-	io = shards
-	if io > ioNodes {
-		io = ioNodes
-	}
-	compute = shards - io
-	if compute > nodes {
-		compute = nodes
-	}
-	return io, compute
-}
-
-// ShardNotice returns a one-line notice when the requested shard count
-// exceeds the lanes the topology can use ("" when it fits). CLIs print
-// it so a clamp is never silent.
-func ShardNotice(requested, ioNodes, nodes int) string {
-	io, compute := LaneSplit(requested, ioNodes, nodes)
-	if requested < 2 || io+compute >= requested {
-		return ""
-	}
-	return fmt.Sprintf("notice: -shards %d clamped to %d (%d I/O lanes for %d I/O nodes + %d compute lanes for %d nodes)",
-		requested, io+compute, io, ioNodes, compute, nodes)
 }
 
 // Platform is an assembled simulated machine with tracing attached.
@@ -134,14 +95,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	}
 	fcfg.Tiers = cfg.Tiers
 	fcfg.Faults = cfg.Faults
-	if io, compute := LaneSplit(cfg.Shards, fcfg.IONodes, cfg.Nodes); io+compute >= 2 {
-		if la := m.MinLatency(); la > 0 {
-			if err := k.ConfigureLanes(io, compute, la); err != nil {
-				return nil, err
-			}
-			k.SetWindow(cfg.Window)
-		}
-	}
 	fs, err := pfs.New(k, fcfg, tr)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -158,50 +157,5 @@ func TestRunWithSampler(t *testing.T) {
 	}
 	if res.Samples[0].T <= 0 {
 		t.Fatal("first sample at non-positive time")
-	}
-}
-
-// TestLaneSplit pins how a requested shard count maps onto a topology:
-// I/O lanes first (one per I/O node), surplus to compute lanes (one per
-// compute node), the rest clamped.
-func TestLaneSplit(t *testing.T) {
-	cases := []struct {
-		shards, ioNodes, nodes int
-		wantIO, wantCompute    int
-	}{
-		{0, 16, 128, 0, 0},
-		{1, 16, 128, 0, 0},
-		{2, 16, 128, 2, 0},
-		{16, 16, 128, 16, 0},
-		{20, 16, 128, 16, 4},
-		{200, 16, 128, 16, 128},
-		{3, 1, 128, 1, 2},
-		{300, 256, 256, 256, 44},
-	}
-	for _, tc := range cases {
-		io, compute := LaneSplit(tc.shards, tc.ioNodes, tc.nodes)
-		if io != tc.wantIO || compute != tc.wantCompute {
-			t.Errorf("LaneSplit(%d, %d, %d) = (%d, %d), want (%d, %d)",
-				tc.shards, tc.ioNodes, tc.nodes, io, compute, tc.wantIO, tc.wantCompute)
-		}
-	}
-}
-
-// TestShardNotice pins that clamps are surfaced and fits are silent.
-func TestShardNotice(t *testing.T) {
-	if n := ShardNotice(16, 16, 128); n != "" {
-		t.Errorf("in-range request noticed: %q", n)
-	}
-	if n := ShardNotice(144, 16, 128); n != "" {
-		t.Errorf("exact-fit request noticed: %q", n)
-	}
-	n := ShardNotice(200, 16, 128)
-	if n == "" {
-		t.Fatal("clamped request produced no notice")
-	}
-	for _, want := range []string{"200", "144", "16 I/O lanes", "128 compute lanes"} {
-		if !strings.Contains(n, want) {
-			t.Errorf("notice %q missing %q", n, want)
-		}
 	}
 }

@@ -80,8 +80,7 @@ type Array struct {
 
 	// fault-plane state (see internal/faults): degraded marks one data
 	// drive failed, slow is a straggler service-time multiplier (1 =
-	// nominal). Both are flipped by scheduled DES events on the owning
-	// I/O node's lane.
+	// nominal). Both are flipped by scheduled DES events.
 	degraded bool
 	slow     float64
 

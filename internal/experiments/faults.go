@@ -34,7 +34,6 @@ func faultsPrismWorkload(s *Suite) iobench.Params {
 		Compute: 500 * time.Millisecond,
 		IONodes: 4,
 		Seed:    s.Seed,
-		Shards:  s.Shards,
 	}
 }
 
@@ -51,7 +50,6 @@ func faultsEscatWorkload(s *Suite) iobench.Params {
 		Compute: 500 * time.Millisecond,
 		IONodes: 4,
 		Seed:    s.Seed,
-		Shards:  s.Shards,
 	}
 }
 

@@ -8,15 +8,13 @@ import (
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/core"
 	"paragonio/internal/faults"
-	"paragonio/internal/sim"
 )
 
 // faultGoldenDigests pins the degraded-machine runs the same way the
 // canonical runs are pinned: exact FNV-1a digests of the PRISM version C
-// trace under each fault kind, bit-identical at shard counts 1, 4, and
-// 16. Faults are scheduled DES events armed in plan order before the
-// run, so their sequence allocation — and hence every digest — is
-// independent of sharding. The event counts all match the healthy run
+// trace under each fault kind. Faults are scheduled DES events armed in
+// plan order before the run, so their sequence allocation — and hence
+// every digest — is reproducible. The event counts all match the healthy run
 // (11396): faults change when I/O completes, never what I/O the program
 // asked for. The client-flap rung runs with the client tier on; its
 // healthy baseline is the client-on golden 0x4f35ba3c6c1263b6
@@ -39,16 +37,12 @@ var faultGoldenDigests = []struct {
 		{Kind: faults.ClientFlap, At: time.Second, Node: 1, Count: 7500, Period: time.Second}}}, true},
 }
 
-// TestFaultGoldenDigests pins every fault kind's degraded trace at shard
-// counts 1, 4, and 16, and checks each digest is distinct from the
-// healthy golden it degrades.
+// TestFaultGoldenDigests pins every fault kind's degraded trace, and
+// checks each digest is distinct from the healthy golden it degrades.
 func TestFaultGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size paper workloads skipped in -short mode")
 	}
-	old := sim.DefaultStageMin
-	sim.DefaultStageMin = 2
-	defer func() { sim.DefaultStageMin = old }()
 
 	const healthyOff = 0xbc010fbf3debceec    // prism/C, tiers off
 	const healthyClient = 0x4f35ba3c6c1263b6 // prism/C, client tier on
@@ -60,21 +54,19 @@ func TestFaultGoldenDigests(t *testing.T) {
 		if g.digest == healthy {
 			t.Errorf("%s: pinned digest equals the healthy golden — the fault is inert", g.key)
 		}
-		for _, shards := range []int{1, 4, 16} {
-			cfg := core.Config{Seed: 1, Shards: shards, Faults: g.plan}
-			if g.client {
-				cfg.Tiers = clientOnTiers()
-			}
-			res, err := prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
-			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, g.key, err)
-			}
-			if n := res.Trace.Len(); n != g.events {
-				t.Errorf("shards=%d %s: %d events, golden %d", shards, g.key, n, g.events)
-			}
-			if d := res.Trace.Digest(); d != g.digest {
-				t.Errorf("shards=%d %s: digest %#016x, golden %#016x", shards, g.key, d, g.digest)
-			}
+		cfg := core.Config{Seed: 1, Faults: g.plan}
+		if g.client {
+			cfg.Tiers = clientOnTiers()
+		}
+		res, err := prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
+		if err != nil {
+			t.Fatalf("%s: %v", g.key, err)
+		}
+		if n := res.Trace.Len(); n != g.events {
+			t.Errorf("%s: %d events, golden %d", g.key, n, g.events)
+		}
+		if d := res.Trace.Digest(); d != g.digest {
+			t.Errorf("%s: digest %#016x, golden %#016x", g.key, d, g.digest)
 		}
 	}
 }

@@ -36,7 +36,6 @@ func flushWorkload(s *Suite) iobench.Params {
 		Compute: 2 * time.Second,
 		IONodes: 2,
 		Seed:    s.Seed,
-		Shards:  s.Shards,
 	}
 }
 

@@ -13,16 +13,17 @@ import (
 // string, e.g. "eth/C" or "escat/ethylene/C" — and every field of cfg
 // that can influence the simulated outcome, serialized in a fixed order.
 //
-// Any semantic difference — seed, shard count, window width, cache-tier
-// parameter, fault plan, machine override — changes the key. The Suite
-// keys its singleflight run cache through ConfigKey (guarding against a
-// Suite whose Seed/Shards/Window are mutated after runs began serving
-// stale entries), and the iosimd daemon uses it as the content address
-// of its persistent result cache.
+// Any semantic difference — seed, cache-tier parameter, fault plan,
+// machine override — changes the key, and nothing else does: the
+// deprecated core.Config.Shards is left out, so the same run requested
+// at any shard count shares one key. The Suite keys its singleflight run
+// cache through ConfigKey (guarding against a Suite whose Seed is
+// mutated after runs began serving stale entries), and the iosimd daemon
+// uses it as the content address of its persistent result cache.
 //
 // The key is stable within one build of this repository. It is not an
 // across-versions contract: the serialization carries a version tag
-// ("v3") precisely so a future field addition can revalidate spilled
+// ("v4") precisely so a future field change can revalidate spilled
 // artifacts by changing it.
 // KeyVersion tags the canonical serialization underneath ConfigKey.
 // Persistent stores that index artifacts by ConfigKey (the iosimd spill
@@ -30,8 +31,10 @@ import (
 // on boot: a mismatch means the canonicalisation changed, so every
 // stored hash is unreachable and the store must be rebuilt. "v2"
 // retired the deprecated Cache alias and added the faults plan to the
-// serialization; "v3" added the host-side log tier (Tiers.Log).
-const KeyVersion = "v3"
+// serialization; "v3" added the host-side log tier (Tiers.Log); "v4"
+// dropped the shard count and sync-window width, which never changed a
+// run's outcome.
+const KeyVersion = "v4"
 
 func ConfigKey(cfg core.Config, app string) string {
 	h := fnv.New64a()
@@ -48,10 +51,9 @@ func ConfigKey(cfg core.Config, app string) string {
 func canonicalConfig(cfg core.Config, app string) string {
 	tiers := cfg.Tiers
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|app=%s|nodes=%d|ionodes=%d|stripe=%d|seed=%d|shards=%d|window=%d|sample=%d",
+	fmt.Fprintf(&b, "%s|app=%s|nodes=%d|ionodes=%d|stripe=%d|seed=%d|sample=%d",
 		KeyVersion,
-		app, cfg.Nodes, cfg.IONodes, cfg.StripeUnit, cfg.Seed, cfg.Shards,
-		int64(cfg.Window), int64(cfg.SampleInterval))
+		app, cfg.Nodes, cfg.IONodes, cfg.StripeUnit, cfg.Seed, int64(cfg.SampleInterval))
 	if cfg.Mesh != nil {
 		fmt.Fprintf(&b, "|mesh=%+v", *cfg.Mesh)
 	}

@@ -15,12 +15,20 @@ import (
 )
 
 // TestConfigKeySemanticEquality pins that configurations meaning the
-// same run hash equal: literally identical configs, and equal-valued
-// configs behind distinct pointers.
+// same run hash equal: literally identical configs, equal-valued configs
+// behind distinct pointers, and configs differing only in the ignored
+// shard count.
 func TestConfigKeySemanticEquality(t *testing.T) {
-	base := core.Config{Seed: 1, Shards: 4, Window: 7 * time.Microsecond}
+	base := core.Config{Seed: 1}
 	if ConfigKey(base, "eth/C") != ConfigKey(base, "eth/C") {
 		t.Fatal("identical configs hash differently")
+	}
+	for _, shards := range []int{1, 4} {
+		sharded := base
+		sharded.Shards = shards
+		if ConfigKey(sharded, "eth/C") != ConfigKey(base, "eth/C") {
+			t.Errorf("shards=%d hashes differently from shards=0", shards)
+		}
 	}
 	// Distinct pointers to equal-valued configs are the same run.
 	a, b := base, base
@@ -49,8 +57,6 @@ func TestConfigKeyFieldSensitivity(t *testing.T) {
 	}{
 		{"seed", core.Config{Seed: 2}, "eth/C"},
 		{"nodes", core.Config{Seed: 1, Nodes: 128}, "eth/C"},
-		{"shards", core.Config{Seed: 1, Shards: 8}, "eth/C"},
-		{"window", core.Config{Seed: 1, Window: 7 * time.Microsecond}, "eth/C"},
 		{"ionodes", core.Config{Seed: 1, IONodes: 32}, "eth/C"},
 		{"stripe", core.Config{Seed: 1, StripeUnit: 128 << 10}, "eth/C"},
 		{"sample", core.Config{Seed: 1, SampleInterval: time.Second}, "eth/C"},
@@ -100,8 +106,9 @@ func TestConfigKeyFieldSensitivity(t *testing.T) {
 }
 
 // perfOnlyFields are the core.Config fields documented as never changing
-// a run's outcome: performance knobs the key may leave out.
-var perfOnlyFields = map[string]bool{"Shards": true, "Window": true}
+// a run's outcome, which the key leaves out: the deprecated, ignored
+// shard count.
+var perfOnlyFields = map[string]bool{"Shards": true}
 
 // TestConfigKeyExhaustive walks core.Config and every struct it nests —
 // the tiers, the fault plan, the mesh, disk and cost overrides — by

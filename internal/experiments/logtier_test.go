@@ -8,24 +8,17 @@ import (
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/core"
 	"paragonio/internal/faults"
-	"paragonio/internal/sim"
 )
 
 // TestLogTierGoldenDigests pins the log-tier-on runs the same way the
-// canonical runs are pinned: exact FNV-1a digests, bit-identical at
-// shard counts 1, 4, and 16. The tier lives entirely on the sequential
-// plane (appends from process context, drain timers and completions on
-// lane 0), so the digests must be untouched by how the I/O nodes are
-// sharded. They differ from the tiers-off goldens — the log changes
-// when I/O completes — but the event counts match them: the tier
-// changes timings, never what I/O the program asked for.
+// canonical runs are pinned: exact FNV-1a digests. They differ from the
+// tiers-off goldens — the log changes when I/O completes — but the event
+// counts match them: the tier changes timings, never what I/O the
+// program asked for.
 func TestLogTierGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size paper workloads skipped in -short mode")
 	}
-	old := sim.DefaultStageMin
-	sim.DefaultStageMin = 2
-	defer func() { sim.DefaultStageMin = old }()
 
 	golden := []struct {
 		key    string
@@ -40,25 +33,23 @@ func TestLogTierGoldenDigests(t *testing.T) {
 			return prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
 		}},
 	}
-	for _, shards := range []int{1, 4, 16} {
-		cfg := core.Config{Seed: 1, Shards: shards, Tiers: logOnTiers()}
-		for _, g := range golden {
-			res, err := g.run(cfg)
-			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, g.key, err)
-			}
-			if n := res.Trace.Len(); n != g.events {
-				t.Errorf("shards=%d %s: %d events, golden %d", shards, g.key, n, g.events)
-			}
-			if d := res.Trace.Digest(); d != g.digest {
-				t.Errorf("shards=%d %s: digest %#016x, golden %#016x", shards, g.key, d, g.digest)
-			}
-			if res.Log.Appends == 0 {
-				t.Errorf("shards=%d %s: log tier on but zero appends", shards, g.key)
-			}
-			if res.Log.DrainedRecords != res.Log.Appends || res.Log.PendingRecords != 0 {
-				t.Errorf("shards=%d %s: drain did not finish: %+v", shards, g.key, res.Log)
-			}
+	cfg := core.Config{Seed: 1, Tiers: logOnTiers()}
+	for _, g := range golden {
+		res, err := g.run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", g.key, err)
+		}
+		if n := res.Trace.Len(); n != g.events {
+			t.Errorf("%s: %d events, golden %d", g.key, n, g.events)
+		}
+		if d := res.Trace.Digest(); d != g.digest {
+			t.Errorf("%s: digest %#016x, golden %#016x", g.key, d, g.digest)
+		}
+		if res.Log.Appends == 0 {
+			t.Errorf("%s: log tier on but zero appends", g.key)
+		}
+		if res.Log.DrainedRecords != res.Log.Appends || res.Log.PendingRecords != 0 {
+			t.Errorf("%s: drain did not finish: %+v", g.key, res.Log)
 		}
 	}
 }
@@ -66,16 +57,13 @@ func TestLogTierGoldenDigests(t *testing.T) {
 // TestLogTierDegradedDigests pins the log tier's interaction with the
 // fault plane: the drain routes through the same I/O-node data path as
 // direct writes, so an injected node crash or straggler reprices the
-// drain traffic deterministically. Digests are bit-identical at shard
-// counts 1, 4, and 16, and distinct from both the healthy log-on
-// golden and the log-off degraded goldens (faults_test.go).
+// drain traffic deterministically. Digests are distinct from both the
+// healthy log-on golden and the log-off degraded goldens
+// (faults_test.go).
 func TestLogTierDegradedDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size paper workloads skipped in -short mode")
 	}
-	old := sim.DefaultStageMin
-	sim.DefaultStageMin = 2
-	defer func() { sim.DefaultStageMin = old }()
 
 	const healthyLog = 0x162463d0c4c76706 // prism/C, log tier on
 	golden := []struct {
@@ -98,18 +86,16 @@ func TestLogTierDegradedDigests(t *testing.T) {
 		if g.digest == g.logOff {
 			t.Errorf("%s: pinned digest equals the log-off degraded golden — the tier is inert", g.key)
 		}
-		for _, shards := range []int{1, 4, 16} {
-			cfg := core.Config{Seed: 1, Shards: shards, Tiers: logOnTiers(), Faults: g.plan}
-			res, err := prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
-			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, g.key, err)
-			}
-			if n := res.Trace.Len(); n != 11396 {
-				t.Errorf("shards=%d %s: %d events, golden 11396", shards, g.key, n)
-			}
-			if d := res.Trace.Digest(); d != g.digest {
-				t.Errorf("shards=%d %s: digest %#016x, golden %#016x", shards, g.key, d, g.digest)
-			}
+		cfg := core.Config{Seed: 1, Tiers: logOnTiers(), Faults: g.plan}
+		res, err := prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
+		if err != nil {
+			t.Fatalf("%s: %v", g.key, err)
+		}
+		if n := res.Trace.Len(); n != 11396 {
+			t.Errorf("%s: %d events, golden 11396", g.key, n)
+		}
+		if d := res.Trace.Digest(); d != g.digest {
+			t.Errorf("%s: digest %#016x, golden %#016x", g.key, d, g.digest)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
@@ -40,14 +39,6 @@ import (
 // simulation kernel, so results are identical to serial execution.
 type Suite struct {
 	Seed int64
-	// Shards, when >= 2, runs every application on a sharded simulation
-	// kernel with that many conservative lanes (see core.Config.Shards).
-	// Results are bit-identical to the single-threaded kernel for every
-	// value — the golden-digest tests enforce it.
-	Shards int
-	// Window overrides the sync-window width of sharded runs (see
-	// core.Config.Window). 0 uses the full lookahead.
-	Window time.Duration
 
 	mu       sync.Mutex
 	traces   map[string]*traceRun
@@ -156,7 +147,7 @@ func (s *Suite) Release() {
 
 // cfg returns the platform configuration all suite runs share.
 func (s *Suite) cfg() core.Config {
-	return core.Config{Seed: s.Seed, Shards: s.Shards, Window: s.Window}
+	return core.Config{Seed: s.Seed}
 }
 
 // cell returns the singleflight cell for key in m, creating it on first
@@ -177,9 +168,9 @@ func cell[T any](s *Suite, m *map[string]*T, key string) *T {
 
 // trace returns the trace run identified by id, executing f on first
 // use. The cache key is ConfigKey(s.cfg(), id) rather than id alone, so
-// a Suite whose Seed/Shards/Window fields are mutated after runs began
-// never serves a result computed under the old configuration — the new
-// configuration simply misses and recomputes.
+// a Suite whose Seed field is mutated after runs began never serves a
+// result computed under the old configuration — the new configuration
+// simply misses and recomputes.
 func (s *Suite) trace(id string, f runFunc) *traceRun {
 	cfg := s.cfg()
 	t := cell(s, &s.traces, ConfigKey(cfg, id))

@@ -6,14 +6,12 @@
 //
 // Determinism contract. Every fault is an ordinary kernel event with a
 // fixed virtual-time instant, armed in Plan order before any workload
-// event is scheduled, so sequence numbers are allocated identically for
-// every shard count. Fault state is mutated only on the lane that reads
-// it: disk-level state (degraded mode, service-time factor) lives on the
-// owning I/O node's lane and is flipped by events on that lane; routing
-// tables, mesh multipliers, and client-tier recalls live on the
-// sequential plane and are flipped by lane-0 events. Degraded runs are
-// therefore bit-reproducible and carry their own golden trace digests,
-// and an empty Plan is byte-identical to a healthy run.
+// event is scheduled, so sequence numbers are allocated identically on
+// every run. Fault events only flip state (disk degraded mode and
+// service-time factor, routing tables, mesh multipliers, client-tier
+// recalls) and emit no trace events. Degraded runs are therefore
+// bit-reproducible and carry their own golden trace digests, and an
+// empty Plan is byte-identical to a healthy run.
 package faults
 
 import (

@@ -97,9 +97,6 @@ type Params struct {
 	// Faults is the injected fault plan (see internal/faults); the zero
 	// value runs the healthy machine.
 	Faults faults.Plan
-	// Shards, when >= 2, runs the simulation on a sharded kernel
-	// (core.Config.Shards); results are bit-identical for every value.
-	Shards int
 }
 
 // withDefaults validates and fills defaults.
@@ -189,7 +186,7 @@ func Run(p Params) (*Result, error) {
 // RunContext is Run with cancellation: when ctx is cancelled or times
 // out mid-run, the simulation aborts promptly (between event batches),
 // all simulated-process goroutines exit, and the context's error is
-// returned — so an abandoned caller stops burning shard workers.
+// returned — so an abandoned caller stops burning CPU.
 func RunContext(ctx context.Context, p Params) (*Result, error) {
 	out, _, err := runTraced(ctx, p)
 	return out, err
@@ -210,7 +207,6 @@ func runTraced(ctx context.Context, p Params) (*Result, *core.Result, error) {
 		StripeUnit: p.StripeUnit,
 		Tiers:      p.Tiers,
 		Faults:     p.Faults,
-		Shards:     p.Shards,
 	}
 	res, err := core.RunContext(ctx, cfg, "iobench", p.Kernel.String(),
 		func(m *workload.Machine, seed int64) error {

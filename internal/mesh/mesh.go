@@ -120,21 +120,6 @@ func (m *Mesh) TransferToIONode(node, io int, size int64) time.Duration {
 		bwTime(float64(size), m.cfg.Bandwidth)
 }
 
-// MinLatency returns the smallest possible virtual delay of any message
-// through the mesh: the local-copy overhead if that is cheapest, else
-// software overhead plus one router hop, with a zero-byte payload. It is
-// the conservative lookahead a sharded simulation kernel may assume
-// between the compute side and the I/O nodes (sim.Kernel.ConfigureShards):
-// no cross-node interaction can take effect sooner.
-func (m *Mesh) MinLatency() time.Duration {
-	local := m.cfg.SWOverhead / 2
-	remote := m.cfg.SWOverhead + m.cfg.PerHop
-	if local < remote {
-		return local
-	}
-	return remote
-}
-
 // Broadcast returns the time for one node to broadcast size bytes to n-1
 // others via a binomial tree: ceil(log2 n) pipelined stages, each a full
 // message transfer at the mesh's average hop distance.

@@ -71,18 +71,10 @@ func (o *coherenceOracle) observe(op cache.ClientOp) {
 // short lease TTL against multi-millisecond compute gaps (expiries), and
 // a small block size over a shared file (cross-node write sharing →
 // recalls and raced fills).
-func coherenceRig(t *testing.T, shards int, ttl time.Duration) (*sim.Kernel, *FileSystem) {
+func coherenceRig(t *testing.T, ttl time.Duration) (*sim.Kernel, *FileSystem) {
 	t.Helper()
 	k := sim.NewKernel()
 	m := mesh.MustNew(mesh.DefaultConfig())
-	if shards >= 2 {
-		old := sim.DefaultStageMin
-		sim.DefaultStageMin = 2
-		t.Cleanup(func() { sim.DefaultStageMin = old })
-		if err := k.ConfigureShards(shards, m.MinLatency()); err != nil {
-			t.Fatal(err)
-		}
-	}
 	cfg := DefaultConfig(m)
 	cfg.Tiers.Client = &cache.ClientConfig{
 		BlockSize:     4 * 1024,
@@ -100,106 +92,103 @@ func coherenceRig(t *testing.T, shards int, ttl time.Duration) (*sim.Kernel, *Fi
 // over one shared file through every handle combination the protocol
 // must cover — two individual opens on distinct nodes, two handles on
 // one node, and a gopen group beside individual opens — and asserts no
-// schedule exhibits a stale read. Runs single-threaded and sharded: the
-// tier lives on lane 0, so the oracle must hold for every shard count.
+// schedule exhibits a stale read.
 func TestCoherenceOracle(t *testing.T) {
 	const fileName = "shared.dat"
 	const fileSize = 256 * 1024
-	for _, shards := range []int{1, 4} {
-		for seed := int64(1); seed <= 5; seed++ {
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				k, fs := coherenceRig(t, shards, 5*time.Millisecond)
-				fs.CreateFile(fileName, fileSize)
-				oracle := newCoherenceOracle(t)
-				fs.ClientTier().SetObserver(oracle.observe)
+	for seed := int64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			k, fs := coherenceRig(t, 5*time.Millisecond)
+			fs.CreateFile(fileName, fileSize)
+			oracle := newCoherenceOracle(t)
+			fs.ClientTier().SetObserver(oracle.observe)
 
-				// Nodes 0 and 1: individual opens (node 0 holds two
-				// handles on the same stream). Nodes 2 and 3: a gopen
-				// group in the same (M_ASYNC) discipline.
-				group, err := fs.NewGroup([]int{2, 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for node := 0; node < 4; node++ {
-					node := node
-					rng := rand.New(rand.NewSource(seed*7919 + int64(node)))
-					k.Spawn(fmt.Sprintf("node-%d", node), func(p *sim.Proc) {
-						var handles []*Handle
-						switch {
-						case node < 2:
-							h, err := fs.Open(p, node, fileName, MAsync)
+			// Nodes 0 and 1: individual opens (node 0 holds two
+			// handles on the same stream). Nodes 2 and 3: a gopen
+			// group in the same (M_ASYNC) discipline.
+			group, err := fs.NewGroup([]int{2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for node := 0; node < 4; node++ {
+				node := node
+				rng := rand.New(rand.NewSource(seed*7919 + int64(node)))
+				k.Spawn(fmt.Sprintf("node-%d", node), func(p *sim.Proc) {
+					var handles []*Handle
+					switch {
+					case node < 2:
+						h, err := fs.Open(p, node, fileName, MAsync)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						handles = append(handles, h)
+						if node == 0 {
+							h2, err := fs.Open(p, node, fileName, MAsync)
 							if err != nil {
 								t.Error(err)
 								return
 							}
-							handles = append(handles, h)
-							if node == 0 {
-								h2, err := fs.Open(p, node, fileName, MAsync)
-								if err != nil {
-									t.Error(err)
-									return
-								}
-								handles = append(handles, h2)
-							}
-						default:
-							h, err := group.Gopen(p, node, fileName, MAsync)
-							if err != nil {
+							handles = append(handles, h2)
+						}
+					default:
+						h, err := group.Gopen(p, node, fileName, MAsync)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						handles = append(handles, h)
+					}
+					for i := 0; i < 120; i++ {
+						h := handles[rng.Intn(len(handles))]
+						off := rng.Int63n(fileSize - 8*1024)
+						size := 1 + rng.Int63n(8*1024)
+						if err := h.Seek(p, off); err != nil {
+							t.Error(err)
+							return
+						}
+						if rng.Intn(10) < 7 {
+							if _, err := h.Read(p, size); err != nil {
 								t.Error(err)
 								return
 							}
-							handles = append(handles, h)
-						}
-						for i := 0; i < 120; i++ {
-							h := handles[rng.Intn(len(handles))]
-							off := rng.Int63n(fileSize - 8*1024)
-							size := 1 + rng.Int63n(8*1024)
-							if err := h.Seek(p, off); err != nil {
+						} else {
+							if _, err := h.Write(p, size); err != nil {
 								t.Error(err)
 								return
 							}
-							if rng.Intn(10) < 7 {
-								if _, err := h.Read(p, size); err != nil {
-									t.Error(err)
-									return
-								}
-							} else {
-								if _, err := h.Write(p, size); err != nil {
-									t.Error(err)
-									return
-								}
-							}
-							// Compute gaps longer than the lease TTL age
-							// some leases out between touches.
-							p.Wait(time.Duration(rng.Int63n(int64(6 * time.Millisecond))))
 						}
-					})
-				}
-				if err := k.Run(); err != nil {
-					t.Fatal(err)
-				}
-				if oracle.failed {
-					return // specifics already reported
-				}
-				// The schedule must actually exercise the protocol, or
-				// the pass is vacuous.
-				if oracle.hits == 0 || oracle.writes == 0 {
-					t.Fatalf("vacuous schedule: hits=%d writes=%d", oracle.hits, oracle.writes)
-				}
-				if oracle.recalls == 0 {
-					t.Fatalf("no lease recalls fired; schedule does not test invalidation")
-				}
-				if oracle.expired == 0 {
-					t.Fatalf("no leases expired; schedule does not test expiry")
-				}
-				st := fs.ClientStats()
-				if st.Evicted == 0 {
-					t.Fatalf("no evictions; capacity pressure missing (stats: %+v)", st)
-				}
-				if st.StaleAverted == 0 {
-					t.Fatalf("no stale reads averted; recalls never caught a resident copy")
-				}
-			})
-		}
+						// Compute gaps longer than the lease TTL age
+						// some leases out between touches.
+						p.Wait(time.Duration(rng.Int63n(int64(6 * time.Millisecond))))
+					}
+				})
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if oracle.failed {
+				return // specifics already reported
+			}
+			// The schedule must actually exercise the protocol, or
+			// the pass is vacuous.
+			if oracle.hits == 0 || oracle.writes == 0 {
+				t.Fatalf("vacuous schedule: hits=%d writes=%d", oracle.hits, oracle.writes)
+			}
+			if oracle.recalls == 0 {
+				t.Fatalf("no lease recalls fired; schedule does not test invalidation")
+			}
+			if oracle.expired == 0 {
+				t.Fatalf("no leases expired; schedule does not test expiry")
+			}
+			st := fs.ClientStats()
+			if st.Evicted == 0 {
+				t.Fatalf("no evictions; capacity pressure missing (stats: %+v)", st)
+			}
+			if st.StaleAverted == 0 {
+				t.Fatalf("no stale reads averted; recalls never caught a resident copy")
+			}
+		})
 	}
 }
 
@@ -209,7 +198,7 @@ func TestCoherenceOracle(t *testing.T) {
 func TestSetIOModeRecallsLeases(t *testing.T) {
 	// A lease long enough to survive the metadata queueing in front of
 	// the peer's setiomode — the recall must catch a *valid* lease.
-	k, fs := coherenceRig(t, 1, 10*time.Second)
+	k, fs := coherenceRig(t, 10*time.Second)
 	fs.CreateFile("f.dat", 64*1024)
 	var events []cache.ClientOp
 	fs.ClientTier().SetObserver(func(op cache.ClientOp) { events = append(events, op) })

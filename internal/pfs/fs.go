@@ -53,13 +53,9 @@ func DefaultConfig(m *mesh.Mesh) Config {
 }
 
 // ioNode is one I/O service node: a FIFO server fronting a RAID-3 array,
-// optionally through a buffer cache. Each I/O node is pinned to a shard
-// lane (sh): its service events — mesh arrival, FIFO grant, disk pricing,
-// cache flushes — are scheduled through that lane, so on a sharded kernel
-// distinct I/O nodes' same-instant events execute in parallel.
+// optionally through a buffer cache.
 type ioNode struct {
 	idx   int
-	sh    *sim.Shard
 	res   *sim.Resource
 	park  string // precomputed Suspend reason (avoids a concat per request)
 	array *disk.Array
@@ -103,12 +99,11 @@ type FileSystem struct {
 	files  map[string]*file
 	tracer pablo.Tracer
 
-	// Fault-plane routing state, owned by the sequential plane (request
-	// issue and mesh pricing both happen in process context, never on an
-	// I/O lane). dead marks crashed I/O nodes; routeTo walks the ring to
-	// the next survivor. meshSlow multiplies mesh transfers addressed to
-	// a straggler node (>= 1, so cross-LP delays stay >= the lookahead).
-	// Both are mutated only by lane-0 fault events.
+	// Fault-plane routing state, read in process context (request issue
+	// and mesh pricing). dead marks crashed I/O nodes; routeTo walks the
+	// ring to the next survivor. meshSlow multiplies mesh transfers
+	// addressed to a straggler node (>= 1). Both are mutated only by
+	// fault events.
 	dead     []bool
 	meshSlow []float64
 	rerouted uint64 // requests redirected away from a crashed node
@@ -160,11 +155,9 @@ func New(k *sim.Kernel, cfg Config, tracer pablo.Tracer) (*FileSystem, error) {
 		tracer: tracer,
 	}
 	for i := 0; i < cfg.IONodes; i++ {
-		sh := k.IOLane(i)
 		n := &ioNode{
 			idx:   i,
-			sh:    sh,
-			res:   sim.NewResourceOn(sh, fmt.Sprintf("ionode-%d", i), 1),
+			res:   sim.NewResource(k, fmt.Sprintf("ionode-%d", i), 1),
 			array: disk.MustNewArray(cfg.Disk),
 		}
 		n.park = "pfs: i/o node " + n.res.Name()
@@ -205,23 +198,19 @@ func New(k *sim.Kernel, cfg Config, tracer pablo.Tracer) (*FileSystem, error) {
 
 // armFaults turns the configured fault plan into scheduled kernel events.
 // It runs before any workload process is spawned and walks the plan in
-// order, so the events' sequence numbers are allocated identically at
-// every shard count. Lane ownership decides where each event is armed:
-// array state (degraded mode, disk slow factor) is flipped by events on
-// the owning I/O node's lane; routing tables, mesh multipliers, and
-// client-tier recalls are flipped by lane-0 events, because they are read
-// in process context on the sequential plane. Fault events mutate state
-// only — they emit no trace events — so an empty plan leaves the event
-// stream, and hence the golden digest, bit-identical to a healthy run.
+// order, so the events' sequence numbers are allocated identically on
+// every run. Fault events mutate state only — they emit no trace events —
+// so an empty plan leaves the event stream, and hence the golden digest,
+// bit-identical to a healthy run.
 func (fs *FileSystem) armFaults() error {
 	for _, f := range fs.cfg.Faults.Faults {
 		f := f
 		switch f.Kind {
 		case faults.DiskFail:
 			n := fs.ios[f.IONode]
-			n.sh.After(sim.Time(f.At), func() { n.array.SetDegraded(true) })
+			fs.k.After(sim.Time(f.At), func() { n.array.SetDegraded(true) })
 			if f.Until != 0 {
-				n.sh.After(sim.Time(f.Until), func() { n.array.SetDegraded(false) })
+				fs.k.After(sim.Time(f.Until), func() { n.array.SetDegraded(false) })
 			}
 		case faults.NodeCrash:
 			io := f.IONode
@@ -232,10 +221,10 @@ func (fs *FileSystem) armFaults() error {
 		case faults.Straggler:
 			n := fs.ios[f.IONode]
 			io, factor := f.IONode, f.Factor
-			n.sh.After(sim.Time(f.At), func() { n.array.SetSlow(factor) })
+			fs.k.After(sim.Time(f.At), func() { n.array.SetSlow(factor) })
 			fs.k.After(sim.Time(f.At), func() { fs.meshSlow[io] = factor })
 			if f.Until != 0 {
-				n.sh.After(sim.Time(f.Until), func() { n.array.SetSlow(1) })
+				fs.k.After(sim.Time(f.Until), func() { n.array.SetSlow(1) })
 				fs.k.After(sim.Time(f.Until), func() { fs.meshSlow[io] = 1 })
 			}
 		case faults.ClientFlap:
@@ -271,8 +260,7 @@ func (fs *FileSystem) routeTo(io int) int {
 
 // meshCost prices the payload transfer from a compute node to a physical
 // I/O node, stretched by the straggler multiplier when one is active.
-// Factors are >= 1, so the stretched delay still satisfies the window
-// protocol's cross-LP lookahead bound. Called in process context only.
+// Called in process context only.
 func (fs *FileSystem) meshCost(node, io int, bytes int64) time.Duration {
 	d := fs.cfg.Mesh.TransferToIONode(node, io, bytes)
 	if s := fs.meshSlow[io]; s > 1 {
@@ -388,9 +376,7 @@ func (fs *FileSystem) LogStats() cache.LogStats {
 // records through the regular PFS data path — per-record chunking, mesh
 // transfer, FIFO disk service, fault-plane routing (crashed-node
 // failover, straggler stretch) — and calls done when the slowest record
-// finishes. It runs from lane-0 events (drain timers), and each
-// record's completion crosses back to the sequential plane through
-// serveIONodeFn's Shard.Deferred, so the join counter is race-free.
+// finishes. It runs from the log tier's drain timers.
 func (fs *FileSystem) drainLog(batch []cache.LogRecord, done func()) {
 	remaining := 0
 	for _, r := range batch {
@@ -538,14 +524,12 @@ func (fs *FileSystem) xfer(p *sim.Proc, node int, f *file, off, size int64, writ
 
 // serveIONode moves one request's chunks through a single I/O node —
 // mesh transfer of the payload, then FIFO disk service — blocking p
-// until the node finishes. The interaction runs on the I/O node's shard
-// lane: the arrival event and the disk-service hold are lane events
-// (parallelizable on a sharded kernel), and the client suspends until
-// the release continuation wakes it inline. Pricing happens at grant
-// time on the lane and the client continuation nests inside the release
-// event's dispatch position, so every (at, seq) allocation — and hence
-// the trace — is identical to the former process-shaped
-// Acquire/Wait/Release sequence.
+// until the node finishes. The arrival event and the disk-service hold
+// are callback events, and the client suspends until the release
+// continuation wakes it inline. Pricing happens at grant time and the
+// client continuation nests inside the release event's dispatch
+// position, so every (at, seq) allocation — and hence the trace — is
+// identical to the former process-shaped Acquire/Wait/Release sequence.
 func (fs *FileSystem) serveIONode(p *sim.Proc, node int, f *file, io int, chunks []chunk, write bool) {
 	var bytes int64
 	for _, c := range chunks {
@@ -553,14 +537,14 @@ func (fs *FileSystem) serveIONode(p *sim.Proc, node int, f *file, io int, chunks
 	}
 	io = fs.routeTo(io)
 	n := fs.ios[io]
-	n.sh.After(fs.meshCost(node, io, bytes), func() {
+	fs.k.After(fs.meshCost(node, io, bytes), func() {
 		n.res.UseFn(func() sim.Time {
 			var d time.Duration
 			for _, c := range chunks {
 				d += n.service(f.name, c, write)
 			}
 			return d
-		}, func() { n.sh.Wake(p) })
+		}, func() { fs.k.Wake(p) })
 	})
 	p.Suspend(n.park)
 }
@@ -570,19 +554,8 @@ func (fs *FileSystem) serveIONode(p *sim.Proc, node int, f *file, io int, chunks
 // goroutine, so fan-out requests cost zero goroutine spawns and channel
 // handoffs. The initial zero-delay hop mirrors the start event a spawned
 // helper process would get, and disk service is priced at grant time
-// inside UseFn. The completion continuation crosses back to the compute
-// side through Shard.Deferred (a Shard.Call at commit time on a sharded
-// kernel, the bare callback otherwise) so it never runs concurrently
-// with other lanes.
-//
-// The staging hop runs on the issuing node's compute LP, not the I/O
-// lane: a zero-delay event on an I/O lane would land inside the open
-// sync window (the window protocol only guarantees cross-LP delays of
-// at least the lookahead), while compute-lane events dispatch on the
-// sequential plane at any instant. The mesh transfer that follows is
-// >= the lookahead by construction, so it crosses the LP boundary
-// legally. The hop's (at, seq) allocation is unchanged by the routing,
-// which keeps traces bit-identical to the previous I/O-lane hop.
+// inside UseFn. The hop is a real event, not a direct call: its sequence
+// number is part of every golden trace digest.
 func (fs *FileSystem) serveIONodeFn(node int, f *file, io int, chunks []chunk, write bool, then func()) {
 	var bytes int64
 	for _, c := range chunks {
@@ -590,9 +563,8 @@ func (fs *FileSystem) serveIONodeFn(node int, f *file, io int, chunks []chunk, w
 	}
 	io = fs.routeTo(io)
 	n := fs.ios[io]
-	then = n.sh.Deferred(then)
-	fs.k.ComputeLane(node).After(0, func() {
-		n.sh.After(fs.meshCost(node, io, bytes), func() {
+	fs.k.After(0, func() {
+		fs.k.After(fs.meshCost(node, io, bytes), func() {
 			n.res.UseFn(func() sim.Time {
 				var d time.Duration
 				for _, c := range chunks {

@@ -80,7 +80,7 @@ func (h *Handle) readData(p *sim.Proc, off, n int64) {
 		// up through them — the stall that makes the log tier a poor fit
 		// for read-after-write-resident streams (restart reads).
 		if seq := lg.ReadBarrier(h.f.name, off, n); seq > 0 {
-			lg.Wait(p, h.node, seq, true)
+			lg.Wait(p, seq, true)
 		}
 	}
 	if ct := h.fs.client; ct != nil {
@@ -154,7 +154,7 @@ func (h *Handle) writeData(p *sim.Proc, off, n int64) {
 		// capacity, so a burst larger than the buffer still pays.
 		cost, stall := lg.Append(h.node, h.f.name, off, n)
 		if stall > 0 {
-			lg.Wait(p, h.node, stall, false)
+			lg.Wait(p, stall, false)
 		}
 		p.Wait(cost)
 		if off+n > h.f.size {

@@ -56,12 +56,6 @@ func NewSampler(fs *FileSystem, interval time.Duration) *Sampler {
 		panic("pfs: sampler interval must be positive")
 	}
 	s := &Sampler{fs: fs, interval: interval}
-	// Samples read state across every I/O lane (array busy time, queue
-	// lengths, cache dirty counts). Registering the interval as a fence
-	// makes each sampling instant dispatch sequentially, outside any sync
-	// window, so the snapshot observes exactly the state a sequential
-	// kernel would show.
-	fs.k.FenceEvery(interval)
 	fs.k.Spawn("pfs-sampler", func(p *sim.Proc) {
 		for {
 			// Last one standing: the application is done.

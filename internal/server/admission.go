@@ -21,8 +21,8 @@ const (
 )
 
 // Weight classes bucket a run's slot cost for the per-class queue-depth
-// gauges: narrow single-threaded runs, medium few-lane sharded runs, and
-// wide many-lane runs that occupy most of the pool.
+// gauges: narrow one-slot runs, medium runs of a few slots, and wide runs
+// that occupy most of the pool.
 func costClass(cost int) string {
 	switch {
 	case cost <= 1:
@@ -41,10 +41,9 @@ var costClasses = []string{"narrow", "medium", "wide"}
 // pool (slots are sized off GOMAXPROCS — one slot ≈ one core the engine
 // may occupy) packed continuously from per-client FIFO queues.
 //
-// Each run acquires a cost proportional to the concurrency it will
-// consume: a single-threaded run costs one slot, a sharded run costs its
-// shard count — big meshes with many lanes get fewer concurrent
-// admissions, so the daemon never oversubscribes the machine.
+// Each run acquires a cost: one slot by default, or the weight its
+// request asks for (the shards field), clamped to the pool — a client
+// can mark a run heavy so fewer run beside it.
 //
 // Fairness is per client, not global FIFO: waiters queue FIFO within
 // their client identity, and grants rotate round-robin across clients —
@@ -133,15 +132,15 @@ func (a *Admitter) Free() int {
 	return a.free
 }
 
-// Cost clamps a requested concurrency to an admissible slot cost.
-func (a *Admitter) Cost(shards int) int {
-	if shards < 1 {
-		shards = 1
+// Cost clamps a requested weight to an admissible slot cost.
+func (a *Admitter) Cost(weight int) int {
+	if weight < 1 {
+		weight = 1
 	}
-	if shards > a.slots {
-		shards = a.slots
+	if weight > a.slots {
+		weight = a.slots
 	}
-	return shards
+	return weight
 }
 
 // Acquire claims cost slots for an anonymous interactive run — the

@@ -31,8 +31,8 @@ type SimulateRequest struct {
 	Seed       int64 `json:"seed,omitempty"`        // workload seed (default 1)
 	IONodes    int   `json:"ionodes,omitempty"`     // I/O node count override
 	StripeUnit int64 `json:"stripe_unit,omitempty"` // PFS stripe unit override, bytes
-	Shards     int   `json:"shards,omitempty"`      // sharded-kernel lane count
-	WindowUS   int64 `json:"window_us,omitempty"`   // sync-window width, µs
+	Shards     int   `json:"shards,omitempty"`      // admission weight; the simulation is single-threaded
+	WindowUS   int64 `json:"window_us,omitempty"`   // accepted, ignored
 	SampleMS   int64 `json:"sample_ms,omitempty"`   // utilization sample period, ms
 
 	Tiers *TiersRequest `json:"tiers,omitempty"`
@@ -331,8 +331,6 @@ func (r *SimulateRequest) config() core.Config {
 		Seed:           r.Seed,
 		IONodes:        r.IONodes,
 		StripeUnit:     r.StripeUnit,
-		Shards:         r.Shards,
-		Window:         time.Duration(r.WindowUS) * time.Microsecond,
 		SampleInterval: time.Duration(r.SampleMS) * time.Millisecond,
 		Faults:         r.faultsPlan(),
 	}
@@ -610,9 +608,10 @@ func (s *Server) admitAndRun(ctx context.Context, req *SimulateRequest, cfg core
 }
 
 // admitAndRunAs passes admission control under a client identity and
-// request kind (for fair-share scheduling) and executes the run.
+// request kind (for fair-share scheduling) and executes the run. The
+// request's shards field is the run's admission weight.
 func (s *Server) admitAndRunAs(ctx context.Context, client, kind string, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
-	release, err := s.adm.AcquireAs(ctx, client, kind, s.adm.Cost(cfg.Shards))
+	release, err := s.adm.AcquireAs(ctx, client, kind, s.adm.Cost(req.Shards))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 // Package server is the iosimd daemon: a long-running HTTP/JSON service
 // that answers what-if simulation requests (application × version ×
-// cache tiers × kernel sharding) against the simulated Paragon XP/S.
+// machine × cache tiers × fault plan) against the simulated Paragon XP/S.
 //
 // Three concerns shape it:
 //
@@ -11,9 +11,9 @@
 //     microseconds instead of re-simulating. Concurrent identical
 //     requests coalesce onto one in-flight run.
 //
-//   - Admission control. Simulations are CPU-bound and sharded runs
-//     occupy several cores, so requests pass a weighted slot pool sized
-//     off GOMAXPROCS (a run's cost is its clamped shard count) with a
+//   - Admission control. Simulations are CPU-bound, so requests pass a
+//     weighted slot pool sized off GOMAXPROCS (a run's cost is its
+//     request's clamped shards weight, one slot by default) with a
 //     bounded FIFO queue; overflow is shed fast with 429 + Retry-After,
 //     and every run carries a deadline and dies with its client.
 //

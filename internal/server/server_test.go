@@ -124,6 +124,51 @@ func TestSimulateOKAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestSimulateShardsIsAdmissionWeightOnly pins the shards field's two
+// roles: it never reaches the content address (the same run at shards 1
+// and 4 shares one hash, and the second request is a cache hit), and it
+// still weighs the run at admission.
+func TestSimulateShardsIsAdmissionWeightOnly(t *testing.T) {
+	var s *Server
+	var free []int
+	s = newTestServer(t, Config{Slots: 8}, func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
+		free = append(free, s.adm.Free())
+		return stubRun(ctx, req, cfg)
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var got [2]SimulateResponse
+	for i, body := range []string{
+		`{"app":"prism","version":"C","shards":1}`,
+		`{"app":"prism","version":"C","shards":4}`,
+	} {
+		resp, out := postJSON(t, ts, "/v1/simulate", body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d: %s", body, resp.StatusCode, out)
+		}
+		if err := json.Unmarshal(out, &got[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got[0].Hash != got[1].Hash {
+		t.Errorf("shards 1 and 4 hash differently: %s vs %s", got[0].Hash, got[1].Hash)
+	}
+	if got[0].Cached || !got[1].Cached {
+		t.Errorf("cached = %v, %v; want false, true", got[0].Cached, got[1].Cached)
+	}
+
+	// A fresh config (seed 2) at shards 4 runs holding four of the eight
+	// slots.
+	resp, out := postJSON(t, ts, "/v1/simulate", `{"app":"prism","version":"C","seed":2,"shards":4}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, out)
+	}
+	if want := []int{7, 4}; fmt.Sprint(free) != fmt.Sprint(want) {
+		t.Errorf("free slots during runs = %v, want %v", free, want)
+	}
+}
+
 func getURL(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)

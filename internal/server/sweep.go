@@ -35,7 +35,8 @@ type SweepRequest struct {
 	// null) for the healthy machine. Default is a single healthy rung.
 	Faults [][]FaultRequest `json:"faults,omitempty"`
 
-	// Per-point scalars shared by every grid point.
+	// Per-point scalars shared by every grid point. Shards is each
+	// point's admission weight; WindowUS is accepted and ignored.
 	Shards   int   `json:"shards,omitempty"`
 	WindowUS int64 `json:"window_us,omitempty"`
 	SampleMS int64 `json:"sample_ms,omitempty"`

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -19,7 +18,7 @@ func TestCancelAbortsRun(t *testing.T) {
 
 	unwound := make([]string, 0, 3)
 	batches := 0
-	k.SetObserver(func(at Time, seq uint64, lane int) {
+	k.SetObserver(func(at Time, seq uint64) {
 		batches++
 		if batches == 10 {
 			cancel()
@@ -71,45 +70,6 @@ func TestCancelBeforeRun(t *testing.T) {
 	}
 	if k.LiveProcs() != 0 {
 		t.Errorf("LiveProcs() = %d, want 0", k.LiveProcs())
-	}
-}
-
-// TestCancelShardedRun aborts a sharded kernel between windows: lane
-// timers stop rescheduling and the lane-0 process parked on a wait
-// unwinds exactly like the single-threaded path.
-func TestCancelShardedRun(t *testing.T) {
-	const lookahead = 30 * time.Microsecond
-	k := NewKernel()
-	if err := k.ConfigureLanes(2, 0, lookahead); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	k.SetCancel(ctx.Err)
-	var fired atomic.Int64
-	k.SetObserver(func(at Time, seq uint64, lane int) {
-		if fired.Add(1) == 16 {
-			cancel() // observer may run on a window worker; cancel is thread-safe
-		}
-	})
-	// Flusher-shaped self-rescheduling timers, one per I/O lane, that
-	// never stop on their own.
-	for i := 0; i < 2; i++ {
-		sh := k.IOLane(i)
-		var tick func()
-		tick = func() { sh.After(7*time.Microsecond, tick) }
-		sh.After(lookahead, tick)
-	}
-	k.Spawn("waiter", func(p *Proc) {
-		for {
-			p.Wait(5 * time.Microsecond)
-		}
-	})
-	err := k.Run()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("sharded Run() = %v, want context.Canceled", err)
-	}
-	if k.LiveProcs() != 0 {
-		t.Errorf("LiveProcs() = %d after sharded abort, want 0", k.LiveProcs())
 	}
 }
 

@@ -39,11 +39,8 @@ type Time = time.Duration
 const maxRetainedEvents = 4096
 
 // event is a scheduled occurrence: either the resumption of a parked
-// process or an inline callback. An event does not carry its lane: on a
-// sharded kernel lane identity is the queue the event sits in (k.queue
-// is lane 0, k.laneQ[i] is lane i+1), and the merge path tags popped
-// events with laneEvent (see shard.go). Keeping the struct at five
-// words matters — every heap sift copies it.
+// process or an inline callback. Keeping the struct at five words
+// matters — every heap sift copies it.
 type event struct {
 	at   Time
 	seq  uint64
@@ -73,29 +70,12 @@ type Kernel struct {
 	// reporting.
 	blocked map[*Proc]string
 
-	// Sharded-mode state (see shard.go). All fields stay zero on an
-	// unsharded kernel except lane0, the handle every Lane() call
-	// resolves to.
-	lane0        *Shard
-	lanes        []*Shard    // shard lane handles; index i is lane i+1
-	laneQ        []eventHeap // per-shard-lane queues, parallel to lanes
-	ioLanes      int         // lanes[0:ioLanes] are I/O LPs, the rest compute LPs
-	lookahead    Time
-	window       Time // sync-window width, (0, lookahead]
-	fencePeriods []Time
-	inStage      bool // phase A is executing; unrouted schedules panic
-	replayEnd    Time // nonzero while a window replays; guards in-window cross-LP schedules
-	stageMin     int
-	observer     func(at Time, seq uint64, lane int)
+	// observer, when non-nil, sees every dispatched event (SetObserver).
+	observer func(at Time, seq uint64)
 
-	// Scratch reused across windows and sequential instants.
-	merged []laneEvent
-	wins   []laneWin
-
-	// cancelCheck, when non-nil, is polled between dispatch batches (and
-	// between sync windows on a sharded kernel). A non-nil return aborts
-	// the run: every live process is unwound deterministically and
-	// Run/RunUntil return the error. See SetCancel.
+	// cancelCheck, when non-nil, is polled between dispatch batches. A
+	// non-nil return aborts the run: every live process is unwound
+	// deterministically and Run/RunUntil return the error. See SetCancel.
 	cancelCheck func() error
 	// aborting is set while abort unwinds parked processes; park points
 	// observe it and panic with procAbort so process stacks (and their
@@ -105,12 +85,10 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
 func NewKernel() *Kernel {
-	k := &Kernel{
+	return &Kernel{
 		parked:  make(chan struct{}),
 		blocked: make(map[*Proc]string),
 	}
-	k.lane0 = &Shard{k: k}
-	return k
 }
 
 // Now returns the current virtual time.
@@ -122,24 +100,13 @@ func (k *Kernel) EventsProcessed() uint64 { return k.processed }
 // LiveProcs returns the number of spawned processes that have not finished.
 func (k *Kernel) LiveProcs() int { return k.live }
 
-// schedule enqueues an event at the given absolute time on lane 0 — or,
-// for the wakeup of a process that lives on a compute lane, on that
-// lane's queue. The queue only decides where the event waits; dispatch
-// order is the global (at, seq) merge either way.
+// schedule enqueues an event at the given absolute time.
 func (k *Kernel) schedule(at Time, p *Proc, fn func()) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at=%v now=%v", at, k.now))
 	}
-	if k.inStage {
-		panic("sim: unrouted schedule from inside a window worker (use the lane's Shard handle)")
-	}
 	k.seq++
-	ev := event{at: at, seq: k.seq, proc: p, fn: fn}
-	if p != nil && p.lane != 0 {
-		k.laneQ[p.lane-1].push(ev)
-		return
-	}
-	k.queue.push(ev)
+	k.queue.push(event{at: at, seq: k.seq, proc: p, fn: fn})
 }
 
 // After schedules fn to run at Now()+d. It may be called from process
@@ -155,20 +122,7 @@ func (k *Kernel) After(d Time, fn func()) {
 // the current virtual time. It may be called before Run or from within a
 // running process or callback.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
-	return k.spawn(0, name, 0, body)
-}
-
-// SpawnOn is Spawn with a home lane: the process's wake events queue on
-// sh's lane instead of the shared lane-0 heap. Only compute lanes
-// partition processes — an I/O-lane or lane-0 handle leaves the process
-// on lane 0. The home lane changes which queue wakeups wait in, never
-// their (at, seq) dispatch order, so it is trace-invisible.
-func (k *Kernel) SpawnOn(sh *Shard, name string, body func(*Proc)) *Proc {
-	var lane int32
-	if sh != nil && sh.k == k && !k.isIOLane(sh.lane) {
-		lane = sh.lane
-	}
-	return k.spawn(0, name, lane, body)
+	return k.spawn(0, name, body)
 }
 
 // SpawnAt is like Spawn but delays the process start by d.
@@ -176,16 +130,15 @@ func (k *Kernel) SpawnAt(d Time, name string, body func(*Proc)) *Proc {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	return k.spawn(d, name, 0, body)
+	return k.spawn(d, name, body)
 }
 
-func (k *Kernel) spawn(d Time, name string, lane int32, body func(*Proc)) *Proc {
+func (k *Kernel) spawn(d Time, name string, body func(*Proc)) *Proc {
 	k.procSeq++
 	p := &Proc{
 		k:      k,
 		name:   name,
 		id:     k.procSeq,
-		lane:   lane,
 		resume: make(chan struct{}),
 	}
 	k.live++
@@ -234,16 +187,21 @@ func (k *Kernel) deadlockError() *DeadlockError {
 }
 
 // SetCancel installs a cancellation check the run loop polls between
-// dispatch batches (between sync windows on a sharded kernel). The first
-// non-nil error aborts the run: pending events are dropped, every live
-// process is unwound in spawn order (its deferred functions run), and
-// Run/RunUntil return the error. The canonical check wraps a
-// context.Context: k.SetCancel(ctx.Err). A nil check (the default)
-// disables polling; runs that never cancel are unaffected either way —
-// the check runs between batches, never between events of one instant,
-// so it cannot perturb event order.
+// dispatch batches. The first non-nil error aborts the run: pending
+// events are dropped, every live process is unwound in spawn order (its
+// deferred functions run), and Run/RunUntil return the error. The
+// canonical check wraps a context.Context: k.SetCancel(ctx.Err). A nil
+// check (the default) disables polling; runs that never cancel are
+// unaffected either way — the check runs between batches, never between
+// events of one instant, so it cannot perturb event order.
 func (k *Kernel) SetCancel(check func() error) {
 	k.cancelCheck = check
+}
+
+// SetObserver installs a hook called for every dispatched event, in
+// dispatch order, with its (at, seq). A nil fn removes the hook.
+func (k *Kernel) SetObserver(fn func(at Time, seq uint64)) {
+	k.observer = fn
 }
 
 // checkCancel polls the installed cancellation check.
@@ -260,7 +218,7 @@ type procAbort struct{}
 
 // abort unwinds every live process after a cancelled run and returns
 // err. Parked processes are found in the blocked map (waiting on a
-// synchronization primitive) and the event queues (waiting on a pending
+// synchronization primitive) and the event queue (waiting on a pending
 // wake), then resumed one at a time in spawn order; the abort flag makes
 // each park point panic with procAbort, so the process's stack — and any
 // defers on it — unwinds and its goroutine exits before the next one is
@@ -281,11 +239,6 @@ func (k *Kernel) abort(err error) error {
 	for i := range k.queue.ev {
 		add(k.queue.ev[i].proc)
 	}
-	for qi := range k.laneQ {
-		for i := range k.laneQ[qi].ev {
-			add(k.laneQ[qi].ev[i].proc)
-		}
-	}
 	sort.Slice(parked, func(i, j int) bool { return parked[i].id < parked[j].id })
 	for _, p := range parked {
 		delete(k.blocked, p)
@@ -293,9 +246,6 @@ func (k *Kernel) abort(err error) error {
 		<-k.parked
 	}
 	k.queue.ev = nil
-	for i := range k.laneQ {
-		k.laneQ[i].ev = nil
-	}
 	k.trim()
 	return err
 }
@@ -305,17 +255,11 @@ func (k *Kernel) abort(err error) error {
 // drains, the cancellation error if an installed SetCancel check fired,
 // and nil otherwise.
 func (k *Kernel) Run() error {
-	if len(k.lanes) == 0 {
-		for k.queue.len() > 0 {
-			if err := k.checkCancel(); err != nil {
-				return k.abort(err)
-			}
-			k.runBatch(k.queue.min().at)
-		}
-	} else {
-		if err := k.runSharded(0, false); err != nil {
+	for k.queue.len() > 0 {
+		if err := k.checkCancel(); err != nil {
 			return k.abort(err)
 		}
+		k.runBatch(k.queue.min().at)
 	}
 	k.trim()
 	if k.live > 0 {
@@ -328,22 +272,13 @@ func (k *Kernel) Run() error {
 // leaving later events queued. It returns the same deadlock diagnosis as
 // Run when the queue drains early.
 func (k *Kernel) RunUntil(deadline Time) error {
-	if len(k.lanes) == 0 {
-		for k.queue.len() > 0 && k.queue.min().at <= deadline {
-			if err := k.checkCancel(); err != nil {
-				return k.abort(err)
-			}
-			k.runBatch(k.queue.min().at)
+	for k.queue.len() > 0 && k.queue.min().at <= deadline {
+		if err := k.checkCancel(); err != nil {
+			return k.abort(err)
 		}
-		if k.queue.len() == 0 && k.live > 0 {
-			return k.deadlockError()
-		}
-		return nil
+		k.runBatch(k.queue.min().at)
 	}
-	if err := k.runSharded(deadline, true); err != nil {
-		return k.abort(err)
-	}
-	if _, ok := k.minNext(); !ok && k.live > 0 {
+	if k.queue.len() == 0 && k.live > 0 {
 		return k.deadlockError()
 	}
 	return nil
@@ -366,7 +301,7 @@ func (k *Kernel) runBatch(at Time) {
 	for i := range batch {
 		k.processed++
 		if k.observer != nil {
-			k.observer(batch[i].at, batch[i].seq, 0)
+			k.observer(batch[i].at, batch[i].seq)
 		}
 		if p := batch[i].proc; p != nil {
 			k.dispatch(p)
@@ -386,32 +321,6 @@ func (k *Kernel) trim() {
 	if cap(k.batch) > maxRetainedEvents {
 		k.batch = nil
 	}
-	for i := range k.laneQ {
-		if cap(k.laneQ[i].ev) > maxRetainedEvents {
-			k.laneQ[i].ev = nil
-		}
-	}
-	if cap(k.merged) > maxRetainedEvents {
-		k.merged = nil
-	}
-	for i := range k.wins {
-		w := &k.wins[i]
-		if cap(w.slice) > maxRetainedEvents {
-			w.slice = nil
-		}
-		if cap(w.recs) > maxRetainedEvents {
-			w.recs = nil
-		}
-		if cap(w.entries) > maxRetainedEvents {
-			w.entries = nil
-		}
-		if cap(w.heap.ev) > maxRetainedEvents {
-			w.heap.ev = nil
-		}
-		if cap(w.ordSeq) > maxRetainedEvents {
-			w.ordSeq = nil
-		}
-	}
 }
 
 // dispatch hands control to p and waits for it to yield back.
@@ -428,7 +337,17 @@ func (k *Kernel) wake(p *Proc) {
 }
 
 // Resume schedules a process parked with Proc.Suspend to continue at the
-// current instant. From a shard-lane handler use Shard.Resume instead.
+// current instant, as a new event.
 func (k *Kernel) Resume(p *Proc) {
 	k.wake(p)
+}
+
+// Wake resumes a process parked with Proc.Suspend inline, within the
+// current event's dispatch position. Unlike Resume it adds no event —
+// the process continuation nests inside the waking event exactly as if
+// the process itself had been executing it, which is what keeps a
+// callback-shaped completion bit-identical to the process-shaped code it
+// replaces.
+func (k *Kernel) Wake(p *Proc) {
+	k.dispatch(p)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -300,5 +301,48 @@ func TestManyProcessesStress(t *testing.T) {
 	}
 	if k.Now() != 10*Time(n)*time.Millisecond {
 		t.Fatalf("final time %v, want %v", k.Now(), 10*Time(n)*time.Millisecond)
+	}
+}
+
+// TestSuspendWake exercises the Suspend/Wake pair: the waking event's
+// handler continues the process inline, so work the process does after
+// waking is observed before the next queued event dispatches.
+func TestSuspendWake(t *testing.T) {
+	k := NewKernel()
+	var order []string
+	k.Spawn("sleeper", func(p *Proc) {
+		k.After(time.Millisecond, func() {
+			order = append(order, "wake-event")
+			// Queued before the wake, at the same instant — yet the
+			// process continuation must run first, inline.
+			k.After(0, func() { order = append(order, "later-event") })
+			k.Wake(p)
+			order = append(order, "after-wake")
+		})
+		p.Suspend("test")
+		order = append(order, "resumed")
+		p.Wait(0)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"wake-event", "resumed", "after-wake", "later-event"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestSuspendDeadlockDiagnosis checks a never-woken Suspend surfaces in
+// the deadlock report with its reason.
+func TestSuspendDeadlockDiagnosis(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("stuck", func(p *Proc) { p.Suspend("waiting for nothing") })
+	err := k.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	if len(de.Blocked) != 1 || de.Blocked[0] != "stuck: waiting for nothing" {
+		t.Fatalf("blocked = %v", de.Blocked)
 	}
 }

@@ -9,7 +9,6 @@ type Proc struct {
 	k      *Kernel
 	name   string
 	id     int
-	lane   int32 // home compute lane for wake events; 0 = lane 0
 	resume chan struct{}
 	done   bool
 }
@@ -50,7 +49,7 @@ func (p *Proc) WaitUntil(t Time) {
 }
 
 // Suspend parks the process until another event resumes it via
-// Shard.Resume or Kernel.Resume. reason appears in deadlock diagnostics
+// Kernel.Wake or Kernel.Resume. reason appears in deadlock diagnostics
 // should the resume never arrive.
 func (p *Proc) Suspend(reason string) {
 	if reason == "" {

@@ -15,8 +15,7 @@ import "fmt"
 //
 // Resource collects utilization and queueing statistics for analysis.
 type Resource struct {
-	sh       *Shard
-	k        *Kernel // == sh.k, cached to keep the hot path one deref deep
+	k        *Kernel
 	name     string
 	capacity int
 	busy     int
@@ -41,34 +40,19 @@ type resWaiter struct {
 }
 
 // NewResource creates a resource with the given capacity (number of
-// concurrent holders) on the kernel's compute lane. Capacity must be
-// >= 1.
+// concurrent holders). Capacity must be >= 1.
 func NewResource(k *Kernel, name string, capacity int) *Resource {
-	return NewResourceOn(k.lane0, name, capacity)
-}
-
-// NewResourceOn creates a resource bound to a shard lane: its release
-// events and callback-shaped grants are scheduled through sh, so on a
-// sharded kernel they dispatch on that lane — possibly in parallel with
-// other lanes. The resource's state must then only be touched from that
-// lane (or from lane-0 events, which never overlap stages). Process
-// wakeups always route to the compute lane.
-func NewResourceOn(sh *Shard, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
 	return &Resource{
-		sh:        sh,
-		k:         sh.k,
+		k:         k,
 		name:      name,
 		capacity:  capacity,
 		enqueueAt: make(map[*Proc]Time),
 		holdSince: make(map[*Proc]Time),
 	}
 }
-
-// Lane returns the shard handle the resource schedules through.
-func (r *Resource) Lane() *Shard { return r.sh }
 
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
@@ -82,7 +66,7 @@ func (r *Resource) QueueLen() int { return r.waiters.len() }
 // Acquire blocks p until a slot is free, FIFO with respect to other
 // acquirers.
 func (r *Resource) Acquire(p *Proc) {
-	r.enqueueAt[p] = r.sh.Now()
+	r.enqueueAt[p] = r.k.now
 	if r.busy < r.capacity && r.waiters.len() == 0 {
 		r.grant(p)
 		return
@@ -96,7 +80,7 @@ func (r *Resource) Acquire(p *Proc) {
 // returns whether it did. It never blocks.
 func (r *Resource) TryAcquire(p *Proc) bool {
 	if r.busy < r.capacity && r.waiters.len() == 0 {
-		r.enqueueAt[p] = r.sh.Now()
+		r.enqueueAt[p] = r.k.now
 		r.grant(p)
 		return true
 	}
@@ -115,9 +99,9 @@ func (r *Resource) enqueue(w resWaiter) {
 func (r *Resource) grant(p *Proc) {
 	r.busy++
 	r.acquisitions++
-	r.totalQueue += r.sh.Now() - r.enqueueAt[p]
+	r.totalQueue += r.k.now - r.enqueueAt[p]
 	delete(r.enqueueAt, p)
-	r.holdSince[p] = r.sh.Now()
+	r.holdSince[p] = r.k.now
 }
 
 // grantFn records the grant of a slot to a callback-shaped holder that
@@ -125,7 +109,7 @@ func (r *Resource) grant(p *Proc) {
 func (r *Resource) grantFn(enq Time) {
 	r.busy++
 	r.acquisitions++
-	r.totalQueue += r.sh.Now() - enq
+	r.totalQueue += r.k.now - enq
 }
 
 // UseFn acquires a slot as a callback-shaped holder — FIFO with every
@@ -139,23 +123,23 @@ func (r *Resource) grantFn(enq Time) {
 // goroutine round-trips.
 func (r *Resource) UseFn(hold func() Time, then func()) {
 	if r.busy < r.capacity && r.waiters.len() == 0 {
-		r.grantFn(r.sh.Now())
+		r.grantFn(r.k.now)
 		r.holdFn(hold, then)
 		return
 	}
-	r.enqueue(resWaiter{hold: hold, then: then, enq: r.sh.Now()})
+	r.enqueue(resWaiter{hold: hold, then: then, enq: r.k.now})
 }
 
 // holdFn runs at grant time for a callback-shaped holder: it prices the
 // hold and schedules the release and continuation.
 func (r *Resource) holdFn(hold func() Time, then func()) {
-	since := r.sh.Now()
+	since := r.k.now
 	d := hold()
 	if d < 0 {
 		panic("sim: negative hold on " + r.name)
 	}
-	r.sh.schedule(r.sh.Now()+d, nil, func() {
-		r.totalHold += r.sh.Now() - since
+	r.k.schedule(r.k.now+d, nil, func() {
+		r.totalHold += r.k.now - since
 		r.busy--
 		r.wakeNext()
 		if then != nil {
@@ -171,7 +155,7 @@ func (r *Resource) Release(p *Proc) {
 	if !ok {
 		panic(fmt.Sprintf("sim: %s releasing %s it does not hold", p, r.name))
 	}
-	r.totalHold += r.sh.Now() - since
+	r.totalHold += r.k.now - since
 	delete(r.holdSince, p)
 	r.busy--
 	r.wakeNext()
@@ -188,11 +172,11 @@ func (r *Resource) wakeNext() {
 	next := r.waiters.pop()
 	if next.p != nil {
 		r.grant(next.p)
-		r.sh.Resume(next.p)
+		r.k.wake(next.p)
 		return
 	}
 	r.grantFn(next.enq)
-	r.sh.schedule(r.sh.Now(), nil, func() { r.holdFn(next.hold, next.then) })
+	r.k.schedule(r.k.now, nil, func() { r.holdFn(next.hold, next.then) })
 }
 
 // Use acquires the resource, holds it for d of virtual time, and releases

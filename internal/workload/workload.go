@@ -48,15 +48,11 @@ type Node struct {
 }
 
 // SpawnNodes starts one process per node running body. Each node gets a
-// deterministic PRNG derived from seed and its id, and lives on its
-// compute LP (round-robin over the kernel's compute lanes; lane 0 when
-// there are none) so wake events queue on the lane's own heap instead of
-// the shared one — a queue choice only, invisible to traces. Call before
-// K.Run().
+// deterministic PRNG derived from seed and its id. Call before K.Run().
 func (m *Machine) SpawnNodes(seed int64, body func(n *Node)) {
 	for i := 0; i < m.Nodes; i++ {
 		i := i
-		m.K.SpawnOn(m.K.ComputeLane(i), fmt.Sprintf("node-%d", i), func(p *sim.Proc) {
+		m.K.Spawn(fmt.Sprintf("node-%d", i), func(p *sim.Proc) {
 			body(&Node{M: m, P: p, ID: i, RNG: rand.New(rand.NewSource(seed + int64(i)*7919))})
 		})
 	}
