@@ -1,7 +1,7 @@
 # paragonio — reproduction of Smirni et al., HPDC 1996.
 GO ?= go
 
-.PHONY: all build test test-short vet vet-race vet-race-clientcache vet-race-faults vet-race-logtier fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke clean
+.PHONY: all build test test-short vet vet-race fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke clean
 
 all: build test
 
@@ -18,38 +18,14 @@ vet:
 	$(GO) vet ./...
 
 # Race-check the concurrent pieces: the parallel suite runner (distinct
-# runs simulate on their own kernels at once), the kernel's process
-# handoff, the iobench ladder runner's worker pool, and the iosimd daemon
-# (fair-share admission, sweep fan-out, flight coalescing, warm-start
-# cache).
+# runs simulate on their own kernels at once) with every golden digest,
+# the kernel's process handoff, the cache tiers (the lease-coherence and
+# crash-replay property tests), pfs and the fault plane, the iobench
+# ladder runner's worker pool, and the iosimd daemon (fair-share
+# admission, sweep fan-out, flight coalescing, warm-start cache).
 vet-race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/iobench/ ./internal/server/
-
-# Race-check the client cache tier: the lease-coherence property test
-# (randomized sharing schedules against the version oracle), the
-# client-tier unit tests, and the client-on golden digests.
-vet-race-clientcache:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/cache/ ./internal/pfs/
-	$(GO) test -race -run 'ClientCache|ClientVariants' ./internal/experiments/
-
-# Race-check the fault plane: the per-kind degraded golden digests, the
-# empty-plan healthy-equivalence property, the pfs fault-injection
-# behavior tests, and the daemon's fault-plan requests.
-vet-race-faults:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/faults/
-	$(GO) test -race -run Fault ./internal/pfs/ ./internal/experiments/ ./internal/server/
-
-# Race-check the log tier: the crash-replay property test (randomized
-# writer/drain/crash schedules against the observer-built consistent-cut
-# oracle), the log-tier unit tests, and the log-on healthy + degraded
-# golden digests.
-vet-race-logtier:
-	$(GO) vet ./...
-	$(GO) test -race ./internal/cache/
-	$(GO) test -race -run 'LogTier|LogVariants' ./internal/experiments/
+	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/cache/ ./internal/pfs/ ./internal/faults/ ./internal/iobench/ ./internal/server/
 
 fmt:
 	gofmt -l .

@@ -416,9 +416,8 @@ func BenchmarkKernelResourceContention(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelMailboxPingPong bounces one message between two parties,
-// process-shaped (Recv parks a goroutine each round trip) vs
-// callback-shaped (RecvFn re-arms a delivery callback).
+// BenchmarkKernelMailboxPingPong bounces one message between two
+// processes; Recv parks a goroutine each round trip.
 func BenchmarkKernelMailboxPingPong(b *testing.B) {
 	b.Run("proc", func(b *testing.B) {
 		k := sim.NewKernel()
@@ -435,32 +434,6 @@ func BenchmarkKernelMailboxPingPong(b *testing.B) {
 				pong.Send(ping.Recv(p))
 			}
 		})
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	b.Run("callback", func(b *testing.B) {
-		k := sim.NewKernel()
-		ping := sim.NewMailbox(k, "ping")
-		pong := sim.NewMailbox(k, "pong")
-		left := b.N
-		var onPing, onPong func(v any)
-		onPing = func(v any) {
-			pong.Send(v)
-			ping.RecvFn(onPing)
-		}
-		onPong = func(v any) {
-			left--
-			if left > 0 {
-				ping.Send(left)
-				pong.RecvFn(onPong)
-			}
-		}
-		ping.RecvFn(onPing)
-		pong.RecvFn(onPong)
-		k.After(0, func() { ping.Send(left) })
 		b.ReportAllocs()
 		b.ResetTimer()
 		if err := k.Run(); err != nil {

@@ -99,21 +99,17 @@ func usage() {
 		"usage: iotrace <summary|cdf|timeline|windows|regions|taxonomy|advise|replay|csv> <trace.sddf> [flags]")
 }
 
-// load reads a trace in any of the three supported encodings, detected
-// by magic: the SDDF text format, the compact binary format, or the
-// generic self-describing stream. From a generic stream the tag-2
-// cache-sample records ride along for the cache-* plot ops; other
-// foreign records are ignored, and the single-stream formats carry no
-// samples.
+// load reads a trace in either supported encoding, detected by magic:
+// the generic self-describing stream or the SDDF text format. From a
+// generic stream the tag-2 cache-sample records ride along for the
+// cache-* plot ops; other foreign records are ignored, and the text
+// format carries no samples.
 func load(path string) (*pablo.Trace, []pablo.CacheSample, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	switch {
-	case bytes.HasPrefix(data, []byte("PIOB")):
-		tr, err := pablo.ReadTraceBinary(bytes.NewReader(data))
-		return tr, nil, err
 	case bytes.HasPrefix(data, []byte("#SDDF-G")):
 		tr, others, err := pablo.ReadSDDF(sddf.NewReader(bytes.NewReader(data)))
 		if err != nil {

@@ -116,13 +116,13 @@ func TestLoadAutoDetectsFormats(t *testing.T) {
 		Start: time.Second, Duration: time.Millisecond, Mode: "M_UNIX"})
 	dir := t.TempDir()
 
-	// Binary format.
-	binPath := filepath.Join(dir, "t.bin")
-	fb, _ := os.Create(binPath)
-	if err := pablo.WriteTraceBinary(fb, tr); err != nil {
+	// SDDF text format.
+	txtPath := filepath.Join(dir, "t.sddf")
+	ft, _ := os.Create(txtPath)
+	if err := pablo.WriteTrace(ft, tr); err != nil {
 		t.Fatal(err)
 	}
-	fb.Close()
+	ft.Close()
 
 	// Generic self-describing format.
 	genPath := filepath.Join(dir, "t.gsddf")
@@ -133,7 +133,7 @@ func TestLoadAutoDetectsFormats(t *testing.T) {
 	}
 	fg.Close()
 
-	for _, path := range []string{binPath, genPath} {
+	for _, path := range []string{txtPath, genPath} {
 		got, _, err := load(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)

@@ -137,15 +137,6 @@ func SliceByPhase(t *pablo.Trace, w PhaseWindow) *pablo.Trace {
 	})
 }
 
-// BytesByOp returns total bytes moved by the given operation type.
-func BytesByOp(t *pablo.Trace, op pablo.Op) int64 {
-	var n int64
-	for _, ev := range t.ByOp(op) {
-		n += ev.Size
-	}
-	return n
-}
-
 // RequestSizes returns the sorted distinct request sizes of an operation
 // type, with per-size counts — handy for checking populations like "all
 // write requests are of the same size".
@@ -156,17 +147,6 @@ func RequestSizes(t *pablo.Trace, op pablo.Op) map[int64]int {
 			out[ev.Size]++
 		}
 	}
-	return out
-}
-
-// DistinctSizes returns the keys of RequestSizes in ascending order.
-func DistinctSizes(t *pablo.Trace, op pablo.Op) []int64 {
-	m := RequestSizes(t, op)
-	out := make([]int64, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -188,27 +168,4 @@ func Burstiness(t *pablo.Trace, op pablo.Op) float64 {
 		gaps[i-1] = starts[i] - starts[i-1]
 	}
 	return stats.CV(gaps)
-}
-
-// Predictability regresses cumulative transferred bytes against time for
-// one operation type and returns the linear fit — the Pasquale & Polyzos
-// methodology the paper's related-work section describes. Supercomputer
-// workloads of the era were "recurrent and predictable" (R2 near 1);
-// the paper's finding is that scalable-application I/O is burstier.
-// Fewer than three events yield a zero fit.
-func Predictability(t *pablo.Trace, op pablo.Op) stats.Linear {
-	var xs, ys []float64
-	var cum float64
-	for _, ev := range t.ByOp(op) {
-		if ev.Size <= 0 {
-			continue
-		}
-		cum += float64(ev.Size)
-		xs = append(xs, ev.Start.Seconds())
-		ys = append(ys, cum)
-	}
-	if len(xs) < 3 {
-		return stats.Linear{}
-	}
-	return stats.LinearRegression(xs, ys)
 }

@@ -204,17 +204,6 @@ func (t *Trace) ByFile(file string) []Event {
 	return out
 }
 
-// ByNode returns the events issued by one node, in capture order.
-func (t *Trace) ByNode(node int) []Event {
-	var out []Event
-	for _, ev := range t.events {
-		if ev.Node == node {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 // Files returns the distinct file names appearing in the trace, in first-
 // appearance order.
 func (t *Trace) Files() []string {

@@ -42,9 +42,6 @@ func TestTraceRecordAndAccessors(t *testing.T) {
 	if got := tr.ByFile("b"); len(got) != 1 || got[0].Op != OpWrite {
 		t.Fatalf("ByFile(b) = %v", got)
 	}
-	if got := tr.ByNode(0); len(got) != 2 {
-		t.Fatalf("ByNode(0) = %v", got)
-	}
 	files := tr.Files()
 	if len(files) != 2 || files[0] != "a" || files[1] != "b" {
 		t.Fatalf("Files = %v", files)
@@ -125,31 +122,6 @@ func TestOpStatsPercentZeroTotal(t *testing.T) {
 		if p != 0 {
 			t.Fatal("Percent of empty stats must be zero")
 		}
-	}
-}
-
-func TestOpStatsMergeAssociative(t *testing.T) {
-	mk := func(op Op, d time.Duration, size int64) OpStats {
-		var s OpStats
-		s.Add(ev(0, op, "f", 0, size, 0, d))
-		return s
-	}
-	a := mk(OpRead, time.Second, 10)
-	b := mk(OpWrite, 2*time.Second, 20)
-	c := mk(OpSeek, 3*time.Second, 0)
-
-	ab := a
-	ab.Merge(b)
-	abc1 := ab
-	abc1.Merge(c)
-
-	bc := b
-	bc.Merge(c)
-	abc2 := a
-	abc2.Merge(bc)
-
-	if abc1 != abc2 {
-		t.Fatalf("merge not associative: %+v vs %+v", abc1, abc2)
 	}
 }
 

@@ -9,6 +9,24 @@ import (
 	"paragonio/internal/sddf"
 )
 
+func sampleTrace() *Trace {
+	tr := NewTrace()
+	tr.Record(Event{Node: 0, Op: OpOpen, File: "escat/input.0",
+		Duration: 500 * time.Millisecond, Mode: "M_UNIX"})
+	for i := 0; i < 100; i++ {
+		tr.Record(Event{Node: i % 16, Op: OpRead, File: "escat/input.0",
+			Offset: int64(i) * 622, Size: 622,
+			Start: time.Duration(i) * 3 * time.Millisecond, Duration: 3 * time.Millisecond,
+			Mode: "M_UNIX"})
+	}
+	tr.Record(Event{Node: 3, Op: OpWrite, File: "escat/quad.0",
+		Offset: 131072, Size: 2720, Start: time.Minute, Duration: 20 * time.Millisecond,
+		Mode: "M_ASYNC"})
+	tr.Record(Event{Node: 5, Op: OpClose, File: "", Start: 2 * time.Minute,
+		Duration: 6 * time.Millisecond})
+	return tr
+}
+
 func TestSDDFBridgeRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer

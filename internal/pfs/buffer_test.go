@@ -146,12 +146,12 @@ func TestSetBufferingOffDropsBuffer(t *testing.T) {
 	fs.CreateFile("f", 1<<20)
 	k.Spawn("n", func(p *sim.Proc) {
 		h, _ := fs.Open(p, 0, "f", MAsync)
-		if !h.Buffered() {
+		if !h.buffered {
 			t.Error("buffering should default on")
 		}
 		h.Read(p, 100)
 		h.SetBuffering(false)
-		if h.Buffered() || h.bufLen != 0 {
+		if h.buffered || h.bufLen != 0 {
 			t.Error("SetBuffering(false) did not drop buffer")
 		}
 		h.SetBuffering(true)

@@ -3,7 +3,6 @@ package pfs
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"paragonio/internal/cache"
@@ -288,28 +287,12 @@ func (fs *FileSystem) CreateFile(name string, size int64) {
 	}
 }
 
-// Exists reports whether the named file exists.
-func (fs *FileSystem) Exists(name string) bool {
-	_, ok := fs.files[name]
-	return ok
-}
-
 // FileSize returns the current size of the named file (0 if absent).
 func (fs *FileSystem) FileSize(name string) int64 {
 	if f, ok := fs.files[name]; ok {
 		return f.size
 	}
 	return 0
-}
-
-// FileNames returns the names of all files, sorted.
-func (fs *FileSystem) FileNames() []string {
-	out := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // IONodeStats returns per-I/O-node array statistics, indexed by I/O node.
@@ -340,9 +323,6 @@ func (fs *FileSystem) CacheStats() []cache.Stats {
 	return out
 }
 
-// ClientCaching reports whether the client cache tier is enabled.
-func (fs *FileSystem) ClientCaching() bool { return fs.client != nil }
-
 // ClientTier returns the client cache tier, or nil when disabled. Tests
 // use it to install the coherence oracle's observer.
 func (fs *FileSystem) ClientTier() *cache.ClientTier { return fs.client }
@@ -355,9 +335,6 @@ func (fs *FileSystem) ClientStats() cache.ClientStats {
 	}
 	return fs.client.Stats()
 }
-
-// LogCaching reports whether the host-side log tier is enabled.
-func (fs *FileSystem) LogCaching() bool { return fs.log != nil }
 
 // LogTier returns the host-side log tier, or nil when disabled. Tests
 // use it to install the replay oracle's observer and to force crashes.

@@ -65,15 +65,6 @@ func (g *Group) Nodes() []int { return append([]int(nil), g.nodes...) }
 // N returns the group size.
 func (g *Group) N() int { return len(g.nodes) }
 
-// Rank returns a node's rank within the group, or -1 if not a member.
-func (g *Group) Rank(node int) int {
-	r, ok := g.rank[node]
-	if !ok {
-		return -1
-	}
-	return r
-}
-
 // Gopen is the collective open: all members call it; the metadata
 // operation is paid once (by the leader), which is what made gopen "an
 // alternative to the more expensive open operation". The returned handle

@@ -26,11 +26,11 @@ func TestNewGroupValidation(t *testing.T) {
 	if nodes[0] != 3 || nodes[1] != 5 || nodes[2] != 9 {
 		t.Fatalf("Nodes = %v, want sorted", nodes)
 	}
-	if g.Rank(5) != 1 || g.Rank(3) != 0 || g.Rank(9) != 2 {
+	if g.rank[5] != 1 || g.rank[3] != 0 || g.rank[9] != 2 {
 		t.Fatal("ranks wrong")
 	}
-	if g.Rank(42) != -1 {
-		t.Fatal("non-member rank should be -1")
+	if _, ok := g.rank[42]; ok {
+		t.Fatal("non-member has a rank")
 	}
 }
 

@@ -49,9 +49,6 @@ func (h *Handle) Ptr() int64 {
 	return h.ptr
 }
 
-// Buffered reports whether client-side read buffering is enabled.
-func (h *Handle) Buffered() bool { return h.buffered }
-
 // SetBuffering enables or disables client-side read buffering — the
 // "system I/O buffering" control PRISM's developer used in version C.
 // Disabling drops the current buffer. The call itself is free (it is a

@@ -95,16 +95,3 @@ func (m Mode) SharedPointer() bool {
 	}
 	return false
 }
-
-// Atomic reports whether PFS preserves request atomicity in this mode
-// (requiring token serialization on concurrent access).
-func (m Mode) Atomic() bool {
-	switch m {
-	case MUnix, MLog, MSync, MGlobal:
-		return true
-	}
-	return false
-}
-
-// FixedRecord reports whether requests must be fixed-size records.
-func (m Mode) FixedRecord() bool { return m == MRecord }

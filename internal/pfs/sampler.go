@@ -114,39 +114,3 @@ func (s *Sampler) take(now time.Duration) {
 func (s *Sampler) Samples() []UtilSample {
 	return append([]UtilSample(nil), s.samples...)
 }
-
-// MaxTokenQueue returns the deepest token queue observed.
-func (s *Sampler) MaxTokenQueue() int {
-	var m int
-	for _, sm := range s.samples {
-		if sm.TokenQueue > m {
-			m = sm.TokenQueue
-		}
-	}
-	return m
-}
-
-// MaxMetaQueue returns the deepest metadata queue observed.
-func (s *Sampler) MaxMetaQueue() int {
-	var m int
-	for _, sm := range s.samples {
-		if sm.MetaQueue > m {
-			m = sm.MetaQueue
-		}
-	}
-	return m
-}
-
-// MaxCacheDirty returns the deepest per-I/O-node dirty-block queue
-// observed across all samples (0 when caching is disabled).
-func (s *Sampler) MaxCacheDirty() int {
-	var m int
-	for _, sm := range s.samples {
-		for _, d := range sm.CacheDirty {
-			if d > m {
-				m = d
-			}
-		}
-	}
-	return m
-}

@@ -250,6 +250,8 @@ func defaultRun(ctx context.Context, req *SimulateRequest, cfg core.Config) (*co
 
 // validate normalizes the request and rejects anything defaultRun could
 // not execute, so handler-side validation and run-side dispatch agree.
+// Every spelling of one run normalizes to the same App, Dataset and
+// Version, so it hashes to one content address.
 func (r *SimulateRequest) validate() error {
 	r.App = strings.ToLower(r.App)
 	r.Dataset = strings.ToLower(r.Dataset)
@@ -258,22 +260,29 @@ func (r *SimulateRequest) validate() error {
 	}
 	switch r.App {
 	case "escat":
-		if r.Dataset == "" {
+		switch r.Dataset {
+		case "":
 			r.Dataset = "ethylene"
+		case "carbon-monoxide":
+			r.Dataset = "co"
 		}
 		if _, ok := escatDataset(r.Dataset); !ok {
 			return fieldErrorf("dataset", "unknown escat dataset %q (want ethylene or co)", r.Dataset)
 		}
-		if _, ok := escatVersion(r.Version, r.Dataset); !ok {
+		v, ok := escatVersion(r.Version, r.Dataset)
+		if !ok {
 			return fieldErrorf("version", "unknown escat version %q (want A, A2, B1, B2, B3, B, or C)", r.Version)
 		}
+		r.Version = v.ID
 	case "prism":
 		if r.Dataset != "" {
 			return fieldErrorf("dataset", "prism takes no dataset (got %q)", r.Dataset)
 		}
-		if _, ok := prismVersion(r.Version); !ok {
+		v, ok := prismVersion(r.Version)
+		if !ok {
 			return fieldErrorf("version", "unknown prism version %q (want A, B, or C)", r.Version)
 		}
+		r.Version = v.ID
 	case "":
 		return fieldErrorf("app", "missing app (want escat or prism)")
 	default:
@@ -373,14 +382,14 @@ func escatDataset(name string) (escat.Dataset, bool) {
 	switch name {
 	case "ethylene":
 		return escat.Ethylene(), true
-	case "co", "carbon-monoxide":
+	case "co":
 		return escat.CarbonMonoxide(), true
 	}
 	return escat.Dataset{}, false
 }
 
 func escatVersion(id, dataset string) (escat.Version, bool) {
-	if dataset == "co" || dataset == "carbon-monoxide" {
+	if dataset == "co" {
 		if strings.EqualFold(id, "C") {
 			return escat.VersionCCarbonMonoxide(), true
 		}
@@ -601,12 +610,6 @@ func retryAfter(timeout time.Duration) string {
 	return fmt.Sprintf("%d", int(d.Seconds()))
 }
 
-// admitAndRun passes admission control as an anonymous interactive
-// client and executes the run.
-func (s *Server) admitAndRun(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
-	return s.admitAndRunAs(ctx, "", KindInteractive, req, cfg)
-}
-
 // admitAndRunAs passes admission control under a client identity and
 // request kind (for fair-share scheduling) and executes the run. The
 // request's shards field is the run's admission weight.
@@ -630,7 +633,7 @@ func (s *Server) admitAndRunAs(ctx context.Context, client, kind string, req *Si
 func (s *Server) streamSDDF(w http.ResponseWriter, r *http.Request, req *SimulateRequest, cfg core.Config) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	res, err := s.admitAndRun(ctx, req, cfg)
+	res, err := s.admitAndRunAs(ctx, clientID(r), KindInteractive, req, cfg)
 	if err != nil {
 		s.writeRunError(w, err)
 		return

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -121,6 +122,48 @@ func TestSimulateOKAndCacheHit(t *testing.T) {
 	}
 	if resp6, _ := getURL(t, ts, "/v1/results/nothex"); resp6.StatusCode != 400 {
 		t.Errorf("malformed hash status %d, want 400", resp6.StatusCode)
+	}
+}
+
+// TestSpellingsShareOneContentAddress pins that every accepted spelling
+// of one run hashes to one content address: a lowercase version and the
+// long dataset name hit the cache entry of the canonical spelling, and a
+// sweep listing both version spellings plans one unique point.
+func TestSpellingsShareOneContentAddress(t *testing.T) {
+	s := newTestServer(t, Config{}, stubRun)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	simulate := func(body string) SimulateResponse {
+		t.Helper()
+		resp, out := postJSON(t, ts, "/v1/simulate", body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d: %s", body, resp.StatusCode, out)
+		}
+		var r SimulateResponse
+		if err := json.Unmarshal(out, &r); err != nil {
+			t.Fatalf("%s: bad JSON: %v", body, err)
+		}
+		return r
+	}
+	lower := simulate(`{"app":"prism","version":"c"}`)
+	upper := simulate(`{"app":"prism","version":"C"}`)
+	if upper.Hash != lower.Hash || !upper.Cached {
+		t.Errorf(`version "C" hash %s cached=%v; "c" hash %s`, upper.Hash, upper.Cached, lower.Hash)
+	}
+	long := simulate(`{"app":"escat","dataset":"carbon-monoxide","version":"C"}`)
+	short := simulate(`{"app":"escat","dataset":"co","version":"c"}`)
+	if short.Hash != long.Hash || !short.Cached {
+		t.Errorf(`dataset "co" hash %s cached=%v; "carbon-monoxide" hash %s`, short.Hash, short.Cached, long.Hash)
+	}
+
+	resp, body := postJSON(t, ts, "/v1/sweep", `{"app":"prism","versions":["C","c"],"seeds":[3]}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+	}
+	plan, _, summary := parseSweepBody(t, body)
+	if plan.Unique != 1 || summary.DedupRequest != 1 {
+		t.Errorf("sweep plan %+v summary %+v, want unique=1 dedup_request=1", plan, summary)
 	}
 }
 
@@ -569,6 +612,79 @@ func TestSDDFStream(t *testing.T) {
 	}
 	if s.cache.Len() != 0 {
 		t.Error("SDDF response entered the result cache")
+	}
+}
+
+// TestSDDFStreamQueuesPerClient pins that sddf:true runs wait in their
+// own client's admission queue: client a filling its queue must not make
+// client b's stream fail with queue_full.
+func TestSDDFStreamQueuesPerClient(t *testing.T) {
+	release := make(chan struct{})
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	started := make(chan struct{}, 4)
+	blocking := func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
+		started <- struct{}{}
+		select {
+		case <-release:
+			return stubRun(ctx, req, cfg)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	s := newTestServer(t, Config{Slots: 1, MaxQueue: 1}, blocking)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer releaseAll() // before ts.Close, which waits for the blocked runs
+
+	stream := func(client string, seed int) <-chan int {
+		status := make(chan int, 1)
+		go func() {
+			body := fmt.Sprintf(`{"app":"prism","version":"C","seed":%d,"sddf":true}`, seed)
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/simulate", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				status <- 0
+				return
+			}
+			req.Header.Set("X-Client", client)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				status <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			status <- resp.StatusCode
+		}()
+		return status
+	}
+	waitQueued := func(n int, early <-chan int) {
+		t.Helper()
+		for i := 0; s.adm.QueueLen() != n; i++ {
+			select {
+			case code := <-early:
+				t.Fatalf("request answered %d instead of queueing", code)
+			default:
+			}
+			if i > 5000 {
+				t.Fatalf("queue length %d, want %d", s.adm.QueueLen(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	a1 := stream("a", 1)
+	<-started // a1 holds the only slot
+	a2 := stream("a", 2)
+	waitQueued(1, a2) // a2 fills client a's queue
+	b := stream("b", 3)
+	waitQueued(2, b)
+	releaseAll()
+	for name, ch := range map[string]<-chan int{"a1": a1, "a2": a2, "b": b} {
+		if code := <-ch; code != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", name, code)
+		}
 	}
 }
 

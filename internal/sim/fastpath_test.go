@@ -6,9 +6,9 @@ import (
 )
 
 // The fast-path tests pin the contract that makes serveIONodeFn-style
-// conversions safe: a callback-shaped interaction (UseFn, RecvFn,
-// AwaitFn) must produce the same virtual timing and the same statistics
-// as the process-shaped interaction it replaces.
+// conversions safe: a callback-shaped interaction (UseFn) must produce
+// the same virtual timing and the same statistics as the process-shaped
+// interaction it replaces.
 
 // TestUseFnMatchesUse runs the same contended-server workload twice —
 // once with processes calling Use, once with callback holders — and
@@ -120,108 +120,5 @@ func TestUseFnPricesHoldAtGrantTime(t *testing.T) {
 	}
 	if pricedAt[0] != 0 || pricedAt[1] != 3*Time(time.Second) {
 		t.Errorf("priced at %v, want [0s 3s]", pricedAt)
-	}
-}
-
-// TestRecvFnMatchesRecv checks callback receivers see the same values,
-// delivery order, and statistics as blocked process receivers.
-func TestRecvFnMatchesRecv(t *testing.T) {
-	run := func(callback bool) ([]int, Time, uint64) {
-		k := NewKernel()
-		m := NewMailbox(k, "mb")
-		var got []int
-		var at Time
-		recv := func() {
-			if callback {
-				m.RecvFn(func(v any) { got = append(got, v.(int)); at = k.Now() })
-			} else {
-				k.Spawn("r", func(p *Proc) {
-					got = append(got, m.Recv(p).(int))
-					at = p.Now()
-				})
-			}
-		}
-		recv()
-		recv()
-		k.After(time.Second, func() { m.Send(1) })
-		k.After(2*time.Second, func() { m.Send(2) })
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return got, at, m.Received()
-	}
-
-	pv, pAt, pRecv := run(false)
-	cv, cAt, cRecv := run(true)
-	if len(pv) != 2 || pv[0] != 1 || pv[1] != 2 {
-		t.Fatalf("proc receivers got %v", pv)
-	}
-	if len(cv) != 2 || cv[0] != pv[0] || cv[1] != pv[1] {
-		t.Errorf("RecvFn got %v, Recv got %v", cv, pv)
-	}
-	if cAt != pAt || cAt != 2*Time(time.Second) {
-		t.Errorf("last delivery at %v (callback) vs %v (proc), want 2s", cAt, pAt)
-	}
-	if cRecv != pRecv {
-		t.Errorf("received count %d (callback) vs %d (proc)", cRecv, pRecv)
-	}
-}
-
-// TestRecvFnDrainsQueuedMessageInline checks an already-queued message is
-// delivered synchronously, matching Recv's no-block path.
-func TestRecvFnDrainsQueuedMessageInline(t *testing.T) {
-	k := NewKernel()
-	m := NewMailbox(k, "mb")
-	delivered := false
-	k.After(0, func() {
-		m.Send("x")
-		m.RecvFn(func(v any) { delivered = v == "x" })
-		if !delivered {
-			t.Error("queued message not delivered inline")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 0 || m.Received() != 1 {
-		t.Errorf("len=%d received=%d after drain", m.Len(), m.Received())
-	}
-}
-
-// TestAwaitFnMatchesAwait releases a mixed party — processes and
-// callbacks — at the same instant with identical skew accounting.
-func TestAwaitFnMatchesAwait(t *testing.T) {
-	run := func(callback bool) (Time, Time, uint64) {
-		k := NewKernel()
-		b := NewBarrier(k, "bar", 3)
-		var released Time
-		arrive := func(after Time) {
-			if callback {
-				k.After(after, func() { b.AwaitFn(func() { released = k.Now() }) })
-			} else {
-				k.Spawn("w", func(p *Proc) {
-					p.Wait(after)
-					b.Await(p)
-					released = p.Now()
-				})
-			}
-		}
-		arrive(0)
-		arrive(time.Second)
-		arrive(3 * time.Second)
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return released, b.WaitTotal(), b.Epochs()
-	}
-
-	pRel, pSkew, pEp := run(false)
-	cRel, cSkew, cEp := run(true)
-	if pRel != 3*Time(time.Second) || pSkew != 5*Time(time.Second) || pEp != 1 {
-		t.Fatalf("proc barrier: released %v skew %v epochs %d", pRel, pSkew, pEp)
-	}
-	if cRel != pRel || cSkew != pSkew || cEp != pEp {
-		t.Errorf("AwaitFn: released %v skew %v epochs %d; Await: %v %v %d",
-			cRel, cSkew, cEp, pRel, pSkew, pEp)
 	}
 }

@@ -17,9 +17,9 @@
 // Two dispatch paths exist. Process resumption goes through the goroutine
 // handoff protocol (two channel rendezvous, i.e. four scheduler context
 // switches per event). Callback events run inline in the kernel loop with
-// no goroutine round-trip; the synchronization primitives expose
-// callback-shaped variants (Resource.UseFn, Mailbox.RecvFn,
-// Barrier.AwaitFn) so hot non-process-shaped work can take the fast path.
+// no goroutine round-trip; Resource.UseFn is the callback-shaped variant
+// that lets hot non-process-shaped work (I/O-node service, cache flushes)
+// take the fast path.
 // See docs/PERFORMANCE.md for the cost model.
 package sim
 
@@ -75,7 +75,7 @@ type Kernel struct {
 
 	// cancelCheck, when non-nil, is polled between dispatch batches. A
 	// non-nil return aborts the run: every live process is unwound
-	// deterministically and Run/RunUntil return the error. See SetCancel.
+	// deterministically and Run returns the error. See SetCancel.
 	cancelCheck func() error
 	// aborting is set while abort unwinds parked processes; park points
 	// observe it and panic with procAbort so process stacks (and their
@@ -122,18 +122,6 @@ func (k *Kernel) After(d Time, fn func()) {
 // the current virtual time. It may be called before Run or from within a
 // running process or callback.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
-	return k.spawn(0, name, body)
-}
-
-// SpawnAt is like Spawn but delays the process start by d.
-func (k *Kernel) SpawnAt(d Time, name string, body func(*Proc)) *Proc {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return k.spawn(d, name, body)
-}
-
-func (k *Kernel) spawn(d Time, name string, body func(*Proc)) *Proc {
 	k.procSeq++
 	p := &Proc{
 		k:      k,
@@ -142,7 +130,7 @@ func (k *Kernel) spawn(d Time, name string, body func(*Proc)) *Proc {
 		resume: make(chan struct{}),
 	}
 	k.live++
-	k.schedule(k.now+d, p, nil)
+	k.schedule(k.now, p, nil)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -189,7 +177,7 @@ func (k *Kernel) deadlockError() *DeadlockError {
 // SetCancel installs a cancellation check the run loop polls between
 // dispatch batches. The first non-nil error aborts the run: pending
 // events are dropped, every live process is unwound in spawn order (its
-// deferred functions run), and Run/RunUntil return the error. The
+// deferred functions run), and Run returns the error. The
 // canonical check wraps a context.Context: k.SetCancel(ctx.Err). A nil
 // check (the default) disables polling; runs that never cancel are
 // unaffected either way — the check runs between batches, never between
@@ -268,22 +256,6 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// RunUntil processes events with timestamps <= deadline and then stops,
-// leaving later events queued. It returns the same deadlock diagnosis as
-// Run when the queue drains early.
-func (k *Kernel) RunUntil(deadline Time) error {
-	for k.queue.len() > 0 && k.queue.min().at <= deadline {
-		if err := k.checkCancel(); err != nil {
-			return k.abort(err)
-		}
-		k.runBatch(k.queue.min().at)
-	}
-	if k.queue.len() == 0 && k.live > 0 {
-		return k.deadlockError()
-	}
-	return nil
-}
-
 // runBatch advances the clock to at and dispatches, in sequence order,
 // every event already queued for that instant. Draining the instant in
 // one pass amortizes heap fix-ups: pops happen back to back while the
@@ -336,18 +308,11 @@ func (k *Kernel) wake(p *Proc) {
 	k.schedule(k.now, p, nil)
 }
 
-// Resume schedules a process parked with Proc.Suspend to continue at the
-// current instant, as a new event.
-func (k *Kernel) Resume(p *Proc) {
-	k.wake(p)
-}
-
 // Wake resumes a process parked with Proc.Suspend inline, within the
-// current event's dispatch position. Unlike Resume it adds no event —
-// the process continuation nests inside the waking event exactly as if
-// the process itself had been executing it, which is what keeps a
-// callback-shaped completion bit-identical to the process-shaped code it
-// replaces.
+// current event's dispatch position. It adds no event: the process
+// continuation nests inside the waking event exactly as if the process
+// itself had been executing it, which is what keeps a callback-shaped
+// completion bit-identical to the process-shaped code it replaces.
 func (k *Kernel) Wake(p *Proc) {
 	k.dispatch(p)
 }

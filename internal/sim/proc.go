@@ -38,19 +38,9 @@ func (p *Proc) Wait(d Time) {
 	p.park("")
 }
 
-// WaitUntil suspends the process until absolute virtual time t. If t is
-// not after Now, it behaves like Wait(0).
-func (p *Proc) WaitUntil(t Time) {
-	if t < p.k.now {
-		t = p.k.now
-	}
-	p.k.schedule(t, p, nil)
-	p.park("")
-}
-
 // Suspend parks the process until another event resumes it via
-// Kernel.Wake or Kernel.Resume. reason appears in deadlock diagnostics
-// should the resume never arrive.
+// Kernel.Wake. reason appears in deadlock diagnostics should the resume
+// never arrive.
 func (p *Proc) Suspend(reason string) {
 	if reason == "" {
 		reason = "suspended"

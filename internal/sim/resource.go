@@ -57,9 +57,6 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
 
-// InUse returns the number of current holders.
-func (r *Resource) InUse() int { return r.busy }
-
 // QueueLen returns the number of processes waiting to acquire.
 func (r *Resource) QueueLen() int { return r.waiters.len() }
 
@@ -74,17 +71,6 @@ func (r *Resource) Acquire(p *Proc) {
 	r.enqueue(resWaiter{p: p})
 	p.park("acquire " + r.name)
 	// When we are resumed, release() has already granted us the slot.
-}
-
-// TryAcquire acquires the resource if a slot is immediately free and
-// returns whether it did. It never blocks.
-func (r *Resource) TryAcquire(p *Proc) bool {
-	if r.busy < r.capacity && r.waiters.len() == 0 {
-		r.enqueueAt[p] = r.k.now
-		r.grant(p)
-		return true
-	}
-	return false
 }
 
 // enqueue appends a waiter and tracks the queue-length high-water mark.

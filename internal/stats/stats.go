@@ -1,8 +1,7 @@
 // Package stats provides the descriptive statistics used by the analysis
 // layer: summaries, percentiles, empirical CDFs (optionally weighted, for
-// the paper's "fraction of data transferred" curves), logarithmic
-// histograms for request sizes, simple linear regression (as used by
-// Pasquale & Polyzos's related studies), and burstiness measures.
+// the paper's "fraction of data transferred" curves), and burstiness
+// measures.
 package stats
 
 import (
@@ -162,114 +161,4 @@ func (c CDF) At(x float64) float64 {
 		return 0
 	}
 	return c.points[i-1].F
-}
-
-// Quantile returns the smallest X with F(X) >= q (0 < q <= 1). It panics
-// on an empty CDF or out-of-range q.
-func (c CDF) Quantile(q float64) float64 {
-	if c.Empty() {
-		panic("stats: quantile of empty CDF")
-	}
-	if q <= 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %g out of range", q))
-	}
-	for _, p := range c.points {
-		if p.F >= q-1e-12 {
-			return p.X
-		}
-	}
-	return c.points[len(c.points)-1].X
-}
-
-// LogHistogram counts values into power-of-two buckets — the natural
-// shape for request-size distributions spanning bytes to megabytes.
-type LogHistogram struct {
-	Counts []int64 // Counts[i] covers [2^i, 2^(i+1))
-	Under  int64   // values < 1
-}
-
-// NewLogHistogram buckets the values.
-func NewLogHistogram(values []int64) *LogHistogram {
-	h := &LogHistogram{}
-	for _, v := range values {
-		h.Add(v)
-	}
-	return h
-}
-
-// Add folds one value into the histogram.
-func (h *LogHistogram) Add(v int64) {
-	if v < 1 {
-		h.Under++
-		return
-	}
-	b := 0
-	for vv := v; vv > 1; vv >>= 1 {
-		b++
-	}
-	for len(h.Counts) <= b {
-		h.Counts = append(h.Counts, 0)
-	}
-	h.Counts[b]++
-}
-
-// Total returns the number of bucketed values, including Under.
-func (h *LogHistogram) Total() int64 {
-	n := h.Under
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// BucketLo returns the inclusive lower bound of bucket i.
-func (h *LogHistogram) BucketLo(i int) int64 { return 1 << uint(i) }
-
-// Linear holds the result of a least-squares fit y = Slope*x + Intercept.
-type Linear struct {
-	Slope     float64
-	Intercept float64
-	R2        float64
-}
-
-// LinearRegression fits a line through (x[i], y[i]). It panics if the
-// lengths differ or fewer than two points are given; a vertical-variance-
-// free y yields R2 = 1 on an exact fit and 0 otherwise.
-func LinearRegression(x, y []float64) Linear {
-	if len(x) != len(y) {
-		panic("stats: regression length mismatch")
-	}
-	if len(x) < 2 {
-		panic("stats: regression needs at least two points")
-	}
-	n := float64(len(x))
-	var sx, sy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	var fit Linear
-	if sxx == 0 {
-		// Vertical line: undefined slope; report flat fit.
-		fit.Slope = 0
-		fit.Intercept = my
-	} else {
-		fit.Slope = sxy / sxx
-		fit.Intercept = my - fit.Slope*mx
-	}
-	if syy == 0 {
-		fit.R2 = 1
-	} else {
-		ssRes := syy - fit.Slope*sxy
-		fit.R2 = 1 - ssRes/syy
-	}
-	return fit
 }

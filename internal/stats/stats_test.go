@@ -116,19 +116,6 @@ func TestWeightedCDF(t *testing.T) {
 	}
 }
 
-func TestCDFQuantile(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if got := c.Quantile(0.5); got != 2 {
-		t.Fatalf("Quantile(0.5) = %g", got)
-	}
-	if got := c.Quantile(1); got != 4 {
-		t.Fatalf("Quantile(1) = %g", got)
-	}
-	if got := c.Quantile(0.01); got != 1 {
-		t.Fatalf("Quantile(0.01) = %g", got)
-	}
-}
-
 func TestCDFEdgeCases(t *testing.T) {
 	if !NewCDF(nil).Empty() {
 		t.Fatal("empty sample should give empty CDF")
@@ -202,71 +189,6 @@ func TestCDFAtMatchesDirectCountProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestLogHistogram(t *testing.T) {
-	h := NewLogHistogram([]int64{0, 1, 2, 3, 4, 1024, 1 << 20})
-	if h.Under != 1 {
-		t.Fatalf("Under = %d", h.Under)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 1 { // [1,2)
-		t.Fatalf("bucket 0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 2 { // [2,4): 2,3
-		t.Fatalf("bucket 1 = %d", h.Counts[1])
-	}
-	if h.Counts[2] != 1 { // [4,8)
-		t.Fatalf("bucket 2 = %d", h.Counts[2])
-	}
-	if h.Counts[10] != 1 || h.Counts[20] != 1 {
-		t.Fatalf("high buckets: %v", h.Counts)
-	}
-	if h.BucketLo(10) != 1024 {
-		t.Fatalf("BucketLo(10) = %d", h.BucketLo(10))
-	}
-}
-
-func TestLinearRegressionExactFit(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{3, 5, 7, 9} // y = 2x + 1
-	fit := LinearRegression(x, y)
-	if !near(fit.Slope, 2) || !near(fit.Intercept, 1) || !near(fit.R2, 1) {
-		t.Fatalf("fit = %+v", fit)
-	}
-}
-
-func TestLinearRegressionNoise(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6}
-	y := []float64{2, 1, 4, 3, 6, 5}
-	fit := LinearRegression(x, y)
-	if fit.Slope <= 0 {
-		t.Fatalf("slope = %g, want positive trend", fit.Slope)
-	}
-	if fit.R2 <= 0 || fit.R2 >= 1 {
-		t.Fatalf("R2 = %g, want in (0,1)", fit.R2)
-	}
-}
-
-func TestLinearRegressionDegenerate(t *testing.T) {
-	fit := LinearRegression([]float64{2, 2, 2}, []float64{1, 5, 9})
-	if fit.Slope != 0 || !near(fit.Intercept, 5) {
-		t.Fatalf("vertical fit = %+v", fit)
-	}
-	flat := LinearRegression([]float64{1, 2, 3}, []float64{7, 7, 7})
-	if !near(flat.Slope, 0) || !near(flat.Intercept, 7) || flat.R2 != 1 {
-		t.Fatalf("flat fit = %+v", flat)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("short input should panic")
-			}
-		}()
-		LinearRegression([]float64{1}, []float64{1})
-	}()
 }
 
 func TestPercentileMatchesSortProperty(t *testing.T) {
