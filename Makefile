@@ -1,7 +1,7 @@
 # paragonio — reproduction of Smirni et al., HPDC 1996.
 GO ?= go
 
-.PHONY: all build test test-short vet vet-race fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke clean
+.PHONY: all build test test-short vet vet-race fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke fuzz-smoke clean
 
 all: build test
 
@@ -84,6 +84,14 @@ docs-verify:
 # digests), kill-and-restart warm start, metrics scrape.
 service-smoke:
 	bash scripts/service-smoke.sh
+
+# Fuzz each decoder/validator target for 20 s beyond its seed corpus
+# (go test ./... only replays the seeds): the SDDF text reader and the
+# daemon's request decoding + validation. A crasher is written under the
+# package's testdata/fuzz/ and fails the target.
+fuzz-smoke:
+	$(GO) test ./internal/pablo/ -run='^$$' -fuzz='^FuzzReadTrace$$' -fuzztime=20s
+	$(GO) test ./internal/server/ -run='^$$' -fuzz='^FuzzSimulateRequest$$' -fuzztime=20s
 
 clean:
 	rm -rf artifacts

@@ -1,15 +1,14 @@
-// Command iotrace analyzes SDDF trace files produced by iosim -trace,
-// playing the role of Pablo's offline analysis graphs: statistical
-// summaries, per-operation tables, request-size CDFs, timeline plots,
-// access-pattern advice, and CSV export.
+// Command iotrace analyzes SDDF text traces (pablo.WriteTrace output, as
+// written by iosim -trace and /v1/simulate with "sddf": true), playing
+// the role of Pablo's offline analysis graphs: statistical summaries,
+// per-operation tables, request-size CDFs, timeline plots, access-pattern
+// advice, and CSV export.
 //
 // Usage:
 //
 //	iotrace summary  trace.sddf              # aggregate + per-file lifetimes
 //	iotrace cdf      trace.sddf [-op read]   # request-size CDF plot
 //	iotrace timeline trace.sddf [-op seek]   # size/duration scatter over time
-//	iotrace timeline trace.sddf -op cache-dirty      # tag-2 dirty-queue depth
-//	iotrace cdf      trace.sddf -op cache-hit-ratio  # tag-2 hit-ratio CDF
 //	iotrace windows  trace.sddf [-width 10s] # time-window summaries
 //	iotrace regions  trace.sddf -file f [-rwidth 65536]  # file-region summaries
 //	iotrace taxonomy trace.sddf              # Miller-Katz I/O classification
@@ -19,12 +18,9 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"time"
 
 	"paragonio/internal/analysis"
@@ -33,7 +29,6 @@ import (
 	"paragonio/internal/policy"
 	"paragonio/internal/replay"
 	"paragonio/internal/report"
-	"paragonio/internal/sddf"
 )
 
 func main() {
@@ -52,7 +47,7 @@ func main() {
 	gaps := fs.Bool("gaps", false, "replay: preserve inter-operation think time")
 	fs.Parse(os.Args[3:])
 
-	tr, samples, err := load(path)
+	tr, err := load(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iotrace:", err)
 		os.Exit(1)
@@ -61,17 +56,9 @@ func main() {
 	case "summary":
 		err = summary(tr)
 	case "cdf":
-		if isCacheOp(*opName) {
-			err = cacheCDF(os.Stdout, samples, *opName)
-		} else {
-			err = cdf(tr, *opName)
-		}
+		err = cdf(tr, *opName)
 	case "timeline":
-		if isCacheOp(*opName) {
-			err = cacheTimeline(os.Stdout, samples, *opName)
-		} else {
-			err = timeline(tr, *opName)
-		}
+		err = timeline(tr, *opName)
 	case "windows":
 		err = windows(tr, *width)
 	case "regions":
@@ -99,153 +86,14 @@ func usage() {
 		"usage: iotrace <summary|cdf|timeline|windows|regions|taxonomy|advise|replay|csv> <trace.sddf> [flags]")
 }
 
-// load reads a trace in either supported encoding, detected by magic:
-// the generic self-describing stream or the SDDF text format. From a
-// generic stream the tag-2 cache-sample records ride along for the
-// cache-* plot ops; other foreign records are ignored, and the text
-// format carries no samples.
-func load(path string) (*pablo.Trace, []pablo.CacheSample, error) {
-	data, err := os.ReadFile(path)
+// load streams a trace file through the SDDF text codec.
+func load(path string) (*pablo.Trace, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	switch {
-	case bytes.HasPrefix(data, []byte("#SDDF-G")):
-		tr, others, err := pablo.ReadSDDF(sddf.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return nil, nil, err
-		}
-		var samples []pablo.CacheSample
-		for _, rec := range others {
-			if rec.Desc == nil || rec.Desc.Name != "cache-sample" {
-				continue
-			}
-			s, err := pablo.CacheSampleFromRecord(rec)
-			if err != nil {
-				return nil, nil, err
-			}
-			samples = append(samples, s)
-		}
-		return tr, samples, nil
-	default:
-		tr, err := pablo.ReadTrace(bytes.NewReader(data))
-		return tr, nil, err
-	}
-}
-
-// isCacheOp reports whether the -op value names a tag-2 cache series
-// rather than an io-event operation.
-func isCacheOp(op string) bool {
-	return op == "cache-dirty" || op == "cache-hit-ratio"
-}
-
-// instant is one sampling instant aggregated across I/O nodes.
-type instant struct {
-	t          time.Duration
-	dirty      float64
-	hits       float64 // cumulative, summed over I/O nodes
-	misses     float64
-	cliHits    float64 // tier-wide (identical on every record of the instant)
-	cliMisses  float64
-	haveClient bool
-}
-
-// instants folds the per-I/O-node cache-sample records into one point
-// per sampling instant, in time order (the records arrive time-ordered).
-func instants(samples []pablo.CacheSample) []instant {
-	var out []instant
-	for _, s := range samples {
-		if len(out) == 0 || out[len(out)-1].t != s.T {
-			out = append(out, instant{t: s.T})
-		}
-		in := &out[len(out)-1]
-		in.dirty += float64(s.Dirty)
-		in.hits += float64(s.Hits)
-		in.misses += float64(s.Misses)
-		// The client-tier fields are tier-wide, so take one record's.
-		in.cliHits = float64(s.ClientHits)
-		in.cliMisses = float64(s.ClientMisses)
-		if s.ClientHits != 0 || s.ClientMisses != 0 {
-			in.haveClient = true
-		}
-	}
-	return out
-}
-
-func ratio(h, m float64) float64 {
-	if h+m == 0 {
-		return 0
-	}
-	return h / (h + m)
-}
-
-// cacheTimeline plots a tag-2 series over execution time: the aggregate
-// dirty-queue depth, or the cumulative hit ratio (with a second series
-// for the client tier when the stream carries it).
-func cacheTimeline(w io.Writer, samples []pablo.CacheSample, op string) error {
-	ins := instants(samples)
-	if len(ins) == 0 {
-		return fmt.Errorf("no cache-sample records in the stream (need a generic SDDF stream with tag-2 records)")
-	}
-	var series []report.Series
-	plot := report.Plot{XLabel: "execution time (s)", Width: 72, Height: 16}
-	switch op {
-	case "cache-dirty":
-		plot.Title = "dirty-queue depth over execution time"
-		plot.YLabel = "dirty blocks (all I/O nodes)"
-		s := report.Series{Name: "dirty", Glyph: '*', Line: true}
-		for _, in := range ins {
-			s.Points = append(s.Points, report.Point{X: in.t.Seconds(), Y: in.dirty})
-		}
-		series = append(series, s)
-	default: // cache-hit-ratio
-		plot.Title = "cache hit ratio over execution time"
-		plot.YLabel = "cumulative hit ratio"
-		ion := report.Series{Name: "io-node tier", Glyph: 'i', Line: true}
-		cli := report.Series{Name: "client tier", Glyph: 'c', Line: true}
-		haveClient := false
-		for _, in := range ins {
-			ion.Points = append(ion.Points, report.Point{X: in.t.Seconds(), Y: ratio(in.hits, in.misses)})
-			cli.Points = append(cli.Points, report.Point{X: in.t.Seconds(), Y: ratio(in.cliHits, in.cliMisses)})
-			haveClient = haveClient || in.haveClient
-		}
-		series = append(series, ion)
-		if haveClient {
-			series = append(series, cli)
-		}
-	}
-	return plot.Render(w, series)
-}
-
-// cacheCDF plots the distribution of a tag-2 series across sampling
-// instants: what fraction of the run sat at or below a given depth or
-// ratio.
-func cacheCDF(w io.Writer, samples []pablo.CacheSample, op string) error {
-	ins := instants(samples)
-	if len(ins) == 0 {
-		return fmt.Errorf("no cache-sample records in the stream (need a generic SDDF stream with tag-2 records)")
-	}
-	vals := make([]float64, len(ins))
-	plot := report.Plot{YLabel: "CDF", Width: 72, Height: 18}
-	if op == "cache-dirty" {
-		plot.Title = "CDF of dirty-queue depth across sampling instants"
-		plot.XLabel = "dirty blocks (all I/O nodes)"
-		for i, in := range ins {
-			vals[i] = in.dirty
-		}
-	} else {
-		plot.Title = "CDF of io-node hit ratio across sampling instants"
-		plot.XLabel = "cumulative hit ratio"
-		for i, in := range ins {
-			vals[i] = ratio(in.hits, in.misses)
-		}
-	}
-	sort.Float64s(vals)
-	s := report.Series{Name: op, Glyph: '*', Line: true}
-	for i, v := range vals {
-		s.Points = append(s.Points, report.Point{X: v, Y: float64(i+1) / float64(len(vals))})
-	}
-	return plot.Render(w, []report.Series{s})
+	defer f.Close()
+	return pablo.ReadTrace(f)
 }
 
 func summary(tr *pablo.Trace) error {

@@ -2,9 +2,7 @@
 // on the paper's cache-less machine and then on the same machine with the
 // what-if I/O-node buffer cache enabled — first write-behind alone, then
 // write-behind plus read-ahead. It prints the execution-time and
-// phase-time deltas beside the cache's own counters, and finishes by
-// emitting the dirty-queue timeline as tag-2 "cache-sample" SDDF records
-// so the second record stream is visible on the wire.
+// phase-time deltas beside the cache's own counters.
 //
 //	go run ./examples/cache_whatif
 package main
@@ -13,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"paragonio/internal/apps/prism"
@@ -21,7 +18,6 @@ import (
 	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 	"paragonio/internal/report"
-	"paragonio/internal/sddf"
 )
 
 func main() {
@@ -39,12 +35,8 @@ func main() {
 		d.Name, d.Nodes)
 
 	var rows [][]string
-	var cached *core.Result // last cached run, for the SDDF epilogue
 	for _, v := range variants {
-		cfg := core.Config{
-			Nodes: d.Nodes, Seed: 1, Tiers: cache.Tiers{IONode: v.cfg},
-			SampleInterval: 100 * time.Second,
-		}
+		cfg := core.Config{Nodes: d.Nodes, Seed: 1, Tiers: cache.Tiers{IONode: v.cfg}}
 		res, err := prism.RunOn(cfg, d, prism.VersionC())
 		if err != nil {
 			log.Fatal(err)
@@ -64,7 +56,6 @@ func main() {
 				fmt.Sprintf("%.1f%%", 100*t.HitRatio()),
 				fmt.Sprintf("%d", t.MaxDirty),
 				fmt.Sprintf("%d", t.ForcedFlushStalls))
-			cached = res
 		} else {
 			row = append(row, "-", "-", "-")
 		}
@@ -81,46 +72,6 @@ func main() {
 	fmt.Println("drains them to the arrays behind the computation; the restart read is")
 	fmt.Println("served from the blocks the writes left resident. The deltas above are")
 	fmt.Println("the mechanism, the counters are the evidence.")
-	fmt.Println()
-
-	// The cache's sampler timeline on the wire: tag-2 cache-sample records
-	// beside the tag-1 io-events any SDDF consumer already understands.
-	var b strings.Builder
-	w := sddf.NewWriter(&b)
-	desc := pablo.CacheSampleDescriptor()
-	if err := w.Define(desc); err != nil {
-		log.Fatal(err)
-	}
-	for _, s := range cached.Samples {
-		for io, dirty := range s.CacheDirty {
-			rec, err := pablo.CacheSampleRecord(desc, pablo.CacheSample{
-				T: s.T, IONode: io, Dirty: int64(dirty),
-				Hits: int64(s.CacheHits), Misses: int64(s.CacheMisses),
-				ClientHits:   int64(s.ClientHits),
-				ClientMisses: int64(s.ClientMisses),
-				Recalls:      int64(s.ClientRecalls),
-				StaleAverted: int64(s.ClientStaleAverted),
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := w.Write(rec); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	fmt.Printf("cache-sample SDDF stream (%d records; first lines):\n", len(lines)-2)
-	for i, line := range lines {
-		if i > 6 {
-			fmt.Printf("... %d more\n", len(lines)-i)
-			break
-		}
-		fmt.Println(line)
-	}
 }
 
 // fileTime sums the durations of op events against one file.

@@ -8,13 +8,13 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
+	"paragonio/internal/report"
 )
 
 // Suite caches application runs shared by multiple experiments (the
@@ -307,14 +307,7 @@ type Artifact struct {
 }
 
 // MetricKeys returns the artifact's comparison keys, sorted.
-func (a *Artifact) MetricKeys() []string {
-	keys := make([]string, 0, len(a.Paper))
-	for k := range a.Paper {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (a *Artifact) MetricKeys() []string { return report.SortedKeys(a.Paper) }
 
 // Experiment is one runnable paper artifact.
 type Experiment struct {

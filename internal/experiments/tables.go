@@ -42,12 +42,7 @@ var paperTable5 = map[string]float64{
 func comparisonTable(title string, paper, measured map[string]float64) string {
 	var b strings.Builder
 	rows := make([][]string, 0, len(paper))
-	keys := make([]string, 0, len(paper))
-	for k := range paper {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	for _, k := range keys {
+	for _, k := range report.SortedKeys(paper) {
 		rows = append(rows, []string{
 			k,
 			fmt.Sprintf("%.2f", paper[k]),
@@ -56,14 +51,6 @@ func comparisonTable(title string, paper, measured map[string]float64) string {
 	}
 	report.Table(&b, title, []string{"metric", "paper", "measured"}, rows)
 	return b.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // sharesFor extracts per-op percentages keyed "<prefix>.<op>".

@@ -6,7 +6,10 @@
 //
 // The simulated file system records one Event per I/O operation; the
 // analysis layer consumes traces to regenerate the paper's tables and
-// figures.
+// figures. WriteTrace/ReadTrace is the one trace encoding: iosim -trace,
+// the daemon's "sddf" responses and iotrace all speak it. Counters that
+// are not per-operation events (queue depths, cache totals) are reported
+// beside the trace, not inside it.
 package pablo
 
 import (

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"paragonio/internal/sddf"
 )
 
 // FuzzReadTrace hardens the text codec against malformed input: any
@@ -36,58 +34,6 @@ func FuzzReadTrace(f *testing.F) {
 			t.Fatalf("re-serialize failed: %v", err)
 		}
 		again, err := ReadTrace(&buf)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if again.Len() != got.Len() {
-			t.Fatalf("round-trip changed length: %d -> %d", got.Len(), again.Len())
-		}
-	})
-}
-
-// FuzzReadSDDF does the same for the generic self-describing stream
-// iotrace also reads: any input either fails to parse or yields io-events
-// that re-serialize through WriteSDDF and re-parse to the same length.
-func FuzzReadSDDF(f *testing.F) {
-	tr := NewTrace()
-	tr.Record(Event{Node: 1, Op: OpWrite, File: "a \"b\"", Offset: 100, Size: 200,
-		Start: time.Second, Duration: time.Millisecond, Mode: "M_ASYNC"})
-	var events bytes.Buffer
-	if err := WriteSDDF(sddf.NewWriter(&events), tr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(events.String())
-
-	var mixed bytes.Buffer
-	w := sddf.NewWriter(&mixed)
-	desc := CacheSampleDescriptor()
-	rec, err := CacheSampleRecord(desc, CacheSample{T: time.Second, IONode: 2, Hits: 5, Dirty: 3})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := w.Write(rec); err != nil {
-		f.Fatal(err)
-	}
-	if err := WriteSDDF(w, tr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(mixed.String())
-
-	f.Add("")
-	f.Add("#SDDF-G v1\n")
-	f.Add("#SDDF-G v1\nR 9 1 2 3\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		got, _, err := ReadSDDF(sddf.NewReader(strings.NewReader(input)))
-		// WriteSDDF of an empty trace emits no stream, not even the magic
-		// line, so there is nothing to round-trip.
-		if err != nil || got.Len() == 0 {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteSDDF(sddf.NewWriter(&buf), got); err != nil {
-			t.Fatalf("re-serialize failed: %v", err)
-		}
-		again, _, err := ReadSDDF(sddf.NewReader(&buf))
 		if err != nil {
 			t.Fatalf("re-parse failed: %v", err)
 		}

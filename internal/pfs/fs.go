@@ -307,9 +307,6 @@ func (fs *FileSystem) IONodeStats() []disk.Stats {
 // MetadataStats returns queueing statistics of the metadata service.
 func (fs *FileSystem) MetadataStats() sim.ResourceStats { return fs.meta.Stats() }
 
-// Caching reports whether the I/O-node buffer cache is enabled.
-func (fs *FileSystem) Caching() bool { return fs.cfg.Tiers.IONode != nil }
-
 // CacheStats returns per-I/O-node cache statistics, indexed by I/O node,
 // or nil when caching is disabled.
 func (fs *FileSystem) CacheStats() []cache.Stats {

@@ -7,11 +7,11 @@ import (
 	"paragonio/internal/sim"
 )
 
-// UtilSample is one periodic snapshot of the file system's servers — the
-// second record stream Pablo-style instrumentation carries beside I/O
-// events. It exposes the mechanisms the paper's results hinge on: token
-// queue depth (the M_UNIX serialization of version B's seeks) and I/O
-// node busy time.
+// UtilSample is one periodic snapshot of the file system's servers: the
+// counters reported beside the I/O event trace (core.Result.Samples, the
+// daemon's samples block). It exposes the mechanisms the paper's results
+// hinge on: token queue depth (the M_UNIX serialization of version B's
+// seeks) and I/O node busy time.
 type UtilSample struct {
 	T time.Duration
 	// IONodeBusy is each array's cumulative busy time at the sample.
@@ -23,21 +23,6 @@ type UtilSample struct {
 	// TokenQueue is the summed instantaneous queue length across all
 	// file atomicity tokens.
 	TokenQueue int
-	// CacheDirty is each I/O node's instantaneous dirty-block count (the
-	// write-behind queue depth). Nil when caching is disabled.
-	CacheDirty []int
-	// CacheHits and CacheMisses are the cumulative block-lookup totals
-	// summed across all I/O-node caches at the sample (0 when caching is
-	// disabled).
-	CacheHits, CacheMisses uint64
-	// ClientHits and ClientMisses are the client tier's cumulative
-	// block-lookup totals at the sample (0 when the tier is disabled).
-	ClientHits, ClientMisses uint64
-	// ClientRecalls and ClientStaleAverted are the client tier's
-	// cumulative coherence counters at the sample: lease recalls
-	// delivered, and recalled blocks that were actually resident (stale
-	// reads averted).
-	ClientRecalls, ClientStaleAverted uint64
 }
 
 // Sampler periodically snapshots a file system from inside the
@@ -77,25 +62,9 @@ func (s *Sampler) take(now time.Duration) {
 		IONodeQueue: make([]int, len(s.fs.ios)),
 		MetaQueue:   s.fs.meta.QueueLen(),
 	}
-	if s.fs.Caching() {
-		sample.CacheDirty = make([]int, len(s.fs.ios))
-	}
 	for i, io := range s.fs.ios {
 		sample.IONodeBusy[i] = io.array.Stats().Busy
 		sample.IONodeQueue[i] = io.res.QueueLen()
-		if io.cache != nil {
-			cs := io.cache.Stats()
-			sample.CacheDirty[i] = cs.Dirty
-			sample.CacheHits += cs.Hits
-			sample.CacheMisses += cs.Misses
-		}
-	}
-	if s.fs.client != nil {
-		cs := s.fs.client.Stats()
-		sample.ClientHits = cs.Hits
-		sample.ClientMisses = cs.Misses
-		sample.ClientRecalls = cs.Recalls
-		sample.ClientStaleAverted = cs.StaleAverted
 	}
 	// Deterministic iteration for reproducible traces: sum over sorted
 	// file names.

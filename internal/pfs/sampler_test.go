@@ -113,9 +113,6 @@ func TestSamplerComputeOnlyApp(t *testing.T) {
 		if sm.MetaQueue != 0 || sm.TokenQueue != 0 {
 			t.Fatalf("phantom queue activity in sample %+v", sm)
 		}
-		if sm.CacheDirty != nil || sm.CacheHits != 0 || sm.CacheMisses != 0 {
-			t.Fatalf("cache fields populated with caching disabled: %+v", sm)
-		}
 	}
 	// One interval past the app's end at most.
 	if r.k.Now() > 45*time.Millisecond {

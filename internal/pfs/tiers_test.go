@@ -19,7 +19,7 @@ func TestTiersConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fs.Caching() {
+	if fs.CacheStats() == nil {
 		t.Error("Tiers.IONode did not enable the I/O-node tier")
 	}
 	got := fs.Config()
@@ -36,7 +36,7 @@ func TestTiersConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Caching() || fs.CacheStats() != nil {
+	if fs.CacheStats() != nil {
 		t.Error("zero Tiers enabled a cache")
 	}
 }

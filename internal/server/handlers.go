@@ -15,9 +15,11 @@ import (
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
+	"paragonio/internal/disk"
 	"paragonio/internal/experiments"
 	"paragonio/internal/faults"
 	"paragonio/internal/pablo"
+	"paragonio/internal/pfs"
 	"paragonio/internal/policy"
 )
 
@@ -309,6 +311,15 @@ func (r *SimulateRequest) validate() error {
 	}
 	if err := r.faultsPlan().Validate(ionodes); err != nil {
 		return fieldErrorf("faults", "%v", err)
+	}
+	// Resolve the tiers exactly as pfs.New will, so a malformed block is
+	// rejected before it is hashed, admitted or run.
+	stripe := r.StripeUnit
+	if stripe == 0 {
+		stripe = pfs.DefaultStripeUnit
+	}
+	if _, err := r.config().Tiers.WithDefaults(stripe, disk.DefaultParams()); err != nil {
+		return fieldErrorf("tiers", "%v", err)
 	}
 	return nil
 }

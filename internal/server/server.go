@@ -204,7 +204,7 @@ func (s *Server) wireRoutes() {
 	s.mux.HandleFunc("POST /v1/sweep", s.instrument("sweep", nil, s.handleSweep))
 	s.mux.HandleFunc("POST /v1/advise", s.instrument("advise", s.advLatency, s.handleAdvise))
 	s.mux.HandleFunc("GET /v1/experiments", s.instrument("experiments", nil, s.handleExperiments))
-	s.mux.HandleFunc("GET /v1/results/{hash}", s.instrument("results", nil, s.handleResults))
+	s.mux.HandleFunc("GET /v1/results/{hash...}", s.instrument("results", nil, s.handleResults))
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n"))

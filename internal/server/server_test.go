@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,9 +229,14 @@ func getURL(t *testing.T, ts *httptest.Server, path string) (*http.Response, []b
 
 // TestSimulateBadRequests pins the error-schema contract: every failure
 // is {"error": {"code", "message", "field"}} with a stable code and the
-// offending field named on validation errors.
+// offending field named on validation errors. No rejected request
+// reaches the engine.
 func TestSimulateBadRequests(t *testing.T) {
-	s := newTestServer(t, Config{}, stubRun)
+	var runs atomic.Int32
+	s := newTestServer(t, Config{}, func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
+		runs.Add(1)
+		return stubRun(ctx, req, cfg)
+	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -257,6 +263,12 @@ func TestSimulateBadRequests(t *testing.T) {
 			ErrCodeInvalidRequest, "faults", "out of range"},
 		{`{"app":"prism","version":"C","faults":[{"kind":"disk-fail","bogus":1}]}`,
 			ErrCodeBadJSON, "", "bad request body"},
+		{`{"app":"prism","version":"C","tiers":{"ionode":{"read_ahead":-1}}}`,
+			ErrCodeInvalidRequest, "tiers", "negative ReadAhead"},
+		{`{"app":"prism","version":"C","tiers":{"client":{"capacity_bytes":-1}}}`,
+			ErrCodeInvalidRequest, "tiers", "client CapacityBytes"},
+		{`{"app":"prism","version":"C","tiers":{"log":{"segment_bytes":-1}}}`,
+			ErrCodeInvalidRequest, "tiers", "SegmentBytes"},
 	} {
 		resp, out := postJSON(t, ts, "/v1/simulate", tc.body)
 		if resp.StatusCode != 400 {
@@ -277,6 +289,9 @@ func TestSimulateBadRequests(t *testing.T) {
 		if !strings.Contains(e.Error.Message, tc.wantErr) {
 			t.Errorf("%s: message %q does not mention %q", tc.body, e.Error.Message, tc.wantErr)
 		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("engine ran %d times for rejected requests, want 0", n)
 	}
 }
 
@@ -300,21 +315,28 @@ func TestErrorSchemaOnRunAndResultPaths(t *testing.T) {
 		t.Errorf("run failure: status %d code %q, want 422 %s", resp.StatusCode, e.Error.Code, ErrCodeRunFailed)
 	}
 
-	resp, out = getURL(t, ts, "/v1/results/0000000000000000")
-	if err := json.Unmarshal(out, &e); err != nil {
-		t.Fatalf("not-found body: %v\n%s", err, out)
-	}
-	if resp.StatusCode != 404 || e.Error.Code != ErrCodeNotFound {
-		t.Errorf("unknown hash: status %d code %q, want 404 %s", resp.StatusCode, e.Error.Code, ErrCodeNotFound)
-	}
-
-	resp, out = getURL(t, ts, "/v1/results/nothex")
-	if err := json.Unmarshal(out, &e); err != nil {
-		t.Fatalf("malformed-hash body: %v\n%s", err, out)
-	}
-	if resp.StatusCode != 400 || e.Error.Code != ErrCodeInvalidRequest || e.Error.Field != "hash" {
-		t.Errorf("malformed hash: status %d code %q field %q, want 400 %s hash",
-			resp.StatusCode, e.Error.Code, e.Error.Field, ErrCodeInvalidRequest)
+	for _, tc := range []struct {
+		path   string
+		status int
+		code   string
+	}{
+		{"/v1/results/0000000000000000", 404, ErrCodeNotFound},
+		{"/v1/results/advise/0000000000000000", 404, ErrCodeNotFound},
+		{"/v1/results/nothex", 400, ErrCodeInvalidRequest},
+		{"/v1/results/a/b/c", 400, ErrCodeInvalidRequest},
+	} {
+		resp, out := getURL(t, ts, tc.path)
+		var e apiError
+		if err := json.Unmarshal(out, &e); err != nil {
+			t.Errorf("%s: body is not the error envelope: %v\n%s", tc.path, err, out)
+			continue
+		}
+		if resp.StatusCode != tc.status || e.Error.Code != tc.code {
+			t.Errorf("%s: status %d code %q, want %d %s", tc.path, resp.StatusCode, e.Error.Code, tc.status, tc.code)
+		}
+		if tc.status == 400 && e.Error.Field != "hash" {
+			t.Errorf("%s: field %q, want hash", tc.path, e.Error.Field)
+		}
 	}
 }
 
@@ -541,6 +563,15 @@ func TestAdviseEndpoint(t *testing.T) {
 	}
 	if adv.Cached || !strings.HasPrefix(adv.Hash, "advise/") {
 		t.Errorf("advise response: cached=%v hash=%q", adv.Cached, adv.Hash)
+	}
+	// The returned hash spans two path segments and fetches the artifact.
+	resp, got := getURL(t, ts, "/v1/results/"+adv.Hash)
+	var fetched AdviseResponse
+	if err := json.Unmarshal(got, &fetched); resp.StatusCode != 200 || err != nil {
+		t.Fatalf("GET /v1/results/%s: status %d: %s", adv.Hash, resp.StatusCode, got)
+	}
+	if fetched.Hash != adv.Hash || fetched.Advice != adv.Advice {
+		t.Errorf("fetched %+v, want the advice posted under %s", fetched, adv.Hash)
 	}
 	_, out2 := postJSON(t, ts, "/v1/advise", body)
 	if !bytes.Contains(out2, []byte(`"cached":true`)) {

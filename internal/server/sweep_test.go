@@ -235,6 +235,30 @@ func TestSweepInRequestDedupAndInvalid(t *testing.T) {
 		t.Errorf("engine ran %d times, want 1", n)
 	}
 
+	// A tiers rung the engine would refuse is planned invalid up front;
+	// only the good rung runs.
+	runCount.Store(0)
+	resp, body = postJSON(t, ts, "/v1/sweep",
+		`{"app":"prism","versions":["C"],"seeds":[8],"tiers":[null,{"ionode":{"read_ahead":-1}}]}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("bad-tiers sweep: status %d: %s", resp.StatusCode, body)
+	}
+	plan, points, summary = parseSweepBody(t, body)
+	if plan.Points != 2 || plan.Unique != 1 || plan.Invalid != 1 {
+		t.Fatalf("bad-tiers plan = %+v, want points=2 unique=1 invalid=1", plan)
+	}
+	if summary.OK != 1 || summary.Invalid != 1 || summary.Errors != 0 {
+		t.Fatalf("bad-tiers summary = %+v, want ok=1 invalid=1 errors=0", summary)
+	}
+	for _, p := range points {
+		if p.Tier == 1 && (p.Status != "invalid" || !strings.Contains(p.Error, "ReadAhead")) {
+			t.Errorf("bad-tiers point: %+v", p)
+		}
+	}
+	if n := runCount.Load(); n != 1 {
+		t.Errorf("bad-tiers sweep: engine ran %d times, want 1", n)
+	}
+
 	// A grid over the configured cap is rejected up front.
 	sCap := newTestServer(t, Config{MaxSweepPoints: 3}, stubRun)
 	tsCap := httptest.NewServer(sCap.Handler())
