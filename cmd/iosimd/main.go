@@ -94,6 +94,12 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Install the handler before announcing the address: a supervisor
+	// may send SIGTERM as soon as it reads the line, and the default
+	// action would kill the daemon without draining.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	fmt.Fprintf(stdout, "iosimd: listening on %s\n", ln.Addr())
 
 	hs := &http.Server{
@@ -103,8 +109,6 @@ func run(args []string, stdout io.Writer) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

@@ -525,8 +525,8 @@ func (fs *FileSystem) serveIONode(p *sim.Proc, node int, f *file, io int, chunks
 
 // serveIONodeFn is the callback-shaped variant of serveIONode used by the
 // striped-transfer fan-out: the same event sequence with no helper
-// goroutine, so fan-out requests cost zero goroutine spawns and channel
-// handoffs. The initial zero-delay hop mirrors the start event a spawned
+// process, so fan-out requests cost no process spawns and no coroutine
+// switches. The initial zero-delay hop mirrors the start event a spawned
 // helper process would get, and disk service is priced at grant time
 // inside UseFn. The hop is a real event, not a direct call: its sequence
 // number is part of every golden trace digest.

@@ -21,6 +21,7 @@ import (
 	"paragonio/internal/pablo"
 	"paragonio/internal/pfs"
 	"paragonio/internal/policy"
+	"paragonio/internal/sim"
 )
 
 // SimulateRequest is the body of POST /v1/simulate and /v1/advise: one
@@ -195,7 +196,7 @@ const (
 	ErrCodeQueueFull      = "queue_full"      // 429: admission queue full, retry later
 	ErrCodeTimeout        = "timeout"         // 504: run exceeded the server deadline
 	ErrCodeCancelled      = "cancelled"       // 503: run cancelled (shutdown or client gone)
-	ErrCodeRunFailed      = "run_failed"      // 422: the engine rejected the configuration
+	ErrCodeRunFailed      = "run_failed"      // 422: the engine rejected the configuration or panicked
 	ErrCodeNotFound       = "not_found"       // 404: no such cached result
 )
 
@@ -636,6 +637,10 @@ func (s *Server) admitAndRunAs(ctx context.Context, client, kind string, req *Si
 	start := time.Now()
 	res, err := s.runSim(ctx, req, cfg)
 	s.runSeconds.Observe(time.Since(start).Seconds())
+	var pe *sim.PanicError
+	if errors.As(err, &pe) {
+		s.runPanics.Inc()
+	}
 	return res, err
 }
 

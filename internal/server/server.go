@@ -98,6 +98,7 @@ type Server struct {
 	sweepPoints *metrics.Counter
 	sweepDedup  *metrics.CounterVec
 	faultRuns   *metrics.Counter
+	runPanics   *metrics.Counter
 }
 
 // New builds a daemon from cfg.
@@ -175,6 +176,8 @@ func (s *Server) wireMetrics() {
 		"source")
 	s.faultRuns = r.Counter("iosimd_fault_runs_total",
 		"Admitted simulation runs carrying a non-empty fault plan.")
+	s.runPanics = r.Counter("iosimd_run_panics_total",
+		"Simulation runs that failed because the engine panicked.")
 
 	// Pre-create the label children so the gauges read zero from boot
 	// instead of appearing on first use.

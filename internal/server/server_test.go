@@ -17,6 +17,7 @@ import (
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
 	"paragonio/internal/pablo"
+	"paragonio/internal/sim"
 )
 
 // newTestServer builds a daemon with a stubbed engine so handler tests
@@ -544,6 +545,82 @@ func TestSimulateCoalescing(t *testing.T) {
 		if r.Cached {
 			t.Error("coalesced waiter served a cached response")
 		}
+	}
+}
+
+// TestRunPanicIsContained runs a real kernel whose process panics under
+// two coalesced requests. Both get run_failed, the panic is counted, and
+// the daemon keeps serving: the next request succeeds.
+func TestRunPanicIsContained(t *testing.T) {
+	release := make(chan struct{})
+	var calls atomic.Int32
+	run := func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
+		if calls.Add(1) > 1 {
+			return stubRun(ctx, req, cfg)
+		}
+		<-release
+		k := sim.NewKernel()
+		reply := sim.NewMailbox(k, "reply")
+		k.Spawn("waiter", func(p *sim.Proc) { reply.Recv(p) })
+		k.Spawn("buggy", func(p *sim.Proc) {
+			p.Wait(time.Millisecond)
+			var m map[string]int
+			m["x"]++ // assignment to a nil map: a model bug
+		})
+		if err := k.Run(); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", req.App, err)
+		}
+		return stubRun(ctx, req, cfg)
+	}
+	s := newTestServer(t, Config{}, run)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const body = `{"app":"prism","version":"C"}`
+	type outcome struct {
+		status int
+		code   string
+	}
+	outcomes := make(chan outcome, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			var o outcome
+			resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+			if err == nil {
+				var e apiError
+				json.NewDecoder(resp.Body).Decode(&e)
+				resp.Body.Close()
+				o = outcome{resp.StatusCode, e.Error.Code}
+			}
+			outcomes <- o
+		}()
+	}
+	for i := 0; ; i++ {
+		s.flightMu.Lock()
+		refs := 0
+		for _, f := range s.flights {
+			refs = f.refs
+		}
+		s.flightMu.Unlock()
+		if refs == 2 {
+			break
+		}
+		if i > 5000 {
+			t.Fatalf("flight refs = %d, want one flight with 2 waiters", refs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if o := <-outcomes; o.status != http.StatusUnprocessableEntity || o.code != ErrCodeRunFailed {
+			t.Errorf("waiter %d: status %d code %q, want 422 %s", i, o.status, o.code, ErrCodeRunFailed)
+		}
+	}
+	if _, out := getURL(t, ts, "/metrics"); !strings.Contains(string(out), "\niosimd_run_panics_total 1\n") {
+		t.Error("metrics do not show iosimd_run_panics_total 1")
+	}
+	if resp, out := postJSON(t, ts, "/v1/simulate", body); resp.StatusCode != 200 {
+		t.Errorf("request after the panic: status %d: %s", resp.StatusCode, out)
 	}
 }
 

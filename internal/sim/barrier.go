@@ -9,6 +9,7 @@ import "fmt"
 type Barrier struct {
 	k        *Kernel
 	name     string
+	park     string // deadlock-diagnostic reason, built once
 	n        int
 	arrived  []*Proc
 	arriveAt map[*Proc]bool // processes arrived in the current epoch
@@ -19,7 +20,7 @@ func NewBarrier(k *Kernel, name string, n int) *Barrier {
 	if n < 1 {
 		panic("sim: barrier party must be >= 1")
 	}
-	return &Barrier{k: k, name: name, n: n, arriveAt: make(map[*Proc]bool)}
+	return &Barrier{k: k, name: name, park: "barrier " + name, n: n, arriveAt: make(map[*Proc]bool)}
 }
 
 // Name returns the barrier's name.
@@ -33,7 +34,7 @@ func (b *Barrier) Await(p *Proc) {
 	b.arriveAt[p] = true
 	if len(b.arrived)+1 < b.n {
 		b.arrived = append(b.arrived, p)
-		p.park("barrier " + b.name)
+		p.park(b.park)
 		return
 	}
 	b.release()

@@ -3,28 +3,31 @@
 //
 // The kernel advances a virtual clock by processing a time-ordered event
 // queue. Simulated activities are written as ordinary Go functions running
-// in "processes" (goroutines under strict kernel handoff: exactly one
-// process executes at a time, so runs are bit-reproducible). Processes
-// block on virtual-time waits and on synchronization primitives (Resource,
-// Barrier, Mailbox); the kernel resumes them when the corresponding event
-// fires.
+// in "processes": coroutines the kernel resumes and that yield back to it,
+// so exactly one process executes at a time and runs are bit-reproducible.
+// Processes block on virtual-time waits and on synchronization primitives
+// (Resource, Barrier, Mailbox); the kernel resumes them when the
+// corresponding event fires.
 //
 // Events scheduled for the same instant are processed in scheduling order
 // (FIFO by sequence number), which — together with the single-runner
-// handoff protocol — makes the simulation fully deterministic regardless
+// coroutine handoff — makes the simulation fully deterministic regardless
 // of Go's goroutine scheduling.
 //
-// Two dispatch paths exist. Process resumption goes through the goroutine
-// handoff protocol (two channel rendezvous, i.e. four scheduler context
-// switches per event). Callback events run inline in the kernel loop with
-// no goroutine round-trip; Resource.UseFn is the callback-shaped variant
-// that lets hot non-process-shaped work (I/O-node service, cache flushes)
-// take the fast path.
+// Two dispatch paths exist. Process resumption is a coroutine switch
+// (iter.Pull's next and yield): the runtime switches goroutines directly,
+// with no channel, run queue or scheduler wakeup in between. Callback
+// events run inline in the kernel loop with no switch at all;
+// Resource.UseFn is the callback-shaped variant that lets hot
+// non-process-shaped work (I/O-node service, cache flushes) take that
+// cheaper path. A panic in a process body surfaces from Run as a
+// *PanicError after every other process has been unwound.
 // See docs/PERFORMANCE.md for the cost model.
 package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -53,10 +56,9 @@ type event struct {
 //
 // The zero value is not usable; call NewKernel.
 type Kernel struct {
-	now    Time
-	queue  eventHeap
-	seq    uint64
-	parked chan struct{} // handoff: signaled when the running process yields
+	now   Time
+	queue eventHeap
+	seq   uint64
 
 	procSeq   int
 	live      int // processes spawned and not yet finished
@@ -85,10 +87,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
 func NewKernel() *Kernel {
-	return &Kernel{
-		parked:  make(chan struct{}),
-		blocked: make(map[*Proc]string),
-	}
+	return &Kernel{blocked: make(map[*Proc]string)}
 }
 
 // Now returns the current virtual time.
@@ -118,39 +117,6 @@ func (k *Kernel) After(d Time, fn func()) {
 	k.schedule(k.now+d, nil, fn)
 }
 
-// Spawn creates a new process executing body and schedules it to start at
-// the current virtual time. It may be called before Run or from within a
-// running process or callback.
-func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
-	k.procSeq++
-	p := &Proc{
-		k:      k,
-		name:   name,
-		id:     k.procSeq,
-		resume: make(chan struct{}),
-	}
-	k.live++
-	k.schedule(k.now, p, nil)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procAbort); !ok {
-					panic(r) // real failure: re-raise with the stack intact
-				}
-			}
-			p.done = true
-			k.live--
-			k.parked <- struct{}{} // final yield back to the kernel
-		}()
-		<-p.resume // wait for first dispatch
-		if k.aborting {
-			return // cancelled before the body ever ran
-		}
-		body(p)
-	}()
-	return p
-}
-
 // DeadlockError reports that the event queue drained while processes were
 // still blocked on synchronization primitives.
 type DeadlockError struct {
@@ -161,6 +127,25 @@ type DeadlockError struct {
 func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock at t=%v: %d process(es) blocked: %v",
 		e.Now, len(e.Blocked), e.Blocked)
+}
+
+// PanicError reports that the run panicked: a process body (Proc names
+// it) or, with Proc empty, an event callback. Run recovers the panic,
+// unwinds every other live process and returns this error, so a model
+// bug fails one run instead of the program that called Run.
+type PanicError struct {
+	Proc  string
+	Now   Time
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack, from debug.Stack
+}
+
+func (e *PanicError) Error() string {
+	who := "event callback"
+	if e.Proc != "" {
+		who = "process " + e.Proc
+	}
+	return fmt.Sprintf("sim: %s panicked at t=%v: %v", who, e.Now, e.Value)
 }
 
 // deadlockError builds the diagnosis for a drained queue with live
@@ -204,13 +189,14 @@ func (k *Kernel) checkCancel() error {
 // kernel aborts; the spawn wrapper recovers it and retires the process.
 type procAbort struct{}
 
-// abort unwinds every live process after a cancelled run and returns
-// err. Parked processes are found in the blocked map (waiting on a
-// synchronization primitive) and the event queue (waiting on a pending
-// wake), then resumed one at a time in spawn order; the abort flag makes
-// each park point panic with procAbort, so the process's stack — and any
-// defers on it — unwinds and its goroutine exits before the next one is
-// woken. The kernel is not reusable afterwards.
+// abort unwinds every live process after a cancelled or panicked run and
+// returns err. Parked processes are found in the blocked map (waiting on
+// a synchronization primitive), the event queue and the undispatched
+// rest of a batch a panic cut short (waiting on a pending wake), then
+// resumed one at a time in spawn order; the abort flag makes each park
+// point panic with procAbort, so the process's stack — and any defers on
+// it — unwinds and its coroutine exits before the next one is resumed.
+// The kernel is not reusable afterwards.
 func (k *Kernel) abort(err error) error {
 	k.aborting = true
 	seen := make(map[*Proc]bool)
@@ -227,13 +213,15 @@ func (k *Kernel) abort(err error) error {
 	for i := range k.queue.ev {
 		add(k.queue.ev[i].proc)
 	}
+	for i := range k.batch {
+		add(k.batch[i].proc)
+	}
 	sort.Slice(parked, func(i, j int) bool { return parked[i].id < parked[j].id })
 	for _, p := range parked {
-		delete(k.blocked, p)
-		p.resume <- struct{}{}
-		<-k.parked
+		k.dispatch(p)
 	}
 	k.queue.ev = nil
+	k.batch = nil
 	k.trim()
 	return err
 }
@@ -241,8 +229,18 @@ func (k *Kernel) abort(err error) error {
 // Run processes events until the queue is empty. It returns a
 // *DeadlockError if any spawned process is still blocked when the queue
 // drains, the cancellation error if an installed SetCancel check fired,
-// and nil otherwise.
-func (k *Kernel) Run() error {
+// a *PanicError if a process body or event callback panicked, and nil
+// otherwise.
+func (k *Kernel) Run() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(*PanicError)
+			if !ok {
+				pe = &PanicError{Now: k.now, Value: r, Stack: debug.Stack()}
+			}
+			err = k.abort(pe)
+		}
+	}()
 	for k.queue.len() > 0 {
 		if err := k.checkCancel(); err != nil {
 			return k.abort(err)
@@ -269,6 +267,7 @@ func (k *Kernel) runBatch(at Time) {
 	for k.queue.len() > 0 && k.queue.min().at == at {
 		batch = append(batch, k.queue.pop())
 	}
+	k.batch = batch // visible to abort should a dispatch panic
 	k.now = at
 	for i := range batch {
 		k.processed++
@@ -295,11 +294,10 @@ func (k *Kernel) trim() {
 	}
 }
 
-// dispatch hands control to p and waits for it to yield back.
+// dispatch switches to p's coroutine and returns when p parks or ends.
 func (k *Kernel) dispatch(p *Proc) {
 	delete(k.blocked, p)
-	p.resume <- struct{}{}
-	<-k.parked
+	p.next()
 }
 
 // wake schedules p to resume at the current time (used by synchronization

@@ -197,19 +197,15 @@ func TestEventsProcessedCounts(t *testing.T) {
 
 func TestNegativeWaitPanics(t *testing.T) {
 	k := NewKernel()
-	panicked := make(chan bool, 1)
+	var panicked bool
 	k.Spawn("p", func(p *Proc) {
-		defer func() {
-			panicked <- recover() != nil
-			// Re-park forever so the kernel isn't left hanging; instead,
-			// end cleanly by letting body return after recover.
-		}()
+		defer func() { panicked = recover() != nil }()
 		p.Wait(-time.Second)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !<-panicked {
+	if !panicked {
 		t.Fatal("negative Wait did not panic")
 	}
 }
@@ -294,4 +290,54 @@ func TestSuspendDeadlockDiagnosis(t *testing.T) {
 	if len(de.Blocked) != 1 || de.Blocked[0] != "stuck: waiting for nothing" {
 		t.Fatalf("blocked = %v", de.Blocked)
 	}
+}
+
+// TestHandoffAllocatesNothing pins that a steady-state process handoff
+// allocates nothing once the event queue, waiter rings and maps have
+// reached their working size: a process doing timed Waits, and a
+// capacity-1 Resource passed back and forth between two processes, so
+// every acquire parks and every release wakes the other side.
+func TestHandoffAllocatesNothing(t *testing.T) {
+	t.Run("wait", func(t *testing.T) {
+		k := NewKernel()
+		allocs := -1.0
+		k.Spawn("waiter", func(p *Proc) {
+			allocs = testing.AllocsPerRun(1000, func() { p.Wait(time.Microsecond) })
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("timed Wait allocates %v objects per call, want 0", allocs)
+		}
+	})
+	t.Run("resource", func(t *testing.T) {
+		k := NewKernel()
+		r := NewResource(k, "srv", 1)
+		use := func(p *Proc) {
+			r.Acquire(p)
+			p.Wait(time.Microsecond)
+			r.Release(p)
+		}
+		allocs := -1.0
+		measured := false
+		k.Spawn("measured", func(p *Proc) {
+			allocs = testing.AllocsPerRun(1000, func() { use(p) })
+			measured = true
+		})
+		k.Spawn("rival", func(p *Proc) {
+			for !measured {
+				use(p)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if s := r.Stats(); s.MaxQueueLen != 1 || s.TotalQueue == 0 {
+			t.Fatalf("resource was not contended: %+v", s)
+		}
+		if allocs != 0 {
+			t.Errorf("contended acquire/release allocates %v objects per call, want 0", allocs)
+		}
+	})
 }

@@ -9,6 +9,7 @@ package sim
 type Mailbox struct {
 	k       *Kernel
 	name    string
+	park    string // deadlock-diagnostic reason, built once
 	queue   fifo[any]
 	waiters fifo[*Proc]
 	pending map[*Proc]any
@@ -16,7 +17,7 @@ type Mailbox struct {
 
 // NewMailbox creates an empty mailbox.
 func NewMailbox(k *Kernel, name string) *Mailbox {
-	return &Mailbox{k: k, name: name, pending: make(map[*Proc]any)}
+	return &Mailbox{k: k, name: name, park: "recv " + name, pending: make(map[*Proc]any)}
 }
 
 // Name returns the mailbox's name.
@@ -43,7 +44,7 @@ func (m *Mailbox) Recv(p *Proc) any {
 		return m.queue.pop()
 	}
 	m.waiters.push(p)
-	p.park("recv " + m.name)
+	p.park(m.park)
 	v := m.pending[p]
 	delete(m.pending, p)
 	return v

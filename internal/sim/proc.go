@@ -1,16 +1,59 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// Proc is a simulated process: a goroutine that runs under the kernel's
-// strict handoff protocol. Exactly one process runs at a time; all Proc
-// methods must be called from the process's own body function.
+// Proc is a simulated process: a coroutine the kernel resumes with
+// next and that hands control back with yield when it parks. The switch
+// goes straight from one goroutine to the other (iter.Pull), so exactly
+// one process runs at a time and no channel or scheduler run queue sits
+// on the path. All Proc methods must be called from the process's own
+// body function.
 type Proc struct {
-	k      *Kernel
-	name   string
-	id     int
-	resume chan struct{}
-	done   bool
+	k     *Kernel
+	name  string
+	id    int
+	next  func() (struct{}, bool) // resume: runs the body until it parks or ends
+	yield func(struct{}) bool     // park: switches back to whoever called next
+	done  bool
+}
+
+// Spawn creates a new process executing body and schedules it to start at
+// the current virtual time. It may be called before Run or from within a
+// running process or callback.
+//
+// A panic in body is wrapped in a *PanicError naming the process and
+// carrying its stack, and re-raised in whoever resumed it; Run recovers
+// it there and returns it.
+func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
+	k.procSeq++
+	p := &Proc{k: k, name: name, id: k.procSeq}
+	k.live++
+	k.schedule(k.now, p, nil)
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.done = true
+			k.live--
+			switch r := recover().(type) {
+			case nil, procAbort:
+			case *PanicError:
+				panic(r) // a process this one resumed inline panicked
+			default:
+				panic(&PanicError{Proc: p.name, Now: k.now, Value: r, Stack: debug.Stack()})
+			}
+		}()
+		if k.aborting {
+			return // cancelled before the body ever ran
+		}
+		body(p)
+	})
+	return p
 }
 
 // Name returns the name the process was spawned with.
@@ -52,10 +95,10 @@ func (p *Proc) Suspend(reason string) {
 // reason, if non-empty, records why the process is blocked (for deadlock
 // diagnostics); parks with a pending wake event pass "".
 //
-// While the kernel aborts a cancelled run, park panics with procAbort
-// instead of blocking: the resume that woke the process was the abort
-// sweep, and any park reached afterwards (e.g. from a deferred close
-// running during the unwind) must not re-enter the handoff protocol.
+// While the kernel aborts a cancelled or panicked run, park panics with
+// procAbort instead of blocking: the resume that woke the process was
+// the abort sweep, and any park reached afterwards (e.g. from a deferred
+// close running during the unwind) must not yield again.
 func (p *Proc) park(reason string) {
 	if p.k.aborting {
 		panic(procAbort{})
@@ -63,8 +106,7 @@ func (p *Proc) park(reason string) {
 	if reason != "" {
 		p.k.blocked[p] = reason
 	}
-	p.k.parked <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.k.aborting {
 		panic(procAbort{})
 	}

@@ -10,13 +10,14 @@ import "fmt"
 // Acquirers come in two shapes, freely mixed in one FIFO queue:
 // process-shaped (Acquire/Release/Use, blocking a *Proc) and
 // callback-shaped (UseFn), which takes the kernel's inline dispatch fast
-// path — no goroutine round-trip per grant. Both shapes produce the same
+// path — no coroutine switch per grant. Both shapes produce the same
 // event sequence, virtual timing, and statistics.
 //
 // Resource collects utilization and queueing statistics for analysis.
 type Resource struct {
 	k        *Kernel
 	name     string
+	park     string // deadlock-diagnostic reason, built once
 	capacity int
 	busy     int
 	waiters  fifo[resWaiter]
@@ -48,6 +49,7 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 	return &Resource{
 		k:         k,
 		name:      name,
+		park:      "acquire " + name,
 		capacity:  capacity,
 		enqueueAt: make(map[*Proc]Time),
 		holdSince: make(map[*Proc]Time),
@@ -69,7 +71,7 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	r.enqueue(resWaiter{p: p})
-	p.park("acquire " + r.name)
+	p.park(r.park)
 	// When we are resumed, release() has already granted us the slot.
 }
 
@@ -106,7 +108,7 @@ func (r *Resource) grantFn(enq Time) {
 //
 // UseFn is the fast-path equivalent of Spawn + Acquire + Wait + Release:
 // the whole interaction dispatches inline in the kernel loop with no
-// goroutine round-trips.
+// coroutine switches.
 func (r *Resource) UseFn(hold func() Time, then func()) {
 	if r.busy < r.capacity && r.waiters.len() == 0 {
 		r.grantFn(r.k.now)
