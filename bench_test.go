@@ -24,7 +24,6 @@ import (
 	"paragonio/internal/mesh"
 	"paragonio/internal/pablo"
 	"paragonio/internal/pfs"
-	"paragonio/internal/policy"
 	"paragonio/internal/sim"
 	"paragonio/internal/workload"
 )
@@ -199,11 +198,13 @@ func BenchmarkAblationAggregation(b *testing.B) {
 						panic(err)
 					}
 					if aggregate {
-						w := policy.NewAggWriter(h, 0)
-						for i := 0; i < 4000; i++ {
-							w.Write(n.P, 1664)
+						// The same 4000×1664 bytes, coalesced client-side
+						// into stripe-unit writes plus the remainder.
+						total := int64(4000 * 1664)
+						for ; total >= pfs.DefaultStripeUnit; total -= pfs.DefaultStripeUnit {
+							h.Write(n.P, pfs.DefaultStripeUnit)
 						}
-						w.Flush(n.P)
+						h.Write(n.P, total)
 					} else {
 						for i := 0; i < 4000; i++ {
 							h.Write(n.P, 1664)
@@ -408,32 +409,6 @@ func BenchmarkKernelResourceContention(b *testing.B) {
 			}
 			k.After(0, use)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
-// BenchmarkKernelMailboxPingPong bounces one message between two
-// processes; Recv parks a goroutine each round trip.
-func BenchmarkKernelMailboxPingPong(b *testing.B) {
-	b.Run("proc", func(b *testing.B) {
-		k := sim.NewKernel()
-		ping := sim.NewMailbox(k, "ping")
-		pong := sim.NewMailbox(k, "pong")
-		k.Spawn("a", func(p *sim.Proc) {
-			for i := 0; i < b.N; i++ {
-				ping.Send(i)
-				pong.Recv(p)
-			}
-		})
-		k.Spawn("b", func(p *sim.Proc) {
-			for i := 0; i < b.N; i++ {
-				pong.Send(ping.Recv(p))
-			}
-		})
 		b.ReportAllocs()
 		b.ResetTimer()
 		if err := k.Run(); err != nil {

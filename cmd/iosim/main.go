@@ -45,22 +45,17 @@ func run(app, dataset, version string, seed int64, traceTo string, advise bool) 
 	var err error
 	switch strings.ToLower(app) {
 	case "escat":
-		var ds escat.Dataset
-		switch strings.ToLower(dataset) {
-		case "ethylene":
-			ds = escat.Ethylene()
-		case "co", "carbon-monoxide":
-			ds = escat.CarbonMonoxide()
-		default:
+		ds, ok := escat.LookupDataset(dataset)
+		if !ok {
 			return fmt.Errorf("unknown escat dataset %q", dataset)
 		}
-		v, ok := escatVersion(version, dataset)
+		v, ok := escat.LookupVersion(version, dataset)
 		if !ok {
 			return fmt.Errorf("unknown escat version %q", version)
 		}
 		res, err = escat.Run(ds, v, seed)
 	case "prism":
-		v, ok := prismVersion(version)
+		v, ok := prism.LookupVersion(version)
 		if !ok {
 			return fmt.Errorf("unknown prism version %q", version)
 		}
@@ -91,35 +86,6 @@ func run(app, dataset, version string, seed int64, traceTo string, advise bool) 
 		fmt.Printf("\ntrace: %d events written to %s\n", res.Trace.Len(), traceTo)
 	}
 	return nil
-}
-
-func escatVersion(id, dataset string) (escat.Version, bool) {
-	if strings.EqualFold(dataset, "co") || strings.EqualFold(dataset, "carbon-monoxide") {
-		if strings.EqualFold(id, "C") {
-			return escat.VersionCCarbonMonoxide(), true
-		}
-	}
-	for _, v := range escat.Progressions() {
-		if strings.EqualFold(v.ID, id) {
-			return v, true
-		}
-	}
-	switch strings.ToUpper(id) {
-	case "B":
-		return escat.VersionB(), true
-	case "C":
-		return escat.VersionC(), true
-	}
-	return escat.Version{}, false
-}
-
-func prismVersion(id string) (prism.Version, bool) {
-	for _, v := range prism.PaperVersions() {
-		if strings.EqualFold(v.ID, id) {
-			return v, true
-		}
-	}
-	return prism.Version{}, false
 }
 
 func printResult(res *core.Result) {

@@ -4,6 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"paragonio/internal/apps/escat"
+	"paragonio/internal/apps/prism"
 )
 
 func TestEscatVersionLookup(t *testing.T) {
@@ -17,14 +20,15 @@ func TestEscatVersionLookup(t *testing.T) {
 		{"b", "ethylene", true},
 		{"C", "ethylene", true},
 		{"C", "co", true},
+		{"c", "Carbon-Monoxide", true},
 		{"Z", "ethylene", false},
 	}
 	for _, tc := range cases {
-		v, ok := escatVersion(tc.id, tc.dataset)
+		v, ok := escat.LookupVersion(tc.id, tc.dataset)
 		if ok != tc.ok {
-			t.Fatalf("escatVersion(%q, %q) ok = %v", tc.id, tc.dataset, ok)
+			t.Fatalf("escat.LookupVersion(%q, %q) ok = %v", tc.id, tc.dataset, ok)
 		}
-		if ok && tc.dataset == "co" && !v.RestartStaged {
+		if ok && tc.dataset != "ethylene" && !v.RestartStaged {
 			t.Fatal("carbon-monoxide C should be the staged-restart build")
 		}
 	}
@@ -32,12 +36,12 @@ func TestEscatVersionLookup(t *testing.T) {
 
 func TestPrismVersionLookup(t *testing.T) {
 	for _, id := range []string{"A", "b", "C"} {
-		if _, ok := prismVersion(id); !ok {
-			t.Fatalf("prismVersion(%q) not found", id)
+		if _, ok := prism.LookupVersion(id); !ok {
+			t.Fatalf("prism.LookupVersion(%q) not found", id)
 		}
 	}
-	if _, ok := prismVersion("D"); ok {
-		t.Fatal("prismVersion accepted junk")
+	if _, ok := prism.LookupVersion("D"); ok {
+		t.Fatal("prism.LookupVersion accepted junk")
 	}
 }
 

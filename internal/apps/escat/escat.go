@@ -13,6 +13,7 @@ package escat
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"paragonio/internal/core"
@@ -153,22 +154,6 @@ func VersionCCarbonMonoxide() Version {
 	return v
 }
 
-// BoronTrichloride returns the third study problem the paper's footnote
-// mentions (the elastic scattering cross section for BCl3): a single
-// elastic channel with a heavier quadrature volume, run at 128 nodes.
-// The paper reports no tables for it; the dataset is provided for
-// exploration alongside the two tabulated problems.
-func BoronTrichloride() Dataset {
-	d := Ethylene()
-	d.Name = "boron-trichloride"
-	d.Channels = 1
-	d.Cycles = 120
-	d.EnergySweeps = 3
-	d.CycleCompute = 30 * time.Second
-	d.EnergyCompute = 60 * time.Second
-	return d
-}
-
 // Version describes one ESCAT code progression: which nodes perform I/O
 // in each phase and with which PFS access mode (the rows of Table 1),
 // plus a compute scale capturing the non-I/O effects of each rebuild
@@ -269,6 +254,40 @@ func Progressions() []Version {
 // 1-3): A, B, C.
 func PaperVersions() []Version {
 	return []Version{VersionA(), VersionB(), VersionC()}
+}
+
+// LookupDataset resolves a dataset name, case-insensitively: "ethylene",
+// or "co" (also spelled "carbon-monoxide").
+func LookupDataset(name string) (Dataset, bool) {
+	switch {
+	case strings.EqualFold(name, "ethylene"):
+		return Ethylene(), true
+	case isCarbonMonoxide(name):
+		return CarbonMonoxide(), true
+	}
+	return Dataset{}, false
+}
+
+// LookupVersion resolves a version id, case-insensitively: one of the
+// Progressions builds, or "B" for the B-family structure. Version C on
+// the carbon-monoxide dataset resolves to VersionCCarbonMonoxide.
+func LookupVersion(id, dataset string) (Version, bool) {
+	if strings.EqualFold(id, "C") && isCarbonMonoxide(dataset) {
+		return VersionCCarbonMonoxide(), true
+	}
+	for _, v := range Progressions() {
+		if strings.EqualFold(v.ID, id) {
+			return v, true
+		}
+	}
+	if strings.EqualFold(id, "B") {
+		return VersionB(), true
+	}
+	return Version{}, false
+}
+
+func isCarbonMonoxide(name string) bool {
+	return strings.EqualFold(name, "co") || strings.EqualFold(name, "carbon-monoxide")
 }
 
 // ModeTableRow describes one phase's node activity and access mode —

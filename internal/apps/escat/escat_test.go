@@ -343,29 +343,3 @@ func TestTaxonomyMatchesPaperClasses(t *testing.T) {
 		}
 	}
 }
-
-func TestBoronTrichlorideRuns(t *testing.T) {
-	d := BoronTrichloride()
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Channels != 1 {
-		t.Fatalf("channels = %d, want 1 (elastic only)", d.Channels)
-	}
-	// Smoke at reduced scale.
-	d.Nodes = 8
-	d.Cycles = 4
-	d.EnergySweeps = 1
-	d.HeaderReads = 10
-	d.CycleCompute = time.Second
-	d.CycleJitter = 200 * time.Millisecond
-	d.SetupCompute = time.Second
-	d.EnergyCompute = time.Second
-	res, err := Run(d, VersionC(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace.Len() == 0 || res.Exec <= 0 {
-		t.Fatal("empty run")
-	}
-}

@@ -15,6 +15,7 @@ package prism
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"paragonio/internal/core"
@@ -207,6 +208,17 @@ func VersionC() Version {
 // PaperVersions returns the three analyzed versions in order.
 func PaperVersions() []Version {
 	return []Version{VersionA(), VersionB(), VersionC()}
+}
+
+// LookupVersion resolves a version id ("A", "B" or "C"),
+// case-insensitively.
+func LookupVersion(id string) (Version, bool) {
+	for _, v := range PaperVersions() {
+		if strings.EqualFold(v.ID, id) {
+			return v, true
+		}
+	}
+	return Version{}, false
 }
 
 // ModeTableRow is one row of the paper's Table 4.

@@ -25,9 +25,6 @@ func ParseJobs(s string) (int, error) {
 	return n, nil
 }
 
-// DefaultJobs is the shared default for -j style parallelism flags.
-func DefaultJobs() int { return runtime.GOMAXPROCS(0) }
-
 // Only resolves a comma-separated -only flag value against the valid
 // identifiers, returning the selected set. An empty value selects
 // nothing (callers treat that as "everything"). Unknown identifiers are

@@ -1,7 +1,6 @@
 package cliflags
 
 import (
-	"runtime"
 	"testing"
 	"time"
 )
@@ -82,12 +81,6 @@ func TestSweep(t *testing.T) {
 	want := `unknown sweep "caches" (valid: modes, request, cache)`
 	if err.Error() != want {
 		t.Errorf("error %q, want %q", err, want)
-	}
-}
-
-func TestDefaultJobs(t *testing.T) {
-	if DefaultJobs() != runtime.GOMAXPROCS(0) {
-		t.Error("DefaultJobs is not GOMAXPROCS")
 	}
 }
 

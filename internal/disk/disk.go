@@ -192,15 +192,3 @@ func (a *Array) Stats() Stats {
 		Busy:       a.busy,
 	}
 }
-
-// Reset clears head position and statistics (fault state persists —
-// repair is the fault plane's business, not the workload's).
-func (a *Array) Reset() {
-	a.lastStream = ""
-	a.lastEnd = 0
-	a.requests = 0
-	a.seqHits = 0
-	a.degradedOps = 0
-	a.bytesMoved = 0
-	a.busy = 0
-}

@@ -77,8 +77,7 @@ func TestStreamSwitchBreaksSequentiality(t *testing.T) {
 func TestLargeRequestAmortizesPositioning(t *testing.T) {
 	a := newDefault(t)
 	small := a.Service("f", 1<<30, 512)
-	a.Reset()
-	large := a.Service("f", 1<<30, 1<<20)
+	large := newDefault(t).Service("f", 1<<30, 1<<20)
 	// Effective bandwidth of the large request must be far higher.
 	smallBW := 512 / small.Seconds()
 	largeBW := float64(1<<20) / large.Seconds()
@@ -121,21 +120,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if s.Busy <= 0 {
 		t.Fatalf("Busy = %v", s.Busy)
-	}
-}
-
-func TestReset(t *testing.T) {
-	a := newDefault(t)
-	a.Service("f", 0, 65536)
-	a.Reset()
-	if s := a.Stats(); s.Requests != 0 || s.BytesMoved != 0 || s.Busy != 0 {
-		t.Fatalf("stats after Reset: %+v", s)
-	}
-	// After reset the head state is cold again.
-	d := a.Service("f", 65536, 65536)
-	p := a.Params()
-	if d < p.AvgSeek {
-		t.Fatalf("post-reset request priced as sequential: %v", d)
 	}
 }
 

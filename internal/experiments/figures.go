@@ -129,22 +129,14 @@ func figure3(s *Suite) (*Artifact, error) {
 			glyph = 'c'
 		}
 		series = append(series, timelineSeries("version "+id, glyph, pts))
-		var maxSize, minT, maxT float64
-		minT = res.Exec.Seconds()
+		var maxSize float64
 		for _, p := range pts {
 			if p.V > maxSize {
 				maxSize = p.V
 			}
-			if t := p.T.Seconds(); t < minT {
-				minT = t
-			}
-			if t := p.T.Seconds(); t > maxT {
-				maxT = t
-			}
 		}
 		measured[id+".reads"] = float64(len(pts))
 		measured[id+".maxsize"] = maxSize
-		_ = maxT
 	}
 	for _, sr := range series {
 		p := report.Plot{Title: "Figure 3: ESCAT read sizes over time, " + sr.Name,

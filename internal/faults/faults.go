@@ -48,9 +48,6 @@ const (
 	ClientFlap Kind = "client-flap"
 )
 
-// Kinds lists every fault kind in canonical order.
-func Kinds() []Kind { return []Kind{DiskFail, NodeCrash, Straggler, ClientFlap} }
-
 // Valid reports whether k names a known fault kind.
 func (k Kind) Valid() bool {
 	switch k {

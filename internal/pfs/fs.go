@@ -484,15 +484,22 @@ func (fs *FileSystem) xfer(p *sim.Proc, node int, f *file, off, size int64, writ
 		return
 	}
 	// Fan out one callback chain per additional I/O node; the request
-	// completes when all involved nodes have served their chunks.
-	done := sim.NewMailbox(fs.k, "xfer-join")
+	// completes when all involved nodes have served their chunks. The
+	// last completion resumes p if it is still waiting.
+	pending := len(ios) - 1
+	waiting := false
 	for _, io := range ios[1:] {
-		io := io
-		fs.serveIONodeFn(node, f, io, lists[io], write, func() { done.Send(io) })
+		fs.serveIONodeFn(node, f, io, lists[io], write, func() {
+			pending--
+			if pending == 0 && waiting {
+				fs.k.Wake(p)
+			}
+		})
 	}
 	fs.serveIONode(p, node, f, ios[0], lists[ios[0]], write)
-	for range ios[1:] {
-		done.Recv(p)
+	if pending > 0 {
+		waiting = true
+		p.Suspend("xfer-join")
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package policy operationalizes the paper's conclusions (section 7):
 // it classifies per-file access patterns from Pablo traces and recommends
 // the file-system features — collective opens, access modes, request
-// aggregation, prefetching, write-behind — that would serve each pattern,
-// and provides client-side aggregation/prefetch wrappers to quantify what
-// those policies buy.
+// aggregation, prefetching, write-behind — that would serve each pattern.
+// Advice is a pure function of a trace: the package runs no simulation.
 //
 // The package has three layers:
 //
@@ -19,10 +18,10 @@
 //     pro-cache traffic against the traffic a server tier would hurt,
 //     and WriteAdvice renders everything for the CLI surfaces.
 //
-// The online counterpart is AdaptiveReader (and AdaptiveWriter), whose
-// window/voting classification rules are documented on the type: epochs
-// of `window` requests vote small-vs-large and sequential-vs-not, and a
-// two-thirds-majority rule with hysteresis picks the service mode.
+// The policies it recommends run as the cache tiers of internal/cache
+// (I/O-node write-behind and read-ahead, the lease-coherent client tier,
+// the host-side log); the cachewhatif, clientcache and logtier experiment
+// families measure what each one buys.
 //
 // Run against the version A traces, the advisor reproduces the tuning
 // decisions the application developers made by hand over eighteen months

@@ -6,10 +6,7 @@ import (
 
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
-	"paragonio/internal/mesh"
 	"paragonio/internal/pablo"
-	"paragonio/internal/pfs"
-	"paragonio/internal/sim"
 )
 
 func mkRead(node int, file string, off, size int64, mode string) pablo.Event {
@@ -231,161 +228,4 @@ func hasFileKind(recs []Recommendation, file string, k Kind) bool {
 		}
 	}
 	return false
-}
-
-// ---- wrapper tests ----
-
-type rig struct {
-	k  *sim.Kernel
-	fs *pfs.FileSystem
-}
-
-func newRig(t *testing.T) *rig {
-	t.Helper()
-	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
-	fs, err := pfs.New(k, pfs.DefaultConfig(m), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rig{k: k, fs: fs}
-}
-
-func TestAggWriterCoalesces(t *testing.T) {
-	r := newRig(t)
-	var logical, physical int
-	r.k.Spawn("w", func(p *sim.Proc) {
-		h, _ := r.fs.Open(p, 0, "out", pfs.MAsync)
-		w := NewAggWriter(h, 0)
-		for i := 0; i < 100; i++ {
-			if err := w.Write(p, 2720); err != nil {
-				t.Error(err)
-			}
-		}
-		if err := w.Flush(p); err != nil {
-			t.Error(err)
-		}
-		logical, physical, _ = w.Stats()
-		h.Close(p)
-	})
-	if err := r.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if logical != 100 {
-		t.Fatalf("logical = %d", logical)
-	}
-	// 272000 bytes at 64KB threshold: 4 full + 1 remainder.
-	if physical != 5 {
-		t.Fatalf("physical = %d, want 5", physical)
-	}
-	if got := r.fs.FileSize("out"); got != 272000 {
-		t.Fatalf("file size = %d", got)
-	}
-}
-
-func TestAggWriterFasterThanRaw(t *testing.T) {
-	run := func(agg bool) sim.Time {
-		k := sim.NewKernel()
-		m := mesh.MustNew(mesh.DefaultConfig())
-		fs, err := pfs.New(k, pfs.DefaultConfig(m), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := &rig{k: k, fs: fs}
-		var loop sim.Time
-		r.k.Spawn("w", func(p *sim.Proc) {
-			h, _ := r.fs.Open(p, 0, "out", pfs.MAsync)
-			t0 := p.Now()
-			if agg {
-				w := NewAggWriter(h, 0)
-				for i := 0; i < 200; i++ {
-					w.Write(p, 1000)
-				}
-				w.Flush(p)
-			} else {
-				for i := 0; i < 200; i++ {
-					h.Write(p, 1000)
-				}
-			}
-			loop = p.Now() - t0
-			h.Close(p)
-		})
-		if err := r.k.Run(); err != nil {
-			panic(err)
-		}
-		return loop
-	}
-	if a, raw := run(true), run(false); a*3 >= raw {
-		t.Fatalf("aggregated writes (%v) not clearly faster than raw (%v)", a, raw)
-	}
-}
-
-func TestPrefetchReaderReducesRequests(t *testing.T) {
-	r := newRig(t)
-	var logical, physical int
-	r.k.Spawn("rd", func(p *sim.Proc) {
-		r.fs.CreateFile("in", 1<<20)
-		h, _ := r.fs.Open(p, 0, "in", pfs.MAsync)
-		pr := NewPrefetchReader(h, 0)
-		for i := 0; i < 256; i++ {
-			if _, err := pr.Read(p, 1024); err != nil {
-				t.Error(err)
-			}
-		}
-		logical, physical, _ = pr.Stats()
-		h.Close(p)
-	})
-	if err := r.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if logical != 256 {
-		t.Fatalf("logical = %d", logical)
-	}
-	// 256 KB through a 256 KB window: one physical read.
-	if physical != 1 {
-		t.Fatalf("physical = %d, want 1", physical)
-	}
-}
-
-func TestPrefetchReaderEOF(t *testing.T) {
-	r := newRig(t)
-	var got int64
-	r.k.Spawn("rd", func(p *sim.Proc) {
-		r.fs.CreateFile("in", 1500)
-		h, _ := r.fs.Open(p, 0, "in", pfs.MAsync)
-		pr := NewPrefetchReader(h, 1024)
-		n1, _ := pr.Read(p, 1000)
-		n2, _ := pr.Read(p, 1000) // clamped to 500
-		n3, _ := pr.Read(p, 1000) // EOF
-		got = n1 + n2 + n3
-		if n3 != 0 {
-			t.Errorf("read past EOF returned %d", n3)
-		}
-		h.Close(p)
-	})
-	if err := r.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 1500 {
-		t.Fatalf("total = %d, want 1500", got)
-	}
-}
-
-func TestWrapperErrors(t *testing.T) {
-	r := newRig(t)
-	r.k.Spawn("w", func(p *sim.Proc) {
-		h, _ := r.fs.Open(p, 0, "out", pfs.MAsync)
-		w := NewAggWriter(h, 100)
-		if err := w.Write(p, 0); err != pfs.ErrBadSize {
-			t.Errorf("Write(0) err = %v", err)
-		}
-		pr := NewPrefetchReader(h, 100)
-		if _, err := pr.Read(p, -1); err != pfs.ErrBadSize {
-			t.Errorf("Read(-1) err = %v", err)
-		}
-		h.Close(p)
-	})
-	if err := r.k.Run(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -30,7 +30,7 @@ func FuzzSimulateRequest(f *testing.F) {
 		`{"app":"prism","version":"C","faults":[{"kind":"node-crash","at_ms":1000}]}`,
 		`{"app":"prism","version":"C","faults":[{"kind":"straggler","ionode":3,"factor":4}]}`,
 		`{"app":"prism","version":"C","tiers":{"ionode":{"read_ahead":-1}}}`,
-		`{"app":"escat","version":"C","window_us":-1}`,
+		`{"app":"escat","version":"C","sample_ms":-1}`,
 		`{}`,
 		``,
 	} {

@@ -35,7 +35,6 @@ type SimulateRequest struct {
 	IONodes    int   `json:"ionodes,omitempty"`     // I/O node count override
 	StripeUnit int64 `json:"stripe_unit,omitempty"` // PFS stripe unit override, bytes
 	Shards     int   `json:"shards,omitempty"`      // admission weight; the simulation is single-threaded
-	WindowUS   int64 `json:"window_us,omitempty"`   // accepted, ignored
 	SampleMS   int64 `json:"sample_ms,omitempty"`   // utilization sample period, ms
 
 	Tiers *TiersRequest `json:"tiers,omitempty"`
@@ -241,11 +240,11 @@ type runFunc func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*
 func defaultRun(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
 	switch req.App {
 	case "escat":
-		ds, _ := escatDataset(req.Dataset)
-		v, _ := escatVersion(req.Version, req.Dataset)
+		ds, _ := escat.LookupDataset(req.Dataset)
+		v, _ := escat.LookupVersion(req.Version, req.Dataset)
 		return escat.RunOnContext(ctx, cfg, ds, v)
 	case "prism":
-		v, _ := prismVersion(req.Version)
+		v, _ := prism.LookupVersion(req.Version)
 		return prism.RunOnContext(ctx, cfg, prism.TestProblem(), v)
 	}
 	return nil, fmt.Errorf("server: unknown app %q", req.App)
@@ -269,10 +268,10 @@ func (r *SimulateRequest) validate() error {
 		case "carbon-monoxide":
 			r.Dataset = "co"
 		}
-		if _, ok := escatDataset(r.Dataset); !ok {
+		if _, ok := escat.LookupDataset(r.Dataset); !ok {
 			return fieldErrorf("dataset", "unknown escat dataset %q (want ethylene or co)", r.Dataset)
 		}
-		v, ok := escatVersion(r.Version, r.Dataset)
+		v, ok := escat.LookupVersion(r.Version, r.Dataset)
 		if !ok {
 			return fieldErrorf("version", "unknown escat version %q (want A, A2, B1, B2, B3, B, or C)", r.Version)
 		}
@@ -281,7 +280,7 @@ func (r *SimulateRequest) validate() error {
 		if r.Dataset != "" {
 			return fieldErrorf("dataset", "prism takes no dataset (got %q)", r.Dataset)
 		}
-		v, ok := prismVersion(r.Version)
+		v, ok := prism.LookupVersion(r.Version)
 		if !ok {
 			return fieldErrorf("version", "unknown prism version %q (want A, B, or C)", r.Version)
 		}
@@ -299,9 +298,6 @@ func (r *SimulateRequest) validate() error {
 	}
 	if r.StripeUnit < 0 {
 		return fieldErrorf("stripe_unit", "stripe_unit must be non-negative, got %d", r.StripeUnit)
-	}
-	if r.WindowUS < 0 {
-		return fieldErrorf("window_us", "window_us must be non-negative, got %d", r.WindowUS)
 	}
 	if r.SampleMS < 0 {
 		return fieldErrorf("sample_ms", "sample_ms must be non-negative, got %d", r.SampleMS)
@@ -388,45 +384,6 @@ func (r *SimulateRequest) identity() string {
 		return r.App + "/" + r.Dataset + "/" + r.Version
 	}
 	return r.App + "/" + r.Version
-}
-
-func escatDataset(name string) (escat.Dataset, bool) {
-	switch name {
-	case "ethylene":
-		return escat.Ethylene(), true
-	case "co":
-		return escat.CarbonMonoxide(), true
-	}
-	return escat.Dataset{}, false
-}
-
-func escatVersion(id, dataset string) (escat.Version, bool) {
-	if dataset == "co" {
-		if strings.EqualFold(id, "C") {
-			return escat.VersionCCarbonMonoxide(), true
-		}
-	}
-	for _, v := range escat.Progressions() {
-		if strings.EqualFold(v.ID, id) {
-			return v, true
-		}
-	}
-	switch strings.ToUpper(id) {
-	case "B":
-		return escat.VersionB(), true
-	case "C":
-		return escat.VersionC(), true
-	}
-	return escat.Version{}, false
-}
-
-func prismVersion(id string) (prism.Version, bool) {
-	for _, v := range prism.PaperVersions() {
-		if strings.EqualFold(v.ID, id) {
-			return v, true
-		}
-	}
-	return prism.Version{}, false
 }
 
 // flight is one in-flight run that identical concurrent requests join.

@@ -560,8 +560,7 @@ func TestRunPanicIsContained(t *testing.T) {
 		}
 		<-release
 		k := sim.NewKernel()
-		reply := sim.NewMailbox(k, "reply")
-		k.Spawn("waiter", func(p *sim.Proc) { reply.Recv(p) })
+		k.Spawn("waiter", func(p *sim.Proc) { p.Suspend("reply") })
 		k.Spawn("buggy", func(p *sim.Proc) {
 			p.Wait(time.Millisecond)
 			var m map[string]int

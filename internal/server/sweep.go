@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"sync"
@@ -36,9 +37,8 @@ type SweepRequest struct {
 	Faults [][]FaultRequest `json:"faults,omitempty"`
 
 	// Per-point scalars shared by every grid point. Shards is each
-	// point's admission weight; WindowUS is accepted and ignored.
+	// point's admission weight.
 	Shards   int   `json:"shards,omitempty"`
-	WindowUS int64 `json:"window_us,omitempty"`
 	SampleMS int64 `json:"sample_ms,omitempty"`
 }
 
@@ -95,8 +95,11 @@ type sweepPoint struct {
 }
 
 // expand walks the grid and materialises every point; invalid points
-// carry their validation error instead of a key.
-func (sr *SweepRequest) expand() ([]sweepPoint, error) {
+// carry their validation error instead of a key. It rejects a grid of
+// more than maxPoints points before materialising any: the axis lengths
+// are multiplied one at a time, so the check stops as soon as the
+// product passes the cap and never overflows.
+func (sr *SweepRequest) expand(maxPoints int) ([]sweepPoint, error) {
 	if len(sr.Versions) == 0 {
 		return nil, fieldErrorf("versions", "sweep needs at least one version")
 	}
@@ -120,37 +123,49 @@ func (sr *SweepRequest) expand() ([]sweepPoint, error) {
 	if len(plans) == 0 {
 		plans = [][]FaultRequest{nil}
 	}
-	grid, err := experiments.NewGrid(len(sr.Versions), len(seeds), len(ionodes), len(stripes), len(tiers), len(plans))
-	if err != nil {
-		return nil, err
+	size := 1
+	for _, n := range []int{len(sr.Versions), len(seeds), len(ionodes), len(stripes), len(tiers), len(plans)} {
+		size *= n
+		if size > maxPoints {
+			return nil, fmt.Errorf("sweep expands to at least %d points, over the %d-point cap", size, maxPoints)
+		}
 	}
-	points := make([]sweepPoint, 0, grid.Size())
-	for i := 0; i < grid.Size(); i++ {
-		c := grid.Coords(i)
-		p := sweepPoint{
-			index: i,
-			tier:  c[4],
-			fault: c[5],
-			req: SimulateRequest{
-				App:        sr.App,
-				Dataset:    sr.Dataset,
-				Version:    sr.Versions[c[0]],
-				Seed:       seeds[c[1]],
-				IONodes:    ionodes[c[2]],
-				StripeUnit: stripes[c[3]],
-				Shards:     sr.Shards,
-				WindowUS:   sr.WindowUS,
-				SampleMS:   sr.SampleMS,
-				Tiers:      tiers[c[4]],
-				Faults:     plans[c[5]],
-			},
+	// Last axis fastest: the point index is the flat grid index.
+	points := make([]sweepPoint, 0, size)
+	for _, version := range sr.Versions {
+		for _, seed := range seeds {
+			for _, ion := range ionodes {
+				for _, su := range stripes {
+					for ti, tier := range tiers {
+						for fi, plan := range plans {
+							p := sweepPoint{
+								index: len(points),
+								tier:  ti,
+								fault: fi,
+								req: SimulateRequest{
+									App:        sr.App,
+									Dataset:    sr.Dataset,
+									Version:    version,
+									Seed:       seed,
+									IONodes:    ion,
+									StripeUnit: su,
+									Shards:     sr.Shards,
+									SampleMS:   sr.SampleMS,
+									Tiers:      tier,
+									Faults:     plan,
+								},
+							}
+							if err := p.req.validate(); err != nil {
+								p.err = err
+							} else {
+								p.key = experiments.ConfigKey(p.req.config(), p.req.identity())
+							}
+							points = append(points, p)
+						}
+					}
+				}
+			}
 		}
-		if err := p.req.validate(); err != nil {
-			p.err = err
-		} else {
-			p.key = experiments.ConfigKey(p.req.config(), p.req.identity())
-		}
-		points = append(points, p)
 	}
 	return points, nil
 }
@@ -234,14 +249,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadJSON, "", "bad request body: %v", err)
 		return
 	}
-	points, err := sr.expand()
+	points, err := sr.expand(s.cfg.MaxSweepPoints)
 	if err != nil {
 		writeValidationError(w, err)
-		return
-	}
-	if len(points) > s.cfg.MaxSweepPoints {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, "",
-			"sweep expands to %d points, over the %d-point cap", len(points), s.cfg.MaxSweepPoints)
 		return
 	}
 	s.sweepPoints.Add(uint64(len(points)))

@@ -463,3 +463,79 @@ func TestSweepBeatsSequential(t *testing.T) {
 	t.Logf("16-point ladder: sequential %v, batched %v (ratio %.2f)",
 		seqDur, batchDur, float64(batchDur)/float64(seqDur))
 }
+
+// TestSweepPointIndexLastAxisFastest pins the planner's point order: the
+// flat index walks the grid with the last axis (faults) fastest, then
+// tiers, stripe units, I/O nodes, seeds and versions.
+func TestSweepPointIndexLastAxisFastest(t *testing.T) {
+	sr := SweepRequest{
+		App:         "prism",
+		Versions:    []string{"A", "C"},
+		Seeds:       []int64{1, 2, 3},
+		IONodes:     []int{8, 16},
+		StripeUnits: []int64{65536},
+		Tiers:       []*TiersRequest{nil, {Log: &LogTierRequest{}}},
+		Faults:      [][]FaultRequest{nil, {{Kind: "straggler", IONode: 1, Factor: 2}}},
+	}
+	points, err := sr.expand(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2*3*2*1*2*2 {
+		t.Fatalf("%d points, want 48", len(points))
+	}
+	for i, p := range points {
+		fault, tier := i%2, i/2%2
+		ion, seed, version := sr.IONodes[i/4%2], sr.Seeds[i/8%3], sr.Versions[i/24]
+		if p.index != i || p.fault != fault || p.tier != tier || p.req.IONodes != ion ||
+			p.req.Seed != seed || p.req.Version != version || p.req.StripeUnit != 65536 {
+			t.Fatalf("point %d = index %d version %s seed %d ionodes %d tier %d fault %d, want %s %d %d %d %d",
+				i, p.index, p.req.Version, p.req.Seed, p.req.IONodes, p.tier, p.fault,
+				version, seed, ion, tier, fault)
+		}
+	}
+}
+
+// TestSweepRejectsOversizeGridBeforeExpanding sends a small body that
+// declares a million points (1000 seeds × 1000 I/O-node counts). The
+// daemon must answer 400 against the cap without materialising the
+// grid: the whole request, JSON decoding included, stays within a
+// fixed allocation budget.
+func TestSweepRejectsOversizeGridBeforeExpanding(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`{"app":"escat","versions":["A"],"seeds":[`)
+	for i := 1; i <= 1000; i++ {
+		if i > 1 {
+			b.WriteByte(',')
+		}
+		fmt.Fprint(&b, i)
+	}
+	b.WriteString(`],"ionodes":[`)
+	for i := 1; i <= 1000; i++ {
+		if i > 1 {
+			b.WriteByte(',')
+		}
+		fmt.Fprint(&b, i)
+	}
+	b.WriteString(`]}`)
+	body := b.String()
+
+	s := newTestServer(t, Config{}, stubRun)
+	h := s.Handler()
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(body)))
+		return rec
+	}
+	rec := post()
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("status %d, body %s: %v", rec.Code, rec.Body, err)
+	}
+	if rec.Code != 400 || e.Error.Code != ErrCodeInvalidRequest || !strings.Contains(e.Error.Message, "over the 256-point cap") {
+		t.Fatalf("status %d, error %+v; want 400 invalid_request over the 256-point cap", rec.Code, e.Error)
+	}
+	if allocs := testing.AllocsPerRun(2, func() { post() }); allocs > 100 {
+		t.Errorf("rejecting the oversize sweep took %.0f allocations, want at most 100", allocs)
+	}
+}

@@ -24,9 +24,8 @@ func TestCancelAbortsRun(t *testing.T) {
 			cancel()
 		}
 	})
-	// Three processes: one ticking forever, one blocked on a mailbox that
-	// never fills, one that finishes before the cancel.
-	mb := NewMailbox(k, "never")
+	// Three processes: one ticking forever, one suspended with no waker,
+	// one that finishes before the cancel.
 	k.Spawn("ticker", func(p *Proc) {
 		defer func() { unwound = append(unwound, "ticker") }()
 		for {
@@ -35,7 +34,7 @@ func TestCancelAbortsRun(t *testing.T) {
 	})
 	k.Spawn("receiver", func(p *Proc) {
 		defer func() { unwound = append(unwound, "receiver") }()
-		mb.Recv(p)
+		p.Suspend("never")
 	})
 	k.Spawn("done-early", func(p *Proc) {
 		p.Wait(time.Microsecond)

@@ -6,8 +6,8 @@
 // in "processes": coroutines the kernel resumes and that yield back to it,
 // so exactly one process executes at a time and runs are bit-reproducible.
 // Processes block on virtual-time waits and on synchronization primitives
-// (Resource, Barrier, Mailbox); the kernel resumes them when the
-// corresponding event fires.
+// (Resource, Barrier), or Suspend until a callback Wakes them; the kernel
+// resumes them when the corresponding event fires.
 //
 // Events scheduled for the same instant are processed in scheduling order
 // (FIFO by sequence number), which — together with the single-runner

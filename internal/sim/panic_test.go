@@ -10,7 +10,7 @@ import (
 )
 
 // TestProcessPanicReturnsPanicError panics one process while others are
-// parked on a Mailbox, a Barrier and a timed Wait, and one more is due in
+// suspended, parked on a Barrier and in a timed Wait, and one more is due in
 // the same instant's batch, after the panicking one. Run must return a
 // *PanicError naming the panicking process, after unwinding every other
 // process (their defers run, in spawn order) and leaving none of their
@@ -18,11 +18,10 @@ import (
 func TestProcessPanicReturnsPanicError(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel()
-	mb := NewMailbox(k, "inbox")
 	bar := NewBarrier(k, "phase", 3)
 	var unwound []string
 	unwind := func(p *Proc) { unwound = append(unwound, p.Name()) }
-	k.Spawn("receiver", func(p *Proc) { defer unwind(p); mb.Recv(p) })
+	k.Spawn("receiver", func(p *Proc) { defer unwind(p); p.Suspend("inbox") })
 	k.Spawn("arriver", func(p *Proc) { defer unwind(p); bar.Await(p) })
 	k.Spawn("sleeper", func(p *Proc) { defer unwind(p); p.Wait(time.Hour) })
 	k.Spawn("buggy", func(p *Proc) {

@@ -178,80 +178,3 @@ func TestBarrierOfOne(t *testing.T) {
 		t.Fatal("single-party barrier blocked")
 	}
 }
-
-func TestMailboxFIFO(t *testing.T) {
-	k := NewKernel()
-	m := NewMailbox(k, "mb")
-	var got []int
-	k.Spawn("sender", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Wait(time.Millisecond)
-			m.Send(i)
-		}
-	})
-	k.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, m.Recv(p).(int))
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("received %v, want ascending", got)
-		}
-	}
-}
-
-// TestMailboxDelayedSend models transit latency the way the Mailbox doc
-// prescribes: a Send from a Kernel.After callback wakes the blocked
-// receiver at the delivery instant.
-func TestMailboxDelayedSend(t *testing.T) {
-	k := NewKernel()
-	m := NewMailbox(k, "mb")
-	var at Time
-	k.Spawn("sender", func(p *Proc) {
-		k.After(5*time.Second, func() { m.Send("hello") })
-	})
-	k.Spawn("recv", func(p *Proc) {
-		if v := m.Recv(p); v != "hello" {
-			t.Errorf("got %v", v)
-		}
-		at = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 5*time.Second {
-		t.Fatalf("delivered at %v, want 5s", at)
-	}
-}
-
-func TestMailboxMultipleReceiversFIFO(t *testing.T) {
-	k := NewKernel()
-	m := NewMailbox(k, "mb")
-	var by []int
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("recv", func(p *Proc) {
-			p.Wait(Time(i) * time.Millisecond) // receivers queue in index order
-			m.Recv(p)
-			by = append(by, i)
-		})
-	}
-	k.Spawn("sender", func(p *Proc) {
-		p.Wait(10 * time.Millisecond)
-		for i := 0; i < 3; i++ {
-			m.Send(i)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range by {
-		if v != i {
-			t.Fatalf("delivery order %v, want FIFO by receiver arrival", by)
-		}
-	}
-}

@@ -148,28 +148,6 @@ func (c *Collective) Gather(n *Node, root int, size int64) {
 	}
 }
 
-// SizeDist draws request sizes for synthetic workload generation.
-type SizeDist interface {
-	Next(rng *rand.Rand) int64
-}
-
-// Fixed always yields the same size.
-type Fixed int64
-
-// Next implements SizeDist.
-func (f Fixed) Next(*rand.Rand) int64 { return int64(f) }
-
-// Uniform yields sizes uniformly in [Lo, Hi].
-type Uniform struct{ Lo, Hi int64 }
-
-// Next implements SizeDist.
-func (u Uniform) Next(rng *rand.Rand) int64 {
-	if u.Hi <= u.Lo {
-		return u.Lo
-	}
-	return u.Lo + rng.Int63n(u.Hi-u.Lo+1)
-}
-
 // Choice yields one of a weighted set of sizes — the natural encoding of
 // the paper's multi-modal request populations ("four different request
 // sizes", "97% below 2 KB plus a few 128 KB").
@@ -178,8 +156,7 @@ type Choice struct {
 	Weights []float64
 }
 
-// Next implements SizeDist. It panics if the choice is empty or
-// malformed.
+// Next draws one size. It panics if the choice is empty or malformed.
 func (c Choice) Next(rng *rand.Rand) int64 {
 	if len(c.Sizes) == 0 || len(c.Sizes) != len(c.Weights) {
 		panic("workload: malformed Choice")

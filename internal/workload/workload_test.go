@@ -179,19 +179,6 @@ func TestGatherRootPaysMore(t *testing.T) {
 
 func TestSizeDists(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if got := (Fixed(4096)).Next(rng); got != 4096 {
-		t.Fatalf("Fixed = %d", got)
-	}
-	u := Uniform{Lo: 10, Hi: 20}
-	for i := 0; i < 100; i++ {
-		v := u.Next(rng)
-		if v < 10 || v > 20 {
-			t.Fatalf("Uniform out of range: %d", v)
-		}
-	}
-	if got := (Uniform{Lo: 7, Hi: 7}).Next(rng); got != 7 {
-		t.Fatalf("degenerate Uniform = %d", got)
-	}
 	ch := Choice{Sizes: []int64{100, 131072}, Weights: []float64{97, 3}}
 	var small, large int
 	for i := 0; i < 10000; i++ {
