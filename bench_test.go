@@ -329,6 +329,9 @@ func BenchmarkAblationSeeksPerWrite(b *testing.B) {
 
 // ---- simulator micro-benchmarks (real-time cost of the engine) ----
 
+// BenchmarkKernelEventDispatch measures a lone process doing timed
+// waits. Its own wake is always the next event, so every wait completes
+// inline: this is the cost of an event that needs no coroutine switch.
 func BenchmarkKernelEventDispatch(b *testing.B) {
 	k := sim.NewKernel()
 	k.Spawn("p", func(p *sim.Proc) {
@@ -336,6 +339,30 @@ func BenchmarkKernelEventDispatch(b *testing.B) {
 			p.Wait(time.Microsecond)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkKernelProcessHandoff measures the coroutine switch itself:
+// two processes whose timed waits interleave (one wakes on even
+// microseconds, the other on odd), so the other's wake always comes
+// first and every wait parks and is resumed by a real switch. One op is
+// one wait.
+func BenchmarkKernelProcessHandoff(b *testing.B) {
+	k := sim.NewKernel()
+	for i := 0; i < 2; i++ {
+		offset := time.Duration(i) * time.Microsecond
+		waits := (b.N + 1 - i) / 2
+		k.Spawn("p", func(p *sim.Proc) {
+			p.Wait(offset)
+			for j := 0; j < waits; j++ {
+				p.Wait(2 * time.Microsecond)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := k.Run(); err != nil {

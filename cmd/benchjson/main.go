@@ -231,11 +231,20 @@ func loadReport(path string) (*Report, error) {
 // flagged: a -benchtime=1x sample of a microsecond-scale benchmark is a
 // single timer read, and its run-to-run swing exceeds any threshold a
 // gate could hold.
+//
+// Rows match by name, -GOMAXPROCS suffix included, so the output says
+// how many rows it compared and, when the two reports were recorded at
+// different GOMAXPROCS, names both values: such reports share no row,
+// and an empty comparison is not a clean one.
 func diffReports(w io.Writer, oldRep, newRep *Report, threshold, floor float64) []string {
 	key := func(b Benchmark) string { return b.Package + "." + b.Name }
 	oldBy := make(map[string]Benchmark, len(oldRep.Benchmarks))
 	for _, b := range oldRep.Benchmarks {
 		oldBy[key(b)] = b
+	}
+	if oldRep.GOMAXPROCS != newRep.GOMAXPROCS {
+		fmt.Fprintf(w, "gomaxprocs differs: old report %d, new report %d; benchmark names carry it, so their rows do not match\n",
+			oldRep.GOMAXPROCS, newRep.GOMAXPROCS)
 	}
 	var regressed []string
 	matched := make(map[string]bool)
@@ -268,6 +277,7 @@ func diffReports(w io.Writer, oldRep, newRep *Report, threshold, floor float64) 
 			fmt.Fprintf(w, "%-58s %14.1f %14s %9s\n", ob.Name, ob.NsPerOp, "-", "removed")
 		}
 	}
+	fmt.Fprintf(w, "compared %d benchmark(s) present in both reports\n", len(matched))
 	if oldRep.SuiteSeconds > 0 && newRep.SuiteSeconds > 0 {
 		fmt.Fprintf(w, "suite wall clock: %.1fs -> %.1fs (%+.1f%%)\n",
 			oldRep.SuiteSeconds, newRep.SuiteSeconds,

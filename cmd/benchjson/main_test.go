@@ -174,3 +174,41 @@ func TestDiffSameReportIsClean(t *testing.T) {
 		t.Fatalf("self-diff flags %v", regressed)
 	}
 }
+
+// TestDiffSaysWhatItCompared pins the two lines that make an empty
+// comparison visible: the count of rows both reports share, and a note
+// naming both GOMAXPROCS values when they differ. Neither changes the
+// exit condition.
+func TestDiffSaysWhatItCompared(t *testing.T) {
+	oldRep := &Report{GOMAXPROCS: 2, Benchmarks: []Benchmark{
+		{Name: "BenchmarkA-2", Package: "p", NsPerOp: 100},
+		{Name: "BenchmarkB-2", Package: "p", NsPerOp: 100},
+	}}
+	same := &Report{GOMAXPROCS: 2, Benchmarks: []Benchmark{
+		{Name: "BenchmarkA-2", Package: "p", NsPerOp: 100},
+	}}
+	var out bytes.Buffer
+	diffReports(&out, oldRep, same, 0.2, 0)
+	if !strings.Contains(out.String(), "compared 1 benchmark(s) present in both reports") {
+		t.Errorf("same-GOMAXPROCS diff does not count its one shared row:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "gomaxprocs differs") {
+		t.Errorf("same-GOMAXPROCS diff reports a GOMAXPROCS difference:\n%s", out.String())
+	}
+
+	wider := &Report{GOMAXPROCS: 8, Benchmarks: []Benchmark{
+		{Name: "BenchmarkA-8", Package: "p", NsPerOp: 900},
+	}}
+	out.Reset()
+	if regressed := diffReports(&out, oldRep, wider, 0.2, 0); len(regressed) != 0 {
+		t.Fatalf("unmatched rows flagged as regressed: %v", regressed)
+	}
+	for _, want := range []string{
+		"gomaxprocs differs: old report 2, new report 8",
+		"compared 0 benchmark(s) present in both reports",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("diff output missing %q:\n%s", want, out.String())
+		}
+	}
+}

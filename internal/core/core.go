@@ -165,7 +165,7 @@ func Run(cfg Config, app, version string, script func(m *workload.Machine, seed 
 }
 
 // RunContext is Run with cancellation: the simulation kernel polls
-// ctx.Err between dispatch batches and, when the context is cancelled or
+// ctx.Err before each instant's dispatch and, when the context is cancelled or
 // times out, unwinds every simulated process and returns the context's
 // error (errors.Is-matchable against context.Canceled /
 // context.DeadlineExceeded). A background context adds no polling, so

@@ -12,16 +12,25 @@
 // Events scheduled for the same instant are processed in scheduling order
 // (FIFO by sequence number), which — together with the single-runner
 // coroutine handoff — makes the simulation fully deterministic regardless
-// of Go's goroutine scheduling.
+// of Go's goroutine scheduling. Events for the current instant go on a
+// FIFO ready lane; only later events go through the time-ordered heap.
 //
-// Two dispatch paths exist. Process resumption is a coroutine switch
-// (iter.Pull's next and yield): the runtime switches goroutines directly,
-// with no channel, run queue or scheduler wakeup in between. Callback
-// events run inline in the kernel loop with no switch at all;
-// Resource.UseFn is the callback-shaped variant that lets hot
-// non-process-shaped work (I/O-node service, cache flushes) take that
-// cheaper path. A panic in a process body surfaces from Run as a
-// *PanicError after every other process has been unwound.
+// An event is dispatched in one of three shapes:
+//
+//   - Coroutine resume: a process event switches to the process's
+//     coroutine (iter.Pull's next and yield). The runtime switches
+//     goroutines directly, with no channel, run queue or scheduler
+//     wakeup in between.
+//   - Inline callback: a callback event runs in the kernel loop with no
+//     switch at all. Resource.UseFn is the callback-shaped variant that
+//     lets hot non-process-shaped work (I/O-node service, cache flushes)
+//     take this path.
+//   - Inline wait: when the process the loop resumed calls Wait and its
+//     own wake would be the very next event dispatched, Wait advances the
+//     clock and accounts the event itself and returns without parking.
+//
+// A panic in a process body surfaces from Run as a *PanicError after
+// every other process has been unwound.
 // See docs/PERFORMANCE.md for the cost model.
 package sim
 
@@ -35,10 +44,10 @@ import (
 // Time is a virtual timestamp measured from the start of the simulation.
 type Time = time.Duration
 
-// maxRetainedEvents caps the event storage (queue backing array and the
-// same-timestamp batch buffer) a kernel keeps after its queue drains, so
-// a kernel that peaked at hundreds of thousands of pending events does
-// not pin that memory for its remaining lifetime.
+// maxRetainedEvents caps the event storage (heap backing array and the
+// ready lane) a kernel keeps after its queue drains, so a kernel that
+// peaked at hundreds of thousands of pending events does not pin that
+// memory for its remaining lifetime.
 const maxRetainedEvents = 4096
 
 // event is a scheduled occurrence: either the resumption of a parked
@@ -56,28 +65,32 @@ type event struct {
 //
 // The zero value is not usable; call NewKernel.
 type Kernel struct {
-	now   Time
-	queue eventHeap
-	seq   uint64
+	now Time
+	seq uint64
 
-	procSeq   int
-	live      int // processes spawned and not yet finished
+	// ready holds the events due at now, in sequence order; queue holds
+	// every later event. Every heap event at now was scheduled before the
+	// clock reached now, so it is moved to the lane before any event the
+	// instant itself schedules: the lane's FIFO order is (at, seq) order.
+	ready fifo[event]
+	queue eventHeap
+
+	procs     []*Proc // every spawned process, in spawn order
+	live      int     // processes spawned and not yet finished
 	processed uint64
 
-	// batch is scratch for same-timestamp dispatch runs (see runBatch).
-	batch []event
-
-	// blocked tracks processes parked with no pending wake event
-	// (i.e. waiting on a synchronization primitive), for deadlock
-	// reporting.
-	blocked map[*Proc]string
+	// current is the process the run loop itself resumed for the event
+	// being dispatched (nil for a callback event). Only it may take the
+	// inline-wait path: a process nested through Wake runs inside another
+	// event's dispatch and must not move the clock under it.
+	current *Proc
 
 	// observer, when non-nil, sees every dispatched event (SetObserver).
 	observer func(at Time, seq uint64)
 
-	// cancelCheck, when non-nil, is polled between dispatch batches. A
-	// non-nil return aborts the run: every live process is unwound
-	// deterministically and Run returns the error. See SetCancel.
+	// cancelCheck, when non-nil, is polled before each instant's dispatch
+	// pass. A non-nil return aborts the run: every live process is
+	// unwound deterministically and Run returns the error. See SetCancel.
 	cancelCheck func() error
 	// aborting is set while abort unwinds parked processes; park points
 	// observe it and panic with procAbort so process stacks (and their
@@ -87,7 +100,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
 func NewKernel() *Kernel {
-	return &Kernel{blocked: make(map[*Proc]string)}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -99,13 +112,18 @@ func (k *Kernel) EventsProcessed() uint64 { return k.processed }
 // LiveProcs returns the number of spawned processes that have not finished.
 func (k *Kernel) LiveProcs() int { return k.live }
 
-// schedule enqueues an event at the given absolute time.
+// schedule enqueues an event at the given absolute time: on the ready
+// lane if it is due now, on the heap otherwise.
 func (k *Kernel) schedule(at Time, p *Proc, fn func()) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at=%v now=%v", at, k.now))
 	}
 	k.seq++
-	k.queue.push(event{at: at, seq: k.seq, proc: p, fn: fn})
+	if at == k.now {
+		k.ready.push(event{at: at, seq: k.seq, proc: p, fn: fn})
+	} else {
+		k.queue.push(event{at: at, seq: k.seq, proc: p, fn: fn})
+	}
 }
 
 // After schedules fn to run at Now()+d. It may be called from process
@@ -152,21 +170,24 @@ func (e *PanicError) Error() string {
 // processes still blocked.
 func (k *Kernel) deadlockError() *DeadlockError {
 	var blocked []string
-	for p, reason := range k.blocked {
-		blocked = append(blocked, p.name+": "+reason)
+	for _, p := range k.procs {
+		if !p.done && p.blocked != "" {
+			blocked = append(blocked, p.name+": "+p.blocked)
+		}
 	}
 	sort.Strings(blocked)
 	return &DeadlockError{Now: k.now, Blocked: blocked}
 }
 
-// SetCancel installs a cancellation check the run loop polls between
-// dispatch batches. The first non-nil error aborts the run: pending
-// events are dropped, every live process is unwound in spawn order (its
-// deferred functions run), and Run returns the error. The
+// SetCancel installs a cancellation check the run loop polls before
+// each instant's dispatch pass. The first non-nil error aborts the run:
+// pending events are dropped, every live process is unwound in spawn
+// order (its deferred functions run), and Run returns the error. The
 // canonical check wraps a context.Context: k.SetCancel(ctx.Err). A nil
 // check (the default) disables polling; runs that never cancel are
-// unaffected either way — the check runs between batches, never between
-// events of one instant, so it cannot perturb event order.
+// unaffected either way — the check runs before an instant's first
+// event, never between events of one instant, so it cannot perturb
+// event order.
 func (k *Kernel) SetCancel(check func() error) {
 	k.cancelCheck = check
 }
@@ -190,39 +211,22 @@ func (k *Kernel) checkCancel() error {
 type procAbort struct{}
 
 // abort unwinds every live process after a cancelled or panicked run and
-// returns err. Parked processes are found in the blocked map (waiting on
-// a synchronization primitive), the event queue and the undispatched
-// rest of a batch a panic cut short (waiting on a pending wake), then
-// resumed one at a time in spawn order; the abort flag makes each park
-// point panic with procAbort, so the process's stack — and any defers on
-// it — unwinds and its coroutine exits before the next one is resumed.
-// The kernel is not reusable afterwards.
+// returns err. Every unfinished process is parked — on a synchronization
+// primitive, on a pending wake, or before its start event — so each is
+// resumed in turn, in spawn order; the abort flag makes its park point
+// panic with procAbort, so the process's stack — and any defers on it —
+// unwinds and its coroutine exits before the next one is resumed. A
+// process spawned during the unwind is retired the same way. The kernel
+// is not reusable afterwards.
 func (k *Kernel) abort(err error) error {
 	k.aborting = true
-	seen := make(map[*Proc]bool)
-	var parked []*Proc
-	add := func(p *Proc) {
-		if p != nil && !p.done && !seen[p] {
-			seen[p] = true
-			parked = append(parked, p)
+	for i := 0; i < len(k.procs); i++ {
+		if p := k.procs[i]; !p.done {
+			k.dispatch(p)
 		}
 	}
-	for p := range k.blocked {
-		add(p)
-	}
-	for i := range k.queue.ev {
-		add(k.queue.ev[i].proc)
-	}
-	for i := range k.batch {
-		add(k.batch[i].proc)
-	}
-	sort.Slice(parked, func(i, j int) bool { return parked[i].id < parked[j].id })
-	for _, p := range parked {
-		k.dispatch(p)
-	}
+	k.ready = fifo[event]{}
 	k.queue.ev = nil
-	k.batch = nil
-	k.trim()
 	return err
 }
 
@@ -231,6 +235,11 @@ func (k *Kernel) abort(err error) error {
 // drains, the cancellation error if an installed SetCancel check fired,
 // a *PanicError if a process body or event callback panicked, and nil
 // otherwise.
+//
+// Each pass dispatches the ready lane until it is empty, including the
+// events the pass itself schedules for the same instant. Between passes
+// the clock advances to the heap's earliest time and every heap event at
+// that time moves to the lane.
 func (k *Kernel) Run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -241,12 +250,31 @@ func (k *Kernel) Run() (err error) {
 			err = k.abort(pe)
 		}
 	}()
-	for k.queue.len() > 0 {
+	for k.ready.len() > 0 || k.queue.len() > 0 {
 		if err := k.checkCancel(); err != nil {
 			return k.abort(err)
 		}
-		k.runBatch(k.queue.min().at)
+		if k.ready.len() == 0 {
+			k.now = k.queue.min().at
+			for k.queue.len() > 0 && k.queue.min().at == k.now {
+				k.ready.push(k.queue.pop())
+			}
+		}
+		for k.ready.len() > 0 {
+			e := k.ready.pop()
+			k.processed++
+			if k.observer != nil {
+				k.observer(e.at, e.seq)
+			}
+			k.current = e.proc
+			if e.proc != nil {
+				k.dispatch(e.proc)
+			} else if e.fn != nil {
+				e.fn()
+			}
+		}
 	}
+	k.current = nil
 	k.trim()
 	if k.live > 0 {
 		return k.deadlockError()
@@ -254,49 +282,19 @@ func (k *Kernel) Run() (err error) {
 	return nil
 }
 
-// runBatch advances the clock to at and dispatches, in sequence order,
-// every event already queued for that instant. Draining the instant in
-// one pass amortizes heap fix-ups: pops happen back to back while the
-// root region is hot, and events the batch itself schedules (which carry
-// higher sequence numbers, including same-instant wakeups) sift against
-// the heap once instead of racing each dispatch. Exact (at, seq) order is
-// preserved: batched events hold the smallest sequence numbers at this
-// instant, and later arrivals are picked up by the next batch.
-func (k *Kernel) runBatch(at Time) {
-	batch := k.batch[:0]
-	for k.queue.len() > 0 && k.queue.min().at == at {
-		batch = append(batch, k.queue.pop())
-	}
-	k.batch = batch // visible to abort should a dispatch panic
-	k.now = at
-	for i := range batch {
-		k.processed++
-		if k.observer != nil {
-			k.observer(batch[i].at, batch[i].seq)
-		}
-		if p := batch[i].proc; p != nil {
-			k.dispatch(p)
-		} else if fn := batch[i].fn; fn != nil {
-			fn()
-		}
-		batch[i] = event{} // drop proc/fn references held by the scratch buffer
-	}
-	k.batch = batch[:0]
-}
-
 // trim releases oversized event storage once a run completes.
 func (k *Kernel) trim() {
 	if cap(k.queue.ev) > maxRetainedEvents {
 		k.queue.ev = nil
 	}
-	if cap(k.batch) > maxRetainedEvents {
-		k.batch = nil
+	if cap(k.ready.buf) > maxRetainedEvents {
+		k.ready = fifo[event]{}
 	}
 }
 
 // dispatch switches to p's coroutine and returns when p parks or ends.
 func (k *Kernel) dispatch(p *Proc) {
-	delete(k.blocked, p)
+	p.blocked = ""
 	p.next()
 }
 

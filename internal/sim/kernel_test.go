@@ -164,6 +164,33 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestDeadlockListsEveryParkedProcess parks one process on each
+// primitive — a Resource, a Barrier and a Suspend — next to processes
+// that finished or hold the resource, and requires the report to list
+// exactly the three parked ones, sorted.
+func TestDeadlockListsEveryParkedProcess(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, "disk", 1)
+	b := NewBarrier(k, "phase", 2)
+	k.Spawn("zeta", func(p *Proc) { p.Suspend("inbox") })
+	k.Spawn("holder", func(p *Proc) { r.Acquire(p) })
+	k.Spawn("alpha", func(p *Proc) { p.Wait(time.Second); r.Acquire(p) })
+	k.Spawn("done", func(p *Proc) { p.Wait(time.Second) })
+	k.Spawn("mid", func(p *Proc) { b.Await(p) })
+	err := k.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run() = %v, want DeadlockError", err)
+	}
+	want := "[alpha: acquire disk mid: barrier phase zeta: inbox]"
+	if got := fmt.Sprint(dl.Blocked); got != want {
+		t.Fatalf("Blocked = %s, want %s", got, want)
+	}
+	if dl.Now != time.Second {
+		t.Errorf("deadlock at %v, want 1s", dl.Now)
+	}
+}
+
 func TestLiveProcsAccounting(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 5; i++ {

@@ -21,6 +21,10 @@ type Proc struct {
 	next  func() (struct{}, bool) // resume: runs the body until it parks or ends
 	yield func(struct{}) bool     // park: switches back to whoever called next
 	done  bool
+
+	blocked string   // why the process is parked with no pending wake, for deadlock reports
+	barrier *Barrier // the barrier the process is parked on, if any
+	holds   []held   // the Resource slots the process holds
 }
 
 // Spawn creates a new process executing body and schedules it to start at
@@ -31,8 +35,8 @@ type Proc struct {
 // carrying its stack, and re-raised in whoever resumed it; Run recovers
 // it there and returns it.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
-	k.procSeq++
-	p := &Proc{k: k, name: name, id: k.procSeq}
+	p := &Proc{k: k, name: name, id: len(k.procs) + 1}
+	k.procs = append(k.procs, p)
 	k.live++
 	k.schedule(k.now, p, nil)
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
@@ -73,11 +77,32 @@ func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.id, p.name
 
 // Wait suspends the process for d of virtual time. A zero wait yields to
 // other events scheduled at the same instant.
+//
+// When the process's own wake would be the very next event dispatched —
+// the run loop resumed it (not Kernel.Wake), nothing is ready at this
+// instant and nothing is queued at or before now+d — Wait does what that
+// event would do (take its sequence number, count it, advance the clock,
+// tell the observer) and returns without parking. A wait that moves the
+// clock starts a new instant, so it first polls the cancel check as the
+// run loop would; a pending cancellation takes the parking path.
 func (p *Proc) Wait(d Time) {
 	if d < 0 {
 		panic("sim: negative wait on " + p.name)
 	}
-	p.k.schedule(p.k.now+d, p, nil)
+	k := p.k
+	at := k.now + d
+	if k.current == p && !k.aborting && k.ready.len() == 0 &&
+		(k.queue.len() == 0 || k.queue.min().at > at) &&
+		(d == 0 || k.checkCancel() == nil) {
+		k.seq++
+		k.processed++
+		k.now = at
+		if k.observer != nil {
+			k.observer(at, k.seq)
+		}
+		return
+	}
+	k.schedule(at, p, nil)
 	p.park("")
 }
 
@@ -103,9 +128,7 @@ func (p *Proc) park(reason string) {
 	if p.k.aborting {
 		panic(procAbort{})
 	}
-	if reason != "" {
-		p.k.blocked[p] = reason
-	}
+	p.blocked = reason
 	p.yield(struct{}{})
 	if p.k.aborting {
 		panic(procAbort{})

@@ -27,8 +27,6 @@ type Resource struct {
 	totalQueue   Time // summed time spent waiting to acquire
 	totalHold    Time // summed time between acquire and release
 	maxQueueLen  int
-	enqueueAt    map[*Proc]Time
-	holdSince    map[*Proc]Time
 }
 
 // resWaiter is one queued acquirer: a parked process, or a callback-shaped
@@ -46,14 +44,7 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{
-		k:         k,
-		name:      name,
-		park:      "acquire " + name,
-		capacity:  capacity,
-		enqueueAt: make(map[*Proc]Time),
-		holdSince: make(map[*Proc]Time),
-	}
+	return &Resource{k: k, name: name, park: "acquire " + name, capacity: capacity}
 }
 
 // Name returns the resource's name.
@@ -65,14 +56,15 @@ func (r *Resource) QueueLen() int { return r.waiters.len() }
 // Acquire blocks p until a slot is free, FIFO with respect to other
 // acquirers.
 func (r *Resource) Acquire(p *Proc) {
-	r.enqueueAt[p] = r.k.now
 	if r.busy < r.capacity && r.waiters.len() == 0 {
-		r.grant(p)
-		return
+		r.grant(r.k.now)
+	} else {
+		r.enqueue(resWaiter{p: p, enq: r.k.now})
+		p.park(r.park)
+		// When we are resumed, wakeNext has already granted us the slot,
+		// at this same instant.
 	}
-	r.enqueue(resWaiter{p: p})
-	p.park(r.park)
-	// When we are resumed, release() has already granted us the slot.
+	p.holds = append(p.holds, held{r: r, since: r.k.now})
 }
 
 // enqueue appends a waiter and tracks the queue-length high-water mark.
@@ -83,18 +75,8 @@ func (r *Resource) enqueue(w resWaiter) {
 	}
 }
 
-// grant marks p as a holder and records statistics.
-func (r *Resource) grant(p *Proc) {
-	r.busy++
-	r.acquisitions++
-	r.totalQueue += r.k.now - r.enqueueAt[p]
-	delete(r.enqueueAt, p)
-	r.holdSince[p] = r.k.now
-}
-
-// grantFn records the grant of a slot to a callback-shaped holder that
-// enqueued at enq.
-func (r *Resource) grantFn(enq Time) {
+// grant records the grant of a slot to an acquirer that enqueued at enq.
+func (r *Resource) grant(enq Time) {
 	r.busy++
 	r.acquisitions++
 	r.totalQueue += r.k.now - enq
@@ -111,7 +93,7 @@ func (r *Resource) grantFn(enq Time) {
 // coroutine switches.
 func (r *Resource) UseFn(hold func() Time, then func()) {
 	if r.busy < r.capacity && r.waiters.len() == 0 {
-		r.grantFn(r.k.now)
+		r.grant(r.k.now)
 		r.holdFn(hold, then)
 		return
 	}
@@ -139,14 +121,23 @@ func (r *Resource) holdFn(hold func() Time, then func()) {
 // Release frees the slot held by p, waking the longest-waiting acquirer,
 // if any. Releasing a resource p does not hold panics.
 func (r *Resource) Release(p *Proc) {
-	since, ok := r.holdSince[p]
-	if !ok {
+	i := len(p.holds) - 1
+	for i >= 0 && p.holds[i].r != r {
+		i--
+	}
+	if i < 0 {
 		panic(fmt.Sprintf("sim: %s releasing %s it does not hold", p, r.name))
 	}
-	r.totalHold += r.k.now - since
-	delete(r.holdSince, p)
+	r.totalHold += r.k.now - p.holds[i].since
+	p.holds = append(p.holds[:i], p.holds[i+1:]...)
 	r.busy--
 	r.wakeNext()
+}
+
+// held is one Resource slot a process holds, and when it was granted.
+type held struct {
+	r     *Resource
+	since Time
 }
 
 // wakeNext grants the freed slot to the longest-waiting acquirer, if any.
@@ -158,12 +149,11 @@ func (r *Resource) wakeNext() {
 		return
 	}
 	next := r.waiters.pop()
+	r.grant(next.enq)
 	if next.p != nil {
-		r.grant(next.p)
 		r.k.wake(next.p)
 		return
 	}
-	r.grantFn(next.enq)
 	r.k.schedule(r.k.now, nil, func() { r.holdFn(next.hold, next.then) })
 }
 

@@ -100,19 +100,56 @@ func TestResourceStats(t *testing.T) {
 	}
 }
 
+// TestReleaseWithoutHoldPanics releases a resource the process never
+// acquired, and one that only another process holds.
 func TestReleaseWithoutHoldPanics(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "lock", 1)
-	var panicked bool
-	k.Spawn("p", func(p *Proc) {
-		defer func() { panicked = recover() != nil }()
+	other := NewResource(k, "other", 1)
+	var msgs []any
+	release := func(p *Proc) {
+		defer func() { msgs = append(msgs, recover()) }()
 		r.Release(p)
+	}
+	k.Spawn("holder", func(p *Proc) {
+		r.Acquire(p)
+		p.Wait(time.Second)
+		r.Release(p)
+	})
+	k.Spawn("p", func(p *Proc) {
+		other.Acquire(p) // holds something, just not lock
+		release(p)
+		other.Release(p)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !panicked {
-		t.Fatal("Release without hold did not panic")
+	want := "sim: proc 2 (p) releasing lock it does not hold"
+	if len(msgs) != 1 || msgs[0] != want {
+		t.Fatalf("Release by a non-holder panicked with %v, want [%s]", msgs, want)
+	}
+	if s := r.Stats(); s.Acquisitions != 1 || s.TotalHold != time.Second {
+		t.Errorf("lock stats = %+v, want the holder's one 1s hold", s)
+	}
+}
+
+// TestBarrierDoubleAwaitPanics resumes a process parked on a barrier
+// before the epoch completes; its second Await in the same epoch panics.
+func TestBarrierDoubleAwaitPanics(t *testing.T) {
+	k := NewKernel()
+	b := NewBarrier(k, "phase", 2)
+	var msg any
+	p := k.Spawn("p", func(p *Proc) {
+		defer func() { msg = recover() }()
+		b.Await(p)
+		b.Await(p)
+	})
+	k.After(time.Second, func() { k.Wake(p) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "sim: proc 1 (p) awaited barrier phase twice in one epoch"; msg != want {
+		t.Fatalf("second Await panicked with %v, want %q", msg, want)
 	}
 }
 
