@@ -20,6 +20,15 @@ import (
 // AllocsPerRun regression test pin the steady state at ~zero
 // allocations, which GC-emptied sync.Pool buckets cannot guarantee.
 //
+// The pool keeps at most one buffer per size class. How many buffers of
+// a class exist at once depends on which runs overlapped in time, so a
+// pool that kept every returned buffer would grow, run by run, to the
+// largest overlap it had ever seen, and a long-lived process would hold
+// more memory or less depending on thread timing. With one per class
+// the pool holds the same buffers once every class in use has been
+// returned: a serial re-run still allocates nothing, and an overlapping
+// run allocates the classes its partner holds and drops them again.
+//
 // Pooled buffers keep their contents (only the length is reset), so a
 // retained buffer pins the file-name strings of the run that filled it;
 // maxPoolBytes bounds that retention.
@@ -43,7 +52,7 @@ const (
 type eventPool struct {
 	mu      sync.Mutex
 	bytes   int64
-	byClass map[int][][]Event // log2(cap) → free buffers
+	byClass map[int][][]Event // log2(cap) → free buffers, at most one
 }
 
 var sharedEventPool = eventPool{byClass: make(map[int][][]Event)}
@@ -76,8 +85,9 @@ func tryGetEventBuf(capacity int) []Event {
 
 // putEventBuf returns a buffer to the pool. Buffers that were never
 // pool-grown — nil, undersized, or non-power-of-two capacities from
-// plain append (Filter-built traces) — are silently dropped, as is
-// anything over the retention cap.
+// plain append (Filter-built traces) — are silently dropped, as is a
+// buffer whose class the pool already holds and anything over the
+// retention cap.
 func putEventBuf(buf []Event) {
 	c := cap(buf)
 	if c < minPooledEvents || c&(c-1) != 0 {
@@ -87,7 +97,7 @@ func putEventBuf(buf []Event) {
 	p := &sharedEventPool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.bytes+int64(c)*eventBytes > maxPoolBytes {
+	if len(p.byClass[class]) > 0 || p.bytes+int64(c)*eventBytes > maxPoolBytes {
 		return
 	}
 	p.byClass[class] = append(p.byClass[class], buf[:0])

@@ -118,3 +118,50 @@ func TestReleaseResetsDigest(t *testing.T) {
 		t.Errorf("digest after release = %#x, want %#x", got, first)
 	}
 }
+
+// TestPoolLevelIgnoresOverlap pins that the pool holds the same bytes
+// after two traces recorded side by side as after one recorded alone:
+// it keeps one buffer per size class, so what a long-lived process
+// retains does not depend on which of its runs happened to overlap.
+func TestPoolLevelIgnoresOverlap(t *testing.T) {
+	p := &sharedEventPool
+	p.mu.Lock()
+	saved, savedBytes := p.byClass, p.bytes
+	p.byClass, p.bytes = make(map[int][][]Event), 0
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.byClass, p.bytes = saved, savedBytes
+		p.mu.Unlock()
+	}()
+	level := func() int64 {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for class, bufs := range p.byClass {
+			if len(bufs) > 1 {
+				t.Errorf("class %d holds %d buffers, want at most 1", class, len(bufs))
+			}
+		}
+		return p.bytes
+	}
+
+	const n = 8 * minPooledEvents
+	ev := Event{Node: 1, Op: OpWrite, File: "f", Size: 8}
+	alone := NewTrace()
+	for i := 0; i < n; i++ {
+		alone.Record(ev)
+	}
+	alone.Release()
+	want := level()
+
+	a, b := NewTrace(), NewTrace()
+	for i := 0; i < n; i++ {
+		a.Record(ev)
+		b.Record(ev)
+	}
+	a.Release()
+	b.Release()
+	if got := level(); got != want {
+		t.Errorf("pool holds %d bytes after two overlapping traces, want %d as after one", got, want)
+	}
+}
