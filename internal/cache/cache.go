@@ -169,8 +169,8 @@ func (c Config) Validate() error {
 	if c.CapacityBytes < 2*c.BlockSize {
 		return fmt.Errorf("cache: CapacityBytes = %d, need >= 2 blocks of %d", c.CapacityBytes, c.BlockSize)
 	}
-	if c.CapacityFrac < 0 {
-		return fmt.Errorf("cache: negative CapacityFrac %g", c.CapacityFrac)
+	if !(c.CapacityFrac >= 0) {
+		return fmt.Errorf("cache: CapacityFrac = %g, need >= 0", c.CapacityFrac)
 	}
 	if c.ReadAhead < 0 {
 		return fmt.Errorf("cache: negative ReadAhead %d", c.ReadAhead)
@@ -187,7 +187,7 @@ func (c Config) Validate() error {
 	if c.FlushDeadline < 0 {
 		return fmt.Errorf("cache: negative FlushDeadline %v", c.FlushDeadline)
 	}
-	if c.CopyBW <= 0 {
+	if !(c.CopyBW > 0) {
 		return fmt.Errorf("cache: CopyBW = %g, need > 0", c.CopyBW)
 	}
 	if c.HitCost < 0 {
@@ -253,16 +253,9 @@ func (s *Stats) Add(o Stats) {
 	s.Blocks += o.Blocks
 }
 
-// blockKey identifies one cached block: a stream (file extent on this
-// array) and a block index within it.
-type blockKey struct {
-	stream string
-	idx    int64
-}
-
 // block is one resident cache block on the intrusive LRU list.
 type block struct {
-	key        blockKey
+	key        blockID
 	dirty      bool
 	queued     bool     // has an entry in the dirty FIFO
 	prefetched bool     // brought in by read-ahead, not yet demanded
@@ -281,16 +274,15 @@ type stream struct {
 
 // keyQueue is a simple head-indexed FIFO of block keys.
 type keyQueue struct {
-	buf  []blockKey
+	buf  []blockID
 	head int
 }
 
-func (q *keyQueue) push(k blockKey) { q.buf = append(q.buf, k) }
-func (q *keyQueue) len() int        { return len(q.buf) - q.head }
-func (q *keyQueue) peek() blockKey  { return q.buf[q.head] }
-func (q *keyQueue) pop() blockKey {
+func (q *keyQueue) push(k blockID) { q.buf = append(q.buf, k) }
+func (q *keyQueue) len() int       { return len(q.buf) - q.head }
+func (q *keyQueue) peek() blockID  { return q.buf[q.head] }
+func (q *keyQueue) pop() blockID {
 	k := q.buf[q.head]
-	q.buf[q.head] = blockKey{}
 	q.head++
 	if q.head > len(q.buf)/2 && q.head > 32 {
 		n := copy(q.buf, q.buf[q.head:])
@@ -311,11 +303,13 @@ type Cache struct {
 	cfg       Config
 	capBlocks int
 
-	blocks     map[blockKey]*block
+	names      streamTable // stream name ↔ the id in every blockID
+	blocks     map[blockID]*block
 	mru, lru   *block // intrusive LRU list: mru = most recently used
 	dirtyq     keyQueue
 	dirtyCount int
-	streams    map[string]*stream
+	streams    []*stream // read-ahead detector per stream id, created on first read
+	spare      *block    // the last evicted block, reused by the next insert
 
 	flushPending bool       // high-water + idle policy: one timer armed or pass running
 	flushq       []sim.Time // deadline policy: fire times of armed timers, ascending
@@ -336,8 +330,8 @@ func New(k *sim.Kernel, res *sim.Resource, array *disk.Array, cfg Config) (*Cach
 		array:     array,
 		cfg:       cfg,
 		capBlocks: int(cfg.CapacityBytes / cfg.BlockSize),
-		blocks:    make(map[blockKey]*block),
-		streams:   make(map[string]*stream),
+		names:     newStreamTable(),
+		blocks:    make(map[blockID]*block),
 	}, nil
 }
 
@@ -366,6 +360,8 @@ func (c *Cache) Access(streamName string, off, size int64, write bool) time.Dura
 	}
 	bs := c.cfg.BlockSize
 	first, last := off/bs, (off+size-1)/bs
+	checkSpan(first, last)
+	sid := c.names.intern(streamName)
 	var d time.Duration
 	for idx := first; idx <= last; idx++ {
 		lo, hi := idx*bs, (idx+1)*bs
@@ -376,13 +372,13 @@ func (c *Cache) Access(streamName string, off, size int64, write bool) time.Dura
 			hi = off + size
 		}
 		if write {
-			d += c.writeBlock(streamName, idx, hi-lo)
+			d += c.writeBlock(packBlock(sid, idx), hi-lo)
 		} else {
-			d += c.readBlock(streamName, idx, hi-lo)
+			d += c.readBlock(packBlock(sid, idx), hi-lo)
 		}
 	}
 	if !write {
-		c.noteRead(streamName, first, last)
+		c.noteRead(sid, first, last)
 	}
 	return d
 }
@@ -391,9 +387,13 @@ func (c *Cache) copyTime(n int64) time.Duration {
 	return time.Duration(float64(n) / c.cfg.CopyBW * float64(time.Second))
 }
 
-// readBlock serves n payload bytes out of block idx.
-func (c *Cache) readBlock(streamName string, idx, n int64) time.Duration {
-	k := blockKey{stream: streamName, idx: idx}
+// serviceBlock prices one whole-block array transfer of k.
+func (c *Cache) serviceBlock(k blockID) time.Duration {
+	return c.array.Service(c.names.names[k.stream()], k.idx()*c.cfg.BlockSize, c.cfg.BlockSize)
+}
+
+// readBlock serves n payload bytes out of block k.
+func (c *Cache) readBlock(k blockID, n int64) time.Duration {
 	if b := c.blocks[k]; b != nil {
 		c.touch(b)
 		if b.prefetched {
@@ -407,21 +407,20 @@ func (c *Cache) readBlock(streamName string, idx, n int64) time.Duration {
 	// Miss: make room, fill the whole block from the array, hand the
 	// requested bytes to the client.
 	d := c.evictOne()
-	d += c.array.Service(streamName, idx*c.cfg.BlockSize, c.cfg.BlockSize)
+	d += c.serviceBlock(k)
 	c.insert(k)
 	return d + c.cfg.HitCost + c.copyTime(n)
 }
 
-// writeBlock absorbs n payload bytes into block idx.
-func (c *Cache) writeBlock(streamName string, idx, n int64) time.Duration {
-	k := blockKey{stream: streamName, idx: idx}
+// writeBlock absorbs n payload bytes into block k.
+func (c *Cache) writeBlock(k blockID, n int64) time.Duration {
 	if !c.cfg.WriteBehind {
 		// Write-through: the array sees the write immediately; a resident
 		// copy stays coherent (whole-block writes simply refresh it).
 		if b := c.blocks[k]; b != nil {
 			c.touch(b)
 		}
-		return c.array.Service(streamName, idx*c.cfg.BlockSize, n)
+		return c.array.Service(c.names.names[k.stream()], k.idx()*c.cfg.BlockSize, n)
 	}
 	var d time.Duration
 	b := c.blocks[k]
@@ -490,8 +489,13 @@ func (c *Cache) linkFront(b *block) {
 
 // insert adds a clean MRU block for k and returns it. Callers make room
 // with evictOne first.
-func (c *Cache) insert(k blockKey) *block {
-	b := &block{key: k}
+func (c *Cache) insert(k blockID) *block {
+	b := c.spare
+	if b == nil {
+		b = new(block)
+	}
+	c.spare = nil
+	*b = block{key: k}
 	c.blocks[k] = b
 	c.linkFront(b)
 	return b
@@ -505,13 +509,14 @@ func (c *Cache) evictOne() time.Duration {
 	for len(c.blocks) >= c.capBlocks {
 		v := c.lru
 		if v.dirty {
-			d += c.array.Service(v.key.stream, v.key.idx*c.cfg.BlockSize, c.cfg.BlockSize)
+			d += c.serviceBlock(v.key)
 			v.dirty = false
 			c.dirtyCount--
 			c.stats.ForcedFlushStalls++
 		}
 		c.unlink(v)
 		delete(c.blocks, v.key)
+		c.spare = v
 	}
 	return d
 }
@@ -630,7 +635,7 @@ func (c *Cache) flushHold() sim.Time {
 		b.queued = false
 		b.dirty = false
 		c.dirtyCount--
-		d += c.array.Service(k.stream, k.idx*c.cfg.BlockSize, c.cfg.BlockSize)
+		d += c.serviceBlock(k)
 		c.stats.FlushedBlocks++
 		wrote++
 	}
@@ -657,14 +662,17 @@ func (c *Cache) flushDone() {
 
 // noteRead feeds the stride detector with one read request's block span
 // and schedules prefetches when a stable pattern is visible.
-func (c *Cache) noteRead(streamName string, first, last int64) {
+func (c *Cache) noteRead(sid int32, first, last int64) {
 	if c.cfg.ReadAhead <= 0 {
 		return
 	}
-	s := c.streams[streamName]
+	for int(sid) >= len(c.streams) {
+		c.streams = append(c.streams, nil)
+	}
+	s := c.streams[sid]
 	if s == nil {
 		s = &stream{}
-		c.streams[streamName] = s
+		c.streams[sid] = s
 	}
 	gap := first - s.lastEnd
 	switch {
@@ -707,12 +715,15 @@ func (c *Cache) noteRead(streamName string, first, last int64) {
 		}
 		var d time.Duration
 		for _, idx := range targets {
-			k := blockKey{stream: streamName, idx: idx}
+			if idx > maxBlockIdx {
+				break // predicted past the key range: nothing can read there
+			}
+			k := packBlock(sid, idx)
 			if c.blocks[k] != nil {
 				continue // demand-fetched while we were queued
 			}
 			d += c.evictOne()
-			d += c.array.Service(streamName, idx*c.cfg.BlockSize, c.cfg.BlockSize)
+			d += c.serviceBlock(k)
 			c.insert(k).prefetched = true
 			c.stats.ReadAheadIssued++
 		}

@@ -385,3 +385,51 @@ func TestStatsAdd(t *testing.T) {
 		t.Fatalf("MaxDirty = %d, want max(3,1)", a.MaxDirty)
 	}
 }
+
+// BenchmarkIONodeCacheHit reads one resident block.
+func BenchmarkIONodeCacheHit(b *testing.B) {
+	c := newBenchCache(b, 16)
+	c.Access("f", 0, testBlock, false)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Access("f", 0, 4096, false)
+	}
+}
+
+// BenchmarkIONodeCacheMiss cycles reads over a working set twice the
+// cache's capacity, split across 2 streams: every op is a miss, an array
+// fill and an LRU eviction.
+func BenchmarkIONodeCacheMiss(b *testing.B) {
+	const capBlocks = 256
+	c := newBenchCache(b, capBlocks)
+	streams := [2]string{"quad-a", "quad-b"}
+	for i := 0; i < 2*capBlocks; i++ {
+		c.Access(streams[i%2], int64(i/2%capBlocks)*testBlock, testBlock, false)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Access(streams[i%2], int64(i/2%capBlocks)*testBlock, 4096, false)
+	}
+	if c.Stats().Hits != 0 {
+		b.Fatalf("churn hit: %+v", c.Stats())
+	}
+}
+
+// newBenchCache builds a read-only cache of capBlocks blocks with no
+// read-ahead: reads neither dirty blocks nor schedule prefetches, so
+// Access can be driven outside process context.
+func newBenchCache(b *testing.B, capBlocks int64) *Cache {
+	b.Helper()
+	k := sim.NewKernel()
+	cfg, err := Config{CapacityBytes: capBlocks * testBlock}.WithDefaults(testBlock, disk.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := New(k, sim.NewResource(k, "ionode-0", 1), disk.MustNewArray(disk.DefaultParams()), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}

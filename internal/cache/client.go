@@ -44,6 +44,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -119,7 +120,7 @@ func (c ClientConfig) Validate() error {
 	if c.HitCost < 0 {
 		return fmt.Errorf("cache: negative client HitCost %v", c.HitCost)
 	}
-	if c.CopyBW <= 0 {
+	if !(c.CopyBW > 0) {
 		return fmt.Errorf("cache: client CopyBW = %g, need > 0", c.CopyBW)
 	}
 	if c.RecallBytes < 0 {
@@ -208,9 +209,73 @@ type clientDirEntry struct {
 	holders []clientLease // sorted by node id
 }
 
+// clientDirPageBits sizes a directory page: 2^7 = 128 entries, 4 KB.
+const clientDirPageBits = 7
+
+type clientDirPage [1 << clientDirPageBits]clientDirEntry
+
+// clientDir is one stream's coherence directory, indexed by block
+// number. It grows on demand one fixed-size page at a time and keeps its
+// pages sorted by page number, so a sparse high offset costs one page
+// and one slot in the page list, and a walk in block order needs no
+// sort. Pages never move once allocated, so an entry pointer stays valid
+// while the directory grows. The last page looked up is remembered: one
+// request's blocks, and usually the next request's, share a page.
+type clientDir struct {
+	nums    []int64 // page numbers, ascending
+	pages   []*clientDirPage
+	lastNum int64
+	last    *clientDirPage
+}
+
+// page returns page num, allocating it when create is set (nil when it
+// is absent and create is not).
+func (d *clientDir) page(num int64, create bool) *clientDirPage {
+	if d.last != nil && d.lastNum == num {
+		return d.last
+	}
+	i, found := slices.BinarySearch(d.nums, num)
+	if !found {
+		if !create {
+			return nil
+		}
+		d.nums = slices.Insert(d.nums, i, num)
+		d.pages = slices.Insert(d.pages, i, new(clientDirPage))
+	}
+	d.last, d.lastNum = d.pages[i], num
+	return d.last
+}
+
+// entry returns block idx's entry, allocating its page on first use.
+func (d *clientDir) entry(idx int64) *clientDirEntry {
+	return &d.page(idx>>clientDirPageBits, true)[idx&(1<<clientDirPageBits-1)]
+}
+
+// lookup returns block idx's entry, or nil when its page was never
+// allocated (no holder was ever registered near it).
+func (d *clientDir) lookup(idx int64) *clientDirEntry {
+	p := d.page(idx>>clientDirPageBits, false)
+	if p == nil {
+		return nil
+	}
+	return &p[idx&(1<<clientDirPageBits-1)]
+}
+
+// held reports whether any block of the directory has a holder.
+func (d *clientDir) held() bool {
+	for _, p := range d.pages {
+		for j := range p {
+			if len(p[j].holders) > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // clientBlock is one resident block on a node's intrusive LRU list.
 type clientBlock struct {
-	key        blockKey
+	key        blockID
 	version    uint64
 	expiry     sim.Time
 	prev, next *clientBlock
@@ -219,8 +284,13 @@ type clientBlock struct {
 // clientNode is one compute node's cache, created lazily on first use.
 type clientNode struct {
 	id       int
-	blocks   map[blockKey]*clientBlock
+	blocks   map[blockID]*clientBlock
 	mru, lru *clientBlock
+	// pending records the directory version each of this node's
+	// in-flight fills saw at miss time; Install discards fills whose
+	// block was written since — the data they carry raced the write
+	// through the I/O-node queues and could be either generation.
+	pending map[blockID]uint64
 }
 
 // ClientTier is the whole client cache tier: one lazily-created cache
@@ -233,21 +303,11 @@ type ClientTier struct {
 	cfg       ClientConfig
 	capBlocks int
 
-	nodes map[int]*clientNode
-	dir   map[blockKey]*clientDirEntry
-	// pending records the directory version each in-flight fill saw at
-	// miss time; Install discards fills whose block was written since —
-	// the data they carry raced the write through the I/O-node queues
-	// and could be either generation.
-	pending  map[pendingFill]uint64
+	nodes    []*clientNode // indexed by compute-node id; nil until first use
+	streams  streamTable   // stream name ↔ the id in every blockID
+	dirs     []*clientDir  // coherence directory per stream id
 	stats    ClientStats
 	observer func(ClientOp)
-}
-
-// pendingFill identifies one node's in-flight fill of one block.
-type pendingFill struct {
-	node int
-	key  blockKey
 }
 
 // NewClientTier creates the tier. cfg must already be valid (see
@@ -268,9 +328,7 @@ func NewClientTier(k *sim.Kernel, m *mesh.Mesh, cfg ClientConfig) (*ClientTier, 
 		m:         m,
 		cfg:       cfg,
 		capBlocks: capBlocks,
-		nodes:     make(map[int]*clientNode),
-		dir:       make(map[blockKey]*clientDirEntry),
-		pending:   make(map[pendingFill]uint64),
+		streams:   newStreamTable(),
 	}, nil
 }
 
@@ -288,34 +346,40 @@ func (t *ClientTier) SetObserver(fn func(ClientOp)) { t.observer = fn }
 func (t *ClientTier) Stats() ClientStats {
 	s := t.stats
 	for _, nc := range t.nodes {
-		s.Blocks += len(nc.blocks)
+		if nc != nil {
+			s.Blocks += len(nc.blocks)
+			s.Nodes++
+		}
 	}
-	s.Nodes = len(t.nodes)
 	return s
 }
 
-func (t *ClientTier) emit(kind ClientOpKind, node int, k blockKey, version uint64) {
+func (t *ClientTier) emit(kind ClientOpKind, node int, k blockID, version uint64) {
 	if t.observer != nil {
-		t.observer(ClientOp{Kind: kind, Node: node, Stream: k.stream, Block: k.idx, Version: version})
+		t.observer(ClientOp{Kind: kind, Node: node, Stream: t.streams.names[k.stream()], Block: k.idx(), Version: version})
 	}
 }
 
+// node returns compute node id's cache, creating it on first use.
 func (t *ClientTier) node(id int) *clientNode {
+	for id >= len(t.nodes) {
+		t.nodes = append(t.nodes, nil)
+	}
 	nc := t.nodes[id]
 	if nc == nil {
-		nc = &clientNode{id: id, blocks: make(map[blockKey]*clientBlock)}
+		nc = &clientNode{id: id, blocks: make(map[blockID]*clientBlock), pending: make(map[blockID]uint64)}
 		t.nodes[id] = nc
 	}
 	return nc
 }
 
-func (t *ClientTier) entry(k blockKey) *clientDirEntry {
-	e := t.dir[k]
-	if e == nil {
-		e = &clientDirEntry{}
-		t.dir[k] = e
+// stream interns name, returning its id and directory.
+func (t *ClientTier) stream(name string) (int32, *clientDir) {
+	sid := t.streams.intern(name)
+	if int(sid) == len(t.dirs) {
+		t.dirs = append(t.dirs, &clientDir{})
 	}
-	return e
+	return sid, t.dirs[sid]
 }
 
 // CopyCost prices handing n bytes from the node's cache (or arrival
@@ -327,7 +391,9 @@ func (t *ClientTier) CopyCost(n int64) time.Duration {
 // span returns the inclusive block-index range covering [off, off+size).
 func (t *ClientTier) span(off, size int64) (first, last int64) {
 	bs := t.cfg.BlockSize
-	return off / bs, (off + size - 1) / bs
+	first, last = off/bs, (off+size-1)/bs
+	checkSpan(first, last)
+	return first, last
 }
 
 // Read attempts to serve [off, off+size) of stream from node's cache.
@@ -343,9 +409,10 @@ func (t *ClientTier) Read(node int, stream string, off, size int64) (time.Durati
 	now := t.k.Now()
 	nc := t.node(node)
 	first, last := t.span(off, size)
+	sid, dir := t.stream(stream)
 	hit := true
 	for idx := first; idx <= last; idx++ {
-		k := blockKey{stream: stream, idx: idx}
+		k := packBlock(sid, idx)
 		b := nc.blocks[k]
 		if b == nil {
 			hit = false
@@ -363,17 +430,17 @@ func (t *ClientTier) Read(node int, stream string, off, size int64) (time.Durati
 	if !hit {
 		t.stats.Misses += n
 		for idx := first; idx <= last; idx++ {
-			k := blockKey{stream: stream, idx: idx}
+			k := packBlock(sid, idx)
 			// Remember what generation this fill is fetching, so a write
 			// landing while it is in flight poisons it (see Install).
-			t.pending[pendingFill{node: node, key: k}] = t.entry(k).version
+			nc.pending[k] = dir.entry(idx).version
 			t.emit(ClientMiss, node, k, 0)
 		}
 		return 0, false
 	}
 	t.stats.Hits += n
 	for idx := first; idx <= last; idx++ {
-		k := blockKey{stream: stream, idx: idx}
+		k := packBlock(sid, idx)
 		b := nc.blocks[k]
 		t.touch(nc, b)
 		t.emit(ClientHit, node, k, b.version)
@@ -397,12 +464,12 @@ func (t *ClientTier) Install(node int, stream string, off, size int64) {
 	expiry := t.k.Now() + t.cfg.LeaseTTL
 	nc := t.node(node)
 	first, last := t.span(off, size)
+	sid, dir := t.stream(stream)
 	for idx := first; idx <= last; idx++ {
-		k := blockKey{stream: stream, idx: idx}
-		e := t.entry(k)
-		pf := pendingFill{node: node, key: k}
-		if v, ok := t.pending[pf]; ok {
-			delete(t.pending, pf)
+		k := packBlock(sid, idx)
+		e := dir.entry(idx)
+		if v, ok := nc.pending[k]; ok {
+			delete(nc.pending, k)
 			if v != e.version {
 				t.stats.RacedFills++
 				continue
@@ -429,10 +496,11 @@ func (t *ClientTier) Write(node int, stream string, off, size int64) time.Durati
 	nc := t.node(node)
 	bs := t.cfg.BlockSize
 	first, last := t.span(off, size)
+	sid, dir := t.stream(stream)
 	var peers []int
 	for idx := first; idx <= last; idx++ {
-		k := blockKey{stream: stream, idx: idx}
-		e := t.entry(k)
+		k := packBlock(sid, idx)
+		e := dir.entry(idx)
 		e.version++
 		selfValid := false
 		for _, l := range e.holders {
@@ -477,34 +545,20 @@ func (t *ClientTier) Write(node int, stream string, off, size int64) time.Durati
 // RecallStream recalls every node's cached blocks for stream — the
 // setiomode renegotiation. The caller (node) pays the worst round-trip
 // over the peers that held valid leases; its own blocks drop for free.
+// Blocks are recalled in block order, walking the stream's directory.
 func (t *ClientTier) RecallStream(node int, stream string) time.Duration {
 	now := t.k.Now()
-	keys := make([]blockKey, 0, 16)
-	for k := range t.dir {
-		if k.stream == stream && len(t.dir[k].holders) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].idx < keys[j].idx })
 	var peers []int
-	for _, k := range keys {
-		e := t.dir[k]
-		for _, l := range e.holders {
-			switch {
-			case l.node == node:
-				t.dropResident(node, k)
-			case l.expiry <= now:
-				// Expired: free.
-			default:
-				t.stats.Recalls++
-				if t.dropResident(l.node, k) {
-					t.stats.StaleAverted++
+	if sid, ok := t.streams.ids[stream]; ok {
+		dir := t.dirs[sid]
+		for i, p := range dir.pages {
+			base := dir.nums[i] << clientDirPageBits
+			for j := range p {
+				if len(p[j].holders) > 0 {
+					peers = t.recallBlock(node, packBlock(sid, base+int64(j)), &p[j], now, peers)
 				}
-				t.emit(ClientRecall, l.node, k, e.version)
-				peers = addPeer(peers, l.node)
 			}
 		}
-		e.holders = e.holders[:0]
 	}
 	t.stats.FileRecalls++
 	d := t.recallCost(node, peers)
@@ -514,24 +568,43 @@ func (t *ClientTier) RecallStream(node int, stream string) time.Duration {
 	return d
 }
 
+// recallBlock drops every holder of block k (entry e) for a stream
+// recall by node: node's own copy drops for free, expired holders cost
+// nothing, and each valid peer is recalled and added to peers.
+func (t *ClientTier) recallBlock(node int, k blockID, e *clientDirEntry, now sim.Time, peers []int) []int {
+	for _, l := range e.holders {
+		switch {
+		case l.node == node:
+			t.dropResident(node, k)
+		case l.expiry <= now:
+			// Expired: free.
+		default:
+			t.stats.Recalls++
+			if t.dropResident(l.node, k) {
+				t.stats.StaleAverted++
+			}
+			t.emit(ClientRecall, l.node, k, e.version)
+			peers = addPeer(peers, l.node)
+		}
+	}
+	e.holders = e.holders[:0]
+	return peers
+}
+
 // Flap simulates one flap of a crash-looping client on node: the client
 // reconnects and renegotiates every stream with any live lease, recalling
 // all valid holders tier-wide (the lease-recall storm the fault plane's
-// client-flap fault injects). Streams are recalled in sorted order so the
-// storm is deterministic. The returned duration is the summed recall cost
-// the flapping client would wait out; the fault plane discards it — the
-// storm's simulated cost is what the recalls inflict on everyone else's
-// subsequent misses.
+// client-flap fault injects). Streams are recalled in sorted name order
+// so the storm is deterministic. The returned duration is the summed
+// recall cost the flapping client would wait out; the fault plane
+// discards it — the storm's simulated cost is what the recalls inflict
+// on everyone else's subsequent misses.
 func (t *ClientTier) Flap(node int) time.Duration {
-	streams := make(map[string]bool)
-	for k, e := range t.dir {
-		if len(e.holders) > 0 {
-			streams[k.stream] = true
+	var names []string
+	for sid, dir := range t.dirs {
+		if dir.held() {
+			names = append(names, t.streams.names[sid])
 		}
-	}
-	names := make([]string, 0, len(streams))
-	for s := range streams {
-		names = append(names, s)
 	}
 	sort.Strings(names)
 	var d time.Duration
@@ -546,20 +619,18 @@ func (t *ClientTier) Flap(node int) time.Duration {
 // other holders — the client-side half of Handle.Flush. Free: blocks are
 // clean and the node holds its own leases.
 func (t *ClientTier) InvalidateLocal(node int, stream string) {
-	nc := t.nodes[node]
-	if nc == nil {
+	nc := t.existing(node)
+	sid, ok := t.streams.ids[stream]
+	if nc == nil || !ok {
 		return
 	}
-	keys := make([]blockKey, 0, 8)
-	for k := range nc.blocks {
-		if k.stream == stream {
-			keys = append(keys, k)
+	for b := nc.mru; b != nil; {
+		next := b.next
+		if b.key.stream() == sid {
+			t.dropBlock(nc, b)
+			t.unregister(node, b.key)
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].idx < keys[j].idx })
-	for _, k := range keys {
-		t.dropBlock(nc, nc.blocks[k])
-		t.unregister(node, k)
+		b = next
 	}
 }
 
@@ -590,7 +661,7 @@ func addPeer(peers []int, n int) []int {
 
 // install makes k resident at nc under the given version and lease,
 // evicting for capacity, and registers the holder in the directory.
-func (t *ClientTier) install(nc *clientNode, k blockKey, version uint64, expiry sim.Time) {
+func (t *ClientTier) install(nc *clientNode, k blockID, version uint64, expiry sim.Time) {
 	b := nc.blocks[k]
 	if b == nil {
 		for len(nc.blocks) >= t.capBlocks {
@@ -599,8 +670,12 @@ func (t *ClientTier) install(nc *clientNode, k blockKey, version uint64, expiry 
 			t.unregister(nc.id, v.key)
 			t.stats.Evicted++
 			t.emit(ClientEvict, nc.id, v.key, v.version)
+			b = v // reused below: a full cache allocates no new blocks
 		}
-		b = &clientBlock{key: k}
+		if b == nil {
+			b = new(clientBlock)
+		}
+		*b = clientBlock{key: k}
 		nc.blocks[k] = b
 		t.linkFront(nc, b)
 	} else {
@@ -615,34 +690,49 @@ func (t *ClientTier) install(nc *clientNode, k blockKey, version uint64, expiry 
 
 // register records node as a holder of k (update-or-insert, holders kept
 // sorted by node id for deterministic iteration).
-func (t *ClientTier) register(node int, k blockKey, expiry sim.Time) {
-	e := t.entry(k)
-	i := sort.Search(len(e.holders), func(i int) bool { return e.holders[i].node >= node })
+func (t *ClientTier) register(node int, k blockID, expiry sim.Time) {
+	e := t.dirs[k.stream()].entry(k.idx())
+	i := holderIndex(e.holders, node)
 	if i < len(e.holders) && e.holders[i].node == node {
 		e.holders[i].expiry = expiry
 		return
 	}
-	e.holders = append(e.holders, clientLease{})
-	copy(e.holders[i+1:], e.holders[i:])
-	e.holders[i] = clientLease{node: node, expiry: expiry}
+	e.holders = slices.Insert(e.holders, i, clientLease{node: node, expiry: expiry})
 }
 
 // unregister removes node from k's holders, if present.
-func (t *ClientTier) unregister(node int, k blockKey) {
-	e := t.dir[k]
+func (t *ClientTier) unregister(node int, k blockID) {
+	e := t.dirs[k.stream()].lookup(k.idx())
 	if e == nil {
 		return
 	}
-	i := sort.Search(len(e.holders), func(i int) bool { return e.holders[i].node >= node })
+	i := holderIndex(e.holders, node)
 	if i < len(e.holders) && e.holders[i].node == node {
 		e.holders = append(e.holders[:i], e.holders[i+1:]...)
 	}
 }
 
+// holderIndex returns where node is, or belongs, in the sorted holders.
+func holderIndex(holders []clientLease, node int) int {
+	i := 0
+	for i < len(holders) && holders[i].node < node {
+		i++
+	}
+	return i
+}
+
+// existing returns node id's cache, or nil if it was never used.
+func (t *ClientTier) existing(id int) *clientNode {
+	if uint(id) >= uint(len(t.nodes)) {
+		return nil
+	}
+	return t.nodes[id]
+}
+
 // dropResident removes node's copy of k if resident, reporting whether
 // it was. The directory holder entry is left to the caller.
-func (t *ClientTier) dropResident(node int, k blockKey) bool {
-	nc := t.nodes[node]
+func (t *ClientTier) dropResident(node int, k blockID) bool {
+	nc := t.existing(node)
 	if nc == nil {
 		return false
 	}

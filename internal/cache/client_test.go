@@ -227,6 +227,39 @@ func BenchmarkClientTierHit(b *testing.B) {
 	<-done
 }
 
+// BenchmarkClientTierChurn is the miss path of the clientcache rungs:
+// one node cycles over a working set twice its capacity, split across 2
+// streams, so every op is a miss, an install and a capacity eviction.
+func BenchmarkClientTierChurn(b *testing.B) {
+	const capBlocks = 1024
+	k, ct := newClientRig(b, ClientConfig{LeaseTTL: time.Hour, CapacityBytes: capBlocks * 4096})
+	streams := [2]string{"quad-a", "quad-b"}
+	done := make(chan struct{})
+	k.Spawn("bench", func(p *sim.Proc) {
+		defer close(done)
+		// Warm up to capacity so the timed loop evicts on every install.
+		for i := 0; i < 2*capBlocks; i++ {
+			off := int64(i/2%capBlocks) * 4096
+			ct.Install(0, streams[i%2], off, 4096)
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			stream := streams[i%2]
+			off := int64(i/2%capBlocks) * 4096
+			if _, hit := ct.Read(0, stream, off, 4096); hit {
+				b.Error("unexpected hit")
+				return
+			}
+			ct.Install(0, stream, off, 4096)
+		}
+	})
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	<-done
+}
+
 func BenchmarkClientTierRecall(b *testing.B) {
 	k, ct := newClientRig(b, ClientConfig{LeaseTTL: time.Hour, CapacityBytes: 64 << 20})
 	done := make(chan struct{})

@@ -1,0 +1,118 @@
+package cache
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"paragonio/internal/sim"
+)
+
+// runPanicking runs body as a process and returns the panic the kernel
+// contained, failing the test if there was none.
+func runPanicking(t *testing.T, k *sim.Kernel, body func()) *sim.PanicError {
+	t.Helper()
+	k.Spawn("driver", func(*sim.Proc) { body() })
+	var pe *sim.PanicError
+	if err := k.Run(); !errors.As(err, &pe) {
+		t.Fatalf("Run = %v, want a *sim.PanicError", err)
+	}
+	return pe
+}
+
+func TestPackedKeyRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		stream int32
+		idx    int64
+	}{{0, 0}, {1, 7}, {maxStreams - 1, maxBlockIdx}, {12345, 1 << 39}} {
+		k := packBlock(c.stream, c.idx)
+		if k.stream() != c.stream || k.idx() != c.idx {
+			t.Errorf("packBlock(%d, %d) unpacks to (%d, %d)", c.stream, c.idx, k.stream(), k.idx())
+		}
+	}
+}
+
+// TestBlockIndexBoundPanics: the last addressable block works on both
+// tiers; one past it, or a negative offset, panics with a clear message
+// instead of aliasing another stream's block.
+func TestBlockIndexBoundPanics(t *testing.T) {
+	const bs = 4096
+	k, ct := newClientRig(t, ClientConfig{BlockSize: bs})
+	k.Spawn("edge", func(*sim.Proc) {
+		ct.Install(0, "f", maxBlockIdx*bs, bs)
+		if _, hit := ct.Read(0, "f", maxBlockIdx*bs, bs); !hit {
+			t.Error("last addressable block missed after install")
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range map[string]func(*ClientTier){
+		"read past bound":  func(ct *ClientTier) { ct.Read(0, "f", (maxBlockIdx+1)*bs, 1) },
+		"write past bound": func(ct *ClientTier) { ct.Write(0, "f", maxBlockIdx*bs, 2*bs) },
+		"install negative": func(ct *ClientTier) { ct.Install(0, "f", -bs, bs) },
+	} {
+		k, ct := newClientRig(t, ClientConfig{BlockSize: bs})
+		pe := runPanicking(t, k, func() { op(ct) })
+		if !strings.Contains(pe.Error(), "packed key's range") {
+			t.Errorf("client %s: panic %q does not name the key range", name, pe.Error())
+		}
+	}
+	r := newRig(t, nil)
+	pe := runPanicking(t, r.k, func() { r.c.Access("f", (maxBlockIdx+1)*testBlock, 1, false) })
+	if !strings.Contains(pe.Error(), "packed key's range") {
+		t.Errorf("I/O-node access past bound: panic %q does not name the key range", pe.Error())
+	}
+}
+
+// TestStreamBoundPanics: interning one stream past the tier's limit
+// panics instead of reusing an id. The limit is lowered so the test does
+// not intern 2^24 names.
+func TestStreamBoundPanics(t *testing.T) {
+	k, ct := newClientRig(t, ClientConfig{})
+	ct.streams.limit = 2
+	pe := runPanicking(t, k, func() {
+		ct.Install(0, "a", 0, 1)
+		ct.Install(0, "b", 0, 1)
+		ct.Read(0, "c", 0, 1)
+	})
+	if msg := pe.Error(); !strings.Contains(msg, `stream "c"`) || !strings.Contains(msg, "at most 2 streams") {
+		t.Errorf("panic %q does not name the stream and the limit", msg)
+	}
+
+	r := newRig(t, nil)
+	r.c.names.limit = 1
+	pe = runPanicking(t, r.k, func() {
+		r.c.Access("a", 0, 1, false)
+		r.c.Access("b", 0, 1, false)
+	})
+	if msg := pe.Error(); !strings.Contains(msg, "at most 1 streams") {
+		t.Errorf("I/O-node panic %q does not name the limit", msg)
+	}
+}
+
+// TestSparseOffsetAllocatesOnePage: the first access to a new stream at
+// a far offset allocates one directory page plus small bookkeeping, not
+// a directory as long as the offset.
+func TestSparseOffsetAllocatesOnePage(t *testing.T) {
+	const bs = 4096
+	_, ct := newClientRig(t, ClientConfig{BlockSize: bs})
+	ct.Install(0, "warm", 0, bs) // node 0 and the tables exist
+	page := uint64(unsafe.Sizeof(clientDirPage{}))
+	for _, idx := range []int64{1 << 20, 1 << 39} {
+		stream := fmt.Sprintf("sparse-%d", idx)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ct.Install(0, stream, idx*bs, bs)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got < page || got >= 2*page {
+			t.Errorf("install at block %d allocated %d bytes, want one %d-byte page plus bookkeeping", idx, got, page)
+		}
+		if d := ct.dirs[ct.streams.ids[stream]]; len(d.pages) != 1 {
+			t.Errorf("block %d: %d directory pages, want 1", idx, len(d.pages))
+		}
+	}
+}

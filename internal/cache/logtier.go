@@ -117,7 +117,7 @@ func (c LogConfig) Validate() error {
 		return fmt.Errorf("cache: log tier SegmentBytes %d exceeds CapacityBytes %d",
 			c.SegmentBytes, c.CapacityBytes)
 	}
-	if c.AppendBW <= 0 {
+	if !(c.AppendBW > 0) {
 		return fmt.Errorf("cache: log tier AppendBW = %g", c.AppendBW)
 	}
 	if c.AppendCost < 0 {

@@ -9,8 +9,7 @@ import "testing"
 // and clientcache sweeps. A regression here means the advisor's
 // triggers or merge rule drifted away from what the simulator rewards.
 func TestAdvisorReachesOracle(t *testing.T) {
-	s := NewSuite(1)
-	art, err := advisorExp(s)
+	art, err := advisorExp(sharedSuite)
 	if err != nil {
 		t.Fatalf("advisor experiment: %v", err)
 	}
@@ -42,8 +41,7 @@ func TestAdvisorReachesOracle(t *testing.T) {
 // fire. If both columns read zero the workload no longer overruns the
 // cache and the study is measuring nothing.
 func TestFlushPolicyDifferentiates(t *testing.T) {
-	s := NewSuite(1)
-	art, err := flushPolicy(s)
+	art, err := flushPolicy(sharedSuite)
 	if err != nil {
 		t.Fatalf("flushpolicy experiment: %v", err)
 	}

@@ -16,6 +16,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -135,8 +136,8 @@ func (f Fault) validate(ioNodes int) error {
 	}
 	switch f.Kind {
 	case Straggler:
-		if f.Factor <= 1 {
-			return fmt.Errorf("straggler: factor %g, need > 1", f.Factor)
+		if !(f.Factor > 1) || math.IsInf(f.Factor, 1) {
+			return fmt.Errorf("straggler: factor %g, need > 1 and finite", f.Factor)
 		}
 	case ClientFlap:
 		if f.IONode != 0 || f.Factor != 0 {
