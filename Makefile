@@ -19,10 +19,11 @@ vet:
 
 # Race-check the concurrent pieces: the parallel suite runner (distinct
 # runs simulate on their own kernels at once) with every golden digest,
-# the kernel's process handoff, the cache tiers (the lease-coherence and
-# crash-replay property tests), pfs and the fault plane, the iobench
-# ladder runner's worker pool, and the iosimd daemon (fair-share
-# admission, sweep fan-out, flight coalescing, warm-start cache).
+# the kernel's process handoff, the cache tiers (the lease-coherence
+# property test and the event-stream goldens), pfs and the fault plane,
+# the iobench ladder runner's worker pool, and the iosimd daemon
+# (fair-share admission, sweep fan-out, flight coalescing, warm-start
+# cache).
 vet-race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/cache/ ./internal/pfs/ ./internal/faults/ ./internal/iobench/ ./internal/server/

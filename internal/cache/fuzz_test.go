@@ -16,23 +16,23 @@ import (
 func FuzzTiersValidate(f *testing.F) {
 	// present: bit 0 I/O-node tier, bit 1 client tier, bit 2 log tier.
 	f.Add(uint8(7), int64(0), int64(0), 0.0, true, 0, 0, 0, int64(0), int64(0), 0.0, int64(0),
-		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(0), int64(0))
+		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(0))
 	f.Add(uint8(1), int64(64<<10), int64(32<<20), 0.0, true, 4, 0, 8, int64(50*time.Millisecond), int64(30*time.Millisecond), 80e6, int64(30*time.Microsecond),
-		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(0), int64(0))
+		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(0))
 	f.Add(uint8(2), int64(0), int64(0), 0.0, false, 0, 0, 0, int64(0), int64(0), 0.0, int64(0),
-		int64(4096), int64(8<<20), int64(10*time.Minute), int64(25*time.Microsecond), 25e6, int64(64), int64(0), int64(0))
+		int64(4096), int64(8<<20), int64(10*time.Minute), int64(25*time.Microsecond), 25e6, int64(64), int64(0))
 	f.Add(uint8(4), int64(0), int64(0), 0.0, false, 0, 0, 0, int64(0), int64(0), 0.0, int64(0),
-		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(1<<20), int64(2<<20))
+		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(512<<10))
 	f.Add(uint8(3), int64(-1), int64(1), 0.0, true, -1, -1, -1, int64(-1), int64(-1), -1.0, int64(-1),
-		int64(-1), int64(1), int64(-1), int64(-1), -1.0, int64(-1), int64(-1), int64(-1))
+		int64(-1), int64(1), int64(-1), int64(-1), -1.0, int64(-1), int64(-1))
 	f.Add(uint8(3), int64(0), int64(32<<20), math.NaN(), true, 0, 0, 0, int64(0), int64(0), math.NaN(), int64(0),
-		int64(0), int64(0), int64(0), int64(0), math.NaN(), int64(0), int64(0), int64(0))
+		int64(0), int64(0), int64(0), int64(0), math.NaN(), int64(0), int64(0))
 	f.Add(uint8(1), int64(64<<10), int64(0), math.Inf(1), false, 0, 0, 0, int64(0), int64(0), math.Inf(1), int64(0),
-		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(0), int64(0))
+		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(0))
 	f.Fuzz(func(t *testing.T, present uint8,
 		ioBS, ioCap int64, ioFrac float64, wb bool, ra, hw, batch int, idle, deadline int64, ioBW float64, ioHit int64,
 		clBS, clCap, clTTL, clHit int64, clBW float64, clRecall int64,
-		logCap, logSeg int64) {
+		logCap int64) {
 		var in Tiers
 		if present&1 != 0 {
 			in.IONode = &Config{BlockSize: ioBS, CapacityBytes: ioCap, CapacityFrac: ioFrac, WriteBehind: wb,
@@ -44,7 +44,7 @@ func FuzzTiersValidate(f *testing.F) {
 				HitCost: time.Duration(clHit), CopyBW: clBW, RecallBytes: clRecall}
 		}
 		if present&4 != 0 {
-			in.Log = &LogConfig{CapacityBytes: logCap, SegmentBytes: logSeg}
+			in.Log = &LogConfig{CapacityBytes: logCap}
 		}
 		_ = in.Validate()
 		_ = in.String()
@@ -75,18 +75,16 @@ func FuzzTiersValidate(f *testing.F) {
 }
 
 // FuzzLogConfigValidate: LogConfig.WithDefaults never panics, and an
-// accepted configuration validates again, is a fixed point, and has a
-// usable append bandwidth.
+// accepted configuration validates again and is a fixed point.
 func FuzzLogConfigValidate(f *testing.F) {
-	f.Add(int64(0), int64(0), 0.0, int64(0), 0, int64(0))
-	f.Add(int64(8<<20), int64(1<<20), 400e6, int64(5*time.Microsecond), 8, int64(50*time.Millisecond))
-	f.Add(int64(1<<20), int64(2<<20), 0.0, int64(0), 0, int64(0))
-	f.Add(int64(-1), int64(-1), -1.0, int64(-1), -1, int64(-1))
-	f.Add(int64(0), int64(0), math.NaN(), int64(0), 0, int64(0))
-	f.Add(int64(0), int64(0), math.Inf(1), int64(0), 0, int64(0))
-	f.Fuzz(func(t *testing.T, capBytes, seg int64, bw float64, cost int64, batch int, deadline int64) {
-		in := LogConfig{CapacityBytes: capBytes, SegmentBytes: seg, AppendBW: bw,
-			AppendCost: time.Duration(cost), DrainBatch: batch, DrainDeadline: time.Duration(deadline)}
+	f.Add(int64(0), 0, int64(0))
+	f.Add(int64(8<<20), 8, int64(50*time.Millisecond))
+	f.Add(int64(512<<10), 0, int64(0))
+	f.Add(int64(-1), -1, int64(-1))
+	f.Add(int64(1), 1, int64(1))
+	f.Add(int64(math.MaxInt64), math.MaxInt, int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, capBytes int64, batch int, deadline int64) {
+		in := LogConfig{CapacityBytes: capBytes, DrainBatch: batch, DrainDeadline: time.Duration(deadline)}
 		_ = in.Validate()
 		out, err := in.WithDefaults()
 		if err != nil {
@@ -98,9 +96,6 @@ func FuzzLogConfigValidate(f *testing.F) {
 		again, err := out.WithDefaults()
 		if err != nil || again != out {
 			t.Fatalf("WithDefaults is not a fixed point: %+v -> %+v (%v)", out, again, err)
-		}
-		if math.IsNaN(out.AppendBW) {
-			t.Fatalf("accepted log config with NaN AppendBW: %+v", out)
 		}
 	})
 }

@@ -3,12 +3,12 @@ package cache
 // The log tier is the third rung of the what-if storage hierarchy: a
 // per-compute-node log-structured write buffer (the ParaLog / burst-
 // buffer design the checkpoint literature converged on). Writes append
-// to the node's open segment at memory speed and are acknowledged
-// immediately; a background drain walks the global append order and
-// writes the records to the PFS sequentially, scheduled with the same
-// armed-timer deadline machinery the I/O-node cache's flusher uses. The
-// paper's machine had nothing like it — the tier exists to ask what one
-// would have bought the checkpoint-dominated phases.
+// to the node's log at memory speed and are acknowledged immediately; a
+// background drain walks the global append order and writes the records
+// to the PFS sequentially, scheduled with the same armed-timer deadline
+// machinery the I/O-node cache's flusher uses. The paper's machine had
+// nothing like it — the tier exists to ask what one would have bought
+// the checkpoint-dominated phases.
 //
 // Determinism follows the client tier's pattern: LogTier state is
 // mutated only from process context or kernel callbacks — appends by the
@@ -24,12 +24,6 @@ package cache
 // CapacityBytes, the appender blocks until the head of the log drains
 // (backpressure), so the tier cannot absorb an unbounded burst for
 // free.
-//
-// Crash semantics: a record is committed once its segment seals (or
-// once it drains); Replay returns the maximal prefix of the global
-// append order in which every record is committed — the consistent cut
-// across the per-node logs. Records in open segments at the crash, and
-// any in-flight drain batch, are lost.
 
 import (
 	"fmt"
@@ -43,16 +37,6 @@ const (
 	// DefaultLogCapacity bounds undrained bytes per machine before
 	// appends feel backpressure.
 	DefaultLogCapacity int64 = 8 << 20
-	// DefaultLogSegment is the append-only segment size; a full segment
-	// seals, committing its records for replay.
-	DefaultLogSegment int64 = 1 << 20
-	// DefaultLogAppendBW is the memory-speed append bandwidth
-	// (bytes/sec) — 5x the block cache's copy bandwidth, the point of a
-	// host-side log.
-	DefaultLogAppendBW float64 = 400e6
-	// DefaultLogAppendCost is the fixed software cost per appended
-	// record.
-	DefaultLogAppendCost = 5 * time.Microsecond
 	// DefaultLogDrainBatch is how many records one drain pass writes.
 	DefaultLogDrainBatch = 8
 	// DefaultLogDrainDeadline bounds how long a record sits undrained
@@ -60,19 +44,19 @@ const (
 	DefaultLogDrainDeadline = 50 * time.Millisecond
 )
 
+// The append price: a fixed software cost per record plus a memory-speed
+// copy at 5x the block cache's copy bandwidth — the point of a host-side
+// log.
+const (
+	logAppendCost         = 5 * time.Microsecond
+	logAppendBW   float64 = 400e6 // bytes/sec
+)
+
 // LogConfig configures the per-compute-node log tier.
 type LogConfig struct {
 	// CapacityBytes bounds the undrained backlog; appends beyond it
 	// block until the head of the log drains (default 8 MB).
 	CapacityBytes int64
-	// SegmentBytes is the append-only segment size; a record that does
-	// not fit seals the open segment first (default 1 MB).
-	SegmentBytes int64
-	// AppendBW is the memory-copy bandwidth appends are priced at, in
-	// bytes/sec (default 400e6).
-	AppendBW float64
-	// AppendCost is the fixed per-record software cost (default 5µs).
-	AppendCost time.Duration
 	// DrainBatch is the number of records one background drain pass
 	// writes to the PFS (default 8).
 	DrainBatch int
@@ -86,15 +70,6 @@ type LogConfig struct {
 func (c LogConfig) WithDefaults() (LogConfig, error) {
 	if c.CapacityBytes == 0 {
 		c.CapacityBytes = DefaultLogCapacity
-	}
-	if c.SegmentBytes == 0 {
-		c.SegmentBytes = DefaultLogSegment
-	}
-	if c.AppendBW == 0 {
-		c.AppendBW = DefaultLogAppendBW
-	}
-	if c.AppendCost == 0 {
-		c.AppendCost = DefaultLogAppendCost
 	}
 	if c.DrainBatch == 0 {
 		c.DrainBatch = DefaultLogDrainBatch
@@ -110,19 +85,6 @@ func (c LogConfig) Validate() error {
 	if c.CapacityBytes <= 0 {
 		return fmt.Errorf("cache: log tier CapacityBytes = %d", c.CapacityBytes)
 	}
-	if c.SegmentBytes <= 0 {
-		return fmt.Errorf("cache: log tier SegmentBytes = %d", c.SegmentBytes)
-	}
-	if c.SegmentBytes > c.CapacityBytes {
-		return fmt.Errorf("cache: log tier SegmentBytes %d exceeds CapacityBytes %d",
-			c.SegmentBytes, c.CapacityBytes)
-	}
-	if !(c.AppendBW > 0) {
-		return fmt.Errorf("cache: log tier AppendBW = %g", c.AppendBW)
-	}
-	if c.AppendCost < 0 {
-		return fmt.Errorf("cache: log tier AppendCost = %v", c.AppendCost)
-	}
 	if c.DrainBatch <= 0 {
 		return fmt.Errorf("cache: log tier DrainBatch = %d", c.DrainBatch)
 	}
@@ -137,8 +99,6 @@ type LogStats struct {
 	Appends       uint64 // records appended
 	AppendedBytes int64  // payload bytes absorbed at memory speed
 
-	SealedSegments uint64 // segments sealed (their records committed)
-
 	Drains         uint64 // background drain passes started
 	DrainedRecords uint64 // records written through to the PFS
 	DrainedBytes   int64  // bytes written through to the PFS
@@ -149,64 +109,26 @@ type LogStats struct {
 	// (read barriers plus backpressure) — the tier's honest price.
 	StallWait time.Duration
 
-	Replayed uint64 // records returned by Replay after a crash
-
 	PendingRecords  int   // undrained records right now
 	PendingBytes    int64 // undrained bytes right now
 	MaxPendingBytes int64 // undrained-bytes high-water mark
-	Nodes           int   // compute nodes with an instantiated log
+	Nodes           int   // compute nodes that appended to the log
 }
 
-// LogRecord is one appended write, as seen by drains, Replay, and the
-// observer. Seq is the global append sequence (1-based); Segment is the
-// per-node segment index the record landed in.
+// LogRecord is one appended write, as the drain sees it. Seq is the
+// global append sequence (1-based).
 type LogRecord struct {
-	Seq     uint64
-	Node    int
-	Stream  string
-	Off     int64
-	Size    int64
-	Segment uint64
+	Seq    uint64
+	Node   int
+	Stream string
+	Off    int64
+	Size   int64
 }
 
 // logRecord is the tier's internal record state.
 type logRecord struct {
 	LogRecord
 	deadline sim.Time // append instant + DrainDeadline
-	sealed   bool     // segment sealed (committed for replay)
-	drained  bool     // written through to the PFS
-}
-
-// LogOpKind identifies one observer event.
-type LogOpKind int
-
-const (
-	// LogAppend: a record was appended (Op.Record is set).
-	LogAppend LogOpKind = iota
-	// LogSeal: a node sealed its open segment (Op.Node, Op.Segment).
-	LogSeal
-	// LogDrain: a drain pass committed records (Op.Seqs, ascending).
-	LogDrain
-	// LogCrash: the tier crashed; no further state changes.
-	LogCrash
-)
-
-// LogOp is one observer event. Tests subscribe via SetObserver to build
-// an independent shadow of the commit protocol.
-type LogOp struct {
-	Kind    LogOpKind
-	Record  LogRecord // LogAppend
-	Node    int       // LogSeal
-	Segment uint64    // LogSeal
-	Seqs    []uint64  // LogDrain
-}
-
-// logNode is one compute node's segment state.
-type logNode struct {
-	idx     int
-	segment uint64       // open segment index
-	segFill int64        // bytes in the open segment
-	open    []*logRecord // records in the open segment
 }
 
 // logWaiter is a process blocked until the drain watermark passes seq.
@@ -224,20 +146,17 @@ type LogTier struct {
 	k   *sim.Kernel
 	cfg LogConfig
 
-	nodes     map[int]*logNode
-	records   []*logRecord // every record, append order (Seq = index+1)
-	pending   []*logRecord // undrained records, append order
+	nodes     map[int]struct{} // nodes that appended
+	pending   []logRecord      // undrained records, append order
 	perStream map[string]int
 	pendBytes int64
 	drained   uint64 // highest contiguously drained Seq
 
 	drainq   []sim.Time // armed drain timers, ascending
 	draining bool       // a drain pass is in flight
-	crashed  bool
 
-	waiters  []logWaiter
-	drainer  func(batch []LogRecord, done func())
-	observer func(LogOp)
+	waiters []logWaiter
+	drainer func(batch []LogRecord, done func())
 
 	stats LogStats
 }
@@ -252,22 +171,15 @@ func NewLogTier(k *sim.Kernel, cfg LogConfig) (*LogTier, error) {
 	return &LogTier{
 		k:         k,
 		cfg:       cfg,
-		nodes:     make(map[int]*logNode),
+		nodes:     make(map[int]struct{}),
 		perStream: make(map[string]int),
 	}, nil
 }
-
-// Config returns the tier's (defaulted) configuration.
-func (lt *LogTier) Config() LogConfig { return lt.cfg }
 
 // SetDrainer installs the drain sink: the PFS hands it batches of
 // records to write through the data path, calling done when the whole
 // batch has been served.
 func (lt *LogTier) SetDrainer(fn func(batch []LogRecord, done func())) { lt.drainer = fn }
-
-// SetObserver installs an observer receiving one LogOp per state
-// change, for tests that shadow the commit protocol.
-func (lt *LogTier) SetObserver(fn func(LogOp)) { lt.observer = fn }
 
 // Stats returns the tier's aggregate counters.
 func (lt *LogTier) Stats() LogStats {
@@ -278,74 +190,32 @@ func (lt *LogTier) Stats() LogStats {
 	return s
 }
 
-func (lt *LogTier) nodeFor(node int) *logNode {
-	n, ok := lt.nodes[node]
-	if !ok {
-		n = &logNode{idx: node}
-		lt.nodes[node] = n
-	}
-	return n
-}
-
-// seal closes a node's open segment, committing its records for replay.
-func (lt *LogTier) seal(n *logNode) {
-	if len(n.open) == 0 {
-		return
-	}
-	for _, r := range n.open {
-		r.sealed = true
-	}
-	n.open = n.open[:0]
-	n.segFill = 0
-	lt.stats.SealedSegments++
-	if lt.observer != nil {
-		lt.observer(LogOp{Kind: LogSeal, Node: n.idx, Segment: n.segment})
-	}
-	n.segment++
-}
-
-// Append absorbs one write into the node's log: the record lands in the
-// open segment (sealing it first when full) and joins the global drain
-// queue. It returns the append cost the writer must pay and, when the
-// undrained backlog exceeds CapacityBytes, the sequence number the
-// writer must Wait for before proceeding (0 = no backpressure).
+// Append absorbs one write into the node's log: the record joins the
+// global drain queue. It returns the append cost the writer must pay
+// and, when the undrained backlog exceeds CapacityBytes, the sequence
+// number the writer must Wait for before proceeding (0 = no
+// backpressure).
 func (lt *LogTier) Append(node int, stream string, off, size int64) (time.Duration, uint64) {
-	n := lt.nodeFor(node)
-	if n.segFill > 0 && n.segFill+size > lt.cfg.SegmentBytes {
-		lt.seal(n)
-	}
-	rec := &logRecord{
+	lt.nodes[node] = struct{}{}
+	lt.stats.Appends++
+	lt.pending = append(lt.pending, logRecord{
 		LogRecord: LogRecord{
-			Seq:     uint64(len(lt.records)) + 1,
-			Node:    node,
-			Stream:  stream,
-			Off:     off,
-			Size:    size,
-			Segment: n.segment,
+			Seq:    lt.stats.Appends,
+			Node:   node,
+			Stream: stream,
+			Off:    off,
+			Size:   size,
 		},
 		deadline: lt.k.Now() + sim.Time(lt.cfg.DrainDeadline),
-	}
-	lt.records = append(lt.records, rec)
-	lt.pending = append(lt.pending, rec)
+	})
 	lt.perStream[stream]++
 	lt.pendBytes += size
-	n.segFill += size
-	n.open = append(n.open, rec)
-	lt.stats.Appends++
 	lt.stats.AppendedBytes += size
 	if lt.pendBytes > lt.stats.MaxPendingBytes {
 		lt.stats.MaxPendingBytes = lt.pendBytes
 	}
-	// The record's own event precedes any seal it triggers, so an
-	// observer always learns of a record before its commit.
-	if lt.observer != nil {
-		lt.observer(LogOp{Kind: LogAppend, Record: rec.LogRecord})
-	}
-	if n.segFill >= lt.cfg.SegmentBytes {
-		lt.seal(n)
-	}
-	cost := lt.cfg.AppendCost +
-		time.Duration(float64(size)/lt.cfg.AppendBW*float64(time.Second))
+	cost := logAppendCost +
+		time.Duration(float64(size)/logAppendBW*float64(time.Second))
 	var stall uint64
 	if lt.pendBytes > lt.cfg.CapacityBytes {
 		over := lt.pendBytes - lt.cfg.CapacityBytes
@@ -383,7 +253,7 @@ func (lt *LogTier) ReadBarrier(stream string, off, size int64) uint64 {
 // charged to (read barrier vs append backpressure). It returns the time
 // p spent blocked.
 func (lt *LogTier) Wait(p *sim.Proc, seq uint64, read bool) time.Duration {
-	if seq == 0 || lt.drained >= seq || lt.crashed {
+	if seq == 0 || lt.drained >= seq {
 		return 0
 	}
 	if read {
@@ -406,7 +276,7 @@ func (lt *LogTier) Wait(p *sim.Proc, seq uint64, read bool) time.Duration {
 // timer is added only when the armed ones are too late, and a timer
 // whose work was drained by an earlier pass fires as a no-op.
 func (lt *LogTier) scheduleDrain() {
-	if lt.crashed || lt.draining || len(lt.pending) == 0 || lt.drainer == nil {
+	if lt.draining || len(lt.pending) == 0 || lt.drainer == nil {
 		return
 	}
 	now := lt.k.Now()
@@ -434,7 +304,7 @@ func (lt *LogTier) scheduleDrain() {
 
 // startDrain begins one pass over the head of the global append order.
 func (lt *LogTier) startDrain() {
-	if lt.crashed || lt.draining || len(lt.pending) == 0 {
+	if lt.draining || len(lt.pending) == 0 {
 		return // stale timer: an earlier pass drained everything
 	}
 	n := lt.cfg.DrainBatch
@@ -450,28 +320,18 @@ func (lt *LogTier) startDrain() {
 	lt.drainer(batch, func() { lt.drainDone(n) })
 }
 
-// drainDone commits the pass's records, advances the watermark, wakes
+// drainDone retires the pass's records, advances the watermark, wakes
 // every waiter it satisfies, and re-arms the drain.
 func (lt *LogTier) drainDone(n int) {
 	lt.draining = false
-	if lt.crashed {
-		return // the in-flight batch died with the crash
-	}
-	seqs := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		r := lt.pending[i]
-		r.drained = true
+	for _, r := range lt.pending[:n] {
 		lt.drained = r.Seq
 		lt.pendBytes -= r.Size
 		lt.perStream[r.Stream]--
 		lt.stats.DrainedRecords++
 		lt.stats.DrainedBytes += r.Size
-		seqs = append(seqs, r.Seq)
 	}
 	lt.pending = lt.pending[n:]
-	if lt.observer != nil {
-		lt.observer(LogOp{Kind: LogDrain, Seqs: seqs})
-	}
 	// Wake satisfied waiters in arrival order (deterministic: arrival
 	// order is itself an event-order artifact).
 	kept := lt.waiters[:0]
@@ -485,50 +345,4 @@ func (lt *LogTier) drainDone(n int) {
 	}
 	lt.waiters = kept
 	lt.scheduleDrain()
-}
-
-// Crash freezes the tier at the current instant: the in-flight drain
-// batch (if any) is lost, no further drains run, and blocked waiters
-// are released (their stall accounting stops here). After a crash the
-// consistent cut is fixed and Replay returns it.
-func (lt *LogTier) Crash() {
-	if lt.crashed {
-		return
-	}
-	lt.crashed = true
-	for _, w := range lt.waiters {
-		lt.stats.StallWait += time.Duration(lt.k.Now() - w.start)
-		lt.k.Wake(w.p)
-	}
-	lt.waiters = nil
-	if lt.observer != nil {
-		lt.observer(LogOp{Kind: LogCrash})
-	}
-}
-
-// Cut returns the consistent-cut sequence number: the largest S such
-// that every record with Seq <= S is committed (drained, or in a sealed
-// segment). Records above the cut — open-segment records and any drain
-// batch in flight at a crash — are not recoverable in order.
-func (lt *LogTier) Cut() uint64 {
-	for _, r := range lt.records {
-		if !r.drained && !r.sealed {
-			return r.Seq - 1
-		}
-	}
-	return uint64(len(lt.records))
-}
-
-// Replay returns the committed prefix of the global append order — the
-// records a restart would read back, in the exact order they were
-// appended. Typically called after Crash; on a live tier it returns the
-// currently committed prefix.
-func (lt *LogTier) Replay() []LogRecord {
-	cut := lt.Cut()
-	out := make([]LogRecord, 0, cut)
-	for _, r := range lt.records[:cut] {
-		out = append(out, r.LogRecord)
-	}
-	lt.stats.Replayed += uint64(len(out))
-	return out
 }

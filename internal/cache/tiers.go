@@ -88,7 +88,7 @@ const DefaultClientTTL = 500 * time.Millisecond
 // String renders the configured tiers compactly and deterministically —
 // the form the advisor prints and docs/ADVISOR.md pins, e.g.
 // "ionode{wb=on ra=off cap=4MB} + client{cap=8MB ttl=12m0s}" or
-// "log{seg=1MB drain=50ms cap=8MB}".
+// "log{drain=50ms cap=8MB}".
 func (t Tiers) String() string {
 	if !t.Enabled() {
 		return "none (paper default)"
@@ -118,11 +118,6 @@ func (t Tiers) String() string {
 	}
 	if c := t.Log; c != nil {
 		seg := "log{"
-		if c.SegmentBytes > 0 {
-			seg += "seg=" + FormatSize(c.SegmentBytes) + " "
-		} else {
-			seg += "seg=" + FormatSize(DefaultLogSegment) + " "
-		}
 		if c.DrainDeadline > 0 {
 			seg += fmt.Sprintf("drain=%v", c.DrainDeadline)
 		} else {

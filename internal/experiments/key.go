@@ -23,7 +23,7 @@ import (
 //
 // The key is stable within one build of this repository. It is not an
 // across-versions contract: the serialization carries a version tag
-// ("v4") precisely so a future field change can revalidate spilled
+// ("v5") precisely so a future field change can revalidate spilled
 // artifacts by changing it.
 // KeyVersion tags the canonical serialization underneath ConfigKey.
 // Persistent stores that index artifacts by ConfigKey (the iosimd spill
@@ -33,8 +33,9 @@ import (
 // retired the deprecated Cache alias and added the faults plan to the
 // serialization; "v3" added the host-side log tier (Tiers.Log); "v4"
 // dropped the shard count and sync-window width, which never changed a
-// run's outcome.
-const KeyVersion = "v4"
+// run's outcome; "v5" dropped the log tier's segment size (which never
+// changed a run's outcome) and its append-cost fields (now constants).
+const KeyVersion = "v5"
 
 func ConfigKey(cfg core.Config, app string) string {
 	h := fnv.New64a()

@@ -70,7 +70,6 @@ func TestConfigKeyFieldSensitivity(t *testing.T) {
 		{"client-cap", core.Config{Seed: 1, Tiers: cache.Tiers{Client: &cache.ClientConfig{CapacityBytes: 8 << 20}}}, "eth/C"},
 		{"client-ttl", core.Config{Seed: 1, Tiers: cache.Tiers{Client: &cache.ClientConfig{LeaseTTL: 10 * time.Minute}}}, "eth/C"},
 		{"log-tier", core.Config{Seed: 1, Tiers: cache.Tiers{Log: &cache.LogConfig{}}}, "eth/C"},
-		{"log-seg", core.Config{Seed: 1, Tiers: cache.Tiers{Log: &cache.LogConfig{SegmentBytes: 256 << 10}}}, "eth/C"},
 		{"log-cap", core.Config{Seed: 1, Tiers: cache.Tiers{Log: &cache.LogConfig{CapacityBytes: 32 << 20}}}, "eth/C"},
 		{"log-drain", core.Config{Seed: 1, Tiers: cache.Tiers{Log: &cache.LogConfig{DrainDeadline: 10 * time.Millisecond}}}, "eth/C"},
 		{"fault-disk", core.Config{Seed: 1, Faults: faults.Plan{Faults: []faults.Fault{

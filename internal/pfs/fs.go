@@ -333,10 +333,6 @@ func (fs *FileSystem) ClientStats() cache.ClientStats {
 	return fs.client.Stats()
 }
 
-// LogTier returns the host-side log tier, or nil when disabled. Tests
-// use it to install the replay oracle's observer and to force crashes.
-func (fs *FileSystem) LogTier() *cache.LogTier { return fs.log }
-
 // LogStats returns the log tier's aggregate statistics (the zero value
 // when the tier is disabled).
 func (fs *FileSystem) LogStats() cache.LogStats {

@@ -90,11 +90,10 @@ type ClientTierRequest struct {
 }
 
 // LogTierRequest configures the per-compute-node log-structured write
-// buffer. `{}` selects the documented defaults (8 MB capacity, 1 MB
-// segments, 50 ms drain deadline).
+// buffer. `{}` selects the documented defaults (8 MB capacity, batch 8,
+// 50 ms drain deadline).
 type LogTierRequest struct {
 	CapacityBytes   int64 `json:"capacity_bytes,omitempty"`
-	SegmentBytes    int64 `json:"segment_bytes,omitempty"`
 	DrainBatch      int   `json:"drain_batch,omitempty"`
 	DrainDeadlineMS int64 `json:"drain_deadline_ms,omitempty"`
 }
@@ -369,7 +368,6 @@ func (r *SimulateRequest) config() core.Config {
 		if lg := t.Log; lg != nil {
 			cfg.Tiers.Log = &cache.LogConfig{
 				CapacityBytes: lg.CapacityBytes,
-				SegmentBytes:  lg.SegmentBytes,
 				DrainBatch:    lg.DrainBatch,
 				DrainDeadline: time.Duration(lg.DrainDeadlineMS) * time.Millisecond,
 			}
@@ -507,8 +505,8 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			return nil, nil, err
 		}
 		var advice bytes.Buffer
-		err = policy.WriteAdvice(&advice, policy.Classify(res.Trace),
-			policy.Options{}, policy.CacheOptions{})
+		err = policy.WriteAdvice(&advice, policy.Classify(res.Trace), policy.Options{},
+			policy.CacheOptions{IONodes: len(res.IONodes), Faults: cfg.Faults})
 		res.Trace.Release() // advice rendered; recycle the event buffer
 		if err != nil {
 			return nil, nil, err

@@ -16,7 +16,9 @@ import (
 
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
+	"paragonio/internal/faults"
 	"paragonio/internal/pablo"
+	"paragonio/internal/policy"
 	"paragonio/internal/sim"
 )
 
@@ -268,8 +270,10 @@ func TestSimulateBadRequests(t *testing.T) {
 			ErrCodeInvalidRequest, "tiers", "negative ReadAhead"},
 		{`{"app":"prism","version":"C","tiers":{"client":{"capacity_bytes":-1}}}`,
 			ErrCodeInvalidRequest, "tiers", "client CapacityBytes"},
-		{`{"app":"prism","version":"C","tiers":{"log":{"segment_bytes":-1}}}`,
-			ErrCodeInvalidRequest, "tiers", "SegmentBytes"},
+		{`{"app":"prism","version":"C","tiers":{"log":{"drain_batch":-1}}}`,
+			ErrCodeInvalidRequest, "tiers", "DrainBatch"},
+		{`{"app":"prism","version":"C","tiers":{"log":{"segment_bytes":262144}}}`,
+			ErrCodeBadJSON, "", "bad request body"},
 	} {
 		resp, out := postJSON(t, ts, "/v1/simulate", tc.body)
 		if resp.StatusCode != 400 {
@@ -399,8 +403,9 @@ func TestSimulateLogTierBlock(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// Any positive capacity is accepted, 512 KB included.
 	const logged = `{"app":"prism","version":"C",
-		"tiers":{"log":{"segment_bytes":262144,"drain_deadline_ms":10}}}`
+		"tiers":{"log":{"capacity_bytes":524288,"drain_deadline_ms":10}}}`
 	resp, out := postJSON(t, ts, "/v1/simulate", logged)
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
@@ -408,7 +413,7 @@ func TestSimulateLogTierBlock(t *testing.T) {
 	if got.Tiers.Log == nil {
 		t.Fatal("engine saw no log tier")
 	}
-	if got.Tiers.Log.SegmentBytes != 262144 || got.Tiers.Log.DrainDeadline != 10*time.Millisecond {
+	if got.Tiers.Log.CapacityBytes != 524288 || got.Tiers.Log.DrainDeadline != 10*time.Millisecond {
 		t.Errorf("engine saw log config %+v", got.Tiers.Log)
 	}
 	var withLog SimulateResponse
@@ -657,6 +662,54 @@ func TestAdviseEndpoint(t *testing.T) {
 	_, out3 := postJSON(t, ts, "/v1/simulate", body)
 	if bytes.Contains(out3, []byte(`"cached":true`)) {
 		t.Error("simulate collided with the advise cache entry")
+	}
+}
+
+// TestAdviseSizesForTheSimulatedMachine pins that /v1/advise sizes its
+// advice for the machine it ran — the request's I/O node count and fault
+// plan — exactly as policy.WriteAdvice does when handed those options.
+func TestAdviseSizesForTheSimulatedMachine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation run")
+	}
+	s := newTestServer(t, Config{}, nil) // real engine
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const body = `{"app":"prism","version":"C","ionodes":8,
+		"faults":[{"kind":"disk-fail","at_ms":1000,"ionode":0}]}`
+	resp, out := postJSON(t, ts, "/v1/advise", body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, out)
+	}
+	var adv AdviseResponse
+	if err := json.Unmarshal(out, &adv); err != nil {
+		t.Fatal(err)
+	}
+
+	var req SimulateRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	if err := req.validate(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := defaultRun(context.Background(), &req, req.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Trace.Release()
+	var want bytes.Buffer
+	err = policy.WriteAdvice(&want, policy.Classify(res.Trace), policy.Options{}, policy.CacheOptions{
+		IONodes: 8,
+		Faults:  faults.Plan{Faults: []faults.Fault{{Kind: faults.DiskFail, At: time.Second}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adv.Advice != want.String() {
+		t.Errorf("daemon advice differs from the advisor run on the simulated machine:\n--- daemon\n%s\n--- advisor\n%s",
+			adv.Advice, want.String())
 	}
 }
 
