@@ -58,11 +58,12 @@ bench-diff:
 	$(GO) run ./cmd/benchjson -diff $$(ls BENCH_*.json | sort | tail -1) bench-new.json
 	@rm -f bench-new.json
 
-# Build and test the repository benchmark (bench/, a Go module of its
-# own, so `go test ./...` at the root never compiles it): its input
-# generators, profile fold, and a tiny-size run of every workload against
-# this checkout's simulator APIs. About 5 s.
+# Vet, build and test the repository benchmark (bench/, a Go module of
+# its own, so neither `go vet ./...` nor `go test ./...` at the root ever
+# sees it): its input generators, profile fold, and a tiny-size run of
+# every workload against this checkout's simulator APIs. About 5 s.
 bench-module:
+	cd bench && $(GO) vet ./...
 	cd bench && $(GO) test ./...
 
 # Regenerate the paper's tables and figures to stdout (and artifacts/).

@@ -71,11 +71,11 @@ import (
 	"paragonio/internal/sim"
 )
 
-// DefaultCapacityFrac is the fraction of the backing array's capacity the
+// capacityFrac is the fraction of the backing array's capacity the
 // cache defaults to when CapacityBytes is unset: 1/256 of a 4.8 GB array
 // is ~19 MB per I/O node — a plausible mid-90s "what if the I/O nodes had
 // spent their DRAM on a buffer cache" budget.
-const DefaultCapacityFrac = 1.0 / 256
+const capacityFrac float64 = 1.0 / 256
 
 // maxDetectStride bounds the block stride the read-ahead detector will
 // follow. Larger jumps are treated as random access.
@@ -83,18 +83,12 @@ const maxDetectStride = 64
 
 // Config describes one I/O node's cache. The zero value of every field
 // selects a documented default, so Config{WriteBehind: true} is usable
-// as-is.
+// as-is. The cache block is the PFS stripe unit, which makes one cached
+// block exactly one stripe chunk; pfs passes it to WithDefaults and New.
 type Config struct {
-	// BlockSize is the cache block size in bytes. PFS sets it to the
-	// stripe unit by default, which makes one cached block exactly one
-	// stripe chunk.
-	BlockSize int64
-	// CapacityBytes is the cache capacity. 0 derives it as CapacityFrac
-	// of the backing array's capacity.
+	// CapacityBytes is the cache capacity. 0 derives it as 1/256 of the
+	// backing array's capacity.
 	CapacityBytes int64
-	// CapacityFrac is the fraction of array capacity used when
-	// CapacityBytes is 0 (default DefaultCapacityFrac).
-	CapacityFrac float64
 	// WriteBehind acknowledges writes at memory-copy cost and flushes
 	// dirty blocks asynchronously. When false, writes go through to the
 	// array synchronously (the cache still absorbs re-reads).
@@ -118,29 +112,16 @@ type Config struct {
 	// 0 (the default) keeps the high-water + idle policy, in which a
 	// flusher pass drains the oldest dirty blocks regardless of age.
 	FlushDeadline time.Duration
-	// CopyBW is the memory-copy bandwidth in bytes/second used to price
-	// cache-to-client transfers (default 80 MB/s — server DRAM, faster
-	// than the clients' 25 MB/s buffer copies).
-	CopyBW float64
-	// HitCost is the fixed software cost of a cache lookup that hits
-	// (default 30 µs, slightly under the client buffer-hit cost).
-	HitCost time.Duration
 }
 
-// WithDefaults fills zero fields from blockSize (normally the PFS stripe
-// unit) and the backing array's parameters, then validates.
+// WithDefaults fills zero fields from blockSize (the PFS stripe unit)
+// and the backing array's parameters, then validates.
 func (c Config) WithDefaults(blockSize int64, d disk.Params) (Config, error) {
-	if c.BlockSize == 0 {
-		c.BlockSize = blockSize
-	}
-	if c.CapacityFrac == 0 {
-		c.CapacityFrac = DefaultCapacityFrac
-	}
 	if c.CapacityBytes == 0 {
-		c.CapacityBytes = int64(c.CapacityFrac * d.CapacityGB * float64(1<<30))
+		c.CapacityBytes = int64(capacityFrac * d.CapacityGB * float64(1<<30))
 	}
-	if c.DirtyHighWater == 0 && c.BlockSize > 0 {
-		c.DirtyHighWater = int(c.CapacityBytes / c.BlockSize / 2)
+	if c.DirtyHighWater == 0 && blockSize > 0 {
+		c.DirtyHighWater = int(c.CapacityBytes / blockSize / 2)
 		if c.DirtyHighWater < 1 {
 			c.DirtyHighWater = 1
 		}
@@ -151,26 +132,18 @@ func (c Config) WithDefaults(blockSize int64, d disk.Params) (Config, error) {
 	if c.IdleFlush == 0 {
 		c.IdleFlush = 50 * time.Millisecond
 	}
-	if c.CopyBW == 0 {
-		c.CopyBW = 80e6
-	}
-	if c.HitCost == 0 {
-		c.HitCost = 30 * time.Microsecond
-	}
-	return c, c.Validate()
+	return c, c.Validate(blockSize)
 }
 
-// Validate reports whether the configuration is usable. It expects
-// defaults to have been applied (WithDefaults).
-func (c Config) Validate() error {
-	if c.BlockSize <= 0 {
-		return fmt.Errorf("cache: BlockSize = %d, need > 0", c.BlockSize)
+// Validate reports whether the configuration is usable with blocks of
+// blockSize bytes. It expects defaults to have been applied
+// (WithDefaults).
+func (c Config) Validate(blockSize int64) error {
+	if blockSize <= 0 {
+		return fmt.Errorf("cache: block size = %d, need > 0", blockSize)
 	}
-	if c.CapacityBytes < 2*c.BlockSize {
-		return fmt.Errorf("cache: CapacityBytes = %d, need >= 2 blocks of %d", c.CapacityBytes, c.BlockSize)
-	}
-	if !(c.CapacityFrac >= 0) {
-		return fmt.Errorf("cache: CapacityFrac = %g, need >= 0", c.CapacityFrac)
+	if c.CapacityBytes < 2*blockSize {
+		return fmt.Errorf("cache: CapacityBytes = %d, need >= 2 blocks of %d", c.CapacityBytes, blockSize)
 	}
 	if c.ReadAhead < 0 {
 		return fmt.Errorf("cache: negative ReadAhead %d", c.ReadAhead)
@@ -186,12 +159,6 @@ func (c Config) Validate() error {
 	}
 	if c.FlushDeadline < 0 {
 		return fmt.Errorf("cache: negative FlushDeadline %v", c.FlushDeadline)
-	}
-	if !(c.CopyBW > 0) {
-		return fmt.Errorf("cache: CopyBW = %g, need > 0", c.CopyBW)
-	}
-	if c.HitCost < 0 {
-		return fmt.Errorf("cache: negative HitCost %v", c.HitCost)
 	}
 	return nil
 }
@@ -301,6 +268,7 @@ type Cache struct {
 	res       *sim.Resource
 	array     *disk.Array
 	cfg       Config
+	blockSize int64 // the PFS stripe unit
 	capBlocks int
 
 	names      streamTable // stream name ↔ the id in every blockID
@@ -318,10 +286,11 @@ type Cache struct {
 }
 
 // New creates a cache in front of array, sharing the I/O node's FIFO
-// resource res for all background disk activity. cfg must already be
-// valid (see Config.WithDefaults).
-func New(k *sim.Kernel, res *sim.Resource, array *disk.Array, cfg Config) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+// resource res for all background disk activity and caching blocks of
+// blockSize bytes (the PFS stripe unit). cfg must already be valid (see
+// Config.WithDefaults).
+func New(k *sim.Kernel, res *sim.Resource, array *disk.Array, cfg Config, blockSize int64) (*Cache, error) {
+	if err := cfg.Validate(blockSize); err != nil {
 		return nil, err
 	}
 	return &Cache{
@@ -329,14 +298,12 @@ func New(k *sim.Kernel, res *sim.Resource, array *disk.Array, cfg Config) (*Cach
 		res:       res,
 		array:     array,
 		cfg:       cfg,
-		capBlocks: int(cfg.CapacityBytes / cfg.BlockSize),
+		blockSize: blockSize,
+		capBlocks: int(cfg.CapacityBytes / blockSize),
 		names:     newStreamTable(),
 		blocks:    make(map[blockID]*block),
 	}, nil
 }
-
-// Config returns the cache's (defaulted) configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of accumulated statistics.
 func (c *Cache) Stats() Stats {
@@ -358,7 +325,7 @@ func (c *Cache) Access(streamName string, off, size int64, write bool) time.Dura
 	if size <= 0 {
 		return 0
 	}
-	bs := c.cfg.BlockSize
+	bs := c.blockSize
 	first, last := off/bs, (off+size-1)/bs
 	checkSpan(first, last)
 	sid := c.names.intern(streamName)
@@ -383,13 +350,22 @@ func (c *Cache) Access(streamName string, off, size int64, write bool) time.Dura
 	return d
 }
 
+// copyBW is the memory-copy bandwidth in bytes/second used to price
+// cache-to-client transfers: server DRAM, faster than the clients'
+// 25 MB/s buffer copies.
+const copyBW float64 = 80e6
+
+// hitCost is the fixed software cost of a cache lookup that hits,
+// slightly under the client buffer-hit cost.
+const hitCost = 30 * time.Microsecond
+
 func (c *Cache) copyTime(n int64) time.Duration {
-	return time.Duration(float64(n) / c.cfg.CopyBW * float64(time.Second))
+	return time.Duration(float64(n) / copyBW * float64(time.Second))
 }
 
 // serviceBlock prices one whole-block array transfer of k.
 func (c *Cache) serviceBlock(k blockID) time.Duration {
-	return c.array.Service(c.names.names[k.stream()], k.idx()*c.cfg.BlockSize, c.cfg.BlockSize)
+	return c.array.Service(c.names.names[k.stream()], k.idx()*c.blockSize, c.blockSize)
 }
 
 // readBlock serves n payload bytes out of block k.
@@ -401,7 +377,7 @@ func (c *Cache) readBlock(k blockID, n int64) time.Duration {
 			c.stats.ReadAheadUsed++
 		}
 		c.stats.Hits++
-		return c.cfg.HitCost + c.copyTime(n)
+		return hitCost + c.copyTime(n)
 	}
 	c.stats.Misses++
 	// Miss: make room, fill the whole block from the array, hand the
@@ -409,7 +385,7 @@ func (c *Cache) readBlock(k blockID, n int64) time.Duration {
 	d := c.evictOne()
 	d += c.serviceBlock(k)
 	c.insert(k)
-	return d + c.cfg.HitCost + c.copyTime(n)
+	return d + hitCost + c.copyTime(n)
 }
 
 // writeBlock absorbs n payload bytes into block k.
@@ -420,7 +396,7 @@ func (c *Cache) writeBlock(k blockID, n int64) time.Duration {
 		if b := c.blocks[k]; b != nil {
 			c.touch(b)
 		}
-		return c.array.Service(c.names.names[k.stream()], k.idx()*c.cfg.BlockSize, n)
+		return c.array.Service(c.names.names[k.stream()], k.idx()*c.blockSize, n)
 	}
 	var d time.Duration
 	b := c.blocks[k]
@@ -446,7 +422,7 @@ func (c *Cache) writeBlock(k blockID, n int64) time.Duration {
 		c.dirtyq.push(k)
 	}
 	c.stats.WriteBehindBytes += n
-	d += c.cfg.HitCost + c.copyTime(n)
+	d += hitCost + c.copyTime(n)
 	c.scheduleFlush()
 	return d
 }

@@ -32,7 +32,7 @@ func newRig(t *testing.T, mut func(*Config)) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(k, res, arr, full)
+	c, err := New(k, res, arr, full, testBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,7 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BlockSize != testBlock {
-		t.Fatalf("BlockSize = %d, want stripe unit %d", cfg.BlockSize, testBlock)
-	}
-	frac := float64(DefaultCapacityFrac)
+	frac := capacityFrac
 	wantCap := int64(frac * 4.8 * float64(1<<30))
 	if cfg.CapacityBytes != wantCap {
 		t.Fatalf("CapacityBytes = %d, want %d (1/256 of the array)", cfg.CapacityBytes, wantCap)
@@ -72,29 +69,28 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.DirtyHighWater != int(wantCap/testBlock/2) {
 		t.Fatalf("DirtyHighWater = %d, want half the block capacity", cfg.DirtyHighWater)
 	}
-	if cfg.FlushBatch <= 0 || cfg.IdleFlush <= 0 || cfg.CopyBW <= 0 || cfg.HitCost <= 0 {
+	if cfg.FlushBatch <= 0 || cfg.IdleFlush <= 0 {
 		t.Fatalf("missing defaults: %+v", cfg)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
-		name string
-		mut  func(*Config)
+		name  string
+		block int64
+		mut   func(*Config)
 	}{
-		{"negative block", func(c *Config) { c.BlockSize = -1 }},
-		{"tiny capacity", func(c *Config) { c.CapacityBytes = testBlock }},
-		{"negative read-ahead", func(c *Config) { c.ReadAhead = -1 }},
-		{"negative hit cost", func(c *Config) { c.HitCost = -time.Microsecond }},
-		{"negative copy bw", func(c *Config) { c.CopyBW = -1 }},
-		{"negative flush deadline", func(c *Config) { c.FlushDeadline = -time.Millisecond }},
+		{"negative block", -1, func(*Config) {}},
+		{"tiny capacity", testBlock, func(c *Config) { c.CapacityBytes = testBlock }},
+		{"negative read-ahead", testBlock, func(c *Config) { c.ReadAhead = -1 }},
+		{"negative flush deadline", testBlock, func(c *Config) { c.FlushDeadline = -time.Millisecond }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{}
 			tc.mut(&cfg)
-			if _, err := cfg.WithDefaults(testBlock, disk.DefaultParams()); err == nil {
-				t.Fatalf("WithDefaults accepted %+v", cfg)
+			if _, err := cfg.WithDefaults(tc.block, disk.DefaultParams()); err == nil {
+				t.Fatalf("WithDefaults accepted %+v with %d-byte blocks", cfg, tc.block)
 			}
 		})
 	}
@@ -427,7 +423,7 @@ func newBenchCache(b *testing.B, capBlocks int64) *Cache {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := New(k, sim.NewResource(k, "ionode-0", 1), disk.MustNewArray(disk.DefaultParams()), cfg)
+	c, err := New(k, sim.NewResource(k, "ionode-0", 1), disk.MustNewArray(disk.DefaultParams()), cfg, testBlock)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -56,10 +56,6 @@ import (
 // zero value of every field selects a documented default, so
 // &ClientConfig{} is usable as-is.
 type ClientConfig struct {
-	// BlockSize is the client cache block size in bytes (default 4 KB —
-	// OS-page granularity, deliberately finer than the 64 KB stripe unit
-	// so small-record workloads don't false-share whole stripes).
-	BlockSize int64
 	// CapacityBytes is the per-compute-node cache capacity (default
 	// 1 MB — a slice of mid-90s node DRAM, not the I/O node's budget).
 	CapacityBytes int64
@@ -68,39 +64,21 @@ type ClientConfig struct {
 	// already expired) and penalize re-reads; longer leases do the
 	// opposite.
 	LeaseTTL time.Duration
-	// HitCost is the fixed software cost of a lookup that hits (default
-	// 25 µs — cheaper than the PFS client buffer hit: no handle-layer
-	// bookkeeping, just a page-table-shaped lookup).
-	HitCost time.Duration
-	// CopyBW is the node-local memory-copy bandwidth in bytes/second
-	// used to hand cached bytes to the application (default 25 MB/s, the
-	// same client-side copy the PFS read buffer pays).
-	CopyBW float64
-	// RecallBytes is the payload of one lease-recall message (default
-	// 64 — a control message, priced by mesh latency, not bandwidth).
-	RecallBytes int64
 }
+
+// clientBlockSize is the client cache block size in bytes: OS-page
+// granularity, deliberately finer than the 64 KB stripe unit so
+// small-record workloads don't false-share whole stripes.
+const clientBlockSize int64 = 4 * 1024
 
 // WithDefaults fills zero fields with their documented defaults, then
 // validates.
 func (c ClientConfig) WithDefaults() (ClientConfig, error) {
-	if c.BlockSize == 0 {
-		c.BlockSize = 4 * 1024
-	}
 	if c.CapacityBytes == 0 {
 		c.CapacityBytes = 1 << 20
 	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = DefaultClientTTL
-	}
-	if c.HitCost == 0 {
-		c.HitCost = 25 * time.Microsecond
-	}
-	if c.CopyBW == 0 {
-		c.CopyBW = 25e6
-	}
-	if c.RecallBytes == 0 {
-		c.RecallBytes = 64
 	}
 	return c, c.Validate()
 }
@@ -108,23 +86,11 @@ func (c ClientConfig) WithDefaults() (ClientConfig, error) {
 // Validate reports whether the configuration is usable. It expects
 // defaults to have been applied (WithDefaults).
 func (c ClientConfig) Validate() error {
-	if c.BlockSize <= 0 {
-		return fmt.Errorf("cache: client BlockSize = %d, need > 0", c.BlockSize)
-	}
-	if c.CapacityBytes < c.BlockSize {
-		return fmt.Errorf("cache: client CapacityBytes = %d, need >= one block of %d", c.CapacityBytes, c.BlockSize)
+	if c.CapacityBytes < clientBlockSize {
+		return fmt.Errorf("cache: client CapacityBytes = %d, need >= one block of %d", c.CapacityBytes, clientBlockSize)
 	}
 	if c.LeaseTTL <= 0 {
 		return fmt.Errorf("cache: client LeaseTTL = %v, need > 0", c.LeaseTTL)
-	}
-	if c.HitCost < 0 {
-		return fmt.Errorf("cache: negative client HitCost %v", c.HitCost)
-	}
-	if !(c.CopyBW > 0) {
-		return fmt.Errorf("cache: client CopyBW = %g, need > 0", c.CopyBW)
-	}
-	if c.RecallBytes < 0 {
-		return fmt.Errorf("cache: negative client RecallBytes %d", c.RecallBytes)
 	}
 	return nil
 }
@@ -319,24 +285,17 @@ func NewClientTier(k *sim.Kernel, m *mesh.Mesh, cfg ClientConfig) (*ClientTier, 
 	if m == nil {
 		return nil, fmt.Errorf("cache: client tier needs a mesh model for recall costing")
 	}
-	capBlocks := int(cfg.CapacityBytes / cfg.BlockSize)
-	if capBlocks < 1 {
-		capBlocks = 1
-	}
 	return &ClientTier{
 		k:         k,
 		m:         m,
 		cfg:       cfg,
-		capBlocks: capBlocks,
+		capBlocks: int(cfg.CapacityBytes / clientBlockSize), // >= 1: Validate
 		streams:   newStreamTable(),
 	}, nil
 }
 
-// Config returns the tier's (defaulted) configuration.
-func (t *ClientTier) Config() ClientConfig { return t.cfg }
-
 // BlockSize returns the tier's block size.
-func (t *ClientTier) BlockSize() int64 { return t.cfg.BlockSize }
+func (t *ClientTier) BlockSize() int64 { return clientBlockSize }
 
 // SetObserver installs a hook receiving every tier transition. Test-only
 // instrumentation: the coherence oracle subscribes here.
@@ -382,19 +341,29 @@ func (t *ClientTier) stream(name string) (int32, *clientDir) {
 	return sid, t.dirs[sid]
 }
 
+// clientCopyBW is the node-local memory-copy bandwidth in bytes/second
+// used to hand cached bytes to the application: the same client-side
+// copy the PFS read buffer pays.
+const clientCopyBW float64 = 25e6
+
 // CopyCost prices handing n bytes from the node's cache (or arrival
 // buffer, on a fill) to the application.
 func (t *ClientTier) CopyCost(n int64) time.Duration {
-	return time.Duration(float64(n) / t.cfg.CopyBW * float64(time.Second))
+	return time.Duration(float64(n) / clientCopyBW * float64(time.Second))
 }
 
 // span returns the inclusive block-index range covering [off, off+size).
 func (t *ClientTier) span(off, size int64) (first, last int64) {
-	bs := t.cfg.BlockSize
+	bs := clientBlockSize
 	first, last = off/bs, (off+size-1)/bs
 	checkSpan(first, last)
 	return first, last
 }
+
+// clientHitCost is the fixed software cost of a lookup that hits:
+// cheaper than the PFS client buffer hit (no handle-layer bookkeeping,
+// just a page-table-shaped lookup).
+const clientHitCost = 25 * time.Microsecond
 
 // Read attempts to serve [off, off+size) of stream from node's cache.
 // It returns (serviceTime, true) when every covered block is resident
@@ -445,7 +414,7 @@ func (t *ClientTier) Read(node int, stream string, off, size int64) (time.Durati
 		t.touch(nc, b)
 		t.emit(ClientHit, node, k, b.version)
 	}
-	return t.cfg.HitCost + t.CopyCost(size), true
+	return clientHitCost + t.CopyCost(size), true
 }
 
 // Install registers [off, off+size) of stream as resident at node under
@@ -494,7 +463,7 @@ func (t *ClientTier) Write(node int, stream string, off, size int64) time.Durati
 	now := t.k.Now()
 	expiry := now + t.cfg.LeaseTTL
 	nc := t.node(node)
-	bs := t.cfg.BlockSize
+	bs := clientBlockSize
 	first, last := t.span(off, size)
 	sid, dir := t.stream(stream)
 	var peers []int
@@ -634,6 +603,10 @@ func (t *ClientTier) InvalidateLocal(node int, stream string) {
 	}
 }
 
+// clientRecallBytes is the payload of one lease-recall message: a
+// control message, priced by mesh latency, not bandwidth.
+const clientRecallBytes = 64
+
 // recallCost prices one invalidation round: the worst round-trip from
 // the caller to any recalled peer (recall message out, ack back).
 // Recalls to distinct peers overlap, so the max — not the sum — is what
@@ -641,7 +614,7 @@ func (t *ClientTier) InvalidateLocal(node int, stream string) {
 func (t *ClientTier) recallCost(node int, peers []int) time.Duration {
 	var d time.Duration
 	for _, peer := range peers {
-		rt := t.m.Transfer(int64(node), int64(peer), t.cfg.RecallBytes) +
+		rt := t.m.Transfer(int64(node), int64(peer), clientRecallBytes) +
 			t.m.Transfer(int64(peer), int64(node), 0)
 		if rt > d {
 			d = rt

@@ -30,16 +30,12 @@ func TestClientConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.BlockSize != 4096 || c.CapacityBytes != 1<<20 || c.LeaseTTL != DefaultClientTTL {
+	if c.CapacityBytes != 1<<20 || c.LeaseTTL != DefaultClientTTL {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	bad := []ClientConfig{
-		{BlockSize: -1},
-		{BlockSize: 4096, CapacityBytes: 1024}, // less than one block
+		{CapacityBytes: 1024}, // less than one block
 		{LeaseTTL: -time.Second},
-		{CopyBW: -1},
-		{HitCost: -time.Second},
-		{RecallBytes: -1},
 	}
 	for i, b := range bad {
 		if _, err := b.WithDefaults(); err == nil {
@@ -56,19 +52,19 @@ func TestTiersDefaultsAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ti.Enabled() || ti.IONode.BlockSize != 64*1024 || ti.Client.BlockSize != 4096 {
+	if !ti.Enabled() || ti.IONode.DirtyHighWater == 0 || ti.Client.CapacityBytes == 0 {
 		t.Fatalf("defaults not applied: %+v / %+v", ti.IONode, ti.Client)
 	}
-	if err := ti.Validate(); err != nil {
+	if err := ti.Validate(64 * 1024); err != nil {
 		t.Fatal(err)
 	}
 	if (Tiers{}).Enabled() {
 		t.Fatal("zero Tiers reports enabled")
 	}
-	if err := (Tiers{}).Validate(); err != nil {
+	if err := (Tiers{}).Validate(64 * 1024); err != nil {
 		t.Fatalf("zero Tiers must validate (all tiers off): %v", err)
 	}
-	if _, err := (Tiers{Client: &ClientConfig{BlockSize: -1}}).WithDefaults(64*1024, disk.DefaultParams()); err == nil {
+	if _, err := (Tiers{Client: &ClientConfig{LeaseTTL: -1}}).WithDefaults(64*1024, disk.DefaultParams()); err == nil {
 		t.Fatal("bad client config survived Tiers.WithDefaults")
 	}
 }
@@ -86,7 +82,7 @@ func TestClientTierBasics(t *testing.T) {
 		if !hit {
 			t.Error("warm read missed")
 		}
-		if want := ct.Config().HitCost + ct.CopyCost(4096); d != want {
+		if want := clientHitCost + ct.CopyCost(4096); d != want {
 			t.Errorf("hit cost %v, want %v", d, want)
 		}
 		// Age the lease out: the same block must miss and count an
@@ -114,7 +110,7 @@ func TestClientWriteInvalidation(t *testing.T) {
 	k.Spawn("driver", func(p *sim.Proc) {
 		ct.Install(3, "f", 0, 4096) // peer holds block 0
 		d := ct.Write(9, "f", 0, 4096)
-		want := m.Transfer(9, 3, ct.Config().RecallBytes) + m.Transfer(3, 9, 0)
+		want := m.Transfer(9, 3, clientRecallBytes) + m.Transfer(3, 9, 0)
 		if d != want {
 			t.Errorf("recall cost %v, want mesh round-trip %v", d, want)
 		}

@@ -10,63 +10,55 @@ import (
 
 // FuzzTiersValidate hardens the tier validators: Tiers.WithDefaults and
 // Validate never panic; a configuration WithDefaults accepts validates
-// again, is a fixed point of WithDefaults, carries no NaN rate or
-// fraction (which every comparison in Validate would let through), and
-// renders deterministically.
+// again, is a fixed point of WithDefaults, and renders deterministically.
+// block is the stripe unit the I/O-node tier is resolved against.
 func FuzzTiersValidate(f *testing.F) {
 	// present: bit 0 I/O-node tier, bit 1 client tier, bit 2 log tier.
-	f.Add(uint8(7), int64(0), int64(0), 0.0, true, 0, 0, 0, int64(0), int64(0), 0.0, int64(0),
-		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(0))
-	f.Add(uint8(1), int64(64<<10), int64(32<<20), 0.0, true, 4, 0, 8, int64(50*time.Millisecond), int64(30*time.Millisecond), 80e6, int64(30*time.Microsecond),
-		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(0))
-	f.Add(uint8(2), int64(0), int64(0), 0.0, false, 0, 0, 0, int64(0), int64(0), 0.0, int64(0),
-		int64(4096), int64(8<<20), int64(10*time.Minute), int64(25*time.Microsecond), 25e6, int64(64), int64(0))
-	f.Add(uint8(4), int64(0), int64(0), 0.0, false, 0, 0, 0, int64(0), int64(0), 0.0, int64(0),
-		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(512<<10))
-	f.Add(uint8(3), int64(-1), int64(1), 0.0, true, -1, -1, -1, int64(-1), int64(-1), -1.0, int64(-1),
-		int64(-1), int64(1), int64(-1), int64(-1), -1.0, int64(-1), int64(-1))
-	f.Add(uint8(3), int64(0), int64(32<<20), math.NaN(), true, 0, 0, 0, int64(0), int64(0), math.NaN(), int64(0),
-		int64(0), int64(0), int64(0), int64(0), math.NaN(), int64(0), int64(0))
-	f.Add(uint8(1), int64(64<<10), int64(0), math.Inf(1), false, 0, 0, 0, int64(0), int64(0), math.Inf(1), int64(0),
-		int64(0), int64(0), int64(0), int64(0), 0.0, int64(0), int64(0))
+	f.Add(uint8(7), int64(64<<10), int64(0), true, 0, 0, 0, int64(0), int64(0),
+		int64(0), int64(0), int64(0))
+	f.Add(uint8(1), int64(64<<10), int64(32<<20), true, 4, 0, 8, int64(50*time.Millisecond), int64(30*time.Millisecond),
+		int64(0), int64(0), int64(0))
+	f.Add(uint8(2), int64(64<<10), int64(0), false, 0, 0, 0, int64(0), int64(0),
+		int64(8<<20), int64(10*time.Minute), int64(0))
+	f.Add(uint8(4), int64(64<<10), int64(0), false, 0, 0, 0, int64(0), int64(0),
+		int64(0), int64(0), int64(512<<10))
+	f.Add(uint8(3), int64(-1), int64(1), true, -1, -1, -1, int64(-1), int64(-1),
+		int64(1), int64(-1), int64(-1))
+	f.Add(uint8(3), int64(0), int64(32<<20), true, 0, 0, 0, int64(0), int64(0),
+		int64(0), int64(0), int64(0))
+	f.Add(uint8(1), int64(1<<40), int64(0), false, 0, 0, 0, int64(0), int64(0),
+		int64(0), int64(0), int64(0))
 	f.Fuzz(func(t *testing.T, present uint8,
-		ioBS, ioCap int64, ioFrac float64, wb bool, ra, hw, batch int, idle, deadline int64, ioBW float64, ioHit int64,
-		clBS, clCap, clTTL, clHit int64, clBW float64, clRecall int64,
+		block, ioCap int64, wb bool, ra, hw, batch int, idle, deadline int64,
+		clCap, clTTL int64,
 		logCap int64) {
 		var in Tiers
 		if present&1 != 0 {
-			in.IONode = &Config{BlockSize: ioBS, CapacityBytes: ioCap, CapacityFrac: ioFrac, WriteBehind: wb,
+			in.IONode = &Config{CapacityBytes: ioCap, WriteBehind: wb,
 				ReadAhead: ra, DirtyHighWater: hw, FlushBatch: batch, IdleFlush: time.Duration(idle),
-				FlushDeadline: time.Duration(deadline), CopyBW: ioBW, HitCost: time.Duration(ioHit)}
+				FlushDeadline: time.Duration(deadline)}
 		}
 		if present&2 != 0 {
-			in.Client = &ClientConfig{BlockSize: clBS, CapacityBytes: clCap, LeaseTTL: time.Duration(clTTL),
-				HitCost: time.Duration(clHit), CopyBW: clBW, RecallBytes: clRecall}
+			in.Client = &ClientConfig{CapacityBytes: clCap, LeaseTTL: time.Duration(clTTL)}
 		}
 		if present&4 != 0 {
 			in.Log = &LogConfig{CapacityBytes: logCap}
 		}
-		_ = in.Validate()
+		_ = in.Validate(block)
 		_ = in.String()
-		out, err := in.WithDefaults(64<<10, disk.DefaultParams())
+		out, err := in.WithDefaults(block, disk.DefaultParams())
 		if err != nil {
 			return
 		}
-		if err := out.Validate(); err != nil {
+		if err := out.Validate(block); err != nil {
 			t.Fatalf("accepted tiers fail Validate: %v\n%+v", err, out)
 		}
-		again, err := out.WithDefaults(64<<10, disk.DefaultParams())
+		again, err := out.WithDefaults(block, disk.DefaultParams())
 		if err != nil {
 			t.Fatalf("accepted tiers rejected on a second WithDefaults: %v", err)
 		}
 		if !sameTiers(out, again) {
 			t.Fatalf("WithDefaults is not a fixed point:\n%s\n%s", out, again)
-		}
-		if c := out.IONode; c != nil && (math.IsNaN(c.CapacityFrac) || math.IsNaN(c.CopyBW)) {
-			t.Fatalf("accepted I/O-node tier with a NaN field: %+v", *c)
-		}
-		if c := out.Client; c != nil && math.IsNaN(c.CopyBW) {
-			t.Fatalf("accepted client tier with NaN CopyBW: %+v", *c)
 		}
 		if out.String() != again.String() {
 			t.Fatalf("String not deterministic: %q vs %q", out.String(), again.String())

@@ -37,9 +37,8 @@ func digestf(h hash.Hash64, format string, args ...any) {
 // lookups expire), occasional sparse high offsets, and every mutating
 // entry point.
 func clientStreamDigest(t testing.TB, seed int64, ops int) string {
-	const bs = 4096
+	const bs = clientBlockSize
 	k, ct := newClientRig(t, ClientConfig{
-		BlockSize:     bs,
 		CapacityBytes: 8 * bs,
 		LeaseTTL:      20 * time.Millisecond,
 	})

@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -39,8 +40,8 @@ func TestPackedKeyRoundTrip(t *testing.T) {
 // tiers; one past it, or a negative offset, panics with a clear message
 // instead of aliasing another stream's block.
 func TestBlockIndexBoundPanics(t *testing.T) {
-	const bs = 4096
-	k, ct := newClientRig(t, ClientConfig{BlockSize: bs})
+	const bs = clientBlockSize
+	k, ct := newClientRig(t, ClientConfig{})
 	k.Spawn("edge", func(*sim.Proc) {
 		ct.Install(0, "f", maxBlockIdx*bs, bs)
 		if _, hit := ct.Read(0, "f", maxBlockIdx*bs, bs); !hit {
@@ -55,7 +56,7 @@ func TestBlockIndexBoundPanics(t *testing.T) {
 		"write past bound": func(ct *ClientTier) { ct.Write(0, "f", maxBlockIdx*bs, 2*bs) },
 		"install negative": func(ct *ClientTier) { ct.Install(0, "f", -bs, bs) },
 	} {
-		k, ct := newClientRig(t, ClientConfig{BlockSize: bs})
+		k, ct := newClientRig(t, ClientConfig{})
 		pe := runPanicking(t, k, func() { op(ct) })
 		if !strings.Contains(pe.Error(), "packed key's range") {
 			t.Errorf("client %s: panic %q does not name the key range", name, pe.Error())
@@ -96,23 +97,32 @@ func TestStreamBoundPanics(t *testing.T) {
 
 // TestSparseOffsetAllocatesOnePage: the first access to a new stream at
 // a far offset allocates one directory page plus small bookkeeping, not
-// a directory as long as the offset.
+// a directory as long as the offset. TotalAlloc is process-wide, so an
+// allocation elsewhere can land between the two readings; each offset is
+// measured over several fresh streams, after a GC, and the fewest bytes
+// any install took must fit the bound.
 func TestSparseOffsetAllocatesOnePage(t *testing.T) {
-	const bs = 4096
-	_, ct := newClientRig(t, ClientConfig{BlockSize: bs})
+	const bs, trials = clientBlockSize, 5
+	_, ct := newClientRig(t, ClientConfig{})
 	ct.Install(0, "warm", 0, bs) // node 0 and the tables exist
 	page := uint64(unsafe.Sizeof(clientDirPage{}))
 	for _, idx := range []int64{1 << 20, 1 << 39} {
-		stream := fmt.Sprintf("sparse-%d", idx)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		ct.Install(0, stream, idx*bs, bs)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got < page || got >= 2*page {
-			t.Errorf("install at block %d allocated %d bytes, want one %d-byte page plus bookkeeping", idx, got, page)
+		least := uint64(math.MaxUint64)
+		for trial := 0; trial < trials; trial++ {
+			stream := fmt.Sprintf("sparse-%d-%d", idx, trial)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			ct.Install(0, stream, idx*bs, bs)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+			if d := ct.dirs[ct.streams.ids[stream]]; len(d.pages) != 1 {
+				t.Errorf("block %d: %d directory pages, want 1", idx, len(d.pages))
+			}
 		}
-		if d := ct.dirs[ct.streams.ids[stream]]; len(d.pages) != 1 {
-			t.Errorf("block %d: %d directory pages, want 1", idx, len(d.pages))
+		if least < page || least >= 2*page {
+			t.Errorf("install at block %d allocated at least %d bytes over %d trials, want one %d-byte page plus bookkeeping",
+				idx, least, trials, page)
 		}
 	}
 }

@@ -60,11 +60,12 @@ func (t Tiers) WithDefaults(blockSize int64, d disk.Params) (Tiers, error) {
 	return t, nil
 }
 
-// Validate checks every configured tier. It expects defaults to have
-// been applied (WithDefaults); nil tiers are valid (disabled).
-func (t Tiers) Validate() error {
+// Validate checks every configured tier, the I/O-node tier against
+// blocks of blockSize bytes (the PFS stripe unit). It expects defaults
+// to have been applied (WithDefaults); nil tiers are valid (disabled).
+func (t Tiers) Validate(blockSize int64) error {
 	if t.IONode != nil {
-		if err := t.IONode.Validate(); err != nil {
+		if err := t.IONode.Validate(blockSize); err != nil {
 			return err
 		}
 	}

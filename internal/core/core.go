@@ -23,12 +23,12 @@ import (
 
 // Config selects the platform configuration for a run. The zero value of
 // each field means "the paper's machine" (Caltech 512-node Paragon,
-// 16 I/O nodes, 64 KB stripes, default costs).
+// 16 I/O nodes, 64 KB stripes). The RAID-3 arrays and the file system's
+// software costs are always the paper machine's (disk.DefaultParams and
+// the constants in internal/pfs/costs.go).
 type Config struct {
 	Nodes int          // compute nodes the application uses (required)
 	Mesh  *mesh.Config // interconnect override
-	Disk  *disk.Params // RAID-3 array override
-	Costs *pfs.Costs   // file system software cost override
 	// IONodes overrides the number of I/O nodes (default 16).
 	IONodes int
 	// StripeUnit overrides the PFS stripe unit (default 64 KB).
@@ -81,12 +81,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	k := sim.NewKernel()
 	tr := pablo.NewTrace()
 	fcfg := pfs.DefaultConfig(m)
-	if cfg.Disk != nil {
-		fcfg.Disk = *cfg.Disk
-	}
-	if cfg.Costs != nil {
-		fcfg.Costs = *cfg.Costs
-	}
 	if cfg.IONodes != 0 {
 		fcfg.IONodes = cfg.IONodes
 	}

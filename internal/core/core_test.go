@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"paragonio/internal/disk"
 	"paragonio/internal/mesh"
 	"paragonio/internal/pablo"
 	"paragonio/internal/pfs"
@@ -36,15 +35,8 @@ func TestNewPlatformValidation(t *testing.T) {
 	if _, err := NewPlatform(Config{Nodes: 1, Mesh: &badMesh}); err == nil {
 		t.Fatal("bad mesh accepted")
 	}
-	badDisk := disk.DefaultParams()
-	badDisk.DataDisks = 0
-	if _, err := NewPlatform(Config{Nodes: 1, Disk: &badDisk}); err == nil {
-		t.Fatal("bad disk accepted")
-	}
-	badCosts := pfs.DefaultCosts()
-	badCosts.Open = -time.Second
-	if _, err := NewPlatform(Config{Nodes: 1, Costs: &badCosts}); err == nil {
-		t.Fatal("bad costs accepted")
+	if _, err := NewPlatform(Config{Nodes: 1, StripeUnit: -1}); err == nil {
+		t.Fatal("negative stripe unit accepted")
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 //
 // The key is stable within one build of this repository. It is not an
 // across-versions contract: the serialization carries a version tag
-// ("v5") precisely so a future field change can revalidate spilled
+// ("v6") precisely so a future field change can revalidate spilled
 // artifacts by changing it.
 // KeyVersion tags the canonical serialization underneath ConfigKey.
 // Persistent stores that index artifacts by ConfigKey (the iosimd spill
@@ -34,8 +34,11 @@ import (
 // serialization; "v3" added the host-side log tier (Tiers.Log); "v4"
 // dropped the shard count and sync-window width, which never changed a
 // run's outcome; "v5" dropped the log tier's segment size (which never
-// changed a run's outcome) and its append-cost fields (now constants).
-const KeyVersion = "v5"
+// changed a run's outcome) and its append-cost fields (now constants);
+// "v6" dropped the disk and cost overrides and the block tiers' block
+// sizes, copy rates, hit costs, capacity fraction and recall size (all
+// now constants of the paper machine).
+const KeyVersion = "v6"
 
 func ConfigKey(cfg core.Config, app string) string {
 	h := fnv.New64a()
@@ -44,8 +47,8 @@ func ConfigKey(cfg core.Config, app string) string {
 }
 
 // canonicalConfig serializes (cfg, app) with stable field ordering. All
-// nested override structs (mesh.Config, disk.Params, pfs.Costs,
-// cache.Config, cache.ClientConfig) are flat value types — durations,
+// nested override structs (mesh.Config, cache.Config, cache.ClientConfig,
+// cache.LogConfig) are flat value types — durations,
 // ints, floats — so %+v renders them deterministically, field names
 // included (a reordering of struct fields changes the string, never the
 // mapping from semantics to string).
@@ -57,12 +60,6 @@ func canonicalConfig(cfg core.Config, app string) string {
 		app, cfg.Nodes, cfg.IONodes, cfg.StripeUnit, cfg.Seed, int64(cfg.SampleInterval))
 	if cfg.Mesh != nil {
 		fmt.Fprintf(&b, "|mesh=%+v", *cfg.Mesh)
-	}
-	if cfg.Disk != nil {
-		fmt.Fprintf(&b, "|disk=%+v", *cfg.Disk)
-	}
-	if cfg.Costs != nil {
-		fmt.Fprintf(&b, "|costs=%+v", *cfg.Costs)
 	}
 	if tiers.IONode != nil {
 		fmt.Fprintf(&b, "|ionode=%+v", *tiers.IONode)

@@ -8,10 +8,8 @@ import (
 
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
-	"paragonio/internal/disk"
 	"paragonio/internal/faults"
 	"paragonio/internal/mesh"
-	"paragonio/internal/pfs"
 )
 
 // TestConfigKeySemanticEquality pins that configurations meaning the
@@ -61,7 +59,6 @@ func TestConfigKeyFieldSensitivity(t *testing.T) {
 		{"stripe", core.Config{Seed: 1, StripeUnit: 128 << 10}, "eth/C"},
 		{"sample", core.Config{Seed: 1, SampleInterval: time.Second}, "eth/C"},
 		{"mesh", core.Config{Seed: 1, Mesh: func() *mesh.Config { c := mesh.DefaultConfig(); c.Rows = 32; return &c }()}, "eth/C"},
-		{"disk", core.Config{Seed: 1, Disk: func() *disk.Params { d := disk.DefaultParams(); d.DataDisks = 8; return &d }()}, "eth/C"},
 		{"ionode-tier", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true}}}, "eth/C"},
 		{"ionode-ra", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true, ReadAhead: 4}}}, "eth/C"},
 		{"ionode-cap", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true, CapacityBytes: 1 << 20}}}, "eth/C"},
@@ -110,7 +107,7 @@ func TestConfigKeyFieldSensitivity(t *testing.T) {
 var perfOnlyFields = map[string]bool{"Shards": true}
 
 // TestConfigKeyExhaustive walks core.Config and every struct it nests —
-// the tiers, the fault plan, the mesh, disk and cost overrides — by
+// the tiers, the fault plan and the mesh override — by
 // reflection, and mutates each leaf field in turn. Every field must
 // change the key unless it is on the perf-only allowlist, so a field
 // added without a matching line in canonicalConfig fails here instead
@@ -118,9 +115,9 @@ var perfOnlyFields = map[string]bool{"Shards": true}
 // keyed when it changes the key in the fault whose kind uses it: the
 // plan holds one fault of each field-carrying kind.
 func TestConfigKeyExhaustive(t *testing.T) {
-	m, d, c := mesh.DefaultConfig(), disk.DefaultParams(), pfs.DefaultCosts()
+	m := mesh.DefaultConfig()
 	cfg := core.Config{
-		Nodes: 128, Mesh: &m, Disk: &d, Costs: &c, Seed: 1,
+		Nodes: 128, Mesh: &m, Seed: 1,
 		Tiers: cache.Tiers{IONode: &cache.Config{}, Client: &cache.ClientConfig{}, Log: &cache.LogConfig{}},
 		Faults: faults.Plan{Faults: []faults.Fault{
 			{Kind: faults.Straggler, At: time.Second, Until: 2 * time.Second, IONode: 1, Factor: 4},
@@ -222,5 +219,27 @@ func TestSuiteKeyGuardsMutation(t *testing.T) {
 	}
 	if first.Trace.Digest() == second.Trace.Digest() {
 		t.Error("seed change produced an identical trace — mutation not reflected in the run")
+	}
+}
+
+// BenchmarkConfigKey prices one content address of a run with all three
+// cache tiers and two faults: the key every iosimd request and every
+// Suite run computes.
+func BenchmarkConfigKey(b *testing.B) {
+	cfg := core.Config{
+		Seed: 1,
+		Tiers: cache.Tiers{
+			IONode: &cache.Config{WriteBehind: true, ReadAhead: 4, CapacityBytes: 32 << 20},
+			Client: &cache.ClientConfig{CapacityBytes: 8 << 20, LeaseTTL: 10 * time.Minute},
+			Log:    &cache.LogConfig{},
+		},
+		Faults: faults.Plan{Faults: []faults.Fault{
+			{Kind: faults.DiskFail, At: time.Second, IONode: 0},
+			{Kind: faults.ClientFlap, At: time.Second, Node: 1, Count: 3, Period: time.Second},
+		}},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ConfigKey(cfg, "prism/C")
 	}
 }

@@ -77,7 +77,6 @@ func coherenceRig(t *testing.T, ttl time.Duration) (*sim.Kernel, *FileSystem) {
 	m := mesh.MustNew(mesh.DefaultConfig())
 	cfg := DefaultConfig(m)
 	cfg.Tiers.Client = &cache.ClientConfig{
-		BlockSize:     4 * 1024,
 		CapacityBytes: 64 * 1024, // 16 blocks: forces evictions
 		LeaseTTL:      ttl,
 	}

@@ -1,76 +1,48 @@
 package pfs
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// Costs collects every software-path tunable of the file system model.
-// All calibration of the reproduction lives here (and in the disk and
-// mesh parameter sets); the experiment harness documents measured-vs-
-// paper shapes in EXPERIMENTS.md.
-type Costs struct {
+// The file system model's software-path costs: the calibrated OSF/1 R1.x
+// values of the Caltech machine. All calibration of the reproduction
+// lives here (and in disk.DefaultParams and mesh.DefaultConfig); values
+// are chosen to land the paper's qualitative shapes (see DESIGN.md
+// section 3) with plausible mid-90s magnitudes, and docs/CALIBRATION.md
+// documents the fit. Re-fitting means editing a constant.
+const (
 	// Metadata service times (served FIFO by the single metadata
 	// manager, so concurrent opens from many nodes serialize — the
 	// mechanism behind the huge open shares in ESCAT/PRISM version A).
-	Open  time.Duration // one individual open
-	Gopen time.Duration // one collective open (paid once per group)
-	Close time.Duration // one close (asynchronous: no metadata queueing)
-	// SetIOMode is the per-I/O-node cost of a mode change: the call
+	// PFS opens touched every I/O node and the OSF/1 name server;
+	// measured opens on the Caltech machine ran hundreds of milliseconds
+	// before queueing.
+	costOpen  = 500 * time.Millisecond // one individual open
+	costGopen = 60 * time.Millisecond  // one collective open (paid once per group)
+	costClose = 6 * time.Millisecond   // one close (asynchronous: no metadata queueing)
+	// costSetIOMode is the per-I/O-node cost of a mode change: the call
 	// renegotiates striping/pointer state with every I/O node, so one
-	// setiomode costs SetIOMode x IONodes at the metadata service.
-	SetIOMode time.Duration
+	// setiomode costs costSetIOMode x IONodes at the metadata service.
+	costSetIOMode = 70 * time.Millisecond
 
 	// Pointer/seek service. M_UNIX-family seeks update shared EOF/
 	// atomicity bookkeeping on the file's token server; M_ASYNC and
 	// M_RECORD seeks touch only client state.
-	SeekShared time.Duration
-	SeekLocal  time.Duration
+	costSeekShared = 8 * time.Millisecond
+	costSeekLocal  = 8 * time.Microsecond
 
-	// Token service: per-operation cost of acquiring/releasing the
+	// costToken is the per-operation cost of acquiring/releasing the
 	// atomicity token in modes that preserve atomicity.
-	Token time.Duration
+	costToken = 5 * time.Millisecond
 
-	// Request is the client-library software overhead per data request
-	// (in addition to mesh transfer and disk service).
-	Request time.Duration
+	// costRequest is the client-library software overhead per data
+	// request (in addition to mesh transfer and disk service).
+	costRequest = 250 * time.Microsecond
 
-	// Client read buffering (the "system I/O buffering" PRISM's
-	// developer disabled in version C).
-	BufferCopyBW float64       // bytes/second memory copy rate
-	BufferHit    time.Duration // fixed cost of a buffer hit
-}
+	// costBufferHit is the fixed cost of a hit in the client read buffer
+	// (the "system I/O buffering" PRISM's developer disabled in
+	// version C).
+	costBufferHit = 40 * time.Microsecond
+)
 
-// DefaultCosts returns the calibrated OSF/1 R1.x software costs used by
-// the reproduction. Values are chosen to land the paper's qualitative
-// shapes (see DESIGN.md section 3) with plausible mid-90s magnitudes.
-func DefaultCosts() Costs {
-	return Costs{
-		// PFS opens touched every I/O node and the OSF/1 name server;
-		// measured opens on the Caltech machine ran hundreds of
-		// milliseconds before queueing.
-		Open:         500 * time.Millisecond,
-		Gopen:        60 * time.Millisecond,
-		Close:        6 * time.Millisecond,
-		SetIOMode:    70 * time.Millisecond,
-		SeekShared:   8 * time.Millisecond,
-		SeekLocal:    8 * time.Microsecond,
-		Token:        5 * time.Millisecond,
-		Request:      250 * time.Microsecond,
-		BufferCopyBW: 25e6,
-		BufferHit:    40 * time.Microsecond,
-	}
-}
-
-// Validate reports whether the costs are usable.
-func (c Costs) Validate() error {
-	if c.Open < 0 || c.Gopen < 0 || c.Close < 0 || c.SetIOMode < 0 ||
-		c.SeekShared < 0 || c.SeekLocal < 0 || c.Token < 0 || c.Request < 0 ||
-		c.BufferHit < 0 {
-		return fmt.Errorf("pfs: negative cost parameter")
-	}
-	if c.BufferCopyBW <= 0 {
-		return fmt.Errorf("pfs: BufferCopyBW must be positive, got %g", c.BufferCopyBW)
-	}
-	return nil
-}
+// bufferCopyBW is the client read buffer's memory copy rate in
+// bytes/second.
+const bufferCopyBW float64 = 25e6

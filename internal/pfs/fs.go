@@ -19,12 +19,9 @@ const DefaultStripeUnit int64 = 64 * 1024
 
 // Config describes a file system instance.
 type Config struct {
-	StripeUnit int64       // bytes per stripe unit (default 64 KB)
-	IONodes    int         // number of I/O nodes (default 16)
-	Disk       disk.Params // per-I/O-node RAID-3 array
-	Costs      Costs       // software-path costs
-	Mesh       *mesh.Mesh  // interconnect model (required)
-	BufSize    int64       // client read-buffer size (default = StripeUnit)
+	StripeUnit int64      // bytes per stripe unit (default 64 KB)
+	IONodes    int        // number of I/O nodes (default 16)
+	Mesh       *mesh.Mesh // interconnect model (required)
 	// Tiers configures the what-if storage hierarchy: Tiers.IONode
 	// installs a buffer cache on every I/O node, Tiers.Client a
 	// lease-coherent cache on every compute node, and Tiers.Log a
@@ -39,14 +36,14 @@ type Config struct {
 	Faults faults.Plan
 }
 
-// DefaultConfig returns the paper's machine: 16 I/O nodes, 64 KB stripe
-// unit, default RAID-3 arrays, default costs, over the given mesh.
+// DefaultConfig returns the paper's machine: 16 I/O nodes and a 64 KB
+// stripe unit over the given mesh. Every I/O node's array is
+// disk.DefaultParams, and the software costs are the constants in
+// costs.go.
 func DefaultConfig(m *mesh.Mesh) Config {
 	return Config{
 		StripeUnit: DefaultStripeUnit,
 		IONodes:    16,
-		Disk:       disk.DefaultParams(),
-		Costs:      DefaultCosts(),
 		Mesh:       m,
 	}
 }
@@ -123,22 +120,11 @@ func New(k *sim.Kernel, cfg Config, tracer pablo.Tracer) (*FileSystem, error) {
 	if cfg.Mesh == nil {
 		return nil, fmt.Errorf("pfs: mesh model is required")
 	}
-	if err := cfg.Costs.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Disk.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.BufSize == 0 {
-		cfg.BufSize = cfg.StripeUnit
-	}
-	if cfg.BufSize < 0 {
-		return nil, fmt.Errorf("pfs: negative buffer size %d", cfg.BufSize)
-	}
 	if err := cfg.Faults.Validate(cfg.IONodes); err != nil {
 		return nil, err
 	}
-	tiers, err := cfg.Tiers.WithDefaults(cfg.StripeUnit, cfg.Disk)
+	arrays := disk.DefaultParams()
+	tiers, err := cfg.Tiers.WithDefaults(cfg.StripeUnit, arrays)
 	if err != nil {
 		return nil, err
 	}
@@ -157,11 +143,11 @@ func New(k *sim.Kernel, cfg Config, tracer pablo.Tracer) (*FileSystem, error) {
 		n := &ioNode{
 			idx:   i,
 			res:   sim.NewResource(k, fmt.Sprintf("ionode-%d", i), 1),
-			array: disk.MustNewArray(cfg.Disk),
+			array: disk.MustNewArray(arrays),
 		}
 		n.park = "pfs: i/o node " + n.res.Name()
 		if cfg.Tiers.IONode != nil {
-			c, err := cache.New(k, n.res, n.array, *cfg.Tiers.IONode)
+			c, err := cache.New(k, n.res, n.array, *cfg.Tiers.IONode, cfg.StripeUnit)
 			if err != nil {
 				return nil, err
 			}
@@ -395,7 +381,7 @@ func (fs *FileSystem) Open(p *sim.Proc, node int, name string, mode Mode) (*Hand
 		return nil, fmt.Errorf("pfs: invalid mode %d", int(mode))
 	}
 	start := fs.k.Now()
-	fs.meta.Use(p, fs.cfg.Costs.Open)
+	fs.meta.Use(p, costOpen)
 	f := fs.lookup(name, true)
 	f.mode = mode
 	f.refcount++
@@ -464,7 +450,7 @@ func (fs *FileSystem) xfer(p *sim.Proc, node int, f *file, off, size int64, writ
 	if size <= 0 {
 		return
 	}
-	p.Wait(fs.cfg.Costs.Request)
+	p.Wait(costRequest)
 	u := fs.cfg.StripeUnit
 	if off/u == (off+size-1)/u {
 		// Single stripe unit → single I/O node, single chunk: skip the

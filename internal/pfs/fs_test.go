@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"testing"
-	"time"
 
 	"paragonio/internal/mesh"
 	"paragonio/internal/pablo"
@@ -71,9 +70,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.IONodes = 0 },
 		func(c *Config) { c.Mesh = nil },
 		func(c *Config) { c.StripeUnit = -1 },
-		func(c *Config) { c.BufSize = -5 },
-		func(c *Config) { c.Costs.Open = -time.Second },
-		func(c *Config) { c.Disk.DataDisks = 0 },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig(m)
@@ -90,9 +86,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if fs.Config().StripeUnit != DefaultStripeUnit {
 		t.Fatalf("StripeUnit defaulted to %d", fs.Config().StripeUnit)
-	}
-	if fs.Config().BufSize != DefaultStripeUnit {
-		t.Fatalf("BufSize defaulted to %d", fs.Config().BufSize)
 	}
 }
 

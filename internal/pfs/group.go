@@ -81,7 +81,7 @@ func (g *Group) Gopen(p *sim.Proc, node int, name string, mode Mode) (*Handle, e
 	start := p.Now()
 	g.bar1.Await(p)
 	if rank == 0 {
-		g.fs.meta.Use(p, g.fs.cfg.Costs.Gopen)
+		g.fs.meta.Use(p, costGopen)
 		f := g.fs.lookup(name, true)
 		f.mode = mode
 		f.recSize = 0
@@ -118,7 +118,7 @@ func (g *Group) SetIOMode(p *sim.Proc, h *Handle, mode Mode) error {
 		// Setiomode renegotiates the file's access discipline (mode,
 		// pointers, buffered data) with every I/O node holding a stripe;
 		// the leader pays that full negotiation while the group waits.
-		g.fs.meta.Use(p, g.fs.cfg.Costs.SetIOMode*time.Duration(len(g.fs.ios)))
+		g.fs.meta.Use(p, costSetIOMode*time.Duration(len(g.fs.ios)))
 		if ct := g.fs.client; ct != nil {
 			// Renegotiation recalls every node's leases on the file; the
 			// leader absorbs the round-trip while the group waits at bar2.
@@ -283,7 +283,7 @@ func (g *Group) syncOp(p *sim.Proc, h *Handle, rank int, size int64, write bool)
 	}
 	off, n := g.offs[rank], g.counts[rank]
 	h.f.token.Acquire(p)
-	p.Wait(g.fs.cfg.Costs.Token)
+	p.Wait(costToken)
 	if write {
 		h.writeData(p, off, n)
 	} else {

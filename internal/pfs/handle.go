@@ -61,7 +61,7 @@ func (h *Handle) SetBuffering(on bool) {
 }
 
 func (h *Handle) copyTime(n int64) time.Duration {
-	return time.Duration(float64(n) / h.fs.cfg.Costs.BufferCopyBW * float64(time.Second))
+	return time.Duration(float64(n) / bufferCopyBW * float64(time.Second))
 }
 
 // readData moves n bytes at off to the client — through the coherent
@@ -111,15 +111,15 @@ func (h *Handle) readData(p *sim.Proc, off, n int64) {
 	}
 	if off >= h.bufOff && off+n <= h.bufOff+h.bufLen {
 		// Buffer hit: no disk traffic.
-		p.Wait(h.fs.cfg.Costs.BufferHit + h.copyTime(n))
+		p.Wait(costBufferHit + h.copyTime(n))
 		return
 	}
-	// Miss: fetch a full buffer (read-ahead) or the request, whichever
-	// is larger, then pay the extra copy — the penalty that makes
+	// Miss: fetch a full buffer (one stripe unit: read-ahead) or the
+	// request, whichever is larger, then pay the extra copy — the penalty that makes
 	// buffering a poor fit for large requests.
 	fetch := n
-	if fetch < h.fs.cfg.BufSize {
-		fetch = h.fs.cfg.BufSize
+	if fetch < h.fs.cfg.StripeUnit {
+		fetch = h.fs.cfg.StripeUnit
 	}
 	if rest := h.f.size - off; fetch > rest {
 		fetch = rest
@@ -200,7 +200,7 @@ func (h *Handle) Read(p *sim.Proc, size int64) (int64, error) {
 	switch mode {
 	case MUnix:
 		h.f.token.Acquire(p)
-		p.Wait(h.fs.cfg.Costs.Token)
+		p.Wait(costToken)
 		off := h.ptr
 		n = h.clampRead(off, size)
 		h.readData(p, off, n)
@@ -215,7 +215,7 @@ func (h *Handle) Read(p *sim.Proc, size int64) (int64, error) {
 		h.fs.trace(h.node, pablo.OpRead, h.f.name, off, n, start, mode)
 	case MLog:
 		h.f.token.Acquire(p)
-		p.Wait(h.fs.cfg.Costs.Token)
+		p.Wait(costToken)
 		off := h.f.shared
 		n = h.clampRead(off, size)
 		h.readData(p, off, n)
@@ -246,7 +246,7 @@ func (h *Handle) Write(p *sim.Proc, size int64) (int64, error) {
 	switch mode {
 	case MUnix:
 		h.f.token.Acquire(p)
-		p.Wait(h.fs.cfg.Costs.Token)
+		p.Wait(costToken)
 		off := h.ptr
 		h.writeData(p, off, size)
 		h.ptr += size
@@ -259,7 +259,7 @@ func (h *Handle) Write(p *sim.Proc, size int64) (int64, error) {
 		h.fs.trace(h.node, pablo.OpWrite, h.f.name, off, size, start, mode)
 	case MLog:
 		h.f.token.Acquire(p)
-		p.Wait(h.fs.cfg.Costs.Token)
+		p.Wait(costToken)
 		off := h.f.shared
 		h.writeData(p, off, size)
 		h.f.shared += size
@@ -286,10 +286,10 @@ func (h *Handle) Seek(p *sim.Proc, off int64) error {
 	switch mode {
 	case MUnix:
 		h.f.token.Acquire(p)
-		p.Wait(h.fs.cfg.Costs.SeekShared)
+		p.Wait(costSeekShared)
 		h.f.token.Release(p)
 	case MAsync, MRecord:
-		p.Wait(h.fs.cfg.Costs.SeekLocal)
+		p.Wait(costSeekLocal)
 	default:
 		return ErrSeekCollective
 	}
@@ -313,7 +313,7 @@ func (h *Handle) SetIOMode(p *sim.Proc, mode Mode) error {
 	start := p.Now()
 	// Individual setiomode pays the same per-I/O-node renegotiation as
 	// the collective form.
-	h.fs.meta.Use(p, h.fs.cfg.Costs.SetIOMode*time.Duration(len(h.fs.ios)))
+	h.fs.meta.Use(p, costSetIOMode*time.Duration(len(h.fs.ios)))
 	if ct := h.fs.client; ct != nil {
 		// Renegotiation recalls every node's leases on the file.
 		if d := ct.RecallStream(h.node, h.f.name); d > 0 {
@@ -334,7 +334,7 @@ func (h *Handle) Flush(p *sim.Proc) error {
 		return ErrClosed
 	}
 	start := p.Now()
-	p.Wait(h.fs.cfg.Costs.Request)
+	p.Wait(costRequest)
 	h.bufOff, h.bufLen = 0, 0
 	if ct := h.fs.client; ct != nil {
 		ct.InvalidateLocal(h.node, h.f.name)
@@ -351,7 +351,7 @@ func (h *Handle) Close(p *sim.Proc) error {
 		return ErrClosed
 	}
 	start := p.Now()
-	p.Wait(h.fs.cfg.Costs.Close)
+	p.Wait(costClose)
 	h.f.refcount--
 	h.closed = true
 	h.fs.trace(h.node, pablo.OpClose, h.f.name, 0, 0, start, h.f.mode)

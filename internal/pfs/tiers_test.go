@@ -26,7 +26,7 @@ func TestTiersConfig(t *testing.T) {
 	if got.Tiers.IONode == nil {
 		t.Fatal("resolved Tiers.IONode not visible through Config()")
 	}
-	if got.Tiers.IONode.BlockSize == 0 {
+	if got.Tiers.IONode.CapacityBytes == 0 || got.Tiers.IONode.DirtyHighWater == 0 {
 		t.Error("resolved config not defaulted")
 	}
 

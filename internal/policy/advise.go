@@ -119,24 +119,25 @@ func (r Recommendation) String() string {
 	return fmt.Sprintf("%s: %s (%s)", r.File, r.Kind, r.Reason)
 }
 
-// Options tunes the advisor thresholds.
+// Options describes the machine the advice is for.
 type Options struct {
-	StripeUnit     int64   // for alignment advice (default 64 KB)
-	SmallThreshold float64 // small-request fraction to trigger aggregation (default 0.8)
-	MinOps         int     // ignore files with fewer operations (default 8)
+	StripeUnit int64 // for alignment advice (default 64 KB, the paper machine's)
 }
 
 func (o *Options) defaults() {
 	if o.StripeUnit == 0 {
 		o.StripeUnit = 64 * 1024
 	}
-	if o.SmallThreshold == 0 {
-		o.SmallThreshold = 0.8
-	}
-	if o.MinOps == 0 {
-		o.MinOps = 8
-	}
 }
+
+// smallThreshold is the small-request fraction that triggers
+// aggregation, prefetch or write-behind advice.
+const smallThreshold = 0.8
+
+// minOps is the operation count below which a file is ignored, by this
+// advisor (reads plus writes) and by the cache advisor (reads or writes
+// alone): too few requests to show a pattern.
+const minOps = 8
 
 // Advise inspects one file's profile and returns recommendations.
 func Advise(p *Profile, opt Options) []Recommendation {
@@ -145,7 +146,7 @@ func Advise(p *Profile, opt Options) []Recommendation {
 	add := func(k Kind, reason string) {
 		out = append(out, Recommendation{File: p.File, Kind: k, Reason: reason})
 	}
-	if p.Reads+p.Writes < opt.MinOps {
+	if p.Reads+p.Writes < minOps {
 		return nil
 	}
 
@@ -180,7 +181,7 @@ func Advise(p *Profile, opt Options) []Recommendation {
 				p.FixedReadSize, opt.StripeUnit))
 		}
 	}
-	if p.Reads >= opt.MinOps && p.SmallReadFrac >= opt.SmallThreshold {
+	if p.Reads >= minOps && p.SmallReadFrac >= smallThreshold {
 		if p.SeqReadFrac >= 0.7 {
 			add(EnablePrefetch, fmt.Sprintf(
 				"%.0f%% of reads are small and %.0f%% sequential; read-ahead turns them into copies",
@@ -191,7 +192,7 @@ func Advise(p *Profile, opt Options) []Recommendation {
 				100*p.SmallReadFrac))
 		}
 	}
-	if p.Writes >= opt.MinOps && p.SmallWriteFrac >= opt.SmallThreshold {
+	if p.Writes >= minOps && p.SmallWriteFrac >= smallThreshold {
 		add(UseWriteBehind, fmt.Sprintf(
 			"%.0f%% of writes below 4 KB on the critical path; write-behind overlaps them with computation",
 			100*p.SmallWriteFrac))

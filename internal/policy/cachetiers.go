@@ -18,22 +18,11 @@ import (
 	"paragonio/internal/faults"
 )
 
-// CacheOptions tunes the cache advisor.
+// CacheOptions describes the machine the cache advice is for.
 type CacheOptions struct {
 	// IONodes is how many I/O nodes share the server tier; recommended
 	// capacity is per I/O node (default 16, the paper's machine).
 	IONodes int
-	// MinOps: ignore files with fewer data operations (default 8).
-	MinOps int
-	// IONodeFloor/IONodeCeil clamp the recommended per-I/O-node
-	// capacity (defaults 4 MB and 32 MB, the cachewhatif sweep range).
-	IONodeFloor, IONodeCeil int64
-	// ClientFloor/ClientCeil clamp the recommended per-client capacity
-	// (defaults 1 MB and 16 MB, the clientcache sweep range).
-	ClientFloor, ClientCeil int64
-	// ReadAheadDepth is the depth recommended when prefetch pays
-	// (default 4 blocks, the cachewhatif depth).
-	ReadAheadDepth int
 	// Faults is the fault plan the advised machine will run under; the
 	// advisor trims its recommendation for a machine it knows will
 	// degrade (see AdviseTiers). Empty means a healthy machine.
@@ -44,25 +33,19 @@ func (o *CacheOptions) defaults() {
 	if o.IONodes == 0 {
 		o.IONodes = 16
 	}
-	if o.MinOps == 0 {
-		o.MinOps = 8
-	}
-	if o.IONodeFloor == 0 {
-		o.IONodeFloor = 4 << 20
-	}
-	if o.IONodeCeil == 0 {
-		o.IONodeCeil = 32 << 20
-	}
-	if o.ClientFloor == 0 {
-		o.ClientFloor = 1 << 20
-	}
-	if o.ClientCeil == 0 {
-		o.ClientCeil = 16 << 20
-	}
-	if o.ReadAheadDepth == 0 {
-		o.ReadAheadDepth = 4
-	}
 }
+
+// The recommended capacities are clamped to the sweep ranges the
+// experiments measure: 4-32 MB per I/O node (cachewhatif) and 1-16 MB
+// per client (clientcache).
+const (
+	ionodeFloor, ionodeCeil int64 = 4 << 20, 32 << 20
+	clientFloor, clientCeil int64 = 1 << 20, 16 << 20
+)
+
+// readAheadDepth is the depth recommended when prefetch pays: 4 blocks,
+// the cachewhatif depth.
+const readAheadDepth = 4
 
 // cacheSignals is the per-file trigger evaluation shared by AdviseCache
 // (which renders findings) and AdviseTiers (which merges them).
@@ -84,13 +67,13 @@ type cacheSignals struct {
 // append machinery buys nothing.
 const minLogBytes = 4 << 20
 
-func evalCacheSignals(p *Profile, opt CacheOptions) cacheSignals {
+func evalCacheSignals(p *Profile) cacheSignals {
 	var s cacheSignals
-	if p.Writes >= opt.MinOps {
+	if p.Writes >= minOps {
 		s.rewrites = p.WriteWS > 0 && p.BytesWritten >= 2*p.WriteWS
 		s.writeBehind = p.SmallWriteFrac >= 0.8 || s.rewrites
 	}
-	if p.Reads >= opt.MinOps {
+	if p.Reads >= minOps {
 		s.capacity = p.SharedReadFrac >= 0.5 && p.ReadOpsPerBlock >= 2
 		s.rawHeavy = p.ReadAfterWriteFrac >= 0.5
 		s.avoidRA = s.capacity || s.rawHeavy
@@ -103,12 +86,12 @@ func evalCacheSignals(p *Profile, opt CacheOptions) cacheSignals {
 			s.ttl = leaseTTLFor(p)
 		}
 	}
-	if p.Writes >= opt.MinOps && p.BytesWritten >= minLogBytes {
+	if p.Writes >= minOps && p.BytesWritten >= minLogBytes {
 		// The log tier wants pure write bursts: enough volume to matter,
 		// write time dominating, and (the hard requirement) no read-back
 		// — every read overlapping an undrained record stalls on the
 		// drain, so RAW streams belong to the block cache instead.
-		if p.ReadAfterWriteFrac >= 0.5 && p.Reads >= opt.MinOps {
+		if p.ReadAfterWriteFrac >= 0.5 && p.Reads >= minOps {
 			s.avoidLog = true
 		} else if p.ReadAfterWriteFrac < 0.25 && p.WriteTime >= 2*p.ReadTime {
 			s.logTier = true
@@ -135,7 +118,7 @@ func leaseTTLFor(p *Profile) time.Duration {
 // whole trace into one configuration.
 func AdviseCache(p *Profile, opt CacheOptions) []Recommendation {
 	opt.defaults()
-	s := evalCacheSignals(p, opt)
+	s := evalCacheSignals(p)
 	var out []Recommendation
 	add := func(k Kind, t *cache.Tiers, reason string) {
 		out = append(out, Recommendation{File: p.File, Kind: k, Reason: reason, Tiers: t})
@@ -153,7 +136,7 @@ func AdviseCache(p *Profile, opt CacheOptions) []Recommendation {
 			&cache.Tiers{IONode: &cache.Config{WriteBehind: true}}, reason)
 	}
 	if s.capacity {
-		capBytes := clampPow2(2*p.ReadWS/int64(opt.IONodes), opt.IONodeFloor, opt.IONodeCeil)
+		capBytes := clampPow2(2*p.ReadWS/int64(opt.IONodes), ionodeFloor, ionodeCeil)
 		add(CacheIONodeCapacity,
 			&cache.Tiers{IONode: &cache.Config{CapacityBytes: capBytes}},
 			fmt.Sprintf(
@@ -171,13 +154,13 @@ func AdviseCache(p *Profile, opt CacheOptions) []Recommendation {
 	}
 	if s.readAhead {
 		add(CacheReadAhead,
-			&cache.Tiers{IONode: &cache.Config{ReadAhead: opt.ReadAheadDepth}},
+			&cache.Tiers{IONode: &cache.Config{ReadAhead: readAheadDepth}},
 			fmt.Sprintf(
 				"%.0f%% sequential cold reads with no reuse behind them; read-ahead depth %d overlaps the disks with the stream",
-				100*p.SeqReadFrac, opt.ReadAheadDepth))
+				100*p.SeqReadFrac, readAheadDepth))
 	}
 	if s.client {
-		capBytes := clampPow2(2*p.PerNodeReadWS, opt.ClientFloor, opt.ClientCeil)
+		capBytes := clampPow2(2*p.PerNodeReadWS, clientFloor, clientCeil)
 		add(CacheClientTier,
 			&cache.Tiers{Client: &cache.ClientConfig{CapacityBytes: capBytes}},
 			fmt.Sprintf(
@@ -261,7 +244,7 @@ func AdviseTiers(profiles map[string]*Profile, opt CacheOptions) TiersPlan {
 	)
 	for _, f := range files {
 		p := profiles[f]
-		s := evalCacheSignals(p, opt)
+		s := evalCacheSignals(p)
 		plan.Recs = append(plan.Recs, AdviseCache(p, opt)...)
 		if s.writeBehind {
 			wbOn = true
@@ -308,10 +291,10 @@ func AdviseTiers(profiles map[string]*Profile, opt CacheOptions) TiersPlan {
 		if pro > anti {
 			cfg := &cache.Config{
 				WriteBehind:   wbOn,
-				CapacityBytes: clampPow2(2*ionodeWS/int64(opt.IONodes), opt.IONodeFloor, opt.IONodeCeil),
+				CapacityBytes: clampPow2(2*ionodeWS/int64(opt.IONodes), ionodeFloor, ionodeCeil),
 			}
 			if raOn && !raVeto {
-				cfg.ReadAhead = opt.ReadAheadDepth
+				cfg.ReadAhead = readAheadDepth
 			}
 			plan.Tiers.IONode = cfg
 			if raVeto {
@@ -326,7 +309,7 @@ func AdviseTiers(profiles map[string]*Profile, opt CacheOptions) TiersPlan {
 	}
 	if clientOn {
 		cc := &cache.ClientConfig{
-			CapacityBytes: clampPow2(2*clientWS, opt.ClientFloor, opt.ClientCeil),
+			CapacityBytes: clampPow2(2*clientWS, clientFloor, clientCeil),
 			LeaseTTL:      clientTTL,
 		}
 		plan.Tiers.Client = cc

@@ -32,7 +32,7 @@ func TestAdviseEmptyProfile(t *testing.T) {
 	}
 }
 
-// TestAdviseSingleRequestFile: one operation is below every MinOps
+// TestAdviseSingleRequestFile: one operation is below minOps
 // threshold — the advisor must stay quiet rather than extrapolate.
 func TestAdviseSingleRequestFile(t *testing.T) {
 	tr := pablo.NewTrace()

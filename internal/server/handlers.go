@@ -505,7 +505,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			return nil, nil, err
 		}
 		var advice bytes.Buffer
-		err = policy.WriteAdvice(&advice, policy.Classify(res.Trace), policy.Options{},
+		err = policy.WriteAdvice(&advice, policy.Classify(res.Trace), policy.Options{StripeUnit: cfg.StripeUnit},
 			policy.CacheOptions{IONodes: len(res.IONodes), Faults: cfg.Faults})
 		res.Trace.Release() // advice rendered; recycle the event buffer
 		if err != nil {

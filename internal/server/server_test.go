@@ -713,6 +713,45 @@ func TestAdviseSizesForTheSimulatedMachine(t *testing.T) {
 	}
 }
 
+// TestAdviseJudgesAlignmentByTheRunsStripeUnit pins that /v1/advise
+// judges record alignment against the stripe unit the request ran with,
+// not the paper machine's 64 KB: 96 KB records are three 32 KB stripes.
+func TestAdviseJudgesAlignmentByTheRunsStripeUnit(t *testing.T) {
+	const record = 96 << 10
+	s := newTestServer(t, Config{}, func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
+		res, err := stubRun(ctx, req, cfg)
+		if err != nil {
+			return nil, err
+		}
+		// Two nodes read disjoint fixed-size records, interleaved.
+		for round := 0; round < 4; round++ {
+			for node := 0; node < 2; node++ {
+				res.Trace.Record(pablo.Event{Node: node, Op: pablo.OpRead, File: "data",
+					Offset: int64(round*2+node) * record, Size: record,
+					Duration: time.Millisecond, Mode: "M_UNIX"})
+			}
+		}
+		return res, nil
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, out := postJSON(t, ts, "/v1/advise", `{"app":"prism","version":"C","stripe_unit":32768}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, out)
+	}
+	var adv AdviseResponse
+	if err := json.Unmarshal(out, &adv); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(adv.Advice, policy.UseRecordReads.String()) {
+		t.Fatalf("the stub's fixed-size reads drew no %s advice:\n%s", policy.UseRecordReads, adv.Advice)
+	}
+	if strings.Contains(adv.Advice, policy.AlignToStripe.String()) {
+		t.Errorf("96 KB records on 32 KB stripes drew %s advice:\n%s", policy.AlignToStripe, adv.Advice)
+	}
+}
+
 func TestHealthzExperimentsMetrics(t *testing.T) {
 	s := newTestServer(t, Config{}, stubRun)
 	ts := httptest.NewServer(s.Handler())
