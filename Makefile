@@ -26,7 +26,7 @@ vet:
 # cache).
 vet-race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/cache/ ./internal/pfs/ ./internal/faults/ ./internal/iobench/ ./internal/server/
+	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/cache/ ./internal/pfs/ ./internal/faults/ ./internal/iobench/ ./internal/server/ ./internal/pablo/
 
 fmt:
 	gofmt -l .

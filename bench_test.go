@@ -13,6 +13,7 @@ package paragonio_test
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -510,14 +511,52 @@ func BenchmarkPFSStripedTransfer(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceRecord measures pablo recording in its steady state:
+// every 2^14 events (a PRISM-C-sized run) the trace is released, so its
+// growth recycles pooled buffers as suite re-runs and the daemon do.
 func BenchmarkTraceRecord(b *testing.B) {
+	const perTrace = 1 << 14
 	tr := pablo.NewTrace()
 	ev := pablo.Event{Node: 1, Op: pablo.OpRead, File: "f", Size: 4096,
-		Start: time.Second, Duration: time.Millisecond, Mode: "M_ASYNC"}
+		Start: time.Second, Duration: time.Millisecond, Mode: pablo.ModeAsync}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		if tr.Len() == perTrace {
+			tr.Release()
+		}
+		ev.Offset = int64(i) * 4096
 		tr.Record(ev)
 	}
+	tr.Release()
+}
+
+// BenchmarkWriteTrace encodes the PRISM C trace as SDDF text: the
+// iosim -trace and daemon "sddf" response path.
+func BenchmarkWriteTrace(b *testing.B) {
+	res, err := experiments.NewSuite(1).Prism("C")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var size countWriter
+	if err := pablo.WriteTrace(&size, res.Trace); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pablo.WriteTrace(io.Discard, res.Trace); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// countWriter counts the bytes written to it.
+type countWriter int
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	*c += countWriter(len(p))
+	return len(p), nil
 }
 
 func BenchmarkDiskService(b *testing.B) {

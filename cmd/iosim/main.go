@@ -117,8 +117,7 @@ func printResult(res *core.Result) {
 	fmt.Println()
 	rows = rows[:0]
 	for _, ph := range res.Phases {
-		sub := analysis.SliceByPhase(res.Trace, ph)
-		agg := pablo.AggregateByOp(sub)
+		agg := analysis.PhaseStats(res.Trace, ph)
 		rows = append(rows, []string{
 			ph.Name,
 			fmt.Sprintf("%.0f-%.0f s", ph.Start.Seconds(), ph.End.Seconds()),

@@ -331,7 +331,7 @@ func csv(tr *pablo.Trace) error {
 			fmt.Sprintf("%d", ev.Node), ev.Op.String(), ev.File,
 			fmt.Sprintf("%d", ev.Offset), fmt.Sprintf("%d", ev.Size),
 			fmt.Sprintf("%d", int64(ev.Start)), fmt.Sprintf("%d", int64(ev.Duration)),
-			ev.Mode,
+			ev.Mode.String(),
 		})
 	}
 	return report.CSV(os.Stdout, []string{"node", "op", "file", "offset", "size", "start_ns", "dur_ns", "mode"}, rows)

@@ -14,16 +14,16 @@ func writeTestTrace(t *testing.T) string {
 	t.Helper()
 	tr := pablo.NewTrace()
 	tr.Record(pablo.Event{Node: 0, Op: pablo.OpOpen, File: "f",
-		Duration: time.Millisecond, Mode: "M_UNIX"})
+		Duration: time.Millisecond, Mode: pablo.ModeUnix})
 	for i := 0; i < 20; i++ {
-		tr.Record(pablo.Event{Node: i % 4, Op: pablo.OpRead, File: "f",
+		tr.Record(pablo.Event{Node: int32(i % 4), Op: pablo.OpRead, File: "f",
 			Offset: int64(i) * 512, Size: 512,
 			Start: time.Duration(i) * time.Second, Duration: 2 * time.Millisecond,
-			Mode: "M_UNIX"})
+			Mode: pablo.ModeUnix})
 	}
 	tr.Record(pablo.Event{Node: 0, Op: pablo.OpWrite, File: "g",
 		Offset: 0, Size: 1 << 20, Start: time.Minute, Duration: time.Second,
-		Mode: "M_ASYNC"})
+		Mode: pablo.ModeAsync})
 	path := filepath.Join(t.TempDir(), "t.sddf")
 	f, err := os.Create(path)
 	if err != nil {

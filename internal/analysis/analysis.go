@@ -59,7 +59,7 @@ func SizeTimeline(t *pablo.Trace, op pablo.Op) []TimelinePoint {
 	var out []TimelinePoint
 	for _, ev := range t.ByOp(op) {
 		if ev.Size > 0 {
-			out = append(out, TimelinePoint{T: ev.Start, V: float64(ev.Size), Node: ev.Node})
+			out = append(out, TimelinePoint{T: ev.Start, V: float64(ev.Size), Node: int(ev.Node)})
 		}
 	}
 	return out
@@ -71,7 +71,7 @@ func SizeTimeline(t *pablo.Trace, op pablo.Op) []TimelinePoint {
 func DurationTimeline(t *pablo.Trace, op pablo.Op) []TimelinePoint {
 	var out []TimelinePoint
 	for _, ev := range t.ByOp(op) {
-		out = append(out, TimelinePoint{T: ev.Start, V: ev.Duration.Seconds(), Node: ev.Node})
+		out = append(out, TimelinePoint{T: ev.Start, V: ev.Duration.Seconds(), Node: int(ev.Node)})
 	}
 	return out
 }
@@ -129,8 +129,23 @@ type PhaseWindow struct {
 	Start, End time.Duration
 }
 
+// PhaseStats sums the events starting within [Start, End) of the given
+// window — AggregateByOp(SliceByPhase(t, w)) without copying the events.
+func PhaseStats(t *pablo.Trace, w PhaseWindow) pablo.OpStats {
+	var s pablo.OpStats
+	evs := t.Events()
+	for i := range evs {
+		if ev := &evs[i]; ev.Start >= w.Start && ev.Start < w.End {
+			s.Add(*ev)
+		}
+	}
+	return s
+}
+
 // SliceByPhase returns the sub-trace of events starting within [Start,
-// End) of the given window.
+// End) of the given window. It copies every event in the window: to sum
+// a phase use PhaseStats. It stays because the benchmark's traced replay
+// (bench/replay.go) calls it.
 func SliceByPhase(t *pablo.Trace, w PhaseWindow) *pablo.Trace {
 	return t.Filter(func(ev pablo.Event) bool {
 		return ev.Start >= w.Start && ev.Start < w.End

@@ -152,6 +152,30 @@ func TestSliceByPhase(t *testing.T) {
 	}
 }
 
+// TestPhaseStats checks the window is [Start, End) by start time and that
+// the sums match aggregating the copied slice.
+func TestPhaseStats(t *testing.T) {
+	tr := pablo.NewTrace()
+	for i := 0; i < 10; i++ {
+		op := pablo.OpRead
+		if i%2 == 1 {
+			op = pablo.OpWrite
+		}
+		tr.Record(mkEv(op, int64(10*i), time.Duration(i)*time.Second, time.Duration(i)*time.Millisecond))
+	}
+	w := PhaseWindow{Name: "mid", Start: 3 * time.Second, End: 6 * time.Second}
+	got := PhaseStats(tr, w)
+	if n := got.TotalCount(); n != 3 {
+		t.Fatalf("phase has %d events, want 3", n)
+	}
+	if got.BytesRead != 40 || got.BytesWritten != 30+50 {
+		t.Fatalf("bytes read/written = %d/%d", got.BytesRead, got.BytesWritten)
+	}
+	if want := pablo.AggregateByOp(SliceByPhase(tr, w)); got != want {
+		t.Fatalf("PhaseStats = %+v, sliced aggregate %+v", got, want)
+	}
+}
+
 func TestRequestSizes(t *testing.T) {
 	tr := pablo.NewTrace()
 	tr.Record(mkEv(pablo.OpWrite, 100, 0, 0))

@@ -120,7 +120,7 @@ func TestRunVersionAStructure(t *testing.T) {
 		t.Fatalf("version A issued %d iomodes", n)
 	}
 	// All nodes read inputs.
-	nodes := map[int]bool{}
+	nodes := map[int32]bool{}
 	for _, ev := range res.Trace.ByOp(pablo.OpRead) {
 		if ev.File == "escat/input.0" {
 			nodes[ev.Node] = true
@@ -144,11 +144,11 @@ func TestRunVersionAStructure(t *testing.T) {
 func TestRunVersionCStructure(t *testing.T) {
 	res := runSmall(t, VersionC())
 	// C: staging writes from every node, in M_ASYNC.
-	writers := map[int]bool{}
+	writers := map[int32]bool{}
 	for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
 		if ev.File == "escat/quad.0" {
 			writers[ev.Node] = true
-			if ev.Mode != "M_ASYNC" {
+			if ev.Mode != pablo.ModeAsync {
 				t.Fatalf("staging write mode %q", ev.Mode)
 			}
 			if ev.Size != Ethylene().WriteSize {
@@ -162,7 +162,7 @@ func TestRunVersionCStructure(t *testing.T) {
 	// Reload reads are M_RECORD at the record size.
 	var recReads int
 	for _, ev := range res.Trace.ByOp(pablo.OpRead) {
-		if ev.Mode == "M_RECORD" && ev.Size > 0 {
+		if ev.Mode == pablo.ModeRecord && ev.Size > 0 {
 			recReads++
 			if ev.Size > smallEthylene().RecordSize {
 				t.Fatalf("record read of %d bytes", ev.Size)

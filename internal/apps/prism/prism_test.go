@@ -103,10 +103,10 @@ func TestVersionAStructure(t *testing.T) {
 		t.Fatal("version A used collective metadata ops")
 	}
 	// Every node opens all three input files.
-	opens := map[string]map[int]bool{}
+	opens := map[string]map[int32]bool{}
 	for _, ev := range res.Trace.ByOp(pablo.OpOpen) {
 		if opens[ev.File] == nil {
-			opens[ev.File] = map[int]bool{}
+			opens[ev.File] = map[int32]bool{}
 		}
 		opens[ev.File][ev.Node] = true
 	}
@@ -133,7 +133,7 @@ func TestVersionBStructure(t *testing.T) {
 	// Restart body read via M_RECORD.
 	var recordReads int
 	for _, ev := range res.Trace.ByOp(pablo.OpRead) {
-		if ev.Mode == "M_RECORD" {
+		if ev.Mode == pablo.ModeRecord {
 			recordReads++
 		}
 	}
@@ -141,11 +141,11 @@ func TestVersionBStructure(t *testing.T) {
 		t.Fatalf("M_RECORD body reads = %d, want 8 (one per node)", recordReads)
 	}
 	// Field file written by all nodes in M_ASYNC.
-	writers := map[int]bool{}
+	writers := map[int32]bool{}
 	for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
 		if ev.File == fieldFile {
 			writers[ev.Node] = true
-			if ev.Mode != "M_ASYNC" {
+			if ev.Mode != pablo.ModeAsync {
 				t.Fatalf("field write mode %q", ev.Mode)
 			}
 		}

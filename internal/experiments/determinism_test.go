@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"paragonio/internal/analysis"
 	"paragonio/internal/core"
+	"paragonio/internal/pablo"
 )
 
 // goldenDigests pins the FNV-1a digest of the full Pablo event stream of
@@ -62,6 +64,30 @@ func TestGoldenDigests(t *testing.T) {
 // serially and once with a parallel worker pool on a fresh suite, and
 // requires identical artifacts: same text, metrics, and underlying trace
 // digests. This is the gate that lets iotables default to -j GOMAXPROCS.
+// TestPhaseStatsMatchesSliceByPhase checks the copy-free phase sums
+// against aggregating the copied sub-trace, for every phase of every
+// canonical run.
+func TestPhaseStatsMatchesSliceByPhase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size paper workloads skipped in -short mode")
+	}
+	for _, g := range goldenDigests {
+		res, err := g.run(sharedSuite)
+		if err != nil {
+			t.Fatalf("%s: %v", g.key, err)
+		}
+		if len(res.Phases) == 0 {
+			t.Fatalf("%s: no phases", g.key)
+		}
+		for _, ph := range res.Phases {
+			got := analysis.PhaseStats(res.Trace, ph)
+			if want := pablo.AggregateByOp(analysis.SliceByPhase(res.Trace, ph)); got != want {
+				t.Errorf("%s phase %q: PhaseStats %+v, sliced %+v", g.key, ph.Name, got, want)
+			}
+		}
+	}
+}
+
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size paper workloads skipped in -short mode")

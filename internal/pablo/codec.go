@@ -18,7 +18,12 @@ import (
 //	IOEVT 0 open "init.params" 0 0 1200 450000 M_UNIX
 //
 // Times are integer nanoseconds of virtual time. File names are
-// Go-quoted so arbitrary names round-trip.
+// Go-quoted so arbitrary names round-trip. The mode is a PFS constant
+// name, or "-" for none.
+//
+// ReadTrace rejects what an Event cannot hold: a node outside int32, an
+// op that is not a table-row name, and a mode that is neither "-" nor
+// one of the six PFS names (M_UNIX … M_ASYNC).
 
 const (
 	codecMagic  = "#SDDF paragonio-io-trace v1"
@@ -26,28 +31,43 @@ const (
 	recordTag   = "IOEVT"
 )
 
-// WriteTrace serializes the trace to w in SDDF text form.
+// WriteTrace serializes the trace to w in SDDF text form. Each record is
+// appended into one reused line buffer, without fmt: this is the
+// daemon's "sddf" response path.
 func WriteTrace(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, codecMagic); err != nil {
+	if _, err := bw.WriteString(codecMagic + "\n" + codecHeader + "\n"); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(bw, codecHeader); err != nil {
-		return err
-	}
-	for _, ev := range t.Events() {
-		mode := ev.Mode
-		if mode == "" {
-			mode = "-"
-		}
-		if _, err := fmt.Fprintf(bw, "%s %d %s %s %d %d %d %d %s\n",
-			recordTag, ev.Node, ev.Op, strconv.Quote(ev.File),
-			ev.Offset, ev.Size, int64(ev.Start), int64(ev.Duration), mode,
-		); err != nil {
+	line := make([]byte, 0, 128)
+	for i := range t.events {
+		line = appendRecord(line[:0], &t.events[i])
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendRecord appends one IOEVT line, newline included, to buf.
+func appendRecord(buf []byte, ev *Event) []byte {
+	buf = append(buf, recordTag+" "...)
+	buf = strconv.AppendInt(buf, int64(ev.Node), 10)
+	buf = append(buf, ' ')
+	buf = append(buf, ev.Op.String()...)
+	buf = append(buf, ' ')
+	buf = strconv.AppendQuote(buf, ev.File)
+	for _, v := range [...]int64{ev.Offset, ev.Size, int64(ev.Start), int64(ev.Duration)} {
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, v, 10)
+	}
+	buf = append(buf, ' ')
+	if ev.Mode == NoMode {
+		buf = append(buf, '-')
+	} else {
+		buf = append(buf, ev.Mode.String()...)
+	}
+	return append(buf, '\n')
 }
 
 // ReadTrace parses a trace previously written by WriteTrace.
@@ -106,11 +126,11 @@ func parseRecord(s string) (Event, error) {
 	if !ok {
 		return ev, fmt.Errorf("truncated record")
 	}
-	node, err := strconv.Atoi(nodeStr)
+	node, err := strconv.ParseInt(nodeStr, 10, 32)
 	if err != nil {
 		return ev, fmt.Errorf("bad node %q", nodeStr)
 	}
-	ev.Node = node
+	ev.Node = int32(node)
 
 	// op
 	opStr, rest, ok := cutField(rest)
@@ -171,7 +191,9 @@ func parseRecord(s string) (Event, error) {
 		return ev, fmt.Errorf("missing mode field")
 	}
 	if mode != "-" {
-		ev.Mode = mode
+		if ev.Mode, err = ParseMode(mode); err != nil {
+			return ev, err
+		}
 	}
 	if strings.TrimSpace(rest) != "" {
 		return ev, fmt.Errorf("trailing data %q", rest)

@@ -31,7 +31,9 @@ func (h *digestState) u64(v uint64) {
 }
 
 // event folds one event into the hash: every field, little-endian, in
-// the pinned golden order.
+// the pinned golden order. The stream's shape is fixed by the golden
+// digests, not by Event's layout: Node folds as 8 bytes (the int32
+// sign-extends) and Mode as its name ("" for NoMode).
 func (h *digestState) event(ev *Event) {
 	h.u64(uint64(ev.Node))
 	h.u64(uint64(ev.Op))
@@ -40,7 +42,7 @@ func (h *digestState) event(ev *Event) {
 	h.u64(uint64(ev.Size))
 	h.u64(uint64(ev.Start))
 	h.u64(uint64(ev.Duration))
-	h.str(ev.Mode)
+	h.str(ev.Mode.String())
 }
 
 // catchUp folds any events not yet hashed into the running digest. Traces

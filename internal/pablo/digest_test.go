@@ -26,18 +26,19 @@ func referenceDigest(events []Event) uint64 {
 		u64(uint64(ev.Size))
 		u64(uint64(ev.Start))
 		u64(uint64(ev.Duration))
-		h.Write([]byte(ev.Mode))
+		h.Write([]byte(ev.Mode.String()))
 	}
 	return h.Sum64()
 }
 
 func sampleEvents() []Event {
 	return []Event{
-		{Node: 0, Op: OpOpen, File: "input", Start: time.Millisecond, Duration: 40 * time.Microsecond, Mode: "M_UNIX"},
-		{Node: 3, Op: OpRead, File: "input", Offset: 4096, Size: 65536, Start: 2 * time.Millisecond, Duration: 12 * time.Millisecond, Mode: "M_UNIX"},
-		{Node: 3, Op: OpSeek, File: "input", Offset: 1 << 20, Start: 15 * time.Millisecond, Duration: 30 * time.Microsecond, Mode: "M_RECORD"},
+		{Node: 0, Op: OpOpen, File: "input", Start: time.Millisecond, Duration: 40 * time.Microsecond, Mode: ModeUnix},
+		{Node: 3, Op: OpRead, File: "input", Offset: 4096, Size: 65536, Start: 2 * time.Millisecond, Duration: 12 * time.Millisecond, Mode: ModeUnix},
+		{Node: 3, Op: OpSeek, File: "input", Offset: 1 << 20, Start: 15 * time.Millisecond, Duration: 30 * time.Microsecond, Mode: ModeRecord},
 		{Node: 7, Op: OpWrite, File: "out.chk", Offset: -8, Size: 1 << 17, Start: 20 * time.Millisecond, Duration: 9 * time.Millisecond},
-		{Node: 511, Op: OpClose, File: "out.chk", Start: time.Second, Duration: time.Microsecond, Mode: "M_ASYNC"},
+		{Node: 511, Op: OpClose, File: "out.chk", Start: time.Second, Duration: time.Microsecond, Mode: ModeAsync},
+		{Node: -1, Op: OpFlush, File: "out.chk", Start: 2 * time.Second, Mode: ModeLog}, // int32 must sign-extend as int did
 	}
 }
 

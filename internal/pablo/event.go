@@ -19,7 +19,7 @@ import (
 
 // Op identifies an I/O operation type. The set matches the operation rows
 // of the paper's Tables 2, 3 and 5.
-type Op int
+type Op uint8
 
 const (
 	OpOpen Op = iota
@@ -55,7 +55,7 @@ var opNames = [...]string{
 
 // String returns the operation's table-row name.
 func (o Op) String() string {
-	if o < 0 || int(o) >= len(opNames) {
+	if int(o) >= len(opNames) {
 		return fmt.Sprintf("op(%d)", int(o))
 	}
 	return opNames[o]
@@ -71,16 +71,65 @@ func ParseOp(s string) (Op, error) {
 	return 0, fmt.Errorf("pablo: unknown op %q", s)
 }
 
+// Mode is the PFS file access mode an event ran under. The zero value,
+// NoMode, means none; the others follow pfs.Mode's order, one up.
+type Mode uint8
+
+const (
+	NoMode Mode = iota
+	ModeUnix
+	ModeLog
+	ModeSync
+	ModeRecord
+	ModeGlobal
+	ModeAsync
+)
+
+// modeNames is the one table of PFS mode names; pfs.Mode reads it too.
+var modeNames = [...]string{
+	NoMode:     "",
+	ModeUnix:   "M_UNIX",
+	ModeLog:    "M_LOG",
+	ModeSync:   "M_SYNC",
+	ModeRecord: "M_RECORD",
+	ModeGlobal: "M_GLOBAL",
+	ModeAsync:  "M_ASYNC",
+}
+
+// String returns the PFS constant name, e.g. "M_UNIX", or "" for NoMode.
+func (m Mode) String() string {
+	if int(m) >= len(modeNames) {
+		return fmt.Sprintf("mode(%d)", int(m))
+	}
+	return modeNames[m]
+}
+
+// ParseMode converts a PFS constant name back to a Mode. The empty
+// string is not a name: NoMode has no spelling of its own.
+func ParseMode(s string) (Mode, error) {
+	for i := ModeUnix; int(i) < len(modeNames); i++ {
+		if modeNames[i] == s {
+			return i, nil
+		}
+	}
+	return NoMode, fmt.Errorf("pablo: unknown access mode %q", s)
+}
+
 // Event is one captured I/O operation: who, what, where, when, how long.
+//
+// The fields are ordered widest first so an Event packs into 56 bytes:
+// a full run records hundreds of thousands of them, and the trace is the
+// largest thing the simulator holds. File stays a string (see DESIGN.md
+// §5 for why it is not an interned id).
 type Event struct {
-	Node     int           // compute node issuing the operation
-	Op       Op            // operation type
-	File     string        // file name ("" for operations without one)
-	Offset   int64         // file offset (reads/writes/seeks)
-	Size     int64         // payload bytes (reads/writes), else 0
 	Start    time.Duration // virtual time at operation start
 	Duration time.Duration // operation duration (includes queueing/sync)
-	Mode     string        // file access mode in effect ("" if none)
+	Offset   int64         // file offset (reads/writes/seeks)
+	Size     int64         // payload bytes (reads/writes), else 0
+	File     string        // file name ("" for operations without one)
+	Node     int32         // compute node issuing the operation
+	Op       Op            // operation type
+	Mode     Mode          // file access mode in effect (NoMode if none)
 }
 
 // End returns the event's completion time.

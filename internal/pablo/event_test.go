@@ -1,13 +1,49 @@
 package pablo
 
 import (
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func ev(node int, op Op, file string, off, size int64, start, dur time.Duration) Event {
-	return Event{Node: node, Op: op, File: file, Offset: off, Size: size,
-		Start: start, Duration: dur, Mode: "M_UNIX"}
+	return Event{Node: int32(node), Op: op, File: file, Offset: off, Size: size,
+		Start: start, Duration: dur, Mode: ModeUnix}
+}
+
+// TestEventLayout pins the compact event: 56 bytes, with File still a
+// string (an interned id would make the event pointer-free, which
+// DESIGN.md §5 explains is not wanted).
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 56 {
+		t.Errorf("sizeof(Event) = %d, want 56", got)
+	}
+	f, ok := reflect.TypeOf(Event{}).FieldByName("File")
+	if !ok || f.Type.Kind() != reflect.String {
+		t.Errorf("Event.File is %v, want a string", f.Type)
+	}
+	if eventBytes != 56 {
+		t.Errorf("eventBytes = %d, want 56", eventBytes)
+	}
+}
+
+func TestModeStrings(t *testing.T) {
+	if s := NoMode.String(); s != "" {
+		t.Errorf("NoMode.String() = %q, want empty", s)
+	}
+	for m := ModeUnix; m <= ModeAsync; m++ {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if _, err := ParseMode(""); err == nil {
+		t.Error(`ParseMode("") accepted`)
+	}
+	if s := Mode(ModeAsync + 1).String(); s != "mode(7)" {
+		t.Errorf("out-of-range mode prints %q", s)
+	}
 }
 
 func TestOpStringRoundTrip(t *testing.T) {

@@ -1,6 +1,7 @@
 package pablo
 
 import (
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -13,7 +14,7 @@ import (
 func TestRecordPooledAllocs(t *testing.T) {
 	ev := Event{
 		Node: 3, Op: OpWrite, File: "escat.out", Offset: 512, Size: 4096,
-		Start: time.Millisecond, Duration: 250 * time.Microsecond, Mode: "writeonly",
+		Start: time.Millisecond, Duration: 250 * time.Microsecond, Mode: ModeAsync,
 	}
 	const n = 4 * minPooledEvents
 	var dig uint64
@@ -164,4 +165,52 @@ func TestPoolLevelIgnoresOverlap(t *testing.T) {
 	if got := level(); got != want {
 		t.Errorf("pool holds %d bytes after two overlapping traces, want %d as after one", got, want)
 	}
+}
+
+// TestPoolConcurrentRuns records and releases traces from several
+// goroutines at once, as parallel suite runs and daemon requests do.
+// Each trace must hash exactly as the same events recorded alone: a
+// buffer handed to two traces at once would mix their events. Run under
+// -race (make vet-race) it also checks the pool's locking.
+func TestPoolConcurrentRuns(t *testing.T) {
+	const (
+		workers = 4
+		cycles  = 4
+		n       = 4 * minPooledEvents
+	)
+	record := func(node int) *Trace {
+		tr := NewTrace()
+		for i := 0; i < n; i++ {
+			tr.Record(Event{Node: int32(node), Op: OpWrite, File: "f",
+				Offset: int64(i), Size: 8, Mode: ModeAsync})
+		}
+		return tr
+	}
+	want := make([]uint64, workers)
+	for w := range want {
+		tr := record(w)
+		want[w] = tr.Digest()
+		tr.Release()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for c := 0; c < cycles; c++ {
+				tr := record(w)
+				if got := tr.Digest(); got != want[w] {
+					t.Errorf("worker %d cycle %d: digest %#x, want %#x", w, c, got, want[w])
+				}
+				for i, ev := range tr.Events() {
+					if ev.Node != int32(w) || ev.Offset != int64(i) {
+						t.Errorf("worker %d cycle %d: event %d is %+v", w, c, i, ev)
+						break
+					}
+				}
+				tr.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -16,7 +16,7 @@ type OpStats struct {
 
 // Add folds one event into the stats.
 func (s *OpStats) Add(ev Event) {
-	if ev.Op < 0 || ev.Op >= numOps {
+	if ev.Op >= numOps {
 		return
 	}
 	s.Count[ev.Op]++
@@ -78,7 +78,7 @@ type LifetimeSummary struct {
 func FileLifetimes(t *Trace) map[string]*LifetimeSummary {
 	out := make(map[string]*LifetimeSummary)
 	type key struct {
-		node int
+		node int32
 		file string
 	}
 	openAt := make(map[key]time.Duration)
@@ -219,7 +219,7 @@ func AggregateByOp(t *Trace) OpStats {
 func NodesActive(t *Trace) []int {
 	seen := make(map[int]bool)
 	for _, ev := range t.Events() {
-		seen[ev.Node] = true
+		seen[int(ev.Node)] = true
 	}
 	out := make([]int, 0, len(seen))
 	for n := range seen {

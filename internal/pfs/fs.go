@@ -392,14 +392,14 @@ func (fs *FileSystem) Open(p *sim.Proc, node int, name string, mode Mode) (*Hand
 // trace emits one event ending now.
 func (fs *FileSystem) trace(node int, op pablo.Op, name string, off, size int64, start sim.Time, mode Mode) {
 	fs.tracer.Record(pablo.Event{
-		Node:     node,
+		Node:     int32(node),
 		Op:       op,
 		File:     name,
 		Offset:   off,
 		Size:     size,
 		Start:    start,
 		Duration: fs.k.Now() - start,
-		Mode:     mode.String(),
+		Mode:     mode.traced(),
 	})
 }
 

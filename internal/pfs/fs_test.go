@@ -204,7 +204,7 @@ func TestOpenReadWriteCloseMUnix(t *testing.T) {
 		if ev.Duration <= 0 {
 			t.Fatalf("event %+v has non-positive duration", ev)
 		}
-		if ev.Mode != "M_UNIX" {
+		if ev.Mode != pablo.ModeUnix {
 			t.Fatalf("event mode %q", ev.Mode)
 		}
 	}

@@ -112,7 +112,7 @@ func TestMGlobalSingleDiskIO(t *testing.T) {
 		t.Fatalf("read events = %d, want 8", len(reads))
 	}
 	for _, ev := range reads {
-		if ev.Offset != 0 || ev.Size != 4096 || ev.Mode != "M_GLOBAL" {
+		if ev.Offset != 0 || ev.Size != 4096 || ev.Mode != pablo.ModeGlobal {
 			t.Fatalf("bad global read event %+v", ev)
 		}
 	}
@@ -255,8 +255,9 @@ func TestMSyncVariableSizesPrefixOffsets(t *testing.T) {
 	offByNodeRound := map[[2]int]int64{}
 	roundOf := map[int]int{}
 	for _, ev := range writes {
-		offByNodeRound[[2]int{ev.Node, roundOf[ev.Node]}] = ev.Offset
-		roundOf[ev.Node]++
+		node := int(ev.Node)
+		offByNodeRound[[2]int{node, roundOf[node]}] = ev.Offset
+		roundOf[node]++
 	}
 	// Round 0: offsets 0, 100, 350; round 1: 400, 500, 750.
 	want := map[[2]int]int64{

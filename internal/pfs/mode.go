@@ -26,7 +26,11 @@
 // instrumentation measured on the real machine.
 package pfs
 
-import "fmt"
+import (
+	"fmt"
+
+	"paragonio/internal/pablo"
+)
 
 // Mode is a PFS file access mode.
 type Mode int
@@ -41,31 +45,26 @@ const (
 	numModes
 )
 
-var modeNames = [...]string{
-	MUnix:   "M_UNIX",
-	MLog:    "M_LOG",
-	MSync:   "M_SYNC",
-	MRecord: "M_RECORD",
-	MGlobal: "M_GLOBAL",
-	MAsync:  "M_ASYNC",
-}
-
 // String returns the PFS constant name, e.g. "M_UNIX".
 func (m Mode) String() string {
-	if m < 0 || int(m) >= len(modeNames) {
+	if m < 0 || m >= numModes {
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
-	return modeNames[m]
+	return m.traced().String()
 }
+
+// traced returns the mode as a trace event records it. The names live
+// in one table in pablo, whose modes follow this order one up (its zero
+// is "no mode").
+func (m Mode) traced() pablo.Mode { return pablo.Mode(m + 1) }
 
 // ParseMode converts a PFS constant name back to a Mode.
 func ParseMode(s string) (Mode, error) {
-	for i, n := range modeNames {
-		if n == s {
-			return Mode(i), nil
-		}
+	pm, err := pablo.ParseMode(s)
+	if err != nil {
+		return 0, fmt.Errorf("pfs: unknown access mode %q", s)
 	}
-	return 0, fmt.Errorf("pfs: unknown access mode %q", s)
+	return Mode(pm - 1), nil
 }
 
 // Modes lists all access modes.

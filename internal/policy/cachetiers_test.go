@@ -36,7 +36,7 @@ func TestAdviseEmptyProfile(t *testing.T) {
 // threshold — the advisor must stay quiet rather than extrapolate.
 func TestAdviseSingleRequestFile(t *testing.T) {
 	tr := pablo.NewTrace()
-	tr.Record(mkRead(0, "once", 0, 100, "M_UNIX"))
+	tr.Record(mkRead(0, "once", 0, 100, pablo.ModeUnix))
 	p := Classify(tr)["once"]
 	if p == nil || p.Reads != 1 {
 		t.Fatalf("profile = %+v", p)
@@ -57,7 +57,7 @@ func TestAdviseConflictingSmallWrites(t *testing.T) {
 	tr := pablo.NewTrace()
 	off := int64(0)
 	for i := 0; i < 10; i++ {
-		tr.Record(mkWrite(0, "log", off, 2048, "M_UNIX"))
+		tr.Record(mkWrite(0, "log", off, 2048, pablo.ModeUnix))
 		off += 2048
 	}
 	p := Classify(tr)["log"]
@@ -92,11 +92,11 @@ func TestAdviseRewriteVetoesReadAhead(t *testing.T) {
 	// read-ahead trigger shape, except the blocks are freshly written).
 	for pass := 0; pass < 2; pass++ {
 		for i := int64(0); i < 10; i++ {
-			tr.Record(mkWrite(0, "stage", i*SignalBlock, SignalBlock, "M_ASYNC"))
+			tr.Record(mkWrite(0, "stage", i*SignalBlock, SignalBlock, pablo.ModeAsync))
 		}
 	}
 	for i := int64(0); i < 10; i++ {
-		tr.Record(mkRead(1, "stage", i*SignalBlock, SignalBlock, "M_ASYNC"))
+		tr.Record(mkRead(1, "stage", i*SignalBlock, SignalBlock, pablo.ModeAsync))
 	}
 	p := Classify(tr)["stage"]
 	if p.ReadAfterWriteFrac < 0.99 {
@@ -130,7 +130,7 @@ func TestAdviseClientTierFromReuse(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		base := time.Duration(pass) * 5 * time.Minute
 		for i := int64(0); i < 4; i++ {
-			tr.Record(at(mkRead(0, "quad", i*SignalBlock, SignalBlock, "M_RECORD"),
+			tr.Record(at(mkRead(0, "quad", i*SignalBlock, SignalBlock, pablo.ModeRecord),
 				base+time.Duration(i)*time.Second))
 		}
 	}
@@ -175,7 +175,7 @@ func TestAdviseTiersDeterministicOrdering(t *testing.T) {
 	for _, f := range []string{"b", "c", "a"} {
 		off := int64(0)
 		for i := 0; i < 10; i++ {
-			tr.Record(mkWrite(0, f, off, 2048, "M_UNIX"))
+			tr.Record(mkWrite(0, f, off, 2048, pablo.ModeUnix))
 			off += 2048
 		}
 	}
@@ -212,7 +212,7 @@ func TestAdviseTiersFaultAware(t *testing.T) {
 	wbTrace := pablo.NewTrace()
 	off := int64(0)
 	for i := 0; i < 10; i++ {
-		wbTrace.Record(mkWrite(0, "log", off, 2048, "M_UNIX"))
+		wbTrace.Record(mkWrite(0, "log", off, 2048, pablo.ModeUnix))
 		off += 2048
 	}
 	wbProfs := Classify(wbTrace)
@@ -252,7 +252,7 @@ func TestAdviseTiersFaultAware(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		base := time.Duration(pass) * 5 * time.Minute
 		for i := int64(0); i < 4; i++ {
-			clTrace.Record(at(mkRead(0, "quad", i*SignalBlock, SignalBlock, "M_RECORD"),
+			clTrace.Record(at(mkRead(0, "quad", i*SignalBlock, SignalBlock, pablo.ModeRecord),
 				base+time.Duration(i)*time.Second))
 		}
 	}

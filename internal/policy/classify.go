@@ -205,8 +205,9 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 			continue
 		}
 		p := get(ev.File)
-		p.Modes[ev.Mode]++
-		k := nodeKey{ev.File, ev.Node}
+		node, mode := int(ev.Node), ev.Mode.String()
+		p.Modes[mode]++
+		k := nodeKey{ev.File, node}
 		switch ev.Op {
 		case pablo.OpOpen:
 			p.Opens++
@@ -219,7 +220,7 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 				continue
 			}
 			p.Reads++
-			p.ReadModes[ev.Mode]++
+			p.ReadModes[mode]++
 			p.BytesRead += ev.Size
 			if ev.Size < 2048 {
 				p.SmallReadFrac++ // normalized later
@@ -227,7 +228,7 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 			if readerSet[ev.File] == nil {
 				readerSet[ev.File] = map[int]bool{}
 			}
-			readerSet[ev.File][ev.Node] = true
+			readerSet[ev.File][node] = true
 			if lastEnd[k] == ev.Offset && readsBy[k] > 0 {
 				seqHits[k]++
 			}
@@ -258,8 +259,8 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 				info.readTouches++
 				if !info.read {
 					info.read = true
-					info.firstReader = ev.Node
-				} else if info.firstReader != ev.Node {
+					info.firstReader = node
+				} else if info.firstReader != node {
 					info.shared = true
 				}
 				if info.written {
@@ -287,7 +288,7 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 				continue
 			}
 			p.Writes++
-			p.WriteModes[ev.Mode]++
+			p.WriteModes[mode]++
 			p.BytesWritten += ev.Size
 			if ev.Size < 4096 {
 				p.SmallWriteFrac++
@@ -295,11 +296,11 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 			if writerSet[ev.File] == nil {
 				writerSet[ev.File] = map[int]bool{}
 			}
-			writerSet[ev.File][ev.Node] = true
+			writerSet[ev.File][node] = true
 			if writeOffsets[ev.File] == nil {
 				writeOffsets[ev.File] = map[int][]int64{}
 			}
-			writeOffsets[ev.File][ev.Node] = append(writeOffsets[ev.File][ev.Node], ev.Offset)
+			writeOffsets[ev.File][node] = append(writeOffsets[ev.File][node], ev.Offset)
 			p.WriteTime += ev.Duration
 			fb := fileBlocks(ev.File)
 			idx := nodeOps[k]

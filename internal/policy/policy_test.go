@@ -9,13 +9,13 @@ import (
 	"paragonio/internal/pablo"
 )
 
-func mkRead(node int, file string, off, size int64, mode string) pablo.Event {
-	return pablo.Event{Node: node, Op: pablo.OpRead, File: file, Offset: off,
+func mkRead(node int, file string, off, size int64, mode pablo.Mode) pablo.Event {
+	return pablo.Event{Node: int32(node), Op: pablo.OpRead, File: file, Offset: off,
 		Size: size, Duration: time.Millisecond, Mode: mode}
 }
 
-func mkWrite(node int, file string, off, size int64, mode string) pablo.Event {
-	return pablo.Event{Node: node, Op: pablo.OpWrite, File: file, Offset: off,
+func mkWrite(node int, file string, off, size int64, mode pablo.Mode) pablo.Event {
+	return pablo.Event{Node: int32(node), Op: pablo.OpWrite, File: file, Offset: off,
 		Size: size, Duration: time.Millisecond, Mode: mode}
 }
 
@@ -24,7 +24,7 @@ func TestClassifyIdenticalReads(t *testing.T) {
 	for node := 0; node < 4; node++ {
 		off := int64(0)
 		for i := 0; i < 10; i++ {
-			tr.Record(mkRead(node, "input", off, 100, "M_UNIX"))
+			tr.Record(mkRead(node, "input", off, 100, pablo.ModeUnix))
 			off += 100
 		}
 	}
@@ -49,8 +49,8 @@ func TestClassifyInterleavedWrites(t *testing.T) {
 	for cyc := 0; cyc < 5; cyc++ {
 		for node := 0; node < nodes; node++ {
 			off := int64(cyc*nodes+node) * size
-			tr.Record(pablo.Event{Node: node, Op: pablo.OpSeek, File: "quad", Offset: off, Mode: "M_UNIX"})
-			tr.Record(mkWrite(node, "quad", off, size, "M_UNIX"))
+			tr.Record(pablo.Event{Node: int32(node), Op: pablo.OpSeek, File: "quad", Offset: off, Mode: pablo.ModeUnix})
+			tr.Record(mkWrite(node, "quad", off, size, pablo.ModeUnix))
 		}
 	}
 	p := Classify(tr)["quad"]
@@ -67,7 +67,7 @@ func TestClassifyFixedReadSize(t *testing.T) {
 	for node := 0; node < 4; node++ {
 		for round := 0; round < 5; round++ {
 			off := int64(round*4+node) * 131072
-			tr.Record(mkRead(node, "quad", off, 131072, "M_RECORD"))
+			tr.Record(mkRead(node, "quad", off, 131072, pablo.ModeRecord))
 		}
 	}
 	p := Classify(tr)["quad"]
@@ -82,10 +82,10 @@ func TestClassifyFixedReadSize(t *testing.T) {
 func TestAdviseGlobalRead(t *testing.T) {
 	tr := pablo.NewTrace()
 	for node := 0; node < 8; node++ {
-		tr.Record(pablo.Event{Node: node, Op: pablo.OpOpen, File: "input", Mode: "M_UNIX"})
+		tr.Record(pablo.Event{Node: int32(node), Op: pablo.OpOpen, File: "input", Mode: pablo.ModeUnix})
 		off := int64(0)
 		for i := 0; i < 20; i++ {
-			tr.Record(mkRead(node, "input", off, 200, "M_UNIX"))
+			tr.Record(mkRead(node, "input", off, 200, pablo.ModeUnix))
 			off += 200
 		}
 	}
@@ -107,8 +107,8 @@ func TestAdviseAsyncWrites(t *testing.T) {
 	for cyc := 0; cyc < 4; cyc++ {
 		for node := 0; node < nodes; node++ {
 			off := int64(cyc*nodes+node) * size
-			tr.Record(pablo.Event{Node: node, Op: pablo.OpSeek, File: "quad", Offset: off, Mode: "M_UNIX"})
-			tr.Record(mkWrite(node, "quad", off, size, "M_UNIX"))
+			tr.Record(pablo.Event{Node: int32(node), Op: pablo.OpSeek, File: "quad", Offset: off, Mode: pablo.ModeUnix})
+			tr.Record(mkWrite(node, "quad", off, size, pablo.ModeUnix))
 		}
 	}
 	recs := Advise(Classify(tr)["quad"], Options{})
@@ -122,7 +122,7 @@ func TestAdviseRecordAndAlignment(t *testing.T) {
 	for node := 0; node < 4; node++ {
 		for round := 0; round < 4; round++ {
 			off := int64(round*4+node) * 100000
-			tr.Record(mkRead(node, "data", off, 100000, "M_UNIX"))
+			tr.Record(mkRead(node, "data", off, 100000, pablo.ModeUnix))
 		}
 	}
 	recs := Advise(Classify(tr)["data"], Options{})
@@ -136,7 +136,7 @@ func TestAdviseRecordAndAlignment(t *testing.T) {
 
 func TestAdviseQuietOnTinyProfiles(t *testing.T) {
 	tr := pablo.NewTrace()
-	tr.Record(mkRead(0, "f", 0, 100, "M_UNIX"))
+	tr.Record(mkRead(0, "f", 0, 100, pablo.ModeUnix))
 	if recs := Advise(Classify(tr)["f"], Options{}); recs != nil {
 		t.Fatalf("advice on trivial profile: %v", recs)
 	}

@@ -84,8 +84,9 @@ func Replay(tr *pablo.Trace, cfg Config) (*Outcome, error) {
 	var origData time.Duration
 	var reads, writes int
 	for _, ev := range tr.Events() {
-		if ev.Node > maxNode {
-			maxNode = ev.Node
+		node := int(ev.Node)
+		if node > maxNode {
+			maxNode = node
 		}
 		if ev.Op != pablo.OpRead && ev.Op != pablo.OpWrite {
 			// Non-data time becomes part of the node's gap.
@@ -101,15 +102,15 @@ func Replay(tr *pablo.Trace, cfg Config) (*Outcome, error) {
 			writes++
 		}
 		think := time.Duration(0)
-		if prev, ok := lastEnd[ev.Node]; ok {
+		if prev, ok := lastEnd[node]; ok {
 			if gap := ev.Start - prev; gap > 0 {
 				think = gap
 			}
 		} else if ev.Start > 0 {
 			think = ev.Start
 		}
-		lastEnd[ev.Node] = ev.End()
-		ops[ev.Node] = append(ops[ev.Node], nodeOp{
+		lastEnd[node] = ev.End()
+		ops[node] = append(ops[node], nodeOp{
 			think: think,
 			write: ev.Op == pablo.OpWrite,
 			file:  ev.File,

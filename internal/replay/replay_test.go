@@ -144,9 +144,9 @@ func TestReplayHandwrittenTrace(t *testing.T) {
 	// later. Checks offsets survive and think time is honored.
 	tr := pablo.NewTrace()
 	tr.Record(pablo.Event{Node: 0, Op: pablo.OpWrite, File: "f", Offset: 0,
-		Size: 1 << 20, Start: 0, Duration: time.Second, Mode: "M_ASYNC"})
+		Size: 1 << 20, Start: 0, Duration: time.Second, Mode: pablo.ModeAsync})
 	tr.Record(pablo.Event{Node: 1, Op: pablo.OpRead, File: "f", Offset: 1 << 19,
-		Size: 1 << 19, Start: 10 * time.Second, Duration: time.Second, Mode: "M_ASYNC"})
+		Size: 1 << 19, Start: 10 * time.Second, Duration: time.Second, Mode: pablo.ModeAsync})
 	out, err := Replay(tr, Config{PreserveGaps: true})
 	if err != nil {
 		t.Fatal(err)

@@ -657,8 +657,7 @@ func buildSimulateResponse(req *SimulateRequest, key string, res *core.Result) *
 		})
 	}
 	for _, ph := range res.Phases {
-		sub := analysis.SliceByPhase(res.Trace, ph)
-		agg := pablo.AggregateByOp(sub)
+		agg := analysis.PhaseStats(res.Trace, ph)
 		resp.Phases = append(resp.Phases, PhaseRow{
 			Name:          ph.Name,
 			StartSeconds:  ph.Start.Seconds(),

@@ -726,9 +726,9 @@ func TestAdviseJudgesAlignmentByTheRunsStripeUnit(t *testing.T) {
 		// Two nodes read disjoint fixed-size records, interleaved.
 		for round := 0; round < 4; round++ {
 			for node := 0; node < 2; node++ {
-				res.Trace.Record(pablo.Event{Node: node, Op: pablo.OpRead, File: "data",
+				res.Trace.Record(pablo.Event{Node: int32(node), Op: pablo.OpRead, File: "data",
 					Offset: int64(round*2+node) * record, Size: record,
-					Duration: time.Millisecond, Mode: "M_UNIX"})
+					Duration: time.Millisecond, Mode: pablo.ModeUnix})
 			}
 		}
 		return res, nil
