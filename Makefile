@@ -83,7 +83,8 @@ docs-verify:
 # service contract end to end: health, simulate (pinned to the golden
 # digest), cache-hit re-request, batched sweep (repeated grid dedups
 # fully), fault-injected and log-tier runs (pinned to their own golden
-# digests), kill-and-restart warm start, metrics scrape.
+# digests), advise run cached and replayed, kill-and-restart warm start,
+# metrics scrape.
 service-smoke:
 	bash scripts/service-smoke.sh
 

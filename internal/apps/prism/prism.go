@@ -66,9 +66,6 @@ type Dataset struct {
 // BodyBytes returns the restart body size: one record per node.
 func (d Dataset) BodyBytes() int64 { return int64(d.Nodes) * d.BodyRecord }
 
-// Checkpoints returns the number of checkpoints the run performs.
-func (d Dataset) Checkpoints() int { return d.Steps / d.CheckpointEvery }
-
 // Validate reports whether the dataset is runnable.
 func (d Dataset) Validate() error {
 	switch {

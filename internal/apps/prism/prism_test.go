@@ -64,8 +64,8 @@ func TestPaperProblemParameters(t *testing.T) {
 		d.CheckpointEvery != 250 || d.Nodes != 64 {
 		t.Fatalf("test problem drifted from the paper: %+v", d)
 	}
-	if d.Checkpoints() != 5 {
-		t.Fatalf("Checkpoints = %d, want 5", d.Checkpoints())
+	if n := d.Steps / d.CheckpointEvery; n != 5 {
+		t.Fatalf("Checkpoints = %d, want 5", n)
 	}
 	if d.BodyRecord != 155584 {
 		t.Fatalf("BodyRecord = %d, want 155584", d.BodyRecord)
@@ -186,7 +186,7 @@ func TestCheckpointBursts(t *testing.T) {
 			chkRecords++
 		}
 	}
-	if want := d.Checkpoints() * d.Nodes; chkRecords != want {
+	if want := d.Steps / d.CheckpointEvery * d.Nodes; chkRecords != want {
 		t.Fatalf("checkpoint records = %d, want %d", chkRecords, want)
 	}
 }

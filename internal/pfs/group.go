@@ -62,9 +62,6 @@ func (fs *FileSystem) NewGroup(nodes []int) (*Group, error) {
 // Nodes returns the member node ids in rank order.
 func (g *Group) Nodes() []int { return append([]int(nil), g.nodes...) }
 
-// N returns the group size.
-func (g *Group) N() int { return len(g.nodes) }
-
 // Gopen is the collective open: all members call it; the metadata
 // operation is paid once (by the leader), which is what made gopen "an
 // alternative to the more expensive open operation". The returned handle

@@ -19,10 +19,10 @@ func TestNewGroupValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.N() != 3 {
-		t.Fatalf("N = %d", g.N())
-	}
 	nodes := g.Nodes()
+	if len(nodes) != 3 {
+		t.Fatalf("len(Nodes) = %d", len(nodes))
+	}
 	if nodes[0] != 3 || nodes[1] != 5 || nodes[2] != 9 {
 		t.Fatalf("Nodes = %v, want sorted", nodes)
 	}

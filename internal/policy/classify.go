@@ -49,9 +49,6 @@ type Profile struct {
 
 	BytesRead, BytesWritten int64
 
-	// MeanReadSize and MeanWriteSize are in bytes (0 when no ops).
-	MeanReadSize, MeanWriteSize float64
-
 	// SmallReadFrac: fraction of reads below 2 KB (the paper's "small"
 	// threshold). SmallWriteFrac: fraction of writes below 4 KB —
 	// writes that cannot amortize positioning even within one stripe.
@@ -76,10 +73,9 @@ type Profile struct {
 	// SeeksPerWrite: seek ops per write op (pointer-repositioning load).
 	SeeksPerWrite float64
 
-	// Modes observed on the file's operations (all types), and on the
-	// data operations specifically — mode changes mid-file (the PRISM
-	// restart pattern) make the distinction matter.
-	Modes      map[string]int
+	// ReadModes and WriteModes count the modes of the file's reads and
+	// writes — mode changes mid-file (the PRISM restart pattern) make
+	// the split matter.
 	ReadModes  map[string]int
 	WriteModes map[string]int
 
@@ -189,7 +185,6 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 		if p == nil {
 			p = &Profile{
 				File:       file,
-				Modes:      make(map[string]int),
 				ReadModes:  make(map[string]int),
 				WriteModes: make(map[string]int),
 			}
@@ -206,7 +201,6 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 		}
 		p := get(ev.File)
 		node, mode := int(ev.Node), ev.Mode.String()
-		p.Modes[mode]++
 		k := nodeKey{ev.File, node}
 		switch ev.Op {
 		case pablo.OpOpen:
@@ -320,11 +314,9 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 		p.Readers = sortedNodes(readerSet[file])
 		p.Writers = sortedNodes(writerSet[file])
 		if p.Reads > 0 {
-			p.MeanReadSize = float64(p.BytesRead) / float64(p.Reads)
 			p.SmallReadFrac /= float64(p.Reads)
 		}
 		if p.Writes > 0 {
-			p.MeanWriteSize = float64(p.BytesWritten) / float64(p.Writes)
 			p.SmallWriteFrac /= float64(p.Writes)
 			p.SeeksPerWrite = float64(p.Seeks) / float64(p.Writes)
 		}

@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// ErrQueueFull is returned by Admitter.Acquire when the caller's bounded
+// ErrQueueFull is returned by Admitter.AcquireAs when the caller's bounded
 // wait queue is already at capacity; handlers map it to 429 + Retry-After.
 var ErrQueueFull = errors.New("server: admission queue full")
 
@@ -55,7 +55,7 @@ var costClasses = []string{"narrow", "medium", "wide"}
 // long narrow runs can leapfrog it.
 //
 // The wait-queue bound applies per client: when a client's queue is
-// full, Acquire fails fast with ErrQueueFull so the caller can shed
+// full, AcquireAs fails fast with ErrQueueFull so the caller can shed
 // load instead of stacking it. Sweep-kind waiters are exempt from the
 // bound — a sweep is one admitted unit whose point count is already
 // capped by the planner, and shedding its internal work items as 429s
@@ -125,13 +125,6 @@ func (a *Admitter) QueueLen() int {
 	return a.waiting
 }
 
-// Free returns the number of unclaimed slots.
-func (a *Admitter) Free() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.free
-}
-
 // Cost clamps a requested weight to an admissible slot cost.
 func (a *Admitter) Cost(weight int) int {
 	if weight < 1 {
@@ -141,12 +134,6 @@ func (a *Admitter) Cost(weight int) int {
 		weight = a.slots
 	}
 	return weight
-}
-
-// Acquire claims cost slots for an anonymous interactive run — the
-// single-client convenience wrapper around AcquireAs.
-func (a *Admitter) Acquire(ctx context.Context, cost int) (func(), error) {
-	return a.AcquireAs(ctx, "", KindInteractive, cost)
 }
 
 // AcquireAs claims cost slots on behalf of client, waiting in the

@@ -10,18 +10,18 @@ import (
 
 func TestAdmitterImmediateAndRelease(t *testing.T) {
 	a := NewAdmitter(4, 2)
-	rel1, err := a.Acquire(context.Background(), 3)
+	rel1, err := a.AcquireAs(context.Background(), "", KindInteractive, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := a.Acquire(context.Background(), 1)
+	rel2, err := a.AcquireAs(context.Background(), "", KindInteractive, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel1()
 	rel1() // release is idempotent
 	rel2()
-	if rel, err := a.Acquire(context.Background(), 4); err != nil {
+	if rel, err := a.AcquireAs(context.Background(), "", KindInteractive, 4); err != nil {
 		t.Fatalf("full pool not reusable after release: %v", err)
 	} else {
 		rel()
@@ -36,7 +36,7 @@ func TestAdmitterCostClamp(t *testing.T) {
 	if a.Cost(64) != 4 {
 		t.Error("cost beyond pool must clamp to the pool size")
 	}
-	rel, err := a.Acquire(context.Background(), 64) // wants more than the pool has
+	rel, err := a.AcquireAs(context.Background(), "", KindInteractive, 64) // wants more than the pool has
 	if err != nil {
 		t.Fatalf("clamped acquire failed: %v", err)
 	}
@@ -45,7 +45,7 @@ func TestAdmitterCostClamp(t *testing.T) {
 
 func TestAdmitterQueueOverflow(t *testing.T) {
 	a := NewAdmitter(1, 1)
-	rel, err := a.Acquire(context.Background(), 1)
+	rel, err := a.AcquireAs(context.Background(), "", KindInteractive, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestAdmitterQueueOverflow(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		r, err := a.Acquire(context.Background(), 1)
+		r, err := a.AcquireAs(context.Background(), "", KindInteractive, 1)
 		if err != nil {
 			t.Errorf("queued acquire failed: %v", err)
 			return
@@ -71,7 +71,7 @@ func TestAdmitterQueueOverflow(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// …the second overflows.
-	if _, err := a.Acquire(context.Background(), 1); !errors.Is(err, ErrQueueFull) {
+	if _, err := a.AcquireAs(context.Background(), "", KindInteractive, 1); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow acquire = %v, want ErrQueueFull", err)
 	}
 	rel()
@@ -80,14 +80,14 @@ func TestAdmitterQueueOverflow(t *testing.T) {
 
 func TestAdmitterContextCancelWhileQueued(t *testing.T) {
 	a := NewAdmitter(1, 4)
-	rel, err := a.Acquire(context.Background(), 1)
+	rel, err := a.AcquireAs(context.Background(), "", KindInteractive, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := a.Acquire(ctx, 1)
+		_, err := a.AcquireAs(ctx, "", KindInteractive, 1)
 		errc <- err
 	}()
 	for i := 0; ; i++ {
@@ -106,7 +106,7 @@ func TestAdmitterContextCancelWhileQueued(t *testing.T) {
 	rel()
 	// The cancelled waiter must not have left the pool leaked or the
 	// queue corrupted.
-	rel2, err := a.Acquire(context.Background(), 1)
+	rel2, err := a.AcquireAs(context.Background(), "", KindInteractive, 1)
 	if err != nil {
 		t.Fatalf("pool unusable after cancelled waiter: %v", err)
 	}
@@ -118,11 +118,11 @@ func TestAdmitterContextCancelWhileQueued(t *testing.T) {
 // when enough slots free up for the narrow one to squeeze in.
 func TestAdmitterFIFOWeighted(t *testing.T) {
 	a := NewAdmitter(4, 8)
-	relA, err := a.Acquire(context.Background(), 2)
+	relA, err := a.AcquireAs(context.Background(), "", KindInteractive, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relB, err := a.Acquire(context.Background(), 2)
+	relB, err := a.AcquireAs(context.Background(), "", KindInteractive, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestAdmitterFIFOWeighted(t *testing.T) {
 		ch := make(chan struct{})
 		go func() {
 			defer close(ch)
-			r, err := a.Acquire(context.Background(), need)
+			r, err := a.AcquireAs(context.Background(), "", KindInteractive, need)
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
 				return
@@ -174,7 +174,7 @@ func TestAdmitterConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rel, err := a.Acquire(context.Background(), 1+i%4)
+			rel, err := a.AcquireAs(context.Background(), "", KindInteractive, 1+i%4)
 			if err != nil {
 				t.Errorf("acquire: %v", err)
 				return
@@ -184,7 +184,10 @@ func TestAdmitterConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if a.Free() != 4 || a.QueueLen() != 0 {
-		t.Errorf("pool state after drain: free=%d waiters=%d, want 4/0", a.Free(), a.QueueLen())
+	a.mu.Lock()
+	free := a.free
+	a.mu.Unlock()
+	if free != 4 || a.QueueLen() != 0 {
+		t.Errorf("pool state after drain: free=%d waiters=%d, want 4/0", free, a.QueueLen())
 	}
 }

@@ -392,14 +392,17 @@ type flight struct {
 	cancel context.CancelFunc
 	refs   int
 
-	body      []byte // response body served to waiters (cached=false)
-	cacheBody []byte // variant stored in the result cache (cached=true)
-	err       error
+	body []byte // response body served to waiters (cached=false)
+	err  error
 }
 
 // joinFlight returns the flight for key, creating it (and starting
 // produce on a daemon-owned context) if none is running. The boolean
-// reports whether the caller is joining an existing flight.
+// reports whether the caller is joining an existing flight. produce
+// returns the live body and the variant the result cache stores; the
+// flight stores it once, before it leaves s.flights and wakes its
+// waiters, so a request arriving after the flight is gone finds the
+// result in the cache and a run whose waiters all left is still kept.
 func (s *Server) joinFlight(key string, produce func(ctx context.Context) ([]byte, []byte, error)) (*flight, bool) {
 	s.flightMu.Lock()
 	defer s.flightMu.Unlock()
@@ -414,7 +417,11 @@ func (s *Server) joinFlight(key string, produce func(ctx context.Context) ([]byt
 	s.flights[key] = f
 	go func() {
 		defer cancel()
-		f.body, f.cacheBody, f.err = produce(ctx)
+		body, stored, err := produce(ctx)
+		if err == nil {
+			s.cache.Put(key, stored)
+		}
+		f.body, f.err = body, err
 		s.flightMu.Lock()
 		delete(s.flights, key)
 		s.flightMu.Unlock()
@@ -433,12 +440,63 @@ func (s *Server) leaveFlight(f *flight) {
 	s.flightMu.Unlock()
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
+// renderFunc turns a finished run into an endpoint's response value and
+// a pointer to that value's Cached flag.
+type renderFunc func(req *SimulateRequest, key string, res *core.Result) (resp any, cached *bool, err error)
+
+// resolve is the one path from a run request to the engine, shared by
+// /v1/simulate, /v1/advise and every sweep point: the result cache, else
+// the identical in-flight run, else a fresh run admitted as client and
+// kind and rendered by render. It returns the body (cached=true only
+// when served from the cache), the dedup source ("cache", "inflight", or
+// "" for a run this call started) and the run's error. If ctx ends
+// first it detaches from the flight and returns ctx.Err().
+func (s *Server) resolve(ctx context.Context, key, client, kind string, req *SimulateRequest, render renderFunc) ([]byte, string, error) {
+	if body, ok := s.cache.Get(key); ok {
+		return body, "cache", nil
+	}
+	f, joined := s.joinFlight(key, func(runCtx context.Context) ([]byte, []byte, error) {
+		res, err := s.admitAndRunAs(runCtx, client, kind, req, req.config())
+		if err != nil {
+			return nil, nil, err
+		}
+		resp, cached, err := render(req, key, res)
+		res.Trace.Release() // response rendered; recycle the event buffer
+		if err != nil {
+			return nil, nil, err
+		}
+		return marshalPair(resp, cached)
+	})
+	dedup := ""
+	if joined {
+		dedup = "inflight"
+		s.coalesced.Inc()
+	}
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		s.leaveFlight(f)
+		return nil, dedup, ctx.Err()
+	}
+	s.leaveFlight(f)
+	return f.body, dedup, f.err
+}
+
+// decodeBody decodes a request body into v, rejecting unknown fields.
+// On failure it writes the bad_json error and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadJSON, "", "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	var req SimulateRequest
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := req.validate(); err != nil {
@@ -446,39 +504,18 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := req.config()
-	key := experiments.ConfigKey(cfg, req.identity())
-
 	if req.SDDF {
 		s.streamSDDF(w, r, &req, cfg)
 		return
 	}
-	if body, ok := s.cache.Get(key); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		return
-	}
-	client := clientID(r)
-	f, joined := s.joinFlight(key, func(ctx context.Context) ([]byte, []byte, error) {
-		res, err := s.admitAndRunAs(ctx, client, KindInteractive, &req, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		resp := buildSimulateResponse(&req, key, res)
-		res.Trace.Release() // response built; recycle the event buffer
-		return marshalPair(resp, &resp.Cached)
-	})
-	if joined {
-		s.coalesced.Inc()
-	}
-	s.finishFlight(w, r, key, f)
+	key := experiments.ConfigKey(cfg, req.identity())
+	body, _, err := s.resolve(r.Context(), key, clientID(r), KindInteractive, &req, renderSimulate)
+	s.writeResult(w, r, body, err)
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadJSON, "", "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.SDDF {
@@ -490,60 +527,22 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		writeValidationError(w, err)
 		return
 	}
-	cfg := req.config()
-	key := "advise/" + experiments.ConfigKey(cfg, req.identity())
-
-	if body, ok := s.cache.Get(key); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		return
-	}
-	client := clientID(r)
-	f, joined := s.joinFlight(key, func(ctx context.Context) ([]byte, []byte, error) {
-		res, err := s.admitAndRunAs(ctx, client, KindInteractive, &req, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		var advice bytes.Buffer
-		err = policy.WriteAdvice(&advice, policy.Classify(res.Trace), policy.Options{StripeUnit: cfg.StripeUnit},
-			policy.CacheOptions{IONodes: len(res.IONodes), Faults: cfg.Faults})
-		res.Trace.Release() // advice rendered; recycle the event buffer
-		if err != nil {
-			return nil, nil, err
-		}
-		resp := &AdviseResponse{
-			Hash:    key,
-			App:     req.App,
-			Version: res.Version,
-			Advice:  advice.String(),
-		}
-		return marshalPair(resp, &resp.Cached)
-	})
-	if joined {
-		s.coalesced.Inc()
-	}
-	s.finishFlight(w, r, key, f)
+	key := "advise/" + experiments.ConfigKey(req.config(), req.identity())
+	body, _, err := s.resolve(r.Context(), key, clientID(r), KindInteractive, &req, renderAdvise)
+	s.writeResult(w, r, body, err)
 }
 
-// finishFlight waits for a flight (or the client's departure) and
-// renders its outcome.
-func (s *Server) finishFlight(w http.ResponseWriter, r *http.Request, key string, f *flight) {
-	select {
-	case <-f.done:
-	case <-r.Context().Done():
-		s.leaveFlight(f)
-		return // client gone; nothing to write
-	}
-	s.leaveFlight(f)
-	if f.err != nil {
-		s.writeRunError(w, f.err)
+// writeResult writes what resolve returned: the JSON body, or the run's
+// error — nothing when the client has gone.
+func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, body []byte, err error) {
+	if err != nil {
+		if r.Context().Err() == nil {
+			s.writeRunError(w, err)
+		}
 		return
 	}
-	if f.cacheBody != nil {
-		s.cache.Put(key, f.cacheBody)
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(f.body)
+	w.Write(body)
 }
 
 // writeRunError maps a failed run onto an HTTP status.
@@ -628,14 +627,35 @@ func marshalPair(resp any, cached *bool) ([]byte, []byte, error) {
 		return nil, nil, err
 	}
 	*cached = true
-	cacheBody, err := json.Marshal(resp)
+	stored, err := json.Marshal(resp)
 	if err != nil {
 		return nil, nil, err
 	}
-	return live, cacheBody, nil
+	return live, stored, nil
 }
 
-func buildSimulateResponse(req *SimulateRequest, key string, res *core.Result) *SimulateResponse {
+// renderAdvise is the /v1/advise render step: the advisor report sized
+// for the machine the run simulated — its I/O node count, stripe unit
+// and fault plan.
+func renderAdvise(req *SimulateRequest, key string, res *core.Result) (any, *bool, error) {
+	var advice bytes.Buffer
+	err := policy.WriteAdvice(&advice, policy.Classify(res.Trace), policy.Options{StripeUnit: req.StripeUnit},
+		policy.CacheOptions{IONodes: len(res.IONodes), Faults: req.faultsPlan()})
+	if err != nil {
+		return nil, nil, err
+	}
+	resp := &AdviseResponse{
+		Hash:    key,
+		App:     req.App,
+		Version: res.Version,
+		Advice:  advice.String(),
+	}
+	return resp, &resp.Cached, nil
+}
+
+// renderSimulate is the render step of /v1/simulate and sweep points:
+// the run's JSON summary.
+func renderSimulate(req *SimulateRequest, key string, res *core.Result) (any, *bool, error) {
 	resp := &SimulateResponse{
 		Hash:          key,
 		App:           req.App,
@@ -702,7 +722,7 @@ func buildSimulateResponse(req *SimulateRequest, key string, res *core.Result) *
 			MaxIOQueue: maxQ,
 		})
 	}
-	return resp
+	return resp, &resp.Cached, nil
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {

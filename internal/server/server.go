@@ -9,7 +9,8 @@
 //     full request configuration — in a byte-budgeted in-memory LRU
 //     with optional disk spill, so a repeated what-if is served in
 //     microseconds instead of re-simulating. Concurrent identical
-//     requests coalesce onto one in-flight run.
+//     requests coalesce onto one in-flight run, which stores its
+//     result once before answering them.
 //
 //   - Admission control. Simulations are CPU-bound, so requests pass a
 //     weighted slot pool sized off GOMAXPROCS (a run's cost is its

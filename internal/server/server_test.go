@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,7 +180,9 @@ func TestSimulateShardsIsAdmissionWeightOnly(t *testing.T) {
 	var s *Server
 	var free []int
 	s = newTestServer(t, Config{Slots: 8}, func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
-		free = append(free, s.adm.Free())
+		s.adm.mu.Lock()
+		free = append(free, s.adm.free)
+		s.adm.mu.Unlock()
 		return stubRun(ctx, req, cfg)
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -491,65 +494,146 @@ func TestSimulateQueueOverflow(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSimulateCoalescing pins in-flight coalescing on both run
+// endpoints: identical concurrent requests run the engine once, every
+// waiter but the first counts as coalesced and gets cached:false, and
+// the one run spills exactly one artifact with no temporary file left.
 func TestSimulateCoalescing(t *testing.T) {
-	release := make(chan struct{})
-	var runs sync.WaitGroup
-	var runCount int32
-	var mu sync.Mutex
-	blocking := func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
-		mu.Lock()
-		runCount++
-		mu.Unlock()
-		<-release
-		return stubRun(ctx, req, cfg)
+	for _, path := range []string{"/v1/simulate", "/v1/advise"} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			release := make(chan struct{})
+			var runs sync.WaitGroup
+			var runCount atomic.Int32
+			blocking := func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
+				runCount.Add(1)
+				<-release
+				return stubRun(ctx, req, cfg)
+			}
+			dir := t.TempDir()
+			s := newTestServer(t, Config{Slots: 4, MaxQueue: 8, SpillDir: dir}, blocking)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			const n = 3
+			const body = `{"app":"escat","version":"B"}`
+			results := make(chan []byte, n)
+			for i := 0; i < n; i++ {
+				runs.Add(1)
+				go func() {
+					defer runs.Done()
+					_, out := postJSON(t, ts, path, body)
+					results <- out
+				}()
+			}
+			// Wait until every request is attached to one flight.
+			waitUntil(t, "one flight with every waiter attached", func() bool {
+				s.flightMu.Lock()
+				defer s.flightMu.Unlock()
+				for _, f := range s.flights {
+					return len(s.flights) == 1 && f.refs == n
+				}
+				return false
+			})
+			close(release)
+			runs.Wait()
+			if c := runCount.Load(); c != 1 {
+				t.Errorf("engine ran %d times for %d identical requests", c, n)
+			}
+			if v := s.coalesced.Value(); v != n-1 {
+				t.Errorf("coalesced counter = %d, want %d", v, n-1)
+			}
+			for i := 0; i < n; i++ {
+				var r struct {
+					Cached *bool `json:"cached"`
+				}
+				if err := json.Unmarshal(<-results, &r); err != nil {
+					t.Fatal(err)
+				}
+				if r.Cached == nil || *r.Cached {
+					t.Error("coalesced waiter not served the live (cached:false) response")
+				}
+			}
+			artifacts, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+			temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+			if len(artifacts) != 1 || len(temps) != 0 {
+				t.Errorf("spill dir holds artifacts %v and temporaries %v, want one artifact", artifacts, temps)
+			}
+		})
 	}
-	s := newTestServer(t, Config{Slots: 4, MaxQueue: 8}, blocking)
+}
+
+// TestRunIsStoredWithoutWaiters pins that the run, not its waiters,
+// stores a result: a run that finishes after its only client has left
+// is cached all the same, and the identical request that follows is a
+// hit instead of a second run.
+func TestRunIsStoredWithoutWaiters(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var runs atomic.Int32
+	s := newTestServer(t, Config{}, func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
+		if runs.Add(1) == 1 {
+			close(started)
+			<-release // finishes although its context is cancelled
+		}
+		return stubRun(ctx, req, cfg)
+	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const body = `{"app":"escat","version":"B"}`
-	results := make(chan []byte, 3)
-	for i := 0; i < 3; i++ {
-		runs.Add(1)
-		go func() {
-			defer runs.Done()
-			_, out := postJSON(t, ts, "/v1/simulate", body)
-			results <- out
-		}()
+	const body = `{"app":"prism","version":"C"}`
+	ctx, cancel := context.WithCancel(context.Background())
+	sent := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/simulate", strings.NewReader(body))
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
+		sent <- err
+	}()
+	<-started
+	cancel()
+	if err := <-sent; err == nil {
+		t.Fatal("the request was answered before its client left")
 	}
-	// Wait until all three requests are attached to one flight.
-	for i := 0; ; i++ {
+	var key string
+	waitUntil(t, "the flight to lose its only waiter", func() bool {
 		s.flightMu.Lock()
-		refs := 0
-		for _, f := range s.flights {
-			refs = f.refs
+		defer s.flightMu.Unlock()
+		for k, f := range s.flights {
+			key = k
+			return f.refs == 0
 		}
-		nf := len(s.flights)
-		s.flightMu.Unlock()
-		if nf == 1 && refs == 3 {
-			break
-		}
+		return false
+	})
+	close(release)
+	waitUntil(t, "the flight to end", func() bool {
+		s.flightMu.Lock()
+		defer s.flightMu.Unlock()
+		return len(s.flights) == 0
+	})
+	if _, ok := s.cache.Get(key); !ok {
+		t.Fatal("a run that finished with no waiter left was not stored")
+	}
+	resp, out := postJSON(t, ts, "/v1/simulate", body)
+	if resp.StatusCode != 200 || !bytes.Contains(out, []byte(`"cached":true`)) {
+		t.Errorf("repeat request: status %d: %s", resp.StatusCode, out)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("engine ran %d times, want 1", n)
+	}
+}
+
+// waitUntil polls cond for up to about five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for i := 0; !cond(); i++ {
 		if i > 5000 {
-			t.Fatalf("flights=%d refs=%d, want one flight with 3 waiters", nf, refs)
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	runs.Wait()
-	if runCount != 1 {
-		t.Errorf("engine ran %d times for 3 identical requests", runCount)
-	}
-	if s.coalesced.Value() != 2 {
-		t.Errorf("coalesced counter = %d, want 2", s.coalesced.Value())
-	}
-	for i := 0; i < 3; i++ {
-		var r SimulateResponse
-		if err := json.Unmarshal(<-results, &r); err != nil {
-			t.Fatal(err)
-		}
-		if r.Cached {
-			t.Error("coalesced waiter served a cached response")
-		}
 	}
 }
 

@@ -243,10 +243,7 @@ func (t *sweepTally) record(status, dedup string) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var sr SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadJSON, "", "bad request body: %v", err)
+	if !decodeBody(w, r, &sr) {
 		return
 	}
 	points, err := sr.expand(s.cfg.MaxSweepPoints)
@@ -328,70 +325,34 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	nw.writeLine(summary)
 }
 
-// runSweepPoint resolves one unique grid point — result cache, then
-// in-flight coalescing, then a fresh admitted run — and emits a line
-// for the leader plus one per in-request duplicate.
+// runSweepPoint resolves one unique grid point and emits a line for the
+// leader plus one per in-request duplicate.
 func (s *Server) runSweepPoint(ctx context.Context, client string, nw *ndjsonWriter, tally *sweepTally, leader *sweepPoint, group []*sweepPoint) {
-	emit := func(result json.RawMessage, dedup, errMsg string) {
-		for _, p := range group {
-			line := p.line()
-			line.Result = result
-			switch {
-			case errMsg != "":
-				line.Status = "error"
-				line.Error = errMsg
-			default:
-				line.Status = "ok"
-			}
-			if p != leader {
-				line.Dedup = "request"
-				s.sweepDedup.With("request").Inc()
-			} else {
-				line.Dedup = dedup
-				if dedup != "" {
-					s.sweepDedup.With(dedup).Inc()
-				}
-			}
-			tally.record(line.Status, line.Dedup)
-			nw.writeLine(line)
-		}
+	body, dedup, err := s.resolve(ctx, leader.key, client, KindSweep, &leader.req, renderSimulate)
+	if err != nil && ctx.Err() != nil {
+		return // client gone; nobody reads further lines
 	}
-
-	if body, ok := s.cache.Get(leader.key); ok {
-		emit(body, "cache", "")
-		return
-	}
-	req := leader.req
-	cfg := req.config()
-	f, joined := s.joinFlight(leader.key, func(runCtx context.Context) ([]byte, []byte, error) {
-		res, err := s.admitAndRunAs(runCtx, client, KindSweep, &req, cfg)
+	for _, p := range group {
+		line := p.line()
+		line.Result = body
 		if err != nil {
-			return nil, nil, err
+			line.Status = "error"
+			line.Error = err.Error()
+		} else {
+			line.Status = "ok"
 		}
-		resp := buildSimulateResponse(&req, leader.key, res)
-		res.Trace.Release() // response built; recycle the event buffer
-		return marshalPair(resp, &resp.Cached)
-	})
-	dedup := ""
-	if joined {
-		dedup = "inflight"
-		s.coalesced.Inc()
+		if p != leader {
+			line.Dedup = "request"
+			s.sweepDedup.With("request").Inc()
+		} else {
+			line.Dedup = dedup
+			if dedup != "" {
+				s.sweepDedup.With(dedup).Inc()
+			}
+		}
+		tally.record(line.Status, line.Dedup)
+		nw.writeLine(line)
 	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		s.leaveFlight(f)
-		return
-	}
-	s.leaveFlight(f)
-	if f.err != nil {
-		emit(nil, dedup, f.err.Error())
-		return
-	}
-	if f.cacheBody != nil {
-		s.cache.Put(leader.key, f.cacheBody)
-	}
-	emit(f.body, dedup, "")
 }
 
 // clientID identifies the requester for per-client fair-share

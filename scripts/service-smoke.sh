@@ -7,8 +7,8 @@
 # degraded (fault-injected) run pinned to its own golden digest with a
 # structured 400 on a malformed faults block, a log-tier run pinned to
 # the log-on golden digest with the log stats block in the response,
-# and a kill-and-restart proving the spill directory warm-starts the
-# index.
+# an advise run cached and replayed under its advise/ address, and a
+# kill-and-restart proving the spill directory warm-starts the index.
 # The daemon is killed on exit either way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -105,15 +105,29 @@ echo "$logged" | grep -q '"digest":"0x162463d0c4c76706"'
 echo "$logged" | grep -q '"log":{'
 echo "$logged" | grep -q '"Appends":4403'
 
-# 10. Warm restart: kill the daemon, boot a fresh one on the same spill
+# 10. Advise prism/C: a fresh advisor run under the advise/ namespace,
+#    the identical re-request served from the cache, and the artifact
+#    replayed by its two-segment address.
+advised=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$req" "$base/v1/advise")
+echo "$advised" | grep -q '"cached":false'
+adv_hash=$(echo "$advised" | sed -n 's/.*"hash":"\(advise\/[0-9a-f]*\)".*/\1/p')
+[ -n "$adv_hash" ]
+readvised=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$req" "$base/v1/advise")
+echo "$readvised" | grep -q '"cached":true'
+replayed=$(curl -fsS "$base/v1/results/$adv_hash")
+echo "$replayed" | grep -q "\"hash\":\"$adv_hash\""
+echo "$replayed" | grep -q '"cached":true'
+
+# 11. Warm restart: kill the daemon, boot a fresh one on the same spill
 #    directory, and the old run is answered from disk without touching
-#    the engine.
+#    the engine. The five artifacts are prism/C, prism/A, the degraded
+#    and log-tier runs, and the prism/C advice.
 kill "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
 boot "$work/out2.log" -spill "$work/spill"
 echo "service-smoke: restarted at $base"
-grep -q '^iosimd: warm start: 4 result artifacts indexed' "$work/out2.log"
+grep -q '^iosimd: warm start: 5 result artifacts indexed' "$work/out2.log"
 warm=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$req" "$base/v1/simulate")
 echo "$warm" | grep -q '"cached":true'
 echo "$warm" | grep -q '"digest":"0xbc010fbf3debceec"'
