@@ -10,14 +10,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"paragonio/internal/analysis"
-	"paragonio/internal/apps/escat"
-	"paragonio/internal/apps/prism"
+	"paragonio/internal/apps"
 	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 	"paragonio/internal/policy"
@@ -27,7 +26,7 @@ import (
 func main() {
 	var (
 		app     = flag.String("app", "escat", "application: escat or prism")
-		dataset = flag.String("dataset", "ethylene", "escat dataset: ethylene or co")
+		dataset = flag.String("dataset", "", "escat dataset: ethylene (default) or co")
 		version = flag.String("version", "C", "code version (escat: A A2 B1 B2 B3 B C; prism: A B C)")
 		seed    = flag.Int64("seed", 1, "workload random seed")
 		traceTo = flag.String("trace", "", "write the SDDF event trace to this file")
@@ -41,28 +40,11 @@ func main() {
 }
 
 func run(app, dataset, version string, seed int64, traceTo string, advise bool) error {
-	var res *core.Result
-	var err error
-	switch strings.ToLower(app) {
-	case "escat":
-		ds, ok := escat.LookupDataset(dataset)
-		if !ok {
-			return fmt.Errorf("unknown escat dataset %q", dataset)
-		}
-		v, ok := escat.LookupVersion(version, dataset)
-		if !ok {
-			return fmt.Errorf("unknown escat version %q", version)
-		}
-		res, err = escat.Run(ds, v, seed)
-	case "prism":
-		v, ok := prism.LookupVersion(version)
-		if !ok {
-			return fmt.Errorf("unknown prism version %q", version)
-		}
-		res, err = prism.Run(prism.TestProblem(), v, seed)
-	default:
-		return fmt.Errorf("unknown app %q", app)
+	r, err := apps.Lookup(app, dataset, version)
+	if err != nil {
+		return err
 	}
+	res, err := r.Exec(context.Background(), core.Config{Seed: seed})
 	if err != nil {
 		return err
 	}

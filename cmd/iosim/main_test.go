@@ -4,46 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"paragonio/internal/apps/escat"
-	"paragonio/internal/apps/prism"
 )
-
-func TestEscatVersionLookup(t *testing.T) {
-	cases := []struct {
-		id, dataset string
-		ok          bool
-	}{
-		{"A", "ethylene", true},
-		{"a2", "ethylene", true},
-		{"B1", "ethylene", true},
-		{"b", "ethylene", true},
-		{"C", "ethylene", true},
-		{"C", "co", true},
-		{"c", "Carbon-Monoxide", true},
-		{"Z", "ethylene", false},
-	}
-	for _, tc := range cases {
-		v, ok := escat.LookupVersion(tc.id, tc.dataset)
-		if ok != tc.ok {
-			t.Fatalf("escat.LookupVersion(%q, %q) ok = %v", tc.id, tc.dataset, ok)
-		}
-		if ok && tc.dataset != "ethylene" && !v.RestartStaged {
-			t.Fatal("carbon-monoxide C should be the staged-restart build")
-		}
-	}
-}
-
-func TestPrismVersionLookup(t *testing.T) {
-	for _, id := range []string{"A", "b", "C"} {
-		if _, ok := prism.LookupVersion(id); !ok {
-			t.Fatalf("prism.LookupVersion(%q) not found", id)
-		}
-	}
-	if _, ok := prism.LookupVersion("D"); ok {
-		t.Fatal("prism.LookupVersion accepted junk")
-	}
-}
 
 func TestRunRejectsUnknownInputs(t *testing.T) {
 	if err := run("nosuch", "ethylene", "A", 1, "", false); err == nil {
@@ -57,6 +18,9 @@ func TestRunRejectsUnknownInputs(t *testing.T) {
 	}
 	if err := run("prism", "", "Q", 1, "", false); err == nil {
 		t.Fatal("unknown prism version accepted")
+	}
+	if err := run("prism", "co", "C", 1, "", false); err == nil {
+		t.Fatal("prism accepted a dataset")
 	}
 }
 

@@ -11,12 +11,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"time"
 
 	"paragonio/internal/apps/escat"
+	"paragonio/internal/core"
 	"paragonio/internal/policy"
 	"paragonio/internal/report"
 )
@@ -34,7 +36,7 @@ func main() {
 	d.EnergyJitter = 3 * time.Second
 
 	fmt.Println("step 1: run the untuned code (version A) under Pablo instrumentation")
-	a, err := escat.Run(d, escat.VersionA(), 1)
+	a, err := escat.Run(context.Background(), core.Config{Seed: 1}, d, escat.VersionA())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func main() {
 	fmt.Println("step 3: version C is precisely these changes applied by hand —")
 	fmt.Println("        node-zero read + broadcast for the inputs, M_ASYNC staging")
 	fmt.Println("        writes, M_RECORD reloads, gopen everywhere. Run it:")
-	c, err := escat.Run(d, escat.VersionC(), 1)
+	c, err := escat.Run(context.Background(), core.Config{Seed: 1}, d, escat.VersionC())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -36,8 +37,8 @@ func main() {
 
 	var rows [][]string
 	for _, v := range variants {
-		cfg := core.Config{Nodes: d.Nodes, Seed: 1, Tiers: cache.Tiers{IONode: v.cfg}}
-		res, err := prism.RunOn(cfg, d, prism.VersionC())
+		cfg := core.Config{Seed: 1, Tiers: cache.Tiers{IONode: v.cfg}}
+		res, err := prism.Run(context.Background(), cfg, d, prism.VersionC())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,12 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"paragonio/internal/analysis"
 	"paragonio/internal/apps/escat"
+	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 	"paragonio/internal/report"
 )
@@ -30,7 +32,7 @@ func main() {
 	}
 	var rows []row
 	for _, v := range escat.PaperVersions() {
-		res, err := escat.Run(ds, v, 1)
+		res, err := escat.Run(context.Background(), core.Config{Seed: 1}, ds, v)
 		if err != nil {
 			log.Fatal(err)
 		}

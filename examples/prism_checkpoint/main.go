@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"paragonio/internal/analysis"
 	"paragonio/internal/apps/prism"
+	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 	"paragonio/internal/report"
 )
@@ -23,7 +25,7 @@ func main() {
 	fmt.Printf("PRISM %s: %d elements, Re=%d, %d steps, checkpoint every %d steps, %d nodes\n\n",
 		d.Name, d.Elements, d.Reynolds, d.Steps, d.CheckpointEvery, d.Nodes)
 
-	res, err := prism.Run(d, prism.VersionC(), 1)
+	res, err := prism.Run(context.Background(), core.Config{Seed: 1}, d, prism.VersionC())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -29,8 +30,8 @@ func main() {
 	d.EnergyJitter = 2 * time.Second
 
 	for _, v := range []escat.Version{escat.VersionB(), escat.VersionC()} {
-		cfg := core.Config{Nodes: d.Nodes, Seed: 1, SampleInterval: 2 * time.Second}
-		res, err := escat.RunOn(cfg, d, v)
+		cfg := core.Config{Seed: 1, SampleInterval: 2 * time.Second}
+		res, err := escat.Run(context.Background(), cfg, d, v)
 		if err != nil {
 			log.Fatal(err)
 		}

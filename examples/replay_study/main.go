@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,7 +31,7 @@ func main() {
 	d.EnergyCompute = 5 * time.Second
 	d.EnergyJitter = 2 * time.Second
 	fmt.Println("capturing: ESCAT version C, 32 nodes, on the paper's machine")
-	res, err := escat.Run(d, escat.VersionC(), 1)
+	res, err := escat.Run(context.Background(), core.Config{Seed: 1}, d, escat.VersionC())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,6 @@ package escat
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"paragonio/internal/core"
@@ -256,40 +255,6 @@ func PaperVersions() []Version {
 	return []Version{VersionA(), VersionB(), VersionC()}
 }
 
-// LookupDataset resolves a dataset name, case-insensitively: "ethylene",
-// or "co" (also spelled "carbon-monoxide").
-func LookupDataset(name string) (Dataset, bool) {
-	switch {
-	case strings.EqualFold(name, "ethylene"):
-		return Ethylene(), true
-	case isCarbonMonoxide(name):
-		return CarbonMonoxide(), true
-	}
-	return Dataset{}, false
-}
-
-// LookupVersion resolves a version id, case-insensitively: one of the
-// Progressions builds, or "B" for the B-family structure. Version C on
-// the carbon-monoxide dataset resolves to VersionCCarbonMonoxide.
-func LookupVersion(id, dataset string) (Version, bool) {
-	if strings.EqualFold(id, "C") && isCarbonMonoxide(dataset) {
-		return VersionCCarbonMonoxide(), true
-	}
-	for _, v := range Progressions() {
-		if strings.EqualFold(v.ID, id) {
-			return v, true
-		}
-	}
-	if strings.EqualFold(id, "B") {
-		return VersionB(), true
-	}
-	return Version{}, false
-}
-
-func isCarbonMonoxide(name string) bool {
-	return strings.EqualFold(name, "co") || strings.EqualFold(name, "carbon-monoxide")
-}
-
 // ModeTableRow describes one phase's node activity and access mode —
 // a row of the paper's Table 1.
 type ModeTableRow struct {
@@ -337,27 +302,12 @@ func (d Dataset) InputBytesPerFile() int64 {
 	return total
 }
 
-// Run executes the dataset under the given version on a default platform
-// and returns the captured result. seed fixes all workload randomness.
-func Run(d Dataset, v Version, seed int64) (*core.Result, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := core.Config{Nodes: d.Nodes, Seed: seed}
-	return core.Run(cfg, "ESCAT", v.ID, func(m *workload.Machine, seed int64) error {
-		return Script(m, d, v, seed)
-	})
-}
-
-// RunOn executes the dataset/version on a caller-supplied platform
-// configuration (for machine-sensitivity studies).
-func RunOn(cfg core.Config, d Dataset, v Version) (*core.Result, error) {
-	return RunOnContext(context.Background(), cfg, d, v)
-}
-
-// RunOnContext is RunOn with cancellation: an expiring or cancelled ctx
-// aborts the simulation mid-run (see core.RunContext).
-func RunOnContext(ctx context.Context, cfg core.Config, d Dataset, v Version) (*core.Result, error) {
+// Run executes the dataset under the given version on the platform cfg
+// selects and returns the captured result. cfg.Nodes 0 means the
+// dataset's node count; cfg.Seed fixes all workload randomness. An
+// expiring or cancelled ctx aborts the simulation mid-run (see
+// core.RunContext).
+func Run(ctx context.Context, cfg core.Config, d Dataset, v Version) (*core.Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

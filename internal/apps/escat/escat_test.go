@@ -1,6 +1,7 @@
 package escat
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func smallEthylene() Dataset {
 
 func runSmall(t *testing.T, v Version) *core.Result {
 	t.Helper()
-	res, err := Run(smallEthylene(), v, 1)
+	res, err := Run(context.Background(), core.Config{Seed: 1}, smallEthylene(), v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestQuadratureConservation(t *testing.T) {
 	// All versions stage the same quadrature volume and reload it fully.
 	d := smallEthylene()
 	for _, v := range PaperVersions() {
-		res, err := Run(d, v, 1)
+		res, err := Run(context.Background(), core.Config{Seed: 1}, d, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func TestQuadratureConservation(t *testing.T) {
 func TestRestartStagedSkipsPhase2(t *testing.T) {
 	d := smallEthylene()
 	v := VersionCCarbonMonoxide()
-	res, err := Run(d, v, 1)
+	res, err := Run(context.Background(), core.Config{Seed: 1}, d, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +257,11 @@ func TestRestartStagedSkipsPhase2(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	d := smallEthylene()
-	r1, err := Run(d, VersionB(), 42)
+	r1, err := Run(context.Background(), core.Config{Seed: 42}, d, VersionB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(d, VersionB(), 42)
+	r2, err := Run(context.Background(), core.Config{Seed: 42}, d, VersionB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +280,11 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestSeedChangesJitterNotStructure(t *testing.T) {
 	d := smallEthylene()
-	r1, err := Run(d, VersionC(), 1)
+	r1, err := Run(context.Background(), core.Config{Seed: 1}, d, VersionC())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(d, VersionC(), 2)
+	r2, err := Run(context.Background(), core.Config{Seed: 2}, d, VersionC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestSeedChangesJitterNotStructure(t *testing.T) {
 
 func TestRunOnRejectsNodeMismatch(t *testing.T) {
 	d := smallEthylene()
-	if _, err := RunOn(core.Config{Nodes: 4, Seed: 1}, d, VersionA()); err == nil {
+	if _, err := Run(context.Background(), core.Config{Nodes: 4, Seed: 1}, d, VersionA()); err == nil {
 		t.Fatal("node mismatch accepted")
 	}
 }

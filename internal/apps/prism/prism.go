@@ -15,7 +15,6 @@ package prism
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"paragonio/internal/core"
@@ -207,17 +206,6 @@ func PaperVersions() []Version {
 	return []Version{VersionA(), VersionB(), VersionC()}
 }
 
-// LookupVersion resolves a version id ("A", "B" or "C"),
-// case-insensitively.
-func LookupVersion(id string) (Version, bool) {
-	for _, v := range PaperVersions() {
-		if strings.EqualFold(v.ID, id) {
-			return v, true
-		}
-	}
-	return Version{}, false
-}
-
 // ModeTableRow is one row of the paper's Table 4.
 type ModeTableRow struct {
 	Phase    string
@@ -253,25 +241,12 @@ func (v Version) ModeTable() []ModeTableRow {
 	return rows
 }
 
-// Run executes the dataset under the given version on a default platform.
-func Run(d Dataset, v Version, seed int64) (*core.Result, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := core.Config{Nodes: d.Nodes, Seed: seed}
-	return core.Run(cfg, "PRISM", v.ID, func(m *workload.Machine, seed int64) error {
-		return Script(m, d, v, seed)
-	})
-}
-
-// RunOn executes the dataset/version on a caller-supplied platform.
-func RunOn(cfg core.Config, d Dataset, v Version) (*core.Result, error) {
-	return RunOnContext(context.Background(), cfg, d, v)
-}
-
-// RunOnContext is RunOn with cancellation: an expiring or cancelled ctx
-// aborts the simulation mid-run (see core.RunContext).
-func RunOnContext(ctx context.Context, cfg core.Config, d Dataset, v Version) (*core.Result, error) {
+// Run executes the dataset under the given version on the platform cfg
+// selects and returns the captured result. cfg.Nodes 0 means the
+// dataset's node count; cfg.Seed fixes all workload randomness. An
+// expiring or cancelled ctx aborts the simulation mid-run (see
+// core.RunContext).
+func Run(ctx context.Context, cfg core.Config, d Dataset, v Version) (*core.Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

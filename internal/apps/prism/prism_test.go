@@ -1,6 +1,7 @@
 package prism
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func smallProblem() Dataset {
 
 func runSmall(t *testing.T, v Version) *core.Result {
 	t.Helper()
-	res, err := Run(smallProblem(), v, 1)
+	res, err := Run(context.Background(), core.Config{Seed: 1}, smallProblem(), v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestVersionCStructure(t *testing.T) {
 
 func TestCheckpointBursts(t *testing.T) {
 	d := smallProblem()
-	res, err := Run(d, VersionC(), 1)
+	res, err := Run(context.Background(), core.Config{Seed: 1}, d, VersionC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +224,11 @@ func TestExecutionTimeOrdering(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	r1, err := Run(smallProblem(), VersionB(), 9)
+	r1, err := Run(context.Background(), core.Config{Seed: 9}, smallProblem(), VersionB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(smallProblem(), VersionB(), 9)
+	r2, err := Run(context.Background(), core.Config{Seed: 9}, smallProblem(), VersionB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +239,14 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestRunOnRejectsNodeMismatch(t *testing.T) {
-	if _, err := RunOn(core.Config{Nodes: 3, Seed: 1}, smallProblem(), VersionA()); err == nil {
+	if _, err := Run(context.Background(), core.Config{Nodes: 3, Seed: 1}, smallProblem(), VersionA()); err == nil {
 		t.Fatal("node mismatch accepted")
 	}
 }
 
 func TestMeasurementVolumeConserved(t *testing.T) {
 	d := smallProblem()
-	res, err := Run(d, VersionA(), 1)
+	res, err := Run(context.Background(), core.Config{Seed: 1}, d, VersionA())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,12 +70,11 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("core: Config.Nodes must be positive, got %d", cfg.Nodes)
 	}
-	mcfg := mesh.DefaultConfig()
-	if cfg.Mesh != nil {
-		mcfg = *cfg.Mesh
-	}
-	m, err := mesh.New(mcfg)
+	m, err := mesh.New(cfg.meshConfig())
 	if err != nil {
+		return nil, err
+	}
+	if err := CheckIONodes(cfg); err != nil {
 		return nil, err
 	}
 	k := sim.NewKernel()
@@ -98,6 +97,29 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		return nil, err
 	}
 	return &Platform{Machine: wm, Trace: tr}, nil
+}
+
+// CheckIONodes reports whether the I/O nodes cfg selects (IONodes, or
+// pfs.DefaultIONodes when zero) all have a place on its mesh: they fill
+// the mesh column by column from the last (mesh.IONodeCoord), so more
+// than Rows*Cols would be placed off it.
+func CheckIONodes(cfg Config) error {
+	mcfg, n := cfg.meshConfig(), cfg.IONodes
+	if n == 0 {
+		n = pfs.DefaultIONodes
+	}
+	if n > mcfg.Rows*mcfg.Cols {
+		return fmt.Errorf("core: %d I/O nodes do not fit in a %dx%d mesh", n, mcfg.Rows, mcfg.Cols)
+	}
+	return nil
+}
+
+// meshConfig returns the interconnect cfg selects: Mesh, or the paper's.
+func (cfg Config) meshConfig() mesh.Config {
+	if cfg.Mesh != nil {
+		return *cfg.Mesh
+	}
+	return mesh.DefaultConfig()
 }
 
 // Result captures one application execution: wall-clock (virtual)

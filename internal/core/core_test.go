@@ -40,6 +40,33 @@ func TestNewPlatformValidation(t *testing.T) {
 	}
 }
 
+// TestNewPlatformRejectsIONodesOffTheMesh pins the one I/O-node bound:
+// I/O nodes fill mesh columns from the last, so a count past Rows*Cols
+// would place nodes off the mesh (and allocate an array for each).
+func TestNewPlatformRejectsIONodesOffTheMesh(t *testing.T) {
+	small := mesh.DefaultConfig()
+	small.Rows, small.Cols = 2, 2
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"512 on 16x32", Config{Nodes: 4, IONodes: 512}, true},
+		{"513 on 16x32", Config{Nodes: 4, IONodes: 513}, false},
+		{"600 on 16x32", Config{Nodes: 4, IONodes: 600}, false},
+		{"200000 on 16x32", Config{Nodes: 4, IONodes: 200000}, false},
+		{"4 on 2x2", Config{Nodes: 4, Mesh: &small, IONodes: 4}, true},
+		{"5 on 2x2", Config{Nodes: 4, Mesh: &small, IONodes: 5}, false},
+		{"default 16 on 2x2", Config{Nodes: 4, Mesh: &small}, false},
+	} {
+		errCheck := CheckIONodes(tc.cfg)
+		_, errNew := NewPlatform(tc.cfg)
+		if (errCheck == nil) != tc.ok || (errNew == nil) != tc.ok {
+			t.Errorf("%s: CheckIONodes %v, NewPlatform %v, want ok=%v", tc.name, errCheck, errNew, tc.ok)
+		}
+	}
+}
+
 func TestNewPlatformOverrides(t *testing.T) {
 	p, err := NewPlatform(Config{Nodes: 2, IONodes: 4, StripeUnit: 1024})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"paragonio/internal/apps"
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
@@ -33,7 +34,7 @@ type advisorLoop struct {
 	id         string
 	title      string
 	adviseFrom func(*Suite) (*core.Result, error) // trace the advisor reads
-	app        app                                // the workload the advice is validated on
+	app        apps.Run                           // the workload the advice is validated on
 	headline   string                             // the headline operation's column name
 	opTime     func(*RunSummary) time.Duration
 	oracle     []string // tierLadders the candidate pool is drawn from

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"paragonio/internal/apps"
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
 	"paragonio/internal/pablo"
@@ -82,7 +83,7 @@ func cacheWhatIf(s *Suite) (*Artifact, error) {
 	// The ESCAT headline op differs per problem: ethylene's tuning story
 	// is the staging writes; carbon monoxide restarts from staged data,
 	// so its I/O is dominated by the quadrature reload reads.
-	escatRows := func(op pablo.Op, a app) ([]cacheRow, error) {
+	escatRows := func(op pablo.Op, a apps.Run) ([]cacheRow, error) {
 		rows := make([]cacheRow, 0, len(variants))
 		for _, v := range variants {
 			res, err := s.underTiers(a, v.tiers)

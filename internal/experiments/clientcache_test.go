@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -36,10 +37,10 @@ func TestClientCacheGoldenDigests(t *testing.T) {
 		run    func(cfg core.Config) (*core.Result, error)
 	}{
 		{"eth/C", 23768, 0xd7fb3b53679a18a6, func(cfg core.Config) (*core.Result, error) {
-			return escat.RunOn(cfg, escat.Ethylene(), escat.VersionC())
+			return escat.Run(context.Background(), cfg, escat.Ethylene(), escat.VersionC())
 		}},
 		{"prism/C", 11396, 0x4f35ba3c6c1263b6, func(cfg core.Config) (*core.Result, error) {
-			return prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
+			return prism.Run(context.Background(), cfg, prism.TestProblem(), prism.VersionC())
 		}},
 	}
 	cfg := core.Config{Seed: 1, Tiers: clientOnTiers()}

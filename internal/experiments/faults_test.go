@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -58,7 +59,7 @@ func TestFaultGoldenDigests(t *testing.T) {
 		if g.client {
 			cfg.Tiers = clientOnTiers()
 		}
-		res, err := prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
+		res, err := prism.Run(context.Background(), cfg, prism.TestProblem(), prism.VersionC())
 		if err != nil {
 			t.Fatalf("%s: %v", g.key, err)
 		}
@@ -81,16 +82,17 @@ func TestEmptyFaultPlanMatchesHealthyGoldens(t *testing.T) {
 	}
 	empty := faults.Plan{Faults: []faults.Fault{}}
 	cfg := core.Config{Seed: 1, Faults: empty}
+	ctx := context.Background()
 	runs := map[string]func() (*core.Result, error){
-		"escat/eth/A": func() (*core.Result, error) { return escat.RunOn(cfg, escat.Ethylene(), escat.VersionA()) },
-		"escat/eth/B": func() (*core.Result, error) { return escat.RunOn(cfg, escat.Ethylene(), escat.VersionB()) },
-		"escat/eth/C": func() (*core.Result, error) { return escat.RunOn(cfg, escat.Ethylene(), escat.VersionC()) },
+		"escat/eth/A": func() (*core.Result, error) { return escat.Run(ctx, cfg, escat.Ethylene(), escat.VersionA()) },
+		"escat/eth/B": func() (*core.Result, error) { return escat.Run(ctx, cfg, escat.Ethylene(), escat.VersionB()) },
+		"escat/eth/C": func() (*core.Result, error) { return escat.Run(ctx, cfg, escat.Ethylene(), escat.VersionC()) },
 		"escat/co/C": func() (*core.Result, error) {
-			return escat.RunOn(cfg, escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
+			return escat.Run(ctx, cfg, escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
 		},
-		"prism/A": func() (*core.Result, error) { return prism.RunOn(cfg, prism.TestProblem(), prism.VersionA()) },
-		"prism/B": func() (*core.Result, error) { return prism.RunOn(cfg, prism.TestProblem(), prism.VersionB()) },
-		"prism/C": func() (*core.Result, error) { return prism.RunOn(cfg, prism.TestProblem(), prism.VersionC()) },
+		"prism/A": func() (*core.Result, error) { return prism.Run(ctx, cfg, prism.TestProblem(), prism.VersionA()) },
+		"prism/B": func() (*core.Result, error) { return prism.Run(ctx, cfg, prism.TestProblem(), prism.VersionB()) },
+		"prism/C": func() (*core.Result, error) { return prism.Run(ctx, cfg, prism.TestProblem(), prism.VersionC()) },
 	}
 	for _, g := range goldenDigests {
 		run, ok := runs[g.key]

@@ -8,23 +8,6 @@ import (
 	"paragonio/internal/core"
 )
 
-// ConfigKey returns the canonical content address of one application run:
-// a 64-bit FNV-1a hash (16 hex digits) over app — the run's identity
-// string, e.g. "eth/C" or "escat/ethylene/C" — and every field of cfg
-// that can influence the simulated outcome, serialized in a fixed order.
-//
-// Any semantic difference — seed, cache-tier parameter, fault plan,
-// machine override — changes the key, and nothing else does: the
-// deprecated core.Config.Shards is left out, so the same run requested
-// at any shard count shares one key. The Suite keys its singleflight run
-// cache through ConfigKey (guarding against a Suite whose Seed is
-// mutated after runs began serving stale entries), and the iosimd daemon
-// uses it as the content address of its persistent result cache.
-//
-// The key is stable within one build of this repository. It is not an
-// across-versions contract: the serialization carries a version tag
-// ("v6") precisely so a future field change can revalidate spilled
-// artifacts by changing it.
 // KeyVersion tags the canonical serialization underneath ConfigKey.
 // Persistent stores that index artifacts by ConfigKey (the iosimd spill
 // directory) record this tag alongside the artifacts and revalidate it
@@ -40,6 +23,26 @@ import (
 // now constants of the paper machine).
 const KeyVersion = "v6"
 
+// ConfigKey returns the canonical content address of one application run:
+// a 64-bit FNV-1a hash (16 hex digits) over app — the run's catalogue
+// identity, apps.Run.Identity(), e.g. "escat/ethylene/C" or "prism/C" —
+// and every field of cfg that can influence the simulated outcome,
+// serialized in a fixed order.
+//
+// Any semantic difference — seed, cache-tier parameter, fault plan,
+// machine override — changes the key, and nothing else does: the
+// deprecated core.Config.Shards is left out, so the same run requested
+// at any shard count shares one key. The Suite and the iosimd daemon key
+// a run by the same identity, so one run has one content address
+// everywhere: the Suite keys its singleflight run cache through
+// ConfigKey (guarding against a Suite whose Seed is mutated after runs
+// began serving stale entries), and iosimd uses it as the content address
+// of its persistent result cache.
+//
+// The key is stable within one build of this repository. It is not an
+// across-versions contract: the serialization carries a version tag
+// ("v6") precisely so a future field change can revalidate spilled
+// artifacts by changing it.
 func ConfigKey(cfg core.Config, app string) string {
 	h := fnv.New64a()
 	h.Write([]byte(canonicalConfig(cfg, app)))

@@ -18,13 +18,13 @@ import (
 // shard count.
 func TestConfigKeySemanticEquality(t *testing.T) {
 	base := core.Config{Seed: 1}
-	if ConfigKey(base, "eth/C") != ConfigKey(base, "eth/C") {
+	if ConfigKey(base, "escat/ethylene/C") != ConfigKey(base, "escat/ethylene/C") {
 		t.Fatal("identical configs hash differently")
 	}
 	for _, shards := range []int{1, 4} {
 		sharded := base
 		sharded.Shards = shards
-		if ConfigKey(sharded, "eth/C") != ConfigKey(base, "eth/C") {
+		if ConfigKey(sharded, "escat/ethylene/C") != ConfigKey(base, "escat/ethylene/C") {
 			t.Errorf("shards=%d hashes differently from shards=0", shards)
 		}
 	}
@@ -32,13 +32,13 @@ func TestConfigKeySemanticEquality(t *testing.T) {
 	a, b := base, base
 	a.Tiers.IONode = &cache.Config{WriteBehind: true, ReadAhead: 4, CapacityBytes: 32 << 20}
 	b.Tiers.IONode = &cache.Config{WriteBehind: true, ReadAhead: 4, CapacityBytes: 32 << 20}
-	if ConfigKey(a, "eth/C") != ConfigKey(b, "eth/C") {
+	if ConfigKey(a, "escat/ethylene/C") != ConfigKey(b, "escat/ethylene/C") {
 		t.Error("equal-valued cache configs behind distinct pointers hash differently")
 	}
 	// An empty fault plan is the healthy machine: no serialization tail.
 	c := base
 	c.Faults = faults.Plan{Faults: []faults.Fault{}}
-	if ConfigKey(base, "eth/C") != ConfigKey(c, "eth/C") {
+	if ConfigKey(base, "escat/ethylene/C") != ConfigKey(c, "escat/ethylene/C") {
 		t.Error("empty (non-nil) fault plan hashes differently from the healthy machine")
 	}
 }
@@ -53,42 +53,42 @@ func TestConfigKeyFieldSensitivity(t *testing.T) {
 		cfg  core.Config
 		app  string
 	}{
-		{"seed", core.Config{Seed: 2}, "eth/C"},
-		{"nodes", core.Config{Seed: 1, Nodes: 128}, "eth/C"},
-		{"ionodes", core.Config{Seed: 1, IONodes: 32}, "eth/C"},
-		{"stripe", core.Config{Seed: 1, StripeUnit: 128 << 10}, "eth/C"},
-		{"sample", core.Config{Seed: 1, SampleInterval: time.Second}, "eth/C"},
-		{"mesh", core.Config{Seed: 1, Mesh: func() *mesh.Config { c := mesh.DefaultConfig(); c.Rows = 32; return &c }()}, "eth/C"},
-		{"ionode-tier", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true}}}, "eth/C"},
-		{"ionode-ra", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true, ReadAhead: 4}}}, "eth/C"},
-		{"ionode-cap", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true, CapacityBytes: 1 << 20}}}, "eth/C"},
-		{"ionode-deadline", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true, FlushDeadline: 100 * time.Millisecond}}}, "eth/C"},
-		{"client-tier", core.Config{Seed: 1, Tiers: cache.Tiers{Client: &cache.ClientConfig{}}}, "eth/C"},
-		{"client-cap", core.Config{Seed: 1, Tiers: cache.Tiers{Client: &cache.ClientConfig{CapacityBytes: 8 << 20}}}, "eth/C"},
-		{"client-ttl", core.Config{Seed: 1, Tiers: cache.Tiers{Client: &cache.ClientConfig{LeaseTTL: 10 * time.Minute}}}, "eth/C"},
-		{"log-tier", core.Config{Seed: 1, Tiers: cache.Tiers{Log: &cache.LogConfig{}}}, "eth/C"},
-		{"log-cap", core.Config{Seed: 1, Tiers: cache.Tiers{Log: &cache.LogConfig{CapacityBytes: 32 << 20}}}, "eth/C"},
-		{"log-drain", core.Config{Seed: 1, Tiers: cache.Tiers{Log: &cache.LogConfig{DrainDeadline: 10 * time.Millisecond}}}, "eth/C"},
+		{"seed", core.Config{Seed: 2}, "escat/ethylene/C"},
+		{"nodes", core.Config{Seed: 1, Nodes: 128}, "escat/ethylene/C"},
+		{"ionodes", core.Config{Seed: 1, IONodes: 32}, "escat/ethylene/C"},
+		{"stripe", core.Config{Seed: 1, StripeUnit: 128 << 10}, "escat/ethylene/C"},
+		{"sample", core.Config{Seed: 1, SampleInterval: time.Second}, "escat/ethylene/C"},
+		{"mesh", core.Config{Seed: 1, Mesh: func() *mesh.Config { c := mesh.DefaultConfig(); c.Rows = 32; return &c }()}, "escat/ethylene/C"},
+		{"ionode-tier", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true}}}, "escat/ethylene/C"},
+		{"ionode-ra", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true, ReadAhead: 4}}}, "escat/ethylene/C"},
+		{"ionode-cap", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true, CapacityBytes: 1 << 20}}}, "escat/ethylene/C"},
+		{"ionode-deadline", core.Config{Seed: 1, Tiers: cache.Tiers{IONode: &cache.Config{WriteBehind: true, FlushDeadline: 100 * time.Millisecond}}}, "escat/ethylene/C"},
+		{"client-tier", core.Config{Seed: 1, Tiers: cache.Tiers{Client: &cache.ClientConfig{}}}, "escat/ethylene/C"},
+		{"client-cap", core.Config{Seed: 1, Tiers: cache.Tiers{Client: &cache.ClientConfig{CapacityBytes: 8 << 20}}}, "escat/ethylene/C"},
+		{"client-ttl", core.Config{Seed: 1, Tiers: cache.Tiers{Client: &cache.ClientConfig{LeaseTTL: 10 * time.Minute}}}, "escat/ethylene/C"},
+		{"log-tier", core.Config{Seed: 1, Tiers: cache.Tiers{Log: &cache.LogConfig{}}}, "escat/ethylene/C"},
+		{"log-cap", core.Config{Seed: 1, Tiers: cache.Tiers{Log: &cache.LogConfig{CapacityBytes: 32 << 20}}}, "escat/ethylene/C"},
+		{"log-drain", core.Config{Seed: 1, Tiers: cache.Tiers{Log: &cache.LogConfig{DrainDeadline: 10 * time.Millisecond}}}, "escat/ethylene/C"},
 		{"fault-disk", core.Config{Seed: 1, Faults: faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.DiskFail, At: time.Second, IONode: 0}}}}, "eth/C"},
+			{Kind: faults.DiskFail, At: time.Second, IONode: 0}}}}, "escat/ethylene/C"},
 		{"fault-disk-io1", core.Config{Seed: 1, Faults: faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.DiskFail, At: time.Second, IONode: 1}}}}, "eth/C"},
+			{Kind: faults.DiskFail, At: time.Second, IONode: 1}}}}, "escat/ethylene/C"},
 		{"fault-disk-later", core.Config{Seed: 1, Faults: faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.DiskFail, At: 2 * time.Second, IONode: 0}}}}, "eth/C"},
+			{Kind: faults.DiskFail, At: 2 * time.Second, IONode: 0}}}}, "escat/ethylene/C"},
 		{"fault-disk-repair", core.Config{Seed: 1, Faults: faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.DiskFail, At: time.Second, Until: 3 * time.Second, IONode: 0}}}}, "eth/C"},
+			{Kind: faults.DiskFail, At: time.Second, Until: 3 * time.Second, IONode: 0}}}}, "escat/ethylene/C"},
 		{"fault-crash", core.Config{Seed: 1, Faults: faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.NodeCrash, At: time.Second, IONode: 0}}}}, "eth/C"},
+			{Kind: faults.NodeCrash, At: time.Second, IONode: 0}}}}, "escat/ethylene/C"},
 		{"fault-straggler", core.Config{Seed: 1, Faults: faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.Straggler, At: time.Second, IONode: 0, Factor: 4}}}}, "eth/C"},
+			{Kind: faults.Straggler, At: time.Second, IONode: 0, Factor: 4}}}}, "escat/ethylene/C"},
 		{"fault-straggler-x8", core.Config{Seed: 1, Faults: faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.Straggler, At: time.Second, IONode: 0, Factor: 8}}}}, "eth/C"},
+			{Kind: faults.Straggler, At: time.Second, IONode: 0, Factor: 8}}}}, "escat/ethylene/C"},
 		{"fault-flap", core.Config{Seed: 1, Faults: faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.ClientFlap, At: time.Second, Node: 1, Count: 3, Period: time.Second}}}}, "eth/C"},
+			{Kind: faults.ClientFlap, At: time.Second, Node: 1, Count: 3, Period: time.Second}}}}, "escat/ethylene/C"},
 		{"app", base, "prism/C"},
 	}
 	hexKey := regexp.MustCompile(`^[0-9a-f]{16}$`)
-	seen := map[string]string{ConfigKey(base, "eth/C"): "base"}
+	seen := map[string]string{ConfigKey(base, "escat/ethylene/C"): "base"}
 	for _, m := range mutations {
 		k := ConfigKey(m.cfg, m.app)
 		if !hexKey.MatchString(k) {
@@ -124,7 +124,7 @@ func TestConfigKeyExhaustive(t *testing.T) {
 			{Kind: faults.ClientFlap, At: time.Second, Node: 3, Period: time.Second, Count: 3},
 		}},
 	}
-	base := ConfigKey(cfg, "eth/C")
+	base := ConfigKey(cfg, "escat/ethylene/C")
 	seen, keyed := map[string]bool{}, map[string]bool{}
 	var walk func(v reflect.Value, path string)
 	walk = func(v reflect.Value, path string) {
@@ -174,14 +174,14 @@ func TestConfigKeyExhaustive(t *testing.T) {
 			t.Fatalf("%s: no mutation for a %s field; teach this test one", path, v.Kind())
 		}
 		seen[path] = true
-		if ConfigKey(cfg, "eth/C") != base {
+		if ConfigKey(cfg, "escat/ethylene/C") != base {
 			keyed[path] = true
 		}
 		v.Set(old)
 	}
 	walk(reflect.ValueOf(&cfg).Elem(), "")
 
-	if ConfigKey(cfg, "eth/C") != base {
+	if ConfigKey(cfg, "escat/ethylene/C") != base {
 		t.Fatal("the walk did not restore the base config")
 	}
 	for path := range seen {
@@ -219,6 +219,26 @@ func TestSuiteKeyGuardsMutation(t *testing.T) {
 	}
 	if first.Trace.Digest() == second.Trace.Digest() {
 		t.Error("seed change produced an identical trace — mutation not reflected in the run")
+	}
+}
+
+// TestSuiteKeysRunsByTheDaemonsAddress pins that the suite keys a run by
+// its catalogue identity: ethylene C at seed 1 lives under the content
+// address iosimd returns for {"app":"escat","version":"C"}
+// (server.TestSpellingsShareOneContentAddress pins the same hash).
+func TestSuiteKeysRunsByTheDaemonsAddress(t *testing.T) {
+	s := NewSuite(1)
+	if _, err := s.Ethylene("C"); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.traces["82dea089a7176eb4"]; !ok || len(s.traces) != 1 {
+		keys := make([]string, 0, len(s.traces))
+		for k := range s.traces {
+			keys = append(keys, k)
+		}
+		t.Errorf("suite keys ethylene C at seed 1 as %v, want [82dea089a7176eb4]", keys)
 	}
 }
 

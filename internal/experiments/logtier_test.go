@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -27,10 +28,10 @@ func TestLogTierGoldenDigests(t *testing.T) {
 		run    func(cfg core.Config) (*core.Result, error)
 	}{
 		{"eth/C", 23768, 0x5ce144e3404cc137, func(cfg core.Config) (*core.Result, error) {
-			return escat.RunOn(cfg, escat.Ethylene(), escat.VersionC())
+			return escat.Run(context.Background(), cfg, escat.Ethylene(), escat.VersionC())
 		}},
 		{"prism/C", 11396, 0x162463d0c4c76706, func(cfg core.Config) (*core.Result, error) {
-			return prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
+			return prism.Run(context.Background(), cfg, prism.TestProblem(), prism.VersionC())
 		}},
 	}
 	cfg := core.Config{Seed: 1, Tiers: logOnTiers()}
@@ -87,7 +88,7 @@ func TestLogTierDegradedDigests(t *testing.T) {
 			t.Errorf("%s: pinned digest equals the log-off degraded golden — the tier is inert", g.key)
 		}
 		cfg := core.Config{Seed: 1, Tiers: logOnTiers(), Faults: g.plan}
-		res, err := prism.RunOn(cfg, prism.TestProblem(), prism.VersionC())
+		res, err := prism.Run(context.Background(), cfg, prism.TestProblem(), prism.VersionC())
 		if err != nil {
 			t.Fatalf("%s: %v", g.key, err)
 		}

@@ -6,12 +6,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 
+	"paragonio/internal/apps"
 	"paragonio/internal/apps/escat"
-	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
 	"paragonio/internal/report"
@@ -20,18 +21,20 @@ import (
 // Suite caches application runs shared by multiple experiments (the
 // ESCAT ethylene traces feed Tables 1-3 and Figures 1-5; the PRISM
 // traces feed Table 4-5 and Figures 6-9). Runs are deterministic in the
-// seed.
+// seed. Every run is a catalogue run (internal/apps), keyed by
+// ConfigKey(cfg, run.Identity()): the content address iosimd gives the
+// same run.
 //
 // The suite keeps two kinds of run, Pablo's split between full event
 // traces and statistical summaries. Trace runs are the seven canonical
-// paper runs (eth/A|B|C, co/C, prism/A|B|C): the tables, the figures and
-// the advisor's classifier read them event by event, so they keep their
-// full trace. Measured runs are everything else — the what-if rungs, the
-// advised reruns and the non-canonical Figure 1 builds — which are only
-// ever read through run-level totals and per-file operation times. A
-// measured run keeps a RunSummary; its trace goes back to the pablo
-// event pool as soon as the summary is made, so the next run reuses the
-// buffer.
+// paper runs (escat/ethylene/A|B|C, escat/co/C, prism/A|B|C): the tables,
+// the figures and the advisor's classifier read them event by event, so
+// they keep their full trace. Measured runs are everything else — the
+// what-if rungs, the advised reruns and the non-canonical Figure 1 builds
+// — which are only ever read through run-level totals and per-file
+// operation times. A measured run keeps a RunSummary; its trace goes back
+// to the pablo event pool as soon as the summary is made, so the next run
+// reuses the buffer.
 //
 // A Suite is safe for concurrent use: each distinct run executes exactly
 // once (concurrent requesters of the same run wait for the first), and
@@ -63,33 +66,20 @@ type measuredRun struct {
 	err  error
 }
 
-// runFunc makes one application run under a configuration.
-type runFunc func(core.Config) (*core.Result, error)
-
-func runEthylene(v escat.Version) runFunc {
-	return func(cfg core.Config) (*core.Result, error) { return escat.RunOn(cfg, escat.Ethylene(), v) }
-}
-
-func runCarbonMonoxide(cfg core.Config) (*core.Result, error) {
-	return escat.RunOn(cfg, escat.CarbonMonoxide(), escat.VersionCCarbonMonoxide())
-}
-
-func runPrism(v prism.Version) runFunc {
-	return func(cfg core.Config) (*core.Result, error) { return prism.RunOn(cfg, prism.TestProblem(), v) }
-}
-
-// app is a version-C workload the what-if ladders re-run: the id of its
-// canonical trace run and how to run it.
-type app struct {
-	id  string
-	run runFunc
-}
-
+// The version-C runs the what-if ladders re-run.
 var (
-	ethC   = app{"eth/C", runEthylene(escat.VersionC())}
-	coC    = app{"co/C", runCarbonMonoxide}
-	prismC = app{"prism/C", runPrism(prism.VersionC())}
+	ethC   = mustLookup("escat", "ethylene", "C")
+	coC    = mustLookup("escat", "co", "C")
+	prismC = mustLookup("prism", "", "C")
 )
+
+func mustLookup(app, dataset, version string) apps.Run {
+	r, err := apps.Lookup(app, dataset, version)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
 
 // variant is one rung of an application-scale what-if ladder.
 type variant struct {
@@ -107,17 +97,17 @@ func tiersOf(vs []variant, id string) cache.Tiers {
 	panic("experiments: no variant " + id)
 }
 
-// underTiers returns the summary of a's run under tiers. A tiers-off run
-// is the canonical trace run's summary. Any other is a measured run keyed
-// by ConfigKey(cfg-with-tiers, a.id), so every ladder rung and advised
-// rerun that lands on the same tiers shares one run.
-func (s *Suite) underTiers(a app, tiers cache.Tiers) (*RunSummary, error) {
+// underTiers returns the summary of r under tiers. A tiers-off run is
+// the canonical trace run's summary. Any other is a measured run keyed
+// by ConfigKey(cfg-with-tiers, r.Identity()), so every ladder rung and
+// advised rerun that lands on the same tiers shares one run.
+func (s *Suite) underTiers(r apps.Run, tiers cache.Tiers) (*RunSummary, error) {
 	if !tiers.Enabled() {
-		return summaryOf(s.trace(a.id, a.run), nil)
+		return summaryOf(s.trace(r), nil)
 	}
 	cfg := s.cfg()
 	cfg.Tiers = tiers
-	return s.measure(a.id, cfg, a.run)
+	return s.measure(r, cfg)
 }
 
 // NewSuite creates an empty suite; runs happen lazily.
@@ -166,26 +156,26 @@ func cell[T any](s *Suite, m *map[string]*T, key string) *T {
 	return c
 }
 
-// trace returns the trace run identified by id, executing f on first
-// use. The cache key is ConfigKey(s.cfg(), id) rather than id alone, so
-// a Suite whose Seed field is mutated after runs began never serves a
-// result computed under the old configuration — the new configuration
-// simply misses and recomputes.
-func (s *Suite) trace(id string, f runFunc) *traceRun {
+// trace returns the trace run of r, executing it on first use. The
+// cache key is ConfigKey(s.cfg(), r.Identity()) rather than the identity
+// alone, so a Suite whose Seed field is mutated after runs began never
+// serves a result computed under the old configuration — the new
+// configuration simply misses and recomputes.
+func (s *Suite) trace(r apps.Run) *traceRun {
 	cfg := s.cfg()
-	t := cell(s, &s.traces, ConfigKey(cfg, id))
-	t.once.Do(func() { t.res, t.err = f(cfg) })
+	t := cell(s, &s.traces, ConfigKey(cfg, r.Identity()))
+	t.once.Do(func() { t.res, t.err = r.Exec(context.Background(), cfg) })
 	return t
 }
 
-// measure returns the summary of the measured run id under cfg,
-// executing f on first use. It is keyed by ConfigKey(cfg, id), so every
+// measure returns the summary of the measured run r under cfg, executing
+// it on first use. It is keyed by ConfigKey(cfg, r.Identity()), so every
 // field that can change the run — tiers included — separates entries.
 // The run's trace lives only until its summary is made.
-func (s *Suite) measure(id string, cfg core.Config, f runFunc) (*RunSummary, error) {
-	m := cell(s, &s.measured, ConfigKey(cfg, id))
+func (s *Suite) measure(r apps.Run, cfg core.Config) (*RunSummary, error) {
+	m := cell(s, &s.measured, ConfigKey(cfg, r.Identity()))
 	m.once.Do(func() {
-		res, err := f(cfg)
+		res, err := r.Exec(context.Background(), cfg)
 		if err != nil {
 			m.err = err
 			return
@@ -218,49 +208,27 @@ func summaryOf(t *traceRun, err error) (*RunSummary, error) {
 	return t.sum, nil
 }
 
-func (s *Suite) ethylene(id string) (*traceRun, error) {
-	var v escat.Version
-	switch id {
-	case "A":
-		v = escat.VersionA()
-	case "B":
-		v = escat.VersionB()
-	case "C":
-		v = escat.VersionC()
-	default:
-		return nil, fmt.Errorf("experiments: unknown ESCAT version %q", id)
+// run returns the trace run of the catalogue run (app, dataset,
+// version), executing it on first use.
+func (s *Suite) run(app, dataset, version string) (*traceRun, error) {
+	r, err := apps.Lookup(app, dataset, version)
+	if err != nil {
+		return nil, err
 	}
-	return s.trace("eth/"+id, runEthylene(v)), nil
-}
-
-func (s *Suite) carbonMonoxide() (*traceRun, error) {
-	return s.trace("co/C", runCarbonMonoxide), nil
-}
-
-func (s *Suite) prism(id string) (*traceRun, error) {
-	var v prism.Version
-	switch id {
-	case "A":
-		v = prism.VersionA()
-	case "B":
-		v = prism.VersionB()
-	case "C":
-		v = prism.VersionC()
-	default:
-		return nil, fmt.Errorf("experiments: unknown PRISM version %q", id)
-	}
-	return s.trace("prism/"+id, runPrism(v)), nil
+	return s.trace(r), nil
 }
 
 // Ethylene returns the cached ESCAT ethylene run for a paper version
 // ("A", "B", "C"), executing it on first use.
-func (s *Suite) Ethylene(id string) (*core.Result, error) { return resultOf(s.ethylene(id)) }
+func (s *Suite) Ethylene(id string) (*core.Result, error) {
+	return resultOf(s.run("escat", "ethylene", id))
+}
 
 // CarbonMonoxide returns the cached ESCAT carbon-monoxide version C run.
-func (s *Suite) CarbonMonoxide() (*core.Result, error) { return resultOf(s.carbonMonoxide()) }
+func (s *Suite) CarbonMonoxide() (*core.Result, error) { return resultOf(s.run("escat", "co", "C")) }
 
 // Prism returns the cached PRISM run for a version ("A", "B", "C").
-func (s *Suite) Prism(id string) (*core.Result, error) { return resultOf(s.prism(id)) }
+func (s *Suite) Prism(id string) (*core.Result, error) { return resultOf(s.run("prism", "", id)) }
 
 // Progressions returns the summaries of the six ESCAT builds of Figure
 // 1, in order. The builds identical to paper versions share the Ethylene
@@ -274,11 +242,12 @@ func (s *Suite) Progressions() ([]*RunSummary, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			r := mustLookup("escat", "ethylene", v.ID)
 			switch v.ID {
 			case "A", "B", "C": // identical builds to the paper versions
-				out[i], errs[i] = summaryOf(s.ethylene(v.ID))
+				out[i], errs[i] = summaryOf(s.trace(r), nil)
 			default:
-				out[i], errs[i] = s.measure("prog/"+v.ID, s.cfg(), runEthylene(v))
+				out[i], errs[i] = s.measure(r, s.cfg())
 			}
 		}()
 	}

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"paragonio/internal/apps"
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/core"
 	"paragonio/internal/pablo"
@@ -30,15 +32,16 @@ func TestMeasuredRunsMatchTraces(t *testing.T) {
 	type measuredCase struct {
 		name  string
 		cfg   core.Config
-		run   runFunc
+		run   apps.Run
 		fetch func() (*RunSummary, error)
 	}
-	tiered := func(a app, v variant) measuredCase {
+	tiered := func(r apps.Run, v variant) measuredCase {
 		cfg := s.cfg()
 		cfg.Tiers = v.tiers
-		return measuredCase{a.id + " " + v.id, cfg, a.run,
-			func() (*RunSummary, error) { return s.underTiers(a, v.tiers) }}
+		return measuredCase{r.Identity() + " " + v.id, cfg, r,
+			func() (*RunSummary, error) { return s.underTiers(r, v.tiers) }}
 	}
+	prog := mustLookup("escat", "ethylene", b1.ID)
 	cases := []measuredCase{
 		tiered(ethC, wb32),
 		tiered(prismC, wb32),
@@ -47,15 +50,15 @@ func TestMeasuredRunsMatchTraces(t *testing.T) {
 		tiered(prismC, logOnly),
 		tiered(ethC, both),
 		tiered(prismC, both), // an advised rerun landing on a ladder rung's tiers
-		{"prog/B1", s.cfg(), runEthylene(b1),
-			func() (*RunSummary, error) { return s.measure("prog/B1", s.cfg(), runEthylene(b1)) }},
+		{prog.Identity(), s.cfg(), prog,
+			func() (*RunSummary, error) { return s.measure(prog, s.cfg()) }},
 	}
 	for _, c := range cases {
 		sum, err := c.fetch()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		res, err := c.run(c.cfg)
+		res, err := c.run.Exec(context.Background(), c.cfg)
 		if err != nil {
 			t.Fatalf("%s (traced): %v", c.name, err)
 		}
@@ -121,7 +124,8 @@ func TestSuiteRetainsOnlyTraceRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	canonical := map[string]bool{}
-	for _, id := range []string{"eth/A", "eth/B", "eth/C", "co/C", "prism/A", "prism/B", "prism/C"} {
+	for _, id := range []string{"escat/ethylene/A", "escat/ethylene/B", "escat/ethylene/C", "escat/co/C",
+		"prism/A", "prism/B", "prism/C"} {
 		canonical[ConfigKey(s.cfg(), id)] = true
 	}
 	wantEvents := 0

@@ -20,11 +20,10 @@ type Config struct {
 	SWOverhead time.Duration // per-message software send+receive cost
 	PerHop     time.Duration // per-hop router latency
 	Bandwidth  float64       // link bandwidth, bytes/second
-	IONodes    int           // I/O service nodes, placed along the last column
 }
 
 // DefaultConfig returns the Caltech Paragon XP/S configuration used in the
-// paper: a 16x32 mesh with 16 I/O nodes. Latency and bandwidth reflect
+// paper: a 16x32 mesh. Latency and bandwidth reflect
 // published OSF/1 NX message-passing figures (~60 us latency, ~80 MB/s
 // realizable point-to-point bandwidth).
 func DefaultConfig() Config {
@@ -34,7 +33,6 @@ func DefaultConfig() Config {
 		SWOverhead: 60 * time.Microsecond,
 		PerHop:     200 * time.Nanosecond,
 		Bandwidth:  80e6,
-		IONodes:    16,
 	}
 }
 
@@ -50,10 +48,6 @@ func New(cfg Config) (*Mesh, error) {
 	}
 	if cfg.Bandwidth <= 0 {
 		return nil, fmt.Errorf("mesh: bandwidth must be positive, got %g", cfg.Bandwidth)
-	}
-	if cfg.IONodes < 0 || cfg.IONodes > cfg.Rows*cfg.Cols {
-		return nil, fmt.Errorf("mesh: %d I/O nodes do not fit in a %dx%d mesh",
-			cfg.IONodes, cfg.Rows, cfg.Cols)
 	}
 	if cfg.SWOverhead < 0 || cfg.PerHop < 0 {
 		return nil, fmt.Errorf("mesh: negative latency parameter")

@@ -24,8 +24,6 @@ func TestNewValidation(t *testing.T) {
 		{"zero cols", func(c *Config) { c.Cols = 0 }},
 		{"zero bandwidth", func(c *Config) { c.Bandwidth = 0 }},
 		{"negative bandwidth", func(c *Config) { c.Bandwidth = -1 }},
-		{"too many io nodes", func(c *Config) { c.IONodes = c.Rows*c.Cols + 1 }},
-		{"negative io nodes", func(c *Config) { c.IONodes = -1 }},
 		{"negative overhead", func(c *Config) { c.SWOverhead = -time.Second }},
 		{"negative perhop", func(c *Config) { c.PerHop = -time.Second }},
 	}
@@ -44,9 +42,6 @@ func TestDefaultConfigIsPaperMachine(t *testing.T) {
 	m := mustDefault(t)
 	if m.Nodes() != 512 {
 		t.Fatalf("Nodes = %d, want 512", m.Nodes())
-	}
-	if m.Config().IONodes != 16 {
-		t.Fatalf("IONodes = %d, want 16", m.Config().IONodes)
 	}
 }
 
@@ -81,7 +76,7 @@ func TestIONodeCoords(t *testing.T) {
 // nodes sharing a position.
 func TestIONodeCoordsMultiColumn(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Rows, cfg.Cols, cfg.IONodes = 128, 128, 256
+	cfg.Rows, cfg.Cols = 128, 128
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,9 @@ import (
 // Caltech machine used for all the paper's experiments.
 const DefaultStripeUnit int64 = 64 * 1024
 
+// DefaultIONodes is the paper machine's I/O node count.
+const DefaultIONodes = 16
+
 // Config describes a file system instance.
 type Config struct {
 	StripeUnit int64      // bytes per stripe unit (default 64 KB)
@@ -43,7 +46,7 @@ type Config struct {
 func DefaultConfig(m *mesh.Mesh) Config {
 	return Config{
 		StripeUnit: DefaultStripeUnit,
-		IONodes:    16,
+		IONodes:    DefaultIONodes,
 		Mesh:       m,
 	}
 }

@@ -150,12 +150,10 @@ func Advise(p *Profile, opt Options) []Recommendation {
 		return nil
 	}
 
-	unixReads := p.ReadModes["M_UNIX"] > 0
-	unixWrites := p.WriteModes["M_UNIX"] > 0
 	concurrentReaders := len(p.Readers) > 1
 	concurrentWriters := len(p.Writers) > 1
 
-	if p.IdenticalReads && unixReads {
+	if p.IdenticalReads && p.UnixReads {
 		add(UseGlobalRead, fmt.Sprintf(
 			"%d nodes read identical data through M_UNIX; one I/O plus broadcast suffices",
 			len(p.Readers)))
@@ -164,7 +162,7 @@ func Advise(p *Profile, opt Options) []Recommendation {
 		(p.Opens >= 8 && (concurrentReaders || concurrentWriters) && p.Gopens == 0) {
 		add(UseGopen, fmt.Sprintf("%d individual opens; a collective gopen pays the metadata cost once", p.Opens))
 	}
-	if p.InterleavedWrites && unixWrites {
+	if p.InterleavedWrites && p.UnixWrites {
 		reason := "concurrent disjoint interleaved writes serialized by M_UNIX atomicity"
 		if p.SeeksPerWrite >= 1 {
 			reason += fmt.Sprintf(" with %.1f shared-state seeks per write", p.SeeksPerWrite)

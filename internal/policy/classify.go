@@ -73,11 +73,10 @@ type Profile struct {
 	// SeeksPerWrite: seek ops per write op (pointer-repositioning load).
 	SeeksPerWrite float64
 
-	// ReadModes and WriteModes count the modes of the file's reads and
-	// writes — mode changes mid-file (the PRISM restart pattern) make
-	// the split matter.
-	ReadModes  map[string]int
-	WriteModes map[string]int
+	// UnixReads and UnixWrites report whether any of the file's reads or
+	// writes went through M_UNIX — mode changes mid-file (the PRISM
+	// restart pattern) make the split matter.
+	UnixReads, UnixWrites bool
 
 	// ReadTime and WriteTime are the summed durations of the file's data
 	// operations — the advisor's weights when files pull a shared cache
@@ -183,11 +182,7 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 	get := func(file string) *Profile {
 		p := out[file]
 		if p == nil {
-			p = &Profile{
-				File:       file,
-				ReadModes:  make(map[string]int),
-				WriteModes: make(map[string]int),
-			}
+			p = &Profile{File: file}
 			out[file] = p
 		}
 		return p
@@ -200,7 +195,7 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 			continue
 		}
 		p := get(ev.File)
-		node, mode := int(ev.Node), ev.Mode.String()
+		node := int(ev.Node)
 		k := nodeKey{ev.File, node}
 		switch ev.Op {
 		case pablo.OpOpen:
@@ -214,7 +209,7 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 				continue
 			}
 			p.Reads++
-			p.ReadModes[mode]++
+			p.UnixReads = p.UnixReads || ev.Mode == pablo.ModeUnix
 			p.BytesRead += ev.Size
 			if ev.Size < 2048 {
 				p.SmallReadFrac++ // normalized later
@@ -282,7 +277,7 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 				continue
 			}
 			p.Writes++
-			p.WriteModes[mode]++
+			p.UnixWrites = p.UnixWrites || ev.Mode == pablo.ModeUnix
 			p.BytesWritten += ev.Size
 			if ev.Size < 4096 {
 				p.SmallWriteFrac++

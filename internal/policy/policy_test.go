@@ -1,11 +1,13 @@
 package policy
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
+	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 )
 
@@ -154,7 +156,7 @@ func TestAdvisorReproducesESCATTuning(t *testing.T) {
 	d.CycleJitter = 500 * time.Millisecond
 	d.SetupCompute = time.Second
 	d.EnergyCompute = time.Second
-	res, err := escat.Run(d, escat.VersionA(), 1)
+	res, err := escat.Run(context.Background(), core.Config{Seed: 1}, d, escat.VersionA())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestAdvisorReproducesESCATBToC(t *testing.T) {
 	d.CycleJitter = 500 * time.Millisecond
 	d.SetupCompute = time.Second
 	d.EnergyCompute = time.Second
-	res, err := escat.Run(d, escat.VersionB(), 1)
+	res, err := escat.Run(context.Background(), core.Config{Seed: 1}, d, escat.VersionB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestAdvisorOnPRISMVersionA(t *testing.T) {
 	d.StepCompute = 200 * time.Millisecond
 	d.SetupCompute = time.Second
 	d.PostCompute = time.Second
-	res, err := prism.Run(d, prism.VersionA(), 1)
+	res, err := prism.Run(context.Background(), core.Config{Seed: 1}, d, prism.VersionA())
 	if err != nil {
 		t.Fatal(err)
 	}

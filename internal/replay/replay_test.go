@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func captureSmall(t *testing.T) *pablo.Trace {
 	d.StepCompute = 300 * time.Millisecond
 	d.SetupCompute = time.Second
 	d.PostCompute = time.Second
-	res, err := prism.Run(d, prism.VersionC(), 1)
+	res, err := prism.Run(context.Background(), core.Config{Seed: 1}, d, prism.VersionC())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"paragonio/internal/core"
 	"paragonio/internal/disk"
 	"paragonio/internal/experiments"
 	"paragonio/internal/pfs"
@@ -23,6 +24,7 @@ func FuzzSimulateRequest(f *testing.F) {
 		`{"app":"prism","version":"C","sample_ms":100000}`,
 		`{"app":"prism","version":"c","sddf":true}`,
 		`{"app":"prism","version":"C","ionodes":32,"stripe_unit":131072}`,
+		`{"app":"prism","version":"C","ionodes":1073741824}`,
 		`{"app":"prism","version":"C","tiers":{"ionode":{"write_behind":true,"read_ahead":4,"capacity_bytes":33554432}}}`,
 		`{"app":"prism","version":"C","tiers":{"client":{"capacity_bytes":8388608,"lease_ttl_ms":600000}}}`,
 		`{"app":"prism","version":"C","tiers":{"log":{}}}`,
@@ -64,9 +66,12 @@ func FuzzSimulateRequest(f *testing.F) {
 		if _, err := cfg.Tiers.WithDefaults(stripe, disk.DefaultParams()); err != nil {
 			t.Fatalf("validated tiers rejected by WithDefaults: %v", err)
 		}
+		if err := core.CheckIONodes(cfg); err != nil {
+			t.Fatalf("validated ionodes rejected by CheckIONodes: %v", err)
+		}
 		ionodes := cfg.IONodes
 		if ionodes == 0 {
-			ionodes = 16
+			ionodes = pfs.DefaultIONodes
 		}
 		if err := cfg.Faults.Validate(ionodes); err != nil {
 			t.Fatalf("validated faults rejected by Validate: %v", err)

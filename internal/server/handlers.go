@@ -7,12 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"paragonio/internal/analysis"
-	"paragonio/internal/apps/escat"
-	"paragonio/internal/apps/prism"
+	"paragonio/internal/apps"
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
 	"paragonio/internal/disk"
@@ -50,6 +48,8 @@ type SimulateRequest struct {
 	// result cache (they are bulky and cheap to regenerate from a
 	// cached config decision is deliberate) but not admission control.
 	SDDF bool `json:"sddf,omitempty"`
+
+	run apps.Run // the catalogue run App, Dataset and Version name; set by validate
 }
 
 // FaultRequest is one injected fault. Kind selects which other fields
@@ -237,57 +237,25 @@ func writeValidationError(w http.ResponseWriter, err error) {
 type runFunc func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error)
 
 func defaultRun(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
-	switch req.App {
-	case "escat":
-		ds, _ := escat.LookupDataset(req.Dataset)
-		v, _ := escat.LookupVersion(req.Version, req.Dataset)
-		return escat.RunOnContext(ctx, cfg, ds, v)
-	case "prism":
-		v, _ := prism.LookupVersion(req.Version)
-		return prism.RunOnContext(ctx, cfg, prism.TestProblem(), v)
-	}
-	return nil, fmt.Errorf("server: unknown app %q", req.App)
+	return req.run.Exec(ctx, cfg)
 }
 
 // validate normalizes the request and rejects anything defaultRun could
 // not execute, so handler-side validation and run-side dispatch agree.
-// Every spelling of one run normalizes to the same App, Dataset and
-// Version, so it hashes to one content address.
+// Every spelling of one run resolves to the same catalogue run, so it
+// hashes to one content address.
 func (r *SimulateRequest) validate() error {
-	r.App = strings.ToLower(r.App)
-	r.Dataset = strings.ToLower(r.Dataset)
+	run, err := apps.Lookup(r.App, r.Dataset, r.Version)
+	if err != nil {
+		var fe *apps.FieldError
+		if errors.As(err, &fe) {
+			return fieldErrorf(fe.Field, "%s", fe.Msg)
+		}
+		return err
+	}
+	r.run, r.App, r.Dataset, r.Version = run, run.App, run.Dataset, run.Version
 	if r.Seed == 0 {
 		r.Seed = 1
-	}
-	switch r.App {
-	case "escat":
-		switch r.Dataset {
-		case "":
-			r.Dataset = "ethylene"
-		case "carbon-monoxide":
-			r.Dataset = "co"
-		}
-		if _, ok := escat.LookupDataset(r.Dataset); !ok {
-			return fieldErrorf("dataset", "unknown escat dataset %q (want ethylene or co)", r.Dataset)
-		}
-		v, ok := escat.LookupVersion(r.Version, r.Dataset)
-		if !ok {
-			return fieldErrorf("version", "unknown escat version %q (want A, A2, B1, B2, B3, B, or C)", r.Version)
-		}
-		r.Version = v.ID
-	case "prism":
-		if r.Dataset != "" {
-			return fieldErrorf("dataset", "prism takes no dataset (got %q)", r.Dataset)
-		}
-		v, ok := prism.LookupVersion(r.Version)
-		if !ok {
-			return fieldErrorf("version", "unknown prism version %q (want A, B, or C)", r.Version)
-		}
-		r.Version = v.ID
-	case "":
-		return fieldErrorf("app", "missing app (want escat or prism)")
-	default:
-		return fieldErrorf("app", "unknown app %q (want escat or prism)", r.App)
 	}
 	if r.Shards < 0 {
 		return fieldErrorf("shards", "shards must be non-negative, got %d", r.Shards)
@@ -301,11 +269,15 @@ func (r *SimulateRequest) validate() error {
 	if r.SampleMS < 0 {
 		return fieldErrorf("sample_ms", "sample_ms must be non-negative, got %d", r.SampleMS)
 	}
+	cfg := r.config()
+	if err := core.CheckIONodes(cfg); err != nil {
+		return fieldErrorf("ionodes", "%v", err)
+	}
 	ionodes := r.IONodes
 	if ionodes == 0 {
-		ionodes = 16 // the paper machine core.Config defaults to
+		ionodes = pfs.DefaultIONodes
 	}
-	if err := r.faultsPlan().Validate(ionodes); err != nil {
+	if err := cfg.Faults.Validate(ionodes); err != nil {
 		return fieldErrorf("faults", "%v", err)
 	}
 	// Resolve the tiers exactly as pfs.New will, so a malformed block is
@@ -314,7 +286,7 @@ func (r *SimulateRequest) validate() error {
 	if stripe == 0 {
 		stripe = pfs.DefaultStripeUnit
 	}
-	if _, err := r.config().Tiers.WithDefaults(stripe, disk.DefaultParams()); err != nil {
+	if _, err := cfg.Tiers.WithDefaults(stripe, disk.DefaultParams()); err != nil {
 		return fieldErrorf("tiers", "%v", err)
 	}
 	return nil
@@ -377,12 +349,7 @@ func (r *SimulateRequest) config() core.Config {
 }
 
 // identity is the run-identity string hashed into the content address.
-func (r *SimulateRequest) identity() string {
-	if r.Dataset != "" {
-		return r.App + "/" + r.Dataset + "/" + r.Version
-	}
-	return r.App + "/" + r.Version
-}
+func (r *SimulateRequest) identity() string { return r.run.Identity() }
 
 // flight is one in-flight run that identical concurrent requests join.
 // refs counts attached waiters; when the last one disconnects the run

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -162,6 +163,12 @@ func TestSpellingsShareOneContentAddress(t *testing.T) {
 		t.Errorf(`dataset "co" hash %s cached=%v; "carbon-monoxide" hash %s`, short.Hash, short.Cached, long.Hash)
 	}
 
+	// The experiment suite keys its ethylene C run at seed 1 by the same
+	// address (experiments.TestSuiteKeysRunsByTheDaemonsAddress).
+	if got := simulate(`{"app":"escat","version":"C"}`).Hash; got != "82dea089a7176eb4" {
+		t.Errorf("escat ethylene C at seed 1 hashes to %s, want 82dea089a7176eb4", got)
+	}
+
 	resp, body := postJSON(t, ts, "/v1/sweep", `{"app":"prism","versions":["C","c"],"seeds":[3]}`)
 	if resp.StatusCode != 200 {
 		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
@@ -169,6 +176,54 @@ func TestSpellingsShareOneContentAddress(t *testing.T) {
 	plan, _, summary := parseSweepBody(t, body)
 	if plan.Unique != 1 || summary.DedupRequest != 1 {
 		t.Errorf("sweep plan %+v summary %+v, want unique=1 dedup_request=1", plan, summary)
+	}
+}
+
+// TestIONodesMustFitTheMesh pins the upper bound on ionodes: a count
+// with no place on the paper's 16x32 mesh fails validation, so
+// /v1/simulate answers 400 and a sweep marks the point invalid without
+// running it.
+func TestIONodesMustFitTheMesh(t *testing.T) {
+	for _, tc := range []struct {
+		ionodes int
+		ok      bool
+	}{{512, true}, {513, false}, {600, false}, {1 << 30, false}} {
+		req := SimulateRequest{App: "prism", Version: "C", IONodes: tc.ionodes}
+		err := req.validate()
+		var fe *fieldError
+		if tc.ok != (err == nil) || (err != nil && (!errors.As(err, &fe) || fe.field != "ionodes")) {
+			t.Errorf("ionodes %d: validate() = %v, want ok=%v or an ionodes error", tc.ionodes, err, tc.ok)
+		}
+	}
+
+	var runs atomic.Int32
+	s := newTestServer(t, Config{}, func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
+		runs.Add(1)
+		return stubRun(ctx, req, cfg)
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, out := postJSON(t, ts, "/v1/simulate", `{"app":"prism","version":"C","ionodes":1073741824}`)
+	var e apiError
+	if resp.StatusCode != 400 || json.Unmarshal(out, &e) != nil ||
+		e.Error.Code != ErrCodeInvalidRequest || e.Error.Field != "ionodes" {
+		t.Errorf("simulate: status %d body %s, want 400 invalid_request on ionodes", resp.StatusCode, out)
+	}
+	resp, out = postJSON(t, ts, "/v1/sweep", `{"app":"prism","versions":["C"],"ionodes":[16,1073741824]}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("sweep: status %d: %s", resp.StatusCode, out)
+	}
+	plan, points, _ := parseSweepBody(t, out)
+	if plan.Points != 2 || plan.Invalid != 1 {
+		t.Errorf("sweep plan %+v, want points=2 invalid=1", plan)
+	}
+	for _, p := range points {
+		if p.IONodes == 1073741824 && (p.Status != "invalid" || p.Hash != "") {
+			t.Errorf("off-mesh point: status %q hash %q, want invalid with no key", p.Status, p.Hash)
+		}
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("engine ran %d times, want 1", n)
 	}
 }
 

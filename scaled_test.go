@@ -22,7 +22,7 @@ import (
 // requests fan out across disjoint I/O-node subsets.
 func scaledMeshRun(rows, cols, ioNodes, nodes, rounds int) (*core.Result, error) {
 	mcfg := mesh.DefaultConfig()
-	mcfg.Rows, mcfg.Cols, mcfg.IONodes = rows, cols, ioNodes
+	mcfg.Rows, mcfg.Cols = rows, cols
 	cfg := core.Config{
 		Nodes:   nodes,
 		Mesh:    &mcfg,
