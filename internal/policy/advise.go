@@ -3,8 +3,6 @@ package policy
 import (
 	"fmt"
 	"sort"
-
-	"paragonio/internal/cache"
 )
 
 // Kind identifies one recommendation category — each maps to a file
@@ -37,9 +35,9 @@ const (
 	// AlignToStripe: dominant request size is not a stripe multiple.
 	AlignToStripe
 
-	// The remaining kinds are cache-tier recommendations (AdviseCache,
-	// AdviseTiers): instead of an access mode, each maps to a concrete
-	// cache.Tiers fragment, carried in Recommendation.Tiers.
+	// The remaining kinds are cache-tier findings (AdviseTiers): instead
+	// of an access mode, each argues for or against one cache.Tiers
+	// setting, which AdviseTiers merges into the machine plan.
 
 	// CacheWriteBehind: writes are small or rewrite the same blocks; an
 	// I/O-node cache with write-behind acknowledges them at copy cost.
@@ -108,10 +106,6 @@ type Recommendation struct {
 	File   string
 	Kind   Kind
 	Reason string
-	// Tiers, non-nil on cache-tier kinds, is the concrete configuration
-	// fragment this finding argues for in isolation. AdviseTiers merges
-	// the fragments (and the negative findings) into one machine plan.
-	Tiers *cache.Tiers
 }
 
 // String implements fmt.Stringer.
@@ -211,11 +205,4 @@ func AdviseAll(profiles map[string]*Profile, opt Options) []Recommendation {
 		out = append(out, Advise(profiles[f], opt)...)
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

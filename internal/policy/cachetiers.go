@@ -1,11 +1,11 @@
 package policy
 
 // Cache-tier advice: the second half of the advisor. Advise maps access
-// patterns to access modes (the paper's section 7 list); AdviseCache and
-// AdviseTiers map the block-granular reuse signals (SignalBlock) to a
-// concrete cache.Tiers configuration — write-behind, read-ahead depth,
-// I/O-node capacity, client tier and lease TTL — including the negative
-// calls: the PRISM restart stream where read-ahead pollutes a
+// patterns to access modes (the paper's section 7 list); AdviseTiers
+// maps the block-granular reuse signals (SignalBlock) to per-file
+// findings and one concrete cache.Tiers configuration — write-behind,
+// read-ahead depth, I/O-node capacity, client tier and lease TTL —
+// including the negative calls: the PRISM restart stream where read-ahead pollutes a
 // dirty-block-resident hot set, and the carbon-monoxide shape where a
 // shared I/O-node cache loses outright and only a client tier wins.
 
@@ -47,8 +47,8 @@ const (
 // the cachewhatif depth.
 const readAheadDepth = 4
 
-// cacheSignals is the per-file trigger evaluation shared by AdviseCache
-// (which renders findings) and AdviseTiers (which merges them).
+// cacheSignals is one file's trigger evaluation: AdviseTiers renders
+// the file's findings from it and merges it into the machine plan.
 type cacheSignals struct {
 	writeBehind bool // writes worth absorbing in an I/O-node cache
 	rewrites    bool // ... because the file rewrites its working set
@@ -112,16 +112,11 @@ func leaseTTLFor(p *Profile) time.Duration {
 	return ((need + time.Minute - 1) / time.Minute) * time.Minute
 }
 
-// AdviseCache inspects one file's profile and returns its cache-tier
-// findings, each carrying the cache.Tiers fragment it argues for (nil
-// on the negative kinds). Use AdviseTiers to merge findings across a
-// whole trace into one configuration.
-func AdviseCache(p *Profile, opt CacheOptions) []Recommendation {
-	opt.defaults()
-	s := evalCacheSignals(p)
-	var out []Recommendation
-	add := func(k Kind, t *cache.Tiers, reason string) {
-		out = append(out, Recommendation{File: p.File, Kind: k, Reason: reason, Tiers: t})
+// appendCacheFindings appends the cache-tier findings s signals for p's
+// file to recs, in kind order, and returns the extended slice.
+func appendCacheFindings(recs []Recommendation, p *Profile, s cacheSignals) []Recommendation {
+	add := func(k Kind, reason string) {
+		recs = append(recs, Recommendation{File: p.File, Kind: k, Reason: reason})
 	}
 	if s.writeBehind {
 		reason := fmt.Sprintf(
@@ -132,16 +127,12 @@ func AdviseCache(p *Profile, opt CacheOptions) []Recommendation {
 				"file rewrites its %s working set %.1f times over; write-behind absorbs the rewrites in cache",
 				cache.FormatSize(p.WriteWS), float64(p.BytesWritten)/float64(p.WriteWS))
 		}
-		add(CacheWriteBehind,
-			&cache.Tiers{IONode: &cache.Config{WriteBehind: true}}, reason)
+		add(CacheWriteBehind, reason)
 	}
 	if s.capacity {
-		capBytes := clampPow2(2*p.ReadWS/int64(opt.IONodes), ionodeFloor, ionodeCeil)
-		add(CacheIONodeCapacity,
-			&cache.Tiers{IONode: &cache.Config{CapacityBytes: capBytes}},
-			fmt.Sprintf(
-				"%.1f reads per distinct block, %.0f%% of touches on cross-node shared blocks; hold the %s hot set at the I/O nodes",
-				p.ReadOpsPerBlock, 100*p.SharedReadFrac, cache.FormatSize(p.ReadWS)))
+		add(CacheIONodeCapacity, fmt.Sprintf(
+			"%.1f reads per distinct block, %.0f%% of touches on cross-node shared blocks; hold the %s hot set at the I/O nodes",
+			p.ReadOpsPerBlock, 100*p.SharedReadFrac, cache.FormatSize(p.ReadWS)))
 	}
 	if s.avoidRA {
 		reason := "the read stream is served from a resident shared hot set; speculative fills would only evict it"
@@ -150,47 +141,37 @@ func AdviseCache(p *Profile, opt CacheOptions) []Recommendation {
 				"%.0f%% of read touches land on blocks this run wrote; with write-behind they are already resident and read-ahead only evicts them",
 				100*p.ReadAfterWriteFrac)
 		}
-		add(AvoidReadAhead, nil, reason)
+		add(AvoidReadAhead, reason)
 	}
 	if s.readAhead {
-		add(CacheReadAhead,
-			&cache.Tiers{IONode: &cache.Config{ReadAhead: readAheadDepth}},
-			fmt.Sprintf(
-				"%.0f%% sequential cold reads with no reuse behind them; read-ahead depth %d overlaps the disks with the stream",
-				100*p.SeqReadFrac, readAheadDepth))
+		add(CacheReadAhead, fmt.Sprintf(
+			"%.0f%% sequential cold reads with no reuse behind them; read-ahead depth %d overlaps the disks with the stream",
+			100*p.SeqReadFrac, readAheadDepth))
 	}
 	if s.client {
-		capBytes := clampPow2(2*p.PerNodeReadWS, clientFloor, clientCeil)
-		add(CacheClientTier,
-			&cache.Tiers{Client: &cache.ClientConfig{CapacityBytes: capBytes}},
-			fmt.Sprintf(
-				"%.0f%% of read touches return to node-private blocks (%s per node); a client tier serves them without any I/O-node trip",
-				100*p.ReuseReadFrac, cache.FormatSize(p.PerNodeReadWS)))
+		add(CacheClientTier, fmt.Sprintf(
+			"%.0f%% of read touches return to node-private blocks (%s per node); a client tier serves them without any I/O-node trip",
+			100*p.ReuseReadFrac, cache.FormatSize(p.PerNodeReadWS)))
 		if s.ttl > cache.DefaultClientTTL {
-			add(CacheClientTTL,
-				&cache.Tiers{Client: &cache.ClientConfig{LeaseTTL: s.ttl}},
-				fmt.Sprintf(
-					"reuse spans %s per block and leases never renew locally; a %v lease keeps every return a hit",
-					p.MaxReuseSpan.Round(time.Second), s.ttl))
+			add(CacheClientTTL, fmt.Sprintf(
+				"reuse spans %s per block and leases never renew locally; a %v lease keeps every return a hit",
+				p.MaxReuseSpan.Round(time.Second), s.ttl))
 		}
-		add(AvoidIONodeCache, nil, fmt.Sprintf(
+		add(AvoidIONodeCache, fmt.Sprintf(
 			"reads are node-private (%.0f%% shared); a server-side cache adds lookup cost with nothing to share",
 			100*p.SharedReadFrac))
 	}
 	if s.logTier {
-		capBytes := clampPow2(p.WriteWS, cache.DefaultLogCapacity, 64<<20)
-		add(CacheLogTier,
-			&cache.Tiers{Log: &cache.LogConfig{CapacityBytes: capBytes}},
-			fmt.Sprintf(
-				"%s written with %.0f%% read-back; a host-side log absorbs the bursts at memory speed and drains sequentially",
-				cache.FormatSize(p.BytesWritten), 100*p.ReadAfterWriteFrac))
+		add(CacheLogTier, fmt.Sprintf(
+			"%s written with %.0f%% read-back; a host-side log absorbs the bursts at memory speed and drains sequentially",
+			cache.FormatSize(p.BytesWritten), 100*p.ReadAfterWriteFrac))
 	}
 	if s.avoidLog {
-		add(AvoidLogTier, nil, fmt.Sprintf(
+		add(AvoidLogTier, fmt.Sprintf(
 			"%.0f%% of read touches land on just-written blocks; logged records would stall every such read on the drain, while write-behind serves them from resident dirty blocks",
 			100*p.ReadAfterWriteFrac))
 	}
-	return out
+	return recs
 }
 
 // TiersPlan is AdviseTiers' result: the per-file findings plus the one
@@ -207,11 +188,11 @@ type TiersPlan struct {
 	Notes []string
 }
 
-// AdviseTiers evaluates every profile's cache findings and merges them
-// into one cache.Tiers for the whole machine. Files pull in different
-// directions, so the merge weighs each finding by the time the file
-// spent in the operations it would accelerate (or slow down): the
-// I/O-node tier is enabled only when the read/write time behind the
+// AdviseTiers evaluates each profile's cache signals once, renders the
+// file's findings from them, and merges them into one cache.Tiers for
+// the whole machine. Files pull in different directions, so the merge
+// weighs each finding by the time the file spent in the operations it
+// would accelerate (or slow down): the I/O-node tier is enabled only when the read/write time behind the
 // positive findings exceeds the read time of files that a shared cache
 // would penalize, and one AvoidReadAhead finding vetoes read-ahead for
 // the whole tier — prefetch pollution costs more than a cold stream
@@ -245,7 +226,7 @@ func AdviseTiers(profiles map[string]*Profile, opt CacheOptions) TiersPlan {
 	for _, f := range files {
 		p := profiles[f]
 		s := evalCacheSignals(p)
-		plan.Recs = append(plan.Recs, AdviseCache(p, opt)...)
+		plan.Recs = appendCacheFindings(plan.Recs, p, s)
 		if s.writeBehind {
 			wbOn = true
 			pro += p.WriteTime

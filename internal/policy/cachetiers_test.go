@@ -16,6 +16,11 @@ func at(ev pablo.Event, start time.Duration) pablo.Event {
 	return ev
 }
 
+// cacheRecs returns the cache findings AdviseTiers renders for p alone.
+func cacheRecs(p *Profile) []Recommendation {
+	return AdviseTiers(map[string]*Profile{p.File: p}, CacheOptions{}).Recs
+}
+
 // TestAdviseEmptyProfile: a profile with no operations produces no
 // advice of either kind, and an empty trace produces an empty plan.
 func TestAdviseEmptyProfile(t *testing.T) {
@@ -23,7 +28,7 @@ func TestAdviseEmptyProfile(t *testing.T) {
 	if recs := Advise(p, Options{}); recs != nil {
 		t.Fatalf("mode advice on empty profile: %v", recs)
 	}
-	if recs := AdviseCache(p, CacheOptions{}); recs != nil {
+	if recs := cacheRecs(p); len(recs) != 0 {
 		t.Fatalf("cache advice on empty profile: %v", recs)
 	}
 	plan := AdviseTiers(map[string]*Profile{}, CacheOptions{})
@@ -44,7 +49,7 @@ func TestAdviseSingleRequestFile(t *testing.T) {
 	if recs := Advise(p, Options{}); recs != nil {
 		t.Fatalf("mode advice on single request: %v", recs)
 	}
-	if recs := AdviseCache(p, CacheOptions{}); recs != nil {
+	if recs := cacheRecs(p); len(recs) != 0 {
 		t.Fatalf("cache advice on single request: %v", recs)
 	}
 }
@@ -72,12 +77,12 @@ func TestAdviseConflictingSmallWrites(t *testing.T) {
 	if kinds[AggregateRequests] != 0 {
 		t.Fatalf("aggregation recommended for a write stream: %v", recs)
 	}
-	crecs := AdviseCache(p, CacheOptions{})
-	if len(crecs) != 1 || crecs[0].Kind != CacheWriteBehind {
-		t.Fatalf("cache advice = %v, want one cache-write-behind", crecs)
+	plan := AdviseTiers(map[string]*Profile{"log": p}, CacheOptions{})
+	if len(plan.Recs) != 1 || plan.Recs[0].Kind != CacheWriteBehind {
+		t.Fatalf("cache advice = %v, want one cache-write-behind", plan.Recs)
 	}
-	if crecs[0].Tiers == nil || crecs[0].Tiers.IONode == nil || !crecs[0].Tiers.IONode.WriteBehind {
-		t.Fatalf("cache-write-behind carries no write-behind tiers: %+v", crecs[0].Tiers)
+	if plan.Tiers.IONode == nil || !plan.Tiers.IONode.WriteBehind {
+		t.Fatalf("merged tiers = %v, want write-behind on", plan.Tiers)
 	}
 }
 
@@ -102,7 +107,7 @@ func TestAdviseRewriteVetoesReadAhead(t *testing.T) {
 	if p.ReadAfterWriteFrac < 0.99 {
 		t.Fatalf("ReadAfterWriteFrac = %g, want ~1", p.ReadAfterWriteFrac)
 	}
-	crecs := AdviseCache(p, CacheOptions{})
+	crecs := cacheRecs(p)
 	kinds := map[Kind]int{}
 	for _, r := range crecs {
 		kinds[r.Kind]++
@@ -141,7 +146,7 @@ func TestAdviseClientTierFromReuse(t *testing.T) {
 	if p.MaxReuseSpan < p.MaxReuseGap || p.MaxReuseSpan < 5*time.Minute {
 		t.Fatalf("span=%v gap=%v", p.MaxReuseSpan, p.MaxReuseGap)
 	}
-	crecs := AdviseCache(p, CacheOptions{})
+	crecs := cacheRecs(p)
 	kinds := map[Kind]int{}
 	for _, r := range crecs {
 		kinds[r.Kind]++

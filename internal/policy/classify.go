@@ -8,15 +8,15 @@
 //
 //   - Classify turns a trace into per-file Profiles (request sizes,
 //     sequentiality, sharing, block-granular reuse at SignalBlock
-//     granularity);
-//   - Advise and AdviseCache read one Profile and emit Recommendations —
-//     access-mode advice and cache-configuration advice respectively,
-//     the latter carrying concrete cache.Tiers fragments (see
-//     docs/ADVISOR.md for the full recommendation catalog);
-//   - AdviseTiers merges the per-file cache findings into the single
-//     cache.Tiers a run can actually be configured with, weighing
-//     pro-cache traffic against the traffic a server tier would hurt,
-//     and WriteAdvice renders everything for the CLI surfaces.
+//     granularity) in one pass, keeping one record per file and one per
+//     (file, node) stream;
+//   - Advise reads one Profile and emits access-mode Recommendations
+//     (see docs/ADVISOR.md for the full recommendation catalog);
+//   - AdviseTiers evaluates each file's cache signals once, renders its
+//     cache findings, and merges them into the single cache.Tiers a run
+//     can actually be configured with, weighing pro-cache traffic
+//     against the traffic a server tier would hurt; WriteAdvice renders
+//     everything for the CLI surfaces.
 //
 // The policies it recommends run as the cache tiers of internal/cache
 // (I/O-node write-behind and read-ahead, the lease-coherent client tier,
@@ -32,6 +32,7 @@
 package policy
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -47,7 +48,7 @@ type Profile struct {
 
 	Reads, Writes, Seeks, Opens, Gopens int
 
-	BytesRead, BytesWritten int64
+	BytesWritten int64
 
 	// SmallReadFrac: fraction of reads below 2 KB (the paper's "small"
 	// threshold). SmallWriteFrac: fraction of writes below 4 KB —
@@ -55,7 +56,8 @@ type Profile struct {
 	SmallReadFrac, SmallWriteFrac float64
 
 	// SeqReadFrac: fraction of a node's reads continuing at its previous
-	// end offset, averaged over nodes.
+	// end offset, averaged over the nodes with at least two reads, summed
+	// in node order so the result is the same on every call.
 	SeqReadFrac float64
 
 	// IdenticalReads: every reading node issued the same (offset, size)
@@ -129,11 +131,33 @@ type Profile struct {
 // cache tiers' default block size.
 const SignalBlock int64 = 64 * 1024
 
-// nodeKey identifies one node's stream against one file.
-type nodeKey struct {
-	file string
-	node int
+// fileState is Classify's one record per file: the Profile being built,
+// the file's streams, and the counters the closing pass turns into the
+// Profile's fractions.
+type fileState struct {
+	p         *Profile
+	streams   map[int32]*stream
+	blocks    map[int64]*fileBlock // block reuse table
+	readSizes map[int64]int        // reads per request size
+	// Read block-touches: all of them, the returns to a block the same
+	// node left, and the touches on blocks the trace wrote earlier.
+	readTouches, reuseTouches, rawTouches int
 }
+
+// stream is Classify's one record per (file, node): one node's accesses
+// to one file.
+type stream struct {
+	node    int
+	ops     int // data operations so far
+	seqHits int // reads continuing at the previous read's end offset
+	lastEnd int64
+	reads   []extent             // every read, in order
+	writes  []int64              // every write's offset, in order
+	blocks  map[int64]*nodeTouch // blocks the node read
+}
+
+// extent is one read's (offset, size).
+type extent struct{ off, size int64 }
 
 // fileBlock is the per-(file, block) reuse bookkeeping for the cache
 // signals: who read it first, whether it became shared, whether it was
@@ -155,48 +179,22 @@ type nodeTouch struct {
 
 // Classify builds a Profile for each file in the trace, keyed by name.
 func Classify(t *pablo.Trace) map[string]*Profile {
-	out := make(map[string]*Profile)
-	lastEnd := make(map[nodeKey]int64)
-	seqHits := make(map[nodeKey]int)
-	readsBy := make(map[nodeKey]int)
-	readSeq := make(map[nodeKey][]pablo.Event)
-	writeOffsets := make(map[string]map[int][]int64)
-	readSizes := make(map[string]map[int64]int)
-
-	blocks := make(map[string]map[int64]*fileBlock) // per file
-	nodeBlocks := make(map[nodeKey]map[int64]*nodeTouch)
-	nodeOps := make(map[nodeKey]int) // data-op counter per (file, node)
-	readTouches := make(map[string]int)
-	reuseTouches := make(map[string]int)
-	rawTouches := make(map[string]int) // read-after-write block touches
-
-	fileBlocks := func(file string) map[int64]*fileBlock {
-		m := blocks[file]
-		if m == nil {
-			m = make(map[int64]*fileBlock)
-			blocks[file] = m
-		}
-		return m
-	}
-
-	get := func(file string) *Profile {
-		p := out[file]
-		if p == nil {
-			p = &Profile{File: file}
-			out[file] = p
-		}
-		return p
-	}
-	readerSet := make(map[string]map[int]bool)
-	writerSet := make(map[string]map[int]bool)
-
+	files := make(map[string]*fileState)
 	for _, ev := range t.Events() {
 		if ev.File == "" {
 			continue
 		}
-		p := get(ev.File)
-		node := int(ev.Node)
-		k := nodeKey{ev.File, node}
+		f := files[ev.File]
+		if f == nil {
+			f = &fileState{
+				p:         &Profile{File: ev.File},
+				streams:   make(map[int32]*stream),
+				blocks:    make(map[int64]*fileBlock),
+				readSizes: make(map[int64]int),
+			}
+			files[ev.File] = f
+		}
+		p := f.p
 		switch ev.Op {
 		case pablo.OpOpen:
 			p.Opens++
@@ -210,56 +208,38 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 			}
 			p.Reads++
 			p.UnixReads = p.UnixReads || ev.Mode == pablo.ModeUnix
-			p.BytesRead += ev.Size
 			if ev.Size < 2048 {
 				p.SmallReadFrac++ // normalized later
 			}
-			if readerSet[ev.File] == nil {
-				readerSet[ev.File] = map[int]bool{}
+			s := f.stream(ev.Node)
+			if len(s.reads) > 0 && s.lastEnd == ev.Offset {
+				s.seqHits++
 			}
-			readerSet[ev.File][node] = true
-			if lastEnd[k] == ev.Offset && readsBy[k] > 0 {
-				seqHits[k]++
-			}
-			readsBy[k]++
-			lastEnd[k] = ev.Offset + ev.Size
-			readSeq[k] = append(readSeq[k], ev)
-			if readSizes[ev.File] == nil {
-				readSizes[ev.File] = map[int64]int{}
-			}
-			readSizes[ev.File][ev.Size]++
+			s.lastEnd = ev.Offset + ev.Size
+			s.reads = append(s.reads, extent{ev.Offset, ev.Size})
+			f.readSizes[ev.Size]++
 			p.ReadTime += ev.Duration
 			// Block-granular reuse signals.
-			fb := fileBlocks(ev.File)
-			nb := nodeBlocks[k]
-			if nb == nil {
-				nb = make(map[int64]*nodeTouch)
-				nodeBlocks[k] = nb
-			}
-			idx := nodeOps[k]
-			nodeOps[k] = idx + 1
+			idx := s.ops
+			s.ops++
 			for b := ev.Offset / SignalBlock; b <= (ev.Offset+ev.Size-1)/SignalBlock; b++ {
-				info := fb[b]
-				if info == nil {
-					info = &fileBlock{firstReader: -1}
-					fb[b] = info
-				}
-				readTouches[ev.File]++
+				info := f.block(b)
+				f.readTouches++
 				info.readTouches++
 				if !info.read {
 					info.read = true
-					info.firstReader = node
-				} else if info.firstReader != node {
+					info.firstReader = s.node
+				} else if info.firstReader != s.node {
 					info.shared = true
 				}
 				if info.written {
-					rawTouches[ev.File]++
+					f.rawTouches++
 				}
-				if nt := nb[b]; nt != nil {
+				if nt := s.blocks[b]; nt != nil {
 					if nt.lastIdx < idx-1 {
 						// A return to a block this node left — per-client
 						// temporal reuse, not stream continuation.
-						reuseTouches[ev.File]++
+						f.reuseTouches++
 						if gap := ev.Start - nt.lastTime; gap > p.MaxReuseGap {
 							p.MaxReuseGap = gap
 						}
@@ -269,7 +249,7 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 					}
 					nt.lastIdx, nt.lastTime = idx, ev.Start
 				} else {
-					nb[b] = &nodeTouch{lastIdx: idx, lastTime: ev.Start, firstTime: ev.Start}
+					s.blocks[b] = &nodeTouch{lastIdx: idx, lastTime: ev.Start, firstTime: ev.Start}
 				}
 			}
 		case pablo.OpWrite:
@@ -282,145 +262,150 @@ func Classify(t *pablo.Trace) map[string]*Profile {
 			if ev.Size < 4096 {
 				p.SmallWriteFrac++
 			}
-			if writerSet[ev.File] == nil {
-				writerSet[ev.File] = map[int]bool{}
-			}
-			writerSet[ev.File][node] = true
-			if writeOffsets[ev.File] == nil {
-				writeOffsets[ev.File] = map[int][]int64{}
-			}
-			writeOffsets[ev.File][node] = append(writeOffsets[ev.File][node], ev.Offset)
+			s := f.stream(ev.Node)
+			s.writes = append(s.writes, ev.Offset)
 			p.WriteTime += ev.Duration
-			fb := fileBlocks(ev.File)
-			idx := nodeOps[k]
-			nodeOps[k] = idx + 1
+			s.ops++
 			for b := ev.Offset / SignalBlock; b <= (ev.Offset+ev.Size-1)/SignalBlock; b++ {
-				info := fb[b]
-				if info == nil {
-					info = &fileBlock{firstReader: -1}
-					fb[b] = info
-				}
-				info.written = true
+				f.block(b).written = true
 			}
 		}
 	}
+	out := make(map[string]*Profile, len(files))
+	for name, f := range files {
+		out[name] = f.profile()
+	}
+	return out
+}
 
-	for file, p := range out {
-		p.Readers = sortedNodes(readerSet[file])
-		p.Writers = sortedNodes(writerSet[file])
-		if p.Reads > 0 {
-			p.SmallReadFrac /= float64(p.Reads)
-		}
-		if p.Writes > 0 {
-			p.SmallWriteFrac /= float64(p.Writes)
-			p.SeeksPerWrite = float64(p.Seeks) / float64(p.Writes)
-		}
-		// Sequentiality: average per-node fraction.
-		var seqSum float64
-		var nodes int
-		for k, n := range readsBy {
-			if k.file != file || n < 2 {
-				continue
-			}
-			seqSum += float64(seqHits[k]) / float64(n-1)
-			nodes++
-		}
-		if nodes > 0 {
-			p.SeqReadFrac = seqSum / float64(nodes)
-		}
-		p.IdenticalReads = identicalReads(file, p.Readers, readSeq)
-		p.InterleavedWrites = interleavedWrites(writeOffsets[file])
-		p.FixedReadSize = dominantSize(readSizes[file], p.Reads)
+// stream returns the file's stream for node, creating it on first use.
+func (f *fileState) stream(node int32) *stream {
+	s := f.streams[node]
+	if s == nil {
+		s = &stream{node: int(node), blocks: make(map[int64]*nodeTouch)}
+		f.streams[node] = s
+	}
+	return s
+}
 
-		// Reuse signals from the block bookkeeping.
-		var readBlocks, writeBlocks, sharedTouches int
-		for _, info := range blocks[file] {
-			if info.read {
-				readBlocks++
-				if info.shared {
-					sharedTouches += info.readTouches
-				}
+// block returns the file's reuse record for block b, creating it on
+// first use.
+func (f *fileState) block(b int64) *fileBlock {
+	info := f.blocks[b]
+	if info == nil {
+		info = &fileBlock{firstReader: -1}
+		f.blocks[b] = info
+	}
+	return info
+}
+
+// profile finishes the file's Profile from its streams and block table.
+func (f *fileState) profile() *Profile {
+	p := f.p
+	streams := make([]*stream, 0, len(f.streams))
+	for _, s := range f.streams {
+		streams = append(streams, s)
+	}
+	sort.Slice(streams, func(i, j int) bool { return streams[i].node < streams[j].node })
+
+	var readers, writers []*stream
+	var seqSum float64
+	var seqNodes int
+	for _, s := range streams {
+		if n := len(s.reads); n > 0 {
+			readers = append(readers, s)
+			p.Readers = append(p.Readers, s.node)
+			if n >= 2 {
+				seqSum += float64(s.seqHits) / float64(n-1)
+				seqNodes++
 			}
-			if info.written {
-				writeBlocks++
-			}
-		}
-		p.ReadWS = int64(readBlocks) * SignalBlock
-		p.WriteWS = int64(writeBlocks) * SignalBlock
-		if readBlocks > 0 {
-			p.ReadOpsPerBlock = float64(p.Reads) / float64(readBlocks)
-		}
-		if rt := readTouches[file]; rt > 0 {
-			p.SharedReadFrac = float64(sharedTouches) / float64(rt)
-			p.ReuseReadFrac = float64(reuseTouches[file]) / float64(rt)
-			p.ReadAfterWriteFrac = float64(rawTouches[file]) / float64(rt)
-		}
-		for _, node := range p.Readers {
-			if ws := int64(len(nodeBlocks[nodeKey{file, node}])) * SignalBlock; ws > p.PerNodeReadWS {
+			if ws := int64(len(s.blocks)) * SignalBlock; ws > p.PerNodeReadWS {
 				p.PerNodeReadWS = ws
 			}
 		}
+		if len(s.writes) > 0 {
+			writers = append(writers, s)
+			p.Writers = append(p.Writers, s.node)
+		}
 	}
-	return out
+	if seqNodes > 0 {
+		p.SeqReadFrac = seqSum / float64(seqNodes)
+	}
+	if p.Reads > 0 {
+		p.SmallReadFrac /= float64(p.Reads)
+	}
+	if p.Writes > 0 {
+		p.SmallWriteFrac /= float64(p.Writes)
+		p.SeeksPerWrite = float64(p.Seeks) / float64(p.Writes)
+	}
+	p.IdenticalReads = identicalReads(readers)
+	p.InterleavedWrites = interleavedWrites(writers)
+	p.FixedReadSize = dominantSize(f.readSizes, p.Reads)
+
+	// Reuse signals from the block table.
+	var readBlocks, writeBlocks, sharedTouches int
+	for _, info := range f.blocks {
+		if info.read {
+			readBlocks++
+			if info.shared {
+				sharedTouches += info.readTouches
+			}
+		}
+		if info.written {
+			writeBlocks++
+		}
+	}
+	p.ReadWS = int64(readBlocks) * SignalBlock
+	p.WriteWS = int64(writeBlocks) * SignalBlock
+	if readBlocks > 0 {
+		p.ReadOpsPerBlock = float64(p.Reads) / float64(readBlocks)
+	}
+	if rt := f.readTouches; rt > 0 {
+		p.SharedReadFrac = float64(sharedTouches) / float64(rt)
+		p.ReuseReadFrac = float64(f.reuseTouches) / float64(rt)
+		p.ReadAfterWriteFrac = float64(f.rawTouches) / float64(rt)
+	}
+	return p
 }
 
-func sortedNodes(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// identicalReads reports whether every reading node issued the same
+// identicalReads reports whether every reading stream issued the same
 // (offset, size) sequence.
-func identicalReads(file string, readers []int, seq map[nodeKey][]pablo.Event) bool {
+func identicalReads(readers []*stream) bool {
 	if len(readers) < 2 {
 		return false
 	}
-	ref := seq[nodeKey{file, readers[0]}]
-	for _, node := range readers[1:] {
-		other := seq[nodeKey{file, node}]
-		if len(other) != len(ref) {
+	ref := readers[0].reads
+	for _, s := range readers[1:] {
+		if !slices.Equal(s.reads, ref) {
 			return false
 		}
-		for i := range ref {
-			if ref[i].Offset != other[i].Offset || ref[i].Size != other[i].Size {
-				return false
-			}
-		}
 	}
-	return len(ref) > 0
+	return true
 }
 
 // interleavedWrites reports whether several writers wrote node-strided
 // interleaved offsets (each node's successive offsets advance by the
 // same stride, and nodes' bases differ).
-func interleavedWrites(byNode map[int][]int64) bool {
-	if len(byNode) < 2 {
+func interleavedWrites(writers []*stream) bool {
+	if len(writers) < 2 {
 		return false
 	}
-	var strides []int64
-	for _, offs := range byNode {
+	var stride int64
+	for _, s := range writers {
+		offs := s.writes
 		if len(offs) < 2 {
 			return false
 		}
-		stride := offs[1] - offs[0]
-		if stride <= 0 {
+		d := offs[1] - offs[0]
+		if d <= 0 || (stride != 0 && d != stride) {
 			return false
 		}
 		for i := 2; i < len(offs); i++ {
-			if offs[i]-offs[i-1] != stride {
+			if offs[i]-offs[i-1] != d {
 				return false
 			}
 		}
-		strides = append(strides, stride)
-	}
-	for _, s := range strides[1:] {
-		if s != strides[0] {
-			return false
-		}
+		stride = d
 	}
 	return true
 }

@@ -2,9 +2,11 @@ package policy
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
+	"paragonio/internal/apps"
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/apps/prism"
 	"paragonio/internal/core"
@@ -78,6 +80,36 @@ func TestClassifyFixedReadSize(t *testing.T) {
 	}
 	if p.IdenticalReads {
 		t.Fatal("disjoint reads misclassified as identical")
+	}
+}
+
+// TestClassifyIsDeterministic: three readers of one file with per-node
+// sequential fractions 0.1, 0.2 and 0.3, whose float sum depends on the
+// order it is taken in. Classify must return one SeqReadFrac bit pattern
+// on every call.
+func TestClassifyIsDeterministic(t *testing.T) {
+	tr := pablo.NewTrace()
+	for node, hits := range []int{1, 2, 3} {
+		off := int64(0)
+		for i := 0; i < 11; i++ {
+			if i > hits {
+				off += 1000 // break the sequential run
+			}
+			tr.Record(mkRead(node, "input", off, 100, pablo.ModeUnix))
+			off += 100
+		}
+	}
+	seen := map[uint64]int{}
+	for i := 0; i < 200; i++ {
+		seen[math.Float64bits(Classify(tr)["input"].SeqReadFrac)]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("SeqReadFrac took %d bit patterns over 200 calls: %v", len(seen), seen)
+	}
+	for bits := range seen {
+		if v := math.Float64frombits(bits); math.Abs(v-0.2) > 1e-12 {
+			t.Fatalf("SeqReadFrac = %g, want 0.2", v)
+		}
 	}
 }
 
@@ -230,4 +262,25 @@ func hasFileKind(recs []Recommendation, file string, k Kind) bool {
 		}
 	}
 	return false
+}
+
+// BenchmarkClassify times Classify on the ESCAT ethylene version A trace
+// at seed 1, the heaviest canonical input (81,113 events).
+func BenchmarkClassify(b *testing.B) {
+	r, err := apps.Lookup("escat", "ethylene", "A")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := r.Exec(context.Background(), core.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := res.Trace.Len(); n != 81113 {
+		b.Fatalf("trace has %d events, want 81113", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Classify(res.Trace)
+	}
 }

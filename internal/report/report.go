@@ -298,13 +298,6 @@ func SortedKeys[M ~map[string]V, V any](m M) []string {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // HBar renders a horizontal bar chart: one row per label, bars scaled to
 // the maximum value, with the numeric value appended. Negative values
 // are clamped to zero.
