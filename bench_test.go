@@ -466,7 +466,7 @@ func BenchmarkSuiteParallel(b *testing.B) {
 
 func BenchmarkPFSSmallRead(b *testing.B) {
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(b)
 	fs, err := pfs.New(k, pfs.DefaultConfig(m), pablo.Discard)
 	if err != nil {
 		b.Fatal(err)
@@ -489,7 +489,7 @@ func BenchmarkPFSSmallRead(b *testing.B) {
 
 func BenchmarkPFSStripedTransfer(b *testing.B) {
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(b)
 	fs, err := pfs.New(k, pfs.DefaultConfig(m), pablo.Discard)
 	if err != nil {
 		b.Fatal(err)
@@ -605,4 +605,14 @@ func BenchmarkSuiteKernels(b *testing.B) {
 			b.ReportMetric(v, "virtual_s")
 		})
 	}
+}
+
+// testMesh returns the paper machine's mesh, failing tb if it does not build.
+func testMesh(tb testing.TB) *mesh.Mesh {
+	tb.Helper()
+	m, err := mesh.New(mesh.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }

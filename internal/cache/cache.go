@@ -259,6 +259,33 @@ func (q *keyQueue) pop() blockID {
 	return k
 }
 
+// timers is a queue of armed kernel timers, the deadline machinery both
+// the I/O-node flusher and the log tier's drain schedule with. It keeps
+// the fire time of every armed timer, ascending, so a caller can tell
+// whether an armed timer already fires soon enough (covers) and add an
+// earlier one only when none does. It holds a few entries at most.
+type timers []sim.Time
+
+// covers reports whether an armed timer fires at or before at.
+func (q *timers) covers(at sim.Time) bool { return len(*q) > 0 && (*q)[0] <= at }
+
+// arm schedules fn on k at virtual time at (not before now). Timers
+// fire in time order, so each firing pops the queue's head before fn
+// runs.
+func (q *timers) arm(k *sim.Kernel, at sim.Time, fn func()) {
+	i := len(*q)
+	*q = append(*q, 0)
+	for i > 0 && (*q)[i-1] > at {
+		(*q)[i] = (*q)[i-1]
+		i--
+	}
+	(*q)[i] = at
+	k.After(at-k.Now(), func() {
+		*q = (*q)[1:]
+		fn()
+	})
+}
+
 // Cache is one I/O node's buffer cache. It is driven entirely from kernel
 // context (Access runs while the I/O node's resource is held; flusher and
 // prefetcher schedule themselves through the same resource), so it needs
@@ -279,9 +306,9 @@ type Cache struct {
 	streams    []*stream // read-ahead detector per stream id, created on first read
 	spare      *block    // the last evicted block, reused by the next insert
 
-	flushPending bool       // high-water + idle policy: one timer armed or pass running
-	flushq       []sim.Time // deadline policy: fire times of armed timers, ascending
-	inflight     int        // deadline policy: flusher passes issued, not yet completed
+	flushPending bool   // high-water + idle policy: one timer armed or pass running
+	flushq       timers // deadline policy: armed flush timers
+	inflight     int    // deadline policy: flusher passes issued, not yet completed
 	stats        Stats
 }
 
@@ -312,9 +339,6 @@ func (c *Cache) Stats() Stats {
 	s.Blocks = len(c.blocks)
 	return s
 }
-
-// Dirty returns the current dirty-block count.
-func (c *Cache) Dirty() int { return c.dirtyCount }
 
 // Access serves one contiguous piece of a request through the cache and
 // returns the service time. It must be called while the I/O node's
@@ -563,23 +587,13 @@ func (c *Cache) scheduleFlush() {
 		delay = 0
 	}
 	at := now + delay
-	if len(c.flushq) > 0 && c.flushq[0] <= at {
+	if c.flushq.covers(at) {
 		return // an armed timer already fires soon enough
 	}
 	if delay == 0 && c.inflight > 0 {
 		return // an immediate pass is already queued on the resource
 	}
-	// Insert at, keeping flushq ascending (it is at most a few entries).
-	i := len(c.flushq)
-	c.flushq = append(c.flushq, 0)
-	for i > 0 && c.flushq[i-1] > at {
-		c.flushq[i] = c.flushq[i-1]
-		i--
-	}
-	c.flushq[i] = at
-	c.k.After(delay, func() {
-		// Timers fire in time order, so this firing is flushq's head.
-		c.flushq = c.flushq[1:]
+	c.flushq.arm(c.k, at, func() {
 		if c.dirtyCount == 0 {
 			return // stale: an earlier pass drained everything
 		}

@@ -263,7 +263,7 @@ func TestDeadlineHighWaterStillDrains(t *testing.T) {
 		// Well before the 1 h deadline, high-water pressure must already
 		// have drained everything.
 		p.Wait(time.Second)
-		if d := r.c.Dirty(); d != 0 {
+		if d := r.c.Stats().Dirty; d != 0 {
 			t.Errorf("Dirty = %d one second in, want 0 (high-water breach waited for the deadline)", d)
 		}
 	})

@@ -471,26 +471,12 @@ func (t *ClientTier) Write(node int, stream string, off, size int64) time.Durati
 		k := packBlock(sid, idx)
 		e := dir.entry(idx)
 		e.version++
-		selfValid := false
-		for _, l := range e.holders {
-			switch {
-			case l.node == node:
-				selfValid = l.expiry > now
-			case l.expiry <= now:
-				// Expired holder: no recall needed. Its resident copy, if
-				// any, dies at its next lookup.
-			default:
-				t.stats.Recalls++
-				if t.dropResident(l.node, k) {
-					t.stats.StaleAverted++
-				}
-				t.emit(ClientRecall, l.node, k, e.version)
-				peers = addPeer(peers, l.node)
-			}
-		}
 		// Every holder loses its lease; the writer re-registers itself
 		// through install below if its copy stays.
-		e.holders = e.holders[:0]
+		var own clientLease
+		var held bool
+		peers, own, held = t.recall(node, k, e, now, peers)
+		selfValid := held && own.expiry > now
 		t.emit(ClientWrite, node, k, e.version)
 		if off <= idx*bs && off+size >= (idx+1)*bs {
 			// Fully covered: the writer's copy is the freshest possible.
@@ -524,7 +510,12 @@ func (t *ClientTier) RecallStream(node int, stream string) time.Duration {
 			base := dir.nums[i] << clientDirPageBits
 			for j := range p {
 				if len(p[j].holders) > 0 {
-					peers = t.recallBlock(node, packBlock(sid, base+int64(j)), &p[j], now, peers)
+					k := packBlock(sid, base+int64(j))
+					var held bool
+					peers, _, held = t.recall(node, k, &p[j], now, peers)
+					if held {
+						t.dropResident(node, k) // the caller's copy drops for free
+					}
 				}
 			}
 		}
@@ -537,16 +528,19 @@ func (t *ClientTier) RecallStream(node int, stream string) time.Duration {
 	return d
 }
 
-// recallBlock drops every holder of block k (entry e) for a stream
-// recall by node: node's own copy drops for free, expired holders cost
-// nothing, and each valid peer is recalled and added to peers.
-func (t *ClientTier) recallBlock(node int, k blockID, e *clientDirEntry, now sim.Time, peers []int) []int {
+// recall is the holder loop of both a write and a stream recall: it
+// clears every lease on block k (directory entry e) on behalf of node.
+// Each peer whose lease is still valid at now is recalled: its copy
+// drops and it joins peers. Expired peers cost nothing; their resident
+// copies die at their next lookup. node's own lease is returned (held
+// reports whether it had one) and its copy is left to the caller,
+// because a writer may keep it while a stream recall drops it.
+func (t *ClientTier) recall(node int, k blockID, e *clientDirEntry, now sim.Time, peers []int) (_ []int, own clientLease, held bool) {
 	for _, l := range e.holders {
 		switch {
 		case l.node == node:
-			t.dropResident(node, k)
+			own, held = l, true
 		case l.expiry <= now:
-			// Expired: free.
 		default:
 			t.stats.Recalls++
 			if t.dropResident(l.node, k) {
@@ -557,7 +551,7 @@ func (t *ClientTier) recallBlock(node int, k blockID, e *clientDirEntry, now sim
 		}
 	}
 	e.holders = e.holders[:0]
-	return peers
+	return peers, own, held
 }
 
 // Flap simulates one flap of a crash-looping client on node: the client

@@ -17,7 +17,7 @@ func newClientRig(t testing.TB, cfg ClientConfig) (*sim.Kernel, *ClientTier) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	ct, err := NewClientTier(k, m, full)
 	if err != nil {
 		t.Fatal(err)
@@ -55,13 +55,13 @@ func TestTiersDefaultsAndValidate(t *testing.T) {
 	if !ti.Enabled() || ti.IONode.DirtyHighWater == 0 || ti.Client.CapacityBytes == 0 {
 		t.Fatalf("defaults not applied: %+v / %+v", ti.IONode, ti.Client)
 	}
-	if err := ti.Validate(64 * 1024); err != nil {
+	if err := validateTiers(ti, 64*1024); err != nil {
 		t.Fatal(err)
 	}
 	if (Tiers{}).Enabled() {
 		t.Fatal("zero Tiers reports enabled")
 	}
-	if err := (Tiers{}).Validate(64 * 1024); err != nil {
+	if err := validateTiers(Tiers{}, 64*1024); err != nil {
 		t.Fatalf("zero Tiers must validate (all tiers off): %v", err)
 	}
 	if _, err := (Tiers{Client: &ClientConfig{LeaseTTL: -1}}).WithDefaults(64*1024, disk.DefaultParams()); err == nil {
@@ -106,7 +106,7 @@ func TestClientTierBasics(t *testing.T) {
 // latency; expired holders cost nothing.
 func TestClientWriteInvalidation(t *testing.T) {
 	k, ct := newClientRig(t, ClientConfig{LeaseTTL: 10 * time.Millisecond})
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	k.Spawn("driver", func(p *sim.Proc) {
 		ct.Install(3, "f", 0, 4096) // peer holds block 0
 		d := ct.Write(9, "f", 0, 4096)
@@ -298,7 +298,7 @@ func TestClientTierRejectsNilMesh(t *testing.T) {
 	if _, err := NewClientTier(sim.NewKernel(), nil, cfg); err == nil {
 		t.Fatal("nil mesh accepted")
 	}
-	if _, err := NewClientTier(sim.NewKernel(), mesh.MustNew(mesh.DefaultConfig()), ClientConfig{}); err == nil {
+	if _, err := NewClientTier(sim.NewKernel(), testMesh(t), ClientConfig{}); err == nil {
 		t.Fatal("unvalidated zero config accepted")
 	}
 }
@@ -324,7 +324,7 @@ func TestClientMultiBlockSpan(t *testing.T) {
 
 func ExampleClientTier() {
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m, _ := mesh.New(mesh.DefaultConfig())
 	cfg, _ := ClientConfig{}.WithDefaults()
 	ct, _ := NewClientTier(k, m, cfg)
 	k.Spawn("demo", func(p *sim.Proc) {
@@ -339,4 +339,14 @@ func ExampleClientTier() {
 	// Output:
 	// node 0 warm read hit: true
 	// node 0 read after peer write hit: false
+}
+
+// testMesh returns the paper machine's mesh, failing tb if it does not build.
+func testMesh(tb testing.TB) *mesh.Mesh {
+	tb.Helper()
+	m, err := mesh.New(mesh.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzTiersValidate hardens the tier validators: Tiers.WithDefaults and
-// Validate never panic; a configuration WithDefaults accepts validates
+// each tier's Validate never panic; a configuration WithDefaults accepts validates
 // again, is a fixed point of WithDefaults, and renders deterministically.
 // block is the stripe unit the I/O-node tier is resolved against.
 func FuzzTiersValidate(f *testing.F) {
@@ -44,13 +44,13 @@ func FuzzTiersValidate(f *testing.F) {
 		if present&4 != 0 {
 			in.Log = &LogConfig{CapacityBytes: logCap}
 		}
-		_ = in.Validate(block)
+		_ = validateTiers(in, block)
 		_ = in.String()
 		out, err := in.WithDefaults(block, disk.DefaultParams())
 		if err != nil {
 			return
 		}
-		if err := out.Validate(block); err != nil {
+		if err := validateTiers(out, block); err != nil {
 			t.Fatalf("accepted tiers fail Validate: %v\n%+v", err, out)
 		}
 		again, err := out.WithDefaults(block, disk.DefaultParams())
@@ -90,6 +90,25 @@ func FuzzLogConfigValidate(f *testing.F) {
 			t.Fatalf("WithDefaults is not a fixed point: %+v -> %+v (%v)", out, again, err)
 		}
 	})
+}
+
+// validateTiers runs each configured tier's own Validate, the I/O-node
+// tier against blocks of blockSize bytes; nil tiers are valid (off).
+func validateTiers(t Tiers, blockSize int64) error {
+	if t.IONode != nil {
+		if err := t.IONode.Validate(blockSize); err != nil {
+			return err
+		}
+	}
+	if t.Client != nil {
+		if err := t.Client.Validate(); err != nil {
+			return err
+		}
+	}
+	if t.Log != nil {
+		return t.Log.Validate()
+	}
+	return nil
 }
 
 // sameTiers compares two Tiers by the configurations they point at.

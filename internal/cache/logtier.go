@@ -5,10 +5,10 @@ package cache
 // buffer design the checkpoint literature converged on). Writes append
 // to the node's log at memory speed and are acknowledged immediately; a
 // background drain walks the global append order and writes the records
-// to the PFS sequentially, scheduled with the same armed-timer deadline
-// machinery the I/O-node cache's flusher uses. The paper's machine had
-// nothing like it — the tier exists to ask what one would have bought
-// the checkpoint-dominated phases.
+// to the PFS sequentially, scheduled on the armed-timer queue (timers)
+// it shares with the I/O-node cache's deadline flusher. The paper's
+// machine had nothing like it — the tier exists to ask what one would
+// have bought the checkpoint-dominated phases.
 //
 // Determinism follows the client tier's pattern: LogTier state is
 // mutated only from process context or kernel callbacks — appends by the
@@ -152,8 +152,8 @@ type LogTier struct {
 	pendBytes int64
 	drained   uint64 // highest contiguously drained Seq
 
-	drainq   []sim.Time // armed drain timers, ascending
-	draining bool       // a drain pass is in flight
+	drainq   timers // armed drain timers
+	draining bool   // a drain pass is in flight
 
 	waiters []logWaiter
 	drainer func(batch []LogRecord, done func())
@@ -161,11 +161,11 @@ type LogTier struct {
 	stats LogStats
 }
 
-// NewLogTier creates the tier on the given kernel. The caller must
-// install a drainer (SetDrainer) before the first append drains.
+// NewLogTier creates the tier on the given kernel. cfg must already be
+// valid (see LogConfig.WithDefaults). The caller must install a drainer
+// (SetDrainer) before the first append drains.
 func NewLogTier(k *sim.Kernel, cfg LogConfig) (*LogTier, error) {
-	cfg, err := cfg.WithDefaults()
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &LogTier{
@@ -269,12 +269,12 @@ func (lt *LogTier) Wait(p *sim.Proc, seq uint64, read bool) time.Duration {
 	return lt.k.Now() - start
 }
 
-// scheduleDrain arms the background drain — the flush-deadline
-// machinery transplanted from the I/O-node cache: one pass is due at
-// the head record's deadline, immediately under backpressure or with
-// waiters blocked; armed fire times are tracked so an extra, earlier
-// timer is added only when the armed ones are too late, and a timer
-// whose work was drained by an earlier pass fires as a no-op.
+// scheduleDrain arms the background drain on the timer queue it shares
+// with the I/O-node cache's deadline flusher: one pass is due at the
+// head record's deadline, immediately under backpressure or with
+// waiters blocked. An extra, earlier timer is armed only when no armed
+// one fires soon enough, and a timer whose work an earlier pass already
+// drained fires as a no-op.
 func (lt *LogTier) scheduleDrain() {
 	if lt.draining || len(lt.pending) == 0 || lt.drainer == nil {
 		return
@@ -284,22 +284,10 @@ func (lt *LogTier) scheduleDrain() {
 	if at < now || len(lt.waiters) > 0 || lt.pendBytes > lt.cfg.CapacityBytes {
 		at = now
 	}
-	if len(lt.drainq) > 0 && lt.drainq[0] <= at {
+	if lt.drainq.covers(at) {
 		return // an armed timer already fires soon enough
 	}
-	// Insert at, keeping drainq ascending (it is at most a few entries).
-	i := len(lt.drainq)
-	lt.drainq = append(lt.drainq, 0)
-	for i > 0 && lt.drainq[i-1] > at {
-		lt.drainq[i] = lt.drainq[i-1]
-		i--
-	}
-	lt.drainq[i] = at
-	lt.k.After(at-now, func() {
-		// Timers fire in time order, so this firing is drainq's head.
-		lt.drainq = lt.drainq[1:]
-		lt.startDrain()
-	})
+	lt.drainq.arm(lt.k, at, lt.startDrain)
 }
 
 // startDrain begins one pass over the head of the global append order.

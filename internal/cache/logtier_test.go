@@ -44,6 +44,10 @@ type logRig struct {
 
 func newLogRig(t *testing.T, cfg LogConfig, delay time.Duration) *logRig {
 	t.Helper()
+	cfg, err := cfg.WithDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
 	k := sim.NewKernel()
 	lt, err := NewLogTier(k, cfg)
 	if err != nil {

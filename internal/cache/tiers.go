@@ -60,28 +60,6 @@ func (t Tiers) WithDefaults(blockSize int64, d disk.Params) (Tiers, error) {
 	return t, nil
 }
 
-// Validate checks every configured tier, the I/O-node tier against
-// blocks of blockSize bytes (the PFS stripe unit). It expects defaults
-// to have been applied (WithDefaults); nil tiers are valid (disabled).
-func (t Tiers) Validate(blockSize int64) error {
-	if t.IONode != nil {
-		if err := t.IONode.Validate(blockSize); err != nil {
-			return err
-		}
-	}
-	if t.Client != nil {
-		if err := t.Client.Validate(); err != nil {
-			return err
-		}
-	}
-	if t.Log != nil {
-		if err := t.Log.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DefaultClientTTL is re-exported for callers building ladders of
 // lease-lifetime variants around the default.
 const DefaultClientTTL = 500 * time.Millisecond

@@ -55,15 +55,6 @@ func New(cfg Config) (*Mesh, error) {
 	return &Mesh{cfg: cfg}, nil
 }
 
-// MustNew is New, panicking on error; for use with known-good configs.
-func MustNew(cfg Config) *Mesh {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Config returns the mesh's configuration.
 func (m *Mesh) Config() Config { return m.cfg }
 

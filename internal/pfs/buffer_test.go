@@ -3,7 +3,6 @@ package pfs
 import (
 	"testing"
 
-	"paragonio/internal/mesh"
 	"paragonio/internal/sim"
 )
 
@@ -12,7 +11,7 @@ import (
 func smallReadRun(t *testing.T, size int64, count int, buffered bool) sim.Time {
 	t.Helper()
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	fs, err := New(k, DefaultConfig(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +57,7 @@ func TestBufferingPenalizesLargeReads(t *testing.T) {
 
 func TestBufferInvalidatedByWrite(t *testing.T) {
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	fs, _ := New(k, DefaultConfig(m), nil)
 	fs.CreateFile("f", 1<<20)
 	var hit, postWrite sim.Time
@@ -89,7 +88,7 @@ func TestSeekPreservesBuffer(t *testing.T) {
 	// A seek repositions the pointer but does not discard cached data:
 	// seek back + reread within the buffered range stays a hit.
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	fs, _ := New(k, DefaultConfig(m), nil)
 	fs.CreateFile("f", 1<<20)
 	k.Spawn("n", func(p *sim.Proc) {
@@ -113,7 +112,7 @@ func TestSeekPreservesBuffer(t *testing.T) {
 
 func TestBufferInvalidatedByFlush(t *testing.T) {
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	fs, _ := New(k, DefaultConfig(m), nil)
 	fs.CreateFile("f", 1<<20)
 	var afterFlush, hit sim.Time
@@ -141,7 +140,7 @@ func TestBufferInvalidatedByFlush(t *testing.T) {
 
 func TestSetBufferingOffDropsBuffer(t *testing.T) {
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	fs, _ := New(k, DefaultConfig(m), nil)
 	fs.CreateFile("f", 1<<20)
 	k.Spawn("n", func(p *sim.Proc) {
@@ -166,7 +165,7 @@ func TestBufferReadAheadServesFollowingReads(t *testing.T) {
 	// Sequential 1KB reads: the first fills a 64KB buffer; the next 63
 	// must be hits (no disk requests).
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	fs, _ := New(k, DefaultConfig(m), nil)
 	fs.CreateFile("f", 1<<20)
 	k.Spawn("n", func(p *sim.Proc) {

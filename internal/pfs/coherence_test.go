@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"paragonio/internal/cache"
-	"paragonio/internal/mesh"
 	"paragonio/internal/pablo"
 	"paragonio/internal/sim"
 )
@@ -74,7 +73,7 @@ func (o *coherenceOracle) observe(op cache.ClientOp) {
 func coherenceRig(t *testing.T, ttl time.Duration) (*sim.Kernel, *FileSystem) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	cfg := DefaultConfig(m)
 	cfg.Tiers.Client = &cache.ClientConfig{
 		CapacityBytes: 64 * 1024, // 16 blocks: forces evictions

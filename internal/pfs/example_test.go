@@ -13,7 +13,10 @@ import (
 // in an access mode, and move data under virtual time.
 func Example() {
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m, err := mesh.New(mesh.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
 	tr := pablo.NewTrace()
 	fs, err := pfs.New(k, pfs.DefaultConfig(m), tr)
 	if err != nil {
@@ -43,7 +46,7 @@ func Example() {
 // four nodes receive the same data from a single disk I/O.
 func ExampleGroup_Gopen() {
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m, _ := mesh.New(mesh.DefaultConfig())
 	fs, _ := pfs.New(k, pfs.DefaultConfig(m), nil)
 	fs.CreateFile("input", 1<<20)
 	g, _ := fs.NewGroup([]int{0, 1, 2, 3})

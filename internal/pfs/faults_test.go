@@ -7,7 +7,6 @@ import (
 
 	"paragonio/internal/cache"
 	"paragonio/internal/faults"
-	"paragonio/internal/mesh"
 	"paragonio/internal/sim"
 )
 
@@ -17,7 +16,7 @@ import (
 func faultRun(t *testing.T, plan faults.Plan, tiers cache.Tiers) (sim.Time, *FileSystem) {
 	t.Helper()
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	cfg := DefaultConfig(m)
 	cfg.IONodes = 4
 	cfg.Faults = plan
@@ -106,7 +105,7 @@ func TestFaultStragglerSlows(t *testing.T) {
 // at New, not silently ignored.
 func TestFaultClientFlapRequiresClientTier(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultConfig(mesh.MustNew(mesh.DefaultConfig()))
+	cfg := DefaultConfig(testMesh(t))
 	cfg.Faults = planOf(faults.Fault{Kind: faults.ClientFlap, At: time.Second, Node: 1})
 	_, err := New(k, cfg, nil)
 	if err == nil || !strings.Contains(err.Error(), "client-flap") {
@@ -129,7 +128,7 @@ func TestFaultClientFlapFires(t *testing.T) {
 // error: an out-of-range target never reaches the scheduler.
 func TestFaultPlanRejectedAtNew(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultConfig(mesh.MustNew(mesh.DefaultConfig()))
+	cfg := DefaultConfig(testMesh(t))
 	cfg.IONodes = 4
 	cfg.Faults = planOf(faults.Fault{Kind: faults.DiskFail, At: 0, IONode: 9})
 	if _, err := New(k, cfg, nil); err == nil {

@@ -389,7 +389,7 @@ func (fs *FileSystem) Open(p *sim.Proc, node int, name string, mode Mode) (*Hand
 	f.mode = mode
 	f.refcount++
 	fs.trace(node, pablo.OpOpen, name, 0, 0, start, mode)
-	return &Handle{fs: fs, f: f, node: node, mode: mode, buffered: true}, nil
+	return &Handle{fs: fs, f: f, node: node, buffered: true}, nil
 }
 
 // trace emits one event ending now.
@@ -488,56 +488,47 @@ func (fs *FileSystem) xfer(p *sim.Proc, node int, f *file, off, size int64, writ
 	}
 }
 
-// serveIONode moves one request's chunks through a single I/O node —
-// mesh transfer of the payload, then FIFO disk service — blocking p
-// until the node finishes. The arrival event and the disk-service hold
-// are callback events, and the client suspends until the release
-// continuation wakes it inline. Pricing happens at grant time and the
-// client continuation nests inside the release event's dispatch
-// position, so every (at, seq) allocation — and hence the trace — is
-// identical to the former process-shaped Acquire/Wait/Release sequence.
+// serveIONode moves one request's chunks through a single I/O node,
+// blocking p until the node finishes: p suspends, and the send's
+// release continuation wakes it inline.
 func (fs *FileSystem) serveIONode(p *sim.Proc, node int, f *file, io int, chunks []chunk, write bool) {
+	n := fs.ios[fs.routeTo(io)]
+	fs.send(node, f, n, chunks, write, func() { fs.k.Wake(p) })
+	p.Suspend(n.park)
+}
+
+// serveIONodeFn is the callback-shaped variant of serveIONode used by the
+// striped-transfer fan-out and the log tier's drain: the same send with
+// no process behind it, so fan-out requests cost no process spawns and
+// no coroutine switches. It sends from a zero-delay hop, which mirrors
+// the start event a spawned helper process would get. The hop is a real
+// event, not a direct call: its sequence number is part of every golden
+// trace digest.
+func (fs *FileSystem) serveIONodeFn(node int, f *file, io int, chunks []chunk, write bool, then func()) {
+	n := fs.ios[fs.routeTo(io)]
+	fs.k.After(0, func() { fs.send(node, f, n, chunks, write, then) })
+}
+
+// send is the one schedule of an I/O-node request, shared by both serve
+// shapes. The payload arrives after its mesh transfer time to the
+// physical node n (routed by the caller). The request then holds n's
+// FIFO resource for its disk service, priced at grant time through the
+// cache or the array, and the continuation then runs at release.
+// Pricing at grant time and running the continuation inside the release
+// event's dispatch keep every (at, seq) allocation, and hence the trace,
+// identical to a process-shaped Acquire/Wait/Release sequence.
+func (fs *FileSystem) send(node int, f *file, n *ioNode, chunks []chunk, write bool, then func()) {
 	var bytes int64
 	for _, c := range chunks {
 		bytes += c.size
 	}
-	io = fs.routeTo(io)
-	n := fs.ios[io]
-	fs.k.After(fs.meshCost(node, io, bytes), func() {
+	fs.k.After(fs.meshCost(node, n.idx, bytes), func() {
 		n.res.UseFn(func() sim.Time {
 			var d time.Duration
 			for _, c := range chunks {
 				d += n.service(f.name, c, write)
 			}
 			return d
-		}, func() { fs.k.Wake(p) })
-	})
-	p.Suspend(n.park)
-}
-
-// serveIONodeFn is the callback-shaped variant of serveIONode used by the
-// striped-transfer fan-out: the same event sequence with no helper
-// process, so fan-out requests cost no process spawns and no coroutine
-// switches. The initial zero-delay hop mirrors the start event a spawned
-// helper process would get, and disk service is priced at grant time
-// inside UseFn. The hop is a real event, not a direct call: its sequence
-// number is part of every golden trace digest.
-func (fs *FileSystem) serveIONodeFn(node int, f *file, io int, chunks []chunk, write bool, then func()) {
-	var bytes int64
-	for _, c := range chunks {
-		bytes += c.size
-	}
-	io = fs.routeTo(io)
-	n := fs.ios[io]
-	fs.k.After(0, func() {
-		fs.k.After(fs.meshCost(node, io, bytes), func() {
-			n.res.UseFn(func() sim.Time {
-				var d time.Duration
-				for _, c := range chunks {
-					d += n.service(f.name, c, write)
-				}
-				return d
-			}, then)
-		})
+		}, then)
 	})
 }

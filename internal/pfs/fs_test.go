@@ -19,7 +19,7 @@ type testRig struct {
 func newRig(t *testing.T) *testRig {
 	t.Helper()
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	tr := pablo.NewTrace()
 	fs, err := New(k, DefaultConfig(m), tr)
 	if err != nil {
@@ -37,7 +37,7 @@ func (r *testRig) run(t *testing.T) {
 }
 
 func TestModeStringAndParse(t *testing.T) {
-	for _, m := range Modes() {
+	for _, m := range []Mode{MUnix, MLog, MSync, MRecord, MGlobal, MAsync} {
 		got, err := ParseMode(m.String())
 		if err != nil || got != m {
 			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
@@ -65,7 +65,7 @@ func TestModePredicates(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	k := sim.NewKernel()
-	m := mesh.MustNew(mesh.DefaultConfig())
+	m := testMesh(t)
 	bad := []func(*Config){
 		func(c *Config) { c.IONodes = 0 },
 		func(c *Config) { c.Mesh = nil },
@@ -309,7 +309,7 @@ func TestMUnixConcurrentAccessSerializes(t *testing.T) {
 	// two different files overlap.
 	elapsed := func(files []string) sim.Time {
 		k := sim.NewKernel()
-		m := mesh.MustNew(mesh.DefaultConfig())
+		m := testMesh(t)
 		fs, _ := New(k, DefaultConfig(m), nil)
 		for _, f := range files {
 			fs.CreateFile(f, 1<<20)
@@ -348,7 +348,7 @@ func TestMAsyncAvoidsSerialization(t *testing.T) {
 	// *disjoint regions spread across io nodes* is much faster than M_UNIX.
 	elapsed := func(mode Mode) sim.Time {
 		k := sim.NewKernel()
-		m := mesh.MustNew(mesh.DefaultConfig())
+		m := testMesh(t)
 		fs, _ := New(k, DefaultConfig(m), nil)
 		fs.CreateFile("f", 64<<20)
 		for i := 0; i < 8; i++ {
@@ -398,7 +398,7 @@ func TestLargeAlignedReadFasterPerByte(t *testing.T) {
 	// moves bytes far faster than 64 separate 2KB reads.
 	elapsed := func(reqSize int64, count int) sim.Time {
 		k := sim.NewKernel()
-		m := mesh.MustNew(mesh.DefaultConfig())
+		m := testMesh(t)
 		fs, _ := New(k, DefaultConfig(m), nil)
 		fs.CreateFile("f", 128*1024)
 		var loop sim.Time
@@ -482,4 +482,14 @@ func TestTraceOffsetsAndSizes(t *testing.T) {
 			t.Fatalf("event node = %d", ev.Node)
 		}
 	}
+}
+
+// testMesh returns the paper machine's mesh, failing tb if it does not build.
+func testMesh(tb testing.TB) *mesh.Mesh {
+	tb.Helper()
+	m, err := mesh.New(mesh.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }

@@ -3,7 +3,6 @@ package pfs
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"paragonio/internal/pablo"
 	"paragonio/internal/sim"
@@ -90,7 +89,7 @@ func (g *Group) Gopen(p *sim.Proc, node int, name string, mode Mode) (*Handle, e
 	p.Wait(g.fs.cfg.Mesh.Barrier(len(g.nodes)))
 	f := g.file
 	g.fs.trace(node, pablo.OpGopen, name, 0, 0, start, mode)
-	return &Handle{fs: g.fs, f: f, node: node, mode: mode, group: g, rank: rank, buffered: true}, nil
+	return &Handle{fs: g.fs, f: f, node: node, group: g, buffered: true}, nil
 }
 
 // SetIOMode is the collective mode change: all members call it with
@@ -112,26 +111,13 @@ func (g *Group) SetIOMode(p *sim.Proc, h *Handle, mode Mode) error {
 	start := p.Now()
 	g.bar1.Await(p)
 	if rank == 0 {
-		// Setiomode renegotiates the file's access discipline (mode,
-		// pointers, buffered data) with every I/O node holding a stripe;
-		// the leader pays that full negotiation while the group waits.
-		g.fs.meta.Use(p, costSetIOMode*time.Duration(len(g.fs.ios)))
-		if ct := g.fs.client; ct != nil {
-			// Renegotiation recalls every node's leases on the file; the
-			// leader absorbs the round-trip while the group waits at bar2.
-			if d := ct.RecallStream(h.node, h.f.name); d > 0 {
-				p.Wait(d)
-			}
-		}
-		h.f.mode = mode
-		h.f.recSize = 0
+		// The leader pays the whole renegotiation while the group waits.
+		h.renegotiate(p, mode)
 		g.err = nil
 	}
 	g.bar2.Await(p)
 	p.Wait(g.fs.cfg.Mesh.Barrier(len(g.nodes)))
 	h.group = g
-	h.rank = rank
-	h.mode = mode
 	g.fs.trace(h.node, pablo.OpIOMode, h.f.name, 0, 0, start, mode)
 	return nil
 }
@@ -154,6 +140,17 @@ func (g *Group) collectiveData(p *sim.Proc, h *Handle, size int64, write bool) (
 	panic("pfs: collectiveData on non-collective mode")
 }
 
+// sameSizes reports whether every member asked for the same size: the
+// leader's check in an M_RECORD or M_GLOBAL round.
+func (g *Group) sameSizes() bool {
+	for _, s := range g.sizes {
+		if s != g.sizes[0] {
+			return false
+		}
+	}
+	return true
+}
+
 // recordOp: fixed-size records, per-process pointers, synchronized
 // rounds. Node r's k-th record sits at base + (k*N + r) * recSize, so
 // the group sweeps disjoint areas in parallel — at full striping
@@ -164,18 +161,13 @@ func (g *Group) recordOp(p *sim.Proc, h *Handle, rank int, size int64, write boo
 	g.bar1.Await(p)
 	if rank == 0 {
 		g.err = nil
-		for _, s := range g.sizes {
-			if s != g.sizes[0] {
-				g.err = ErrCollectiveMismatch
-				break
-			}
-		}
-		if g.err == nil {
-			if h.f.recSize == 0 {
-				h.f.recSize = size
-			} else if size != h.f.recSize {
-				g.err = ErrRecordSize
-			}
+		switch {
+		case !g.sameSizes():
+			g.err = ErrCollectiveMismatch
+		case h.f.recSize == 0:
+			h.f.recSize = size
+		case size != h.f.recSize:
+			g.err = ErrRecordSize
 		}
 	}
 	g.bar2.Await(p)
@@ -188,20 +180,9 @@ func (g *Group) recordOp(p *sim.Proc, h *Handle, rank int, size int64, write boo
 		h.recStarted = true
 	}
 	off := h.ptr
-	var n int64
-	if write {
-		n = size
-		h.writeData(p, off, n)
-	} else {
-		n = h.clampRead(off, size)
-		h.readData(p, off, n)
-	}
+	n := h.move(p, off, size, write)
 	h.ptr += int64(len(g.nodes)) * size
-	op := pablo.OpRead
-	if write {
-		op = pablo.OpWrite
-	}
-	g.fs.trace(h.node, op, h.f.name, off, n, start, MRecord)
+	g.fs.trace(h.node, opOf(write), h.f.name, off, n, start, MRecord)
 	return n, nil
 }
 
@@ -213,25 +194,13 @@ func (g *Group) globalOp(p *sim.Proc, h *Handle, rank int, size int64, write boo
 	g.bar1.Await(p)
 	if rank == 0 {
 		g.err = nil
-		for _, s := range g.sizes {
-			if s != g.sizes[0] {
-				g.err = ErrCollectiveMismatch
-				break
-			}
-		}
-		if g.err == nil {
+		if !g.sameSizes() {
+			g.err = ErrCollectiveMismatch
+		} else {
 			off := h.f.shared
-			var n int64
-			if write {
-				n = size
-				h.writeData(p, off, n)
-			} else {
-				n = h.clampRead(off, size)
-				h.readData(p, off, n)
-			}
+			n := h.move(p, off, size, write)
 			h.f.shared = off + n
-			g.offs[0] = off
-			g.counts[0] = n
+			g.offs[0], g.counts[0] = off, n
 		}
 	}
 	g.bar2.Await(p)
@@ -244,11 +213,7 @@ func (g *Group) globalOp(p *sim.Proc, h *Handle, rank int, size int64, write boo
 	} else {
 		p.Wait(g.fs.cfg.Mesh.Barrier(len(g.nodes)))
 	}
-	op := pablo.OpRead
-	if write {
-		op = pablo.OpWrite
-	}
-	g.fs.trace(h.node, op, h.f.name, g.offs[0], g.counts[0], start, MGlobal)
+	g.fs.trace(h.node, opOf(write), h.f.name, g.offs[0], g.counts[0], start, MGlobal)
 	return g.counts[0], nil
 }
 
@@ -281,16 +246,8 @@ func (g *Group) syncOp(p *sim.Proc, h *Handle, rank int, size int64, write bool)
 	off, n := g.offs[rank], g.counts[rank]
 	h.f.token.Acquire(p)
 	p.Wait(costToken)
-	if write {
-		h.writeData(p, off, n)
-	} else {
-		h.readData(p, off, n)
-	}
+	h.move(p, off, n, write) // n is already clamped: files never shrink
 	h.f.token.Release(p)
-	op := pablo.OpRead
-	if write {
-		op = pablo.OpWrite
-	}
-	g.fs.trace(h.node, op, h.f.name, off, n, start, MSync)
+	g.fs.trace(h.node, opOf(write), h.f.name, off, n, start, MSync)
 	return n, nil
 }

@@ -17,9 +17,7 @@ type Handle struct {
 	fs    *FileSystem
 	f     *file
 	node  int
-	mode  Mode // mode at open / last setiomode (informational)
 	group *Group
-	rank  int
 
 	ptr        int64
 	recStarted bool  // M_RECORD pointer initialized
@@ -179,56 +177,42 @@ func (h *Handle) clampRead(off, size int64) int64 {
 	return n
 }
 
+// move transfers one request's bytes at off: all size bytes for a
+// write, and for a read as many as the file holds past off. It returns
+// the bytes moved. It is the data step of every access mode.
+func (h *Handle) move(p *sim.Proc, off, size int64, write bool) int64 {
+	if write {
+		h.writeData(p, off, size)
+		return size
+	}
+	n := h.clampRead(off, size)
+	h.readData(p, off, n)
+	return n
+}
+
+// opOf returns the trace operation of a read or a write.
+func opOf(write bool) pablo.Op {
+	if write {
+		return pablo.OpWrite
+	}
+	return pablo.OpRead
+}
+
 // Read transfers up to size bytes at the current pointer, honoring the
 // file's access mode, and returns the number of bytes read (0 at EOF).
-func (h *Handle) Read(p *sim.Proc, size int64) (int64, error) {
-	if h.closed {
-		return 0, ErrClosed
-	}
-	if size <= 0 {
-		return 0, ErrBadSize
-	}
-	mode := h.f.mode
-	if mode.Collective() {
-		if h.group == nil {
-			return 0, ErrNotCollective
-		}
-		return h.group.collectiveData(p, h, size, false)
-	}
-	start := p.Now()
-	var n int64
-	switch mode {
-	case MUnix:
-		h.f.token.Acquire(p)
-		p.Wait(costToken)
-		off := h.ptr
-		n = h.clampRead(off, size)
-		h.readData(p, off, n)
-		h.ptr += n
-		h.f.token.Release(p)
-		h.fs.trace(h.node, pablo.OpRead, h.f.name, off, n, start, mode)
-	case MAsync:
-		off := h.ptr
-		n = h.clampRead(off, size)
-		h.readData(p, off, n)
-		h.ptr += n
-		h.fs.trace(h.node, pablo.OpRead, h.f.name, off, n, start, mode)
-	case MLog:
-		h.f.token.Acquire(p)
-		p.Wait(costToken)
-		off := h.f.shared
-		n = h.clampRead(off, size)
-		h.readData(p, off, n)
-		h.f.shared += n
-		h.f.token.Release(p)
-		h.fs.trace(h.node, pablo.OpRead, h.f.name, off, n, start, mode)
-	}
-	return n, nil
-}
+func (h *Handle) Read(p *sim.Proc, size int64) (int64, error) { return h.data(p, size, false) }
 
 // Write transfers size bytes at the current pointer, honoring the file's
 // access mode, and returns the number written.
-func (h *Handle) Write(p *sim.Proc, size int64) (int64, error) {
+func (h *Handle) Write(p *sim.Proc, size int64) (int64, error) { return h.data(p, size, true) }
+
+// data is the one body of Read and Write. The collective modes hand the
+// request to the handle's group. The others move the bytes at a file
+// pointer: M_UNIX and M_LOG hold the file token for the whole transfer,
+// which is their request atomicity, while M_ASYNC takes no token. M_LOG
+// reads and advances the file's shared pointer, the other two the
+// handle's own.
+func (h *Handle) data(p *sim.Proc, size int64, write bool) (int64, error) {
 	if h.closed {
 		return 0, ErrClosed
 	}
@@ -240,33 +224,26 @@ func (h *Handle) Write(p *sim.Proc, size int64) (int64, error) {
 		if h.group == nil {
 			return 0, ErrNotCollective
 		}
-		return h.group.collectiveData(p, h, size, true)
+		return h.group.collectiveData(p, h, size, write)
 	}
 	start := p.Now()
-	switch mode {
-	case MUnix:
+	atomic := mode != MAsync
+	if atomic {
 		h.f.token.Acquire(p)
 		p.Wait(costToken)
-		off := h.ptr
-		h.writeData(p, off, size)
-		h.ptr += size
-		h.f.token.Release(p)
-		h.fs.trace(h.node, pablo.OpWrite, h.f.name, off, size, start, mode)
-	case MAsync:
-		off := h.ptr
-		h.writeData(p, off, size)
-		h.ptr += size
-		h.fs.trace(h.node, pablo.OpWrite, h.f.name, off, size, start, mode)
-	case MLog:
-		h.f.token.Acquire(p)
-		p.Wait(costToken)
-		off := h.f.shared
-		h.writeData(p, off, size)
-		h.f.shared += size
-		h.f.token.Release(p)
-		h.fs.trace(h.node, pablo.OpWrite, h.f.name, off, size, start, mode)
 	}
-	return size, nil
+	ptr := &h.ptr
+	if mode == MLog {
+		ptr = &h.f.shared
+	}
+	off := *ptr
+	n := h.move(p, off, size, write)
+	*ptr += n
+	if atomic {
+		h.f.token.Release(p)
+	}
+	h.fs.trace(h.node, opOf(write), h.f.name, off, n, start, mode)
+	return n, nil
 }
 
 // Seek repositions the handle's pointer to off (absolute). In M_UNIX the
@@ -311,20 +288,26 @@ func (h *Handle) SetIOMode(p *sim.Proc, mode Mode) error {
 		return fmt.Errorf("pfs: invalid mode %d", int(mode))
 	}
 	start := p.Now()
-	// Individual setiomode pays the same per-I/O-node renegotiation as
-	// the collective form.
+	h.renegotiate(p, mode)
+	h.fs.trace(h.node, pablo.OpIOMode, h.f.name, 0, 0, start, mode)
+	return nil
+}
+
+// renegotiate is the body shared by the individual and collective
+// SetIOMode: it changes the file's access discipline (mode, pointers,
+// buffered data) with every I/O node holding a stripe. The caller pays
+// the per-I/O-node metadata cost and, with the client tier on, the
+// recall of every node's leases on the file; then the mode is set and
+// any M_RECORD record size is forgotten.
+func (h *Handle) renegotiate(p *sim.Proc, mode Mode) {
 	h.fs.meta.Use(p, costSetIOMode*time.Duration(len(h.fs.ios)))
 	if ct := h.fs.client; ct != nil {
-		// Renegotiation recalls every node's leases on the file.
 		if d := ct.RecallStream(h.node, h.f.name); d > 0 {
 			p.Wait(d)
 		}
 	}
 	h.f.mode = mode
 	h.f.recSize = 0
-	h.mode = mode
-	h.fs.trace(h.node, pablo.OpIOMode, h.f.name, 0, 0, start, mode)
-	return nil
 }
 
 // Flush forces out client-side state (drops the read buffer) — the

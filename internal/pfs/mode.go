@@ -67,15 +67,6 @@ func ParseMode(s string) (Mode, error) {
 	return Mode(pm - 1), nil
 }
 
-// Modes lists all access modes.
-func Modes() []Mode {
-	out := make([]Mode, numModes)
-	for i := range out {
-		out[i] = Mode(i)
-	}
-	return out
-}
-
 // Collective reports whether the mode's data operations are collective:
 // every member of the opening group must participate in each operation.
 func (m Mode) Collective() bool {

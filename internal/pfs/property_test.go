@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"paragonio/internal/mesh"
 	"paragonio/internal/pablo"
 	"paragonio/internal/sim"
 )
@@ -22,7 +21,7 @@ func TestPropertyRandomOpSequences(t *testing.T) {
 		mode := []Mode{MUnix, MAsync, MLog}[int(modeSel)%3]
 		rng := rand.New(rand.NewSource(seed))
 		k := sim.NewKernel()
-		m := mesh.MustNew(mesh.DefaultConfig())
+		m := testMesh(t)
 		tr := pablo.NewTrace()
 		fs, err := New(k, DefaultConfig(m), tr)
 		if err != nil {
@@ -185,7 +184,7 @@ func TestPropertyMRecordTiling(t *testing.T) {
 		rounds := int(roundsRaw)%4 + 1 // 1..4 rounds
 		const rec = 8192
 		k := sim.NewKernel()
-		m := mesh.MustNew(mesh.DefaultConfig())
+		m := testMesh(t)
 		tr := pablo.NewTrace()
 		fs, err := New(k, DefaultConfig(m), tr)
 		if err != nil {

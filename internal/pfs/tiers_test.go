@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"paragonio/internal/cache"
-	"paragonio/internal/mesh"
 	"paragonio/internal/pablo"
 	"paragonio/internal/sim"
 )
@@ -13,7 +12,7 @@ import (
 // enables the buffer cache, zero fields are defaulted at New, and the
 // resolved config is visible through Config().
 func TestTiersConfig(t *testing.T) {
-	cfg := DefaultConfig(mesh.MustNew(mesh.DefaultConfig()))
+	cfg := DefaultConfig(testMesh(t))
 	cfg.Tiers.IONode = &cache.Config{WriteBehind: true}
 	fs, err := New(sim.NewKernel(), cfg, pablo.NewTrace())
 	if err != nil {
@@ -31,7 +30,7 @@ func TestTiersConfig(t *testing.T) {
 	}
 
 	// Tiers off: no cache, and CacheStats reports nil.
-	cfg = DefaultConfig(mesh.MustNew(mesh.DefaultConfig()))
+	cfg = DefaultConfig(testMesh(t))
 	fs, err = New(sim.NewKernel(), cfg, pablo.NewTrace())
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 func newMachine(t *testing.T, nodes int) *Machine {
 	t.Helper()
 	k := sim.NewKernel()
-	ms := mesh.MustNew(mesh.DefaultConfig())
+	ms := testMesh(t)
 	fs, err := pfs.New(k, pfs.DefaultConfig(ms), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func newMachine(t *testing.T, nodes int) *Machine {
 
 func TestNewMachineValidation(t *testing.T) {
 	k := sim.NewKernel()
-	ms := mesh.MustNew(mesh.DefaultConfig())
+	ms := testMesh(t)
 	fs, _ := pfs.New(k, pfs.DefaultConfig(ms), nil)
 	if _, err := NewMachine(k, ms, fs, 0); err == nil {
 		t.Fatal("zero nodes accepted")
@@ -236,4 +236,14 @@ func TestAllReduceSynchronizesAndCharges(t *testing.T) {
 			t.Fatalf("node %d exit %v, want %v", id, at, want)
 		}
 	}
+}
+
+// testMesh returns the paper machine's mesh, failing tb if it does not build.
+func testMesh(tb testing.TB) *mesh.Mesh {
+	tb.Helper()
+	m, err := mesh.New(mesh.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }

@@ -10,8 +10,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# README's `make bench-json` fence writes BENCH_<today>.json at the root.
+# Snapshots are committed by hand, and bench-diff takes the newest one
+# as its baseline, so any BENCH_*.json this run creates is removed on
+# exit and the tree stays as it was.
+before=$(ls BENCH_*.json 2>/dev/null || true)
 tmp=$(mktemp)
-trap 'rm -f "$tmp"' EXIT
+cleanup() {
+    rm -f "$tmp"
+    for f in BENCH_*.json; do
+        [ -e "$f" ] || continue
+        grep -qxF "$f" <<<"$before" || rm -f "$f"
+    done
+}
+trap cleanup EXIT
 
 {
     echo 'set -euo pipefail'
