@@ -10,6 +10,7 @@
 //	go run ./cmd/benchjson -only BenchmarkClientTierHit,BenchmarkKernel < bench.out
 //	go run ./cmd/benchjson -diff BENCH_2026-08-05.json BENCH_2026-08-08.json
 //	go run ./cmd/benchjson -diff -threshold 0.5 old.json new.json
+//	go run ./cmd/benchjson -pairs pairs.jsonl
 //
 // Besides ns/op, B/op and allocs/op it keeps every custom metric the
 // benchmarks report (the artifact benchmarks attach their headline
@@ -20,6 +21,14 @@
 // and exits nonzero when any benchmark regressed beyond -threshold —
 // the perf-trajectory gate CI runs (non-blocking there: -benchtime=1x
 // numbers are single-iteration samples and carry real noise).
+//
+// -pairs folds the tagged end-to-end result lines that
+// scripts/bench-pairs.sh writes into one JSON line per workload and
+// metric (or, with -md, one Markdown table row): both sides' medians and
+// quartiles, the median delta, the pairs the change won, an exact
+// two-sided sign-test p, and a verdict under the claim rule of
+// docs/PERFORMANCE.md, with the directions and bounds of the
+// BENCHMARK.json in the current directory.
 package main
 
 import (
@@ -297,8 +306,17 @@ func main() {
 	diff := flag.Bool("diff", false, "compare two recorded reports: benchjson -diff old.json new.json")
 	threshold := flag.Float64("threshold", 0.2, "with -diff: exit nonzero when any benchmark's ns/op grew by more than this fraction")
 	floor := flag.Float64("floor", 0, "with -diff: ignore benchmarks whose baseline ns/op is below this (1x samples of micro-benchmarks are timer noise)")
+	pairs := flag.String("pairs", "", "fold the tagged result lines of scripts/bench-pairs.sh in this file")
+	md := flag.Bool("md", false, "with -pairs: print a Markdown table instead of JSON lines")
 	flag.Parse()
 
+	if *pairs != "" {
+		if err := runPairs(os.Stdout, *pairs, *md); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		return
+	}
 	if *diff {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "benchjson: -diff wants exactly two files: old.json new.json")

@@ -1,8 +1,14 @@
 package apps
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"testing"
+
+	"paragonio/internal/apps/escat"
+	"paragonio/internal/apps/prism"
+	"paragonio/internal/core"
 )
 
 // TestLookupSpellings pins the catalogue's spellings: every accepted
@@ -33,6 +39,32 @@ func TestLookupSpellings(t *testing.T) {
 				t.Errorf("Lookup%q = %s, want %s", sp, got, identity)
 			}
 		}
+	}
+}
+
+// TestCatalogueIDsAreTheBuilds pins Lookup's fixed id tables to the
+// builds Exec runs: every escat progression build and "B", and every
+// prism paper version, each once, and each resolving in Exec.
+func TestCatalogueIDsAreTheBuilds(t *testing.T) {
+	var escatBuilds, prismBuilds []string
+	for _, v := range append(escat.Progressions(), escat.VersionB()) {
+		escatBuilds = append(escatBuilds, v.ID)
+	}
+	for _, v := range prism.PaperVersions() {
+		prismBuilds = append(prismBuilds, v.ID)
+	}
+	if !slices.Equal(escatIDs, escatBuilds) || !slices.Equal(prismIDs, prismBuilds) {
+		t.Errorf("catalogue ids escat %v prism %v, builds escat %v prism %v", escatIDs, prismIDs, escatBuilds, prismBuilds)
+	}
+	for _, id := range escatIDs {
+		for _, dataset := range []string{"ethylene", "co"} {
+			if v, ok := escatVersion(id, dataset); !ok || v.ID != id {
+				t.Errorf("escat %s on %s resolves to build %q (%v)", id, dataset, v.ID, ok)
+			}
+		}
+	}
+	if _, err := (Run{App: "prism", Version: "D"}).Exec(context.Background(), core.Config{}); err == nil {
+		t.Error("a run outside the catalogue executed")
 	}
 }
 

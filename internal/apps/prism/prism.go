@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"paragonio/internal/core"
+	"paragonio/internal/pablo"
 	"paragonio/internal/workload"
 )
 
@@ -247,6 +248,11 @@ func (v Version) ModeTable() []ModeTableRow {
 // expiring or cancelled ctx aborts the simulation mid-run (see
 // core.RunContext).
 func Run(ctx context.Context, cfg core.Config, d Dataset, v Version) (*core.Result, error) {
+	return RunTo(ctx, cfg, pablo.NewTrace(), d, v)
+}
+
+// RunTo is Run with the events recorded to rec (see core.RunTo).
+func RunTo(ctx context.Context, cfg core.Config, rec pablo.Tracer, d Dataset, v Version) (*core.Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -256,7 +262,7 @@ func Run(ctx context.Context, cfg core.Config, d Dataset, v Version) (*core.Resu
 	if cfg.Nodes != d.Nodes {
 		return nil, fmt.Errorf("prism: config nodes %d != dataset nodes %d", cfg.Nodes, d.Nodes)
 	}
-	return core.RunContext(ctx, cfg, "PRISM", v.ID, func(m *workload.Machine, seed int64) error {
+	return core.RunTo(ctx, cfg, rec, "PRISM", v.ID, func(m *workload.Machine, seed int64) error {
 		return Script(m, d, v, seed)
 	})
 }

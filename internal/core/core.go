@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"paragonio/internal/analysis"
@@ -60,6 +61,8 @@ type Config struct {
 }
 
 // Platform is an assembled simulated machine with tracing attached.
+// Trace is the platform's recorder when that is a *pablo.Trace (always,
+// for NewPlatform) and nil otherwise.
 type Platform struct {
 	Machine *workload.Machine
 	Trace   *pablo.Trace
@@ -67,6 +70,12 @@ type Platform struct {
 
 // NewPlatform builds a traced platform from cfg.
 func NewPlatform(cfg Config) (*Platform, error) {
+	return newPlatform(cfg, pablo.NewTrace())
+}
+
+// newPlatform builds the platform cfg selects, recording its events to
+// rec.
+func newPlatform(cfg Config, rec pablo.Tracer) (*Platform, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("core: Config.Nodes must be positive, got %d", cfg.Nodes)
 	}
@@ -78,7 +87,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		return nil, err
 	}
 	k := sim.NewKernel()
-	tr := pablo.NewTrace()
 	fcfg := pfs.DefaultConfig(m)
 	if cfg.IONodes != 0 {
 		fcfg.IONodes = cfg.IONodes
@@ -88,7 +96,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	}
 	fcfg.Tiers = cfg.Tiers
 	fcfg.Faults = cfg.Faults
-	fs, err := pfs.New(k, fcfg, tr)
+	fs, err := pfs.New(k, fcfg, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -96,6 +104,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
+	tr, _ := rec.(*pablo.Trace)
 	return &Platform{Machine: wm, Trace: tr}, nil
 }
 
@@ -180,19 +189,29 @@ func Run(cfg Config, app, version string, script func(m *workload.Machine, seed 
 	return RunContext(context.Background(), cfg, app, version, script)
 }
 
-// RunContext is Run with cancellation: the simulation kernel polls
-// ctx.Err before each instant's dispatch and, when the context is cancelled or
-// times out, unwinds every simulated process and returns the context's
-// error (errors.Is-matchable against context.Canceled /
+// RunContext is Run with cancellation: the simulation kernel polls for
+// cancellation before each instant's dispatch and, when the context is
+// cancelled or times out, unwinds every simulated process and returns
+// the context's error (errors.Is-matchable against context.Canceled /
 // context.DeadlineExceeded). A background context adds no polling, so
 // canonical runs — and their golden trace digests — are untouched.
 func RunContext(ctx context.Context, cfg Config, app, version string, script func(m *workload.Machine, seed int64) error) (*Result, error) {
-	p, err := NewPlatform(cfg)
+	return RunTo(ctx, cfg, pablo.NewTrace(), app, version, script)
+}
+
+// RunTo is RunContext with the run's events recorded to rec, which may
+// keep them (a *pablo.Trace) or fold them as they arrive (a *pablo.Tally).
+// Result.Trace is rec when rec is a *pablo.Trace and nil otherwise, so
+// the caller of a non-Trace run reads its I/O totals from rec, not from
+// the Result.
+func RunTo(ctx context.Context, cfg Config, rec pablo.Tracer, app, version string, script func(m *workload.Machine, seed int64) error) (*Result, error) {
+	p, err := newPlatform(cfg, rec)
 	if err != nil {
 		return nil, err
 	}
 	if ctx != nil && ctx.Done() != nil {
-		p.Machine.K.SetCancel(ctx.Err)
+		stop := setCancel(ctx, p.Machine.K)
+		defer stop()
 	}
 	var sampler *pfs.Sampler
 	if cfg.SampleInterval > 0 {
@@ -222,4 +241,26 @@ func RunContext(ctx context.Context, cfg Config, app, version string, script fun
 		res.Samples = sampler.Samples()
 	}
 	return res, nil
+}
+
+// setCancel makes ctx's cancellation the kernel's cancel check and
+// returns the function that detaches it. The check the kernel polls
+// before every instant is one atomic load: context.AfterFunc raises the
+// flag when ctx is done, and only then does the check ask ctx.Err,
+// which locks the context.
+func setCancel(ctx context.Context, k *sim.Kernel) (stop func() bool) {
+	var done atomic.Bool
+	stop = context.AfterFunc(ctx, func() { done.Store(true) })
+	if ctx.Err() != nil {
+		// AfterFunc runs f on a goroutine of its own even when ctx is
+		// already done; a run started on a dead context stops at once.
+		done.Store(true)
+	}
+	k.SetCancel(func() error {
+		if !done.Load() {
+			return nil
+		}
+		return ctx.Err()
+	})
+	return stop
 }

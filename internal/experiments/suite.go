@@ -15,6 +15,7 @@ import (
 	"paragonio/internal/apps/escat"
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
+	"paragonio/internal/pablo"
 	"paragonio/internal/report"
 )
 
@@ -32,9 +33,9 @@ import (
 // they keep their full trace. Measured runs are everything else — the
 // what-if rungs, the advised reruns and the non-canonical Figure 1 builds
 // — which are only ever read through run-level totals and per-file
-// operation times. A measured run keeps a RunSummary; its trace goes back
-// to the pablo event pool as soon as the summary is made, so the next run
-// reuses the buffer.
+// operation times. A measured run records no events: it runs with a
+// pablo.Tally, which folds each event into the run's totals as it is
+// recorded, and keeps the RunSummary made from it.
 //
 // A Suite is safe for concurrent use: each distinct run executes exactly
 // once (concurrent requesters of the same run wait for the first), and
@@ -116,14 +117,13 @@ func NewSuite(seed int64) *Suite {
 }
 
 // Release hands every trace run's buffer back to the pablo event pool
-// and empties the run cache. Measured runs hold no trace — theirs went
-// back to the pool when their summary was made — so only the trace runs
-// are recycled here. Call it when the suite's results — including every
-// Events() view derived from them — are no longer referenced: the
-// buffers will be overwritten by the next recording run. High-churn
-// callers (benchmark re-runs, batch drivers creating a suite per pass)
-// use it to recycle the dominant allocation of a pass; everyone else can
-// let the GC do the work.
+// and empties the run cache. Measured runs never held a trace, so only
+// the trace runs are recycled here. Call it when the suite's results —
+// including every Events() view derived from them — are no longer
+// referenced: the buffers will be overwritten by the next recording
+// run. High-churn callers (benchmark re-runs, batch drivers creating a
+// suite per pass) use it to recycle the dominant allocation of a pass;
+// everyone else can let the GC do the work.
 func (s *Suite) Release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -171,17 +171,18 @@ func (s *Suite) trace(r apps.Run) *traceRun {
 // measure returns the summary of the measured run r under cfg, executing
 // it on first use. It is keyed by ConfigKey(cfg, r.Identity()), so every
 // field that can change the run — tiers included — separates entries.
-// The run's trace lives only until its summary is made.
+// The run records to a pablo.Tally, so it holds no events at any point;
+// its Result, which has no Trace, does not outlive the summary.
 func (s *Suite) measure(r apps.Run, cfg core.Config) (*RunSummary, error) {
 	m := cell(s, &s.measured, ConfigKey(cfg, r.Identity()))
 	m.once.Do(func() {
-		res, err := r.Exec(context.Background(), cfg)
+		var tally pablo.Tally
+		res, err := r.ExecTo(context.Background(), cfg, &tally)
 		if err != nil {
 			m.err = err
 			return
 		}
-		m.sum = summarize(res)
-		res.Trace.Release()
+		m.sum = newRunSummary(res, &tally)
 	})
 	return m.sum, m.err
 }
@@ -204,7 +205,13 @@ func summaryOf(t *traceRun, err error) (*RunSummary, error) {
 	if t.err != nil {
 		return nil, t.err
 	}
-	t.sumOnce.Do(func() { t.sum = summarize(t.res) })
+	t.sumOnce.Do(func() {
+		var tally pablo.Tally
+		for _, ev := range t.res.Trace.Events() {
+			tally.Record(ev)
+		}
+		t.sum = newRunSummary(t.res, &tally)
+	})
 	return t.sum, nil
 }
 

@@ -20,8 +20,8 @@ type RunSummary struct {
 	// IO is the summed duration of every event (Trace.TotalIOTime),
 	// including the events with no file.
 	IO time.Duration
-	// Files holds each file's per-operation counts, durations and bytes,
-	// from pablo.FileLifetimes.
+	// Files holds each file's per-operation counts, durations and bytes:
+	// the OpStats of its pablo.FileLifetimes entry.
 	Files  map[string]pablo.OpStats
 	Cache  cache.Stats // the I/O-node tier's totals (Result.CacheTotals)
 	Client cache.ClientStats
@@ -30,23 +30,21 @@ type RunSummary struct {
 	Digest uint64 // trace digest
 }
 
-// summarize folds a finished run into its summary. It reads the trace
-// but does not keep it.
-func summarize(res *core.Result) *RunSummary {
-	files := make(map[string]pablo.OpStats)
-	for name, lt := range pablo.FileLifetimes(res.Trace) {
-		files[name] = lt.OpStats
-	}
+// newRunSummary is the one constructor of a RunSummary: the run-level
+// quantities come from res, and every event total from tally, the run's
+// events folded as it executed (measured runs) or afterwards from its
+// kept trace (a tiers-off rung's canonical run).
+func newRunSummary(res *core.Result, tally *pablo.Tally) *RunSummary {
 	return &RunSummary{
 		Version: res.Version,
 		Exec:    res.Exec,
-		IO:      res.IOTime(),
-		Files:   files,
+		IO:      tally.TotalIOTime(),
+		Files:   tally.Files(),
 		Cache:   res.CacheTotals(),
 		Client:  res.Client,
 		Log:     res.Log,
-		Events:  res.Trace.Len(),
-		Digest:  res.Trace.Digest(),
+		Events:  tally.Len(),
+		Digest:  tally.Digest(),
 	}
 }
 

@@ -4,12 +4,16 @@
 // (file lifetime, time window, and file region summaries), and a portable
 // self-describing text codec for offline analysis.
 //
-// The simulated file system records one Event per I/O operation; the
-// analysis layer consumes traces to regenerate the paper's tables and
-// figures. WriteTrace/ReadTrace is the one trace encoding: iosim -trace,
-// the daemon's "sddf" responses and iotrace all speak it. Counters that
-// are not per-operation events (queue depths, cache totals) are reported
-// beside the trace, not inside it.
+// The simulated file system records one Event per I/O operation to a
+// Tracer. A Trace keeps every event, and the analysis layer consumes
+// traces to regenerate the paper's tables and figures. A Tally keeps
+// none: it folds each event into the run-level totals as it is recorded
+// (count, summed duration, digest, per-file operation stats), for runs
+// that are only ever read through those totals. WriteTrace/ReadTrace is
+// the one trace encoding: iosim -trace, the daemon's "sddf" responses
+// and iotrace all speak it. Counters that are not per-operation events
+// (queue depths, cache totals) are reported beside the trace, not
+// inside it.
 package pablo
 
 import (

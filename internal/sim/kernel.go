@@ -183,7 +183,9 @@ func (k *Kernel) deadlockError() *DeadlockError {
 // each instant's dispatch pass. The first non-nil error aborts the run:
 // pending events are dropped, every live process is unwound in spawn
 // order (its deferred functions run), and Run returns the error. The
-// canonical check wraps a context.Context: k.SetCancel(ctx.Err). A nil
+// canonical check wraps a context.Context: k.SetCancel(ctx.Err), or, as
+// core.RunContext installs it, an atomic flag raised by
+// context.AfterFunc that consults ctx.Err only once it is set. A nil
 // check (the default) disables polling; runs that never cancel are
 // unaffected either way — the check runs before an instant's first
 // event, never between events of one instant, so it cannot perturb
