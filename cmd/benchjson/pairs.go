@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"paragonio/internal/stats"
@@ -38,8 +39,9 @@ type spread struct {
 
 // PairFold is the paired comparison of one metric on one workload: both
 // sides' medians and quartiles, the gap between the medians, how many
-// pairs each side won, and the exact two-sided sign-test p over the
-// pairs that did not tie.
+// pairs each side won, the exact two-sided sign-test p over the pairs
+// that did not tie, and each side's share of failed operations over all
+// of the workload's pairs.
 type PairFold struct {
 	Workload string  `json:"workload"`
 	Metric   string  `json:"metric"`
@@ -54,7 +56,12 @@ type PairFold struct {
 	Losses   int     `json:"losses"`    // pairs the base won
 	SignP    float64 `json:"sign_p"`    // exact two-sided sign test, ties dropped
 	Bound    float64 `json:"bound"`     // BENCHMARK.json bound, 0 if none
-	Verdict  string  `json:"verdict"`   // see verdict
+	// BaseFailed and ChangeFailed are failed over attempted operations,
+	// both summed over all the workload's pairs: a side that fails in a
+	// minority of its runs still shows here, though not in its median.
+	BaseFailed   float64 `json:"base_failed"`
+	ChangeFailed float64 `json:"change_failed"`
+	Verdict      string  `json:"verdict"` // see verdict
 }
 
 // metricSpec is what BENCHMARK.json says of one metric.
@@ -64,9 +71,9 @@ type metricSpec struct {
 	Bound  float64 `json:"bound"`
 }
 
-// loadSpec reads the metric directions and bounds of a BENCHMARK.json.
-// A missing file is no error: every metric is then lower-is-better and
-// unbounded.
+// loadSpec reads the directions and bounds of a BENCHMARK.json's
+// end-to-end metrics, the ones an untraced run reports. A missing file
+// is no error: every metric is then lower-is-better and unbounded.
 func loadSpec(path string) (map[string]metricSpec, error) {
 	out := map[string]metricSpec{
 		// failed_frac is the fold's own metric: failed over attempted
@@ -82,12 +89,11 @@ func loadSpec(path string) (map[string]metricSpec, error) {
 	}
 	var doc struct {
 		EndToEnd []metricSpec `json:"end_to_end"`
-		PerLayer []metricSpec `json:"per_layer"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("benchjson: %s: %v", path, err)
 	}
-	for _, m := range append(doc.EndToEnd, doc.PerLayer...) {
+	for _, m := range doc.EndToEnd {
 		out[m.Name] = m
 	}
 	return out, nil
@@ -116,7 +122,8 @@ func readPairs(r io.Reader) ([]pairRun, error) {
 
 // foldPairs folds runs into one PairFold per workload and metric, in
 // workload then metric order. A pair counts only when both of its sides
-// are present and both report the metric.
+// are present and both report the metric; its operations count toward
+// the failed shares once both sides are present.
 func foldPairs(runs []pairRun, spec map[string]metricSpec) []PairFold {
 	type key struct {
 		workload string
@@ -139,9 +146,18 @@ func foldPairs(runs []pairRun, spec map[string]metricSpec) []PairFold {
 		base, change []float64
 	}
 	cells := map[[2]string]*cell{}
+	// ops[workload][side] sums {failed, attempted} over complete pairs.
+	ops := map[string]*[2][2]int{}
 	for k, s := range sides {
 		if s[0] == nil || s[1] == nil {
 			continue
+		}
+		if ops[k.workload] == nil {
+			ops[k.workload] = new([2][2]int)
+		}
+		for i, r := range s {
+			ops[k.workload][i][0] += r.Result.Failed
+			ops[k.workload][i][1] += r.Result.Attempted
 		}
 		values := func(r *pairRun) map[string]float64 {
 			out := map[string]float64{}
@@ -187,22 +203,27 @@ func foldPairs(runs []pairRun, spec map[string]metricSpec) []PairFold {
 		if !ok || sp.Better == "" {
 			sp.Better = "lower"
 		}
-		out = append(out, foldMetric(id[0], id[1], c.unit, sp, c.base, c.change))
+		f := foldMetric(id[0], id[1], c.unit, sp, c.base, c.change)
+		share := func(n [2]int) float64 {
+			if n[1] == 0 {
+				return 0
+			}
+			return float64(n[0]) / float64(n[1])
+		}
+		f.BaseFailed, f.ChangeFailed = share(ops[id[0]][0]), share(ops[id[0]][1])
+		f.Verdict = verdict(f, c.base, c.change)
+		out = append(out, f)
 	}
 	return out
 }
 
-// foldMetric folds one metric's paired samples; base[i] and change[i]
-// are the two sides of pair i.
+// foldMetric folds one metric's paired samples, all but the verdict;
+// base[i] and change[i] are the two sides of pair i.
 func foldMetric(workload, metric, unit string, sp metricSpec, base, change []float64) PairFold {
 	f := PairFold{Workload: workload, Metric: metric, Unit: unit, Better: sp.Better,
 		Pairs: len(base), Bound: sp.Bound}
-	sign := 1.0 // +1: lower is better
-	if sp.Better == "higher" {
-		sign = -1
-	}
 	for i := range base {
-		switch d := sign * (change[i] - base[i]); {
+		switch d := f.sign() * (change[i] - base[i]); {
 		case d < 0:
 			f.Wins++
 		case d > 0:
@@ -215,33 +236,61 @@ func foldMetric(workload, metric, unit string, sp metricSpec, base, change []flo
 		f.DeltaPct = 100 * f.Delta / f.Base.Median
 	}
 	f.SignP = signTest(f.Wins, f.Losses)
-	f.Verdict = verdict(f, sign)
 	return f
 }
 
-// verdict applies the repository's claim rule to a fold:
+// sign is +1 for a lower-is-better metric and -1 otherwise, so that
+// sign*x is smaller when x is better.
+func (f PairFold) sign() float64 {
+	if f.Better == "higher" {
+		return -1
+	}
+	return 1
+}
+
+// verdict applies the repository's claim rule to a fold and its paired
+// samples:
+//   - "worse": on the failed_frac row, the change failed a larger share
+//     of the workload's operations; on any other row, the change's
+//     median is worse than the base's by more than the metric's bound;
 //   - "gain": the change won at least 9 in 10 of the pairs, its median
-//     beats the base's by more than the base's IQR, and the sign test
-//     gives p < 0.05 (which a campaign of fewer than six pairs cannot);
-//   - "worse": the change's median is worse than the base's by more than
-//     the metric's bound (any amount for an unbounded failed_frac);
+//     beats the base's by more than the base's IQR, the sign test gives
+//     p < 0.05 (which a campaign of fewer than six pairs cannot), and
+//     the workload failed no larger share of operations;
+//   - "better": short of a gain, every change run beat every base run,
+//     and the workload failed no larger share of operations;
 //   - "unresolved": the base's own IQR is wider than the bound, so a
 //     regression within it cannot be told from noise;
 //   - "same" otherwise.
-func verdict(f PairFold, sign float64) string {
+func verdict(f PairFold, base, change []float64) string {
 	iqr := f.Base.Q3 - f.Base.Q1
-	gap := -sign * f.Delta // positive when the change is better
+	gap := -f.sign() * f.Delta // positive when the change is better
+	moreFailed := f.ChangeFailed > f.BaseFailed
 	switch {
-	case 10*f.Wins >= 9*f.Pairs && gap > iqr && f.SignP < 0.05:
-		return "gain"
-	case f.Metric == "failed_frac" && gap < 0:
+	case f.Metric == "failed_frac" && moreFailed:
 		return "worse"
 	case f.Bound > 0 && -gap > f.Bound*math.Abs(f.Base.Median):
 		return "worse"
+	case 10*f.Wins >= 9*f.Pairs && gap > iqr && f.SignP < 0.05 && !moreFailed:
+		return "gain"
+	case beatsAll(f.sign(), base, change) && !moreFailed:
+		return "better"
 	case f.Bound > 0 && iqr > f.Bound*math.Abs(f.Base.Median):
 		return "unresolved"
 	}
 	return "same"
+}
+
+// beatsAll reports whether every change run beat every base run, sign
+// being the fold's sign.
+func beatsAll(sign float64, base, change []float64) bool {
+	if len(base) == 0 {
+		return false
+	}
+	if sign > 0 {
+		return slices.Max(change) < slices.Min(base)
+	}
+	return slices.Min(change) > slices.Max(base)
 }
 
 // spreadOf returns a sample's median and quartiles.

@@ -142,3 +142,64 @@ func TestFoldFlagsRegressions(t *testing.T) {
 		t.Error("a line with an unknown side parsed")
 	}
 }
+
+// TestFoldFailuresInAMinorityOfRuns fails three of the change's ten
+// runs: every per-run median of failed_frac is still zero, but the
+// pooled share rises, so the failed_frac row is worse and a clear
+// max_rss_mb win on the same workload is no gain.
+func TestFoldFailuresInAMinorityOfRuns(t *testing.T) {
+	var in strings.Builder
+	for pair := 1; pair <= 10; pair++ {
+		failed := 0
+		if pair <= 3 {
+			failed = 2
+		}
+		in.WriteString(pairLine("paper-suite", pair, "base", 140+float64(pair), 0.5, 0) + "\n")
+		in.WriteString(pairLine("paper-suite", pair, "change", 110+float64(pair), 0.5, failed) + "\n")
+	}
+	runs, err := readPairs(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := map[string]metricSpec{"max_rss_mb": {Better: "lower", Bound: 0.1}, "failed_frac": {Better: "lower"}}
+	for _, f := range foldPairs(runs, spec) {
+		if f.BaseFailed != 0 || f.ChangeFailed != 6.0/1000 {
+			t.Errorf("%s failed shares %v, %v, want 0 and 6/1000", f.Metric, f.BaseFailed, f.ChangeFailed)
+		}
+		want := map[string]string{"max_rss_mb": "same", "failed_frac": "worse", "setup_s": "same"}[f.Metric]
+		if f.Verdict != want {
+			t.Errorf("%s verdict %s, want %s", f.Metric, f.Verdict, want)
+		}
+		if f.Metric == "failed_frac" && f.Change.Median != 0 {
+			t.Errorf("failed_frac change median %v, want 0", f.Change.Median)
+		}
+	}
+}
+
+// TestFoldSeparatedOnANoisyMetric folds a metric whose base IQR is wider
+// than its bound. The change's median beats the base's by less than that
+// IQR, so it is no gain; it reads better when every change run beats
+// every base run, and unresolved when one does not.
+func TestFoldSeparatedOnANoisyMetric(t *testing.T) {
+	// Sorted: Q1 150, median 300, Q3 450.
+	base := []float64{100, 300, 500, 100, 300, 500, 300, 100, 500, 300}
+	sp := metricSpec{Better: "lower", Bound: 0.1}
+	change := make([]float64, len(base))
+	for i := range change {
+		change[i] = 99
+	}
+	fold := func(change []float64) string {
+		f := foldMetric("result-cache", "max_rss_mb", "MiB", sp, base, change)
+		return verdict(f, base, change)
+	}
+	if v := fold(change); v != "better" {
+		t.Errorf("every change run below every base run: verdict %s, want better", v)
+	}
+	change[3] = 101
+	if v := fold(change); v != "unresolved" {
+		t.Errorf("one change run above the base minimum: verdict %s, want unresolved", v)
+	}
+	if !beatsAll(-1, []float64{1, 2}, []float64{3, 4}) || beatsAll(-1, []float64{1, 3}, []float64{3, 4}) {
+		t.Error("beatsAll mis-reads a higher-is-better metric")
+	}
+}

@@ -210,8 +210,21 @@ func RunTo(ctx context.Context, cfg Config, rec pablo.Tracer, app, version strin
 		return nil, err
 	}
 	if ctx != nil && ctx.Done() != nil {
-		stop := setCancel(ctx, p.Machine.K)
-		defer stop()
+		// The kernel polls before every instant, and ctx.Err locks the
+		// context, so the check loads a flag that AfterFunc raises.
+		// AfterFunc calls its function on a goroutine of its own even
+		// for a ctx already done, so that case raises the flag here.
+		var done atomic.Bool
+		defer context.AfterFunc(ctx, func() { done.Store(true) })()
+		if ctx.Err() != nil {
+			done.Store(true)
+		}
+		p.Machine.K.SetCancel(func() error {
+			if done.Load() {
+				return ctx.Err()
+			}
+			return nil
+		})
 	}
 	var sampler *pfs.Sampler
 	if cfg.SampleInterval > 0 {
@@ -241,26 +254,4 @@ func RunTo(ctx context.Context, cfg Config, rec pablo.Tracer, app, version strin
 		res.Samples = sampler.Samples()
 	}
 	return res, nil
-}
-
-// setCancel makes ctx's cancellation the kernel's cancel check and
-// returns the function that detaches it. The check the kernel polls
-// before every instant is one atomic load: context.AfterFunc raises the
-// flag when ctx is done, and only then does the check ask ctx.Err,
-// which locks the context.
-func setCancel(ctx context.Context, k *sim.Kernel) (stop func() bool) {
-	var done atomic.Bool
-	stop = context.AfterFunc(ctx, func() { done.Store(true) })
-	if ctx.Err() != nil {
-		// AfterFunc runs f on a goroutine of its own even when ctx is
-		// already done; a run started on a dead context stops at once.
-		done.Store(true)
-	}
-	k.SetCancel(func() error {
-		if !done.Load() {
-			return nil
-		}
-		return ctx.Err()
-	})
-	return stop
 }

@@ -2,7 +2,7 @@
 # bench-pairs: compares the working tree against a base revision on the
 # repository benchmark (bench/run.sh), in pairs run back to back.
 #
-#   bash scripts/bench-pairs.sh [-n PAIRS] [-s FIRST_SEED] [-t SECONDS] [-w "WORKLOAD ..."] [-o FILE] BASE-REV [CHANGE-REV]
+#   bash scripts/bench-pairs.sh [-n PAIRS] [-s FIRST_SEED] [-w "WORKLOAD ..."] [-o FILE] BASE-REV [CHANGE-REV]
 #
 # BASE-REV is exported with `git archive` into a temporary directory and
 # built there. The change side is the working tree, uncommitted changes
@@ -16,7 +16,8 @@
 #
 #   {"workload":"paper-suite","pair":3,"seed":1002,"side":"base","result":{...}}
 #
-# where result is the run's last line of standard output. Each run's
+# where result is the last line of standard output of bench/run.sh,
+# run at its defaults but for the workload and seed. Each run's
 # standard error (build output, timing lines) goes to FILE.err. Fold the
 # lines with
 #
@@ -29,18 +30,16 @@ set -euo pipefail
 
 pairs=10
 first=1000
-seconds=15
 workloads="simulate-cold tier-sweep result-cache paper-suite"
 out=""
 usage() {
     sed -n '4p' "$0" | sed 's/^# *//' >&2
     exit 2
 }
-while getopts "n:s:t:w:o:" opt; do
+while getopts "n:s:w:o:" opt; do
     case $opt in
     n) pairs=$OPTARG ;;
     s) first=$OPTARG ;;
-    t) seconds=$OPTARG ;;
     w) workloads=$OPTARG ;;
     o) out=$OPTARG ;;
     *) usage ;;
@@ -82,7 +81,7 @@ run() {
     local side=$1 dir=$2 workload=$3 pair=$4 seed=$5 result
     echo "### $workload pair $pair seed $seed: $side" >>"$out.err"
     result=$(cd "$dir" && bash bench/run.sh --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0 2>>"$out.err" | tail -1)
+        2>>"$out.err" | tail -1)
     printf '{"workload":"%s","pair":%d,"seed":%d,"side":"%s","result":%s}\n' \
         "$workload" "$pair" "$seed" "$side" "$result" >>"$out"
 }
