@@ -264,26 +264,38 @@ func (q *keyQueue) pop() blockID {
 // the fire time of every armed timer, ascending, so a caller can tell
 // whether an armed timer already fires soon enough (covers) and add an
 // earlier one only when none does. It holds a few entries at most.
-type timers []sim.Time
+// Every timer of one queue runs the same function, bound once, so
+// arming allocates nothing once the queue has grown.
+type timers struct {
+	at   []sim.Time
+	fire func() // pops the head, then runs the queue's function
+}
+
+// bind makes fn the function every timer of q runs. It is called once,
+// before the first arm.
+func (q *timers) bind(fn func()) {
+	q.fire = func() {
+		copy(q.at, q.at[1:])
+		q.at = q.at[:len(q.at)-1]
+		fn()
+	}
+}
 
 // covers reports whether an armed timer fires at or before at.
-func (q *timers) covers(at sim.Time) bool { return len(*q) > 0 && (*q)[0] <= at }
+func (q *timers) covers(at sim.Time) bool { return len(q.at) > 0 && q.at[0] <= at }
 
-// arm schedules fn on k at virtual time at (not before now). Timers
-// fire in time order, so each firing pops the queue's head before fn
-// runs.
-func (q *timers) arm(k *sim.Kernel, at sim.Time, fn func()) {
-	i := len(*q)
-	*q = append(*q, 0)
-	for i > 0 && (*q)[i-1] > at {
-		(*q)[i] = (*q)[i-1]
+// arm schedules a timer on k at virtual time at (not before now).
+// Timers fire in time order, so each firing pops the queue's head
+// before the bound function runs.
+func (q *timers) arm(k *sim.Kernel, at sim.Time) {
+	i := len(q.at)
+	q.at = append(q.at, 0)
+	for i > 0 && q.at[i-1] > at {
+		q.at[i] = q.at[i-1]
 		i--
 	}
-	(*q)[i] = at
-	k.After(at-k.Now(), func() {
-		*q = (*q)[1:]
-		fn()
-	})
+	q.at[i] = at
+	k.After(at-k.Now(), q.fire)
 }
 
 // Cache is one I/O node's buffer cache. It is driven entirely from kernel
@@ -310,6 +322,10 @@ type Cache struct {
 	flushq       timers // deadline policy: armed flush timers
 	inflight     int    // deadline policy: flusher passes issued, not yet completed
 	stats        Stats
+
+	// The flusher's steps, bound once in New.
+	idleFlushFn, flushDoneFn func()
+	flushHoldFn              func() sim.Time
 }
 
 // New creates a cache in front of array, sharing the I/O node's FIFO
@@ -320,7 +336,7 @@ func New(k *sim.Kernel, res *sim.Resource, array *disk.Array, cfg Config, blockS
 	if err := cfg.Validate(blockSize); err != nil {
 		return nil, err
 	}
-	return &Cache{
+	c := &Cache{
 		k:         k,
 		res:       res,
 		array:     array,
@@ -329,7 +345,10 @@ func New(k *sim.Kernel, res *sim.Resource, array *disk.Array, cfg Config, blockS
 		capBlocks: int(cfg.CapacityBytes / blockSize),
 		names:     newStreamTable(),
 		blocks:    make(map[blockID]*block),
-	}, nil
+	}
+	c.idleFlushFn, c.flushHoldFn, c.flushDoneFn = c.idleFlush, c.flushHold, c.flushDone
+	c.flushq.bind(c.deadlineFlush)
+	return c, nil
 }
 
 // Stats returns a snapshot of accumulated statistics.
@@ -570,9 +589,7 @@ func (c *Cache) scheduleFlush() {
 			delay = 0
 		}
 		c.flushPending = true
-		c.k.After(delay, func() {
-			c.res.UseFn(c.flushHold, c.flushDone)
-		})
+		c.k.After(delay, c.idleFlushFn)
 		return
 	}
 	now := c.k.Now()
@@ -593,13 +610,21 @@ func (c *Cache) scheduleFlush() {
 	if delay == 0 && c.inflight > 0 {
 		return // an immediate pass is already queued on the resource
 	}
-	c.flushq.arm(c.k, at, func() {
-		if c.dirtyCount == 0 {
-			return // stale: an earlier pass drained everything
-		}
-		c.inflight++
-		c.res.UseFn(c.flushHold, c.flushDone)
-	})
+	c.flushq.arm(c.k, at)
+}
+
+// idleFlush is the high-water + idle policy's timer: it queues one
+// flusher pass on the I/O node's resource.
+func (c *Cache) idleFlush() { c.res.UseFn(c.flushHoldFn, c.flushDoneFn) }
+
+// deadlineFlush is the deadline policy's timer: it queues one flusher
+// pass unless an earlier pass drained everything.
+func (c *Cache) deadlineFlush() {
+	if c.dirtyCount == 0 {
+		return // stale: an earlier pass drained everything
+	}
+	c.inflight++
+	c.res.UseFn(c.flushHoldFn, c.flushDoneFn)
 }
 
 // flushHold runs at grant time on the I/O node's resource: it writes up

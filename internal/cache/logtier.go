@@ -168,12 +168,14 @@ func NewLogTier(k *sim.Kernel, cfg LogConfig) (*LogTier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &LogTier{
+	lt := &LogTier{
 		k:         k,
 		cfg:       cfg,
 		nodes:     make(map[int]struct{}),
 		perStream: make(map[string]int),
-	}, nil
+	}
+	lt.drainq.bind(lt.startDrain)
+	return lt, nil
 }
 
 // SetDrainer installs the drain sink: the PFS hands it batches of
@@ -287,7 +289,7 @@ func (lt *LogTier) scheduleDrain() {
 	if lt.drainq.covers(at) {
 		return // an armed timer already fires soon enough
 	}
-	lt.drainq.arm(lt.k, at, lt.startDrain)
+	lt.drainq.arm(lt.k, at)
 }
 
 // startDrain begins one pass over the head of the global append order.

@@ -106,6 +106,12 @@ type FileSystem struct {
 	dead     []bool
 	meshSlow []float64
 	rerouted uint64 // requests redirected away from a crashed node
+
+	// Recycled data-path records and the splitter's scratch (request.go).
+	freeReqs  *request
+	freeJoins *join
+	byIONode  []*request // splitter scratch, indexed by logical I/O node
+	involved  []*request // splitter output, ascending by I/O node
 }
 
 // New creates a file system on the given kernel. tracer receives one
@@ -173,6 +179,8 @@ func New(k *sim.Kernel, cfg Config, tracer pablo.Tracer) (*FileSystem, error) {
 		lt.SetDrainer(fs.drainLog)
 		fs.log = lt
 	}
+	fs.byIONode = make([]*request, cfg.IONodes)
+	fs.involved = make([]*request, 0, cfg.IONodes)
 	fs.dead = make([]bool, cfg.IONodes)
 	fs.meshSlow = make([]float64, cfg.IONodes)
 	for i := range fs.meshSlow {
@@ -331,31 +339,6 @@ func (fs *FileSystem) LogStats() cache.LogStats {
 	return fs.log.Stats()
 }
 
-// drainLog is the log tier's drain sink: it writes one batch of logged
-// records through the regular PFS data path — per-record chunking, mesh
-// transfer, FIFO disk service, fault-plane routing (crashed-node
-// failover, straggler stretch) — and calls done when the slowest record
-// finishes. It runs from the log tier's drain timers.
-func (fs *FileSystem) drainLog(batch []cache.LogRecord, done func()) {
-	remaining := 0
-	for _, r := range batch {
-		f := fs.lookup(r.Stream, true)
-		lists, ios := fs.chunksByIONode(f, r.Off, r.Size)
-		for _, io := range ios {
-			remaining++
-			fs.serveIONodeFn(r.Node, f, io, lists[io], true, func() {
-				remaining--
-				if remaining == 0 {
-					done()
-				}
-			})
-		}
-	}
-	if remaining == 0 {
-		done()
-	}
-}
-
 // lookup returns the file record, creating it if requested.
 func (fs *FileSystem) lookup(name string, create bool) *file {
 	f, ok := fs.files[name]
@@ -403,132 +386,5 @@ func (fs *FileSystem) trace(node int, op pablo.Op, name string, off, size int64,
 		Start:    start,
 		Duration: fs.k.Now() - start,
 		Mode:     mode.traced(),
-	})
-}
-
-// chunk is a contiguous piece of a request living on one I/O node.
-type chunk struct {
-	off, size int64
-}
-
-// chunksByIONode splits [off, off+size) into per-I/O-node chunk lists,
-// returned as a slice indexed by I/O node (nil entries are uninvolved)
-// together with the involved I/O nodes in ascending order. Chunks on the
-// same I/O node are coalesced per stripe unit but kept in ascending
-// offset order (they are contiguous on the array only if the request
-// spans a full stripe cycle).
-func (fs *FileSystem) chunksByIONode(f *file, off, size int64) ([][]chunk, []int) {
-	lists := make([][]chunk, len(fs.ios))
-	involved := 0
-	u := fs.cfg.StripeUnit
-	for size > 0 {
-		stripe := off / u
-		io := (f.base + int(stripe%int64(len(fs.ios)))) % len(fs.ios)
-		inStripe := off % u
-		n := u - inStripe
-		if n > size {
-			n = size
-		}
-		if lists[io] == nil {
-			involved++
-		}
-		lists[io] = append(lists[io], chunk{off: off, size: n})
-		off += n
-		size -= n
-	}
-	ios := make([]int, 0, involved)
-	for io, l := range lists {
-		if l != nil {
-			ios = append(ios, io)
-		}
-	}
-	return lists, ios
-}
-
-// xfer performs the data movement of one read or write request: client
-// software overhead, network to each involved I/O node, FIFO disk
-// service per node, with distinct I/O nodes proceeding in parallel.
-// It blocks p until the slowest I/O node finishes.
-func (fs *FileSystem) xfer(p *sim.Proc, node int, f *file, off, size int64, write bool) {
-	if size <= 0 {
-		return
-	}
-	p.Wait(costRequest)
-	u := fs.cfg.StripeUnit
-	if off/u == (off+size-1)/u {
-		// Single stripe unit → single I/O node, single chunk: skip the
-		// per-node grouping entirely (the overwhelmingly common case for
-		// the paper's small-request workloads).
-		io := (f.base + int((off/u)%int64(len(fs.ios)))) % len(fs.ios)
-		fs.serveIONode(p, node, f, io, []chunk{{off: off, size: size}}, write)
-		return
-	}
-	lists, ios := fs.chunksByIONode(f, off, size)
-	if len(ios) == 1 {
-		fs.serveIONode(p, node, f, ios[0], lists[ios[0]], write)
-		return
-	}
-	// Fan out one callback chain per additional I/O node; the request
-	// completes when all involved nodes have served their chunks. The
-	// last completion resumes p if it is still waiting.
-	pending := len(ios) - 1
-	waiting := false
-	for _, io := range ios[1:] {
-		fs.serveIONodeFn(node, f, io, lists[io], write, func() {
-			pending--
-			if pending == 0 && waiting {
-				fs.k.Wake(p)
-			}
-		})
-	}
-	fs.serveIONode(p, node, f, ios[0], lists[ios[0]], write)
-	if pending > 0 {
-		waiting = true
-		p.Suspend("xfer-join")
-	}
-}
-
-// serveIONode moves one request's chunks through a single I/O node,
-// blocking p until the node finishes: p suspends, and the send's
-// release continuation wakes it inline.
-func (fs *FileSystem) serveIONode(p *sim.Proc, node int, f *file, io int, chunks []chunk, write bool) {
-	n := fs.ios[fs.routeTo(io)]
-	fs.send(node, f, n, chunks, write, func() { fs.k.Wake(p) })
-	p.Suspend(n.park)
-}
-
-// serveIONodeFn is the callback-shaped variant of serveIONode used by the
-// striped-transfer fan-out and the log tier's drain: the same send with
-// no process behind it, so fan-out requests cost no process spawns and
-// no coroutine switches. It sends from a zero-delay hop, which mirrors
-// the start event a spawned helper process would get. The hop is a real
-// event, not a direct call: its sequence number is part of every golden
-// trace digest.
-func (fs *FileSystem) serveIONodeFn(node int, f *file, io int, chunks []chunk, write bool, then func()) {
-	n := fs.ios[fs.routeTo(io)]
-	fs.k.After(0, func() { fs.send(node, f, n, chunks, write, then) })
-}
-
-// send is the one schedule of an I/O-node request, shared by both serve
-// shapes. The payload arrives after its mesh transfer time to the
-// physical node n (routed by the caller). The request then holds n's
-// FIFO resource for its disk service, priced at grant time through the
-// cache or the array, and the continuation then runs at release.
-// Pricing at grant time and running the continuation inside the release
-// event's dispatch keep every (at, seq) allocation, and hence the trace,
-// identical to a process-shaped Acquire/Wait/Release sequence.
-func (fs *FileSystem) send(node int, f *file, n *ioNode, chunks []chunk, write bool, then func()) {
-	var bytes int64
-	for _, c := range chunks {
-		bytes += c.size
-	}
-	fs.k.After(fs.meshCost(node, n.idx, bytes), func() {
-		n.res.UseFn(func() sim.Time {
-			var d time.Duration
-			for _, c := range chunks {
-				d += n.service(f.name, c, write)
-			}
-			return d
-		}, then)
 	})
 }

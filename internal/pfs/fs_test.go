@@ -119,7 +119,7 @@ func TestChunksByIONodeCoverAndAlign(t *testing.T) {
 		{u / 2, 17 * u}, // spans the full I/O node cycle
 	}
 	for _, tc := range cases {
-		lists, ios := r.fs.chunksByIONode(f, tc.off, tc.size)
+		lists, ios := splitChunks(r.fs, f, tc.off, tc.size)
 		var total int64
 		next := tc.off
 		// Collect all chunks and verify they tile [off, off+size).
@@ -158,7 +158,7 @@ func TestStripeMappingRoundRobin(t *testing.T) {
 	// 16 consecutive stripes must land on 16 distinct I/O nodes.
 	seen := map[int]bool{}
 	for s := int64(0); s < 16; s++ {
-		_, ios := r.fs.chunksByIONode(f, s*u, 1)
+		_, ios := splitChunks(r.fs, f, s*u, 1)
 		for _, io := range ios {
 			seen[io] = true
 		}

@@ -114,7 +114,7 @@ func TestPropertyStripingConservation(t *testing.T) {
 	prop := func(offRaw uint32, sizeRaw uint32) bool {
 		off := int64(offRaw)
 		size := int64(sizeRaw) + 1
-		lists, _ := r.fs.chunksByIONode(f, off, size)
+		lists, _ := splitChunks(r.fs, f, off, size)
 		covered := map[int64]int64{}
 		var total int64
 		for _, chunks := range lists {
@@ -155,7 +155,7 @@ func TestPropertyStripeToIONodeStable(t *testing.T) {
 	f := r.fs.lookup("f", false)
 	u := r.fs.cfg.StripeUnit
 	ioOf := func(off int64) int {
-		_, ios := r.fs.chunksByIONode(f, off, 1)
+		_, ios := splitChunks(r.fs, f, off, 1)
 		if len(ios) == 0 {
 			return -1
 		}

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// The fast-path tests pin the contract that makes serveIONodeFn-style
+// The fast-path tests pin the contract that makes callback-shaped
 // conversions safe: a callback-shaped interaction (UseFn) must produce
 // the same virtual timing and the same statistics as the process-shaped
 // interaction it replaces.

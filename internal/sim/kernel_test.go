@@ -367,4 +367,44 @@ func TestHandoffAllocatesNothing(t *testing.T) {
 			t.Errorf("contended acquire/release allocates %v objects per call, want 0", allocs)
 		}
 	})
+	t.Run("callback", func(t *testing.T) {
+		// Two UseFn chains share a capacity-1 resource, so every grant
+		// queues behind the other chain's hold. Each chain's hold and
+		// then are bound once; each grant recycles a holder record.
+		k := NewKernel()
+		r := NewResource(k, "srv", 1)
+		hold := func() Time { return time.Microsecond }
+		left := [2]int{}
+		var chains [2]func()
+		for i := range chains {
+			i := i
+			chains[i] = func() {
+				if left[i] > 0 {
+					left[i]--
+					r.UseFn(hold, chains[i])
+				}
+			}
+		}
+		grants := func(n int) {
+			left = [2]int{n, n}
+			k.After(0, chains[0])
+			k.After(0, chains[1])
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const perRun = 100
+		allocs := testing.AllocsPerRun(100, func() { grants(perRun) })
+		if s := r.Stats(); s.MaxQueueLen != 1 || s.TotalQueue == 0 {
+			t.Fatalf("resource was not contended: %+v", s)
+		}
+		if allocs != 0 {
+			t.Errorf("contended UseFn allocates %v objects per %d grants, want 0", allocs, 2*perRun)
+		}
+		for h := r.free; h != nil; h = h.next {
+			if h.hold != nil || h.then != nil {
+				t.Fatal("a recycled holder record keeps its hold or continuation")
+			}
+		}
+	})
 }
