@@ -24,6 +24,7 @@ import (
 	"paragonio/internal/cliflags"
 	"paragonio/internal/iobench"
 	"paragonio/internal/pfs"
+	"paragonio/internal/report"
 )
 
 func main() {
@@ -78,7 +79,7 @@ func run(kernel, sweep, modeName string, nodes int, request, volume, seed int64)
 		}
 		title := fmt.Sprintf("%s: %d nodes, %d KB requests, %d MB volume (sweep: %s)",
 			k, nodes, request>>10, volume>>20, sweep)
-		if err := iobench.WriteTable(os.Stdout, title, results, sw.Columns); err != nil {
+		if err := report.Columns(os.Stdout, title, results, sw.Columns); err != nil {
 			return err
 		}
 		fmt.Println()

@@ -6,11 +6,8 @@ import (
 	"time"
 
 	"paragonio/internal/apps"
-	"paragonio/internal/apps/escat"
-	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
-	"paragonio/internal/pablo"
 	"paragonio/internal/policy"
 	"paragonio/internal/report"
 )
@@ -54,18 +51,6 @@ type oracleRow struct {
 	t     time.Duration
 }
 
-func quadTime(res *RunSummary, op pablo.Op) time.Duration {
-	return fileOpTime(res, op, func(f string) bool {
-		return strings.HasPrefix(f, escat.QuadFile(0)[:len("escat/quad.")])
-	})
-}
-
-func restartReadTime(res *RunSummary) time.Duration {
-	return fileOpTime(res, pablo.OpRead, func(f string) bool {
-		return f == prism.RestartFile
-	})
-}
-
 // oraclePool runs the loop's workload under every tiers-on rung of its
 // oracle ladders (the baseline is scored separately), in ladder order.
 func (loop advisorLoop) oraclePool(s *Suite) ([]oracleRow, error) {
@@ -97,7 +82,7 @@ func advisorLoops() []advisorLoop {
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.Ethylene("A") },
 			app:        ethC,
 			headline:   "quad_write_s",
-			opTime:     func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpWrite) },
+			opTime:     quadWrite,
 			oracle:     []string{"cachewhatif", "logtier"},
 		},
 		{
@@ -106,7 +91,7 @@ func advisorLoops() []advisorLoop {
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.Prism("A") },
 			app:        prismC,
 			headline:   "rst_read_s",
-			opTime:     restartReadTime,
+			opTime:     restartRead,
 			oracle:     []string{"cachewhatif", "clientcache", "logtier"},
 		},
 		{
@@ -115,7 +100,7 @@ func advisorLoops() []advisorLoop {
 			adviseFrom: func(s *Suite) (*core.Result, error) { return s.CarbonMonoxide() },
 			app:        coC,
 			headline:   "quad_read_s",
-			opTime:     func(res *RunSummary) time.Duration { return quadTime(res, pablo.OpRead) },
+			opTime:     quadRead,
 			oracle:     []string{"cachewhatif", "clientcache"},
 		},
 	}
@@ -173,13 +158,11 @@ func advisorExp(s *Suite) (*Artifact, error) {
 				{"oracle-best (" + best.label + ")", secs(best.t), fmt.Sprintf("%.2f", oracleSpeed), "100.0"},
 			})
 
-		paper[loop.id+"."+loop.headline] = baseT.Seconds()
-		measured[loop.id+"."+loop.headline] = advT.Seconds()
+		pair(paper, measured, loop.id+"."+loop.headline, inSecs(loop.opTime), base, advised)
 		measured[loop.id+".oracle_"+loop.headline] = best.t.Seconds()
 		// 'paper' 100 is the oracle bar, so the summary view shows how
 		// much of the oracle-best speedup the advice captured.
-		paper[loop.id+".pct_of_oracle"] = 100
-		measured[loop.id+".pct_of_oracle"] = pct
+		pair(paper, measured, loop.id+".pct_of_oracle", func(p float64) float64 { return p }, 100, pct)
 	}
 
 	return &Artifact{

@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
-	"time"
 
-	"paragonio/internal/apps"
-	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
-	"paragonio/internal/pablo"
 	"paragonio/internal/report"
 )
 
@@ -39,130 +34,45 @@ func cacheVariants() []variant {
 	}
 }
 
-// cacheRow is the measured shape of one (workload, variant) cell.
-type cacheRow struct {
-	variant  variant
-	exec     time.Duration
-	io       time.Duration
-	target   time.Duration // the workload's headline operation time
-	aux      time.Duration // secondary operation time (PRISM restart reads)
-	hitPct   float64
-	maxDirty int
-	stalls   uint64
-	raAcc    float64
-}
-
-func secs(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
-
 // cacheWhatIf runs the what-if sweep and renders both workloads' shapes.
 func cacheWhatIf(s *Suite) (*Artifact, error) {
 	variants := cacheVariants()
-
-	prismRows := make([]cacheRow, 0, len(variants))
-	for _, v := range variants {
-		res, err := s.underTiers(prismC, v.tiers)
-		if err != nil {
-			return nil, err
-		}
-		ct := res.Cache
-		prismRows = append(prismRows, cacheRow{
-			variant: v,
-			exec:    res.Exec,
-			io:      res.IO,
-			target: fileOpTime(res, pablo.OpWrite, func(f string) bool {
-				return f == prism.CheckpointFile
-			}),
-			aux:      restartReadTime(res),
-			hitPct:   100 * ct.HitRatio(),
-			maxDirty: ct.MaxDirty,
-			stalls:   ct.ForcedFlushStalls,
-			raAcc:    100 * ct.ReadAheadAccuracy(),
-		})
+	pr, err := s.ladder(variants, prismC)
+	if err != nil {
+		return nil, err
+	}
+	eth, err := s.ladder(variants, ethC)
+	if err != nil {
+		return nil, err
+	}
+	co, err := s.ladder(variants, coC)
+	if err != nil {
+		return nil, err
 	}
 
 	// The ESCAT headline op differs per problem: ethylene's tuning story
 	// is the staging writes; carbon monoxide restarts from staged data,
 	// so its I/O is dominated by the quadrature reload reads.
-	escatRows := func(op pablo.Op, a apps.Run) ([]cacheRow, error) {
-		rows := make([]cacheRow, 0, len(variants))
-		for _, v := range variants {
-			res, err := s.underTiers(a, v.tiers)
-			if err != nil {
-				return nil, err
-			}
-			ct := res.Cache
-			rows = append(rows, cacheRow{
-				variant:  v,
-				exec:     res.Exec,
-				io:       res.IO,
-				target:   quadTime(res, op),
-				hitPct:   100 * ct.HitRatio(),
-				maxDirty: ct.MaxDirty,
-				stalls:   ct.ForcedFlushStalls,
-				raAcc:    100 * ct.ReadAheadAccuracy(),
-			})
-		}
-		return rows, nil
-	}
-	ethRows, err := escatRows(pablo.OpWrite, ethC)
-	if err != nil {
-		return nil, err
-	}
-	coRows, err := escatRows(pablo.OpRead, coC)
-	if err != nil {
-		return nil, err
-	}
-
 	var b strings.Builder
-	rows := make([][]string, 0, len(prismRows))
-	for _, r := range prismRows {
-		rows = append(rows, []string{
-			r.variant.label, secs(r.exec), secs(r.io), secs(r.target), secs(r.aux),
-			fmt.Sprintf("%.1f", r.hitPct), fmt.Sprintf("%d", r.maxDirty),
-			fmt.Sprintf("%d", r.stalls), fmt.Sprintf("%.1f", r.raAcc),
-		})
-	}
-	report.Table(&b, "PRISM C checkpoint/restart under I/O-node caching",
-		[]string{"variant", "exec_s", "io_s", "chk_write_s", "rst_read_s",
-			"hit_%", "max_dirty", "stalls", "ra_acc_%"}, rows)
+	report.Columns(&b, "PRISM C checkpoint/restart under I/O-node caching", pr[0],
+		rungCols(ionodeCols, secsCol("chk_write_s", checkpointWrite), secsCol("rst_read_s", restartRead)))
 	b.WriteString("\n")
-
-	escatTable := func(title, targetCol string, src []cacheRow) {
-		rows = rows[:0]
-		for _, r := range src {
-			rows = append(rows, []string{
-				r.variant.label, secs(r.exec), secs(r.io), secs(r.target),
-				fmt.Sprintf("%.1f", r.hitPct), fmt.Sprintf("%d", r.maxDirty),
-				fmt.Sprintf("%d", r.stalls), fmt.Sprintf("%.1f", r.raAcc),
-			})
-		}
-		report.Table(&b, title,
-			[]string{"variant", "exec_s", "io_s", targetCol,
-				"hit_%", "max_dirty", "stalls", "ra_acc_%"}, rows)
-	}
-	escatTable("ESCAT C (ethylene) staging under I/O-node caching", "quad_write_s", ethRows)
+	report.Columns(&b, "ESCAT C (ethylene) staging under I/O-node caching", eth[0],
+		rungCols(ionodeCols, secsCol("quad_write_s", quadWrite)))
 	b.WriteString("\n")
-	escatTable("ESCAT C (carbon monoxide, 256 nodes) reload under I/O-node caching", "quad_read_s", coRows)
+	report.Columns(&b, "ESCAT C (carbon monoxide, 256 nodes) reload under I/O-node caching", co[0],
+		rungCols(ionodeCols, secsCol("quad_read_s", quadRead)))
 
-	base, best := prismRows[0], prismRows[len(prismRows)-1]
-	ethBase, ethBest := ethRows[0], ethRows[len(ethRows)-1]
-	coBase, coBest := coRows[0], coRows[len(coRows)-1]
-	paper := map[string]float64{
-		"prism.chk_write_s": base.target.Seconds(),
-		"prism.io_s":        base.io.Seconds(),
-		"eth.quad_write_s":  ethBase.target.Seconds(),
-		"eth.io_s":          ethBase.io.Seconds(),
-		"co.quad_read_s":    coBase.target.Seconds(),
-		"co.io_s":           coBase.io.Seconds(),
-	}
-	measured := map[string]float64{
-		"prism.chk_write_s": best.target.Seconds(),
-		"prism.io_s":        best.io.Seconds(),
-		"eth.quad_write_s":  ethBest.target.Seconds(),
-		"eth.io_s":          ethBest.io.Seconds(),
-		"co.quad_read_s":    coBest.target.Seconds(),
-		"co.io_s":           coBest.io.Seconds(),
-	}
+	paper, measured := map[string]float64{}, map[string]float64{}
+	base, best := ends(pr[0])
+	pair(paper, measured, "prism.chk_write_s", inSecs(checkpointWrite), base, best)
+	pair(paper, measured, "prism.io_s", inSecs(ioTime), base, best)
+	base, best = ends(eth[0])
+	pair(paper, measured, "eth.quad_write_s", inSecs(quadWrite), base, best)
+	pair(paper, measured, "eth.io_s", inSecs(ioTime), base, best)
+	base, best = ends(co[0])
+	pair(paper, measured, "co.quad_read_s", inSecs(quadRead), base, best)
+	pair(paper, measured, "co.io_s", inSecs(ioTime), base, best)
 	return &Artifact{
 		ID:       "cachewhatif",
 		Title:    "What-if: I/O-node buffer cache (write-behind / read-ahead)",

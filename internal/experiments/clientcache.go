@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
-	"paragonio/internal/apps/escat"
-	"paragonio/internal/apps/prism"
 	"paragonio/internal/cache"
-	"paragonio/internal/pablo"
 	"paragonio/internal/report"
 )
 
@@ -48,123 +44,32 @@ func clientVariants() []variant {
 	}
 }
 
-// clientRow is the measured shape of one (workload, variant) cell.
-type clientRow struct {
-	variant    variant
-	exec       time.Duration
-	io         time.Duration
-	target     time.Duration // headline op time (quad reload / restart read)
-	aux        time.Duration // secondary op time (quad staging / checkpoint writes)
-	hitPct     float64       // client-tier hit ratio
-	recalls    uint64
-	staleAv    uint64
-	expired    uint64
-	recallWait time.Duration
-	ionHitPct  float64 // I/O-node tier hit ratio ("both" rows)
-}
-
-func clientRowStrings(r clientRow) []string {
-	cols := []string{r.variant.label, secs(r.exec), secs(r.io), secs(r.target), secs(r.aux)}
-	if r.variant.tiers.Client != nil {
-		cols = append(cols,
-			fmt.Sprintf("%.1f", r.hitPct),
-			fmt.Sprintf("%d", r.recalls),
-			fmt.Sprintf("%d", r.staleAv),
-			fmt.Sprintf("%d", r.expired),
-			secs(r.recallWait))
-	} else {
-		cols = append(cols, "-", "-", "-", "-", "-")
-	}
-	if r.variant.tiers.IONode != nil {
-		cols = append(cols, fmt.Sprintf("%.1f", r.ionHitPct))
-	} else {
-		cols = append(cols, "-")
-	}
-	return cols
-}
-
 // clientCache runs the client-tier sweep over both workloads and
 // renders the comparison.
 func clientCache(s *Suite) (*Artifact, error) {
-	variants := clientVariants()
+	tables, err := s.ladder(clientVariants(), coC, prismC)
+	if err != nil {
+		return nil, err
+	}
+	co, pr := tables[0], tables[1]
 
-	measure := func(res *RunSummary, v variant,
-		target, aux func(file string) bool) clientRow {
-		cs := res.Client
-		return clientRow{
-			variant:    v,
-			exec:       res.Exec,
-			io:         res.IO,
-			target:     fileOpTime(res, pablo.OpRead, target),
-			aux:        fileOpTime(res, pablo.OpWrite, aux),
-			hitPct:     100 * cs.HitRatio(),
-			recalls:    cs.Recalls,
-			staleAv:    cs.StaleAverted,
-			expired:    cs.LeaseExpired,
-			recallWait: cs.RecallWait,
-			ionHitPct:  100 * res.Cache.HitRatio(),
-		}
-	}
-	quad := func(f string) bool {
-		return strings.HasPrefix(f, escat.QuadFile(0)[:len("escat/quad.")])
-	}
 	// Carbon monoxide restarts from staged data, so its writes are the
 	// phase-four result files, not quadrature staging.
-	out := func(f string) bool {
-		return strings.HasPrefix(f, escat.OutFile(0)[:len("escat/out.")])
-	}
-
-	coRows := make([]clientRow, 0, len(variants))
-	prismRows := make([]clientRow, 0, len(variants))
-	for _, v := range variants {
-		res, err := s.underTiers(coC, v.tiers)
-		if err != nil {
-			return nil, err
-		}
-		coRows = append(coRows, measure(res, v, quad, out))
-
-		res, err = s.underTiers(prismC, v.tiers)
-		if err != nil {
-			return nil, err
-		}
-		prismRows = append(prismRows, measure(res, v,
-			func(f string) bool { return f == prism.RestartFile },
-			func(f string) bool { return f == prism.CheckpointFile }))
-	}
-
 	var b strings.Builder
-	table := func(title, targetCol, auxCol string, src []clientRow) {
-		rows := make([][]string, 0, len(src))
-		for _, r := range src {
-			rows = append(rows, clientRowStrings(r))
-		}
-		report.Table(&b, title,
-			[]string{"variant", "exec_s", "io_s", targetCol, auxCol,
-				"c_hit_%", "recalls", "stale_av", "expired", "recall_wait_s",
-				"ion_hit_%"}, rows)
-	}
-	table("ESCAT C (carbon monoxide, 8 energy sweeps) reload re-reads under client caching",
-		"quad_read_s", "out_write_s", coRows)
+	report.Columns(&b, "ESCAT C (carbon monoxide, 8 energy sweeps) reload re-reads under client caching", co,
+		rungCols(clientCols, secsCol("quad_read_s", quadRead), secsCol("out_write_s", outWrite)))
 	b.WriteString("\n")
-	table("PRISM C checkpoint/restart under client caching",
-		"rst_read_s", "chk_write_s", prismRows)
+	report.Columns(&b, "PRISM C checkpoint/restart under client caching", pr,
+		rungCols(clientCols, secsCol("rst_read_s", restartRead), secsCol("chk_write_s", checkpointWrite)))
 
-	coBase, coBest := coRows[0], coRows[len(coRows)-1]
-	prBase, prBest := prismRows[0], prismRows[len(prismRows)-1]
-	paper := map[string]float64{
-		"co.quad_read_s":    coBase.target.Seconds(),
-		"co.io_s":           coBase.io.Seconds(),
-		"prism.rst_read_s":  prBase.target.Seconds(),
-		"prism.chk_write_s": prBase.aux.Seconds(),
-		"prism.io_s":        prBase.io.Seconds(),
-	}
-	measured := map[string]float64{
-		"co.quad_read_s":    coBest.target.Seconds(),
-		"co.io_s":           coBest.io.Seconds(),
-		"prism.rst_read_s":  prBest.target.Seconds(),
-		"prism.chk_write_s": prBest.aux.Seconds(),
-		"prism.io_s":        prBest.io.Seconds(),
-	}
+	paper, measured := map[string]float64{}, map[string]float64{}
+	base, best := ends(co)
+	pair(paper, measured, "co.quad_read_s", inSecs(quadRead), base, best)
+	pair(paper, measured, "co.io_s", inSecs(ioTime), base, best)
+	base, best = ends(pr)
+	pair(paper, measured, "prism.rst_read_s", inSecs(restartRead), base, best)
+	pair(paper, measured, "prism.chk_write_s", inSecs(checkpointWrite), base, best)
+	pair(paper, measured, "prism.io_s", inSecs(ioTime), base, best)
 	return &Artifact{
 		ID:       "clientcache",
 		Title:    "What-if: client cache tier with lease coherence",

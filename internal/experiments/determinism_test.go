@@ -60,10 +60,6 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelMatchesSerial runs the full experiment suite once
-// serially and once with a parallel worker pool on a fresh suite, and
-// requires identical artifacts: same text, metrics, and underlying trace
-// digests. This is the gate that lets iotables default to -j GOMAXPROCS.
 // TestPhaseStatsMatchesSliceByPhase checks the copy-free phase sums
 // against aggregating the copied sub-trace, for every phase of every
 // canonical run.
@@ -88,6 +84,12 @@ func TestPhaseStatsMatchesSliceByPhase(t *testing.T) {
 	}
 }
 
+// TestRunAllParallelMatchesSerial runs the full experiment suite once
+// serially and once with a parallel worker pool on a fresh suite, and
+// requires identical artifacts: same text, paper and measured metrics,
+// and underlying trace digests. This is the gate that lets iotables
+// default to -j GOMAXPROCS. Every paper key must also have a measured
+// value, or iotables -summary would print a phantom zero for it.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size paper workloads skipped in -short mode")
@@ -118,6 +120,14 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a.Measured, b.Measured) {
 			t.Errorf("%s: parallel metrics differ from serial", a.ID)
+		}
+		if !reflect.DeepEqual(a.Paper, b.Paper) {
+			t.Errorf("%s: parallel paper values differ from serial", a.ID)
+		}
+		for _, k := range a.MetricKeys() {
+			if _, ok := a.Measured[k]; !ok {
+				t.Errorf("%s: paper key %q has no measured value", a.ID, k)
+			}
 		}
 	}
 	for _, g := range goldenDigests {

@@ -14,7 +14,7 @@ import (
 // (internal/faults), one fault kind per ladder rung: a single failed
 // data drive in one RAID-3 array (parity reconstruction on every
 // request), an I/O-node crash with stripe failover to the ring
-// successor, an 8x straggler node, and a flapping client recalling every
+// successor, a 4x straggler node, and a flapping client recalling every
 // lease in the tier. Faults are scheduled DES events, so every degraded
 // run is exactly as deterministic as the healthy one (the pinned golden
 // digests live in faults_test.go).
@@ -78,22 +78,15 @@ func faultsExp(s *Suite) (*Artifact, error) {
 
 	// Shared keys: 'paper' holds the healthy machine (the only machine
 	// the paper ever measured), 'measured' the degraded runs.
-	paper := map[string]float64{
-		"wall_s":          healthy.Wall.Seconds(),
-		"wall_diskfail_s": healthy.Wall.Seconds(),
-		"wall_crash_s":    healthy.Wall.Seconds(),
-		"wall_strag_s":    healthy.Wall.Seconds(),
-		"degraded_reqs":   0,
-		"rerouted_reqs":   0,
-	}
-	measured := map[string]float64{
-		"wall_s":          healthy.Wall.Seconds(),
-		"wall_diskfail_s": disk.Wall.Seconds(),
-		"wall_crash_s":    crash.Wall.Seconds(),
-		"wall_strag_s":    strag.Wall.Seconds(),
-		"degraded_reqs":   float64(disk.Degraded),
-		"rerouted_reqs":   float64(crash.Rerouted),
-	}
+	paper, measured := map[string]float64{}, map[string]float64{}
+	pair(paper, measured, "wall_s", wall, healthy, healthy)
+	pair(paper, measured, "wall_diskfail_s", wall, healthy, disk)
+	pair(paper, measured, "wall_crash_s", wall, healthy, crash)
+	pair(paper, measured, "wall_strag_s", wall, healthy, strag)
+	pair(paper, measured, "degraded_reqs",
+		func(r *iobench.Result) float64 { return float64(r.Degraded) }, healthy, disk)
+	pair(paper, measured, "rerouted_reqs",
+		func(r *iobench.Result) float64 { return float64(r.Rerouted) }, healthy, crash)
 	return &Artifact{
 		ID:       "faults",
 		Title:    "Fault study: checkpoint workloads on a degraded machine",

@@ -7,6 +7,7 @@ import (
 
 	"paragonio/internal/iobench"
 	"paragonio/internal/pfs"
+	"paragonio/internal/report"
 )
 
 // The flushpolicy experiment is the ROADMAP flush-policy study: it pits
@@ -50,7 +51,7 @@ func kernelLadder(b *strings.Builder, id, title string, base iobench.Params) ([]
 	if err != nil {
 		return nil, err
 	}
-	return results, iobench.WriteTable(b, title, results, sw.Columns)
+	return results, report.Columns(b, title, results, sw.Columns)
 }
 
 // flushPolicy runs the ladder and renders the comparison.
@@ -76,18 +77,14 @@ func flushPolicy(s *Suite) (*Artifact, error) {
 
 	// Shared keys: 'paper' is the legacy high-water + idle policy,
 	// 'measured' the deadline policy, both at the lazy b=4 hw=75% shape.
-	paper := map[string]float64{
-		"stalls":           float64(hw.Cache.ForcedFlushStalls),
-		"flushes":          float64(hw.Cache.Flushes),
-		"deadline_flushes": float64(hw.Cache.DeadlineFlushes),
-		"wall_s":           hw.Wall.Seconds(),
-	}
-	measured := map[string]float64{
-		"stalls":           float64(dl.Cache.ForcedFlushStalls),
-		"flushes":          float64(dl.Cache.Flushes),
-		"deadline_flushes": float64(dl.Cache.DeadlineFlushes),
-		"wall_s":           dl.Wall.Seconds(),
-	}
+	paper, measured := map[string]float64{}, map[string]float64{}
+	pair(paper, measured, "stalls",
+		func(r *iobench.Result) float64 { return float64(r.Cache.ForcedFlushStalls) }, hw, dl)
+	pair(paper, measured, "flushes",
+		func(r *iobench.Result) float64 { return float64(r.Cache.Flushes) }, hw, dl)
+	pair(paper, measured, "deadline_flushes",
+		func(r *iobench.Result) float64 { return float64(r.Cache.DeadlineFlushes) }, hw, dl)
+	pair(paper, measured, "wall_s", wall, hw, dl)
 	return &Artifact{
 		ID:       "flushpolicy",
 		Title:    "Flush-policy study: high-water + idle vs deadline write-behind",

@@ -6,7 +6,6 @@ import (
 
 	"paragonio/internal/cache"
 	"paragonio/internal/iobench"
-	"paragonio/internal/pablo"
 )
 
 // The logtier experiment races the third tier — the per-compute-node
@@ -20,7 +19,8 @@ import (
 // scored against a search space that includes the new tier.
 
 // logOnTiers is the canonical log-tier-only configuration: every knob
-// at its default (8 MB capacity, 1 MB segments, 50 ms drain deadline).
+// at its default (8 MB capacity, 8-record drain batches, 50 ms drain
+// deadline).
 // The golden-digest tests run the paper workloads under it.
 func logOnTiers() cache.Tiers {
 	return cache.Tiers{Log: &cache.LogConfig{}}
@@ -97,49 +97,33 @@ func logTierExp(s *Suite) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	ethLogRd := quadTime(ethLog, pablo.OpRead)
-	ethWBRd := quadTime(ethWB, pablo.OpRead)
-	ethLogWr := quadTime(ethLog, pablo.OpWrite)
-	prismLogRd := restartReadTime(prismLog)
-	prismWBRd := restartReadTime(prismWB)
 
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "Read-back at application scale (a log absorbs writes, it cannot serve reads):\n")
 	fmt.Fprintf(&b, "  ESCAT eth C quad writes: %s s under the log alone (write-behind 32 MB: %s s)\n",
-		secs(ethLogWr), secs(quadTime(ethWB, pablo.OpWrite)))
+		secs(quadWrite(ethLog)), secs(quadWrite(ethWB)))
 	fmt.Fprintf(&b, "  ESCAT eth C quad reads:  %s s under the log alone vs %s s under write-behind 32 MB\n",
-		secs(ethLogRd), secs(ethWBRd))
+		secs(quadRead(ethLog)), secs(quadRead(ethWB)))
 	fmt.Fprintf(&b, "  PRISM C restart read:    %s s under the log alone vs %s s under write-behind 32 MB\n",
-		secs(prismLogRd), secs(prismWBRd))
+		secs(restartRead(prismLog)), secs(restartRead(prismWB)))
 
 	// 'paper' holds the no-cache machine (the only one the paper
 	// measured); 'measured' the log-tier ladder. The read-back keys
 	// carry the honest negative: 'paper' is the write-behind time the
 	// log fails to match, 'measured' the log-alone time.
-	paper := map[string]float64{
-		"chk.wall_s":        chk.off.Wall.Seconds(),
-		"chk.wall_wb_s":     chk.off.Wall.Seconds(),
-		"chk.wall_logion_s": chk.off.Wall.Seconds(),
-		"stg.wall_s":        stg.off.Wall.Seconds(),
-		"stg.wall_wb_s":     stg.off.Wall.Seconds(),
-		"stg.wall_logion_s": stg.off.Wall.Seconds(),
-		"chk.appends":       0,
-		"chk.bp_stalls":     0,
-		"eth.quad_read_s":   ethWBRd.Seconds(),
-		"prism.rst_read_s":  prismWBRd.Seconds(),
-	}
-	measured := map[string]float64{
-		"chk.wall_s":        chk.log.Wall.Seconds(),
-		"chk.wall_wb_s":     chk.wb.Wall.Seconds(),
-		"chk.wall_logion_s": chk.logion.Wall.Seconds(),
-		"stg.wall_s":        stg.log.Wall.Seconds(),
-		"stg.wall_wb_s":     stg.wb.Wall.Seconds(),
-		"stg.wall_logion_s": stg.logion.Wall.Seconds(),
-		"chk.appends":       float64(chk.log.Log.Appends),
-		"chk.bp_stalls":     float64(chk.log.Log.AppendStalls),
-		"eth.quad_read_s":   ethLogRd.Seconds(),
-		"prism.rst_read_s":  prismLogRd.Seconds(),
-	}
+	paper, measured := map[string]float64{}, map[string]float64{}
+	pair(paper, measured, "chk.wall_s", wall, chk.off, chk.log)
+	pair(paper, measured, "chk.wall_wb_s", wall, chk.off, chk.wb)
+	pair(paper, measured, "chk.wall_logion_s", wall, chk.off, chk.logion)
+	pair(paper, measured, "stg.wall_s", wall, stg.off, stg.log)
+	pair(paper, measured, "stg.wall_wb_s", wall, stg.off, stg.wb)
+	pair(paper, measured, "stg.wall_logion_s", wall, stg.off, stg.logion)
+	pair(paper, measured, "chk.appends",
+		func(r *iobench.Result) float64 { return float64(r.Log.Appends) }, chk.off, chk.log)
+	pair(paper, measured, "chk.bp_stalls",
+		func(r *iobench.Result) float64 { return float64(r.Log.AppendStalls) }, chk.off, chk.log)
+	pair(paper, measured, "eth.quad_read_s", inSecs(quadRead), ethWB, ethLog)
+	pair(paper, measured, "prism.rst_read_s", inSecs(restartRead), prismWB, prismLog)
 	return &Artifact{
 		ID:       "logtier",
 		Title:    "Log tier study: host-side burst buffer vs server write-behind",

@@ -249,18 +249,6 @@ func TestSweepIONodesImproves(t *testing.T) {
 	}
 }
 
-func TestWriteTable(t *testing.T) {
-	rs := sweep(t, "modes", small(StridedReload, 0))
-	var b strings.Builder
-	if err := WriteTable(&b, "reload", rs, standardCols); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "M_ASYNC") || !strings.Contains(out, "MB/s") {
-		t.Fatalf("table missing content:\n%s", out)
-	}
-}
-
 func TestDeterministicResults(t *testing.T) {
 	a, err := Run(small(StagingWrite, pfs.MUnix))
 	if err != nil {

@@ -3,7 +3,6 @@ package iobench
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -37,10 +36,7 @@ type Rung struct {
 
 // Column is one column of a sweep table: its header and how a result
 // renders in it.
-type Column struct {
-	Head string
-	Cell func(*Result) string
-}
+type Column = report.Column[*Result]
 
 // Sweep is one registered ladder: the id `iobench -sweep` names it by,
 // the rungs it walks from a base configuration, and the columns of its
@@ -197,23 +193,6 @@ func adviseSweep(base Params) ([]*Result, error) {
 	return []*Result{baseRes, advRes}, nil
 }
 
-// WriteTable renders results as an aligned table: one row per result,
-// one column per cols entry.
-func WriteTable(w io.Writer, title string, results []*Result, cols []Column) error {
-	heads := make([]string, len(cols))
-	for i, c := range cols {
-		heads[i] = c.Head
-	}
-	rows := make([][]string, len(results))
-	for i, r := range results {
-		rows[i] = make([]string, len(cols))
-		for j, c := range cols {
-			rows[i][j] = c.Cell(r)
-		}
-	}
-	return report.Table(w, title, heads, rows)
-}
-
 // FindRungs returns the results labelled with labels, in argument order;
 // it fails on the first label no result carries.
 func FindRungs(results []*Result, labels ...string) ([]*Result, error) {
@@ -233,29 +212,29 @@ func FindRungs(results []*Result, labels ...string) ([]*Result, error) {
 }
 
 func seconds(head string, f func(*Result) time.Duration) Column {
-	return Column{head, func(r *Result) string { return fmt.Sprintf("%.3f", f(r).Seconds()) }}
+	return Column{Head: head, Cell: func(r *Result) string { return fmt.Sprintf("%.3f", f(r).Seconds()) }}
 }
 
 func millis(head string, f func(*Result) time.Duration) Column {
-	return Column{head, func(r *Result) string { return fmt.Sprintf("%.2f", f(r).Seconds()*1000) }}
+	return Column{Head: head, Cell: func(r *Result) string { return fmt.Sprintf("%.2f", f(r).Seconds()*1000) }}
 }
 
 func count[T int | uint64](head string, f func(*Result) T) Column {
-	return Column{head, func(r *Result) string { return fmt.Sprintf("%d", f(r)) }}
+	return Column{Head: head, Cell: func(r *Result) string { return fmt.Sprintf("%d", f(r)) }}
 }
 
 // The columns every table shares.
 var (
-	configCol = Column{"config", func(r *Result) string { return r.Label }}
+	configCol = Column{Head: "config", Cell: func(r *Result) string { return r.Label }}
 	wallCol   = seconds("wall (s)", func(r *Result) time.Duration { return r.Wall })
-	mbsCol    = Column{"MB/s", func(r *Result) string { return fmt.Sprintf("%.2f", r.BandwidthMBs()) }}
+	mbsCol    = Column{Head: "MB/s", Cell: func(r *Result) string { return fmt.Sprintf("%.2f", r.BandwidthMBs()) }}
 	p95Col    = millis("p95 (ms)", func(r *Result) time.Duration { return r.P95Op })
 )
 
 // standardCols is the table of ladders without counters of their own.
 var standardCols = []Column{configCol, wallCol, mbsCol,
 	count("ops", func(r *Result) int { return r.Ops }),
-	{"mean op (ms)", func(r *Result) string { return fmt.Sprintf("%.2f", r.MeanOpMillis()) }},
+	{Head: "mean op (ms)", Cell: func(r *Result) string { return fmt.Sprintf("%.2f", r.MeanOpMillis()) }},
 	millis("p50 (ms)", func(r *Result) time.Duration { return r.P50Op }),
 	p95Col,
 }

@@ -71,6 +71,30 @@ func Table(w io.Writer, title string, headers []string, rows [][]string) error {
 	return nil
 }
 
+// Column is one column of a table whose rows are values of type T: its
+// header and how a row renders in it.
+type Column[T any] struct {
+	Head string
+	Cell func(T) string
+}
+
+// Columns renders rows as an aligned table: one line per row, one cell
+// per cols entry.
+func Columns[T any](w io.Writer, title string, rows []T, cols []Column[T]) error {
+	heads := make([]string, len(cols))
+	for i, c := range cols {
+		heads[i] = c.Head
+	}
+	cells := make([][]string, len(rows))
+	for i, r := range rows {
+		cells[i] = make([]string, len(cols))
+		for j, c := range cols {
+			cells[i][j] = c.Cell(r)
+		}
+	}
+	return Table(w, title, heads, cells)
+}
+
 // CSV writes headers and rows as comma-separated values, quoting cells
 // that contain commas, quotes, or newlines.
 func CSV(w io.Writer, headers []string, rows [][]string) error {
