@@ -15,6 +15,9 @@
 //	iotrace advise   trace.sddf              # file-system policy advice
 //	iotrace replay   trace.sddf [-ionodes 32] [-gaps]    # replay on another machine
 //	iotrace csv      trace.sddf              # events as CSV
+//
+// windows and regions refuse a width that would need more than 65,536
+// summaries; the error names the smallest width that fits.
 package main
 
 import (
@@ -138,27 +141,13 @@ func cdf(tr *pablo.Trace, opName string) error {
 	if c.Ops.Empty() {
 		return fmt.Errorf("no %s events with data", op)
 	}
-	toSeries := func(name string, glyph rune, pts []struct{ X, F float64 }) report.Series {
-		s := report.Series{Name: name, Glyph: glyph, Line: true}
-		for _, p := range pts {
-			s.Points = append(s.Points, report.Point{X: p.X, Y: p.F})
-		}
-		return s
-	}
-	var opsPts, dataPts []struct{ X, F float64 }
-	for _, p := range c.Ops.Points() {
-		opsPts = append(opsPts, struct{ X, F float64 }{p.X, p.F})
-	}
-	for _, p := range c.Data.Points() {
-		dataPts = append(dataPts, struct{ X, F float64 }{p.X, p.F})
-	}
 	plot := report.Plot{
 		Title:  fmt.Sprintf("CDF of %s request sizes", op),
 		XLabel: "bytes", YLabel: "CDF", XLog: true, Width: 72, Height: 18,
 	}
 	return plot.Render(os.Stdout, []report.Series{
-		toSeries("fraction of requests", 'r', opsPts),
-		toSeries("fraction of data", 'd', dataPts),
+		analysis.CDFSeries("fraction of requests", 'r', c.Ops),
+		analysis.CDFSeries("fraction of data", 'd', c.Data),
 	})
 }
 
@@ -178,23 +167,22 @@ func timeline(tr *pablo.Trace, opName string) error {
 	if len(pts) == 0 {
 		return fmt.Errorf("no %s events", op)
 	}
-	s := report.Series{Name: op.String(), Glyph: '*'}
-	for _, p := range pts {
-		s.Points = append(s.Points, report.Point{X: p.T.Seconds(), Y: p.V})
-	}
 	plot := report.Plot{
 		Title:  fmt.Sprintf("%s over execution time", op),
 		XLabel: "execution time (s)", YLabel: yLabel, YLog: yLabel == "bytes",
 		Width: 72, Height: 16,
 	}
-	return plot.Render(os.Stdout, []report.Series{s})
+	return plot.Render(os.Stdout, []report.Series{analysis.TimelineSeries(op.String(), '*', pts)})
 }
 
 func windows(tr *pablo.Trace, width time.Duration) error {
 	if width <= 0 {
 		return fmt.Errorf("window width must be positive")
 	}
-	ws := pablo.TimeWindows(tr, width)
+	ws, err := pablo.TimeWindows(tr, width)
+	if err != nil {
+		return err
+	}
 	var rows [][]string
 	for _, w := range ws {
 		if w.TotalCount() == 0 {
@@ -259,7 +247,10 @@ func regions(tr *pablo.Trace, file string, width int64) error {
 	if width <= 0 {
 		return fmt.Errorf("regions: -rwidth must be positive")
 	}
-	rs := pablo.FileRegions(tr, file, width)
+	rs, err := pablo.FileRegions(tr, file, width)
+	if err != nil {
+		return fmt.Errorf("regions: %w", err)
+	}
 	if rs == nil {
 		return fmt.Errorf("regions: no spatial activity on %q", file)
 	}

@@ -33,11 +33,7 @@ func main() {
 
 	// The write timeline: small measurement/history/statistics writes as
 	// a continuous band, with %d-record checkpoint bursts above them.
-	pts := analysis.SizeTimeline(res.Trace, pablo.OpWrite)
-	series := report.Series{Name: "writes", Glyph: 'w'}
-	for _, p := range pts {
-		series.Points = append(series.Points, report.Point{X: p.T.Seconds(), Y: p.V})
-	}
+	series := analysis.TimelineSeries("writes", 'w', analysis.SizeTimeline(res.Trace, pablo.OpWrite))
 	plot := report.Plot{
 		Title:  "Write sizes over execution time (the paper's Figure 9)",
 		XLabel: "execution time (s)", YLabel: "bytes", YLog: true,
@@ -68,7 +64,10 @@ func main() {
 	// Zoom into the window around the third checkpoint with Pablo's
 	// time-window summaries.
 	fmt.Println()
-	ws := pablo.TimeWindows(res.Trace, 100*time.Second)
+	ws, err := pablo.TimeWindows(res.Trace, 100*time.Second)
+	if err != nil {
+		log.Fatal(err)
+	}
 	rows = rows[:0]
 	for _, w := range ws {
 		if w.Count[pablo.OpWrite] == 0 {

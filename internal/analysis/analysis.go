@@ -2,7 +2,8 @@
 // reports: request-size CDFs paired with data-volume CDFs (Figures 2 and
 // 7), temporal size/duration series (Figures 3, 4, 5, 8, 9), aggregate
 // per-operation I/O time shares (Tables 2 and 5), and percent-of-
-// execution-time attributions (Table 3).
+// execution-time attributions (Table 3). TimelineSeries and CDFSeries
+// turn the timelines and CDF curves into the series report.Plot draws.
 package analysis
 
 import (
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"paragonio/internal/pablo"
+	"paragonio/internal/report"
 	"paragonio/internal/stats"
 )
 
@@ -72,6 +74,27 @@ func DurationTimeline(t *pablo.Trace, op pablo.Op) []TimelinePoint {
 	var out []TimelinePoint
 	for _, ev := range t.ByOp(op) {
 		out = append(out, TimelinePoint{T: ev.Start, V: ev.Duration.Seconds(), Node: int(ev.Node)})
+	}
+	return out
+}
+
+// TimelineSeries converts timeline points to a scatter series with
+// execution time in seconds on x.
+func TimelineSeries(name string, glyph rune, pts []TimelinePoint) report.Series {
+	out := report.Series{Name: name, Glyph: glyph, Points: make([]report.Point, len(pts))}
+	for i, p := range pts {
+		out.Points[i] = report.Point{X: p.T.Seconds(), Y: p.V}
+	}
+	return out
+}
+
+// CDFSeries converts one curve of a SizeCDF (its Ops or its Data) to a
+// step-line series.
+func CDFSeries(name string, glyph rune, c stats.CDF) report.Series {
+	pts := c.Points()
+	out := report.Series{Name: name, Glyph: glyph, Line: true, Points: make([]report.Point, len(pts))}
+	for i, p := range pts {
+		out.Points[i] = report.Point{X: p.X, Y: p.F}
 	}
 	return out
 }

@@ -2,10 +2,13 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"paragonio/internal/pablo"
+	"paragonio/internal/report"
+	"paragonio/internal/stats"
 )
 
 func mkEv(op pablo.Op, size int64, start, dur time.Duration) pablo.Event {
@@ -69,6 +72,32 @@ func TestDurationTimeline(t *testing.T) {
 	pts := DurationTimeline(tr, pablo.OpSeek)
 	if len(pts) != 1 || !near(pts[0].V, 8) {
 		t.Fatalf("pts = %+v", pts)
+	}
+}
+
+// TestPlotSeries: the timeline converter puts seconds on x and the value
+// on y as a scatter; the CDF converter draws one curve as a step line.
+func TestPlotSeries(t *testing.T) {
+	tl := TimelineSeries("version C", 'c', []TimelinePoint{{T: 1500 * time.Millisecond, V: 4096}})
+	want := report.Series{Name: "version C", Glyph: 'c', Points: []report.Point{{X: 1.5, Y: 4096}}}
+	if !reflect.DeepEqual(tl, want) {
+		t.Fatalf("TimelineSeries = %+v, want %+v", tl, want)
+	}
+	tr := pablo.NewTrace()
+	tr.Record(mkEv(pablo.OpRead, 100, 0, time.Millisecond))
+	tr.Record(mkEv(pablo.OpRead, 300, 0, time.Millisecond))
+	c := SizeCDFOf(tr, pablo.OpRead)
+	for _, tc := range []struct {
+		curve stats.CDF
+		want  []report.Point
+	}{
+		{c.Ops, []report.Point{{X: 100, Y: 0.5}, {X: 300, Y: 1}}},
+		{c.Data, []report.Point{{X: 100, Y: 0.25}, {X: 300, Y: 1}}},
+	} {
+		s := CDFSeries("reads", 'r', tc.curve)
+		if !s.Line || s.Glyph != 'r' || !reflect.DeepEqual(s.Points, tc.want) {
+			t.Fatalf("CDFSeries = %+v, want a step line through %v", s, tc.want)
+		}
 	}
 }
 

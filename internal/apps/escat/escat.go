@@ -256,34 +256,21 @@ func PaperVersions() []Version {
 	return []Version{VersionA(), VersionB(), VersionC()}
 }
 
-// ModeTableRow describes one phase's node activity and access mode —
-// a row of the paper's Table 1.
-type ModeTableRow struct {
-	Phase    string
-	Activity string
-	Mode     string
-}
-
-// ModeTable returns this version's Table 1 column.
-func (v Version) ModeTable() []ModeTableRow {
-	rows := make([]ModeTableRow, 0, 4)
-	if v.Phase1AllNodes {
-		rows = append(rows, ModeTableRow{"Phase One", "All Nodes", "M_UNIX"})
-	} else {
-		rows = append(rows, ModeTableRow{"Phase One", "Node zero", "M_UNIX"})
+// ModeTable returns this version's Table 1 column. A phase not done by
+// all nodes is done by node zero in M_UNIX.
+func (v Version) ModeTable() []workload.ModeRow {
+	row := func(phase string, all bool, mode string) workload.ModeRow {
+		if all {
+			return workload.ModeRow{Phase: phase, Activity: "All Nodes", Mode: mode}
+		}
+		return workload.ModeRow{Phase: phase, Activity: "Node zero", Mode: "M_UNIX"}
 	}
-	if v.Phase2AllNodes {
-		rows = append(rows, ModeTableRow{"Phase Two", "All Nodes", v.Phase2Mode.String()})
-	} else {
-		rows = append(rows, ModeTableRow{"Phase Two", "Node zero", "M_UNIX"})
+	return []workload.ModeRow{
+		row("Phase One", v.Phase1AllNodes, "M_UNIX"),
+		row("Phase Two", v.Phase2AllNodes, v.Phase2Mode.String()),
+		row("Phase Three", v.Phase3Record, "M_RECORD"),
+		row("Phase Four", false, ""),
 	}
-	if v.Phase3Record {
-		rows = append(rows, ModeTableRow{"Phase Three", "All Nodes", "M_RECORD"})
-	} else {
-		rows = append(rows, ModeTableRow{"Phase Three", "Node zero", "M_UNIX"})
-	}
-	rows = append(rows, ModeTableRow{"Phase Four", "Node zero", "M_UNIX"})
-	return rows
 }
 
 // InputBytesPerFile returns the expected bytes in one input file (the

@@ -207,16 +207,8 @@ func PaperVersions() []Version {
 	return []Version{VersionA(), VersionB(), VersionC()}
 }
 
-// ModeTableRow is one row of the paper's Table 4.
-type ModeTableRow struct {
-	Phase    string
-	Activity string
-	Mode     string
-}
-
 // ModeTable returns this version's Table 4 column.
-func (v Version) ModeTable() []ModeTableRow {
-	var rows []ModeTableRow
+func (v Version) ModeTable() []workload.ModeRow {
 	pmode := "P: M_UNIX"
 	cmode := "C: M_UNIX"
 	if v.ParamsGlobal {
@@ -232,14 +224,15 @@ func (v Version) ModeTable() []ModeTableRow {
 	case RestartAsyncUnbuffered:
 		rmode = "R: M_ASYNC"
 	}
-	rows = append(rows, ModeTableRow{"Phase One", "All Nodes", pmode + "; " + rmode + "; " + cmode})
-	rows = append(rows, ModeTableRow{"Phase Two", "Node Zero", "M_UNIX"})
+	field := workload.ModeRow{Phase: "Phase Three", Activity: "Node Zero", Mode: "M_UNIX"}
 	if v.FieldAll {
-		rows = append(rows, ModeTableRow{"Phase Three", "All Nodes", "M_ASYNC"})
-	} else {
-		rows = append(rows, ModeTableRow{"Phase Three", "Node Zero", "M_UNIX"})
+		field = workload.ModeRow{Phase: "Phase Three", Activity: "All Nodes", Mode: "M_ASYNC"}
 	}
-	return rows
+	return []workload.ModeRow{
+		{Phase: "Phase One", Activity: "All Nodes", Mode: pmode + "; " + rmode + "; " + cmode},
+		{Phase: "Phase Two", Activity: "Node Zero", Mode: "M_UNIX"},
+		field,
+	}
 }
 
 // Run executes the dataset under the given version on the platform cfg

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -229,11 +230,33 @@ func TestFigure9Checkpoints(t *testing.T) {
 	}
 }
 
+// TestArtifactsRenderPlots: every plotted figure renders a plot, and
+// each timeline figure renders one plot per version it names, titled
+// "..., version X" and marked with the version's lower-case letter.
 func TestArtifactsRenderPlots(t *testing.T) {
-	for _, id := range []string{"figure2", "figure9"} {
+	timelines := map[string][]string{
+		"figure3": {"A", "C"}, "figure4": {"A", "C"}, "figure5": {"B", "C"},
+		"figure8": {"A", "B", "C"}, "figure9": {"C"},
+	}
+	for _, id := range []string{"figure2", "figure3", "figure4", "figure5", "figure7", "figure8", "figure9"} {
 		art := runExp(t, id)
 		if !strings.Contains(art.Text, "|") || !strings.Contains(art.Text, "+--") {
 			t.Errorf("%s text does not contain a rendered plot", id)
+		}
+		versions, ok := timelines[id]
+		if !ok {
+			continue
+		}
+		if n := strings.Count(art.Text, "+--"); n != len(versions) {
+			t.Errorf("%s renders %d plots, want one for each of versions %v", id, n, versions)
+		}
+		for _, v := range versions {
+			title := regexp.MustCompile(`(?m)^Figure \d: .*, version ` + v + `$`)
+			legend := strings.ToLower(v) + " = version " + v
+			if n := len(title.FindAllString(art.Text, -1)); n != 1 || strings.Count(art.Text, legend) != 1 {
+				t.Errorf("%s: %d plots titled for version %s, legend %q found %d times; want one each",
+					id, n, v, legend, strings.Count(art.Text, legend))
+			}
 		}
 	}
 }

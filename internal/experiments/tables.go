@@ -11,6 +11,7 @@ import (
 	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 	"paragonio/internal/report"
+	"paragonio/internal/workload"
 )
 
 // paperTable2 holds the paper's Table 2 values: ESCAT % of total I/O
@@ -53,245 +54,178 @@ func comparisonTable(title string, paper, measured map[string]float64) string {
 	return b.String()
 }
 
-// sharesFor extracts per-op percentages keyed "<prefix>.<op>".
-func sharesFor(prefix string, shares []analysis.OpShare, into map[string]float64) {
-	for _, sh := range shares {
-		if sh.Count > 0 || sh.Percent > 0 {
-			into[prefix+"."+sh.Op.String()] = sh.Percent
+// shareCol is one run's column of a per-operation share table: its
+// header, the prefix of its measured keys, and the run.
+type shareCol struct {
+	header, prefix string
+	res            *core.Result
+}
+
+// shareTable fills a's Text and Measured for Tables 2, 3 and 5: each
+// column's share of I/O time per operation, or with nodeShare, its
+// share of summed node time (exec x nodes) plus the All I/O row (Table
+// 3's accounting). Measured keys are "<prefix>.<op>" for each operation
+// that occurs, and "<prefix>.allio" with nodeShare.
+func shareTable(a *Artifact, title string, cols []shareCol, nodeShare bool) *Artifact {
+	a.Measured = map[string]float64{}
+	shares := make([][]analysis.OpShare, len(cols))
+	allRow := []string{"All I/O"}
+	headers := []string{"Operation"}
+	for i, c := range cols {
+		headers = append(headers, c.header)
+		if nodeShare {
+			var all float64
+			shares[i], all = analysis.ExecTimeShares(c.res.Trace, c.res.Exec*time.Duration(c.res.Nodes))
+			a.Measured[c.prefix+".allio"] = all
+			allRow = append(allRow, fmt.Sprintf("%.2f", all))
+		} else {
+			shares[i] = analysis.IOTimeShares(c.res.Trace)
+		}
+		for _, sh := range shares[i] {
+			if sh.Count > 0 || sh.Percent > 0 {
+				a.Measured[c.prefix+"."+sh.Op.String()] = sh.Percent
+			}
 		}
 	}
+	// Both share functions return one row per operation, in
+	// pablo.Ops() order.
+	var rows [][]string
+	for r, op := range pablo.Ops() {
+		row := []string{op.String()}
+		for i := range cols {
+			row = append(row, fmt.Sprintf("%.2f", shares[i][r].Percent))
+		}
+		rows = append(rows, row)
+	}
+	if nodeShare {
+		rows = append(rows, allRow)
+	}
+	var b strings.Builder
+	report.Table(&b, title, headers, rows)
+	b.WriteString("\n")
+	b.WriteString(comparisonTable("paper vs measured", a.Paper, a.Measured))
+	a.Text = b.String()
+	return a
+}
+
+// modeCol is one version's column pair of a mode table.
+type modeCol struct {
+	id, header string
+	rows       []workload.ModeRow
+}
+
+// modeTable fills a's Text, Paper, Measured and Notes for Tables 1 and
+// 4: an activity and mode column per version, checked structurally
+// against want, the paper's "activity/mode" cell keyed "<id>.p<phase>".
+func modeTable(a *Artifact, title string, cols []modeCol, want map[string]string) *Artifact {
+	headers := []string{"Phase"}
+	for _, c := range cols {
+		headers = append(headers, c.header, "mode")
+	}
+	a.Paper, a.Measured = map[string]float64{}, map[string]float64{}
+	var rows [][]string
+	for r := range cols[0].rows {
+		row := []string{cols[0].rows[r].Phase}
+		for _, c := range cols {
+			m := c.rows[r]
+			row = append(row, m.Activity, m.Mode)
+			// Structural check encoded numerically: 1 if the cell
+			// matches the paper's.
+			key := fmt.Sprintf("%s.p%d", c.id, r+1)
+			a.Paper[key] = 1
+			if want[key] == m.Activity+"/"+m.Mode {
+				a.Measured[key] = 1
+			}
+		}
+		rows = append(rows, row)
+	}
+	var b strings.Builder
+	report.Table(&b, title, headers, rows)
+	a.Text = b.String()
+	a.Notes = "structural: 1 = phase's activity/mode matches the paper cell"
+	return a
 }
 
 // table1 renders the ESCAT mode table; it is a configuration artifact,
 // checked structurally (modes per phase/version) rather than numerically.
 func table1(s *Suite) (*Artifact, error) {
-	var b strings.Builder
-	versions := escat.PaperVersions()
-	headers := []string{"Phase"}
-	for _, v := range versions {
-		headers = append(headers, fmt.Sprintf("%s (%s) activity", v.ID, v.OS), "mode")
+	var cols []modeCol
+	for _, v := range escat.PaperVersions() {
+		cols = append(cols, modeCol{v.ID, fmt.Sprintf("%s (%s) activity", v.ID, v.OS), v.ModeTable()})
 	}
-	tables := make([][]escat.ModeTableRow, len(versions))
-	for i, v := range versions {
-		tables[i] = v.ModeTable()
-	}
-	var rows [][]string
-	for r := range tables[0] {
-		row := []string{tables[0][r].Phase}
-		for i := range versions {
-			row = append(row, tables[i][r].Activity, tables[i][r].Mode)
-		}
-		rows = append(rows, row)
-	}
-	report.Table(&b, "Table 1: node activity and file access modes (ESCAT)", headers, rows)
-
-	// Structural check encoded numerically: 1 if the mode matches the
-	// paper's cell.
-	want := map[string]string{
-		"A.p1": "All Nodes/M_UNIX", "A.p2": "Node zero/M_UNIX", "A.p3": "Node zero/M_UNIX", "A.p4": "Node zero/M_UNIX",
-		"B.p1": "Node zero/M_UNIX", "B.p2": "All Nodes/M_UNIX", "B.p3": "All Nodes/M_RECORD", "B.p4": "Node zero/M_UNIX",
-		"C.p1": "Node zero/M_UNIX", "C.p2": "All Nodes/M_ASYNC", "C.p3": "All Nodes/M_RECORD", "C.p4": "Node zero/M_UNIX",
-	}
-	paper := map[string]float64{}
-	meas := map[string]float64{}
-	for i, v := range versions {
-		for r, row := range tables[i] {
-			key := fmt.Sprintf("%s.p%d", v.ID, r+1)
-			paper[key] = 1
-			if want[key] == row.Activity+"/"+row.Mode {
-				meas[key] = 1
-			}
-		}
-	}
-	return &Artifact{
-		ID: "table1", Title: "Table 1 (ESCAT modes)",
-		Text:  b.String(),
-		Paper: paper, Measured: meas,
-		Notes: "structural: 1 = phase's activity/mode matches the paper cell",
-	}, nil
+	return modeTable(&Artifact{ID: "table1", Title: "Table 1 (ESCAT modes)"},
+		"Table 1: node activity and file access modes (ESCAT)", cols, map[string]string{
+			"A.p1": "All Nodes/M_UNIX", "A.p2": "Node zero/M_UNIX", "A.p3": "Node zero/M_UNIX", "A.p4": "Node zero/M_UNIX",
+			"B.p1": "Node zero/M_UNIX", "B.p2": "All Nodes/M_UNIX", "B.p3": "All Nodes/M_RECORD", "B.p4": "Node zero/M_UNIX",
+			"C.p1": "Node zero/M_UNIX", "C.p2": "All Nodes/M_ASYNC", "C.p3": "All Nodes/M_RECORD", "C.p4": "Node zero/M_UNIX",
+		}), nil
 }
 
 func table2(s *Suite) (*Artifact, error) {
-	measured := map[string]float64{}
-	var b strings.Builder
-	var rows [][]string
-	byVersion := map[string][]analysis.OpShare{}
+	var cols []shareCol
 	for _, id := range []string{"A", "B", "C"} {
 		res, err := s.Ethylene(id)
 		if err != nil {
 			return nil, err
 		}
-		shares := analysis.IOTimeShares(res.Trace)
-		byVersion[id] = shares
-		sharesFor(id, shares, measured)
+		cols = append(cols, shareCol{id, id, res})
 	}
-	for _, op := range pablo.Ops() {
-		row := []string{op.String()}
-		for _, id := range []string{"A", "B", "C"} {
-			var pct float64
-			for _, sh := range byVersion[id] {
-				if sh.Op == op {
-					pct = sh.Percent
-				}
-			}
-			row = append(row, fmt.Sprintf("%.2f", pct))
-		}
-		rows = append(rows, row)
-	}
-	report.Table(&b, "Table 2: aggregate I/O time by operation, % (ESCAT ethylene)",
-		[]string{"Operation", "A", "B", "C"}, rows)
-	b.WriteString("\n")
-	b.WriteString(comparisonTable("paper vs measured", paperTable2, measured))
-	return &Artifact{
-		ID: "table2", Title: "Table 2 (ESCAT I/O time shares)",
-		Text: b.String(), Paper: paperTable2, Measured: measured,
+	return shareTable(&Artifact{
+		ID: "table2", Title: "Table 2 (ESCAT I/O time shares)", Paper: paperTable2,
 		Notes: "B's seek/write split reproduces with write slightly high; dominance ordering matches",
-	}, nil
+	}, "Table 2: aggregate I/O time by operation, % (ESCAT ethylene)", cols, false), nil
 }
 
 func table3(s *Suite) (*Artifact, error) {
-	measured := map[string]float64{}
-	var b strings.Builder
-	var rows [][]string
-	type col struct {
-		label  string
-		prefix string
-		shares []analysis.OpShare
-		allio  float64
-	}
-	var cols []col
+	var cols []shareCol
 	for _, id := range []string{"A", "B", "C"} {
 		res, err := s.Ethylene(id)
 		if err != nil {
 			return nil, err
 		}
-		sh, all := analysis.ExecTimeShares(res.Trace, nodeTime(res))
-		cols = append(cols, col{label: "eth " + id, prefix: "eth." + id, shares: sh, allio: all})
+		cols = append(cols, shareCol{"eth " + id, "eth." + id, res})
 	}
 	co, err := s.CarbonMonoxide()
 	if err != nil {
 		return nil, err
 	}
-	coSh, coAll := analysis.ExecTimeShares(co.Trace, nodeTime(co))
-	cols = append(cols, col{label: "co C", prefix: "co.C", shares: coSh, allio: coAll})
-
-	for _, c := range cols {
-		sharesFor(c.prefix, c.shares, measured)
-		measured[c.prefix+".allio"] = c.allio
-	}
-	for _, op := range pablo.Ops() {
-		row := []string{op.String()}
-		for _, c := range cols {
-			var pct float64
-			for _, sh := range c.shares {
-				if sh.Op == op {
-					pct = sh.Percent
-				}
-			}
-			row = append(row, fmt.Sprintf("%.2f", pct))
-		}
-		rows = append(rows, row)
-	}
-	allRow := []string{"All I/O"}
-	for _, c := range cols {
-		allRow = append(allRow, fmt.Sprintf("%.2f", c.allio))
-	}
-	rows = append(rows, allRow)
-	report.Table(&b, "Table 3: % of total execution time by I/O operation (ESCAT)",
-		[]string{"Operation", "eth A", "eth B", "eth C", "co C"}, rows)
-	b.WriteString("\n")
-	b.WriteString(comparisonTable("paper vs measured", paperTable3, measured))
-	return &Artifact{
-		ID: "table3", Title: "Table 3 (ESCAT exec-time shares)",
-		Text: b.String(), Paper: paperTable3, Measured: measured,
+	cols = append(cols, shareCol{"co C", "co.C", co})
+	return shareTable(&Artifact{
+		ID: "table3", Title: "Table 3 (ESCAT exec-time shares)", Paper: paperTable3,
 		Notes: "accounting: summed per-node I/O time over exec x nodes; B > A > C ordering and CO ~20% reproduce",
-	}, nil
-}
-
-// nodeTime returns exec x nodes — the summed-node-time denominator of
-// the paper's Table 3 accounting.
-func nodeTime(res *core.Result) time.Duration {
-	return res.Exec * time.Duration(res.Nodes)
+	}, "Table 3: % of total execution time by I/O operation (ESCAT)", cols, true), nil
 }
 
 func table4(s *Suite) (*Artifact, error) {
-	var b strings.Builder
-	versions := prism.PaperVersions()
-	var rows [][]string
-	for r := 0; r < 3; r++ {
-		row := []string{versions[0].ModeTable()[r].Phase}
-		for _, v := range versions {
-			t := v.ModeTable()[r]
-			row = append(row, t.Activity, t.Mode)
-		}
-		rows = append(rows, row)
+	var cols []modeCol
+	for _, v := range prism.PaperVersions() {
+		cols = append(cols, modeCol{v.ID, v.ID + " activity", v.ModeTable()})
 	}
-	report.Table(&b, "Table 4: node activity and file access modes (PRISM)",
-		[]string{"Phase", "A activity", "mode", "B activity", "mode", "C activity", "mode"}, rows)
-
-	want := map[string]string{
-		"A.p1": "All Nodes/P: M_UNIX; R: M_UNIX; C: M_UNIX",
-		"A.p2": "Node Zero/M_UNIX",
-		"A.p3": "Node Zero/M_UNIX",
-		"B.p1": "All Nodes/P: M_GLOBAL; R(h): M_GLOBAL, R(b): M_RECORD; C: M_GLOBAL",
-		"B.p2": "Node Zero/M_UNIX",
-		"B.p3": "All Nodes/M_ASYNC",
-		"C.p1": "All Nodes/P: M_GLOBAL; R: M_ASYNC; C: M_GLOBAL",
-		"C.p2": "Node Zero/M_UNIX",
-		"C.p3": "All Nodes/M_ASYNC",
-	}
-	paper := map[string]float64{}
-	meas := map[string]float64{}
-	for _, v := range versions {
-		for r, row := range v.ModeTable() {
-			key := fmt.Sprintf("%s.p%d", v.ID, r+1)
-			paper[key] = 1
-			if want[key] == row.Activity+"/"+row.Mode {
-				meas[key] = 1
-			}
-		}
-	}
-	return &Artifact{
-		ID: "table4", Title: "Table 4 (PRISM modes)",
-		Text: b.String(), Paper: paper, Measured: meas,
-		Notes: "structural: 1 = phase's activity/mode matches the paper cell",
-	}, nil
+	return modeTable(&Artifact{ID: "table4", Title: "Table 4 (PRISM modes)"},
+		"Table 4: node activity and file access modes (PRISM)", cols, map[string]string{
+			"A.p1": "All Nodes/P: M_UNIX; R: M_UNIX; C: M_UNIX",
+			"A.p2": "Node Zero/M_UNIX",
+			"A.p3": "Node Zero/M_UNIX",
+			"B.p1": "All Nodes/P: M_GLOBAL; R(h): M_GLOBAL, R(b): M_RECORD; C: M_GLOBAL",
+			"B.p2": "Node Zero/M_UNIX",
+			"B.p3": "All Nodes/M_ASYNC",
+			"C.p1": "All Nodes/P: M_GLOBAL; R: M_ASYNC; C: M_GLOBAL",
+			"C.p2": "Node Zero/M_UNIX",
+			"C.p3": "All Nodes/M_ASYNC",
+		}), nil
 }
 
 func table5(s *Suite) (*Artifact, error) {
-	measured := map[string]float64{}
-	var b strings.Builder
-	var rows [][]string
-	byVersion := map[string][]analysis.OpShare{}
+	var cols []shareCol
 	for _, id := range []string{"A", "B", "C"} {
 		res, err := s.Prism(id)
 		if err != nil {
 			return nil, err
 		}
-		shares := analysis.IOTimeShares(res.Trace)
-		byVersion[id] = shares
-		sharesFor(id, shares, measured)
+		cols = append(cols, shareCol{id, id, res})
 	}
-	for _, op := range pablo.Ops() {
-		row := []string{op.String()}
-		for _, id := range []string{"A", "B", "C"} {
-			var pct float64
-			for _, sh := range byVersion[id] {
-				if sh.Op == op {
-					pct = sh.Percent
-				}
-			}
-			row = append(row, fmt.Sprintf("%.2f", pct))
-		}
-		rows = append(rows, row)
-	}
-	report.Table(&b, "Table 5: aggregate I/O time by operation, % (PRISM)",
-		[]string{"Operation", "A", "B", "C"}, rows)
-	b.WriteString("\n")
-	b.WriteString(comparisonTable("paper vs measured", paperTable5, measured))
-	return &Artifact{
-		ID: "table5", Title: "Table 5 (PRISM I/O time shares)",
-		Text: b.String(), Paper: paperTable5, Measured: measured,
+	return shareTable(&Artifact{
+		ID: "table5", Title: "Table 5 (PRISM I/O time shares)", Paper: paperTable5,
 		Notes: "A open-dominated, B open+iomode-dominated with collapsed reads, C read-dominated after buffering disabled; B's write share under-reproduces",
-	}, nil
+	}, "Table 5: aggregate I/O time by operation, % (PRISM)", cols, false), nil
 }

@@ -28,6 +28,9 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(head + "IOEVT 2147483648 read \"f\" 0 0 0 0 -\n")
 	f.Add(head + "IOEVT -2147483649 read \"f\" 0 0 0 0 -\n")
 	f.Add(head + "IOEVT 1 read \"f\" 0 0 0 0 M_FOO\n")
+	f.Add(head + "IOEVT 0 read \"f\" 0 0 4611686018427387904 0 -\n")
+	f.Add(head + "IOEVT 0 read \"f\" -5 10 -9223372036854775808 -1 -\n" +
+		"IOEVT 0 seek \"f\" 1152921504606846976 0 9223372036854775807 9 -\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		got, err := ReadTrace(strings.NewReader(input))
 		if err != nil {
@@ -51,6 +54,16 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		if a, b := got.Digest(), again.Digest(); a != b {
 			t.Fatalf("round-trip changed digest: %#x -> %#x", a, b)
+		}
+		// The summaries take a parsed trace as is: whatever its span and
+		// extents, they must neither panic nor pass the row cap.
+		if ws, _ := TimeWindows(got, time.Millisecond); len(ws) > maxSummaryRows {
+			t.Fatalf("%d windows, over the %d cap", len(ws), maxSummaryRows)
+		}
+		for _, f := range got.Files() {
+			if rs, _ := FileRegions(got, f, 64); len(rs) > maxSummaryRows {
+				t.Fatalf("%d regions of %q, over the %d cap", len(rs), f, maxSummaryRows)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package pablo
 
 import (
+	"fmt"
 	"sort"
 	"time"
 )
@@ -127,31 +128,51 @@ type WindowSummary struct {
 	OpStats
 }
 
+// maxSummaryRows caps the summaries one TimeWindows or FileRegions call
+// builds (about 11 MB of them): both the width and the trace come from
+// outside the program.
+const maxSummaryRows = 1 << 16
+
+// summaryRows returns extent/width+1, the summaries that cover extent
+// (which is non-negative, counted in units of width), or an error naming
+// the smallest width that stays under maxSummaryRows.
+func summaryRows(extent, width uint64, what string, unit func(uint64) string) (int, error) {
+	if n := extent / width; n < maxSummaryRows {
+		return int(n) + 1, nil
+	}
+	return 0, fmt.Errorf("pablo: %s of width %s would need more than %d summaries; the smallest width that fits is %s",
+		what, unit(width), maxSummaryRows, unit(extent/maxSummaryRows+1))
+}
+
 // TimeWindows partitions the trace's span into windows of the given width
 // and summarizes each. Events are assigned to the window containing their
-// start time. Width must be positive. Empty traces yield nil.
-func TimeWindows(t *Trace, width time.Duration) []WindowSummary {
+// start time. Width must be positive. Empty traces yield nil. A width
+// that would need more than maxSummaryRows windows is an error.
+func TimeWindows(t *Trace, width time.Duration) ([]WindowSummary, error) {
 	if width <= 0 {
 		panic("pablo: non-positive window width")
 	}
 	if t.Len() == 0 {
-		return nil
+		return nil, nil
 	}
 	start, end := t.Span()
-	n := int((end-start)/width) + 1
+	// Offsets from start are taken unsigned: a corrupt trace's span may
+	// not fit an int64.
+	n, err := summaryRows(uint64(max(end, start)-start), uint64(width), "windows",
+		func(w uint64) string { return time.Duration(w).String() })
+	if err != nil {
+		return nil, err
+	}
 	out := make([]WindowSummary, n)
 	for i := range out {
 		out[i].Start = start + time.Duration(i)*width
 		out[i].End = out[i].Start + width
 	}
 	for _, ev := range t.Events() {
-		i := int((ev.Start - start) / width)
-		if i >= n {
-			i = n - 1
-		}
+		i := min(uint64(ev.Start-start)/uint64(width), uint64(n-1))
 		out[i].Add(ev)
 	}
-	return out
+	return out, nil
 }
 
 // RegionSummary is Pablo's "file region" summary: activity against one
@@ -164,9 +185,11 @@ type RegionSummary struct {
 
 // FileRegions partitions the accessed extent of one file into regions of
 // the given byte width and summarizes read/write/seek activity against
-// each. Events are assigned by their starting offset. Width must be
-// positive. Files never accessed yield nil.
-func FileRegions(t *Trace, file string, width int64) []RegionSummary {
+// each. Events are assigned by their starting offset (a corrupt negative
+// offset counts in the first region). Width must be positive. Files
+// never accessed yield nil. A width that would need more
+// than maxSummaryRows regions is an error.
+func FileRegions(t *Trace, file string, width int64) ([]RegionSummary, error) {
 	if width <= 0 {
 		panic("pablo: non-positive region width")
 	}
@@ -184,9 +207,13 @@ func FileRegions(t *Trace, file string, width int64) []RegionSummary {
 		}
 	}
 	if hi < 0 {
-		return nil
+		return nil, nil
 	}
-	n := int(hi/width) + 1
+	n, err := summaryRows(uint64(hi), uint64(width), "regions",
+		func(w uint64) string { return fmt.Sprintf("%d B", w) })
+	if err != nil {
+		return nil, err
+	}
 	out := make([]RegionSummary, n)
 	for i := range out {
 		out[i] = RegionSummary{File: file, Lo: int64(i) * width, Hi: int64(i+1) * width}
@@ -194,14 +221,10 @@ func FileRegions(t *Trace, file string, width int64) []RegionSummary {
 	for _, ev := range evs {
 		switch ev.Op {
 		case OpRead, OpWrite, OpSeek:
-			i := int(ev.Offset / width)
-			if i >= n {
-				i = n - 1
-			}
-			out[i].Add(ev)
+			out[min(max(ev.Offset/width, 0), int64(n-1))].Add(ev)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // AggregateByOp folds the whole trace into a single OpStats — the input

@@ -1,6 +1,8 @@
 package pablo
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -62,7 +64,10 @@ func TestTimeWindows(t *testing.T) {
 	tr.Record(ev(0, OpRead, "f", 0, 20, 1500*time.Millisecond, time.Millisecond))
 	tr.Record(ev(0, OpWrite, "f", 0, 30, 2200*time.Millisecond, time.Millisecond))
 	tr.Record(ev(0, OpRead, "f", 0, 40, 9900*time.Millisecond, time.Millisecond))
-	ws := TimeWindows(tr, time.Second)
+	ws, err := TimeWindows(tr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ws) != 10 {
 		t.Fatalf("got %d windows, want 10", len(ws))
 	}
@@ -82,7 +87,10 @@ func TestTimeWindows(t *testing.T) {
 func TestTimeWindowsConservation(t *testing.T) {
 	tr := buildLifecycleTrace()
 	for _, width := range []time.Duration{100 * time.Millisecond, time.Second, 10 * time.Second} {
-		ws := TimeWindows(tr, width)
+		ws, err := TimeWindows(tr, width)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var total OpStats
 		for _, w := range ws {
 			for op := range w.Count {
@@ -100,8 +108,8 @@ func TestTimeWindowsConservation(t *testing.T) {
 }
 
 func TestTimeWindowsEmptyTrace(t *testing.T) {
-	if ws := TimeWindows(NewTrace(), time.Second); ws != nil {
-		t.Fatalf("windows of empty trace = %v", ws)
+	if ws, err := TimeWindows(NewTrace(), time.Second); ws != nil || err != nil {
+		t.Fatalf("windows of empty trace = %v, %v", ws, err)
 	}
 }
 
@@ -120,7 +128,10 @@ func TestFileRegions(t *testing.T) {
 	tr.Record(ev(0, OpWrite, "f", 1000, 100, 0, time.Millisecond))
 	tr.Record(ev(0, OpRead, "f", 2500, 100, 0, time.Millisecond))
 	tr.Record(ev(0, OpOpen, "f", 0, 0, 0, time.Millisecond)) // non-spatial: ignored
-	rs := FileRegions(tr, "f", 1000)
+	rs, err := FileRegions(tr, "f", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rs) != 3 {
 		t.Fatalf("got %d regions, want 3", len(rs))
 	}
@@ -134,8 +145,8 @@ func TestFileRegions(t *testing.T) {
 
 func TestFileRegionsUnknownFile(t *testing.T) {
 	tr := buildLifecycleTrace()
-	if rs := FileRegions(tr, "nope", 100); rs != nil {
-		t.Fatalf("regions for unknown file = %v", rs)
+	if rs, err := FileRegions(tr, "nope", 100); rs != nil || err != nil {
+		t.Fatalf("regions for unknown file = %v, %v", rs, err)
 	}
 }
 
@@ -150,7 +161,10 @@ func TestFileRegionsConservation(t *testing.T) {
 		tr.Record(ev(i, op, "f", off, 64, 0, time.Millisecond))
 	}
 	for _, width := range []int64{64, 1000, 1 << 16, 1 << 21} {
-		rs := FileRegions(tr, "f", width)
+		rs, err := FileRegions(tr, "f", width)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var reads, writes int
 		for _, r := range rs {
 			reads += r.Count[OpRead]
@@ -159,5 +173,48 @@ func TestFileRegionsConservation(t *testing.T) {
 		if reads != 4 || writes != 3 {
 			t.Fatalf("width %d: reads/writes = %d/%d", width, reads, writes)
 		}
+	}
+}
+
+// TestTimeWindowsRowCap: a width that would need more than
+// maxSummaryRows windows is an error naming the smallest width that
+// fits, and that width works.
+func TestTimeWindowsRowCap(t *testing.T) {
+	tr := NewTrace()
+	tr.Record(ev(0, OpRead, "f", 0, 10, 0, time.Millisecond))
+	tr.Record(ev(0, OpRead, "f", 0, 10, 2*time.Hour, time.Millisecond))
+	_, err := TimeWindows(tr, time.Nanosecond)
+	fit := (2*time.Hour+time.Millisecond)/maxSummaryRows + 1
+	if err == nil || !strings.Contains(err.Error(), "smallest width that fits is "+fit.String()) {
+		t.Fatalf("1ns windows over two hours: err = %v, want one naming %v", err, fit)
+	}
+	ws, err := TimeWindows(tr, fit)
+	if err != nil || len(ws) != maxSummaryRows {
+		t.Fatalf("%v windows: %d windows, err %v; want %d", fit, len(ws), err, maxSummaryRows)
+	}
+	if _, err := TimeWindows(tr, fit-1); err == nil {
+		t.Fatalf("%v windows accepted", fit-1)
+	}
+	// A corrupt trace with one event at 2^62 ns fails at the default
+	// 10 s width instead of allocating.
+	tr.Record(ev(0, OpRead, "f", 0, 10, 1<<62, 0))
+	if _, err := TimeWindows(tr, 10*time.Second); err == nil {
+		t.Fatal("2^62 ns span accepted at 10 s windows")
+	}
+}
+
+// TestFileRegionsRowCap: as for windows, an extent that would need more
+// than maxSummaryRows regions is an error naming the smallest width.
+func TestFileRegionsRowCap(t *testing.T) {
+	tr := NewTrace()
+	tr.Record(ev(0, OpSeek, "f", 1<<60, 0, 0, time.Millisecond))
+	_, err := FileRegions(tr, "f", 1)
+	fit := int64(1<<60)/maxSummaryRows + 1
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("smallest width that fits is %d B", fit)) {
+		t.Fatalf("1-byte regions up to 1<<60: err = %v, want one naming %d B", err, fit)
+	}
+	rs, err := FileRegions(tr, "f", fit)
+	if err != nil || len(rs) != maxSummaryRows || rs[len(rs)-1].Count[OpSeek] != 1 {
+		t.Fatalf("%d-byte regions: %d regions, err %v", fit, len(rs), err)
 	}
 }

@@ -45,8 +45,9 @@ type SimulateRequest struct {
 
 	// SDDF, on /v1/simulate, streams the run's SDDF event trace as
 	// text instead of the JSON summary. SDDF responses bypass the
-	// result cache (they are bulky and cheap to regenerate from a
-	// cached config decision is deliberate) but not admission control.
+	// result cache, deliberately: they are bulky, and re-running the
+	// deterministic config regenerates them byte for byte. They still
+	// pass admission control.
 	SDDF bool `json:"sddf,omitempty"`
 
 	run apps.Run // the catalogue run App, Dataset and Version name; set by validate

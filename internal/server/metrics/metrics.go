@@ -1,13 +1,13 @@
 // Package metrics is a minimal, dependency-free Prometheus exposition
-// library for the iosimd daemon: counters, gauges, histograms, and a
-// labeled counter family, rendered in the Prometheus text format
-// (version 0.0.4) by Registry.WritePrometheus.
+// library for the iosimd daemon: counters, gauges, histograms, and
+// labeled counter and gauge families (CounterVec, GaugeVec), rendered in
+// the Prometheus text format (version 0.0.4) by Registry.WritePrometheus.
 //
 // It exists because the repository is stdlib-only by charter: the
 // daemon's observability layer cannot take the client_golang dependency,
-// and the subset it needs — atomic counters, fixed-bucket latency
-// histograms, one dynamic label family for per-endpoint/status request
-// counts — is small enough to hand-roll and pin with tests.
+// and the subset it needs — atomic counters and gauges, fixed-bucket
+// latency histograms, dynamic label families such as per-endpoint/status
+// request counts — is small enough to hand-roll and pin with tests.
 package metrics
 
 import (
@@ -83,8 +83,8 @@ type Counter struct {
 	v          atomic.Uint64
 }
 
-// Counter registers a new counter. An optional pair of slices supplies
-// constant labels (names, values) baked into every sample.
+// Counter registers a new counter. It has no labels: use CounterVec for
+// a labeled family.
 func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{name: name, help: help}
 	r.register(c)

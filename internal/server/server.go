@@ -14,9 +14,11 @@
 //
 //   - Admission control. Simulations are CPU-bound, so requests pass a
 //     weighted slot pool sized off GOMAXPROCS (a run's cost is its
-//     request's clamped shards weight, one slot by default) with a
-//     bounded FIFO queue; overflow is shed fast with 429 + Retry-After,
-//     and every run carries a deadline and dies with its client.
+//     request's clamped shards weight, one slot by default). Waiters
+//     queue in bounded per-client FIFO queues, and grants rotate
+//     round-robin across clients (see Admitter); a full queue is shed
+//     fast with 429 + Retry-After, and every run carries a deadline and
+//     dies with its client.
 //
 //   - Observability. Hand-rolled Prometheus text exposition at
 //     /metrics (request/latency/cache/admission series), plus /healthz.

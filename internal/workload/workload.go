@@ -82,6 +82,15 @@ func (m *Machine) Phases() []analysis.PhaseWindow {
 	return append([]analysis.PhaseWindow(nil), m.phases...)
 }
 
+// ModeRow is one phase's row of a version's mode table (the paper's
+// Tables 1 and 4): which nodes do the phase's I/O, and in which access
+// modes.
+type ModeRow struct {
+	Phase    string
+	Activity string
+	Mode     string
+}
+
 // Compute advances the node's virtual time by d — modeling computation
 // between I/O calls.
 func (n *Node) Compute(d time.Duration) { n.P.Wait(d) }

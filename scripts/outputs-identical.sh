@@ -7,14 +7,18 @@
 # BASE-REV is exported with `git archive` into a temporary directory and
 # built there. The change side is the working tree, uncommitted changes
 # included, or CHANGE-REV exported the same way. Each side builds
-# iotables, iobench and iosim from its own sources and writes, into a
-# directory of its own:
+# iotables, iobench, iosim, iotrace and every program under examples/
+# from its own sources and writes, into a directory of its own:
 #
 #   iotables -j 1, iotables -j 2 and iotables -j 2 -summary;
 #   iobench -sweep ID for every sweep id its iobench lists;
 #   iosim -advise -trace for the seven canonical runs (escat ethylene
 #   A, B and C, escat co C, prism A, B and C): the printed report and
-#   the SDDF trace file.
+#   the SDDF trace file;
+#   every iotrace subcommand on the prism C and escat ethylene C traces
+#   (cdf and timeline also with -op write and -op seek; regions with
+#   -file prism/checkpoint and escat/quad.0);
+#   the output of each program under examples/.
 #
 # The script then compares the two directories with `diff -r` and exits
 # nonzero on any difference, printing the first lines of the diff. A
@@ -56,10 +60,11 @@ fi
 # outputs SIDE SRC builds SRC's commands and writes their outputs under
 # $tmp/out/SIDE.
 outputs() {
-    local side=$1 src=$2 bin=$tmp/bin/$1 out=$tmp/out/$1 ids id r app dataset version
-    mkdir -p "$bin" "$out"
+    local side=$1 src=$2 bin=$tmp/bin/$1 out=$tmp/out/$1 ids id r app dataset version t file c sub flags ex
+    mkdir -p "$bin/examples" "$out"
     echo "outputs-identical: building and running $side" >&2
-    (cd "$src" && GOPROXY=off go build -o "$bin/" ./cmd/iotables ./cmd/iobench ./cmd/iosim)
+    (cd "$src" && GOPROXY=off go build -o "$bin/" ./cmd/iotables ./cmd/iobench ./cmd/iosim ./cmd/iotrace &&
+        GOPROXY=off go build -o "$bin/examples/" ./examples/...)
     "$bin/iotables" -j 1 >"$out/iotables-j1.txt"
     "$bin/iotables" -j 2 >"$out/iotables-j2.txt"
     "$bin/iotables" -j 2 -summary >"$out/iotables-summary.txt"
@@ -76,6 +81,18 @@ outputs() {
         [ "$dataset" = - ] && dataset=
         (cd "$out" && "$bin/iosim" -app "$app" -dataset "$dataset" -version "$version" \
             -advise -trace "iosim-$app-$dataset$version.sddf" >"iosim-$app-$dataset$version.txt")
+    done
+    for r in "prism-C prism/checkpoint" "escat-ethyleneC escat/quad.0"; do
+        read -r t file <<<"$r"
+        for c in summary cdf "cdf -op write" timeline "timeline -op seek" windows \
+            "regions -file $file" taxonomy advise replay csv; do
+            read -r sub flags <<<"$c"
+            # shellcheck disable=SC2086 # flags splits into words
+            "$bin/iotrace" "$sub" "$out/iosim-$t.sddf" $flags >"$out/iotrace-$t-${c//[ \/]/_}.txt"
+        done
+    done
+    for ex in "$bin"/examples/*; do
+        "$ex" >"$out/example-${ex##*/}.txt"
     done
 }
 outputs base "$tmp/src/base"
