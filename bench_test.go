@@ -563,7 +563,7 @@ func BenchmarkDiskService(b *testing.B) {
 	a := disk.MustNewArray(disk.DefaultParams())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Service("f", int64(i)*4096, 4096)
+		a.Service(0, int64(i)*4096, 4096)
 	}
 }
 

@@ -310,7 +310,6 @@ type Cache struct {
 	blockSize int64 // the PFS stripe unit
 	capBlocks int
 
-	names      streamTable // stream name ↔ the id in every blockID
 	blocks     map[blockID]*block
 	mru, lru   *block // intrusive LRU list: mru = most recently used
 	dirtyq     keyQueue
@@ -343,7 +342,6 @@ func New(k *sim.Kernel, res *sim.Resource, array *disk.Array, cfg Config, blockS
 		cfg:       cfg,
 		blockSize: blockSize,
 		capBlocks: int(cfg.CapacityBytes / blockSize),
-		names:     newStreamTable(),
 		blocks:    make(map[blockID]*block),
 	}
 	c.idleFlushFn, c.flushHoldFn, c.flushDoneFn = c.idleFlush, c.flushHold, c.flushDone
@@ -359,19 +357,20 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// Access serves one contiguous piece of a request through the cache and
-// returns the service time. It must be called while the I/O node's
+// Access serves one contiguous piece of a request to stream sid (the
+// file's pfs id) through the cache and returns the service time. It must
+// be called while the I/O node's
 // resource is held (i.e. from the PFS service loop's hold pricing), so
 // any array traffic it generates — miss fills, forced flushes of dirty
 // victims — extends the current hold, exactly like uncached service.
-func (c *Cache) Access(streamName string, off, size int64, write bool) time.Duration {
+func (c *Cache) Access(sid int32, off, size int64, write bool) time.Duration {
 	if size <= 0 {
 		return 0
 	}
 	bs := c.blockSize
 	first, last := off/bs, (off+size-1)/bs
 	checkSpan(first, last)
-	sid := c.names.intern(streamName)
+	checkStream(sid)
 	var d time.Duration
 	for idx := first; idx <= last; idx++ {
 		lo, hi := idx*bs, (idx+1)*bs
@@ -408,7 +407,7 @@ func (c *Cache) copyTime(n int64) time.Duration {
 
 // serviceBlock prices one whole-block array transfer of k.
 func (c *Cache) serviceBlock(k blockID) time.Duration {
-	return c.array.Service(c.names.names[k.stream()], k.idx()*c.blockSize, c.blockSize)
+	return c.array.Service(k.stream(), k.idx()*c.blockSize, c.blockSize)
 }
 
 // readBlock serves n payload bytes out of block k.
@@ -439,7 +438,7 @@ func (c *Cache) writeBlock(k blockID, n int64) time.Duration {
 		if b := c.blocks[k]; b != nil {
 			c.touch(b)
 		}
-		return c.array.Service(c.names.names[k.stream()], k.idx()*c.blockSize, n)
+		return c.array.Service(k.stream(), k.idx()*c.blockSize, n)
 	}
 	var d time.Duration
 	b := c.blocks[k]

@@ -42,10 +42,10 @@ func newRig(t *testing.T, mut func(*Config)) *rig {
 // do runs body as a client process holding the I/O-node resource for each
 // access, then drives the kernel to completion (including trailing
 // flushes).
-func (r *rig) do(t *testing.T, body func(p *sim.Proc, access func(stream string, off, size int64, write bool))) {
+func (r *rig) do(t *testing.T, body func(p *sim.Proc, access func(stream int32, off, size int64, write bool))) {
 	t.Helper()
 	r.k.Spawn("client", func(p *sim.Proc) {
-		body(p, func(stream string, off, size int64, write bool) {
+		body(p, func(stream int32, off, size int64, write bool) {
 			r.res.Acquire(p)
 			p.Wait(r.c.Access(stream, off, size, write))
 			r.res.Release(p)
@@ -105,10 +105,10 @@ func TestConfigValidation(t *testing.T) {
 func TestReadMissThenHit(t *testing.T) {
 	r := newRig(t, nil)
 	var miss, hit time.Duration
-	r.do(t, func(p *sim.Proc, access func(string, int64, int64, bool)) {
+	r.do(t, func(p *sim.Proc, access func(int32, int64, int64, bool)) {
 		r.res.Acquire(p)
-		miss = r.c.Access("f", 0, 4096, false)
-		hit = r.c.Access("f", 0, 4096, false)
+		miss = r.c.Access(0, 0, 4096, false)
+		hit = r.c.Access(0, 0, 4096, false)
 		r.res.Release(p)
 	})
 	if hit >= miss {
@@ -125,11 +125,11 @@ func TestReadMissThenHit(t *testing.T) {
 
 func TestWriteBehindAcksAtCopyCost(t *testing.T) {
 	r := newRig(t, nil)
-	coldDisk := disk.MustNewArray(disk.DefaultParams()).Service("f", 0, testBlock)
+	coldDisk := disk.MustNewArray(disk.DefaultParams()).Service(0, 0, testBlock)
 	var ack time.Duration
-	r.do(t, func(p *sim.Proc, access func(string, int64, int64, bool)) {
+	r.do(t, func(p *sim.Proc, access func(int32, int64, int64, bool)) {
 		r.res.Acquire(p)
-		ack = r.c.Access("f", 0, testBlock, true)
+		ack = r.c.Access(0, 0, testBlock, true)
 		r.res.Release(p)
 	})
 	if ack >= coldDisk/4 {
@@ -143,9 +143,9 @@ func TestWriteBehindAcksAtCopyCost(t *testing.T) {
 
 func TestFlusherDrainsAndTerminates(t *testing.T) {
 	r := newRig(t, nil)
-	r.do(t, func(p *sim.Proc, access func(stream string, off, size int64, write bool)) {
+	r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
 		for i := int64(0); i < 20; i++ {
-			access("f", i*testBlock, testBlock, true)
+			access(0, i*testBlock, testBlock, true)
 		}
 	})
 	// Kernel.Run returned: the flusher terminated on its own. All dirty
@@ -167,11 +167,11 @@ func TestFlusherDrainsAndTerminates(t *testing.T) {
 
 func TestReadOfDirtyBlockHitsCache(t *testing.T) {
 	r := newRig(t, nil)
-	r.do(t, func(p *sim.Proc, access func(stream string, off, size int64, write bool)) {
+	r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
 		r.res.Acquire(p)
-		r.c.Access("f", 0, testBlock, true)
+		r.c.Access(0, 0, testBlock, true)
 		before := r.arr.Stats().Requests
-		r.c.Access("f", 0, 4096, false)
+		r.c.Access(0, 0, 4096, false)
 		if after := r.arr.Stats().Requests; after != before {
 			t.Errorf("read of a dirty block touched the array (%d -> %d requests)", before, after)
 		}
@@ -191,13 +191,13 @@ func TestLRUEvictionAndForcedFlushStall(t *testing.T) {
 		c.IdleFlush = time.Hour
 	})
 	var clean, stalled time.Duration
-	r.do(t, func(p *sim.Proc, access func(stream string, off, size int64, write bool)) {
+	r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
 		r.res.Acquire(p)
 		for i := int64(0); i < 4; i++ {
-			r.c.Access("f", i*testBlock, testBlock, true)
+			r.c.Access(0, i*testBlock, testBlock, true)
 		}
 		// Fifth distinct block: evicts the (dirty) LRU block 0.
-		stalled = r.c.Access("f", 4*testBlock, testBlock, true)
+		stalled = r.c.Access(0, 4*testBlock, testBlock, true)
 		r.res.Release(p)
 	})
 	clean = time.Duration(float64(testBlock)/80e6*float64(time.Second)) + 30*time.Microsecond
@@ -219,10 +219,10 @@ func TestLRUEvictionAndForcedFlushStall(t *testing.T) {
 // single-block passes), while the high-water + idle policy drains both in
 // one batch when the idle timer fires.
 func TestDeadlinePolicyFlushesByAge(t *testing.T) {
-	program := func(p *sim.Proc, access func(stream string, off, size int64, write bool)) {
-		access("f", 0, testBlock, true)
+	program := func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
+		access(0, 0, testBlock, true)
 		p.Wait(3 * time.Millisecond)
-		access("f", testBlock, testBlock, true)
+		access(0, testBlock, testBlock, true)
 	}
 
 	idle := newRig(t, func(c *Config) {
@@ -256,9 +256,9 @@ func TestDeadlineHighWaterStillDrains(t *testing.T) {
 		c.IdleFlush = time.Hour
 		c.DirtyHighWater = 2
 	})
-	r.do(t, func(p *sim.Proc, access func(stream string, off, size int64, write bool)) {
+	r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
 		for i := int64(0); i < 4; i++ {
-			access("f", i*testBlock, testBlock, true)
+			access(0, i*testBlock, testBlock, true)
 		}
 		// Well before the 1 h deadline, high-water pressure must already
 		// have drained everything.
@@ -275,9 +275,9 @@ func TestDeadlineHighWaterStillDrains(t *testing.T) {
 
 func TestReadAheadSequentialStream(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.ReadAhead = 4 })
-	r.do(t, func(p *sim.Proc, access func(stream string, off, size int64, write bool)) {
+	r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
 		for i := int64(0); i < 8; i++ {
-			access("f", i*testBlock, 4096, false)
+			access(0, i*testBlock, 4096, false)
 			p.Wait(100 * time.Millisecond) // think time lets prefetches land
 		}
 	})
@@ -301,9 +301,9 @@ func TestReadAheadStrided(t *testing.T) {
 	// One file's stripes land on an I/O node 16 blocks apart — the
 	// detector must follow that constant stride too.
 	r := newRig(t, func(c *Config) { c.ReadAhead = 2 })
-	r.do(t, func(p *sim.Proc, access func(stream string, off, size int64, write bool)) {
+	r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
 		for i := int64(0); i < 6; i++ {
-			access("f", i*16*testBlock, 4096, false)
+			access(0, i*16*testBlock, 4096, false)
 			p.Wait(100 * time.Millisecond)
 		}
 	})
@@ -314,14 +314,14 @@ func TestReadAheadStrided(t *testing.T) {
 
 func TestReadAheadCancelsOnStrideBreak(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.ReadAhead = 4 })
-	r.do(t, func(p *sim.Proc, access func(stream string, off, size int64, write bool)) {
+	r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
 		r.res.Acquire(p)
 		// Establish a stride-1 pattern; the prefetch batch queues behind
 		// our own hold...
-		r.c.Access("f", 0, 4096, false)
-		r.c.Access("f", testBlock, 4096, false)
+		r.c.Access(0, 0, 4096, false)
+		r.c.Access(0, testBlock, 4096, false)
 		// ...then break the pattern before the batch is granted.
-		r.c.Access("f", 0, 4096, false)
+		r.c.Access(0, 0, 4096, false)
 		r.res.Release(p)
 	})
 	s := r.c.Stats()
@@ -335,8 +335,8 @@ func TestReadAheadCancelsOnStrideBreak(t *testing.T) {
 
 func TestWriteThroughWithoutWriteBehind(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.WriteBehind = false })
-	r.do(t, func(p *sim.Proc, access func(stream string, off, size int64, write bool)) {
-		access("f", 0, testBlock, true)
+	r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
+		access(0, 0, testBlock, true)
 	})
 	s := r.c.Stats()
 	if s.Dirty != 0 || s.WriteBehindBytes != 0 {
@@ -351,13 +351,14 @@ func TestWriteThroughWithoutWriteBehind(t *testing.T) {
 // yields identical virtual end times and statistics on every run.
 func TestDeterministic(t *testing.T) {
 	run := func() (time.Duration, Stats) {
+		const chk, rst = 0, 1
 		r := newRig(t, func(c *Config) { c.ReadAhead = 4; c.CapacityBytes = 8 * testBlock })
-		r.do(t, func(p *sim.Proc, access func(stream string, off, size int64, write bool)) {
+		r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
 			for i := int64(0); i < 30; i++ {
-				access("chk", i*testBlock, testBlock, true)
+				access(chk, i*testBlock, testBlock, true)
 			}
 			for i := int64(0); i < 30; i++ {
-				access("rst", i*testBlock, 4096, false)
+				access(rst, i*testBlock, 4096, false)
 				p.Wait(time.Millisecond)
 			}
 		})
@@ -385,11 +386,11 @@ func TestStatsAdd(t *testing.T) {
 // BenchmarkIONodeCacheHit reads one resident block.
 func BenchmarkIONodeCacheHit(b *testing.B) {
 	c := newBenchCache(b, 16)
-	c.Access("f", 0, testBlock, false)
+	c.Access(0, 0, testBlock, false)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Access("f", 0, 4096, false)
+		c.Access(0, 0, 4096, false)
 	}
 }
 
@@ -399,7 +400,7 @@ func BenchmarkIONodeCacheHit(b *testing.B) {
 func BenchmarkIONodeCacheMiss(b *testing.B) {
 	const capBlocks = 256
 	c := newBenchCache(b, capBlocks)
-	streams := [2]string{"quad-a", "quad-b"}
+	streams := [2]int32{0, 1}
 	for i := 0; i < 2*capBlocks; i++ {
 		c.Access(streams[i%2], int64(i/2%capBlocks)*testBlock, testBlock, false)
 	}

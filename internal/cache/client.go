@@ -45,7 +45,6 @@ package cache
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"paragonio/internal/mesh"
@@ -157,7 +156,7 @@ const (
 type ClientOp struct {
 	Kind    ClientOpKind
 	Node    int
-	Stream  string
+	Stream  int32 // the file's pfs id
 	Block   int64
 	Version uint64
 }
@@ -270,8 +269,7 @@ type ClientTier struct {
 	capBlocks int
 
 	nodes    []*clientNode // indexed by compute-node id; nil until first use
-	streams  streamTable   // stream name ↔ the id in every blockID
-	dirs     []*clientDir  // coherence directory per stream id
+	dirs     []*clientDir  // coherence directory per stream id; nil until first use
 	stats    ClientStats
 	observer func(ClientOp)
 }
@@ -290,7 +288,6 @@ func NewClientTier(k *sim.Kernel, m *mesh.Mesh, cfg ClientConfig) (*ClientTier, 
 		m:         m,
 		cfg:       cfg,
 		capBlocks: int(cfg.CapacityBytes / clientBlockSize), // >= 1: Validate
-		streams:   newStreamTable(),
 	}, nil
 }
 
@@ -315,7 +312,7 @@ func (t *ClientTier) Stats() ClientStats {
 
 func (t *ClientTier) emit(kind ClientOpKind, node int, k blockID, version uint64) {
 	if t.observer != nil {
-		t.observer(ClientOp{Kind: kind, Node: node, Stream: t.streams.names[k.stream()], Block: k.idx(), Version: version})
+		t.observer(ClientOp{Kind: kind, Node: node, Stream: k.stream(), Block: k.idx(), Version: version})
 	}
 }
 
@@ -332,13 +329,18 @@ func (t *ClientTier) node(id int) *clientNode {
 	return nc
 }
 
-// stream interns name, returning its id and directory.
-func (t *ClientTier) stream(name string) (int32, *clientDir) {
-	sid := t.streams.intern(name)
-	if int(sid) == len(t.dirs) {
-		t.dirs = append(t.dirs, &clientDir{})
+// dir returns stream sid's directory, creating it on first use.
+func (t *ClientTier) dir(sid int32) *clientDir {
+	checkStream(sid)
+	for int(sid) >= len(t.dirs) {
+		t.dirs = append(t.dirs, nil)
 	}
-	return sid, t.dirs[sid]
+	d := t.dirs[sid]
+	if d == nil {
+		d = &clientDir{}
+		t.dirs[sid] = d
+	}
+	return d
 }
 
 // clientCopyBW is the node-local memory-copy bandwidth in bytes/second
@@ -365,20 +367,20 @@ func (t *ClientTier) span(off, size int64) (first, last int64) {
 // just a page-table-shaped lookup).
 const clientHitCost = 25 * time.Microsecond
 
-// Read attempts to serve [off, off+size) of stream from node's cache.
-// It returns (serviceTime, true) when every covered block is resident
-// under a valid lease, and (0, false) otherwise — the caller then
-// fetches whole covering blocks through the PFS data path and registers
-// them with Install. Expired residents encountered on either path are
-// dropped lazily, for free.
-func (t *ClientTier) Read(node int, stream string, off, size int64) (time.Duration, bool) {
+// Read attempts to serve [off, off+size) of stream sid (the file's pfs
+// id) from node's cache. It returns (serviceTime, true) when every
+// covered block is resident under a valid lease, and (0, false)
+// otherwise — the caller then fetches whole covering blocks through the
+// PFS data path and registers them with Install. Expired residents
+// encountered on either path are dropped lazily, for free.
+func (t *ClientTier) Read(node int, sid int32, off, size int64) (time.Duration, bool) {
 	if size <= 0 {
 		return 0, true
 	}
 	now := t.k.Now()
 	nc := t.node(node)
 	first, last := t.span(off, size)
-	sid, dir := t.stream(stream)
+	dir := t.dir(sid)
 	hit := true
 	for idx := first; idx <= last; idx++ {
 		k := packBlock(sid, idx)
@@ -417,23 +419,23 @@ func (t *ClientTier) Read(node int, stream string, off, size int64) (time.Durati
 	return clientHitCost + t.CopyCost(size), true
 }
 
-// Install registers [off, off+size) of stream as resident at node under
-// fresh leases, after the caller fetched it through the PFS data path.
-// Partial tail blocks are safe to install: any write that changes their
-// bytes bumps the version and recalls or expires this copy first.
+// Install registers [off, off+size) of stream sid as resident at node
+// under fresh leases, after the caller fetched it through the PFS data
+// path. Partial tail blocks are safe to install: any write that changes
+// their bytes bumps the version and recalls or expires this copy first.
 //
 // A fill whose block was written while it was in flight is discarded:
 // the fetched bytes and the write raced through the I/O-node queues, so
 // the fill could carry either generation — installing it might cache
 // stale data under a fresh lease. The next lookup simply misses again.
-func (t *ClientTier) Install(node int, stream string, off, size int64) {
+func (t *ClientTier) Install(node int, sid int32, off, size int64) {
 	if size <= 0 {
 		return
 	}
 	expiry := t.k.Now() + t.cfg.LeaseTTL
 	nc := t.node(node)
 	first, last := t.span(off, size)
-	sid, dir := t.stream(stream)
+	dir := t.dir(sid)
 	for idx := first; idx <= last; idx++ {
 		k := packBlock(sid, idx)
 		e := dir.entry(idx)
@@ -449,14 +451,14 @@ func (t *ClientTier) Install(node int, stream string, off, size int64) {
 }
 
 // Write runs the coherence protocol for a write of [off, off+size) to
-// stream by node and returns the invalidation cost the writer must wait
-// out before its data leaves the node: the worst mesh round-trip over
-// the peers that held valid leases on the written blocks. The writer's
-// own copy stays resident (write-update for self) when the write fully
-// covers the block or overwrites a still-leased copy; otherwise it is
-// dropped — a partial write over an expired copy may sit next to bytes
-// another node changed while the lease was dead.
-func (t *ClientTier) Write(node int, stream string, off, size int64) time.Duration {
+// stream sid by node and returns the invalidation cost the writer must
+// wait out before its data leaves the node: the worst mesh round-trip
+// over the peers that held valid leases on the written blocks. The
+// writer's own copy stays resident (write-update for self) when the
+// write fully covers the block or overwrites a still-leased copy;
+// otherwise it is dropped — a partial write over an expired copy may
+// sit next to bytes another node changed while the lease was dead.
+func (t *ClientTier) Write(node int, sid int32, off, size int64) time.Duration {
 	if size <= 0 {
 		return 0
 	}
@@ -465,7 +467,7 @@ func (t *ClientTier) Write(node int, stream string, off, size int64) time.Durati
 	nc := t.node(node)
 	bs := clientBlockSize
 	first, last := t.span(off, size)
-	sid, dir := t.stream(stream)
+	dir := t.dir(sid)
 	var peers []int
 	for idx := first; idx <= last; idx++ {
 		k := packBlock(sid, idx)
@@ -497,14 +499,14 @@ func (t *ClientTier) Write(node int, stream string, off, size int64) time.Durati
 	return d
 }
 
-// RecallStream recalls every node's cached blocks for stream — the
+// RecallStream recalls every node's cached blocks for stream sid — the
 // setiomode renegotiation. The caller (node) pays the worst round-trip
 // over the peers that held valid leases; its own blocks drop for free.
 // Blocks are recalled in block order, walking the stream's directory.
-func (t *ClientTier) RecallStream(node int, stream string) time.Duration {
+func (t *ClientTier) RecallStream(node int, sid int32) time.Duration {
 	now := t.k.Now()
 	var peers []int
-	if sid, ok := t.streams.ids[stream]; ok {
+	if uint(sid) < uint(len(t.dirs)) && t.dirs[sid] != nil {
 		dir := t.dirs[sid]
 		for i, p := range dir.pages {
 			base := dir.nums[i] << clientDirPageBits
@@ -557,34 +559,28 @@ func (t *ClientTier) recall(node int, k blockID, e *clientDirEntry, now sim.Time
 // Flap simulates one flap of a crash-looping client on node: the client
 // reconnects and renegotiates every stream with any live lease, recalling
 // all valid holders tier-wide (the lease-recall storm the fault plane's
-// client-flap fault injects). Streams are recalled in sorted name order
-// so the storm is deterministic. The returned duration is the summed
-// recall cost the flapping client would wait out; the fault plane
-// discards it — the storm's simulated cost is what the recalls inflict
-// on everyone else's subsequent misses.
+// client-flap fault injects). Streams are recalled in id order, so the
+// storm is deterministic. The returned duration is the summed recall
+// cost the flapping client would wait out; the fault plane discards it
+// — the storm's simulated cost is what the recalls inflict on everyone
+// else's subsequent misses.
 func (t *ClientTier) Flap(node int) time.Duration {
-	var names []string
-	for sid, dir := range t.dirs {
-		if dir.held() {
-			names = append(names, t.streams.names[sid])
-		}
-	}
-	sort.Strings(names)
 	var d time.Duration
-	for _, s := range names {
-		d += t.RecallStream(node, s)
+	for sid, dir := range t.dirs {
+		if dir != nil && dir.held() {
+			d += t.RecallStream(node, int32(sid))
+		}
 	}
 	t.stats.Flaps++
 	return d
 }
 
-// InvalidateLocal drops node's cached blocks for stream without touching
-// other holders — the client-side half of Handle.Flush. Free: blocks are
-// clean and the node holds its own leases.
-func (t *ClientTier) InvalidateLocal(node int, stream string) {
+// InvalidateLocal drops node's cached blocks for stream sid without
+// touching other holders — the client-side half of Handle.Flush. Free:
+// blocks are clean and the node holds its own leases.
+func (t *ClientTier) InvalidateLocal(node int, sid int32) {
 	nc := t.existing(node)
-	sid, ok := t.streams.ids[stream]
-	if nc == nil || !ok {
+	if nc == nil {
 		return
 	}
 	for b := nc.mru; b != nil; {

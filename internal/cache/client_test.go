@@ -74,11 +74,11 @@ func TestTiersDefaultsAndValidate(t *testing.T) {
 func TestClientTierBasics(t *testing.T) {
 	k, ct := newClientRig(t, ClientConfig{LeaseTTL: 10 * time.Millisecond})
 	k.Spawn("driver", func(p *sim.Proc) {
-		if _, hit := ct.Read(0, "f", 0, 4096); hit {
+		if _, hit := ct.Read(0, 0, 0, 4096); hit {
 			t.Error("cold read hit")
 		}
-		ct.Install(0, "f", 0, 4096)
-		d, hit := ct.Read(0, "f", 0, 4096)
+		ct.Install(0, 0, 0, 4096)
+		d, hit := ct.Read(0, 0, 0, 4096)
 		if !hit {
 			t.Error("warm read missed")
 		}
@@ -88,7 +88,7 @@ func TestClientTierBasics(t *testing.T) {
 		// Age the lease out: the same block must miss and count an
 		// expiry.
 		p.Wait(11 * time.Millisecond)
-		if _, hit := ct.Read(0, "f", 0, 4096); hit {
+		if _, hit := ct.Read(0, 0, 0, 4096); hit {
 			t.Error("expired lease served a hit")
 		}
 		st := ct.Stats()
@@ -108,13 +108,13 @@ func TestClientWriteInvalidation(t *testing.T) {
 	k, ct := newClientRig(t, ClientConfig{LeaseTTL: 10 * time.Millisecond})
 	m := testMesh(t)
 	k.Spawn("driver", func(p *sim.Proc) {
-		ct.Install(3, "f", 0, 4096) // peer holds block 0
-		d := ct.Write(9, "f", 0, 4096)
+		ct.Install(3, 0, 0, 4096) // peer holds block 0
+		d := ct.Write(9, 0, 0, 4096)
 		want := m.Transfer(9, 3, clientRecallBytes) + m.Transfer(3, 9, 0)
 		if d != want {
 			t.Errorf("recall cost %v, want mesh round-trip %v", d, want)
 		}
-		if _, hit := ct.Read(3, "f", 0, 4096); hit {
+		if _, hit := ct.Read(3, 0, 0, 4096); hit {
 			t.Error("peer still hits after recall")
 		}
 		st := ct.Stats()
@@ -122,13 +122,13 @@ func TestClientWriteInvalidation(t *testing.T) {
 			t.Errorf("stats after recall: %+v", st)
 		}
 		// Writer's own copy stays resident (full-cover write-update).
-		if _, hit := ct.Read(9, "f", 0, 4096); !hit {
+		if _, hit := ct.Read(9, 0, 0, 4096); !hit {
 			t.Error("writer lost its own fresh copy")
 		}
 		// Expired holders are skipped for free.
-		ct.Install(3, "f", 8192, 4096)
+		ct.Install(3, 0, 8192, 4096)
 		p.Wait(11 * time.Millisecond)
-		if d := ct.Write(9, "f", 8192, 4096); d != 0 {
+		if d := ct.Write(9, 0, 8192, 4096); d != 0 {
 			t.Errorf("recalling an expired holder cost %v, want 0", d)
 		}
 	})
@@ -142,12 +142,12 @@ func TestClientWriteInvalidation(t *testing.T) {
 func TestClientRacedFill(t *testing.T) {
 	k, ct := newClientRig(t, ClientConfig{})
 	k.Spawn("driver", func(p *sim.Proc) {
-		if _, hit := ct.Read(0, "f", 0, 4096); hit { // records the pending fill
+		if _, hit := ct.Read(0, 0, 0, 4096); hit { // records the pending fill
 			t.Error("cold read hit")
 		}
-		ct.Write(1, "f", 0, 4096) // write lands while the fill is in flight
-		ct.Install(0, "f", 0, 4096)
-		if _, hit := ct.Read(0, "f", 0, 4096); hit {
+		ct.Write(1, 0, 0, 4096) // write lands while the fill is in flight
+		ct.Install(0, 0, 0, 4096)
+		if _, hit := ct.Read(0, 0, 0, 4096); hit {
 			t.Error("raced fill was installed and served")
 		}
 		if st := ct.Stats(); st.RacedFills != 1 {
@@ -165,14 +165,14 @@ func TestClientRacedFill(t *testing.T) {
 func TestClientPartialWriteRules(t *testing.T) {
 	k, ct := newClientRig(t, ClientConfig{LeaseTTL: 10 * time.Millisecond})
 	k.Spawn("driver", func(p *sim.Proc) {
-		ct.Install(0, "f", 0, 4096)
-		ct.Write(0, "f", 100, 50) // partial, lease valid → copy stays
-		if _, hit := ct.Read(0, "f", 0, 4096); !hit {
+		ct.Install(0, 0, 0, 4096)
+		ct.Write(0, 0, 100, 50) // partial, lease valid → copy stays
+		if _, hit := ct.Read(0, 0, 0, 4096); !hit {
 			t.Error("partial write over leased copy dropped it")
 		}
 		p.Wait(11 * time.Millisecond) // lease dies
-		ct.Write(0, "f", 100, 50)     // partial, lease expired → copy dropped
-		if _, hit := ct.Read(0, "f", 0, 4096); hit {
+		ct.Write(0, 0, 100, 50)       // partial, lease expired → copy dropped
+		if _, hit := ct.Read(0, 0, 0, 4096); hit {
 			t.Error("partial write over expired copy kept stale bytes")
 		}
 	})
@@ -186,14 +186,14 @@ func TestClientPartialWriteRules(t *testing.T) {
 func TestClientEviction(t *testing.T) {
 	k, ct := newClientRig(t, ClientConfig{CapacityBytes: 2 * 4096})
 	k.Spawn("driver", func(p *sim.Proc) {
-		ct.Install(0, "f", 0, 3*4096) // 3 blocks into a 2-block cache
+		ct.Install(0, 0, 0, 3*4096) // 3 blocks into a 2-block cache
 		st := ct.Stats()
 		if st.Evicted != 1 || st.Blocks != 2 {
 			t.Errorf("stats after overfill: %+v", st)
 		}
 		// The evicted block (idx 0, the LRU) must not cost the writer a
 		// recall round-trip.
-		if d := ct.Write(1, "f", 0, 4096); d != 0 {
+		if d := ct.Write(1, 0, 0, 4096); d != 0 {
 			t.Errorf("evicted block still registered: recall cost %v", d)
 		}
 	})
@@ -207,11 +207,11 @@ func BenchmarkClientTierHit(b *testing.B) {
 	done := make(chan struct{})
 	k.Spawn("bench", func(p *sim.Proc) {
 		defer close(done)
-		ct.Install(0, "f", 0, 4096)
+		ct.Install(0, 0, 0, 4096)
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, hit := ct.Read(0, "f", 0, 4096); !hit {
+			if _, hit := ct.Read(0, 0, 0, 4096); !hit {
 				b.Error("unexpected miss")
 				return
 			}
@@ -229,7 +229,7 @@ func BenchmarkClientTierHit(b *testing.B) {
 func BenchmarkClientTierChurn(b *testing.B) {
 	const capBlocks = 1024
 	k, ct := newClientRig(b, ClientConfig{LeaseTTL: time.Hour, CapacityBytes: capBlocks * 4096})
-	streams := [2]string{"quad-a", "quad-b"}
+	streams := [2]int32{0, 1}
 	done := make(chan struct{})
 	k.Spawn("bench", func(p *sim.Proc) {
 		defer close(done)
@@ -266,9 +266,9 @@ func BenchmarkClientTierRecall(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// 4 peers re-register each round; the writer recalls them all.
 			for peer := 1; peer <= 4; peer++ {
-				ct.Install(peer, "f", 0, 4096)
+				ct.Install(peer, 0, 0, 4096)
 			}
-			if d := ct.Write(0, "f", 0, 4096); d == 0 {
+			if d := ct.Write(0, 0, 0, 4096); d == 0 {
 				b.Error("no recall cost")
 				return
 			}
@@ -308,12 +308,12 @@ func TestClientTierRejectsNilMesh(t *testing.T) {
 func TestClientMultiBlockSpan(t *testing.T) {
 	k, ct := newClientRig(t, ClientConfig{})
 	k.Spawn("driver", func(p *sim.Proc) {
-		ct.Install(0, "f", 0, 2*4096)
-		if _, hit := ct.Read(0, "f", 0, 3*4096); hit {
+		ct.Install(0, 0, 0, 2*4096)
+		if _, hit := ct.Read(0, 0, 0, 3*4096); hit {
 			t.Error("span with a missing block hit")
 		}
-		ct.Install(0, "f", 0, 3*4096)
-		if _, hit := ct.Read(0, "f", 100, 2*4096); !hit {
+		ct.Install(0, 0, 0, 3*4096)
+		if _, hit := ct.Read(0, 0, 100, 2*4096); !hit {
 			t.Error("fully resident span missed")
 		}
 	})
@@ -328,11 +328,11 @@ func ExampleClientTier() {
 	cfg, _ := ClientConfig{}.WithDefaults()
 	ct, _ := NewClientTier(k, m, cfg)
 	k.Spawn("demo", func(p *sim.Proc) {
-		ct.Install(0, "data", 0, 8192)
-		_, hit := ct.Read(0, "data", 0, 4096)
+		ct.Install(0, 0, 0, 8192)
+		_, hit := ct.Read(0, 0, 0, 4096)
 		fmt.Println("node 0 warm read hit:", hit)
-		ct.Write(1, "data", 0, 4096) // node 1 writes → recall
-		_, hit = ct.Read(0, "data", 0, 4096)
+		ct.Write(1, 0, 0, 4096) // node 1 writes → recall
+		_, hit = ct.Read(0, 0, 0, 4096)
 		fmt.Println("node 0 read after peer write hit:", hit)
 	})
 	k.Run()

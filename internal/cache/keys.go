@@ -3,15 +3,15 @@ package cache
 import "fmt"
 
 // Both block tiers key resident blocks by one packed integer instead of a
-// (file name, block index) pair, so the per-block map lookups on their
-// hot paths hash and compare eight bytes, not a string. Each tier interns
-// a stream name once per call to a dense id; the id and the block index
-// share one uint64.
+// (file, block index) pair, so the per-block map lookups on their hot
+// paths hash and compare eight bytes, not a string. The stream id is the
+// dense file id pfs assigns each file at creation; the id and the block
+// index share one uint64.
 //
 // Key bounds: the low blockIdxBits bits hold the block index, the rest
 // the stream id, so a tier addresses up to 2^40 blocks per stream (4 PB
 // at the client tier's 4 KB default, 64 PB at a 64 KB stripe unit) and
-// up to 2^24 distinct streams. An index or a stream past either bound
+// up to 2^24 distinct streams. An index or a stream id past either bound
 // panics instead of aliasing another block; in process context the
 // kernel returns that panic from Run as a *sim.PanicError.
 const (
@@ -38,27 +38,9 @@ func checkSpan(first, last int64) {
 	}
 }
 
-// streamTable interns stream names to dense ids, in first-use order.
-type streamTable struct {
-	ids   map[string]int32
-	names []string // names[id]
-	limit int      // maxStreams; lowered only by tests of the bound
-}
-
-func newStreamTable() streamTable {
-	return streamTable{ids: make(map[string]int32), limit: maxStreams}
-}
-
-// intern returns name's id, assigning the next one on first use.
-func (t *streamTable) intern(name string) int32 {
-	if id, ok := t.ids[name]; ok {
-		return id
+// checkStream panics unless stream id fits a key.
+func checkStream(id int32) {
+	if id < 0 || id >= maxStreams {
+		panic(fmt.Sprintf("cache: stream id %d outside the packed key's range [0, 2^%d)", id, 64-blockIdxBits))
 	}
-	if len(t.names) >= t.limit {
-		panic(fmt.Sprintf("cache: stream %q would be stream %d; a tier keys at most %d streams", name, len(t.names)+1, t.limit))
-	}
-	id := int32(len(t.names))
-	t.ids[name] = id
-	t.names = append(t.names, name)
-	return id
 }

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -43,8 +42,8 @@ func TestBlockIndexBoundPanics(t *testing.T) {
 	const bs = clientBlockSize
 	k, ct := newClientRig(t, ClientConfig{})
 	k.Spawn("edge", func(*sim.Proc) {
-		ct.Install(0, "f", maxBlockIdx*bs, bs)
-		if _, hit := ct.Read(0, "f", maxBlockIdx*bs, bs); !hit {
+		ct.Install(0, 0, maxBlockIdx*bs, bs)
+		if _, hit := ct.Read(0, 0, maxBlockIdx*bs, bs); !hit {
 			t.Error("last addressable block missed after install")
 		}
 	})
@@ -52,9 +51,9 @@ func TestBlockIndexBoundPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, op := range map[string]func(*ClientTier){
-		"read past bound":  func(ct *ClientTier) { ct.Read(0, "f", (maxBlockIdx+1)*bs, 1) },
-		"write past bound": func(ct *ClientTier) { ct.Write(0, "f", maxBlockIdx*bs, 2*bs) },
-		"install negative": func(ct *ClientTier) { ct.Install(0, "f", -bs, bs) },
+		"read past bound":  func(ct *ClientTier) { ct.Read(0, 0, (maxBlockIdx+1)*bs, 1) },
+		"write past bound": func(ct *ClientTier) { ct.Write(0, 0, maxBlockIdx*bs, 2*bs) },
+		"install negative": func(ct *ClientTier) { ct.Install(0, 0, -bs, bs) },
 	} {
 		k, ct := newClientRig(t, ClientConfig{})
 		pe := runPanicking(t, k, func() { op(ct) })
@@ -63,35 +62,42 @@ func TestBlockIndexBoundPanics(t *testing.T) {
 		}
 	}
 	r := newRig(t, nil)
-	pe := runPanicking(t, r.k, func() { r.c.Access("f", (maxBlockIdx+1)*testBlock, 1, false) })
+	pe := runPanicking(t, r.k, func() { r.c.Access(0, (maxBlockIdx+1)*testBlock, 1, false) })
 	if !strings.Contains(pe.Error(), "packed key's range") {
 		t.Errorf("I/O-node access past bound: panic %q does not name the key range", pe.Error())
 	}
 }
 
-// TestStreamBoundPanics: interning one stream past the tier's limit
-// panics instead of reusing an id. The limit is lowered so the test does
-// not intern 2^24 names.
+// TestStreamBoundPanics: a stream id past the key's 2^24 range, or a
+// negative one, panics on both tiers with the key-range message instead
+// of aliasing another stream's blocks; the last id in range works.
 func TestStreamBoundPanics(t *testing.T) {
-	k, ct := newClientRig(t, ClientConfig{})
-	ct.streams.limit = 2
-	pe := runPanicking(t, k, func() {
-		ct.Install(0, "a", 0, 1)
-		ct.Install(0, "b", 0, 1)
-		ct.Read(0, "c", 0, 1)
-	})
-	if msg := pe.Error(); !strings.Contains(msg, `stream "c"`) || !strings.Contains(msg, "at most 2 streams") {
-		t.Errorf("panic %q does not name the stream and the limit", msg)
+	for name, op := range map[string]func(*ClientTier){
+		"read past bound":  func(ct *ClientTier) { ct.Read(0, maxStreams, 0, 1) },
+		"write past bound": func(ct *ClientTier) { ct.Write(0, maxStreams, 0, 1) },
+		"install negative": func(ct *ClientTier) { ct.Install(0, -1, 0, 1) },
+	} {
+		k, ct := newClientRig(t, ClientConfig{})
+		pe := runPanicking(t, k, func() { op(ct) })
+		if !strings.Contains(pe.Error(), "packed key's range") {
+			t.Errorf("client %s: panic %q does not name the key range", name, pe.Error())
+		}
 	}
 
 	r := newRig(t, nil)
-	r.c.names.limit = 1
-	pe = runPanicking(t, r.k, func() {
-		r.c.Access("a", 0, 1, false)
-		r.c.Access("b", 0, 1, false)
+	r.do(t, func(_ *sim.Proc, access func(int32, int64, int64, bool)) {
+		access(maxStreams-1, 0, 4096, false)
+		access(maxStreams-1, 0, 4096, false)
 	})
-	if msg := pe.Error(); !strings.Contains(msg, "at most 1 streams") {
-		t.Errorf("I/O-node panic %q does not name the limit", msg)
+	if s := r.c.Stats(); s.Hits != 1 {
+		t.Errorf("last stream id: stats %+v, want the re-read to hit", s)
+	}
+	for _, sid := range []int32{maxStreams, -1} {
+		r := newRig(t, nil)
+		pe := runPanicking(t, r.k, func() { r.c.Access(sid, 0, 1, false) })
+		if !strings.Contains(pe.Error(), "packed key's range") {
+			t.Errorf("I/O-node access to stream %d: panic %q does not name the key range", sid, pe.Error())
+		}
 	}
 }
 
@@ -104,19 +110,20 @@ func TestStreamBoundPanics(t *testing.T) {
 func TestSparseOffsetAllocatesOnePage(t *testing.T) {
 	const bs, trials = clientBlockSize, 5
 	_, ct := newClientRig(t, ClientConfig{})
-	ct.Install(0, "warm", 0, bs) // node 0 and the tables exist
+	ct.Install(0, 0, 0, bs) // node 0 and the tables exist
 	page := uint64(unsafe.Sizeof(clientDirPage{}))
+	stream := int32(0)
 	for _, idx := range []int64{1 << 20, 1 << 39} {
 		least := uint64(math.MaxUint64)
 		for trial := 0; trial < trials; trial++ {
-			stream := fmt.Sprintf("sparse-%d-%d", idx, trial)
+			stream++
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			ct.Install(0, stream, idx*bs, bs)
 			runtime.ReadMemStats(&after)
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
-			if d := ct.dirs[ct.streams.ids[stream]]; len(d.pages) != 1 {
+			if d := ct.dirs[stream]; len(d.pages) != 1 {
 				t.Errorf("block %d: %d directory pages, want 1", idx, len(d.pages))
 			}
 		}

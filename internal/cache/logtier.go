@@ -5,10 +5,10 @@ package cache
 // buffer design the checkpoint literature converged on). Writes append
 // to the node's log at memory speed and are acknowledged immediately; a
 // background drain walks the global append order and writes the records
-// to the PFS sequentially, scheduled on the armed-timer queue (timers)
-// it shares with the I/O-node cache's deadline flusher. The paper's
-// machine had nothing like it — the tier exists to ask what one would
-// have bought the checkpoint-dominated phases.
+// to the PFS sequentially, scheduled on the tier's own armed-timer queue
+// (a timers value, the machinery the I/O-node cache's deadline flusher
+// also uses). The paper's machine had nothing like it — the tier exists
+// to ask what one would have bought the checkpoint-dominated phases.
 //
 // Determinism follows the client tier's pattern: LogTier state is
 // mutated only from process context or kernel callbacks — appends by the
@@ -120,7 +120,7 @@ type LogStats struct {
 type LogRecord struct {
 	Seq    uint64
 	Node   int
-	Stream string
+	Stream int32 // the file's pfs id
 	Off    int64
 	Size   int64
 }
@@ -148,7 +148,7 @@ type LogTier struct {
 
 	nodes     map[int]struct{} // nodes that appended
 	pending   []logRecord      // undrained records, append order
-	perStream map[string]int
+	perStream []int            // undrained records per stream id
 	pendBytes int64
 	drained   uint64 // highest contiguously drained Seq
 
@@ -169,10 +169,9 @@ func NewLogTier(k *sim.Kernel, cfg LogConfig) (*LogTier, error) {
 		return nil, err
 	}
 	lt := &LogTier{
-		k:         k,
-		cfg:       cfg,
-		nodes:     make(map[int]struct{}),
-		perStream: make(map[string]int),
+		k:     k,
+		cfg:   cfg,
+		nodes: make(map[int]struct{}),
 	}
 	lt.drainq.bind(lt.startDrain)
 	return lt, nil
@@ -192,25 +191,28 @@ func (lt *LogTier) Stats() LogStats {
 	return s
 }
 
-// Append absorbs one write into the node's log: the record joins the
-// global drain queue. It returns the append cost the writer must pay
-// and, when the undrained backlog exceeds CapacityBytes, the sequence
-// number the writer must Wait for before proceeding (0 = no
-// backpressure).
-func (lt *LogTier) Append(node int, stream string, off, size int64) (time.Duration, uint64) {
+// Append absorbs one write to stream sid (the file's pfs id) into the
+// node's log: the record joins the global drain queue. It returns the
+// append cost the writer must pay and, when the undrained backlog
+// exceeds CapacityBytes, the sequence number the writer must Wait for
+// before proceeding (0 = no backpressure).
+func (lt *LogTier) Append(node int, sid int32, off, size int64) (time.Duration, uint64) {
 	lt.nodes[node] = struct{}{}
 	lt.stats.Appends++
 	lt.pending = append(lt.pending, logRecord{
 		LogRecord: LogRecord{
 			Seq:    lt.stats.Appends,
 			Node:   node,
-			Stream: stream,
+			Stream: sid,
 			Off:    off,
 			Size:   size,
 		},
 		deadline: lt.k.Now() + sim.Time(lt.cfg.DrainDeadline),
 	})
-	lt.perStream[stream]++
+	for int(sid) >= len(lt.perStream) {
+		lt.perStream = append(lt.perStream, 0)
+	}
+	lt.perStream[sid]++
 	lt.pendBytes += size
 	lt.stats.AppendedBytes += size
 	if lt.pendBytes > lt.stats.MaxPendingBytes {
@@ -235,15 +237,15 @@ func (lt *LogTier) Append(node int, stream string, off, size int64) (time.Durati
 }
 
 // ReadBarrier returns the highest undrained sequence number overlapping
-// [off, off+size) of stream, or 0 when the range is fully drained — the
-// read-your-writes barrier a reader must Wait for.
-func (lt *LogTier) ReadBarrier(stream string, off, size int64) uint64 {
-	if lt.perStream[stream] == 0 || size <= 0 {
+// [off, off+size) of stream sid, or 0 when the range is fully drained —
+// the read-your-writes barrier a reader must Wait for.
+func (lt *LogTier) ReadBarrier(sid int32, off, size int64) uint64 {
+	if uint(sid) >= uint(len(lt.perStream)) || lt.perStream[sid] == 0 || size <= 0 {
 		return 0
 	}
 	var seq uint64
 	for _, r := range lt.pending {
-		if r.Stream == stream && r.Off < off+size && off < r.Off+r.Size {
+		if r.Stream == sid && r.Off < off+size && off < r.Off+r.Size {
 			seq = r.Seq
 		}
 	}
@@ -271,12 +273,11 @@ func (lt *LogTier) Wait(p *sim.Proc, seq uint64, read bool) time.Duration {
 	return lt.k.Now() - start
 }
 
-// scheduleDrain arms the background drain on the timer queue it shares
-// with the I/O-node cache's deadline flusher: one pass is due at the
-// head record's deadline, immediately under backpressure or with
-// waiters blocked. An extra, earlier timer is armed only when no armed
-// one fires soon enough, and a timer whose work an earlier pass already
-// drained fires as a no-op.
+// scheduleDrain arms the background drain on the tier's own timer
+// queue: one pass is due at the head record's deadline, immediately
+// under backpressure or with waiters blocked. An extra, earlier timer is
+// armed only when no armed one fires soon enough, and a timer whose work
+// an earlier pass already drained fires as a no-op.
 func (lt *LogTier) scheduleDrain() {
 	if lt.draining || len(lt.pending) == 0 || lt.drainer == nil {
 		return

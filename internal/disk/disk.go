@@ -75,8 +75,8 @@ func (p Params) ArrayBW() float64 { return p.DiskBW * float64(p.DataDisks) }
 type Array struct {
 	p Params
 
-	lastStream string // stream tag of the previous request ("" = none)
-	lastEnd    int64  // byte offset where the previous request ended
+	lastStream int32 // stream of the previous request (-1 before the first)
+	lastEnd    int64 // byte offset where the previous request ended
 
 	// fault-plane state (see internal/faults): degraded marks one data
 	// drive failed, slow is a straggler service-time multiplier (1 =
@@ -97,7 +97,7 @@ func NewArray(p Params) (*Array, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Array{p: p, slow: 1}, nil
+	return &Array{p: p, lastStream: -1, slow: 1}, nil
 }
 
 // MustNewArray is NewArray, panicking on invalid parameters.
@@ -133,15 +133,17 @@ func (a *Array) SetSlow(factor float64) {
 }
 
 // Service returns the time to serve a request of size bytes at offset
-// within the named stream (a stream identifies one file's extent on this
-// array, so sequentiality is only recognized within a stream). It updates
-// the head-position state and statistics. size must be positive.
-func (a *Array) Service(stream string, offset, size int64) time.Duration {
+// within stream (the file's pfs id: a stream identifies one file's
+// extent on this array, so sequentiality is only recognized within a
+// stream). It updates the head-position state and statistics. size must
+// be positive and stream non-negative; an array's first request is
+// always positioned.
+func (a *Array) Service(stream int32, offset, size int64) time.Duration {
 	if size <= 0 {
 		panic(fmt.Sprintf("disk: non-positive request size %d", size))
 	}
 	d := a.p.Overhead
-	if a.lastStream == stream && a.lastEnd == offset && stream != "" {
+	if a.lastStream == stream && a.lastEnd == offset {
 		// Sequential continuation: near-free positioning.
 		d += a.p.TrackSeek / 4
 		a.seqHits++

@@ -51,9 +51,9 @@ func TestArrayBW(t *testing.T) {
 
 func TestSequentialCheaperThanRandom(t *testing.T) {
 	a := newDefault(t)
-	first := a.Service("f", 0, 65536)     // cold: positioned
-	seq := a.Service("f", 65536, 65536)   // sequential continuation
-	rand := a.Service("f", 10<<20, 65536) // jump
+	first := a.Service(0, 0, 65536)     // cold: positioned
+	seq := a.Service(0, 65536, 65536)   // sequential continuation
+	rand := a.Service(0, 10<<20, 65536) // jump
 	if seq >= first {
 		t.Fatalf("sequential (%v) not cheaper than cold (%v)", seq, first)
 	}
@@ -64,11 +64,11 @@ func TestSequentialCheaperThanRandom(t *testing.T) {
 
 func TestStreamSwitchBreaksSequentiality(t *testing.T) {
 	a := newDefault(t)
-	a.Service("f", 0, 65536)
-	other := a.Service("g", 65536, 65536) // same offset, different stream
+	a.Service(0, 0, 65536)
+	other := a.Service(1, 65536, 65536) // same offset, different stream
 	a2 := newDefault(t)
-	a2.Service("f", 0, 65536)
-	same := a2.Service("f", 65536, 65536)
+	a2.Service(0, 0, 65536)
+	same := a2.Service(0, 65536, 65536)
 	if other <= same {
 		t.Fatalf("cross-stream request (%v) priced as sequential (%v)", other, same)
 	}
@@ -76,8 +76,8 @@ func TestStreamSwitchBreaksSequentiality(t *testing.T) {
 
 func TestLargeRequestAmortizesPositioning(t *testing.T) {
 	a := newDefault(t)
-	small := a.Service("f", 1<<30, 512)
-	large := newDefault(t).Service("f", 1<<30, 1<<20)
+	small := a.Service(0, 1<<30, 512)
+	large := newDefault(t).Service(0, 1<<30, 1<<20)
 	// Effective bandwidth of the large request must be far higher.
 	smallBW := 512 / small.Seconds()
 	largeBW := float64(1<<20) / large.Seconds()
@@ -89,13 +89,13 @@ func TestLargeRequestAmortizesPositioning(t *testing.T) {
 func TestServiceTimeComponents(t *testing.T) {
 	p := DefaultParams()
 	a := MustNewArray(p)
-	d := a.Service("f", 4096, 65536)
+	d := a.Service(0, 4096, 65536)
 	want := p.Overhead + p.AvgSeek + p.Rotation/2 +
 		time.Duration(65536/p.ArrayBW()*float64(time.Second))
 	if d != want {
 		t.Fatalf("Service = %v, want %v", d, want)
 	}
-	d2 := a.Service("f", 4096+65536, 65536)
+	d2 := a.Service(0, 4096+65536, 65536)
 	want2 := p.Overhead + p.TrackSeek/4 +
 		time.Duration(65536/p.ArrayBW()*float64(time.Second))
 	if d2 != want2 {
@@ -103,11 +103,25 @@ func TestServiceTimeComponents(t *testing.T) {
 	}
 }
 
+// TestFirstRequestIsPositioned: an array starts with no previous
+// request, so its first one pays positioning even at stream 0, offset 0,
+// where the zero head state would otherwise look like a continuation.
+func TestFirstRequestIsPositioned(t *testing.T) {
+	p := DefaultParams()
+	a := MustNewArray(p)
+	d := a.Service(0, 0, 65536)
+	want := p.Overhead + p.AvgSeek + p.Rotation/2 +
+		time.Duration(65536/p.ArrayBW()*float64(time.Second))
+	if d != want || a.Stats().SeqHits != 0 {
+		t.Fatalf("first Service = %v (%d sequential hits), want positioned %v", d, a.Stats().SeqHits, want)
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	a := newDefault(t)
-	a.Service("f", 0, 1000)
-	a.Service("f", 1000, 1000)
-	a.Service("g", 0, 500)
+	a.Service(0, 0, 1000)
+	a.Service(0, 1000, 1000)
+	a.Service(1, 0, 500)
 	s := a.Stats()
 	if s.Requests != 3 {
 		t.Fatalf("Requests = %d, want 3", s.Requests)
@@ -132,7 +146,7 @@ func TestNonPositiveSizePanics(t *testing.T) {
 					t.Errorf("Service(size=%d) did not panic", size)
 				}
 			}()
-			a.Service("f", 0, size)
+			a.Service(0, 0, size)
 		}()
 	}
 }
@@ -147,7 +161,7 @@ func TestServicePositiveProperty(t *testing.T) {
 		} else {
 			o = int64(off)
 		}
-		return a.Service("f", o, s) > 0
+		return a.Service(0, o, s) > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -162,7 +176,7 @@ func TestServiceMonotoneInSizeForColdRequests(t *testing.T) {
 		}
 		a1 := MustNewArray(DefaultParams())
 		a2 := MustNewArray(DefaultParams())
-		return a1.Service("f", 999, lo) <= a2.Service("f", 999, hi)
+		return a1.Service(0, 999, lo) <= a2.Service(0, 999, hi)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -82,6 +82,12 @@ type Fault struct {
 	Count int
 }
 
+// maxFlaps caps a client-flap fault's Count. The PFS arms every flap as
+// a kernel event before the run starts, so the count bounds work done
+// outside any run deadline; the largest series the repository itself
+// declares is 7,500 flaps.
+const maxFlaps = 1 << 16
+
 // Plan is an ordered list of faults for one run. The zero value is the
 // healthy machine; arming order is Plan order, which fixes event
 // sequence allocation and keeps degraded runs deterministic.
@@ -146,14 +152,17 @@ func (f Fault) validate(ioNodes int) error {
 		if f.Node < 0 {
 			return fmt.Errorf("client-flap: negative node %d", f.Node)
 		}
-		if f.Count < 0 {
-			return fmt.Errorf("client-flap: negative count %d", f.Count)
+		if f.Count < 0 || f.Count > maxFlaps {
+			return fmt.Errorf("client-flap: count %d outside [0, %d]", f.Count, maxFlaps)
 		}
 		if f.Period < 0 {
 			return fmt.Errorf("client-flap: negative period %v", f.Period)
 		}
 		if f.Count > 1 && f.Period <= 0 {
 			return fmt.Errorf("client-flap: count %d needs a positive period", f.Count)
+		}
+		if n := time.Duration(f.FlapCount() - 1); n > 0 && f.Period > (math.MaxInt64-f.At)/n {
+			return fmt.Errorf("client-flap: last of %d flaps (at %v, every %v) overflows the virtual clock", f.Count, f.At, f.Period)
 		}
 		if f.Until != 0 {
 			return fmt.Errorf("client-flap: until does not apply (use period and count)")

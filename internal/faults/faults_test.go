@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -48,6 +49,12 @@ func TestValidateRejectsMalformedFaults(t *testing.T) {
 		{"flap-negative-node", plan(Fault{Kind: ClientFlap, Node: -1}), "negative node"},
 		{"flap-count-no-period", plan(Fault{Kind: ClientFlap, Count: 3}), "positive period"},
 		{"flap-until", plan(Fault{Kind: ClientFlap, Until: time.Second}), "until"},
+		{"flap-negative-count", plan(Fault{Kind: ClientFlap, Count: -1}), "outside [0, 65536]"},
+		{"flap-count-cap", plan(Fault{Kind: ClientFlap, Count: maxFlaps + 1, Period: time.Millisecond}), "outside [0, 65536]"},
+		// The series that used to wrap At + j·Period negative in the PFS's
+		// fault arming and panic the run outside the kernel.
+		{"flap-overflow", plan(Fault{Kind: ClientFlap, At: time.Millisecond, Node: 1, Count: 4,
+			Period: 4000000000000 * time.Millisecond}), "overflows the virtual clock"},
 		{"double-crash", plan(
 			Fault{Kind: NodeCrash, IONode: 0},
 			Fault{Kind: NodeCrash, At: time.Second, IONode: 0}), "crashes twice"},
@@ -60,6 +67,24 @@ func TestValidateRejectsMalformedFaults(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestFlapSeriesBounds: the largest count and a series whose last flap
+// lands exactly on the last representable instant are both valid.
+func TestFlapSeriesBounds(t *testing.T) {
+	const last = time.Duration(math.MaxInt64)
+	for _, f := range []Fault{
+		{Kind: ClientFlap, Count: maxFlaps, Period: time.Millisecond},
+		{Kind: ClientFlap, At: last - 3*time.Hour, Count: 4, Period: time.Hour},
+		{Kind: ClientFlap, At: last},
+	} {
+		if err := plan(f).Validate(16); err != nil {
+			t.Errorf("%v rejected: %v", f, err)
+		}
+	}
+	if err := plan(Fault{Kind: ClientFlap, At: last - 3*time.Hour + 1, Count: 4, Period: time.Hour}).Validate(16); err == nil {
+		t.Error("a series one nanosecond past the clock's end was accepted")
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 
 // FuzzPlanRoundTrip hardens Plan.Validate and pins Plan.String as a
 // content address: Validate and String never panic; a plan Validate
-// accepts against a topology is also accepted shape-only and has a
-// finite straggler factor; and its String parses back (with the
+// accepts against a topology is also accepted shape-only, has a finite
+// straggler factor and a client-flap series whose last flap fits the
+// virtual clock; and its String parses back (with the
 // test-local parser below) to the same plan up to the defaults String
 // makes explicit, so two semantically different valid plans never share
 // a string.
@@ -25,6 +26,7 @@ func FuzzPlanRoundTrip(f *testing.F) {
 	f.Add(string(Straggler), int64(time.Second), int64(0), 2, 0, math.Inf(1), int64(0), 0, 16, false)
 	f.Add(string(ClientFlap), int64(time.Second), int64(0), 0, 7, 0.0, int64(0), 0, 16, false)
 	f.Add(string(ClientFlap), int64(time.Second), int64(0), 0, 0, 0.0, int64(time.Second), 5, 16, true)
+	f.Add(string(ClientFlap), int64(time.Millisecond), int64(0), 0, 1, 0.0, int64(4000000000000*time.Millisecond), 4, 16, false)
 	f.Add("disk-melt", int64(-1), int64(-2), -1, -1, -1.0, int64(-1), -1, -1, false)
 	f.Fuzz(func(t *testing.T, kind string, at, until int64, ionode, node int, factor float64,
 		period int64, count, ioNodes int, twice bool) {
@@ -43,6 +45,9 @@ func FuzzPlanRoundTrip(f *testing.F) {
 		}
 		if flt.Kind == Straggler && (math.IsNaN(flt.Factor) || math.IsInf(flt.Factor, 0)) {
 			t.Fatalf("straggler with factor %g accepted", flt.Factor)
+		}
+		if n := flt.FlapCount(); flt.Kind == ClientFlap && (n > maxFlaps || flt.At+time.Duration(n-1)*flt.Period < flt.At) {
+			t.Fatalf("client-flap series of %d every %v from %v accepted", n, flt.Period, flt.At)
 		}
 		got, err := parsePlan(s)
 		if err != nil {

@@ -21,7 +21,7 @@ import (
 // ground-truth write history.
 type coherenceOracle struct {
 	t        *testing.T
-	versions map[string]map[int64]uint64
+	versions map[int32]map[int64]uint64
 	hits     int
 	writes   int
 	recalls  int
@@ -30,7 +30,7 @@ type coherenceOracle struct {
 }
 
 func newCoherenceOracle(t *testing.T) *coherenceOracle {
-	return &coherenceOracle{t: t, versions: make(map[string]map[int64]uint64)}
+	return &coherenceOracle{t: t, versions: make(map[int32]map[int64]uint64)}
 }
 
 func (o *coherenceOracle) observe(op cache.ClientOp) {
@@ -47,7 +47,7 @@ func (o *coherenceOracle) observe(op cache.ClientOp) {
 		o.writes++
 		if want := cur[op.Block] + 1; op.Version != want {
 			o.failed = true
-			o.t.Errorf("write to %s[%d] produced version %d, oracle expects %d",
+			o.t.Errorf("write to stream %d[%d] produced version %d, oracle expects %d",
 				op.Stream, op.Block, op.Version, want)
 		}
 		cur[op.Block] = op.Version
@@ -55,7 +55,7 @@ func (o *coherenceOracle) observe(op cache.ClientOp) {
 		o.hits++
 		if want := cur[op.Block]; op.Version != want {
 			o.failed = true
-			o.t.Errorf("STALE READ: node %d served %s[%d] at version %d, last write was %d",
+			o.t.Errorf("STALE READ: node %d served stream %d[%d] at version %d, last write was %d",
 				op.Node, op.Stream, op.Block, op.Version, want)
 		}
 	case cache.ClientRecall:

@@ -65,16 +65,17 @@ type ioNode struct {
 // one is installed. Must run while res is held (process hold or UseFn
 // grant), so cache side effects (miss fills, forced flushes) extend the
 // current hold exactly like uncached head movement.
-func (n *ioNode) service(name string, c chunk, write bool) time.Duration {
+func (n *ioNode) service(id int32, c chunk, write bool) time.Duration {
 	if n.cache != nil {
-		return n.cache.Access(name, c.off, c.size, write)
+		return n.cache.Access(id, c.off, c.size, write)
 	}
-	return n.array.Service(name, c.off, c.size)
+	return n.array.Service(id, c.off, c.size)
 }
 
 // file is the server-side state of one PFS file.
 type file struct {
 	name     string
+	id       int32 // dense, in creation order: the stream every tier and array keys by
 	size     int64
 	base     int           // first stripe's I/O node (round-robin by name hash)
 	token    *sim.Resource // atomicity token
@@ -96,6 +97,7 @@ type FileSystem struct {
 	client *cache.ClientTier // nil when the client tier is disabled
 	log    *cache.LogTier    // nil when the log tier is disabled
 	files  map[string]*file
+	byID   []*file // files by id
 	tracer pablo.Tracer
 
 	// Fault-plane routing state, read in process context (request issue
@@ -339,7 +341,8 @@ func (fs *FileSystem) LogStats() cache.LogStats {
 	return fs.log.Stats()
 }
 
-// lookup returns the file record, creating it if requested.
+// lookup returns the file record, creating it with the next id if
+// requested.
 func (fs *FileSystem) lookup(name string, create bool) *file {
 	f, ok := fs.files[name]
 	if !ok && create {
@@ -347,6 +350,7 @@ func (fs *FileSystem) lookup(name string, create bool) *file {
 		h.Write([]byte(name))
 		f = &file{
 			name:  name,
+			id:    int32(len(fs.byID)),
 			base:  int(h.Sum32()) % len(fs.ios),
 			token: sim.NewResource(fs.k, "token:"+name, 1),
 		}
@@ -354,6 +358,7 @@ func (fs *FileSystem) lookup(name string, create bool) *file {
 			f.base += len(fs.ios)
 		}
 		fs.files[name] = f
+		fs.byID = append(fs.byID, f)
 	}
 	return f
 }

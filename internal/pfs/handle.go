@@ -74,7 +74,7 @@ func (h *Handle) readData(p *sim.Proc, off, n int64) {
 		// sitting in the host-side log must wait for the drain to catch
 		// up through them — the stall that makes the log tier a poor fit
 		// for read-after-write-resident streams (restart reads).
-		if seq := lg.ReadBarrier(h.f.name, off, n); seq > 0 {
+		if seq := lg.ReadBarrier(h.f.id, off, n); seq > 0 {
 			lg.Wait(p, seq, true)
 		}
 	}
@@ -82,7 +82,7 @@ func (h *Handle) readData(p *sim.Proc, off, n int64) {
 		// The client tier subsumes the legacy read buffer (which has no
 		// invalidation protocol — the reason PRISM's version C turned it
 		// off): while the tier is on, all reads go through it instead.
-		if d, hit := ct.Read(h.node, h.f.name, off, n); hit {
+		if d, hit := ct.Read(h.node, h.f.id, off, n); hit {
 			p.Wait(d)
 			return
 		}
@@ -99,7 +99,7 @@ func (h *Handle) readData(p *sim.Proc, off, n int64) {
 			hi = off + n
 		}
 		h.fs.xfer(p, h.node, h.f, lo, hi-lo, false)
-		ct.Install(h.node, h.f.name, lo, hi-lo)
+		ct.Install(h.node, h.f.id, lo, hi-lo)
 		p.Wait(ct.CopyCost(n))
 		return
 	}
@@ -138,7 +138,7 @@ func (h *Handle) readData(p *sim.Proc, off, n int64) {
 // the node.
 func (h *Handle) writeData(p *sim.Proc, off, n int64) {
 	if ct := h.fs.client; ct != nil {
-		if d := ct.Write(h.node, h.f.name, off, n); d > 0 {
+		if d := ct.Write(h.node, h.f.id, off, n); d > 0 {
 			p.Wait(d)
 		}
 	}
@@ -147,7 +147,7 @@ func (h *Handle) writeData(p *sim.Proc, off, n int64) {
 		// background drain move it to the PFS. Backpressure blocks the
 		// appender when the undrained backlog exceeds the tier's
 		// capacity, so a burst larger than the buffer still pays.
-		cost, stall := lg.Append(h.node, h.f.name, off, n)
+		cost, stall := lg.Append(h.node, h.f.id, off, n)
 		if stall > 0 {
 			lg.Wait(p, stall, false)
 		}
@@ -302,7 +302,7 @@ func (h *Handle) SetIOMode(p *sim.Proc, mode Mode) error {
 func (h *Handle) renegotiate(p *sim.Proc, mode Mode) {
 	h.fs.meta.Use(p, costSetIOMode*time.Duration(len(h.fs.ios)))
 	if ct := h.fs.client; ct != nil {
-		if d := ct.RecallStream(h.node, h.f.name); d > 0 {
+		if d := ct.RecallStream(h.node, h.f.id); d > 0 {
 			p.Wait(d)
 		}
 	}
@@ -320,7 +320,7 @@ func (h *Handle) Flush(p *sim.Proc) error {
 	p.Wait(costRequest)
 	h.bufOff, h.bufLen = 0, 0
 	if ct := h.fs.client; ct != nil {
-		ct.InvalidateLocal(h.node, h.f.name)
+		ct.InvalidateLocal(h.node, h.f.id)
 	}
 	h.fs.trace(h.node, pablo.OpFlush, h.f.name, 0, 0, start, h.f.mode)
 	return nil

@@ -77,7 +77,7 @@ func (q *request) arrive() { q.n.res.UseFn(q.holdFn, q.doneFn) }
 func (q *request) hold() sim.Time {
 	var d time.Duration
 	for _, c := range q.chunks {
-		d += q.n.service(q.f.name, c, q.write)
+		d += q.n.service(q.f.id, c, q.write)
 	}
 	return d
 }
@@ -255,8 +255,7 @@ func (fs *FileSystem) serve(p *sim.Proc, q *request) {
 func (fs *FileSystem) drainLog(batch []cache.LogRecord, done func()) {
 	j := fs.newJoin(nil, done)
 	for _, r := range batch {
-		f := fs.lookup(r.Stream, true)
-		for _, q := range fs.split(r.Node, f, r.Off, r.Size, true) {
+		for _, q := range fs.split(r.Node, fs.byID[r.Stream], r.Off, r.Size, true) {
 			j.hop(q)
 		}
 	}

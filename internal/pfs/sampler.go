@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"sort"
 	"time"
 
 	"paragonio/internal/sim"
@@ -66,15 +65,8 @@ func (s *Sampler) take(now time.Duration) {
 		sample.IONodeBusy[i] = io.array.Stats().Busy
 		sample.IONodeQueue[i] = io.res.QueueLen()
 	}
-	// Deterministic iteration for reproducible traces: sum over sorted
-	// file names.
-	names := make([]string, 0, len(s.fs.files))
-	for name := range s.fs.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		sample.TokenQueue += s.fs.files[name].token.QueueLen()
+	for _, f := range s.fs.byID {
+		sample.TokenQueue += f.token.QueueLen()
 	}
 	s.samples = append(s.samples, sample)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -191,6 +192,7 @@ type ErrorBody struct {
 // dispatch on them, so they never change meaning.
 const (
 	ErrCodeBadJSON        = "bad_json"        // 400: body is not valid JSON for the endpoint
+	ErrCodeTooLarge       = "body_too_large"  // 413: body longer than maxBodyBytes
 	ErrCodeInvalidRequest = "invalid_request" // 400: a field failed validation
 	ErrCodeQueueFull      = "queue_full"      // 429: admission queue full, retry later
 	ErrCodeTimeout        = "timeout"         // 504: run exceeded the server deadline
@@ -270,6 +272,13 @@ func (r *SimulateRequest) validate() error {
 	if r.SampleMS < 0 {
 		return fieldErrorf("sample_ms", "sample_ms must be non-negative, got %d", r.SampleMS)
 	}
+	for i, f := range r.Faults {
+		for _, ms := range []int64{f.AtMS, f.UntilMS, f.PeriodMS} {
+			if ms > maxMS || ms < -maxMS {
+				return fieldErrorf("faults", "faults: fault %d: %d ms does not fit the nanosecond clock", i, ms)
+			}
+		}
+	}
 	cfg := r.config()
 	if err := core.CheckIONodes(cfg); err != nil {
 		return fieldErrorf("ionodes", "%v", err)
@@ -292,6 +301,10 @@ func (r *SimulateRequest) validate() error {
 	}
 	return nil
 }
+
+// maxMS is the largest millisecond count that converts to a
+// time.Duration without overflowing.
+const maxMS = math.MaxInt64 / int64(time.Millisecond)
 
 // faultsPlan maps the request's faults block onto the engine's plan.
 func (r *SimulateRequest) faultsPlan() faults.Plan {
@@ -450,12 +463,21 @@ func (s *Server) resolve(ctx context.Context, key, client, kind string, req *Sim
 	return f.body, dedup, f.err
 }
 
-// decodeBody decodes a request body into v, rejecting unknown fields.
-// On failure it writes the bad_json error and reports false.
+// maxBodyBytes bounds how much of a request body the service reads; a
+// longer body is answered 413.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a request body into v, rejecting unknown fields and
+// bodies longer than maxBodyBytes. On failure it writes the bad_json or
+// body_too_large error and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			writeError(w, http.StatusRequestEntityTooLarge, ErrCodeTooLarge, "", "request body exceeds %d bytes", maxBodyBytes)
+			return false
+		}
 		writeError(w, http.StatusBadRequest, ErrCodeBadJSON, "", "bad request body: %v", err)
 		return false
 	}

@@ -324,6 +324,12 @@ func TestSimulateBadRequests(t *testing.T) {
 			ErrCodeInvalidRequest, "faults", "out of range"},
 		{`{"app":"prism","version":"C","faults":[{"kind":"disk-fail","bogus":1}]}`,
 			ErrCodeBadJSON, "", "bad request body"},
+		{`{"app":"prism","version":"C","tiers":{"client":{}},"faults":[{"kind":"client-flap","period_ms":1,"count":65537}]}`,
+			ErrCodeInvalidRequest, "faults", "outside [0, 65536]"},
+		{`{"app":"prism","version":"C","faults":[{"kind":"disk-fail","at_ms":9300000000000000}]}`,
+			ErrCodeInvalidRequest, "faults", "does not fit the nanosecond clock"},
+		{`{"app":"prism","version":"C","faults":[{"kind":"disk-fail","at_ms":1,"until_ms":-9300000000000000}]}`,
+			ErrCodeInvalidRequest, "faults", "does not fit the nanosecond clock"},
 		{`{"app":"prism","version":"C","tiers":{"ionode":{"read_ahead":-1}}}`,
 			ErrCodeInvalidRequest, "tiers", "negative ReadAhead"},
 		{`{"app":"prism","version":"C","tiers":{"client":{"capacity_bytes":-1}}}`,
@@ -355,6 +361,55 @@ func TestSimulateBadRequests(t *testing.T) {
 	}
 	if n := runs.Load(); n != 0 {
 		t.Errorf("engine ran %d times for rejected requests, want 0", n)
+	}
+}
+
+// overflowingFlapPlan is a client-flap series whose last flap, At +
+// 3·Period, lies past the end of the virtual clock.
+const overflowingFlapPlan = `{"app":"escat","version":"C","tiers":{"client":{}},` +
+	`"faults":[{"kind":"client-flap","node":1,"at_ms":1,"period_ms":4000000000000,"count":4}]}`
+
+// TestOverflowingFlapPlanRejected runs the real engine: a flap series
+// that overflows the virtual clock is a 400 on the faults field, not a
+// panic while the run's faults are armed, and the daemon keeps serving.
+func TestOverflowingFlapPlanRejected(t *testing.T) {
+	s := newTestServer(t, Config{}, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, out := postJSON(t, ts, "/v1/simulate", overflowingFlapPlan)
+	var e apiError
+	if err := json.Unmarshal(out, &e); err != nil {
+		t.Fatalf("status %d, body is not the error envelope: %v\n%s", resp.StatusCode, err, out)
+	}
+	if resp.StatusCode != 400 || e.Error.Code != ErrCodeInvalidRequest || e.Error.Field != "faults" ||
+		!strings.Contains(e.Error.Message, "overflows the virtual clock") {
+		t.Errorf("status %d code %q field %q message %q, want 400 %s on faults", resp.StatusCode, e.Error.Code, e.Error.Field, e.Error.Message, ErrCodeInvalidRequest)
+	}
+	if resp, out := getURL(t, ts, "/healthz"); resp.StatusCode != 200 || string(out) != "ok\n" {
+		t.Errorf("healthz after the rejected plan: %d %q", resp.StatusCode, out)
+	}
+}
+
+// TestOversizedBodyRejected: a body past maxBodyBytes is a 413 with the
+// error envelope, read no further than the limit, and the daemon keeps
+// serving.
+func TestOversizedBodyRejected(t *testing.T) {
+	s := newTestServer(t, Config{}, stubRun)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"app":"prism","version":"C","dataset":"` + strings.Repeat("x", 2<<20) + `"}`
+	resp, out := postJSON(t, ts, "/v1/simulate", body)
+	var e apiError
+	if err := json.Unmarshal(out, &e); err != nil {
+		t.Fatalf("status %d, body is not the error envelope: %v\n%s", resp.StatusCode, err, out)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || e.Error.Code != ErrCodeTooLarge {
+		t.Errorf("status %d code %q, want 413 %s", resp.StatusCode, e.Error.Code, ErrCodeTooLarge)
+	}
+	if resp, out := postJSON(t, ts, "/v1/simulate", `{"app":"prism","version":"C"}`); resp.StatusCode != 200 {
+		t.Errorf("simulate after the oversized body: %d %s", resp.StatusCode, out)
 	}
 }
 

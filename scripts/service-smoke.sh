@@ -5,7 +5,8 @@
 # content-addressed cache hit on the identical re-request, a batched
 # sweep whose repeated grid dedups entirely against the cache, a
 # degraded (fault-injected) run pinned to its own golden digest with a
-# structured 400 on a malformed faults block, a log-tier run pinned to
+# structured 400 on a malformed faults block and on a client-flap series
+# that overflows the virtual clock, a log-tier run pinned to
 # the log-on golden digest with the log stats block in the response,
 # an advise run cached and replayed under its advise/ address, and a
 # kill-and-restart proving the spill directory warm-starts the index.
@@ -93,6 +94,13 @@ code=$(curl -sS -o "$work/err.json" -w '%{http_code}' -X POST -H 'Content-Type: 
 grep -q '"code":"invalid_request"' "$work/err.json"
 grep -q '"field":"faults"' "$work/err.json"
 grep -q 'unknown kind' "$work/err.json"
+#    A client-flap series whose last flap overflows the virtual clock is
+#    a 400 on the same field, and the daemon keeps serving.
+flap_overflow='{"app":"escat","version":"C","tiers":{"client":{}},"faults":[{"kind":"client-flap","node":1,"at_ms":1,"period_ms":4000000000000,"count":4}]}'
+code=$(curl -sS -o "$work/err.json" -w '%{http_code}' -X POST -H 'Content-Type: application/json' -d "$flap_overflow" "$base/v1/simulate")
+[ "$code" = 400 ]
+grep -q '"field":"faults"' "$work/err.json"
+[ "$(curl -fsS "$base/healthz")" = ok ]
 
 # 9. The third cache tier over HTTP: prism/C with the log tier at its
 #    defaults is a distinct fresh run pinned to the log-on golden
