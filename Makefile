@@ -1,7 +1,7 @@
 # paragonio — reproduction of Smirni et al., HPDC 1996.
 GO ?= go
 
-.PHONY: all build test test-short vet vet-race fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke fuzz-smoke clean
+.PHONY: all build test test-short test-386 vet vet-race fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke fuzz-smoke clean
 
 all: build test
 
@@ -13,6 +13,14 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# The determinism contract on a 32-bit target: the kernel's tests, the
+# cache tiers' event-stream goldens, every access-mode digest, the seven
+# golden trace digests and the kernel's dispatch-stream golden must all
+# hold at GOARCH=386 too. About 6 s on 2 cores.
+test-386:
+	GOARCH=386 $(GO) test ./internal/sim ./internal/cache ./internal/iobench
+	GOARCH=386 $(GO) test -run 'TestGoldenDigests|TestDispatchStreamGolden' ./internal/experiments
 
 vet:
 	$(GO) vet ./...

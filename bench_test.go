@@ -398,6 +398,32 @@ func BenchmarkKernelTimedWaitChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelBarrierRelease drives 32 processes through the
+// collective shape the applications repeat at every solver step: a
+// staggered compute wait, then a barrier followed by the message cost
+// (Barrier.AwaitThen), as workload.Collective does it. 31 parties park
+// at each release. One op is one party-epoch.
+func BenchmarkKernelBarrierRelease(b *testing.B) {
+	const parties = 32
+	k := sim.NewKernel()
+	bar := sim.NewBarrier(k, "step", parties)
+	epochs := b.N/parties + 1
+	for i := 0; i < parties; i++ {
+		compute := time.Duration(i+1) * time.Microsecond
+		k.Spawn("party", func(p *sim.Proc) {
+			for e := 0; e < epochs; e++ {
+				p.Wait(compute)
+				bar.AwaitThen(p, 10*time.Microsecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkKernelResourceContention hammers one capacity-1 server with 32
 // clients, comparing the process-shaped path (Use: two goroutine handoffs
 // per grant) against the callback fast path (UseFn: zero).

@@ -254,3 +254,38 @@ func TestAllReduceCosts(t *testing.T) {
 		t.Fatal("payload should increase allreduce cost")
 	}
 }
+
+// BenchmarkMeshCollectives times the cost model of each message pattern
+// the applications charge: one point-to-point transfer between compute
+// nodes, one to an I/O node, and the collectives at the paper's party
+// sizes (64 PRISM nodes, 128 ethylene, 256 carbon monoxide). One op is
+// one cost evaluation.
+func BenchmarkMeshCollectives(b *testing.B) {
+	m, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink time.Duration
+	ops := []struct {
+		name string
+		cost func(i int) time.Duration
+	}{
+		{"transfer", func(i int) time.Duration { return m.Transfer(int64(i&511), int64((i*7)&511), 4096) }},
+		{"to-ionode", func(i int) time.Duration { return m.TransferToIONode(i&511, i&15, 65536) }},
+		{"barrier", func(i int) time.Duration { return m.Barrier(64 << (i % 3)) }},
+		{"broadcast", func(i int) time.Duration { return m.Broadcast(64<<(i%3), 65536) }},
+		{"allreduce", func(i int) time.Duration { return m.AllReduce(64<<(i%3), 8) }},
+		{"gather", func(i int) time.Duration { return m.Gather(64<<(i%3), 2048) }},
+	}
+	for _, op := range ops {
+		b.Run(op.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink += op.cost(i)
+			}
+		})
+	}
+	if sink < 0 {
+		b.Fatal("negative mesh cost")
+	}
+}

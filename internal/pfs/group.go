@@ -85,8 +85,7 @@ func (g *Group) Gopen(p *sim.Proc, node int, name string, mode Mode) (*Handle, e
 		g.file = f
 		g.err = nil
 	}
-	g.bar2.Await(p)
-	p.Wait(g.fs.cfg.Mesh.Barrier(len(g.nodes)))
+	g.bar2.AwaitThen(p, g.fs.cfg.Mesh.Barrier(len(g.nodes)))
 	f := g.file
 	g.fs.trace(node, pablo.OpGopen, name, 0, 0, start, mode)
 	return &Handle{fs: g.fs, f: f, node: node, group: g, buffered: true}, nil
@@ -115,8 +114,7 @@ func (g *Group) SetIOMode(p *sim.Proc, h *Handle, mode Mode) error {
 		h.renegotiate(p, mode)
 		g.err = nil
 	}
-	g.bar2.Await(p)
-	p.Wait(g.fs.cfg.Mesh.Barrier(len(g.nodes)))
+	g.bar2.AwaitThen(p, g.fs.cfg.Mesh.Barrier(len(g.nodes)))
 	h.group = g
 	g.fs.trace(h.node, pablo.OpIOMode, h.f.name, 0, 0, start, mode)
 	return nil
@@ -244,8 +242,7 @@ func (g *Group) syncOp(p *sim.Proc, h *Handle, rank int, size int64, write bool)
 		return 0, g.err
 	}
 	off, n := g.offs[rank], g.counts[rank]
-	h.f.token.Acquire(p)
-	p.Wait(costToken)
+	h.f.token.AcquireThen(p, costToken)
 	h.move(p, off, n, write) // n is already clamped: files never shrink
 	h.f.token.Release(p)
 	g.fs.trace(h.node, opOf(write), h.f.name, off, n, start, MSync)

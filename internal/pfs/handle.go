@@ -229,8 +229,7 @@ func (h *Handle) data(p *sim.Proc, size int64, write bool) (int64, error) {
 	start := p.Now()
 	atomic := mode != MAsync
 	if atomic {
-		h.f.token.Acquire(p)
-		p.Wait(costToken)
+		h.f.token.AcquireThen(p, costToken)
 	}
 	ptr := &h.ptr
 	if mode == MLog {
@@ -262,9 +261,7 @@ func (h *Handle) Seek(p *sim.Proc, off int64) error {
 	start := p.Now()
 	switch mode {
 	case MUnix:
-		h.f.token.Acquire(p)
-		p.Wait(costSeekShared)
-		h.f.token.Release(p)
+		h.f.token.Use(p, costSeekShared)
 	case MAsync, MRecord:
 		p.Wait(costSeekLocal)
 	default:

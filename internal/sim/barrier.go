@@ -39,6 +39,15 @@ func (b *Barrier) Await(p *Proc) {
 	b.release()
 }
 
+// AwaitThen is Await followed by p.Wait(d). A party that parks is not
+// resumed at the release: its wake event makes the wait in its place
+// (Proc.setThen).
+func (b *Barrier) AwaitThen(p *Proc, d Time) {
+	p.setThen(d)
+	b.Await(p)
+	p.waitThen()
+}
+
 // release completes the epoch: every earlier arrival is woken at the
 // current instant.
 func (b *Barrier) release() {

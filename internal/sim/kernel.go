@@ -15,7 +15,7 @@
 // of Go's goroutine scheduling. Events for the current instant go on a
 // FIFO ready lane; only later events go through the time-ordered heap.
 //
-// An event is dispatched in one of three shapes:
+// An event is dispatched in one of four shapes:
 //
 //   - Coroutine resume: a process event switches to the process's
 //     coroutine (iter.Pull's next and yield). The runtime switches
@@ -28,6 +28,9 @@
 //   - Inline wait: when the process the loop resumed calls Wait and its
 //     own wake would be the very next event dispatched, Wait advances the
 //     clock and accounts the event itself and returns without parking.
+//   - Deferred wait: a process parked in Barrier.AwaitThen or
+//     Resource.AcquireThen named the Wait it makes on waking; its wake
+//     event schedules that wait instead of resuming the process.
 //
 // A panic in a process body surfaces from Run as a *PanicError after
 // every other process has been unwound.
@@ -269,7 +272,10 @@ func (k *Kernel) Run() (err error) {
 				k.observer(e.at, e.seq)
 			}
 			k.current = e.proc
-			if e.proc != nil {
+			if e.proc != nil && e.proc.thenWait {
+				e.proc.thenWait = false // Proc.setThen: wait in its place
+				k.schedule(k.now+e.proc.then, e.proc, nil)
+			} else if e.proc != nil {
 				k.dispatch(e.proc)
 			} else if e.fn != nil {
 				e.fn()

@@ -22,9 +22,11 @@ type Proc struct {
 	yield func(struct{}) bool     // park: switches back to whoever called next
 	done  bool
 
-	blocked string   // why the process is parked with no pending wake, for deadlock reports
-	barrier *Barrier // the barrier the process is parked on, if any
-	holds   []held   // the Resource slots the process holds
+	blocked  string   // why the process is parked with no pending wake, for deadlock reports
+	barrier  *Barrier // the barrier the process is parked on, if any
+	holds    []held   // the Resource slots the process holds
+	thenWait bool     // the process's next wake makes Wait(then) in its place (setThen)
+	then     Time
 }
 
 // Spawn creates a new process executing body and schedules it to start at
@@ -104,6 +106,28 @@ func (p *Proc) Wait(d Time) {
 	}
 	k.schedule(at, p, nil)
 	p.park("")
+}
+
+// setThen arms the Wait(d) the process makes once past its next
+// synchronization point (AwaitThen, AcquireThen). If it parks there, the
+// run loop makes that wait in its place when the release or grant wakes
+// it, without a coroutine switch. The wait takes the sequence number and
+// its wake the event count and observer call that the process's own
+// Wait would; a Wait that would have completed inline has its wake
+// dispatched next, so the (at, seq) stream and cancel polls match too.
+func (p *Proc) setThen(d Time) {
+	if d < 0 {
+		panic("sim: negative wait on " + p.name)
+	}
+	p.thenWait, p.then = true, d
+}
+
+// waitThen makes the armed wait if the process did not park for it.
+func (p *Proc) waitThen() {
+	if p.thenWait {
+		p.thenWait = false
+		p.Wait(p.then)
+	}
 }
 
 // Suspend parks the process until another event resumes it via

@@ -8,7 +8,7 @@ import "fmt"
 // token.
 //
 // Acquirers come in two shapes, freely mixed in one FIFO queue:
-// process-shaped (Acquire/Release/Use, blocking a *Proc) and
+// process-shaped (AcquireThen/Release/Use, blocking a *Proc) and
 // callback-shaped (UseFn), which takes the kernel's inline dispatch fast
 // path — no coroutine switch per grant. Both shapes produce the same
 // event sequence, virtual timing, and statistics.
@@ -83,17 +83,26 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // Acquire blocks p until a slot is free, FIFO with respect to other
-// acquirers.
+// acquirers. Product code calls AcquireThen or Use, which build on it;
+// tests keep it as the reference AcquireThen is checked against.
 func (r *Resource) Acquire(p *Proc) {
 	if r.busy < r.capacity && r.waiters.len() == 0 {
 		r.grant(r.k.now)
+		p.holds = append(p.holds, held{r: r, since: r.k.now})
 	} else {
 		r.enqueue(resWaiter{p: p, enq: r.k.now})
 		p.park(r.park)
-		// When we are resumed, wakeNext has already granted us the slot,
-		// at this same instant.
+		// When we are resumed, wakeNext has already granted us the slot.
 	}
-	p.holds = append(p.holds, held{r: r, since: r.k.now})
+}
+
+// AcquireThen is Acquire followed by p.Wait(d): it returns d after the
+// grant, holding the slot. An acquirer that queues is not resumed at the
+// grant: its wake event makes the wait in its place (Proc.setThen).
+func (r *Resource) AcquireThen(p *Proc, d Time) {
+	p.setThen(d)
+	r.Acquire(p)
+	p.waitThen()
 }
 
 // enqueue appends a waiter and tracks the queue-length high-water mark.
@@ -182,9 +191,9 @@ type held struct {
 }
 
 // wakeNext grants the freed slot to the longest-waiting acquirer, if any.
-// Process-shaped waiters are woken through the scheduler; callback-shaped
-// waiters get an equivalent same-instant event so both shapes resume at
-// identical (at, seq) positions.
+// A process-shaped waiter holds it from now and is woken through the
+// scheduler; a callback-shaped one gets an equivalent same-instant event,
+// so both shapes resume at identical (at, seq) positions.
 func (r *Resource) wakeNext() {
 	if r.waiters.len() == 0 {
 		return
@@ -192,6 +201,7 @@ func (r *Resource) wakeNext() {
 	next := r.waiters.pop()
 	r.grant(next.enq)
 	if next.p != nil {
+		next.p.holds = append(next.p.holds, held{r: r, since: r.k.now})
 		r.k.wake(next.p)
 		return
 	}
@@ -201,8 +211,7 @@ func (r *Resource) wakeNext() {
 // Use acquires the resource, holds it for d of virtual time, and releases
 // it. It is the common "request service" idiom.
 func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Wait(d)
+	r.AcquireThen(p, d)
 	r.Release(p)
 }
 

@@ -124,24 +124,21 @@ func (c *Collective) Size() int { return c.n }
 
 // Barrier synchronizes all members and charges the mesh barrier cost.
 func (c *Collective) Barrier(n *Node) {
-	c.bar.Await(n.P)
-	n.P.Wait(c.m.Mesh.Barrier(c.n))
+	c.bar.AwaitThen(n.P, c.m.Mesh.Barrier(c.n))
 }
 
 // Broadcast synchronizes the members and distributes size bytes from
 // root to all: every member pays the binomial-tree broadcast time.
 // (The ESCAT versions B/C "node zero reads and broadcasts" pattern.)
 func (c *Collective) Broadcast(n *Node, root int, size int64) {
-	c.bar.Await(n.P)
-	n.P.Wait(c.m.Mesh.Broadcast(c.n, size))
+	c.bar.AwaitThen(n.P, c.m.Mesh.Broadcast(c.n, size))
 }
 
 // AllReduce synchronizes the members and performs a combining reduction
 // of size bytes (the per-step solver synchronization both applications'
 // compute phases perform).
 func (c *Collective) AllReduce(n *Node, size int64) {
-	c.bar.Await(n.P)
-	n.P.Wait(c.m.Mesh.AllReduce(c.n, size))
+	c.bar.AwaitThen(n.P, c.m.Mesh.AllReduce(c.n, size))
 }
 
 // Gather synchronizes the members and collects size bytes from each
@@ -149,12 +146,13 @@ func (c *Collective) AllReduce(n *Node, size int64) {
 // senders pay one transfer. (The ESCAT version A "node zero collects the
 // quadrature data" pattern.)
 func (c *Collective) Gather(n *Node, root int, size int64) {
-	c.bar.Await(n.P)
+	var d time.Duration
 	if n.ID == root {
-		n.P.Wait(c.m.Mesh.Gather(c.n, size))
+		d = c.m.Mesh.Gather(c.n, size)
 	} else {
-		n.P.Wait(c.m.Mesh.Transfer(int64(n.ID), int64(root), size))
+		d = c.m.Mesh.Transfer(int64(n.ID), int64(root), size)
 	}
+	c.bar.AwaitThen(n.P, d)
 }
 
 // Choice yields one of a weighted set of sizes — the natural encoding of
