@@ -14,8 +14,8 @@
 //     local renewal: a lease can only be extended by going back through
 //     the directory, so a writer always sees every holder it must
 //     invalidate.
-//   - Writes invalidate. The tier keeps a directory mapping each block
-//     to its holders; a write bumps the block's version and recalls the
+//   - Writes invalidate. The tier's directory lists each block's
+//     resident copies; a write bumps the block's version and recalls the
 //     block from every holder with a still-valid lease (expired holders
 //     are skipped for free — their next lookup misses anyway). The
 //     writer pays the invalidation round-trip before its data leaves the
@@ -107,7 +107,7 @@ type ClientStats struct {
 
 	Recalls      uint64 // lease-recall messages delivered to peer holders
 	RecallRounds uint64 // writes that had to recall at least one peer
-	StaleAverted uint64 // recalled blocks actually resident at the holder: a stale read averted
+	StaleAverted uint64 // recalled blocks resident at the holder; every leased copy is, so this equals Recalls
 	FileRecalls  uint64 // whole-stream recalls (setiomode renegotiations)
 	Flaps        uint64 // flapping-client storms injected by the fault plane
 
@@ -161,17 +161,11 @@ type ClientOp struct {
 	Version uint64
 }
 
-// clientLease is one holder's registration in the directory.
-type clientLease struct {
-	node   int
-	expiry sim.Time
-}
-
 // clientDirEntry is the directory's view of one block: its current
-// version and every registered holder.
+// version and every node's resident copy.
 type clientDirEntry struct {
 	version uint64
-	holders []clientLease // sorted by node id
+	copies  []*clientBlock // sorted by node id
 }
 
 // clientDirPageBits sizes a directory page: 2^7 = 128 entries, 4 KB.
@@ -216,40 +210,54 @@ func (d *clientDir) entry(idx int64) *clientDirEntry {
 	return &d.page(idx>>clientDirPageBits, true)[idx&(1<<clientDirPageBits-1)]
 }
 
-// lookup returns block idx's entry, or nil when its page was never
-// allocated (no holder was ever registered near it).
-func (d *clientDir) lookup(idx int64) *clientDirEntry {
+// lookup returns node's copy of block idx, or nil when it has none.
+func (d *clientDir) lookup(node int, idx int64) *clientBlock {
 	p := d.page(idx>>clientDirPageBits, false)
 	if p == nil {
 		return nil
 	}
-	return &p[idx&(1<<clientDirPageBits-1)]
+	for _, b := range p[idx&(1<<clientDirPageBits-1)].copies {
+		if b.node == node {
+			return b
+		}
+	}
+	return nil
 }
 
-// held reports whether any block of the directory has a holder.
+// held reports whether any block of the directory has a leased copy.
 func (d *clientDir) held() bool {
 	for _, p := range d.pages {
 		for j := range p {
-			if len(p[j].holders) > 0 {
-				return true
+			for _, b := range p[j].copies {
+				if b.leased {
+					return true
+				}
 			}
 		}
 	}
 	return false
 }
 
-// clientBlock is one resident block on a node's intrusive LRU list.
+// clientBlock is one node's resident copy of a block, listed in the
+// block's directory entry and linked on its node's intrusive LRU list.
+// A copy is leased from install until a write or stream recall clears
+// the lease. A recall that finds the lease already expired leaves the
+// copy resident but unleased: it takes capacity until its node's next
+// lookup drops it.
 type clientBlock struct {
 	key        blockID
+	entry      *clientDirEntry
+	node       int
+	leased     bool
 	version    uint64
 	expiry     sim.Time
-	prev, next *clientBlock
+	prev, next *clientBlock // LRU neighbours; next links the spare list
 }
 
 // clientNode is one compute node's cache, created lazily on first use.
 type clientNode struct {
 	id       int
-	blocks   map[blockID]*clientBlock
+	resident int // copies on the LRU list
 	mru, lru *clientBlock
 	// pending records the directory version each of this node's
 	// in-flight fills saw at miss time; Install discards fills whose
@@ -270,6 +278,8 @@ type ClientTier struct {
 
 	nodes    []*clientNode // indexed by compute-node id; nil until first use
 	dirs     []*clientDir  // coherence directory per stream id; nil until first use
+	spare    *clientBlock  // dropped copies, reused by the next installs
+	peers    []int         // the recalled peers of the current write or stream recall
 	stats    ClientStats
 	observer func(ClientOp)
 }
@@ -303,7 +313,7 @@ func (t *ClientTier) Stats() ClientStats {
 	s := t.stats
 	for _, nc := range t.nodes {
 		if nc != nil {
-			s.Blocks += len(nc.blocks)
+			s.Blocks += nc.resident
 			s.Nodes++
 		}
 	}
@@ -323,7 +333,7 @@ func (t *ClientTier) node(id int) *clientNode {
 	}
 	nc := t.nodes[id]
 	if nc == nil {
-		nc = &clientNode{id: id, blocks: make(map[blockID]*clientBlock), pending: make(map[blockID]uint64)}
+		nc = &clientNode{id: id, pending: make(map[blockID]uint64)}
 		t.nodes[id] = nc
 	}
 	return nc
@@ -383,17 +393,15 @@ func (t *ClientTier) Read(node int, sid int32, off, size int64) (time.Duration, 
 	dir := t.dir(sid)
 	hit := true
 	for idx := first; idx <= last; idx++ {
-		k := packBlock(sid, idx)
-		b := nc.blocks[k]
+		b := dir.lookup(node, idx)
 		if b == nil {
 			hit = false
 			continue
 		}
 		if b.expiry <= now {
-			t.dropBlock(nc, b)
-			t.unregister(node, k)
 			t.stats.LeaseExpired++
-			t.emit(ClientExpire, node, k, b.version)
+			t.emit(ClientExpire, node, b.key, b.version)
+			t.dropBlock(b)
 			hit = false
 		}
 	}
@@ -411,10 +419,9 @@ func (t *ClientTier) Read(node int, sid int32, off, size int64) (time.Duration, 
 	}
 	t.stats.Hits += n
 	for idx := first; idx <= last; idx++ {
-		k := packBlock(sid, idx)
-		b := nc.blocks[k]
+		b := dir.lookup(node, idx)
 		t.touch(nc, b)
-		t.emit(ClientHit, node, k, b.version)
+		t.emit(ClientHit, node, b.key, b.version)
 	}
 	return clientHitCost + t.CopyCost(size), true
 }
@@ -446,7 +453,7 @@ func (t *ClientTier) Install(node int, sid int32, off, size int64) {
 				continue
 			}
 		}
-		t.install(nc, k, e.version, expiry)
+		t.install(nc, k, e, expiry)
 	}
 }
 
@@ -468,30 +475,27 @@ func (t *ClientTier) Write(node int, sid int32, off, size int64) time.Duration {
 	bs := clientBlockSize
 	first, last := t.span(off, size)
 	dir := t.dir(sid)
-	var peers []int
+	t.peers = t.peers[:0]
 	for idx := first; idx <= last; idx++ {
 		k := packBlock(sid, idx)
 		e := dir.entry(idx)
 		e.version++
-		// Every holder loses its lease; the writer re-registers itself
-		// through install below if its copy stays.
-		var own clientLease
-		var held bool
-		peers, own, held = t.recall(node, k, e, now, peers)
-		selfValid := held && own.expiry > now
+		// Every copy loses its lease; the writer's is leased again
+		// through install below if it stays.
+		own := t.recall(node, k, e, now)
 		t.emit(ClientWrite, node, k, e.version)
 		if off <= idx*bs && off+size >= (idx+1)*bs {
 			// Fully covered: the writer's copy is the freshest possible.
-			t.install(nc, k, e.version, expiry)
-		} else if selfValid && nc.blocks[k] != nil {
+			t.install(nc, k, e, expiry)
+		} else if own != nil && own.expiry > now {
 			// Partial overwrite of a still-leased copy: old bytes were
 			// current (the lease guaranteed it), new bytes are ours.
-			t.install(nc, k, e.version, expiry)
-		} else if b := nc.blocks[k]; b != nil {
-			t.dropBlock(nc, b)
+			t.install(nc, k, e, expiry)
+		} else if b := dir.lookup(node, idx); b != nil {
+			t.dropBlock(b)
 		}
 	}
-	d := t.recallCost(node, peers)
+	d := t.recallCost(node)
 	if d > 0 {
 		t.stats.RecallRounds++
 		t.stats.RecallWait += d
@@ -501,29 +505,27 @@ func (t *ClientTier) Write(node int, sid int32, off, size int64) time.Duration {
 
 // RecallStream recalls every node's cached blocks for stream sid — the
 // setiomode renegotiation. The caller (node) pays the worst round-trip
-// over the peers that held valid leases; its own blocks drop for free.
-// Blocks are recalled in block order, walking the stream's directory.
+// over the peers that held valid leases; its own leased blocks drop for
+// free. Blocks are recalled in block order, walking the stream's
+// directory.
 func (t *ClientTier) RecallStream(node int, sid int32) time.Duration {
 	now := t.k.Now()
-	var peers []int
+	t.peers = t.peers[:0]
 	if uint(sid) < uint(len(t.dirs)) && t.dirs[sid] != nil {
 		dir := t.dirs[sid]
 		for i, p := range dir.pages {
 			base := dir.nums[i] << clientDirPageBits
 			for j := range p {
-				if len(p[j].holders) > 0 {
-					k := packBlock(sid, base+int64(j))
-					var held bool
-					peers, _, held = t.recall(node, k, &p[j], now, peers)
-					if held {
-						t.dropResident(node, k) // the caller's copy drops for free
+				if len(p[j].copies) > 0 {
+					if own := t.recall(node, packBlock(sid, base+int64(j)), &p[j], now); own != nil {
+						t.dropBlock(own) // the caller's copy drops for free
 					}
 				}
 			}
 		}
 	}
 	t.stats.FileRecalls++
-	d := t.recallCost(node, peers)
+	d := t.recallCost(node)
 	if d > 0 {
 		t.stats.RecallWait += d
 	}
@@ -533,27 +535,28 @@ func (t *ClientTier) RecallStream(node int, sid int32) time.Duration {
 // recall is the holder loop of both a write and a stream recall: it
 // clears every lease on block k (directory entry e) on behalf of node.
 // Each peer whose lease is still valid at now is recalled: its copy
-// drops and it joins peers. Expired peers cost nothing; their resident
-// copies die at their next lookup. node's own lease is returned (held
-// reports whether it had one) and its copy is left to the caller,
-// because a writer may keep it while a stream recall drops it.
-func (t *ClientTier) recall(node int, k blockID, e *clientDirEntry, now sim.Time, peers []int) (_ []int, own clientLease, held bool) {
-	for _, l := range e.holders {
-		switch {
-		case l.node == node:
-			own, held = l, true
-		case l.expiry <= now:
-		default:
+// drops and it joins t.peers. Expired peers cost nothing; their copies
+// stay unleased until their next lookup drops them. node's own leased
+// copy is returned (nil if it had none) and left to the caller, because
+// a writer may keep it while a stream recall drops it.
+func (t *ClientTier) recall(node int, k blockID, e *clientDirEntry, now sim.Time) (own *clientBlock) {
+	for i := 0; i < len(e.copies); {
+		b := e.copies[i]
+		if b.leased && b.node != node && b.expiry > now {
 			t.stats.Recalls++
-			if t.dropResident(l.node, k) {
-				t.stats.StaleAverted++
-			}
-			t.emit(ClientRecall, l.node, k, e.version)
-			peers = addPeer(peers, l.node)
+			t.stats.StaleAverted++ // a leased copy is always resident
+			t.emit(ClientRecall, b.node, k, e.version)
+			t.peers = addPeer(t.peers, b.node)
+			t.dropBlock(b) // removes e.copies[i]
+			continue
 		}
+		if b.leased && b.node == node {
+			own = b
+		}
+		b.leased = false
+		i++
 	}
-	e.holders = e.holders[:0]
-	return peers, own, held
+	return own
 }
 
 // Flap simulates one flap of a crash-looping client on node: the client
@@ -579,15 +582,13 @@ func (t *ClientTier) Flap(node int) time.Duration {
 // touching other holders — the client-side half of Handle.Flush. Free:
 // blocks are clean and the node holds its own leases.
 func (t *ClientTier) InvalidateLocal(node int, sid int32) {
-	nc := t.existing(node)
-	if nc == nil {
+	if uint(node) >= uint(len(t.nodes)) || t.nodes[node] == nil {
 		return
 	}
-	for b := nc.mru; b != nil; {
+	for b := t.nodes[node].mru; b != nil; {
 		next := b.next
 		if b.key.stream() == sid {
-			t.dropBlock(nc, b)
-			t.unregister(node, b.key)
+			t.dropBlock(b)
 		}
 		b = next
 	}
@@ -598,12 +599,12 @@ func (t *ClientTier) InvalidateLocal(node int, sid int32) {
 const clientRecallBytes = 64
 
 // recallCost prices one invalidation round: the worst round-trip from
-// the caller to any recalled peer (recall message out, ack back).
+// the caller to any peer in t.peers (recall message out, ack back).
 // Recalls to distinct peers overlap, so the max — not the sum — is what
 // the writer waits out.
-func (t *ClientTier) recallCost(node int, peers []int) time.Duration {
+func (t *ClientTier) recallCost(node int) time.Duration {
 	var d time.Duration
-	for _, peer := range peers {
+	for _, peer := range t.peers {
 		rt := t.m.Transfer(int64(node), int64(peer), clientRecallBytes) +
 			t.m.Transfer(int64(peer), int64(node), 0)
 		if rt > d {
@@ -622,97 +623,55 @@ func addPeer(peers []int, n int) []int {
 	return append(peers, n)
 }
 
-// install makes k resident at nc under the given version and lease,
-// evicting for capacity, and registers the holder in the directory.
-func (t *ClientTier) install(nc *clientNode, k blockID, version uint64, expiry sim.Time) {
-	b := nc.blocks[k]
-	if b == nil {
-		for len(nc.blocks) >= t.capBlocks {
-			v := nc.lru
-			t.dropBlock(nc, v)
-			t.unregister(nc.id, v.key)
-			t.stats.Evicted++
-			t.emit(ClientEvict, nc.id, v.key, v.version)
-			b = v // reused below: a full cache allocates no new blocks
-		}
-		if b == nil {
-			b = new(clientBlock)
-		}
-		*b = clientBlock{key: k}
-		nc.blocks[k] = b
-		t.linkFront(nc, b)
-	} else {
-		t.touch(nc, b)
-	}
-	b.version = version
-	b.expiry = expiry
-	t.register(nc.id, k, expiry)
-	t.stats.Installed++
-	t.emit(ClientInstall, nc.id, k, version)
-}
-
-// register records node as a holder of k (update-or-insert, holders kept
-// sorted by node id for deterministic iteration).
-func (t *ClientTier) register(node int, k blockID, expiry sim.Time) {
-	e := t.dirs[k.stream()].entry(k.idx())
-	i := holderIndex(e.holders, node)
-	if i < len(e.holders) && e.holders[i].node == node {
-		e.holders[i].expiry = expiry
-		return
-	}
-	e.holders = slices.Insert(e.holders, i, clientLease{node: node, expiry: expiry})
-}
-
-// unregister removes node from k's holders, if present.
-func (t *ClientTier) unregister(node int, k blockID) {
-	e := t.dirs[k.stream()].lookup(k.idx())
-	if e == nil {
-		return
-	}
-	i := holderIndex(e.holders, node)
-	if i < len(e.holders) && e.holders[i].node == node {
-		e.holders = append(e.holders[:i], e.holders[i+1:]...)
-	}
-}
-
-// holderIndex returns where node is, or belongs, in the sorted holders.
-func holderIndex(holders []clientLease, node int) int {
+// install makes block k (directory entry e) resident at nc under a fresh
+// lease at the entry's version, evicting for capacity.
+func (t *ClientTier) install(nc *clientNode, k blockID, e *clientDirEntry, expiry sim.Time) {
 	i := 0
-	for i < len(holders) && holders[i].node < node {
+	for i < len(e.copies) && e.copies[i].node < nc.id {
 		i++
 	}
-	return i
+	var b *clientBlock
+	if i < len(e.copies) && e.copies[i].node == nc.id {
+		b = e.copies[i]
+		t.touch(nc, b)
+	} else {
+		// Evicting drops only nc's copies, none of them in e, so i holds.
+		for nc.resident >= t.capBlocks {
+			v := nc.lru
+			t.stats.Evicted++
+			t.emit(ClientEvict, nc.id, v.key, v.version)
+			t.dropBlock(v)
+		}
+		if b = t.spare; b != nil {
+			t.spare = b.next
+		} else {
+			b = new(clientBlock)
+		}
+		*b = clientBlock{key: k, entry: e, node: nc.id}
+		e.copies = slices.Insert(e.copies, i, b)
+		t.linkFront(nc, b)
+		nc.resident++
+	}
+	b.leased = true
+	b.version = e.version
+	b.expiry = expiry
+	t.stats.Installed++
+	t.emit(ClientInstall, nc.id, k, b.version)
 }
 
-// existing returns node id's cache, or nil if it was never used.
-func (t *ClientTier) existing(id int) *clientNode {
-	if uint(id) >= uint(len(t.nodes)) {
-		return nil
-	}
-	return t.nodes[id]
-}
-
-// dropResident removes node's copy of k if resident, reporting whether
-// it was. The directory holder entry is left to the caller.
-func (t *ClientTier) dropResident(node int, k blockID) bool {
-	nc := t.existing(node)
-	if nc == nil {
-		return false
-	}
-	b := nc.blocks[k]
-	if b == nil {
-		return false
-	}
-	t.dropBlock(nc, b)
-	return true
+// dropBlock removes copy b from its node's LRU list and its directory
+// entry, and keeps it for the next install.
+func (t *ClientTier) dropBlock(b *clientBlock) {
+	nc := t.nodes[b.node]
+	t.unlink(nc, b)
+	nc.resident--
+	e := b.entry
+	i := slices.Index(e.copies, b)
+	e.copies = slices.Delete(e.copies, i, i+1)
+	b.next, t.spare = t.spare, b
 }
 
 // --- per-node LRU bookkeeping ----------------------------------------
-
-func (t *ClientTier) dropBlock(nc *clientNode, b *clientBlock) {
-	t.unlink(nc, b)
-	delete(nc.blocks, b.key)
-}
 
 func (t *ClientTier) touch(nc *clientNode, b *clientBlock) {
 	if nc.mru == b {

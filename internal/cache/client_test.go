@@ -103,10 +103,20 @@ func TestClientTierBasics(t *testing.T) {
 
 // TestClientWriteInvalidation: a write recalls a peer's valid lease,
 // counts the averted stale read, and prices the round-trip at mesh
-// latency; expired holders cost nothing.
+// latency; expired holders cost nothing, and their copies stay resident
+// but unleased until their node's next lookup drops them.
 func TestClientWriteInvalidation(t *testing.T) {
 	k, ct := newClientRig(t, ClientConfig{LeaseTTL: 10 * time.Millisecond})
 	m := testMesh(t)
+	var seen [ClientEvict + 1]int
+	ct.SetObserver(func(op ClientOp) { seen[op.Kind]++ })
+	stats := func() ClientStats {
+		st := ct.Stats()
+		if st.StaleAverted != st.Recalls {
+			t.Errorf("StaleAverted %d != Recalls %d", st.StaleAverted, st.Recalls)
+		}
+		return st
+	}
 	k.Spawn("driver", func(p *sim.Proc) {
 		ct.Install(3, 0, 0, 4096) // peer holds block 0
 		d := ct.Write(9, 0, 0, 4096)
@@ -117,7 +127,7 @@ func TestClientWriteInvalidation(t *testing.T) {
 		if _, hit := ct.Read(3, 0, 0, 4096); hit {
 			t.Error("peer still hits after recall")
 		}
-		st := ct.Stats()
+		st := stats()
 		if st.Recalls != 1 || st.StaleAverted != 1 || st.RecallRounds != 1 {
 			t.Errorf("stats after recall: %+v", st)
 		}
@@ -125,11 +135,67 @@ func TestClientWriteInvalidation(t *testing.T) {
 		if _, hit := ct.Read(9, 0, 0, 4096); !hit {
 			t.Error("writer lost its own fresh copy")
 		}
-		// Expired holders are skipped for free.
+		// Expired holders are skipped for free, but their copies stay:
+		// the writer's new copy of block 2 joins peer 3's unleased one.
 		ct.Install(3, 0, 8192, 4096)
 		p.Wait(11 * time.Millisecond)
 		if d := ct.Write(9, 0, 8192, 4096); d != 0 {
 			t.Errorf("recalling an expired holder cost %v, want 0", d)
+		}
+		if st := stats(); st.Blocks != 3 || st.Recalls != 1 {
+			t.Errorf("after skipping an expired holder: %+v, want 3 blocks and 1 recall", st)
+		}
+		// Peer 3's next lookup drops the unleased copy.
+		expires := seen[ClientExpire]
+		if _, hit := ct.Read(3, 0, 8192, 4096); hit {
+			t.Error("unleased copy served a hit")
+		}
+		if st := stats(); st.LeaseExpired != 1 || st.Blocks != 2 || seen[ClientExpire] != expires+1 {
+			t.Errorf("after the unleased copy's lookup: %+v, %d ClientExpire events (was %d)", st, seen[ClientExpire], expires)
+		}
+		// A stream whose only copy is unleased: recalling it is free.
+		ct.Install(3, 1, 0, 4096)
+		p.Wait(11 * time.Millisecond)
+		ct.Write(9, 1, 0, 100) // partial, no writer copy: leaves peer 3's copy unleased
+		recalls := seen[ClientRecall]
+		if d := ct.RecallStream(9, 1); d != 0 || seen[ClientRecall] != recalls {
+			t.Errorf("recalling an unleased-only stream cost %v and emitted %d ClientRecall", d, seen[ClientRecall]-recalls)
+		}
+		if st := stats(); st.Blocks != 3 {
+			t.Errorf("stream recall dropped an unleased copy: %+v", st)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClientRecallAllocs: a warm write-and-recall round allocates
+// nothing. Dropped copies go to the tier's spare list for the next
+// installs, and a write or stream recall collects its peers in one
+// buffer the tier owns.
+func TestClientRecallAllocs(t *testing.T) {
+	k, ct := newClientRig(t, ClientConfig{LeaseTTL: time.Hour})
+	round := func() {
+		for pass := 0; pass < 2; pass++ {
+			for peer := 1; peer <= 4; peer++ {
+				ct.Install(peer, 0, 0, 4096)
+			}
+			if pass == 0 {
+				ct.Write(0, 0, 0, 4096)
+			} else {
+				ct.RecallStream(0, 0)
+			}
+		}
+	}
+	k.Spawn("driver", func(p *sim.Proc) {
+		round()
+		if n := testing.AllocsPerRun(100, round); n != 0 {
+			t.Errorf("warm write-and-recall round: %v allocs, want 0", n)
+		}
+		// 102 rounds: AllocsPerRun runs one more to warm up.
+		if st := ct.Stats(); st.Recalls != 8*102 || st.Blocks != 0 {
+			t.Errorf("stats: %+v", st)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -339,6 +405,71 @@ func ExampleClientTier() {
 	// Output:
 	// node 0 warm read hit: true
 	// node 0 read after peer write hit: false
+}
+
+// checkClientIndex reports the first disagreement between the client
+// tier's directory and its nodes' LRU lists: every copy on a node's list
+// appears exactly once in the copies of the entry its key names, every
+// copy is on its node's list, copies are sorted by node id with no node
+// twice, a leased copy carries its entry's version, and each node's
+// count equals its list length and is at most capBlocks.
+func checkClientIndex(ct *ClientTier) error {
+	onList := make(map[*clientBlock]bool)
+	for id, nc := range ct.nodes {
+		if nc == nil {
+			continue
+		}
+		n := 0
+		var prev *clientBlock
+		for b := nc.mru; b != nil; prev, b = b, b.next {
+			if b.node != id || b.prev != prev || onList[b] {
+				return fmt.Errorf("node %d: list is broken at block %d/%d (node %d)", id, b.key.stream(), b.key.idx(), b.node)
+			}
+			onList[b] = true
+			n++
+			if ct.dirs[b.key.stream()].lookup(id, b.key.idx()) != b {
+				return fmt.Errorf("node %d: block %d/%d is not its entry's copy", id, b.key.stream(), b.key.idx())
+			}
+			if c := timesListed(b.entry.copies, b); c != 1 {
+				return fmt.Errorf("node %d: block %d/%d listed %d times in its entry", id, b.key.stream(), b.key.idx(), c)
+			}
+		}
+		if nc.lru != prev || n != nc.resident || n > ct.capBlocks {
+			return fmt.Errorf("node %d: %d on the list, count %d, capacity %d", id, n, nc.resident, ct.capBlocks)
+		}
+	}
+	for sid, d := range ct.dirs {
+		if d == nil {
+			continue
+		}
+		for i, p := range d.pages {
+			for j := range p {
+				e := &p[j]
+				for c, b := range e.copies {
+					idx := d.nums[i]<<clientDirPageBits + int64(j)
+					switch {
+					case !onList[b] || b.entry != e:
+						return fmt.Errorf("block %d/%d: node %d's copy is not on its list", sid, idx, b.node)
+					case c > 0 && e.copies[c-1].node >= b.node:
+						return fmt.Errorf("block %d/%d: copies out of node order at node %d", sid, idx, b.node)
+					case b.leased && b.version != e.version:
+						return fmt.Errorf("block %d/%d: node %d leases version %d of %d", sid, idx, b.node, b.version, e.version)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func timesListed(copies []*clientBlock, b *clientBlock) int {
+	n := 0
+	for _, c := range copies {
+		if c == b {
+			n++
+		}
+	}
+	return n
 }
 
 // testMesh returns the paper machine's mesh, failing tb if it does not build.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"paragonio/internal/disk"
+	"paragonio/internal/sim"
 )
 
 // FuzzTiersValidate hardens the tier validators: Tiers.WithDefaults and
@@ -88,6 +89,72 @@ func FuzzLogConfigValidate(f *testing.F) {
 		again, err := out.WithDefaults()
 		if err != nil || again != out {
 			t.Fatalf("WithDefaults is not a fixed point: %+v -> %+v (%v)", out, again, err)
+		}
+	})
+}
+
+// FuzzClientTierOps drives the client tier with an operation sequence
+// decoded from ops, three bytes per operation, over 3 nodes, 2 streams
+// and a 4-block capacity. The low three bits of the first byte pick
+// Read (then Install on a miss), Write, RecallStream, Flap,
+// InvalidateLocal or Wait; its next bits pick the node and the stream.
+// The second byte places the span (block 0–7 and an offset inside it)
+// or sets the wait, the third its size (up to four blocks). After every
+// operation the directory and the LRU lists must agree
+// (checkClientIndex), StaleAverted must equal Recalls, and no hit may
+// serve a version older than the block's last write.
+func FuzzClientTierOps(f *testing.F) {
+	f.Add([]byte{0, 0, 63, 8, 0, 63, 2, 0, 10, 0, 0, 63})                        // fill, peer fill, write, re-read
+	f.Add([]byte{8, 0, 63, 6, 120, 0, 2, 0, 63, 3, 0, 0, 8, 0, 63})              // expired peer, write, stream recall, peer re-read
+	f.Add([]byte{0, 9, 200, 8, 1, 7, 4, 0, 0, 5, 0, 0, 0x20, 3, 90, 16, 0, 255}) // evicting fills, flap, local invalidate
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const bs = clientBlockSize
+		k, ct := newClientRig(t, ClientConfig{CapacityBytes: 4 * bs, LeaseTTL: 10 * time.Millisecond})
+		written := make(map[blockID]uint64)
+		ct.SetObserver(func(op ClientOp) {
+			key := packBlock(op.Stream, op.Block)
+			switch op.Kind {
+			case ClientWrite:
+				written[key] = op.Version
+			case ClientHit:
+				if op.Version < written[key] {
+					t.Errorf("node %d hit block %d/%d at version %d, last written %d", op.Node, op.Stream, op.Block, op.Version, written[key])
+				}
+			}
+		})
+		k.Spawn("driver", func(p *sim.Proc) {
+			for i := 0; i+2 < len(ops); i += 3 {
+				op, a, b := ops[i], ops[i+1], ops[i+2]
+				node, sid := int(op>>3)%3, int32(op>>5)%2
+				off, size := int64(a&7)*bs+int64(a>>3)*(bs/32), 1+int64(b)*(bs/64)
+				switch op & 7 {
+				case 0, 1:
+					if _, hit := ct.Read(node, sid, off, size); !hit {
+						ct.Install(node, sid, off, size)
+					}
+				case 2:
+					ct.Write(node, sid, off, size)
+				case 3:
+					ct.RecallStream(node, sid)
+				case 4:
+					ct.Flap(node)
+				case 5:
+					ct.InvalidateLocal(node, sid)
+				default:
+					p.Wait(time.Duration(a) * 100 * time.Microsecond)
+				}
+				if err := checkClientIndex(ct); err != nil {
+					t.Errorf("op %d: %v", i/3, err)
+					return
+				}
+				if st := ct.Stats(); st.StaleAverted != st.Recalls {
+					t.Errorf("op %d: StaleAverted %d != Recalls %d", i/3, st.StaleAverted, st.Recalls)
+					return
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

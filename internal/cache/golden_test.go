@@ -44,7 +44,8 @@ func digestf(h hash.Hash64, format string, args ...any) {
 // clientStreamDigest runs the randomized client-tier driver: 8 nodes, 3
 // streams, an 8-block capacity (so installs evict), a short lease (so
 // lookups expire), occasional sparse high offsets, and every mutating
-// entry point.
+// entry point. The directory and the LRU lists must agree after every
+// operation (checkClientIndex).
 func clientStreamDigest(t testing.TB, seed int64, ops int) string {
 	const bs = clientBlockSize
 	k, ct := newClientRig(t, ClientConfig{
@@ -92,6 +93,10 @@ func clientStreamDigest(t testing.TB, seed int64, ops int) string {
 				digestf(h, "flap %v", ct.Flap(node))
 			default:
 				ct.InvalidateLocal(node, stream)
+			}
+			if err := checkClientIndex(ct); err != nil {
+				t.Errorf("op %d: %v", i, err)
+				return
 			}
 			p.Wait(time.Duration(rng.Int63n(int64(time.Millisecond))))
 		}
