@@ -15,11 +15,12 @@ test-short:
 	$(GO) test -short ./...
 
 # The determinism contract on a 32-bit target: the kernel's tests, the
-# cache tiers' event-stream goldens, every access-mode digest, the seven
-# golden trace digests and the kernel's dispatch-stream golden must all
-# hold at GOARCH=386 too. About 6 s on 2 cores.
+# cache tiers' event-stream goldens, pfs (its collective-group outcomes
+# included), the workload collectives, every access-mode digest, the
+# seven golden trace digests and the kernel's dispatch-stream golden
+# must all hold at GOARCH=386 too. About 12 s on 2 cores.
 test-386:
-	GOARCH=386 $(GO) test ./internal/sim ./internal/cache ./internal/iobench
+	GOARCH=386 $(GO) test ./internal/sim ./internal/cache ./internal/pfs ./internal/workload ./internal/iobench
 	GOARCH=386 $(GO) test -run 'TestGoldenDigests|TestDispatchStreamGolden' ./internal/experiments
 
 vet:

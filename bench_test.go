@@ -400,27 +400,44 @@ func BenchmarkKernelTimedWaitChurn(b *testing.B) {
 
 // BenchmarkKernelBarrierRelease drives 32 processes through the
 // collective shape the applications repeat at every solver step: a
-// staggered compute wait, then a barrier followed by the message cost
-// (Barrier.AwaitThen), as workload.Collective does it. 31 parties park
-// at each release. One op is one party-epoch.
+// staggered compute wait, then a barrier followed by the message cost.
+// "then" writes each round as Wait then Barrier.AwaitThen; "after" as
+// one one-round Barrier.Rounds call, as ESCAT's cycles and PRISM's node
+// zero make it; "rounds" runs every epoch in one Rounds call per
+// process, as PRISM's other nodes do. 31 parties park at each release.
+// One op is one party-epoch.
 func BenchmarkKernelBarrierRelease(b *testing.B) {
 	const parties = 32
-	k := sim.NewKernel()
-	bar := sim.NewBarrier(k, "step", parties)
-	epochs := b.N/parties + 1
-	for i := 0; i < parties; i++ {
-		compute := time.Duration(i+1) * time.Microsecond
-		k.Spawn("party", func(p *sim.Proc) {
-			for e := 0; e < epochs; e++ {
-				p.Wait(compute)
-				bar.AwaitThen(p, 10*time.Microsecond)
+	for _, form := range []string{"then", "after", "rounds"} {
+		b.Run(form, func(b *testing.B) {
+			k := sim.NewKernel()
+			bar := sim.NewBarrier(k, "step", parties)
+			epochs := b.N/parties + 1
+			for i := 0; i < parties; i++ {
+				compute := time.Duration(i+1) * time.Microsecond
+				k.Spawn("party", func(p *sim.Proc) {
+					draw := func() time.Duration { return compute }
+					switch form {
+					case "rounds":
+						bar.Rounds(p, epochs, draw, 10*time.Microsecond)
+					case "after":
+						for e := 0; e < epochs; e++ {
+							bar.Rounds(p, 1, draw, 10*time.Microsecond)
+						}
+					default:
+						for e := 0; e < epochs; e++ {
+							p.Wait(compute)
+							bar.AwaitThen(p, 10*time.Microsecond)
+						}
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
 			}
 		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
 	}
 }
 

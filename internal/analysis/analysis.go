@@ -28,8 +28,9 @@ type SizeCDF struct {
 // distributions were over actual transfers.
 func SizeCDFOf(t *pablo.Trace, op pablo.Op) SizeCDF {
 	var sizes []float64
-	for _, ev := range t.ByOp(op) {
-		if ev.Size > 0 {
+	evs := t.Events()
+	for i := range evs {
+		if ev := &evs[i]; ev.Op == op && ev.Size > 0 {
 			sizes = append(sizes, float64(ev.Size))
 		}
 	}
@@ -59,8 +60,9 @@ type TimelinePoint struct {
 // scatter plots. Zero-size events are skipped.
 func SizeTimeline(t *pablo.Trace, op pablo.Op) []TimelinePoint {
 	var out []TimelinePoint
-	for _, ev := range t.ByOp(op) {
-		if ev.Size > 0 {
+	evs := t.Events()
+	for i := range evs {
+		if ev := &evs[i]; ev.Op == op && ev.Size > 0 {
 			out = append(out, TimelinePoint{T: ev.Start, V: float64(ev.Size), Node: int(ev.Node)})
 		}
 	}
@@ -72,8 +74,11 @@ func SizeTimeline(t *pablo.Trace, op pablo.Op) []TimelinePoint {
 // plots.
 func DurationTimeline(t *pablo.Trace, op pablo.Op) []TimelinePoint {
 	var out []TimelinePoint
-	for _, ev := range t.ByOp(op) {
-		out = append(out, TimelinePoint{T: ev.Start, V: ev.Duration.Seconds(), Node: int(ev.Node)})
+	evs := t.Events()
+	for i := range evs {
+		if ev := &evs[i]; ev.Op == op {
+			out = append(out, TimelinePoint{T: ev.Start, V: ev.Duration.Seconds(), Node: int(ev.Node)})
+		}
 	}
 	return out
 }
@@ -180,8 +185,9 @@ func SliceByPhase(t *pablo.Trace, w PhaseWindow) *pablo.Trace {
 // write requests are of the same size".
 func RequestSizes(t *pablo.Trace, op pablo.Op) map[int64]int {
 	out := make(map[int64]int)
-	for _, ev := range t.ByOp(op) {
-		if ev.Size > 0 {
+	evs := t.Events()
+	for i := range evs {
+		if ev := &evs[i]; ev.Op == op && ev.Size > 0 {
 			out[ev.Size]++
 		}
 	}
@@ -192,13 +198,15 @@ func RequestSizes(t *pablo.Trace, op pablo.Op) map[int64]int {
 // times for one operation type — Miller & Katz's "bursty" criterion.
 // Fewer than three events yield 0.
 func Burstiness(t *pablo.Trace, op pablo.Op) float64 {
-	evs := t.ByOp(op)
-	if len(evs) < 3 {
-		return 0
+	var starts []float64
+	evs := t.Events()
+	for i := range evs {
+		if ev := &evs[i]; ev.Op == op {
+			starts = append(starts, ev.Start.Seconds())
+		}
 	}
-	starts := make([]float64, len(evs))
-	for i, ev := range evs {
-		starts[i] = ev.Start.Seconds()
+	if len(starts) < 3 {
+		return 0
 	}
 	sort.Float64s(starts)
 	gaps := make([]float64, len(starts)-1)

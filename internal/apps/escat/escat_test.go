@@ -114,15 +114,15 @@ func TestRunVersionAStructure(t *testing.T) {
 		t.Fatal("no virtual time elapsed")
 	}
 	// A: no gopen, no iomode.
-	if n := len(res.Trace.ByOp(pablo.OpGopen)); n != 0 {
+	if n := len(byOp(res.Trace, pablo.OpGopen)); n != 0 {
 		t.Fatalf("version A issued %d gopens", n)
 	}
-	if n := len(res.Trace.ByOp(pablo.OpIOMode)); n != 0 {
+	if n := len(byOp(res.Trace, pablo.OpIOMode)); n != 0 {
 		t.Fatalf("version A issued %d iomodes", n)
 	}
 	// All nodes read inputs.
 	nodes := map[int32]bool{}
-	for _, ev := range res.Trace.ByOp(pablo.OpRead) {
+	for _, ev := range byOp(res.Trace, pablo.OpRead) {
 		if ev.File == "escat/input.0" {
 			nodes[ev.Node] = true
 		}
@@ -131,7 +131,7 @@ func TestRunVersionAStructure(t *testing.T) {
 		t.Fatalf("input read by %d nodes, want all 8", len(nodes))
 	}
 	// Writes only from node zero.
-	for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
+	for _, ev := range byOp(res.Trace, pablo.OpWrite) {
 		if ev.Node != 0 {
 			t.Fatalf("version A write from node %d", ev.Node)
 		}
@@ -146,7 +146,7 @@ func TestRunVersionCStructure(t *testing.T) {
 	res := runSmall(t, VersionC())
 	// C: staging writes from every node, in M_ASYNC.
 	writers := map[int32]bool{}
-	for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
+	for _, ev := range byOp(res.Trace, pablo.OpWrite) {
 		if ev.File == "escat/quad.0" {
 			writers[ev.Node] = true
 			if ev.Mode != pablo.ModeAsync {
@@ -162,7 +162,7 @@ func TestRunVersionCStructure(t *testing.T) {
 	}
 	// Reload reads are M_RECORD at the record size.
 	var recReads int
-	for _, ev := range res.Trace.ByOp(pablo.OpRead) {
+	for _, ev := range byOp(res.Trace, pablo.OpRead) {
 		if ev.Mode == pablo.ModeRecord && ev.Size > 0 {
 			recReads++
 			if ev.Size > smallEthylene().RecordSize {
@@ -174,7 +174,7 @@ func TestRunVersionCStructure(t *testing.T) {
 		t.Fatal("no M_RECORD reload reads")
 	}
 	// gopen and iomode both present.
-	if len(res.Trace.ByOp(pablo.OpGopen)) == 0 || len(res.Trace.ByOp(pablo.OpIOMode)) == 0 {
+	if len(byOp(res.Trace, pablo.OpGopen)) == 0 || len(byOp(res.Trace, pablo.OpIOMode)) == 0 {
 		t.Fatal("version C missing gopen/iomode ops")
 	}
 }
@@ -207,7 +207,7 @@ func TestQuadratureConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		var staged int64
-		for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
+		for _, ev := range byOp(res.Trace, pablo.OpWrite) {
 			if ev.File == "escat/quad.0" || ev.File == "escat/quad.1" {
 				staged += ev.Size
 			}
@@ -216,7 +216,7 @@ func TestQuadratureConservation(t *testing.T) {
 			t.Fatalf("%s: staged %d bytes, want %d", v.ID, staged, want)
 		}
 		var reloaded int64
-		for _, ev := range res.Trace.ByOp(pablo.OpRead) {
+		for _, ev := range byOp(res.Trace, pablo.OpRead) {
 			if ev.File == "escat/quad.0" || ev.File == "escat/quad.1" {
 				reloaded += ev.Size
 			}
@@ -234,14 +234,14 @@ func TestRestartStagedSkipsPhase2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
+	for _, ev := range byOp(res.Trace, pablo.OpWrite) {
 		if ev.File == "escat/quad.0" {
 			t.Fatal("staged restart still wrote quadrature data")
 		}
 	}
 	// Reload still works off the preloaded file.
 	var reloaded int64
-	for _, ev := range res.Trace.ByOp(pablo.OpRead) {
+	for _, ev := range byOp(res.Trace, pablo.OpRead) {
 		if ev.File == "escat/quad.0" {
 			reloaded += ev.Size
 		}
@@ -250,7 +250,7 @@ func TestRestartStagedSkipsPhase2(t *testing.T) {
 		t.Fatalf("reloaded %d bytes, want %d", reloaded, d.QuadBytes())
 	}
 	// No iomode: M_RECORD set directly in gopen.
-	if n := len(res.Trace.ByOp(pablo.OpIOMode)); n != 0 {
+	if n := len(byOp(res.Trace, pablo.OpIOMode)); n != 0 {
 		t.Fatalf("staged C issued %d iomodes", n)
 	}
 }
@@ -343,4 +343,9 @@ func TestTaxonomyMatchesPaperClasses(t *testing.T) {
 			t.Errorf("%s classified %v, want result-output", f, byFile[f])
 		}
 	}
+}
+
+// byOp returns the events of one operation type, in capture order.
+func byOp(tr *pablo.Trace, op pablo.Op) []pablo.Event {
+	return tr.Filter(func(ev pablo.Event) bool { return ev.Op == op }).Events()
 }

@@ -171,8 +171,8 @@ func phase2(n *workload.Node, d Dataset, v Version, all *workload.Collective, g 
 				}
 			}
 			for cyc := 0; cyc < d.Cycles; cyc++ {
-				n.ComputeJitter(scaled(v, d.CycleCompute), d.CycleJitter)
-				all.Barrier(n) // write steps are synchronized among nodes
+				// write steps are synchronized among nodes
+				all.BarrierRounds(n, 1, scaled(v, d.CycleCompute), d.CycleJitter)
 				for w := 0; w < d.WritesPerCycle; w++ {
 					slot := (int64(cyc)*int64(d.WritesPerCycle)+int64(w))*int64(d.Nodes) + int64(n.ID)
 					off := slot * d.WriteSize
@@ -211,8 +211,7 @@ func phase2(n *workload.Node, d Dataset, v Version, all *workload.Collective, g 
 		cycleBytes := d.QuadBytes() / int64(d.Cycles)
 		perNode := cycleBytes / int64(d.Nodes)
 		for cyc := 0; cyc < d.Cycles; cyc++ {
-			n.ComputeJitter(scaled(v, d.CycleCompute), d.CycleJitter)
-			all.Barrier(n)
+			all.BarrierRounds(n, 1, scaled(v, d.CycleCompute), d.CycleJitter)
 			all.Gather(n, 0, perNode)
 			if n.ID == 0 {
 				remaining := cycleBytes

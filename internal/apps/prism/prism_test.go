@@ -100,12 +100,12 @@ func TestModeTableMatchesPaper(t *testing.T) {
 
 func TestVersionAStructure(t *testing.T) {
 	res := runSmall(t, VersionA())
-	if len(res.Trace.ByOp(pablo.OpGopen)) != 0 || len(res.Trace.ByOp(pablo.OpIOMode)) != 0 {
+	if len(byOp(res.Trace, pablo.OpGopen)) != 0 || len(byOp(res.Trace, pablo.OpIOMode)) != 0 {
 		t.Fatal("version A used collective metadata ops")
 	}
 	// Every node opens all three input files.
 	opens := map[string]map[int32]bool{}
-	for _, ev := range res.Trace.ByOp(pablo.OpOpen) {
+	for _, ev := range byOp(res.Trace, pablo.OpOpen) {
 		if opens[ev.File] == nil {
 			opens[ev.File] = map[int32]bool{}
 		}
@@ -117,7 +117,7 @@ func TestVersionAStructure(t *testing.T) {
 		}
 	}
 	// Phase 2/3 writes all through node zero.
-	for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
+	for _, ev := range byOp(res.Trace, pablo.OpWrite) {
 		if ev.Node != 0 {
 			t.Fatalf("version A write from node %d to %s", ev.Node, ev.File)
 		}
@@ -128,12 +128,12 @@ func TestVersionBStructure(t *testing.T) {
 	res := runSmall(t, VersionB())
 	// Collective reads: the parameter file is read once per round (the
 	// leader's disk I/O), so total disk traffic is far below A's.
-	if n := len(res.Trace.ByOp(pablo.OpIOMode)); n == 0 {
+	if n := len(byOp(res.Trace, pablo.OpIOMode)); n == 0 {
 		t.Fatal("version B issued no iomode ops")
 	}
 	// Restart body read via M_RECORD.
 	var recordReads int
-	for _, ev := range res.Trace.ByOp(pablo.OpRead) {
+	for _, ev := range byOp(res.Trace, pablo.OpRead) {
 		if ev.Mode == pablo.ModeRecord {
 			recordReads++
 		}
@@ -143,7 +143,7 @@ func TestVersionBStructure(t *testing.T) {
 	}
 	// Field file written by all nodes in M_ASYNC.
 	writers := map[int32]bool{}
-	for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
+	for _, ev := range byOp(res.Trace, pablo.OpWrite) {
 		if ev.File == fieldFile {
 			writers[ev.Node] = true
 			if ev.Mode != pablo.ModeAsync {
@@ -158,17 +158,17 @@ func TestVersionBStructure(t *testing.T) {
 
 func TestVersionCStructure(t *testing.T) {
 	res := runSmall(t, VersionC())
-	if n := len(res.Trace.ByOp(pablo.OpIOMode)); n != 0 {
+	if n := len(byOp(res.Trace, pablo.OpIOMode)); n != 0 {
 		t.Fatalf("version C issued %d iomode ops (gopen sets the mode)", n)
 	}
-	if n := len(res.Trace.ByOp(pablo.OpGopen)); n == 0 {
+	if n := len(byOp(res.Trace, pablo.OpGopen)); n == 0 {
 		t.Fatal("version C issued no gopens")
 	}
-	if n := len(res.Trace.ByOp(pablo.OpFlush)); n != 8 {
+	if n := len(byOp(res.Trace, pablo.OpFlush)); n != 8 {
 		t.Fatalf("flush events = %d, want 8 (restart flush per node)", n)
 	}
 	// Binary connectivity: reads of ConnBinSize, not ConnTextSize.
-	for _, ev := range res.Trace.ByOp(pablo.OpRead) {
+	for _, ev := range byOp(res.Trace, pablo.OpRead) {
 		if ev.File == connFile && ev.Size == smallProblem().ConnTextSize {
 			t.Fatal("version C still reads connectivity as text")
 		}
@@ -182,7 +182,7 @@ func TestCheckpointBursts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var chkRecords int
-	for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
+	for _, ev := range byOp(res.Trace, pablo.OpWrite) {
 		if ev.File == chkFile && ev.Size == d.BodyRecord {
 			chkRecords++
 		}
@@ -199,7 +199,7 @@ func TestUnbufferedHeaderCostlier(t *testing.T) {
 	b := runSmall(t, VersionB())
 	c := runSmall(t, VersionC())
 	headerTime := func(res *core.Result) (total float64) {
-		for _, ev := range res.Trace.ByOp(pablo.OpRead) {
+		for _, ev := range byOp(res.Trace, pablo.OpRead) {
 			if ev.File == restartFile && ev.Size > 0 && ev.Size <= 40 {
 				total += ev.Duration.Seconds()
 			}
@@ -251,7 +251,7 @@ func TestMeasurementVolumeConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	var measureBytes int64
-	for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
+	for _, ev := range byOp(res.Trace, pablo.OpWrite) {
 		if ev.File == measureFile {
 			measureBytes += ev.Size
 		}
@@ -260,4 +260,9 @@ func TestMeasurementVolumeConserved(t *testing.T) {
 	if measureBytes != want {
 		t.Fatalf("measurement bytes = %d, want %d", measureBytes, want)
 	}
+}
+
+// byOp returns the events of one operation type, in capture order.
+func byOp(tr *pablo.Trace, op pablo.Op) []pablo.Event {
+	return tr.Filter(func(ev pablo.Event) bool { return ev.Op == op }).Events()
 }

@@ -173,30 +173,32 @@ func phase2(n *workload.Node, d Dataset, v Version, all *workload.Collective) {
 			statsH[i] = mustOpen(n, statsFile(i), pfs.MUnix)
 		}
 	}
-	for step := 1; step <= d.Steps; step++ {
-		n.ComputeJitter(scaled(v, d.StepCompute), d.StepJitter)
-		// The pressure/viscous solves end each step with a combining
-		// reduction (residual norms) across all nodes.
-		all.AllReduce(n, 64)
-		if n.ID != 0 {
-			continue
-		}
-		for i := 0; i < d.MeasureWrites; i++ {
-			mustWrite(n, measure, d.MeasureSize)
-		}
-		if step%d.HistoryEvery == 0 {
-			mustWrite(n, history, d.HistorySize)
-		}
-		if step%d.StatsEvery == 0 {
-			for i := range statsH {
-				mustWrite(n, statsH[i], d.StatsSize)
+	// The pressure/viscous solves end each step with a combining
+	// reduction (residual norms) across all nodes. Node zero writes
+	// between steps; the others do nothing else in the loop, so each runs
+	// all its steps in one call.
+	if n.ID != 0 {
+		all.AllReduceRounds(n, d.Steps, scaled(v, d.StepCompute), d.StepJitter, 64)
+	} else {
+		for step := 1; step <= d.Steps; step++ {
+			all.AllReduceRounds(n, 1, scaled(v, d.StepCompute), d.StepJitter, 64)
+			for i := 0; i < d.MeasureWrites; i++ {
+				mustWrite(n, measure, d.MeasureSize)
 			}
-		}
-		if step%d.CheckpointEvery == 0 {
-			mustSeek(n, chk, 0)
-			mustWrite(n, chk, d.ChkHeaderSize)
-			for r := 0; r < d.Nodes; r++ {
-				mustWrite(n, chk, d.BodyRecord)
+			if step%d.HistoryEvery == 0 {
+				mustWrite(n, history, d.HistorySize)
+			}
+			if step%d.StatsEvery == 0 {
+				for i := range statsH {
+					mustWrite(n, statsH[i], d.StatsSize)
+				}
+			}
+			if step%d.CheckpointEvery == 0 {
+				mustSeek(n, chk, 0)
+				mustWrite(n, chk, d.ChkHeaderSize)
+				for r := 0; r < d.Nodes; r++ {
+					mustWrite(n, chk, d.BodyRecord)
+				}
 			}
 		}
 	}

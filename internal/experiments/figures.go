@@ -263,25 +263,29 @@ func figure7(s *Suite) (*Artifact, error) {
 		writeSeries = append(writeSeries, analysis.CDFSeries(id+" fraction of writes", glyph, writes.Ops))
 		measured[id+".readdata.large.frac"] = 1 - reads.FracDataBelow(150000)
 		measured[id+".writedata.large.frac"] = 1 - writes.FracDataBelow(150000)
-		var tinyReads, tinyWrites int
-		for _, ev := range res.Trace.ByOp(pablo.OpRead) {
-			if ev.Size > 0 && ev.Size <= 40 {
-				tinyReads++
+		var tinyReads, tinyWrites, smallReads int
+		evs := res.Trace.Events()
+		for i := range evs {
+			ev := &evs[i]
+			if ev.Size <= 0 {
+				continue
 			}
-		}
-		for _, ev := range res.Trace.ByOp(pablo.OpWrite) {
-			if ev.Size > 0 && ev.Size <= 40 {
-				tinyWrites++
+			switch ev.Op {
+			case pablo.OpRead:
+				if ev.Size <= 40 {
+					tinyReads++
+				}
+				if ev.Size < 1024 {
+					smallReads++
+				}
+			case pablo.OpWrite:
+				if ev.Size <= 40 {
+					tinyWrites++
+				}
 			}
 		}
 		measured[id+".reads.tiny.count"] = float64(tinyReads)
 		measured[id+".writes.tiny.count"] = float64(tinyWrites)
-		var smallReads int
-		for _, ev := range res.Trace.ByOp(pablo.OpRead) {
-			if ev.Size > 0 && ev.Size < 1024 {
-				smallReads++
-			}
-		}
 		measured[id+".reads.small.count"] = float64(smallReads)
 	}
 	p := report.Plot{Title: "Figure 7a: CDF of PRISM read sizes (bytes, log)", XLabel: "read size (bytes)",

@@ -315,9 +315,10 @@ func stagingWrite(n *workload.Node, p Params, g *pfs.Group, all *workload.Collec
 	slot := 0
 	for cyc := 0; cyc < p.Cycles; cyc++ {
 		if p.Compute > 0 {
-			n.ComputeJitter(p.Compute, p.Compute/4)
+			all.BarrierRounds(n, 1, p.Compute, p.Compute/4)
+		} else {
+			all.Barrier(n)
 		}
-		all.Barrier(n)
 		for w := int64(0); w < writesPerCycle; w++ {
 			if !p.Mode.Collective() && !p.Mode.SharedPointer() {
 				off := (int64(slot)*int64(p.Nodes) + int64(n.ID)) * p.Request
@@ -379,9 +380,10 @@ func checkpoint(n *workload.Node, p Params, all *workload.Collective) {
 	}
 	for cyc := 0; cyc < p.Cycles; cyc++ {
 		if p.Compute > 0 {
-			n.ComputeJitter(p.Compute, p.Compute/4)
+			all.BarrierRounds(n, 1, p.Compute, p.Compute/4)
+		} else {
+			all.Barrier(n)
 		}
-		all.Barrier(n)
 		if n.ID != 0 {
 			continue
 		}

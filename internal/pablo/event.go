@@ -238,17 +238,6 @@ func (t *Trace) Filter(pred func(Event) bool) *Trace {
 	return out
 }
 
-// ByOp returns the events of one operation type, in capture order.
-func (t *Trace) ByOp(op Op) []Event {
-	var out []Event
-	for _, ev := range t.events {
-		if ev.Op == op {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 // ByFile returns the events touching the named file, in capture order.
 func (t *Trace) ByFile(file string) []Event {
 	var out []Event

@@ -72,8 +72,8 @@ func TestTraceRecordAndAccessors(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if got := tr.ByOp(OpRead); len(got) != 1 || got[0].Size != 100 {
-		t.Fatalf("ByOp(read) = %v", got)
+	if got := tr.Filter(func(ev Event) bool { return ev.Op == OpRead }).Events(); len(got) != 1 || got[0].Size != 100 {
+		t.Fatalf("Filter(read) = %v", got)
 	}
 	if got := tr.ByFile("b"); len(got) != 1 || got[0].Op != OpWrite {
 		t.Fatalf("ByFile(b) = %v", got)

@@ -465,15 +465,15 @@ func TestTraceOffsetsAndSizes(t *testing.T) {
 		h.Close(p)
 	})
 	r.run(t)
-	reads := r.tr.ByOp(pablo.OpRead)
+	reads := byOp(r.tr, pablo.OpRead)
 	if len(reads) != 2 || reads[0].Offset != 0 || reads[1].Offset != 100 {
 		t.Fatalf("read offsets: %+v", reads)
 	}
-	seeks := r.tr.ByOp(pablo.OpSeek)
+	seeks := byOp(r.tr, pablo.OpSeek)
 	if len(seeks) != 1 || seeks[0].Offset != 5000 {
 		t.Fatalf("seek events: %+v", seeks)
 	}
-	writes := r.tr.ByOp(pablo.OpWrite)
+	writes := byOp(r.tr, pablo.OpWrite)
 	if len(writes) != 1 || writes[0].Offset != 5000 || writes[0].Size != 300 {
 		t.Fatalf("write events: %+v", writes)
 	}
@@ -492,4 +492,9 @@ func testMesh(tb testing.TB) *mesh.Mesh {
 		tb.Fatal(err)
 	}
 	return m
+}
+
+// byOp returns the events of one operation type, in capture order.
+func byOp(tr *pablo.Trace, op pablo.Op) []pablo.Event {
+	return tr.Filter(func(ev pablo.Event) bool { return ev.Op == op }).Events()
 }

@@ -27,7 +27,6 @@ type Group struct {
 	sizes  []int64
 	offs   []int64
 	counts []int64
-	err    error
 	file   *file
 }
 
@@ -83,7 +82,6 @@ func (g *Group) Gopen(p *sim.Proc, node int, name string, mode Mode) (*Handle, e
 		f.recSize = 0
 		f.refcount += len(g.nodes)
 		g.file = f
-		g.err = nil
 	}
 	g.bar2.AwaitThen(p, g.fs.cfg.Mesh.Barrier(len(g.nodes)))
 	f := g.file
@@ -112,7 +110,6 @@ func (g *Group) SetIOMode(p *sim.Proc, h *Handle, mode Mode) error {
 	if rank == 0 {
 		// The leader pays the whole renegotiation while the group waits.
 		h.renegotiate(p, mode)
-		g.err = nil
 	}
 	g.bar2.AwaitThen(p, g.fs.cfg.Mesh.Barrier(len(g.nodes)))
 	h.group = g
@@ -139,7 +136,7 @@ func (g *Group) collectiveData(p *sim.Proc, h *Handle, size int64, write bool) (
 }
 
 // sameSizes reports whether every member asked for the same size: the
-// leader's check in an M_RECORD or M_GLOBAL round.
+// check each member of an M_RECORD or M_GLOBAL round makes after bar1.
 func (g *Group) sameSizes() bool {
 	for _, s := range g.sizes {
 		if s != g.sizes[0] {
@@ -157,22 +154,23 @@ func (g *Group) recordOp(p *sim.Proc, h *Handle, rank int, size int64, write boo
 	start := p.Now()
 	g.sizes[rank] = size
 	g.bar1.Await(p)
-	if rank == 0 {
-		g.err = nil
-		switch {
-		case !g.sameSizes():
-			g.err = ErrCollectiveMismatch
-		case h.f.recSize == 0:
-			h.f.recSize = size
-		case size != h.f.recSize:
-			g.err = ErrRecordSize
-		}
+	// Every member reaches the round's verdict itself: it depends only on
+	// the sizes gathered at bar1 and on the record size, which the first
+	// member through the first good round sets to the size all asked for.
+	var err error
+	switch {
+	case !g.sameSizes():
+		err = ErrCollectiveMismatch
+	case h.f.recSize == 0:
+		h.f.recSize = size
+	case size != h.f.recSize:
+		err = ErrRecordSize
 	}
-	g.bar2.Await(p)
-	if g.err != nil {
-		return 0, g.err
+	if err != nil {
+		g.bar2.Await(p)
+		return 0, err
 	}
-	p.Wait(g.fs.cfg.Mesh.Barrier(len(g.nodes)))
+	g.bar2.AwaitThen(p, g.fs.cfg.Mesh.Barrier(len(g.nodes)))
 	if !h.recStarted {
 		h.ptr = h.recBase + int64(rank)*size
 		h.recStarted = true
@@ -190,26 +188,22 @@ func (g *Group) globalOp(p *sim.Proc, h *Handle, rank int, size int64, write boo
 	start := p.Now()
 	g.sizes[rank] = size
 	g.bar1.Await(p)
-	if rank == 0 {
-		g.err = nil
-		if !g.sameSizes() {
-			g.err = ErrCollectiveMismatch
-		} else {
-			off := h.f.shared
-			n := h.move(p, off, size, write)
-			h.f.shared = off + n
-			g.offs[0], g.counts[0] = off, n
-		}
+	if !g.sameSizes() {
+		g.bar2.Await(p)
+		return 0, ErrCollectiveMismatch
 	}
-	g.bar2.Await(p)
-	if g.err != nil {
-		return 0, g.err
+	if rank == 0 {
+		off := h.f.shared
+		n := h.move(p, off, size, write)
+		h.f.shared = off + n
+		g.offs[0], g.counts[0] = off, n
 	}
 	// Result distribution (reads) or completion notification (writes).
 	if !write {
+		g.bar2.Await(p)
 		p.Wait(g.fs.cfg.Mesh.Broadcast(len(g.nodes), g.counts[0]))
 	} else {
-		p.Wait(g.fs.cfg.Mesh.Barrier(len(g.nodes)))
+		g.bar2.AwaitThen(p, g.fs.cfg.Mesh.Barrier(len(g.nodes)))
 	}
 	g.fs.trace(h.node, opOf(write), h.f.name, g.offs[0], g.counts[0], start, MGlobal)
 	return g.counts[0], nil
@@ -224,7 +218,6 @@ func (g *Group) syncOp(p *sim.Proc, h *Handle, rank int, size int64, write bool)
 	g.sizes[rank] = size
 	g.bar1.Await(p)
 	if rank == 0 {
-		g.err = nil
 		off := h.f.shared
 		for r, s := range g.sizes {
 			g.offs[r] = off
@@ -238,9 +231,6 @@ func (g *Group) syncOp(p *sim.Proc, h *Handle, rank int, size int64, write bool)
 		h.f.shared = off
 	}
 	g.bar2.Await(p)
-	if g.err != nil {
-		return 0, g.err
-	}
 	off, n := g.offs[rank], g.counts[rank]
 	h.f.token.AcquireThen(p, costToken)
 	h.move(p, off, n, write) // n is already clamped: files never shrink

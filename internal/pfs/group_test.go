@@ -1,7 +1,12 @@
 package pfs
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
+	"time"
 
 	"paragonio/internal/pablo"
 	"paragonio/internal/sim"
@@ -59,7 +64,7 @@ func TestGopenPaysMetadataOnce(t *testing.T) {
 	if got := r.fs.MetadataStats().Acquisitions; got != 1 {
 		t.Fatalf("metadata ops = %d, want 1 (collective)", got)
 	}
-	if got := len(r.tr.ByOp(pablo.OpGopen)); got != 4 {
+	if got := len(byOp(r.tr, pablo.OpGopen)); got != 4 {
 		t.Fatalf("gopen events = %d, want 4 (one per node)", got)
 	}
 }
@@ -107,7 +112,7 @@ func TestMGlobalSingleDiskIO(t *testing.T) {
 	if reqs != 1 {
 		t.Fatalf("disk requests = %d, want 1 (data read once)", reqs)
 	}
-	reads := r.tr.ByOp(pablo.OpRead)
+	reads := byOp(r.tr, pablo.OpRead)
 	if len(reads) != 8 {
 		t.Fatalf("read events = %d, want 8", len(reads))
 	}
@@ -130,7 +135,7 @@ func TestMGlobalSharedPointerAdvancesOnce(t *testing.T) {
 		}
 	})
 	r.run(t)
-	for _, ev := range r.tr.ByOp(pablo.OpRead) {
+	for _, ev := range byOp(r.tr, pablo.OpRead) {
 		offsets[ev.Offset] = true
 	}
 	// Three rounds: offsets 0, 100, 200 — each seen by all nodes.
@@ -178,7 +183,7 @@ func TestMRecordDisjointNodeOrder(t *testing.T) {
 	r.run(t)
 	// Offsets must tile the file: node i round k at (k*4+i)*rec.
 	seen := make(map[int64]int)
-	for _, ev := range r.tr.ByOp(pablo.OpRead) {
+	for _, ev := range byOp(r.tr, pablo.OpRead) {
 		seen[ev.Offset]++
 		if ev.Offset%rec != 0 {
 			t.Fatalf("unaligned record offset %d", ev.Offset)
@@ -194,25 +199,123 @@ func TestMRecordDisjointNodeOrder(t *testing.T) {
 	}
 }
 
+// TestMRecordSizeMismatchRejected runs a good first M_RECORD round,
+// then a second in which one member changes its size (the members
+// disagree) or all do (they agree on a size that is not the file's
+// record size): every member gets the matching error.
 func TestMRecordSizeMismatchRejected(t *testing.T) {
-	r := newRig(t)
-	r.fs.CreateFile("quad", 1<<20)
-	errs := make(map[int]error)
-	g, _ := r.fs.NewGroup([]int{0, 1})
-	spawnGroup(r, g, func(p *sim.Proc, node int) {
-		h, _ := g.Gopen(p, node, "quad", MRecord)
-		if _, err := h.Read(p, 1024); err != nil {
-			t.Error(err)
-		}
-		_, err := h.Read(p, int64(1024*(node+1))) // node 1 changes size
-		errs[node] = err
-	})
-	r.run(t)
-	if errs[0] != ErrCollectiveMismatch && errs[0] != ErrRecordSize {
-		t.Fatalf("node 0 err = %v", errs[0])
+	cases := []struct {
+		name   string
+		second func(node int) int64
+		want   error
+	}{
+		{"one member changes size", func(node int) int64 { return int64(1024 * (node + 1)) }, ErrCollectiveMismatch},
+		{"all members change size", func(int) int64 { return 2048 }, ErrRecordSize},
 	}
-	if errs[1] != ErrCollectiveMismatch && errs[1] != ErrRecordSize {
-		t.Fatalf("node 1 err = %v", errs[1])
+	for _, c := range cases {
+		r := newRig(t)
+		r.fs.CreateFile("quad", 1<<20)
+		errs := make(map[int]error)
+		g, _ := r.fs.NewGroup([]int{0, 1})
+		spawnGroup(r, g, func(p *sim.Proc, node int) {
+			h, _ := g.Gopen(p, node, "quad", MRecord)
+			if _, err := h.Read(p, 1024); err != nil {
+				t.Error(err)
+			}
+			_, err := h.Read(p, c.second(node))
+			errs[node] = err
+		})
+		r.run(t)
+		for node := 0; node < 2; node++ {
+			if errs[node] != c.want {
+				t.Errorf("%s: node %d err = %v, want %v", c.name, node, errs[node], c.want)
+			}
+		}
+	}
+}
+
+// TestGroupRoundOutcomes pins M_RECORD and M_GLOBAL reads and writes
+// over three rounds of a three-member group, in the middle one of which
+// member 2 asks for twice the size. Members arrive in a different order
+// each round. For each member it pins the count, error and return time
+// of every round, and for the run the kernel's event count and an
+// FNV-1a hash of its (at, seq) dispatch stream.
+func TestGroupRoundOutcomes(t *testing.T) {
+	const mismatch = "0 pfs: collective operation parameters differ across nodes"
+	cases := []struct {
+		mode   Mode
+		write  bool
+		events uint64
+		hash   uint64
+		want   [3]string
+	}{
+		{MRecord, false, 62, 0x467cdf3832d2cd30, [3]string{
+			"4096 <nil> @139.03304ms; " + mismatch + " @139.13304ms; 4096 <nil> @139.66328ms;",
+			"4096 <nil> @112.82944ms; " + mismatch + " @139.13304ms; 4096 <nil> @139.66328ms;",
+			"4096 <nil> @101.51464ms; " + mismatch + " @139.13304ms; 4096 <nil> @139.66328ms;",
+		}},
+		{MRecord, true, 60, 0xfd6f57750dfa9528, [3]string{
+			"4096 <nil> @121.0004ms; " + mismatch + " @121.1004ms; 4096 <nil> @181.9744ms;",
+			"4096 <nil> @100.9408ms; " + mismatch + " @121.1004ms; 4096 <nil> @161.9148ms;",
+			"4096 <nil> @80.8812ms; " + mismatch + " @121.1004ms; 4096 <nil> @141.8552ms;",
+		}},
+		{MGlobal, false, 43, 0x47e087bff5e5253d, [3]string{
+			"4096 <nil> @88.05984ms; " + mismatch + " @88.25984ms; 4096 <nil> @88.89248ms;",
+			"4096 <nil> @88.05984ms; " + mismatch + " @88.25984ms; 4096 <nil> @88.89248ms;",
+			"4096 <nil> @88.05984ms; " + mismatch + " @88.25984ms; 4096 <nil> @88.89248ms;",
+		}},
+		{MGlobal, true, 44, 0x9ea21e9f63f06613, [3]string{
+			"4096 <nil> @80.8816ms; " + mismatch + " @81.0816ms; 4096 <nil> @83.6868ms;",
+			"4096 <nil> @80.8816ms; " + mismatch + " @81.0816ms; 4096 <nil> @83.6868ms;",
+			"4096 <nil> @80.8816ms; " + mismatch + " @81.0816ms; 4096 <nil> @83.6868ms;",
+		}},
+	}
+	for _, c := range cases {
+		r := newRig(t)
+		r.fs.CreateFile("f", 1<<20)
+		hash := fnv.New64a()
+		var buf [16]byte
+		r.k.SetObserver(func(at sim.Time, seq uint64) {
+			binary.LittleEndian.PutUint64(buf[:8], uint64(at))
+			binary.LittleEndian.PutUint64(buf[8:], seq)
+			hash.Write(buf[:])
+		})
+		g, _ := r.fs.NewGroup([]int{0, 1, 2})
+		var got [3]string
+		spawnGroup(r, g, func(p *sim.Proc, node int) {
+			h, err := g.Gopen(p, node, "f", c.mode)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for round := 0; round < 3; round++ {
+				p.Wait(time.Duration((node+round)%3) * 100 * time.Microsecond)
+				size := int64(4096)
+				if round == 1 && node == 2 {
+					size = 8192
+				}
+				var n int64
+				if c.write {
+					n, err = h.Write(p, size)
+				} else {
+					n, err = h.Read(p, size)
+				}
+				got[node] += fmt.Sprintf("%d %v @%v; ", n, err, p.Now())
+			}
+		})
+		r.run(t)
+		name := fmt.Sprintf("%v write=%v", c.mode, c.write)
+		for node := range got {
+			if line := strings.TrimSpace(got[node]); line != c.want[node] {
+				t.Errorf("%s: node %d:\n got %s\nwant %s", name, node, line, c.want[node])
+			}
+		}
+		if e := r.k.EventsProcessed(); e != c.events {
+			t.Errorf("%s: %d events, want %d", name, e, c.events)
+		}
+		if h := hash.Sum64(); h != c.hash {
+			t.Errorf("%s: dispatch hash %#x, want %#x", name, h, c.hash)
+		}
 	}
 }
 
@@ -248,7 +351,7 @@ func TestMSyncVariableSizesPrefixOffsets(t *testing.T) {
 		}
 	})
 	r.run(t)
-	writes := r.tr.ByOp(pablo.OpWrite)
+	writes := byOp(r.tr, pablo.OpWrite)
 	if len(writes) != 6 {
 		t.Fatalf("write events = %d", len(writes))
 	}
@@ -304,7 +407,7 @@ func TestCollectiveSetIOModeBindsGroup(t *testing.T) {
 			t.Fatalf("node %d read %d after collective iomode", node, n)
 		}
 	}
-	if got := len(r.tr.ByOp(pablo.OpIOMode)); got != 4 {
+	if got := len(byOp(r.tr, pablo.OpIOMode)); got != 4 {
 		t.Fatalf("iomode events = %d, want 4", got)
 	}
 	// open x4 + one leader-paid setiomode = 5 metadata ops.
@@ -329,7 +432,7 @@ func TestGopenDurationIncludesSkew(t *testing.T) {
 		})
 	}
 	r.run(t)
-	for _, ev := range r.tr.ByOp(pablo.OpGopen) {
+	for _, ev := range byOp(r.tr, pablo.OpGopen) {
 		if ev.Node == 0 && ev.Duration < 1e9 {
 			t.Fatalf("node 0 gopen duration %v does not include skew", ev.Duration)
 		}

@@ -219,7 +219,7 @@ func TestPropertyMRecordTiling(t *testing.T) {
 			return false
 		}
 		seen := map[int64]bool{}
-		for _, ev := range tr.ByOp(pablo.OpWrite) {
+		for _, ev := range byOp(tr, pablo.OpWrite) {
 			if ev.Offset%rec != 0 || seen[ev.Offset] {
 				return false
 			}

@@ -15,7 +15,7 @@
 // of Go's goroutine scheduling. Events for the current instant go on a
 // FIFO ready lane; only later events go through the time-ordered heap.
 //
-// An event is dispatched in one of four shapes:
+// An event is dispatched in one of five shapes:
 //
 //   - Coroutine resume: a process event switches to the process's
 //     coroutine (iter.Pull's next and yield). The runtime switches
@@ -31,6 +31,12 @@
 //   - Deferred wait: a process parked in Barrier.AwaitThen or
 //     Resource.AcquireThen named the Wait it makes on waking; its wake
 //     event schedules that wait instead of resuming the process.
+//   - Rounds in place: a process in Barrier.Rounds runs its collective
+//     rounds (compute wait, barrier arrival, cost wait) in the run loop.
+//     The end of its compute wait makes its arrival, the release its
+//     cost wait, and the end of that wait draws the next round's
+//     compute and schedules it, so the process is resumed once, after
+//     its last round.
 //
 // A panic in a process body surfaces from Run as a *PanicError after
 // every other process has been unwound.
@@ -87,6 +93,9 @@ type Kernel struct {
 	// inline-wait path: a process nested through Wake runs inside another
 	// event's dispatch and must not move the clock under it.
 	current *Proc
+	// stepping is the process whose round the run loop is drawing in
+	// its place (inPlace), so that a panic in the draw names it.
+	stepping *Proc
 
 	// observer, when non-nil, sees every dispatched event (SetObserver).
 	observer func(at Time, seq uint64)
@@ -251,6 +260,9 @@ func (k *Kernel) Run() (err error) {
 			pe, ok := r.(*PanicError)
 			if !ok {
 				pe = &PanicError{Now: k.now, Value: r, Stack: debug.Stack()}
+				if k.stepping != nil {
+					pe.Proc = k.stepping.name
+				}
 			}
 			err = k.abort(pe)
 		}
@@ -272,9 +284,8 @@ func (k *Kernel) Run() (err error) {
 				k.observer(e.at, e.seq)
 			}
 			k.current = e.proc
-			if e.proc != nil && e.proc.thenWait {
-				e.proc.thenWait = false // Proc.setThen: wait in its place
-				k.schedule(k.now+e.proc.then, e.proc, nil)
+			if e.proc != nil && e.proc.step != stepNone {
+				k.inPlace(e.proc)
 			} else if e.proc != nil {
 				k.dispatch(e.proc)
 			} else if e.fn != nil {
@@ -304,6 +315,46 @@ func (k *Kernel) trim() {
 func (k *Kernel) dispatch(p *Proc) {
 	p.blocked = ""
 	p.next()
+}
+
+// inPlace takes the step p.step names in place of the parked process p,
+// without resuming it, and arms the step after it (see Barrier.Rounds):
+// stepNext draws the next round's compute and schedules its wait;
+// stepArrive makes the round's arrival, leaving p parked on the barrier
+// unless it released the epoch; stepThen schedules the armed wait,
+// whose end starts the next round if any remain and resumes p
+// otherwise. An arrival p already made this epoch is handed back: p is
+// resumed, arrives itself and panics as Await does.
+func (k *Kernel) inPlace(p *Proc) {
+	switch p.step {
+	case stepNext:
+		p.rounds--
+		k.stepping = p
+		d := p.draw()
+		if d < 0 {
+			panic("sim: negative wait on " + p.name)
+		}
+		k.stepping = nil
+		p.step = stepArrive
+		k.schedule(k.now+d, p, nil)
+		return
+	case stepArrive:
+		b := p.round
+		if p.barrier == b {
+			k.dispatch(p)
+			return
+		}
+		p.step = stepThen
+		if b.join(p) {
+			p.blocked = b.park
+			return
+		}
+	}
+	p.step = stepNone
+	if p.rounds > 0 {
+		p.step = stepNext
+	}
+	k.schedule(k.now+p.then, p, nil)
 }
 
 // wake schedules p to resume at the current time (used by synchronization

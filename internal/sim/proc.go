@@ -22,12 +22,29 @@ type Proc struct {
 	yield func(struct{}) bool     // park: switches back to whoever called next
 	done  bool
 
-	blocked  string   // why the process is parked with no pending wake, for deadlock reports
-	barrier  *Barrier // the barrier the process is parked on, if any
-	holds    []held   // the Resource slots the process holds
-	thenWait bool     // the process's next wake makes Wait(then) in its place (setThen)
-	then     Time
+	blocked string   // why the process is parked with no pending wake, for deadlock reports
+	barrier *Barrier // the barrier the process is parked on, if any
+	holds   []held   // the Resource slots the process holds
+
+	// The step the run loop takes in the process's place at its next
+	// wake (Kernel.inPlace), and what that step needs: the wait armed by
+	// setThen, and the barrier, draw and rounds left of Barrier.Rounds.
+	step   stepKind
+	then   Time
+	rounds int
+	round  *Barrier
+	draw   func() Time
 }
+
+// stepKind is a step the run loop may take in a parked process's place.
+type stepKind uint8
+
+const (
+	stepNone   stepKind = iota // resume the process
+	stepThen                   // make the armed Wait(then): AwaitThen, AcquireThen, a round's cost
+	stepArrive                 // arrive at the round's barrier: a round's compute wait ended
+	stepNext                   // start the next round: draw its compute and wait for it
+)
 
 // Spawn creates a new process executing body and schedules it to start at
 // the current virtual time. It may be called before Run or from within a
@@ -119,13 +136,13 @@ func (p *Proc) setThen(d Time) {
 	if d < 0 {
 		panic("sim: negative wait on " + p.name)
 	}
-	p.thenWait, p.then = true, d
+	p.step, p.then = stepThen, d
 }
 
 // waitThen makes the armed wait if the process did not park for it.
 func (p *Proc) waitThen() {
-	if p.thenWait {
-		p.thenWait = false
+	if p.step == stepThen {
+		p.step = stepNone
 		p.Wait(p.then)
 	}
 }

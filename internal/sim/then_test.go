@@ -174,41 +174,6 @@ func TestAwaitThenMatchesAwaitWait(t *testing.T) { testThenEquivalence(t, false)
 // the resource's statistics compared too.
 func TestAcquireThenMatchesAcquireWait(t *testing.T) { testThenEquivalence(t, true) }
 
-// TestAwaitThenSkipsResume counts coroutine resumes: four parties
-// staggered over three epochs, each released party then waiting 1µs
-// that cannot complete inline (the other parties' wakes come first).
-// AwaitThen must resume each party released from a park once fewer than
-// Await then Wait does: 3 parked parties × 3 epochs = 9 fewer.
-func TestAwaitThenSkipsResume(t *testing.T) {
-	resumes := func(fused bool) int {
-		k := NewKernel()
-		b := NewBarrier(k, "phase", 4)
-		n := 0
-		for i := 0; i < 4; i++ {
-			p := k.Spawn("p", func(p *Proc) {
-				for e := 0; e < 3; e++ {
-					p.Wait(Time(p.ID()) * time.Microsecond)
-					if fused {
-						b.AwaitThen(p, time.Microsecond)
-					} else {
-						b.Await(p)
-						p.Wait(time.Microsecond)
-					}
-				}
-			})
-			next := p.next
-			p.next = func() (struct{}, bool) { n++; return next() }
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	if two, fused := resumes(false), resumes(true); two-fused != 9 {
-		t.Errorf("resumes: Await then Wait %d, AwaitThen %d; want 9 fewer", two, fused)
-	}
-}
-
 // TestAcquireThenHoldStartsAtGrant pins that a queued acquirer holds
 // its slot from the grant, not from the end of its wait: two acquirers
 // of a one-slot resource, the second granted at 3s, each holding it 3s

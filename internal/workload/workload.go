@@ -1,7 +1,8 @@
 // Package workload provides the building blocks for expressing
 // application I/O scripts against the simulated machine: per-node
 // processes with deterministic pseudo-randomness, compute delays,
-// message-passing collectives (broadcast/gather/barrier) priced by the
+// message-passing collectives (broadcast/gather/barrier/all-reduce, and
+// rounds of compute then barrier or all-reduce) priced by the
 // mesh model, phase tracking for per-phase analysis, and request-size
 // distributions for synthetic workload generation.
 package workload
@@ -45,6 +46,12 @@ type Node struct {
 	P   *sim.Proc
 	ID  int
 	RNG *rand.Rand
+
+	// The compute time of the node's next collective round (rounds):
+	// draw is drawCompute, bound once, and compute and jitter are its
+	// arguments for the current Rounds call.
+	draw            func() time.Duration
+	compute, jitter time.Duration
 }
 
 // SpawnNodes starts one process per node running body. Each node gets a
@@ -98,13 +105,18 @@ func (n *Node) Compute(d time.Duration) { n.P.Wait(d) }
 // ComputeJitter advances by d plus a uniformly random extra in
 // [0, jitter) — the load imbalance that turns into synchronization skew
 // at barriers and collective I/O.
-func (n *Node) ComputeJitter(d, jitter time.Duration) {
-	extra := time.Duration(0)
+func (n *Node) ComputeJitter(d, jitter time.Duration) { n.P.Wait(n.jittered(d, jitter)) }
+
+// jittered draws the duration ComputeJitter(d, jitter) computes for.
+func (n *Node) jittered(d, jitter time.Duration) time.Duration {
 	if jitter > 0 {
-		extra = time.Duration(n.RNG.Int63n(int64(jitter)))
+		d += time.Duration(n.RNG.Int63n(int64(jitter)))
 	}
-	n.P.Wait(d + extra)
+	return d
 }
+
+// drawCompute draws the compute time of the node's next collective round.
+func (n *Node) drawCompute() time.Duration { return n.jittered(n.compute, n.jitter) }
 
 // Collective is a message-passing synchronization domain over a fixed
 // set of nodes (a communicator, in later MPI terms).
@@ -134,11 +146,31 @@ func (c *Collective) Broadcast(n *Node, root int, size int64) {
 	c.bar.AwaitThen(n.P, c.m.Mesh.Broadcast(c.n, size))
 }
 
-// AllReduce synchronizes the members and performs a combining reduction
-// of size bytes (the per-step solver synchronization both applications'
-// compute phases perform).
-func (c *Collective) AllReduce(n *Node, size int64) {
-	c.bar.AwaitThen(n.P, c.m.Mesh.AllReduce(c.n, size))
+// BarrierRounds runs rounds compute-and-synchronize rounds: each is
+// ComputeJitter(d, jitter) followed by Barrier. The run loop takes every
+// step of the rounds in the node's place (sim.Barrier.Rounds), so the
+// node is resumed once, after the last; rounds = 1 is one step of a
+// loop that does other work between rounds.
+func (c *Collective) BarrierRounds(n *Node, rounds int, d, jitter time.Duration) {
+	c.rounds(n, rounds, d, jitter, c.m.Mesh.Barrier(c.n))
+}
+
+// AllReduceRounds runs rounds solver steps: each is ComputeJitter(d,
+// jitter), then synchronizing the members for a combining reduction of
+// size bytes (the per-step solver synchronization both applications'
+// compute phases perform). The rounds run as BarrierRounds' do.
+func (c *Collective) AllReduceRounds(n *Node, rounds int, d, jitter time.Duration, size int64) {
+	c.rounds(n, rounds, d, jitter, c.m.Mesh.AllReduce(c.n, size))
+}
+
+// rounds runs n's collective rounds on c's barrier, each paying cost
+// after the release.
+func (c *Collective) rounds(n *Node, rounds int, d, jitter, cost time.Duration) {
+	if n.draw == nil {
+		n.draw = n.drawCompute
+	}
+	n.compute, n.jitter = d, jitter
+	c.bar.Rounds(n.P, rounds, n.draw, cost)
 }
 
 // Gather synchronizes the members and collects size bytes from each

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -223,17 +224,56 @@ func TestAllReduceSynchronizesAndCharges(t *testing.T) {
 	c := m.NewCollective("ar", 8)
 	exits := make([]time.Duration, 8)
 	m.SpawnNodes(1, func(n *Node) {
-		n.Compute(time.Duration(n.ID) * time.Second)
-		c.AllReduce(n, 64)
+		c.AllReduceRounds(n, 3, time.Duration(n.ID)*time.Second, 0, 64)
 		exits[n.ID] = n.P.Now()
 	})
 	if err := m.K.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := 7*time.Second + m.Mesh.AllReduce(8, 64)
+	want := 3 * (7*time.Second + m.Mesh.AllReduce(8, 64))
 	for id, at := range exits {
 		if at != want {
 			t.Fatalf("node %d exit %v, want %v", id, at, want)
+		}
+	}
+}
+
+// TestBarrierRoundsMatchComputeJitterBarrier runs eight nodes through
+// five jittered compute-then-barrier cycles: step by step with
+// ComputeJitter and Barrier, with one BarrierRounds call per cycle, and
+// with one call for all five. The nodes must leave at the same times,
+// with their generators at the same state, after the same number of
+// kernel events.
+func TestBarrierRoundsMatchComputeJitterBarrier(t *testing.T) {
+	run := func(form string) string {
+		m := newMachine(t, 8)
+		c := m.NewCollective("cycle", 8)
+		out := make([]string, 8)
+		m.SpawnNodes(1, func(n *Node) {
+			switch form {
+			case "all":
+				c.BarrierRounds(n, 5, time.Second, time.Second/2)
+			case "one":
+				for cyc := 0; cyc < 5; cyc++ {
+					c.BarrierRounds(n, 1, time.Second, time.Second/2)
+				}
+			default:
+				for cyc := 0; cyc < 5; cyc++ {
+					n.ComputeJitter(time.Second, time.Second/2)
+					c.Barrier(n)
+				}
+			}
+			out[n.ID] = fmt.Sprintf("%v %d", n.P.Now(), n.RNG.Int63())
+		})
+		if err := m.K.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(out, m.K.EventsProcessed())
+	}
+	want := run("steps")
+	for _, form := range []string{"one", "all"} {
+		if got := run(form); got != want {
+			t.Errorf("%s: exits %s, step by step %s", form, got, want)
 		}
 	}
 }
