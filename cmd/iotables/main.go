@@ -1,6 +1,7 @@
 // Command iotables regenerates every table and figure of the paper's
-// evaluation from fresh simulated runs and prints each artifact with a
-// paper-vs-measured comparison.
+// evaluation, and the what-if studies, from fresh simulated runs and
+// prints each artifact with its measured metrics beside its reference:
+// the paper's values, or a what-if study's baseline.
 //
 // Usage:
 //
@@ -13,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -35,13 +37,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "iotables:", err)
 		os.Exit(1)
 	}
-	if err := run(*only, *seed, *summary, *outDir, j); err != nil {
+	if err := run(os.Stdout, *only, *seed, *summary, *outDir, j); err != nil {
 		fmt.Fprintln(os.Stderr, "iotables:", err)
 		os.Exit(1)
 	}
 }
 
-func run(only string, seed int64, summary bool, outDir string, jobs int) error {
+// run regenerates the selected experiments and prints them to w.
+func run(w io.Writer, only string, seed int64, summary bool, outDir string, jobs int) error {
 	exps := experiments.All()
 	valid := make([]string, 0, len(exps))
 	for _, e := range exps {
@@ -70,21 +73,23 @@ func run(only string, seed int64, summary bool, outDir string, jobs int) error {
 		return err
 	}
 	for i, art := range arts {
-		fmt.Printf("################ %s — %s ################\n\n", art.ID, exps[i].Title)
+		title := exps[i].Title
+		fmt.Fprintf(w, "################ %s — %s ################\n\n", art.ID, title)
 		if summary {
+			label, ref := art.Reference()
 			for _, k := range art.MetricKeys() {
-				fmt.Printf("  %-32s paper %10.2f   measured %10.2f\n",
-					k, art.Paper[k], art.Measured[k])
+				fmt.Fprintf(w, "  %-32s %s %10.2f   measured %10.2f\n",
+					k, label, ref[k], art.Measured[k])
 			}
 		} else {
-			fmt.Println(art.Text)
+			fmt.Fprintln(w, art.Text)
 		}
 		if art.Notes != "" {
-			fmt.Printf("notes: %s\n", art.Notes)
+			fmt.Fprintf(w, "notes: %s\n", art.Notes)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if outDir != "" {
-			body := art.Title + "\n\n" + art.Text
+			body := title + "\n\n" + art.Text
 			if art.Notes != "" {
 				body += "\nnotes: " + art.Notes + "\n"
 			}

@@ -109,9 +109,7 @@ func advisorLoops() []advisorLoop {
 // advisorExp runs every closed loop and renders the comparison.
 func advisorExp(s *Suite) (*Artifact, error) {
 	var b strings.Builder
-	paper := map[string]float64{}
-	measured := map[string]float64{}
-
+	art := &Artifact{ID: "advisor"}
 	for i, loop := range advisorLoops() {
 		src, err := loop.adviseFrom(s)
 		if err != nil {
@@ -158,32 +156,24 @@ func advisorExp(s *Suite) (*Artifact, error) {
 				{"oracle-best (" + best.label + ")", secs(best.t), fmt.Sprintf("%.2f", oracleSpeed), "100.0"},
 			})
 
-		pair(paper, measured, loop.id+"."+loop.headline, inSecs(loop.opTime), base, advised)
-		measured[loop.id+".oracle_"+loop.headline] = best.t.Seconds()
-		// 'paper' 100 is the oracle bar, so the summary view shows how
-		// much of the oracle-best speedup the advice captured.
-		pair(paper, measured, loop.id+".pct_of_oracle", func(p float64) float64 { return p }, 100, pct)
+		pair(art, loop.id+"."+loop.headline, inSecs(loop.opTime), base, advised)
+		art.Measured[loop.id+".oracle_"+loop.headline] = best.t.Seconds()
+		pair(art, loop.id+".pct_of_oracle", func(p float64) float64 { return p }, 100, pct)
 	}
-
-	return &Artifact{
-		ID:       "advisor",
-		Title:    "Closed loop: advised cache tiers vs oracle-best sweeps",
-		Text:     b.String(),
-		Paper:    paper,
-		Measured: measured,
-		Notes: "Not a paper artifact: the self-tuning step the paper's " +
-			"conclusion calls for. The 'paper' column is each workload's " +
-			"no-cache headline operation time; 'measured' is the same " +
-			"operation under the tiers the advisor derived from the trace " +
-			"(for ESCAT ethylene and PRISM, from the UNTUNED version-A " +
-			"trace). The oracle is the best configuration any existing " +
-			"cachewhatif/clientcache/logtier sweep found for that workload — the " +
-			"advisor does not get to peek at it. The negative findings are " +
-			"load-bearing: recommending read-ahead alongside write-behind " +
-			"would cost PRISM's restart a third of its win (wbra vs wb in " +
-			"the sweeps), and recommending the I/O-node tier for carbon " +
-			"monoxide would lose outright — the advisor instead turns the " +
-			"server tier off and configures a client tier with a lease TTL " +
-			"sized to the observed reuse span.",
-	}, nil
+	art.Text = b.String()
+	art.Notes = "Not a paper artifact: the self-tuning step the paper's " +
+		"conclusion calls for. The 'baseline' column is each workload's " +
+		"no-cache headline operation time; 'measured' is the same " +
+		"operation under the tiers the advisor derived from the trace " +
+		"(for ESCAT ethylene and PRISM, from the UNTUNED version-A " +
+		"trace). The oracle is the best configuration any existing " +
+		"cachewhatif/clientcache/logtier sweep found for that workload — the " +
+		"advisor does not get to peek at it. The negative findings are " +
+		"load-bearing: recommending read-ahead alongside write-behind " +
+		"would cost PRISM's restart a third of its win (wbra vs wb in " +
+		"the sweeps), and recommending the I/O-node tier for carbon " +
+		"monoxide would lose outright — the advisor instead turns the " +
+		"server tier off and configures a client tier with a lease TTL " +
+		"sized to the observed reuse span."
+	return art, nil
 }

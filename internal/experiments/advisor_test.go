@@ -22,7 +22,7 @@ func TestAdvisorReachesOracle(t *testing.T) {
 			t.Errorf("%s: advised tiers reach %.1f%% of oracle-best speedup, want >= 90%%",
 				loop.id, pct)
 		}
-		base := art.Paper[loop.id+"."+loop.headline]
+		base := art.Baseline[loop.id+"."+loop.headline]
 		adv := art.Measured[loop.id+"."+loop.headline]
 		if adv <= 0 || base <= 0 {
 			t.Fatalf("%s: degenerate headline times base=%v advised=%v", loop.id, base, adv)
@@ -45,7 +45,7 @@ func TestFlushPolicyDifferentiates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("flushpolicy experiment: %v", err)
 	}
-	hwStalls := art.Paper["stalls"]
+	hwStalls := art.Baseline["stalls"]
 	dlStalls := art.Measured["stalls"]
 	if hwStalls == 0 {
 		t.Errorf("high-water + idle policy took no forced-flush stalls; the burst no longer overruns the cache")

@@ -36,14 +36,14 @@ func TestCacheWhatIfWriteBehindWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Paper = cache-off baseline; Measured = best cached variant.
-	if got, base := art.Measured["prism.chk_write_s"], art.Paper["prism.chk_write_s"]; got >= base {
+	// Baseline = cache off; Measured = best cached variant.
+	if got, base := art.Measured["prism.chk_write_s"], art.Baseline["prism.chk_write_s"]; got >= base {
 		t.Fatalf("checkpoint write time %g s not below cache-off baseline %g s", got, base)
 	}
-	if got, base := art.Measured["prism.io_s"], art.Paper["prism.io_s"]; got >= base {
+	if got, base := art.Measured["prism.io_s"], art.Baseline["prism.io_s"]; got >= base {
 		t.Fatalf("PRISM I/O time %g s not below cache-off baseline %g s", got, base)
 	}
-	if got, base := art.Measured["eth.quad_write_s"], art.Paper["eth.quad_write_s"]; got >= base {
+	if got, base := art.Measured["eth.quad_write_s"], art.Baseline["eth.quad_write_s"]; got >= base {
 		t.Fatalf("staging write time %g s not below cache-off baseline %g s", got, base)
 	}
 	for _, col := range []string{"hit_%", "max_dirty", "stalls"} {
@@ -89,7 +89,7 @@ func TestCacheWhatIfCarbonMonoxide(t *testing.T) {
 	if !strings.Contains(art.Text, "carbon monoxide") {
 		t.Fatalf("artifact text missing the carbon-monoxide table:\n%s", art.Text)
 	}
-	if got, base := art.Measured["co.io_s"], art.Paper["co.io_s"]; got < base {
+	if got, base := art.Measured["co.io_s"], art.Baseline["co.io_s"]; got < base {
 		t.Fatalf("CO I/O time %g s below cache-off %g s — the honest negative result moved; update the notes", got, base)
 	}
 

@@ -62,43 +62,37 @@ func clientCache(s *Suite) (*Artifact, error) {
 	report.Columns(&b, "PRISM C checkpoint/restart under client caching", pr,
 		rungCols(clientCols, secsCol("rst_read_s", restartRead), secsCol("chk_write_s", checkpointWrite)))
 
-	paper, measured := map[string]float64{}, map[string]float64{}
+	art := &Artifact{ID: "clientcache", Text: b.String()}
 	base, best := ends(co)
-	pair(paper, measured, "co.quad_read_s", inSecs(quadRead), base, best)
-	pair(paper, measured, "co.io_s", inSecs(ioTime), base, best)
+	pair(art, "co.quad_read_s", inSecs(quadRead), base, best)
+	pair(art, "co.io_s", inSecs(ioTime), base, best)
 	base, best = ends(pr)
-	pair(paper, measured, "prism.rst_read_s", inSecs(restartRead), base, best)
-	pair(paper, measured, "prism.chk_write_s", inSecs(checkpointWrite), base, best)
-	pair(paper, measured, "prism.io_s", inSecs(ioTime), base, best)
-	return &Artifact{
-		ID:       "clientcache",
-		Title:    "What-if: client cache tier with lease coherence",
-		Text:     b.String(),
-		Paper:    paper,
-		Measured: measured,
-		Notes: "Not a paper artifact: the second what-if machine generation. " +
-			"The 'paper' column is the tiers-off baseline (the real PFS); " +
-			"'measured' is the client tier stacked on the I/O-node cache. " +
-			"The client tier serves re-reads node-locally under read leases; " +
-			"writes keep sharers coherent by recalling their leases at mesh " +
-			"round-trip cost (recall_wait_s), and stale_av counts recalled " +
-			"blocks still resident at the holder — reads a lease-less client " +
-			"cache would have served stale. The lease TTL is a real axis: at " +
-			"the 500 ms default every carbon-monoxide lease dies in the " +
-			"minutes of compute between energy sweeps (the expired column), " +
-			"so all eight reload passes miss; a 10-minute TTL at 8 MB/node " +
-			"captures exactly the seven re-read sweeps (87.5% hits), while " +
-			"1 MB/node thrashes at 0% — the ~3 MB per-node reload working " +
-			"set sits between the two capacities. Both paper workloads " +
-			"partition their files across nodes (the access-pattern fact the " +
-			"paper itself reports), so recall traffic is near nil here; the " +
-			"protocol's coherence cost is exercised by the randomized sharing " +
-			"schedules of the coherence property tests instead. The block tiers " +
-			"interact rather than add: on PRISM the stack wins twice (the " +
-			"client tier absorbs the restart re-reads, write-behind absorbs " +
-			"the checkpoint), but on carbon monoxide stacking is worse than " +
-			"the client tier alone — the client tier strips the reuse out of " +
-			"the miss stream the I/O-node cache sees, leaving read-ahead to " +
-			"prefetch records nobody re-requests.",
-	}, nil
+	pair(art, "prism.rst_read_s", inSecs(restartRead), base, best)
+	pair(art, "prism.chk_write_s", inSecs(checkpointWrite), base, best)
+	pair(art, "prism.io_s", inSecs(ioTime), base, best)
+	art.Notes = "Not a paper artifact: the second what-if machine generation. " +
+		"The 'baseline' column is the tiers-off machine (the real PFS); " +
+		"'measured' is the client tier stacked on the I/O-node cache. " +
+		"The client tier serves re-reads node-locally under read leases; " +
+		"writes keep sharers coherent by recalling their leases at mesh " +
+		"round-trip cost (recall_wait_s), and stale_av counts recalled " +
+		"blocks still resident at the holder — reads a lease-less client " +
+		"cache would have served stale. The lease TTL is a real axis: at " +
+		"the 500 ms default every carbon-monoxide lease dies in the " +
+		"minutes of compute between energy sweeps (the expired column), " +
+		"so all eight reload passes miss; a 10-minute TTL at 8 MB/node " +
+		"captures exactly the seven re-read sweeps (87.5% hits), while " +
+		"1 MB/node thrashes at 0% — the ~3 MB per-node reload working " +
+		"set sits between the two capacities. Both paper workloads " +
+		"partition their files across nodes (the access-pattern fact the " +
+		"paper itself reports), so recall traffic is near nil here; the " +
+		"protocol's coherence cost is exercised by the randomized sharing " +
+		"schedules of the coherence property tests instead. The block tiers " +
+		"interact rather than add: on PRISM the stack wins twice (the " +
+		"client tier absorbs the restart re-reads, write-behind absorbs " +
+		"the checkpoint), but on carbon monoxide stacking is worse than " +
+		"the client tier alone — the client tier strips the reuse out of " +
+		"the miss stream the I/O-node cache sees, leaving read-ahead to " +
+		"prefetch records nobody re-requests."
+	return art, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"paragonio/internal/analysis"
@@ -86,10 +87,13 @@ func TestPhaseStatsMatchesSliceByPhase(t *testing.T) {
 
 // TestRunAllParallelMatchesSerial runs the full experiment suite once
 // serially and once with a parallel worker pool on a fresh suite, and
-// requires identical artifacts: same text, paper and measured metrics,
-// and underlying trace digests. This is the gate that lets iotables
-// default to -j GOMAXPROCS. Every paper key must also have a measured
-// value, or iotables -summary would print a phantom zero for it.
+// requires identical artifacts: same text, reference and measured
+// metrics, and underlying trace digests. This is the gate that lets
+// iotables default to -j GOMAXPROCS. Each artifact must also fill the
+// reference its kind implies — Paper for a table or figure, Baseline
+// for a what-if study, never both — and every reference key must have a
+// measured value, or iotables -summary would print a phantom zero for
+// it.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size paper workloads skipped in -short mode")
@@ -124,9 +128,21 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(a.Paper, b.Paper) {
 			t.Errorf("%s: parallel paper values differ from serial", a.ID)
 		}
+		if !reflect.DeepEqual(a.Baseline, b.Baseline) {
+			t.Errorf("%s: parallel baseline values differ from serial", a.ID)
+		}
+		want := "baseline"
+		if strings.HasPrefix(a.ID, "table") || strings.HasPrefix(a.ID, "figure") {
+			want = "paper"
+		}
+		label, ref := a.Reference()
+		if (a.Paper == nil) == (a.Baseline == nil) || label != want || len(ref) == 0 {
+			t.Errorf("%s: paper %d keys, baseline %d keys; want only %s filled",
+				a.ID, len(a.Paper), len(a.Baseline), want)
+		}
 		for _, k := range a.MetricKeys() {
 			if _, ok := a.Measured[k]; !ok {
-				t.Errorf("%s: paper key %q has no measured value", a.ID, k)
+				t.Errorf("%s: %s key %q has no measured value", a.ID, label, k)
 			}
 		}
 	}

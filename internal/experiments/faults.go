@@ -76,44 +76,36 @@ func faultsExp(s *Suite) (*Artifact, error) {
 	}
 	healthy, disk, crash, strag := rungs[0], rungs[1], rungs[2], rungs[3]
 
-	// Shared keys: 'paper' holds the healthy machine (the only machine
-	// the paper ever measured), 'measured' the degraded runs.
-	paper, measured := map[string]float64{}, map[string]float64{}
-	pair(paper, measured, "wall_s", wall, healthy, healthy)
-	pair(paper, measured, "wall_diskfail_s", wall, healthy, disk)
-	pair(paper, measured, "wall_crash_s", wall, healthy, crash)
-	pair(paper, measured, "wall_strag_s", wall, healthy, strag)
-	pair(paper, measured, "degraded_reqs",
+	art := &Artifact{ID: "faults", Text: b.String()}
+	pair(art, "wall_s", wall, healthy, healthy)
+	pair(art, "wall_diskfail_s", wall, healthy, disk)
+	pair(art, "wall_crash_s", wall, healthy, crash)
+	pair(art, "wall_strag_s", wall, healthy, strag)
+	pair(art, "degraded_reqs",
 		func(r *iobench.Result) float64 { return float64(r.Degraded) }, healthy, disk)
-	pair(paper, measured, "rerouted_reqs",
+	pair(art, "rerouted_reqs",
 		func(r *iobench.Result) float64 { return float64(r.Rerouted) }, healthy, crash)
-	return &Artifact{
-		ID:       "faults",
-		Title:    "Fault study: checkpoint workloads on a degraded machine",
-		Text:     b.String(),
-		Paper:    paper,
-		Measured: measured,
-		Notes: "Not a paper artifact: the ROADMAP degraded-mode study. " +
-			"'paper' is the healthy machine (the only configuration the " +
-			"paper measured); 'measured' re-runs it with one injected " +
-			"fault per rung. A failed data drive prices every request on " +
-			"the broken array with a parity-reconstruction pass at the " +
-			"surviving drives' bandwidth; a node crash reroutes its " +
-			"stripes to the ring successor; the 4x straggler stretches " +
-			"one node's disk and mesh service. Honest negatives, headline " +
-			"first: the node crash makes the PRISM-shaped checkpoint " +
-			"FASTER than healthy. The lone sequential writer round-robins " +
-			"stripes over 4 nodes, so after failover the ring successor " +
-			"holds two adjacent stripes and serves them back to back — " +
-			"each pair becomes a sequential continuation under the seek " +
-			"model's seq-hit pricing, halving the seeks the healthy " +
-			"4-way distribution pays. The win is an artifact of a " +
-			"single-writer dump; a concurrent workload would miss the " +
-			"lost array's parallelism (the ESCAT table above shows the " +
-			"8-writer staging rung slowing ~1.6x under the same crash). " +
-			"And the flapping client is digest-visible but wall-free " +
-			"here: write-dominated checkpoint streams hold few read " +
-			"leases worth recalling — recall storms hurt read-back " +
-			"workloads, not dump-only ones.",
-	}, nil
+	art.Notes = "Not a paper artifact: the ROADMAP degraded-mode study. " +
+		"'baseline' is the healthy machine (the only configuration the " +
+		"paper measured); 'measured' re-runs it with one injected " +
+		"fault per rung. A failed data drive prices every request on " +
+		"the broken array with a parity-reconstruction pass at the " +
+		"surviving drives' bandwidth; a node crash reroutes its " +
+		"stripes to the ring successor; the 4x straggler stretches " +
+		"one node's disk and mesh service. Honest negatives, headline " +
+		"first: the node crash makes the PRISM-shaped checkpoint " +
+		"FASTER than healthy. The lone sequential writer round-robins " +
+		"stripes over 4 nodes, so after failover the ring successor " +
+		"holds two adjacent stripes and serves them back to back — " +
+		"each pair becomes a sequential continuation under the seek " +
+		"model's seq-hit pricing, halving the seeks the healthy " +
+		"4-way distribution pays. The win is an artifact of a " +
+		"single-writer dump; a concurrent workload would miss the " +
+		"lost array's parallelism (the ESCAT table above shows the " +
+		"8-writer staging rung slowing ~1.6x under the same crash). " +
+		"And the flapping client is digest-visible but wall-free " +
+		"here: write-dominated checkpoint streams hold few read " +
+		"leases worth recalling — recall storms hurt read-back " +
+		"workloads, not dump-only ones."
+	return art, nil
 }

@@ -54,7 +54,7 @@ func figure1(s *Suite) (*Artifact, error) {
 		execs = append(execs, r.Exec)
 	}
 	return execTable(&Artifact{
-		ID: "figure1", Title: "Figure 1 (ESCAT progression)",
+		ID: "figure1",
 		Paper: map[string]float64{
 			"exec.A": 6650, "exec.A2": 6500, "exec.B1": 6200, "exec.B2": 6100,
 			"exec.B3": 6000, "exec.C": 5400, "reduction.pct": 20,
@@ -107,8 +107,7 @@ func figure2(s *Suite) (*Artifact, error) {
 	b.WriteString("\n")
 	b.WriteString(comparisonTable("paper vs measured (fractions)", paper, measured))
 	return &Artifact{
-		ID: "figure2", Title: "Figure 2 (ESCAT size CDFs)",
-		Text: b.String(), Paper: paper, Measured: measured,
+		ID: "figure2", Text: b.String(), Paper: paper, Measured: measured,
 		Notes: "large128K = fraction of read data moved by reads >= 128 KB (two stripes)",
 	}, nil
 }
@@ -143,8 +142,7 @@ func figure3(s *Suite) (*Artifact, error) {
 	measured["readcount.ratio.AoverC"] = measured["A.reads"] / measured["C.reads"]
 	b.WriteString(comparisonTable("shape criteria", paper, measured))
 	return &Artifact{
-		ID: "figure3", Title: "Figure 3 (ESCAT read timelines)",
-		Text: b.String(), Paper: paper, Measured: measured,
+		ID: "figure3", Text: b.String(), Paper: paper, Measured: measured,
 		Notes: "reads cluster at run start and end in both versions; C reads in 128 KB records",
 	}, nil
 }
@@ -188,8 +186,7 @@ func figure4(s *Suite) (*Artifact, error) {
 	}
 	b.WriteString(comparisonTable("shape criteria", paper, measured))
 	return &Artifact{
-		ID: "figure4", Title: "Figure 4 (ESCAT write timelines)",
-		Text: b.String(), Paper: paper, Measured: measured,
+		ID: "figure4", Text: b.String(), Paper: paper, Measured: measured,
 		Notes: "version A staging uses four request sizes (plus boundary remainders); C uses exactly one",
 	}, nil
 }
@@ -222,8 +219,7 @@ func figure5(s *Suite) (*Artifact, error) {
 	}
 	b.WriteString(comparisonTable("paper (read off figure) vs measured", paper, measured))
 	return &Artifact{
-		ID: "figure5", Title: "Figure 5 (ESCAT seek durations)",
-		Text: b.String(), Paper: paper, Measured: measured,
+		ID: "figure5", Text: b.String(), Paper: paper, Measured: measured,
 		Notes: "criterion: M_UNIX seeks reach seconds under contention; M_ASYNC seeks are orders of magnitude lower",
 	}, nil
 }
@@ -240,7 +236,7 @@ func figure6(s *Suite) (*Artifact, error) {
 		execs[i] = res.Exec
 	}
 	return execTable(&Artifact{
-		ID: "figure6", Title: "Figure 6 (PRISM progression)",
+		ID:    "figure6",
 		Paper: map[string]float64{"exec.A": 9450, "exec.B": 8100, "exec.C": 7300, "reduction.pct": 23},
 		Notes: "criterion: monotone ~23% reduction A->C",
 	}, "Figure 6: execution time for three PRISM code versions (s)", "Version", ids, execs), nil
@@ -313,8 +309,7 @@ func figure7(s *Suite) (*Artifact, error) {
 	b.WriteString("\n")
 	b.WriteString(comparisonTable("shape criteria (approximate)", paper, measured))
 	return &Artifact{
-		ID: "figure7", Title: "Figure 7 (PRISM size CDFs)",
-		Text: b.String(), Paper: paper, Measured: measured,
+		ID: "figure7", Text: b.String(), Paper: paper, Measured: measured,
 		Notes: "paper reports no significant variation across versions except fewer small reads in C",
 	}, nil
 }
@@ -347,8 +342,7 @@ func figure8(s *Suite) (*Artifact, error) {
 	}
 	b.WriteString(comparisonTable("paper (read off figure) vs measured", paper, measured))
 	return &Artifact{
-		ID: "figure8", Title: "Figure 8 (PRISM read timelines)",
-		Text: b.String(), Paper: paper, Measured: measured,
+		ID: "figure8", Text: b.String(), Paper: paper, Measured: measured,
 		Notes: "measured spans order B > A > C: B's collective reads match the paper's span, but A's serialized and C's unbuffered reads spread far less than the paper's, so its A > C > B order does not reproduce",
 	}, nil
 }
@@ -387,8 +381,7 @@ func figure9(s *Suite) (*Artifact, error) {
 	paper := map[string]float64{"checkpoints.visible": 5}
 	b.WriteString(comparisonTable("shape criteria", paper, measured))
 	return &Artifact{
-		ID: "figure9", Title: "Figure 9 (PRISM write timeline, version C)",
-		Text: b.String(), Paper: paper, Measured: measured,
+		ID: "figure9", Text: b.String(), Paper: paper, Measured: measured,
 		Notes: "five checkpoint bursts of 155,584-byte records over a background of sub-400-byte writes",
 	}, nil
 }

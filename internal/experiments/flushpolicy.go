@@ -75,36 +75,28 @@ func flushPolicy(s *Suite) (*Artifact, error) {
 	}
 	hw, dl := rungs[0], rungs[1]
 
-	// Shared keys: 'paper' is the legacy high-water + idle policy,
-	// 'measured' the deadline policy, both at the lazy b=4 hw=75% shape.
-	paper, measured := map[string]float64{}, map[string]float64{}
-	pair(paper, measured, "stalls",
+	art := &Artifact{ID: "flushpolicy", Text: b.String()}
+	pair(art, "stalls",
 		func(r *iobench.Result) float64 { return float64(r.Cache.ForcedFlushStalls) }, hw, dl)
-	pair(paper, measured, "flushes",
+	pair(art, "flushes",
 		func(r *iobench.Result) float64 { return float64(r.Cache.Flushes) }, hw, dl)
-	pair(paper, measured, "deadline_flushes",
+	pair(art, "deadline_flushes",
 		func(r *iobench.Result) float64 { return float64(r.Cache.DeadlineFlushes) }, hw, dl)
-	pair(paper, measured, "wall_s", wall, hw, dl)
-	return &Artifact{
-		ID:       "flushpolicy",
-		Title:    "Flush-policy study: high-water + idle vs deadline write-behind",
-		Text:     b.String(),
-		Paper:    paper,
-		Measured: measured,
-		Notes: "Not a paper artifact: the ROADMAP flush-policy study. " +
-			"'paper' holds the legacy high-water + idle policy at the lazy " +
-			"shape (batch 4, 75% watermark); 'measured' holds the deadline " +
-			"policy at a 1 s deadline and the same shape. Forced-flush " +
-			"stalls count burst writes that had to write a dirty victim " +
-			"synchronously because no clean frame was left; flusher passes " +
-			"count disk-side background work. The lazy idle policy rides " +
-			"the dirty queue to the watermark, fills the cache mid-burst, " +
-			"and stalls writes behind dirty evictions; the deadline policy " +
-			"at the same shape flushes by age, drains between bursts, and " +
-			"takes zero stalls — at the cost of more flusher passes and a " +
-			"slightly longer wall clock. At the eager 25% watermark the " +
-			"policies converge (no stalls either way), so the deadline only " +
-			"pays off when the watermark alone is too lazy to protect the " +
-			"burst.",
-	}, nil
+	pair(art, "wall_s", wall, hw, dl)
+	art.Notes = "Not a paper artifact: the ROADMAP flush-policy study. " +
+		"'baseline' holds the legacy high-water + idle policy at the lazy " +
+		"shape (batch 4, 75% watermark); 'measured' holds the deadline " +
+		"policy at a 1 s deadline and the same shape. Forced-flush " +
+		"stalls count burst writes that had to write a dirty victim " +
+		"synchronously because no clean frame was left; flusher passes " +
+		"count disk-side background work. The lazy idle policy rides " +
+		"the dirty queue to the watermark, fills the cache mid-burst, " +
+		"and stalls writes behind dirty evictions; the deadline policy " +
+		"at the same shape flushes by age, drains between bursts, and " +
+		"takes zero stalls — at the cost of more flusher passes and a " +
+		"slightly longer wall clock. At the eager 25% watermark the " +
+		"policies converge (no stalls either way), so the deadline only " +
+		"pays off when the watermark alone is too lazy to protect the " +
+		"burst."
+	return art, nil
 }

@@ -127,10 +127,14 @@ var clientCols = []report.Column[rung]{
 }
 
 // pair records key on both sides of a what-if comparison: f of the
-// baseline in paper, f of the compared run in measured.
-func pair[T any](paper, measured map[string]float64, key string, f func(T) float64, base, run T) {
-	paper[key] = f(base)
-	measured[key] = f(run)
+// baseline in a.Baseline, f of the compared run in a.Measured. It is
+// the one writer of Baseline.
+func pair[T any](a *Artifact, key string, f func(T) float64, base, run T) {
+	if a.Baseline == nil {
+		a.Baseline, a.Measured = map[string]float64{}, map[string]float64{}
+	}
+	a.Baseline[key] = f(base)
+	a.Measured[key] = f(run)
 }
 
 // inSecs reads a duration measured on a run in seconds.

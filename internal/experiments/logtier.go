@@ -107,47 +107,39 @@ func logTierExp(s *Suite) (*Artifact, error) {
 	fmt.Fprintf(&b, "  PRISM C restart read:    %s s under the log alone vs %s s under write-behind 32 MB\n",
 		secs(restartRead(prismLog)), secs(restartRead(prismWB)))
 
-	// 'paper' holds the no-cache machine (the only one the paper
-	// measured); 'measured' the log-tier ladder. The read-back keys
-	// carry the honest negative: 'paper' is the write-behind time the
-	// log fails to match, 'measured' the log-alone time.
-	paper, measured := map[string]float64{}, map[string]float64{}
-	pair(paper, measured, "chk.wall_s", wall, chk.off, chk.log)
-	pair(paper, measured, "chk.wall_wb_s", wall, chk.off, chk.wb)
-	pair(paper, measured, "chk.wall_logion_s", wall, chk.off, chk.logion)
-	pair(paper, measured, "stg.wall_s", wall, stg.off, stg.log)
-	pair(paper, measured, "stg.wall_wb_s", wall, stg.off, stg.wb)
-	pair(paper, measured, "stg.wall_logion_s", wall, stg.off, stg.logion)
-	pair(paper, measured, "chk.appends",
+	// The read-back keys carry the honest negative: their baseline is
+	// the write-behind time the log fails to match.
+	art := &Artifact{ID: "logtier", Text: b.String()}
+	pair(art, "chk.wall_s", wall, chk.off, chk.log)
+	pair(art, "chk.wall_wb_s", wall, chk.off, chk.wb)
+	pair(art, "chk.wall_logion_s", wall, chk.off, chk.logion)
+	pair(art, "stg.wall_s", wall, stg.off, stg.log)
+	pair(art, "stg.wall_wb_s", wall, stg.off, stg.wb)
+	pair(art, "stg.wall_logion_s", wall, stg.off, stg.logion)
+	pair(art, "chk.appends",
 		func(r *iobench.Result) float64 { return float64(r.Log.Appends) }, chk.off, chk.log)
-	pair(paper, measured, "chk.bp_stalls",
+	pair(art, "chk.bp_stalls",
 		func(r *iobench.Result) float64 { return float64(r.Log.AppendStalls) }, chk.off, chk.log)
-	pair(paper, measured, "eth.quad_read_s", inSecs(quadRead), ethWB, ethLog)
-	pair(paper, measured, "prism.rst_read_s", inSecs(restartRead), prismWB, prismLog)
-	return &Artifact{
-		ID:       "logtier",
-		Title:    "Log tier study: host-side burst buffer vs server write-behind",
-		Text:     b.String(),
-		Paper:    paper,
-		Measured: measured,
-		Notes: "Not a paper artifact: the ROADMAP host-side logging study " +
-			"(the burst-buffer lineage the paper's checkpoint sections " +
-			"anticipate). 'paper' is the no-cache machine; 'measured' the " +
-			"log-tier rungs. On both checkpoint-shaped ladders the log " +
-			"beats server-side write-behind outright — appends commit at " +
-			"host-memory speed before any mesh hop, and the sequential " +
-			"drain overlaps compute — and stacking the block cache under " +
-			"the drain buys the write-only bursts nothing (the log+ion " +
-			"rung pays the drain's extra cache copy). The honest negatives " +
-			"carry the design rule: a log absorbs writes, it cannot serve " +
-			"reads. ESCAT ethylene's quadrature read-back under the log " +
-			"alone runs at no-cache speed — every read barrier waits for " +
-			"the drain, then the read goes to disk anyway — and PRISM's " +
-			"restart read is bit-for-bit the no-cache time. Pairing the " +
-			"log with write-behind recovers both (drained records land in " +
-			"the block cache and the read-back stays resident), which is " +
-			"exactly the pairing the advisor emits: cache-log-tier for " +
-			"write-dominated traces, avoid-log-tier when read-back would " +
-			"stall on the drain with no block cache to catch it.",
-	}, nil
+	pair(art, "eth.quad_read_s", inSecs(quadRead), ethWB, ethLog)
+	pair(art, "prism.rst_read_s", inSecs(restartRead), prismWB, prismLog)
+	art.Notes = "Not a paper artifact: the ROADMAP host-side logging study " +
+		"(the burst-buffer lineage the paper's checkpoint sections " +
+		"anticipate). 'baseline' is the no-cache machine; 'measured' the " +
+		"log-tier rungs. On both checkpoint-shaped ladders the log " +
+		"beats server-side write-behind outright — appends commit at " +
+		"host-memory speed before any mesh hop, and the sequential " +
+		"drain overlaps compute — and stacking the block cache under " +
+		"the drain buys the write-only bursts nothing (the log+ion " +
+		"rung pays the drain's extra cache copy). The honest negatives " +
+		"carry the design rule: a log absorbs writes, it cannot serve " +
+		"reads. ESCAT ethylene's quadrature read-back under the log " +
+		"alone runs at no-cache speed — every read barrier waits for " +
+		"the drain, then the read goes to disk anyway — and PRISM's " +
+		"restart read is bit-for-bit the no-cache time. Pairing the " +
+		"log with write-behind recovers both (drained records land in " +
+		"the block cache and the read-back stays resident), which is " +
+		"exactly the pairing the advisor emits: cache-log-tier for " +
+		"write-dominated traces, avoid-log-tier when read-back would " +
+		"stall on the drain with no block cache to catch it."
+	return art, nil
 }

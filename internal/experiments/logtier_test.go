@@ -131,7 +131,7 @@ func TestLogTierBeatsWriteBehind(t *testing.T) {
 		if log >= wb {
 			t.Errorf("%s: log tier %.3f s not below write-behind %.3f s", pre, log, wb)
 		}
-		if off := art.Paper[pre+".wall_s"]; log >= off {
+		if off := art.Baseline[pre+".wall_s"]; log >= off {
 			t.Errorf("%s: log tier %.3f s not below no-cache %.3f s", pre, log, off)
 		}
 	}
@@ -140,11 +140,11 @@ func TestLogTierBeatsWriteBehind(t *testing.T) {
 	}
 	// The honest negatives: under the log alone, read-back runs at the
 	// no-cache pace — far above what write-behind serves from resident
-	// dirty blocks ('paper' holds the write-behind time here).
+	// dirty blocks (Baseline holds the write-behind time here).
 	for _, k := range []string{"eth.quad_read_s", "prism.rst_read_s"} {
-		if art.Measured[k] <= 2*art.Paper[k] {
+		if art.Measured[k] <= 2*art.Baseline[k] {
 			t.Errorf("%s: log-alone read %.2f s not well above write-behind %.2f s — the negative went soft",
-				k, art.Measured[k], art.Paper[k])
+				k, art.Measured[k], art.Baseline[k])
 		}
 	}
 }

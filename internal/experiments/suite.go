@@ -2,7 +2,8 @@
 // evaluation to a runnable experiment: each regenerates its artifact
 // from fresh simulated runs and reports measured values side by side
 // with the paper's, so the reproduction quality is auditable (see
-// EXPERIMENTS.md for the recorded comparison).
+// EXPERIMENTS.md for the recorded comparison). The what-if studies
+// compare against a baseline machine or policy instead.
 package experiments
 
 import (
@@ -267,25 +268,42 @@ func (s *Suite) Progressions() ([]*RunSummary, error) {
 	return out, nil
 }
 
-// Artifact is one regenerated table or figure with its paper-vs-measured
-// comparison.
+// Artifact is one regenerated table or figure, or one what-if study,
+// with its measured metrics and the reference they are compared against.
 type Artifact struct {
-	ID    string // "table2", "figure5", ...
-	Title string
+	ID string // "table2", "figure5", "faults", ...
 	// Text is the rendered artifact (table or character plot) plus the
 	// comparison rows.
 	Text string
-	// Paper and Measured hold the comparable key metrics; keys match.
+	// Paper holds the publication's values of a paper artifact; Baseline
+	// holds a what-if study's reference machine or policy. An artifact
+	// fills exactly one of them, and Measured has each of its keys.
 	Paper    map[string]float64
+	Baseline map[string]float64
 	Measured map[string]float64
 	// Notes records known reproduction deviations.
 	Notes string
 }
 
-// MetricKeys returns the artifact's comparison keys, sorted.
-func (a *Artifact) MetricKeys() []string { return report.SortedKeys(a.Paper) }
+// Reference returns what the artifact's measured metrics are compared
+// against: "baseline" and Baseline for a what-if study, else "paper"
+// and Paper.
+func (a *Artifact) Reference() (label string, ref map[string]float64) {
+	if a.Baseline != nil {
+		return "baseline", a.Baseline
+	}
+	return "paper", a.Paper
+}
 
-// Experiment is one runnable paper artifact.
+// MetricKeys returns the artifact's comparison keys, sorted.
+func (a *Artifact) MetricKeys() []string {
+	_, ref := a.Reference()
+	return report.SortedKeys(ref)
+}
+
+// Experiment is one runnable artifact. Its Title is the artifact's one
+// title: iotables prints it above the artifact and at the top of the
+// artifact's -out file.
 type Experiment struct {
 	ID    string
 	Title string

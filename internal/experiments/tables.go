@@ -153,7 +153,7 @@ func table1(s *Suite) (*Artifact, error) {
 	for _, v := range escat.PaperVersions() {
 		cols = append(cols, modeCol{v.ID, fmt.Sprintf("%s (%s) activity", v.ID, v.OS), v.ModeTable()})
 	}
-	return modeTable(&Artifact{ID: "table1", Title: "Table 1 (ESCAT modes)"},
+	return modeTable(&Artifact{ID: "table1"},
 		"Table 1: node activity and file access modes (ESCAT)", cols, map[string]string{
 			"A.p1": "All Nodes/M_UNIX", "A.p2": "Node zero/M_UNIX", "A.p3": "Node zero/M_UNIX", "A.p4": "Node zero/M_UNIX",
 			"B.p1": "Node zero/M_UNIX", "B.p2": "All Nodes/M_UNIX", "B.p3": "All Nodes/M_RECORD", "B.p4": "Node zero/M_UNIX",
@@ -171,7 +171,7 @@ func table2(s *Suite) (*Artifact, error) {
 		cols = append(cols, shareCol{id, id, res})
 	}
 	return shareTable(&Artifact{
-		ID: "table2", Title: "Table 2 (ESCAT I/O time shares)", Paper: paperTable2,
+		ID: "table2", Paper: paperTable2,
 		Notes: "B's seek/write split reproduces with write slightly high; dominance ordering matches",
 	}, "Table 2: aggregate I/O time by operation, % (ESCAT ethylene)", cols, false), nil
 }
@@ -191,7 +191,7 @@ func table3(s *Suite) (*Artifact, error) {
 	}
 	cols = append(cols, shareCol{"co C", "co.C", co})
 	return shareTable(&Artifact{
-		ID: "table3", Title: "Table 3 (ESCAT exec-time shares)", Paper: paperTable3,
+		ID: "table3", Paper: paperTable3,
 		Notes: "accounting: summed per-node I/O time over exec x nodes; B > A > C ordering and CO ~20% reproduce",
 	}, "Table 3: % of total execution time by I/O operation (ESCAT)", cols, true), nil
 }
@@ -201,7 +201,7 @@ func table4(s *Suite) (*Artifact, error) {
 	for _, v := range prism.PaperVersions() {
 		cols = append(cols, modeCol{v.ID, v.ID + " activity", v.ModeTable()})
 	}
-	return modeTable(&Artifact{ID: "table4", Title: "Table 4 (PRISM modes)"},
+	return modeTable(&Artifact{ID: "table4"},
 		"Table 4: node activity and file access modes (PRISM)", cols, map[string]string{
 			"A.p1": "All Nodes/P: M_UNIX; R: M_UNIX; C: M_UNIX",
 			"A.p2": "Node Zero/M_UNIX",
@@ -225,7 +225,7 @@ func table5(s *Suite) (*Artifact, error) {
 		cols = append(cols, shareCol{id, id, res})
 	}
 	return shareTable(&Artifact{
-		ID: "table5", Title: "Table 5 (PRISM I/O time shares)", Paper: paperTable5,
+		ID: "table5", Paper: paperTable5,
 		Notes: "A open-dominated, B open+iomode-dominated with collapsed reads, C read-dominated after buffering disabled; B's write share under-reproduces",
 	}, "Table 5: aggregate I/O time by operation, % (PRISM)", cols, false), nil
 }

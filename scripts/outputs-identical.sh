@@ -10,7 +10,8 @@
 # iotables, iobench, iosim, iotrace and every program under examples/
 # from its own sources and writes, into a directory of its own:
 #
-#   iotables -j 1, iotables -j 2 and iotables -j 2 -summary;
+#   iotables -j 1, iotables -j 2 and iotables -j 2 -summary, and the
+#   per-artifact files of iotables -j 2 -out DIR (one DIR/<id>.txt each);
 #   iobench -sweep ID for every sweep id its iobench lists;
 #   iosim -advise -trace for the seven canonical runs (escat ethylene
 #   A, B and C, escat co C, prism A, B and C): the printed report and
@@ -68,6 +69,7 @@ outputs() {
     "$bin/iotables" -j 1 >"$out/iotables-j1.txt"
     "$bin/iotables" -j 2 >"$out/iotables-j2.txt"
     "$bin/iotables" -j 2 -summary >"$out/iotables-summary.txt"
+    "$bin/iotables" -j 2 -out "$out/iotables-out" >/dev/null
     ids=$("$bin/iobench" -h 2>&1 | sed -n 's/.*sweep dimension: \(.*\) (default.*/\1/p' | tr -d ,)
     [ -n "$ids" ] || { echo "outputs-identical: $side iobench lists no sweep ids" >&2; exit 1; }
     for id in $ids; do
@@ -99,7 +101,7 @@ outputs base "$tmp/src/base"
 outputs change "$change"
 
 if diff -r "$tmp/out/base" "$tmp/out/change" >"$tmp/diff"; then
-    echo "outputs-identical: $(ls "$tmp/out/base" | wc -l) outputs byte-identical to $rev" >&2
+    echo "outputs-identical: $(find "$tmp/out/base" -type f | wc -l) outputs byte-identical to $rev" >&2
 else
     head -n 100 "$tmp/diff"
     echo "outputs-identical: outputs differ from $rev" >&2
