@@ -9,18 +9,35 @@ import (
 	"paragonio/internal/workload"
 )
 
-// File names used by the workload.
-func inputName(i int) string { return fmt.Sprintf("escat/input.%d", i) }
-func quadName(ch int) string { return fmt.Sprintf("escat/quad.%d", ch) }
-func outName(ch int) string  { return fmt.Sprintf("escat/out.%d", ch) }
-
 // QuadFile returns the name of one channel's quadrature staging file,
 // exported so analyses (e.g. the cache what-if experiment) can attribute
 // trace time to the staging writes.
-func QuadFile(ch int) string { return quadName(ch) }
+func QuadFile(ch int) string { return fmt.Sprintf("escat/quad.%d", ch) }
 
 // OutFile returns the result file name for a collision channel.
-func OutFile(ch int) string { return outName(ch) }
+func OutFile(ch int) string { return fmt.Sprintf("escat/out.%d", ch) }
+
+// fileNames holds one run's file names, built once in Script so that no
+// open formats a name.
+type fileNames struct {
+	input, quad, out []string
+}
+
+func newFileNames(d Dataset) *fileNames {
+	f := &fileNames{
+		input: make([]string, d.InputFiles),
+		quad:  make([]string, d.Channels),
+		out:   make([]string, d.Channels),
+	}
+	for i := range f.input {
+		f.input[i] = fmt.Sprintf("escat/input.%d", i)
+	}
+	for ch := range f.quad {
+		f.quad[ch] = QuadFile(ch)
+		f.out[ch] = OutFile(ch)
+	}
+	return f
+}
 
 // Script installs the ESCAT workload on the machine: it preloads the
 // input files, spawns one process per node, and drives the four phases
@@ -29,16 +46,17 @@ func Script(m *workload.Machine, d Dataset, v Version, seed int64) error {
 	if m.Nodes != d.Nodes {
 		return fmt.Errorf("escat: machine has %d nodes, dataset needs %d", m.Nodes, d.Nodes)
 	}
-	for i := 0; i < d.InputFiles; i++ {
+	names := newFileNames(d)
+	for _, name := range names.input {
 		// Headroom over the expected size so the randomized header reads
 		// never clamp at EOF.
-		m.FS.CreateFile(inputName(i), d.InputBytesPerFile()*2)
+		m.FS.CreateFile(name, d.InputBytesPerFile()*2)
 	}
 	if v.RestartStaged {
 		// Quadrature data was staged by a previous run of the same
 		// problem; phase two is skipped.
-		for ch := 0; ch < d.Channels; ch++ {
-			m.FS.CreateFile(quadName(ch), d.QuadBytes())
+		for _, name := range names.quad {
+			m.FS.CreateFile(name, d.QuadBytes())
 		}
 	}
 	all := m.NewCollective("escat-all", d.Nodes)
@@ -68,7 +86,7 @@ func Script(m *workload.Machine, d Dataset, v Version, seed int64) error {
 		headerSizes[i] = sizes
 	}
 	m.SpawnNodes(seed, func(n *workload.Node) {
-		runNode(n, d, v, all, group, headerSizes)
+		runNode(n, d, v, names, all, group, headerSizes)
 	})
 	return nil
 }
@@ -78,28 +96,28 @@ func scaled(v Version, t time.Duration) time.Duration {
 	return time.Duration(float64(t) * v.ComputeScale)
 }
 
-func runNode(n *workload.Node, d Dataset, v Version, all *workload.Collective, g *pfs.Group, headerSizes [][]int64) {
-	phase1(n, d, v, all, headerSizes)
-	phase2(n, d, v, all, g)
-	phase3(n, d, v, all, g)
-	phase4(n, d, v, all)
+func runNode(n *workload.Node, d Dataset, v Version, names *fileNames, all *workload.Collective, g *pfs.Group, headerSizes [][]int64) {
+	phase1(n, d, v, names, all, headerSizes)
+	phase2(n, d, v, names, all, g)
+	phase3(n, d, v, names, all, g)
+	phase4(n, d, v, names, all)
 }
 
 // phase1 reads the initialization files (compulsory I/O). Version A:
 // every node opens and reads them through M_UNIX, serializing on the
 // file tokens. Versions B/C: node zero reads and broadcasts.
-func phase1(n *workload.Node, d Dataset, v Version, all *workload.Collective, headerSizes [][]int64) {
+func phase1(n *workload.Node, d Dataset, v Version, names *fileNames, all *workload.Collective, headerSizes [][]int64) {
 	if n.ID == 0 {
 		n.M.BeginPhase("one: initialization reads")
 	}
 	n.ComputeJitter(scaled(v, d.SetupCompute), d.CycleJitter/4)
 	if v.Phase1AllNodes {
-		readInputs(n, d, headerSizes)
+		readInputs(n, d, names, headerSizes)
 		all.Barrier(n)
 		return
 	}
 	if n.ID == 0 {
-		readInputs(n, d, headerSizes)
+		readInputs(n, d, names, headerSizes)
 	}
 	all.Broadcast(n, 0, int64(d.InputFiles)*d.InputBytesPerFile())
 }
@@ -107,10 +125,10 @@ func phase1(n *workload.Node, d Dataset, v Version, all *workload.Collective, he
 // readInputs opens and reads every input file: the header as a long run
 // of small reads, then the few large matrix reads (with a repositioning
 // seek before each, as the original code's record-structured input did).
-func readInputs(n *workload.Node, d Dataset, headerSizes [][]int64) {
+func readInputs(n *workload.Node, d Dataset, names *fileNames, headerSizes [][]int64) {
 	p := n.P
 	for i := 0; i < d.InputFiles; i++ {
-		h, err := n.M.FS.Open(p, n.ID, inputName(i), pfs.MUnix)
+		h, err := n.M.FS.Open(p, n.ID, names.input[i], pfs.MUnix)
 		if err != nil {
 			panic(err)
 		}
@@ -143,7 +161,7 @@ func readInputs(n *workload.Node, d Dataset, headerSizes [][]int64) {
 
 // phase2 generates and stages the quadrature data (data staging): a
 // series of compute/write cycles with synchronized write steps.
-func phase2(n *workload.Node, d Dataset, v Version, all *workload.Collective, g *pfs.Group) {
+func phase2(n *workload.Node, d Dataset, v Version, names *fileNames, all *workload.Collective, g *pfs.Group) {
 	p := n.P
 	all.Barrier(n)
 	if n.ID == 0 {
@@ -158,9 +176,9 @@ func phase2(n *workload.Node, d Dataset, v Version, all *workload.Collective, g 
 			var h *pfs.Handle
 			var err error
 			if v.UseGopen {
-				h, err = g.Gopen(p, n.ID, quadName(ch), pfs.MUnix)
+				h, err = g.Gopen(p, n.ID, names.quad[ch], pfs.MUnix)
 			} else {
-				h, err = n.M.FS.Open(p, n.ID, quadName(ch), pfs.MUnix)
+				h, err = n.M.FS.Open(p, n.ID, names.quad[ch], pfs.MUnix)
 			}
 			if err != nil {
 				panic(err)
@@ -203,7 +221,7 @@ func phase2(n *workload.Node, d Dataset, v Version, all *workload.Collective, g 
 		var h *pfs.Handle
 		var err error
 		if n.ID == 0 {
-			h, err = n.M.FS.Open(p, 0, quadName(ch), pfs.MUnix)
+			h, err = n.M.FS.Open(p, 0, names.quad[ch], pfs.MUnix)
 			if err != nil {
 				panic(err)
 			}
@@ -238,7 +256,7 @@ func phase2(n *workload.Node, d Dataset, v Version, all *workload.Collective, g 
 // phase3 reloads the quadrature data for the energy-dependent solves.
 // Version A: node zero reads small chunks and broadcasts them. B/C: all
 // nodes read 128 KB records (two stripe units) through M_RECORD.
-func phase3(n *workload.Node, d Dataset, v Version, all *workload.Collective, g *pfs.Group) {
+func phase3(n *workload.Node, d Dataset, v Version, names *fileNames, all *workload.Collective, g *pfs.Group) {
 	p := n.P
 	all.Barrier(n)
 	if n.ID == 0 {
@@ -247,14 +265,14 @@ func phase3(n *workload.Node, d Dataset, v Version, all *workload.Collective, g 
 	for sweep := 0; sweep < d.EnergySweeps; sweep++ {
 		n.ComputeJitter(scaled(v, d.EnergyCompute), d.EnergyJitter)
 		for ch := 0; ch < d.Channels; ch++ {
-			size := n.M.FS.FileSize(quadName(ch))
+			size := n.M.FS.FileSize(names.quad[ch])
 			if v.Phase3Record {
 				var h *pfs.Handle
 				var err error
 				if v.DirectRecordGopen {
-					h, err = g.Gopen(p, n.ID, quadName(ch), pfs.MRecord)
+					h, err = g.Gopen(p, n.ID, names.quad[ch], pfs.MRecord)
 				} else {
-					h, err = g.Gopen(p, n.ID, quadName(ch), pfs.MUnix)
+					h, err = g.Gopen(p, n.ID, names.quad[ch], pfs.MUnix)
 					if err == nil {
 						err = g.SetIOMode(p, h, pfs.MRecord)
 					}
@@ -281,7 +299,7 @@ func phase3(n *workload.Node, d Dataset, v Version, all *workload.Collective, g 
 			var h *pfs.Handle
 			if n.ID == 0 {
 				var err error
-				h, err = n.M.FS.Open(p, 0, quadName(ch), pfs.MUnix)
+				h, err = n.M.FS.Open(p, 0, names.quad[ch], pfs.MUnix)
 				if err != nil {
 					panic(err)
 				}
@@ -313,7 +331,7 @@ func phase3(n *workload.Node, d Dataset, v Version, all *workload.Collective, g 
 
 // phase4 writes the per-channel results (compulsory output) through
 // node zero, in all versions.
-func phase4(n *workload.Node, d Dataset, v Version, all *workload.Collective) {
+func phase4(n *workload.Node, d Dataset, v Version, names *fileNames, all *workload.Collective) {
 	p := n.P
 	all.Barrier(n)
 	if n.ID == 0 {
@@ -321,7 +339,7 @@ func phase4(n *workload.Node, d Dataset, v Version, all *workload.Collective) {
 	}
 	if n.ID == 0 {
 		for ch := 0; ch < d.Channels; ch++ {
-			h, err := n.M.FS.Open(p, 0, outName(ch), pfs.MUnix)
+			h, err := n.M.FS.Open(p, 0, names.out[ch], pfs.MUnix)
 			if err != nil {
 				panic(err)
 			}

@@ -28,6 +28,12 @@ type Group struct {
 	offs   []int64
 	counts []int64
 	file   *file
+
+	// The M_RECORD / M_GLOBAL round verdict, folded in as members post
+	// their sizes before bar1 and read by each after it.
+	gathering bool  // a round's sizes are being posted
+	first     int64 // the round's first posted size
+	same      bool  // every size posted this round equals first
 }
 
 // NewGroup creates a collective group over the given node ids.
@@ -135,15 +141,22 @@ func (g *Group) collectiveData(p *sim.Proc, h *Handle, size int64, write bool) (
 	panic("pfs: collectiveData on non-collective mode")
 }
 
-// sameSizes reports whether every member asked for the same size: the
-// check each member of an M_RECORD or M_GLOBAL round makes after bar1.
-func (g *Group) sameSizes() bool {
-	for _, s := range g.sizes {
-		if s != g.sizes[0] {
-			return false
-		}
+// postSize folds a member's requested size into the round's verdict
+// before bar1, so no member rescans the group's sizes after it.
+func (g *Group) postSize(size int64) {
+	if !g.gathering {
+		g.gathering, g.first, g.same = true, size, true
+	} else if size != g.first {
+		g.same = false
 	}
-	return true
+}
+
+// sameSizes reports, after bar1, whether every member asked for the same
+// size. No member posts again before bar2, so every member of the round
+// reads the same verdict.
+func (g *Group) sameSizes() bool {
+	g.gathering = false
+	return g.same
 }
 
 // recordOp: fixed-size records, per-process pointers, synchronized
@@ -152,7 +165,7 @@ func (g *Group) sameSizes() bool {
 // bandwidth when recSize is a multiple of the stripe unit.
 func (g *Group) recordOp(p *sim.Proc, h *Handle, rank int, size int64, write bool) (int64, error) {
 	start := p.Now()
-	g.sizes[rank] = size
+	g.postSize(size)
 	g.bar1.Await(p)
 	// Every member reaches the round's verdict itself: it depends only on
 	// the sizes gathered at bar1 and on the record size, which the first
@@ -186,7 +199,7 @@ func (g *Group) recordOp(p *sim.Proc, h *Handle, rank int, size int64, write boo
 // I/O performed by the leader and broadcast to the group.
 func (g *Group) globalOp(p *sim.Proc, h *Handle, rank int, size int64, write bool) (int64, error) {
 	start := p.Now()
-	g.sizes[rank] = size
+	g.postSize(size)
 	g.bar1.Await(p)
 	if !g.sameSizes() {
 		g.bar2.Await(p)

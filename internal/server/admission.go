@@ -20,39 +20,15 @@ const (
 	KindSweep       = "sweep"
 )
 
-// Weight classes bucket a run's slot cost for the per-class queue-depth
-// gauges: narrow one-slot runs, medium runs of a few slots, and wide runs
-// that occupy most of the pool.
-func costClass(cost int) string {
-	switch {
-	case cost <= 1:
-		return "narrow"
-	case cost <= 4:
-		return "medium"
-	default:
-		return "wide"
-	}
-}
-
-// costClasses lists every weight class, for gauge refreshes.
-var costClasses = []string{"narrow", "medium", "wide"}
-
-// Admitter is the daemon's shared cost-aware scheduler: a weighted slot
-// pool (slots are sized off GOMAXPROCS — one slot ≈ one core the engine
-// may occupy) packed continuously from per-client FIFO queues.
-//
-// Each run acquires a cost: one slot by default, or the weight its
-// request asks for (the shards field), clamped to the pool — a client
-// can mark a run heavy so fewer run beside it.
+// Admitter is the daemon's shared scheduler: a slot pool (slots are
+// sized off GOMAXPROCS — one slot ≈ one core) granted from per-client
+// FIFO queues. The simulation kernel is single-threaded, so every run
+// holds exactly one slot.
 //
 // Fairness is per client, not global FIFO: waiters queue FIFO within
 // their client identity, and grants rotate round-robin across clients —
 // a 100-point sweep parked by one client cannot convoy an interactive
-// client's single request behind it. Within the rotation the pool stays
-// work-conserving (any head that fits the free slots runs), with one
-// guard against starving wide requests: a head that has been passed
-// over too many times reserves the pool until it fits, bounding how
-// long narrow runs can leapfrog it.
+// client's single request behind it.
 //
 // The wait-queue bound applies per client: when a client's queue is
 // full, AcquireAs fails fast with ErrQueueFull so the caller can shed
@@ -64,20 +40,17 @@ type Admitter struct {
 	slots    int
 	maxQueue int
 
-	mu       sync.Mutex
-	free     int
-	queues   map[string]*clientQueue
-	ring     []string // clients with waiters, round-robin order
-	cursor   int      // next ring index to offer a grant
-	reserved *waiter  // starving head: while set, only it may be granted
-	waiting  int      // total queued waiters
-	byClass  map[string]int
-	held     map[string]int // busy slots by kind
+	mu      sync.Mutex
+	free    int
+	queues  map[string]*clientQueue
+	ring    []string       // clients with waiters, round-robin order
+	cursor  int            // next ring index to offer a grant
+	waiting int            // total queued waiters
+	held    map[string]int // busy slots by kind
 
-	// Optional observability hooks (nil-safe): queue depth (total and
-	// per weight class), busy slots (total and per kind), rejections.
+	// Optional observability hooks (nil-safe): queue depth, busy slots
+	// (total and per kind), rejections.
 	onQueueDepth func(int64)
-	onClassDepth func(class string, depth int64)
 	onInFlight   func(int64)
 	onHeldKind   func(kind string, held int64)
 	onReject     func()
@@ -88,11 +61,9 @@ type clientQueue struct {
 }
 
 type waiter struct {
-	client  string
-	kind    string
-	need    int
-	skipped int           // grants to other clients while this head could not fit
-	ready   chan struct{} // closed when granted
+	client string
+	kind   string
+	ready  chan struct{} // closed when granted
 }
 
 // NewAdmitter builds an admission controller with the given slot pool
@@ -110,7 +81,6 @@ func NewAdmitter(slots, maxQueue int) *Admitter {
 		maxQueue: maxQueue,
 		free:     slots,
 		queues:   make(map[string]*clientQueue),
-		byClass:  make(map[string]int),
 		held:     make(map[string]int),
 	}
 }
@@ -125,31 +95,23 @@ func (a *Admitter) QueueLen() int {
 	return a.waiting
 }
 
-// Cost clamps a requested weight to an admissible slot cost.
-func (a *Admitter) Cost(weight int) int {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > a.slots {
-		weight = a.slots
-	}
-	return weight
-}
+// Cost returns a run's slot cost: 1, whatever weight is asked for,
+// because the simulation kernel is single-threaded.
+func (*Admitter) Cost(weight int) int { return 1 }
 
-// AcquireAs claims cost slots on behalf of client, waiting in the
+// AcquireAs claims one slot on behalf of client, waiting in the
 // client's bounded FIFO queue when the pool is busy. It returns a
 // release function on success; ErrQueueFull when the client's queue is
 // at capacity (never for KindSweep); or ctx.Err() if the context ends
-// while waiting. cost is clamped to the pool size.
+// while waiting. cost is ignored: every run holds one slot.
 func (a *Admitter) AcquireAs(ctx context.Context, client, kind string, cost int) (func(), error) {
-	cost = a.Cost(cost)
 	a.mu.Lock()
 	q := a.queues[client]
 	if q == nil {
 		q = &clientQueue{}
 		a.queues[client] = q
 	}
-	if kind != KindSweep && len(q.waiters) >= a.maxQueue && !(a.waiting == 0 && a.free >= cost) {
+	if kind != KindSweep && len(q.waiters) >= a.maxQueue && !(a.waiting == 0 && a.free > 0) {
 		busy := a.slots - a.free
 		a.mu.Unlock()
 		if a.onReject != nil {
@@ -157,33 +119,32 @@ func (a *Admitter) AcquireAs(ctx context.Context, client, kind string, cost int)
 		}
 		return nil, fmt.Errorf("%w (%d waiting, %d slots busy)", ErrQueueFull, a.maxQueue, busy)
 	}
-	w := &waiter{client: client, kind: kind, need: cost, ready: make(chan struct{})}
+	w := &waiter{client: client, kind: kind, ready: make(chan struct{})}
 	if len(q.waiters) == 0 {
 		a.ring = append(a.ring, client)
 	}
 	q.waiters = append(q.waiters, w)
 	a.waiting++
-	a.byClass[costClass(cost)]++
 	a.grantLocked()
 	a.observeLocked()
 	a.mu.Unlock()
 
 	select {
 	case <-w.ready:
-		return a.releaseFunc(kind, cost), nil
+		return a.releaseFunc(kind), nil
 	case <-ctx.Done():
 		a.mu.Lock()
 		granted := false
 		select {
 		case <-w.ready:
-			granted = true // grant raced the cancellation; give the slots back
+			granted = true // grant raced the cancellation; give the slot back
 		default:
 			a.removeWaiterLocked(w)
 		}
 		a.observeLocked()
 		a.mu.Unlock()
 		if granted {
-			a.releaseFunc(kind, cost)()
+			a.releaseFunc(kind)()
 		}
 		return nil, ctx.Err()
 	}
@@ -199,16 +160,11 @@ func (a *Admitter) removeWaiterLocked(w *waiter) {
 		if cand == w {
 			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
 			a.waiting--
-			a.byClass[costClass(w.need)]--
 			break
 		}
 	}
 	if len(q.waiters) == 0 {
 		a.dropClientLocked(w.client)
-	}
-	if a.reserved == w {
-		a.reserved = nil
-		a.grantLocked()
 	}
 }
 
@@ -231,14 +187,14 @@ func (a *Admitter) dropClientLocked(client string) {
 	delete(a.queues, client)
 }
 
-// releaseFunc returns the idempotent release closure for cost slots.
-func (a *Admitter) releaseFunc(kind string, cost int) func() {
+// releaseFunc returns the idempotent release closure for one slot.
+func (a *Admitter) releaseFunc(kind string) func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			a.mu.Lock()
-			a.free += cost
-			a.held[kind] -= cost
+			a.free++
+			a.held[kind]--
 			a.grantLocked()
 			a.observeLocked()
 			a.mu.Unlock()
@@ -246,89 +202,33 @@ func (a *Admitter) releaseFunc(kind string, cost int) func() {
 	}
 }
 
-// reserveAfter is the starvation bound: once a head has been passed
-// over by this many grants to other clients, it reserves the pool.
-func (a *Admitter) reserveAfter() int { return 2 * a.slots }
-
-// grantLocked packs the free slots from the per-client queues: grants
-// rotate round-robin across clients (FIFO within a client), any head
-// that fits runs, and a head skipped reserveAfter times reserves the
-// pool until it fits.
+// grantLocked hands out the free slots: while a slot is free, the head
+// of the next client in the round-robin rotation gets it (FIFO within a
+// client).
 func (a *Admitter) grantLocked() {
-	for a.waiting > 0 {
-		if a.reserved != nil {
-			if a.free < a.reserved.need {
-				return // pool drains until the starving head fits
-			}
-			w := a.reserved
-			a.reserved = nil
-			a.grantWaiterLocked(w)
-			continue
+	for a.waiting > 0 && a.free > 0 {
+		client := a.ring[a.cursor]
+		q := a.queues[client]
+		w := q.waiters[0]
+		q.waiters = q.waiters[1:]
+		a.waiting--
+		a.free--
+		a.held[w.kind]++
+		if len(q.waiters) == 0 {
+			// dropClientLocked leaves the cursor on the next client.
+			a.dropClientLocked(client)
+		} else {
+			a.cursor = (a.cursor + 1) % len(a.ring)
 		}
-		grantedIdx := -1
-		for i := 0; i < len(a.ring); i++ {
-			idx := (a.cursor + i) % len(a.ring)
-			head := a.queues[a.ring[idx]].waiters[0]
-			if a.free >= head.need {
-				grantedIdx = idx
-				break
-			}
-		}
-		if grantedIdx < 0 {
-			return // nothing fits; wait for a release
-		}
-		client := a.ring[grantedIdx]
-		w := a.queues[client].waiters[0]
-		// Age every other head that still cannot fit after this grant;
-		// one of them crossing the threshold reserves the pool.
-		for _, c := range a.ring {
-			if c == client {
-				continue
-			}
-			head := a.queues[c].waiters[0]
-			if a.free-w.need < head.need {
-				head.skipped++
-				if head.skipped >= a.reserveAfter() && a.reserved == nil {
-					a.reserved = head
-				}
-			}
-		}
-		a.grantWaiterLocked(w)
-		// Advance the rotation past the granted client (when the grant
-		// emptied the client, dropClientLocked already fixed the cursor).
-		for i, c := range a.ring {
-			if c == client {
-				a.cursor = (i + 1) % len(a.ring)
-				break
-			}
-		}
+		close(w.ready)
 	}
 }
 
-// grantWaiterLocked pops w from its client queue and hands it slots.
-func (a *Admitter) grantWaiterLocked(w *waiter) {
-	q := a.queues[w.client]
-	q.waiters = q.waiters[1:]
-	a.waiting--
-	a.byClass[costClass(w.need)]--
-	a.free -= w.need
-	a.held[w.kind] += w.need
-	if len(q.waiters) == 0 {
-		a.dropClientLocked(w.client)
-	}
-	close(w.ready)
-}
-
-// observeLocked pushes queue depth (total and per class) and busy-slot
-// counts (total and per kind) to the hooks.
+// observeLocked pushes queue depth and busy-slot counts (total and per
+// kind) to the hooks.
 func (a *Admitter) observeLocked() {
 	if a.onQueueDepth != nil {
 		a.onQueueDepth(int64(a.waiting))
-	}
-	if a.onClassDepth != nil {
-		for _, class := range costClasses {
-			a.onClassDepth(class, int64(a.byClass[class]))
-		}
 	}
 	if a.onInFlight != nil {
 		a.onInFlight(int64(a.slots - a.free))

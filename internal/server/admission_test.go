@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -28,19 +29,56 @@ func TestAdmitterImmediateAndRelease(t *testing.T) {
 	}
 }
 
-func TestAdmitterCostClamp(t *testing.T) {
-	a := NewAdmitter(4, 0)
-	if a.Cost(0) != 1 || a.Cost(-3) != 1 {
-		t.Error("sub-slot costs must clamp to 1")
+// TestAdmitterOneSlotPerRun pins that a run's requested weight does not
+// change what it holds: on a 2-slot pool a run acquired at Cost(2) and a
+// run acquired at cost 1 hold the pool together, and a third run waits.
+func TestAdmitterOneSlotPerRun(t *testing.T) {
+	a := NewAdmitter(2, 4)
+	if a.Cost(2) != 1 || a.Cost(0) != 1 || a.Cost(64) != 1 {
+		t.Error("every weight must cost one slot")
 	}
-	if a.Cost(64) != 4 {
-		t.Error("cost beyond pool must clamp to the pool size")
+	acquire := func() chan func() {
+		ch := make(chan func(), 1)
+		go func() {
+			r, err := a.AcquireAs(context.Background(), "", KindInteractive, 1)
+			if err != nil {
+				t.Errorf("acquire: %v", err)
+			}
+			ch <- r
+		}()
+		return ch
 	}
-	rel, err := a.AcquireAs(context.Background(), "", KindInteractive, 64) // wants more than the pool has
+	relWide, err := a.AcquireAs(context.Background(), "", KindInteractive, a.Cost(2))
 	if err != nil {
-		t.Fatalf("clamped acquire failed: %v", err)
+		t.Fatal(err)
 	}
-	rel()
+	var relNarrow func()
+	select {
+	case relNarrow = <-acquire():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a cost-1 run waited beside a Cost(2) run on a 2-slot pool")
+	}
+	third := acquire()
+	waitQueued(t, a, 1)
+	select {
+	case <-third:
+		t.Fatal("a third run was granted on a full 2-slot pool")
+	case <-time.After(50 * time.Millisecond):
+	}
+	relWide()
+	(<-third)()
+	relNarrow()
+}
+
+// waitQueued blocks until the admitter has depth queued waiters.
+func waitQueued(t *testing.T, a *Admitter, depth int) {
+	t.Helper()
+	for i := 0; a.QueueLen() != depth; i++ {
+		if i > 1000 {
+			t.Fatalf("queue depth %d, want %d", a.QueueLen(), depth)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestAdmitterQueueOverflow(t *testing.T) {
@@ -113,55 +151,43 @@ func TestAdmitterContextCancelWhileQueued(t *testing.T) {
 	rel2()
 }
 
-// TestAdmitterFIFOWeighted pins the fairness contract: a narrow waiter
-// queued behind a wide one stays blocked while the wide one waits, even
-// when enough slots free up for the narrow one to squeeze in.
-func TestAdmitterFIFOWeighted(t *testing.T) {
-	a := NewAdmitter(4, 8)
-	relA, err := a.AcquireAs(context.Background(), "", KindInteractive, 2)
+// TestAdmitterRoundRobinAcrossClients pins the rotation: on a 1-slot
+// pool, client B's one run queued behind client A's three is granted
+// second, not fourth.
+func TestAdmitterRoundRobinAcrossClients(t *testing.T) {
+	a := NewAdmitter(1, 8)
+	rel, err := a.AcquireAs(context.Background(), "hold", KindInteractive, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relB, err := a.AcquireAs(context.Background(), "", KindInteractive, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enqueue := func(name string, need, depth int) chan struct{} {
-		ch := make(chan struct{})
+	var mu sync.Mutex
+	var order []string
+	var wg sync.WaitGroup
+	enqueue := func(name, client string, depth int) {
+		wg.Add(1)
 		go func() {
-			defer close(ch)
-			r, err := a.AcquireAs(context.Background(), "", KindInteractive, need)
+			defer wg.Done()
+			r, err := a.AcquireAs(context.Background(), client, KindInteractive, 1)
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
 				return
 			}
+			mu.Lock()
+			order = append(order, name)
+			mu.Unlock()
 			r()
 		}()
-		for i := 0; ; i++ {
-			if a.QueueLen() == depth {
-				return ch
-			}
-			if i > 1000 {
-				t.Fatalf("%s never queued", name)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitQueued(t, a, depth)
 	}
-	wide := enqueue("wide", 3, 1)
-	narrow := enqueue("narrow", 1, 2)
-	// Free 2 slots: not enough for wide (head of line), and narrow must
-	// NOT jump it even though one slot would suffice.
-	relA()
-	select {
-	case <-narrow:
-		t.Fatal("narrow waiter jumped the wide head-of-line waiter")
-	case <-wide:
-		t.Fatal("wide waiter granted with insufficient slots")
-	case <-time.After(50 * time.Millisecond):
+	enqueue("a1", "A", 1)
+	enqueue("a2", "A", 2)
+	enqueue("a3", "A", 3)
+	enqueue("b1", "B", 4)
+	rel()
+	wg.Wait()
+	if got, want := fmt.Sprint(order), "[a1 b1 a2 a3]"; got != want {
+		t.Errorf("grant order %s, want %s", got, want)
 	}
-	relB()
-	<-wide
-	<-narrow
 }
 
 // TestAdmitterConcurrent hammers the pool from many goroutines; under

@@ -33,7 +33,7 @@ type SimulateRequest struct {
 	Seed       int64 `json:"seed,omitempty"`        // workload seed (default 1)
 	IONodes    int   `json:"ionodes,omitempty"`     // I/O node count override
 	StripeUnit int64 `json:"stripe_unit,omitempty"` // PFS stripe unit override, bytes
-	Shards     int   `json:"shards,omitempty"`      // admission weight; the simulation is single-threaded
+	Shards     int   `json:"shards,omitempty"`      // accepted and ignored: every run is single-threaded
 	SampleMS   int64 `json:"sample_ms,omitempty"`   // utilization sample period, ms
 
 	Tiers *TiersRequest `json:"tiers,omitempty"`
@@ -567,10 +567,10 @@ func retryAfter(timeout time.Duration) string {
 }
 
 // admitAndRunAs passes admission control under a client identity and
-// request kind (for fair-share scheduling) and executes the run. The
-// request's shards field is the run's admission weight.
+// request kind (for fair-share scheduling) and executes the run, which
+// holds one slot.
 func (s *Server) admitAndRunAs(ctx context.Context, client, kind string, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
-	release, err := s.adm.AcquireAs(ctx, client, kind, s.adm.Cost(req.Shards))
+	release, err := s.adm.AcquireAs(ctx, client, kind, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -12,9 +12,8 @@
 //     requests coalesce onto one in-flight run, which stores its
 //     result once before answering them.
 //
-//   - Admission control. Simulations are CPU-bound, so requests pass a
-//     weighted slot pool sized off GOMAXPROCS (a run's cost is its
-//     request's clamped shards weight, one slot by default). Waiters
+//   - Admission control. Simulations are CPU-bound and single-threaded,
+//     so each run holds one slot of a pool sized off GOMAXPROCS. Waiters
 //     queue in bounded per-client FIFO queues, and grants rotate
 //     round-robin across clients (see Admitter); a full queue is shed
 //     fast with 429 + Retry-After, and every run carries a deadline and
@@ -163,9 +162,6 @@ func (s *Server) wireMetrics() {
 		"Result artifacts indexed in the disk spill directory.")
 	queueDepth := r.Gauge("iosimd_queue_depth",
 		"Requests waiting in the admission queue.")
-	classDepth := r.GaugeVec("iosimd_queue_depth_class",
-		"Requests waiting in the admission queue, by slot-cost weight class.",
-		"class")
 	inFlight := r.Gauge("iosimd_inflight_slots",
 		"Admission slots currently held by running simulations.")
 	heldKind := r.GaugeVec("iosimd_slots_held",
@@ -184,9 +180,6 @@ func (s *Server) wireMetrics() {
 
 	// Pre-create the label children so the gauges read zero from boot
 	// instead of appearing on first use.
-	for _, class := range costClasses {
-		classDepth.With(class)
-	}
 	for _, kind := range []string{KindInteractive, KindSweep} {
 		heldKind.With(kind)
 	}
@@ -199,7 +192,6 @@ func (s *Server) wireMetrics() {
 	s.cache.onEntries = cacheEntries.Set
 	s.cache.onSpilled = cacheSpilled.Set
 	s.adm.onQueueDepth = queueDepth.Set
-	s.adm.onClassDepth = func(class string, depth int64) { classDepth.With(class).Set(depth) }
 	s.adm.onInFlight = inFlight.Set
 	s.adm.onHeldKind = func(kind string, held int64) { heldKind.With(kind).Set(held) }
 	s.adm.onReject = s.rejected.Inc

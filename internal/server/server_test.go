@@ -227,11 +227,11 @@ func TestIONodesMustFitTheMesh(t *testing.T) {
 	}
 }
 
-// TestSimulateShardsIsAdmissionWeightOnly pins the shards field's two
-// roles: it never reaches the content address (the same run at shards 1
-// and 4 shares one hash, and the second request is a cache hit), and it
-// still weighs the run at admission.
-func TestSimulateShardsIsAdmissionWeightOnly(t *testing.T) {
+// TestSimulateShardsIsIgnored pins that the shards field is accepted and
+// ignored: it never reaches the content address (the same run at shards
+// 1 and 4 shares one hash, and the second request is a cache hit), and
+// it does not weigh the run at admission.
+func TestSimulateShardsIsIgnored(t *testing.T) {
 	var s *Server
 	var free []int
 	s = newTestServer(t, Config{Slots: 8}, func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
@@ -263,13 +263,13 @@ func TestSimulateShardsIsAdmissionWeightOnly(t *testing.T) {
 		t.Errorf("cached = %v, %v; want false, true", got[0].Cached, got[1].Cached)
 	}
 
-	// A fresh config (seed 2) at shards 4 runs holding four of the eight
+	// A fresh config (seed 2) at shards 4 runs holding one of the eight
 	// slots.
 	resp, out := postJSON(t, ts, "/v1/simulate", `{"app":"prism","version":"C","seed":2,"shards":4}`)
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
-	if want := []int{7, 4}; fmt.Sprint(free) != fmt.Sprint(want) {
+	if want := []int{7, 7}; fmt.Sprint(free) != fmt.Sprint(want) {
 		t.Errorf("free slots during runs = %v, want %v", free, want)
 	}
 }

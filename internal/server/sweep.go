@@ -36,8 +36,8 @@ type SweepRequest struct {
 	// null) for the healthy machine. Default is a single healthy rung.
 	Faults [][]FaultRequest `json:"faults,omitempty"`
 
-	// Per-point scalars shared by every grid point. Shards is each
-	// point's admission weight.
+	// Per-point scalars shared by every grid point. Shards is accepted
+	// and ignored: every point holds one admission slot.
 	Shards   int   `json:"shards,omitempty"`
 	SampleMS int64 `json:"sample_ms,omitempty"`
 }

@@ -53,11 +53,18 @@ echo "$first" | grep -q '"digest":"0xbc010fbf3debceec"'
 # 3. The identical re-request is served from the content-addressed cache.
 second=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$req" "$base/v1/simulate")
 echo "$second" | grep -q '"cached":true'
+#    shards is accepted and ignored: the same run at shards 4 is the
+#    same cached result under the same hash.
+hash=$(echo "$second" | sed -n 's/.*"hash":"\([0-9a-f]*\)".*/\1/p')
+[ -n "$hash" ]
+sharded=$(curl -fsS -X POST -H 'Content-Type: application/json' -d '{"app":"prism","version":"C","shards":4}' "$base/v1/simulate")
+echo "$sharded" | grep -q '"cached":true'
+echo "$sharded" | grep -q "\"hash\":\"$hash\""
 
-# 4. The metrics scrape counted the hit and both requests.
+# 4. The metrics scrape counted both hits and all three requests.
 metrics=$(curl -fsS "$base/metrics")
-echo "$metrics" | grep -q '^iosimd_cache_hits_total 1$'
-echo "$metrics" | grep -q '^iosimd_requests_total{endpoint="simulate",code="200"} 2$'
+echo "$metrics" | grep -q '^iosimd_cache_hits_total 2$'
+echo "$metrics" | grep -q '^iosimd_requests_total{endpoint="simulate",code="200"} 3$'
 
 # 5. Sweep a 2-point grid. The prism/C point is already cached from
 #    step 2, so one point must dedup against the result cache while
