@@ -26,16 +26,16 @@ test-386:
 vet:
 	$(GO) vet ./...
 
-# Race-check the concurrent pieces: the parallel suite runner (distinct
-# runs simulate on their own kernels at once) with every golden digest,
+# Race-check the concurrent pieces: core.Each, the one in-process worker
+# pool, on its own and through its callers (the suite's RunAll and
+# Figure 1 builds with every golden digest, and the iobench ladders),
 # the kernel's process handoff, the cache tiers (the lease-coherence
 # property test and the event-stream goldens), pfs and the fault plane,
-# the iobench ladder runner's worker pool, and the iosimd daemon
-# (fair-share admission, sweep fan-out, flight coalescing, warm-start
-# cache).
+# pablo's event-buffer pool, and the iosimd daemon (fair-share
+# admission, sweep fan-out, flight coalescing, warm-start cache).
 vet-race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/cache/ ./internal/pfs/ ./internal/faults/ ./internal/iobench/ ./internal/server/ ./internal/pablo/
+	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/cache/ ./internal/pfs/ ./internal/faults/ ./internal/iobench/ ./internal/server/ ./internal/pablo/ ./internal/core/
 
 fmt:
 	gofmt -l .

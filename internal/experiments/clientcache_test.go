@@ -94,9 +94,9 @@ func TestClientVariantsShareCanonicalRuns(t *testing.T) {
 	if shared != cacheOff {
 		t.Error("the tiers-off clientcache and cachewhatif rungs hold different summaries of prism/C")
 	}
-	if len(s.traces) != 1 || len(s.measured) != 0 {
+	if traced, measured := s.runKinds(); traced != 1 || measured != 0 {
 		t.Errorf("suite holds %d trace runs and %d measured runs, want 1 and 0 — a tiers-off rung re-ran prism/C",
-			len(s.traces), len(s.measured))
+			traced, measured)
 	}
 	if shared.Events != canonical.Trace.Len() || shared.Digest != canonical.Trace.Digest() {
 		t.Errorf("tiers-off summary (%d events, %#016x) is not prism/C's trace (%d events, %#016x)",

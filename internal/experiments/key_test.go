@@ -233,9 +233,9 @@ func TestSuiteKeysRunsByTheDaemonsAddress(t *testing.T) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.traces["82dea089a7176eb4"]; !ok || len(s.traces) != 1 {
-		keys := make([]string, 0, len(s.traces))
-		for k := range s.traces {
+	if c, ok := s.runs["82dea089a7176eb4"]; !ok || c.res == nil || len(s.runs) != 1 {
+		keys := make([]string, 0, len(s.runs))
+		for k := range s.runs {
 			keys = append(keys, k)
 		}
 		t.Errorf("suite keys ethylene C at seed 1 as %v, want [82dea089a7176eb4]", keys)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"paragonio/internal/apps/escat"
+	"paragonio/internal/cache"
 	"paragonio/internal/pablo"
 )
 
@@ -35,11 +36,11 @@ func TestMeasuredRunsBypassTheEventPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1 := mustLookup("escat", "ethylene", escat.Progressions()[2].ID)
-	if _, err := s.measure(b1, s.cfg()); err != nil {
+	if _, err := s.underTiers(b1, cache.Tiers{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.measured) != 2 || len(s.traces) != 0 {
-		t.Fatalf("suite made %d measured and %d trace runs, want 2 and 0", len(s.measured), len(s.traces))
+	if traced, measured := s.runKinds(); measured != 2 || traced != 0 {
+		t.Fatalf("suite made %d measured and %d trace runs, want 2 and 0", measured, traced)
 	}
 
 	for i, ev := range planted {

@@ -9,7 +9,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"paragonio/internal/apps"
@@ -23,17 +22,18 @@ import (
 // Suite caches application runs shared by multiple experiments (the
 // ESCAT ethylene traces feed Tables 1-3 and Figures 1-5; the PRISM
 // traces feed Table 4-5 and Figures 6-9). Runs are deterministic in the
-// seed. Every run is a catalogue run (internal/apps), keyed by
-// ConfigKey(cfg, run.Identity()): the content address iosimd gives the
-// same run.
+// seed. Every run is a catalogue run (internal/apps) in one table, keyed
+// by ConfigKey(cfg-with-tiers, run.Identity()): the content address
+// iosimd gives the same run.
 //
 // The suite keeps two kinds of run, Pablo's split between full event
-// traces and statistical summaries. Trace runs are the seven canonical
-// paper runs (escat/ethylene/A|B|C, escat/co/C, prism/A|B|C): the tables,
-// the figures and the advisor's classifier read them event by event, so
-// they keep their full trace. Measured runs are everything else — the
-// what-if rungs, the advised reruns and the non-canonical Figure 1 builds
-// — which are only ever read through run-level totals and per-file
+// traces and statistical summaries, and get alone decides which a run
+// is. Trace runs are the seven canonical paper runs (escat/ethylene/A|B|C,
+// escat/co/C, prism/A|B|C) with the tiers off: the tables, the figures
+// and the advisor's classifier read them event by event, so they keep
+// their full trace. Measured runs are everything else — the what-if
+// rungs, the advised reruns and the non-canonical Figure 1 builds —
+// which are only ever read through run-level totals and per-file
 // operation times. A measured run records no events: it runs with a
 // pablo.Tally, which folds each event into the run's totals as it is
 // recorded, and keeps the RunSummary made from it.
@@ -45,27 +45,25 @@ import (
 type Suite struct {
 	Seed int64
 
-	mu       sync.Mutex
-	traces   map[string]*traceRun
-	measured map[string]*measuredRun
+	mu   sync.Mutex
+	runs map[string]*suiteRun
 }
 
-// traceRun is the singleflight cell of one trace run. sum is the run's
-// summary, made on first request by a tiers-off what-if rung and kept
-// beside the trace.
-type traceRun struct {
-	once    sync.Once
-	res     *core.Result
-	err     error
-	sumOnce sync.Once
-	sum     *RunSummary
+// suiteRun is the singleflight cell of one run. A trace run keeps res
+// and makes sum from its trace on first request; a measured run keeps
+// only sum, made as it runs.
+type suiteRun struct {
+	once, sumOnce sync.Once
+	res           *core.Result
+	sum           *RunSummary
+	err           error
 }
 
-// measuredRun is the singleflight cell of one measured run.
-type measuredRun struct {
-	once sync.Once
-	sum  *RunSummary
-	err  error
+// canonical holds the identities of the seven paper runs whose events
+// the suite keeps.
+var canonical = map[string]bool{
+	"escat/ethylene/A": true, "escat/ethylene/B": true, "escat/ethylene/C": true,
+	"escat/co/C": true, "prism/A": true, "prism/B": true, "prism/C": true,
 }
 
 // The version-C runs the what-if ladders re-run.
@@ -99,26 +97,13 @@ func tiersOf(vs []variant, id string) cache.Tiers {
 	panic("experiments: no variant " + id)
 }
 
-// underTiers returns the summary of r under tiers. A tiers-off run is
-// the canonical trace run's summary. Any other is a measured run keyed
-// by ConfigKey(cfg-with-tiers, r.Identity()), so every ladder rung and
-// advised rerun that lands on the same tiers shares one run.
-func (s *Suite) underTiers(r apps.Run, tiers cache.Tiers) (*RunSummary, error) {
-	if !tiers.Enabled() {
-		return summaryOf(s.trace(r), nil)
-	}
-	cfg := s.cfg()
-	cfg.Tiers = tiers
-	return s.measure(r, cfg)
-}
-
 // NewSuite creates an empty suite; runs happen lazily.
 func NewSuite(seed int64) *Suite {
 	return &Suite{Seed: seed}
 }
 
 // Release hands every trace run's buffer back to the pablo event pool
-// and empties the run cache. Measured runs never held a trace, so only
+// and empties the run table. Measured runs never held a trace, so only
 // the trace runs are recycled here. Call it when the suite's results —
 // including every Events() view derived from them — are no longer
 // referenced: the buffers will be overwritten by the next recording
@@ -128,12 +113,12 @@ func NewSuite(seed int64) *Suite {
 func (s *Suite) Release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, t := range s.traces {
-		if t.res != nil && t.res.Trace != nil {
-			t.res.Trace.Release()
+	for _, c := range s.runs {
+		if c.res != nil && c.res.Trace != nil {
+			c.res.Trace.Release()
 		}
 	}
-	s.traces, s.measured = nil, nil
+	s.runs = nil
 }
 
 // cfg returns the platform configuration all suite runs share.
@@ -141,129 +126,100 @@ func (s *Suite) cfg() core.Config {
 	return core.Config{Seed: s.Seed}
 }
 
-// cell returns the singleflight cell for key in m, creating it on first
-// use.
-func cell[T any](s *Suite, m *map[string]*T, key string) *T {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if *m == nil {
-		*m = make(map[string]*T)
-	}
-	c, ok := (*m)[key]
-	if !ok {
-		c = new(T)
-		(*m)[key] = c
-	}
-	return c
-}
-
-// trace returns the trace run of r, executing it on first use. The
-// cache key is ConfigKey(s.cfg(), r.Identity()) rather than the identity
-// alone, so a Suite whose Seed field is mutated after runs began never
-// serves a result computed under the old configuration — the new
-// configuration simply misses and recomputes.
-func (s *Suite) trace(r apps.Run) *traceRun {
+// get returns the cell of r under tiers, executing the run on first use.
+// The key is ConfigKey(cfg-with-tiers, r.Identity()), so every ladder
+// rung and advised rerun that lands on the same tiers shares one run, and
+// a Suite whose Seed field is mutated after runs began never serves a
+// result computed under the old configuration. One of the seven
+// canonical runs with the tiers off records a pablo.Trace and keeps its
+// Result; every other run records to a pablo.Tally and keeps only its
+// RunSummary, so it holds no events at any point.
+func (s *Suite) get(r apps.Run, tiers cache.Tiers) *suiteRun {
 	cfg := s.cfg()
-	t := cell(s, &s.traces, ConfigKey(cfg, r.Identity()))
-	t.once.Do(func() { t.res, t.err = r.Exec(context.Background(), cfg) })
-	return t
-}
-
-// measure returns the summary of the measured run r under cfg, executing
-// it on first use. It is keyed by ConfigKey(cfg, r.Identity()), so every
-// field that can change the run — tiers included — separates entries.
-// The run records to a pablo.Tally, so it holds no events at any point;
-// its Result, which has no Trace, does not outlive the summary.
-func (s *Suite) measure(r apps.Run, cfg core.Config) (*RunSummary, error) {
-	m := cell(s, &s.measured, ConfigKey(cfg, r.Identity()))
-	m.once.Do(func() {
+	cfg.Tiers = tiers
+	key := ConfigKey(cfg, r.Identity())
+	s.mu.Lock()
+	if s.runs == nil {
+		s.runs = make(map[string]*suiteRun)
+	}
+	c, ok := s.runs[key]
+	if !ok {
+		c = new(suiteRun)
+		s.runs[key] = c
+	}
+	s.mu.Unlock()
+	c.once.Do(func() {
+		if !tiers.Enabled() && canonical[r.Identity()] {
+			c.res, c.err = r.Exec(context.Background(), cfg)
+			return
+		}
 		var tally pablo.Tally
 		res, err := r.ExecTo(context.Background(), cfg, &tally)
 		if err != nil {
-			m.err = err
+			c.err = err
 			return
 		}
-		m.sum = newRunSummary(res, &tally)
+		c.sumOnce.Do(func() { c.sum = newRunSummary(res, &tally) })
 	})
-	return m.sum, m.err
+	return c
 }
 
-// resultOf unwraps a trace run's result.
-func resultOf(t *traceRun, err error) (*core.Result, error) {
-	if err != nil {
-		return nil, err
+// underTiers returns the summary of r under tiers. A canonical trace
+// run folds its summary from its trace on first request and keeps the
+// trace: the summary is what a tiers-off what-if rung reads of it.
+func (s *Suite) underTiers(r apps.Run, tiers cache.Tiers) (*RunSummary, error) {
+	c := s.get(r, tiers)
+	if c.err != nil {
+		return nil, c.err
 	}
-	return t.res, t.err
-}
-
-// summaryOf returns a trace run's summary, making it on first use. The
-// trace is kept: the summary is what a tiers-off what-if rung reads of
-// the canonical run it shares.
-func summaryOf(t *traceRun, err error) (*RunSummary, error) {
-	if err != nil {
-		return nil, err
-	}
-	if t.err != nil {
-		return nil, t.err
-	}
-	t.sumOnce.Do(func() {
+	c.sumOnce.Do(func() {
 		var tally pablo.Tally
-		for _, ev := range t.res.Trace.Events() {
+		for _, ev := range c.res.Trace.Events() {
 			tally.Record(ev)
 		}
-		t.sum = newRunSummary(t.res, &tally)
+		c.sum = newRunSummary(c.res, &tally)
 	})
-	return t.sum, nil
+	return c.sum, nil
 }
 
-// run returns the trace run of the catalogue run (app, dataset,
+// paperRun returns the Result of the canonical run (app, dataset,
 // version), executing it on first use.
-func (s *Suite) run(app, dataset, version string) (*traceRun, error) {
+func (s *Suite) paperRun(app, dataset, version string) (*core.Result, error) {
 	r, err := apps.Lookup(app, dataset, version)
 	if err != nil {
 		return nil, err
 	}
-	return s.trace(r), nil
+	if !canonical[r.Identity()] {
+		return nil, fmt.Errorf("experiments: %s is not one of the seven paper runs", r.Identity())
+	}
+	c := s.get(r, cache.Tiers{})
+	return c.res, c.err
 }
 
 // Ethylene returns the cached ESCAT ethylene run for a paper version
 // ("A", "B", "C"), executing it on first use.
 func (s *Suite) Ethylene(id string) (*core.Result, error) {
-	return resultOf(s.run("escat", "ethylene", id))
+	return s.paperRun("escat", "ethylene", id)
 }
 
 // CarbonMonoxide returns the cached ESCAT carbon-monoxide version C run.
-func (s *Suite) CarbonMonoxide() (*core.Result, error) { return resultOf(s.run("escat", "co", "C")) }
+func (s *Suite) CarbonMonoxide() (*core.Result, error) { return s.paperRun("escat", "co", "C") }
 
 // Prism returns the cached PRISM run for a version ("A", "B", "C").
-func (s *Suite) Prism(id string) (*core.Result, error) { return resultOf(s.run("prism", "", id)) }
+func (s *Suite) Prism(id string) (*core.Result, error) { return s.paperRun("prism", "", id) }
 
 // Progressions returns the summaries of the six ESCAT builds of Figure
-// 1, in order. The builds identical to paper versions share the Ethylene
-// trace runs; the others are measured runs, made concurrently.
+// 1, in order, made concurrently. The builds identical to paper versions
+// share the Ethylene trace runs; the others are measured runs.
 func (s *Suite) Progressions() ([]*RunSummary, error) {
 	versions := escat.Progressions()
 	out := make([]*RunSummary, len(versions))
-	errs := make([]error, len(versions))
-	var wg sync.WaitGroup
-	for i, v := range versions {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := mustLookup("escat", "ethylene", v.ID)
-			switch v.ID {
-			case "A", "B", "C": // identical builds to the paper versions
-				out[i], errs[i] = summaryOf(s.trace(r), nil)
-			default:
-				out[i], errs[i] = s.measure(r, s.cfg())
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := core.Each(len(versions), len(versions), func(i int) (err error) {
+		out[i], err = s.underTiers(mustLookup("escat", "ethylene", versions[i].ID), cache.Tiers{})
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -356,34 +312,15 @@ func RunAll(s *Suite, exps []Experiment, workers int) ([]*Artifact, error) {
 	if exps == nil {
 		exps = All()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
 	arts := make([]*Artifact, len(exps))
-	errs := make([]error, len(exps))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				arts[i], errs[i] = exps[i].Run(s)
-			}
-		}()
-	}
-	for i := range exps {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", exps[i].ID, err)
+	err := core.Each(len(exps), workers, func(i int) (err error) {
+		if arts[i], err = exps[i].Run(s); err != nil {
+			return fmt.Errorf("%s: %w", exps[i].ID, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return arts, nil
 }

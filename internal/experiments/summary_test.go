@@ -7,6 +7,7 @@ import (
 
 	"paragonio/internal/apps"
 	"paragonio/internal/apps/escat"
+	"paragonio/internal/cache"
 	"paragonio/internal/core"
 	"paragonio/internal/pablo"
 )
@@ -51,7 +52,7 @@ func TestMeasuredRunsMatchTraces(t *testing.T) {
 		tiered(ethC, both),
 		tiered(prismC, both), // an advised rerun landing on a ladder rung's tiers
 		{prog.Identity(), s.cfg(), prog,
-			func() (*RunSummary, error) { return s.measure(prog, s.cfg()) }},
+			func() (*RunSummary, error) { return s.underTiers(prog, cache.Tiers{}) }},
 	}
 	for _, c := range cases {
 		sum, err := c.fetch()
@@ -106,15 +107,15 @@ func TestMeasuredRunsMatchTraces(t *testing.T) {
 	// Measured cells are keyed by (app, config with tiers), not by the
 	// ladder that asked: the two PRISM C runs under the same tiers share
 	// one cell.
-	if len(s.measured) != len(cases)-1 {
-		t.Errorf("suite holds %d measured runs for %d cases with one repeat", len(s.measured), len(cases))
+	if traced, measured := s.runKinds(); measured != len(cases)-1 || traced != 0 {
+		t.Errorf("suite holds %d measured and %d trace runs for %d cases with one repeat", measured, traced, len(cases))
 	}
 }
 
 // TestSuiteRetainsOnlyTraceRuns pins the suite's memory rule after a
 // full RunAll: the events it still holds are exactly the seven canonical
 // traces, the 31 what-if and progression runs are summaries (a type with
-// no field that can hold events), and no run is both.
+// no field that can hold events), and no canonical run is a summary.
 func TestSuiteRetainsOnlyTraceRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size paper workloads skipped in -short mode")
@@ -123,39 +124,39 @@ func TestSuiteRetainsOnlyTraceRuns(t *testing.T) {
 	if _, err := RunAll(s, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	canonical := map[string]bool{}
+	canonicalKeys := map[string]bool{}
 	for _, id := range []string{"escat/ethylene/A", "escat/ethylene/B", "escat/ethylene/C", "escat/co/C",
 		"prism/A", "prism/B", "prism/C"} {
-		canonical[ConfigKey(s.cfg(), id)] = true
+		canonicalKeys[ConfigKey(s.cfg(), id)] = true
 	}
 	wantEvents := 0
 	for _, g := range goldenDigests {
 		wantEvents += g.events
 	}
 
+	traced, measured := s.runKinds()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	held := 0
-	for key, tr := range s.traces {
-		if !canonical[key] {
-			t.Errorf("trace run %s is not one of the seven canonical runs", key)
-		}
-		held += tr.res.Trace.Len()
-	}
-	if len(s.traces) != len(canonical) || held != wantEvents {
-		t.Errorf("suite holds %d trace runs with %d events, want %d runs with %d events",
-			len(s.traces), held, len(canonical), wantEvents)
-	}
-	if len(s.measured) != 31 {
-		t.Errorf("suite holds %d measured runs, want 31", len(s.measured))
-	}
-	for key, m := range s.measured {
-		if s.traces[key] != nil {
-			t.Errorf("run %s is both a trace run and a measured run", key)
-		}
-		if m.sum == nil || m.sum.Events == 0 {
+	for key, c := range s.runs {
+		switch {
+		case c.res != nil:
+			if !canonicalKeys[key] {
+				t.Errorf("trace run %s is not one of the seven canonical runs", key)
+			}
+			held += c.res.Trace.Len()
+		case canonicalKeys[key]:
+			t.Errorf("canonical run %s kept no trace", key)
+		case c.sum == nil || c.sum.Events == 0:
 			t.Errorf("measured run %s has no summary", key)
 		}
+	}
+	if traced != len(canonicalKeys) || held != wantEvents {
+		t.Errorf("suite holds %d trace runs with %d events, want %d runs with %d events",
+			traced, held, len(canonicalKeys), wantEvents)
+	}
+	if measured != 31 {
+		t.Errorf("suite holds %d measured runs, want 31", measured)
 	}
 	holders := []reflect.Type{reflect.TypeOf(&pablo.Trace{}), reflect.TypeOf([]pablo.Event(nil)), reflect.TypeOf(&core.Result{})}
 	typ := reflect.TypeOf(RunSummary{})
@@ -166,4 +167,19 @@ func TestSuiteRetainsOnlyTraceRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runKinds counts the suite's trace runs (a kept Result) and measured
+// runs (a summary only).
+func (s *Suite) runKinds() (traced, measured int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.runs {
+		if c.res != nil {
+			traced++
+		} else {
+			measured++
+		}
+	}
+	return traced, measured
 }

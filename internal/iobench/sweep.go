@@ -3,11 +3,10 @@ package iobench
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"paragonio/internal/cache"
+	"paragonio/internal/core"
 	"paragonio/internal/faults"
 	"paragonio/internal/pfs"
 	"paragonio/internal/policy"
@@ -129,41 +128,27 @@ func (sw Sweep) Run(base Params) ([]*Result, error) {
 	return runLadder(base, sw.ID, sw.Rungs(base))
 }
 
-// runLadder runs base under every rung with a GOMAXPROCS-sized worker
-// pool — each run builds its own single-threaded simulation, so rungs
-// are embarrassingly parallel — and returns the results in rung order.
-// Results are deterministic in the parameters regardless of worker
-// count; on error, the first failing rung (in rung order) is reported.
+// runLadder runs base under every rung through core.Each with
+// GOMAXPROCS workers — each run builds its own single-threaded
+// simulation, so rungs are embarrassingly parallel — and returns the
+// results in rung order. Results are deterministic in the parameters
+// regardless of worker count; on error, the first failing rung (in rung
+// order) is reported.
 func runLadder(base Params, id string, rungs []Rung) ([]*Result, error) {
 	out := make([]*Result, len(rungs))
-	errs := make([]error, len(rungs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(rungs) {
-		workers = len(rungs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				p := base
-				rungs[i].Apply(&p)
-				out[i], errs[i] = Run(p)
-			}
-		}()
-	}
-	for i := range rungs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, err := range errs {
+	err := core.Each(len(rungs), 0, func(i int) error {
+		p := base
+		rungs[i].Apply(&p)
+		res, err := Run(p)
 		if err != nil {
-			return nil, fmt.Errorf("%s %s=%s: %w", base.Kernel, id, rungs[i].Label, err)
+			return fmt.Errorf("%s %s=%s: %w", base.Kernel, id, rungs[i].Label, err)
 		}
-		out[i].Label = rungs[i].Label
+		res.Label = rungs[i].Label
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

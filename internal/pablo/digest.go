@@ -9,7 +9,7 @@ const (
 
 // digestState is a resumable FNV-1a hash over an event stream. Keeping
 // the running state as a plain integer (rather than a hash.Hash64) makes
-// it allocation-free and lets a Trace carry it across appends.
+// it allocation-free and lets a Tally carry it across records.
 type digestState uint64
 
 func (h *digestState) str(s string) {
@@ -45,26 +45,16 @@ func (h *digestState) event(ev *Event) {
 	h.str(ev.Mode.String())
 }
 
-// catchUp folds any events not yet hashed into the running digest. Traces
-// built by direct appends (Filter) as well as Record-fed traces converge
-// to the same state, and repeated Digest calls cost O(new events) instead
-// of re-walking the stream.
-func (t *Trace) catchUp() {
-	if t.hashed == 0 {
-		t.dig = digestState(fnvOffset64)
-	}
-	for ; t.hashed < len(t.events); t.hashed++ {
-		t.dig.event(&t.events[t.hashed])
-	}
-}
-
 // Digest returns the FNV-1a digest of the full event stream: every field
-// of every event, in capture order. Two runs of a deterministic workload
-// must produce identical digests; the golden-digest regression tests use
-// this as the gate that licenses simulation-kernel optimizations. The
-// hash is maintained incrementally as events are recorded, so calling
-// Digest repeatedly (or on a growing trace) does not re-walk the stream.
+// of every event, in capture order, folded with the same digestState.event
+// a Tally uses, so a trace and a tally of one run agree. Two runs of a
+// deterministic workload must produce identical digests; the
+// golden-digest regression tests use this as the gate that licenses
+// simulation-kernel optimizations. Digest walks the trace on each call.
 func (t *Trace) Digest() uint64 {
-	t.catchUp()
-	return uint64(t.dig)
+	h := digestState(fnvOffset64)
+	for i := range t.events {
+		h.event(&t.events[i])
+	}
+	return uint64(h)
 }

@@ -157,27 +157,19 @@ func (discard) Record(Event) {}
 // by construction.
 type Trace struct {
 	events []Event
-
-	// dig/hashed carry the incremental FNV-1a stream digest: events
-	// [0, hashed) are already folded in (see digest.go).
-	dig    digestState
-	hashed int
 }
 
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// Record implements Tracer. The stream digest is maintained
-// incrementally, so recording is O(1) amortized and Digest never
-// re-walks the trace. Backing-array growth goes through the event-buffer
-// pool (see pool.go), so a Released trace's re-run recycles instead of
-// reallocating.
+// Record implements Tracer: it appends ev, O(1) amortized. Backing-array
+// growth goes through the event-buffer pool (see pool.go), so a Released
+// trace's re-run recycles instead of reallocating.
 func (t *Trace) Record(ev Event) {
 	if len(t.events) == cap(t.events) {
 		t.grow()
 	}
 	t.events = append(t.events, ev)
-	t.catchUp()
 }
 
 // grow doubles the backing array, recycling the old buffer when it is
@@ -215,8 +207,6 @@ func (t *Trace) grow() {
 func (t *Trace) Release() {
 	putEventBuf(t.events)
 	t.events = nil
-	t.dig = 0
-	t.hashed = 0
 }
 
 // Len returns the number of recorded events.

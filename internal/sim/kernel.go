@@ -53,12 +53,6 @@ import (
 // Time is a virtual timestamp measured from the start of the simulation.
 type Time = time.Duration
 
-// maxRetainedEvents caps the event storage (heap backing array and the
-// ready lane) a kernel keeps after its queue drains, so a kernel that
-// peaked at hundreds of thousands of pending events does not pin that
-// memory for its remaining lifetime.
-const maxRetainedEvents = 4096
-
 // event is a scheduled occurrence: either the resumption of a parked
 // process or an inline callback. Keeping the struct at five words
 // matters — every heap sift copies it.
@@ -294,21 +288,10 @@ func (k *Kernel) Run() (err error) {
 		}
 	}
 	k.current = nil
-	k.trim()
 	if k.live > 0 {
 		return k.deadlockError()
 	}
 	return nil
-}
-
-// trim releases oversized event storage once a run completes.
-func (k *Kernel) trim() {
-	if cap(k.queue.ev) > maxRetainedEvents {
-		k.queue.ev = nil
-	}
-	if cap(k.ready.buf) > maxRetainedEvents {
-		k.ready = fifo[event]{}
-	}
 }
 
 // dispatch switches to p's coroutine and returns when p parks or ends.
