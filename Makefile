@@ -101,8 +101,8 @@ service-smoke:
 # ./... only replays the seeds): the SDDF text reader and the daemon's
 # request decoding + validation for 20 s each, then the cache-tier and
 # log-tier validators, the client tier's operation sequences, the fault
-# plan's Validate/String round trip and the run catalogue's Lookup for
-# 10 s each. A crasher is written under the package's testdata/fuzz/ and
+# plan's Validate/String round trip, the run catalogue's Lookup and the
+# PFS request splitter against its reference for 10 s each. A crasher is written under the package's testdata/fuzz/ and
 # fails the target.
 fuzz-smoke:
 	$(GO) test ./internal/pablo/ -run='^$$' -fuzz='^FuzzReadTrace$$' -fuzztime=20s
@@ -112,6 +112,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cache/ -run='^$$' -fuzz='^FuzzClientTierOps$$' -fuzztime=10s
 	$(GO) test ./internal/faults/ -run='^$$' -fuzz='^FuzzPlanRoundTrip$$' -fuzztime=10s
 	$(GO) test ./internal/apps/ -run='^$$' -fuzz='^FuzzLookup$$' -fuzztime=10s
+	$(GO) test ./internal/pfs/ -run='^$$' -fuzz='^FuzzSplit$$' -fuzztime=10s
 
 clean:
 	rm -rf artifacts

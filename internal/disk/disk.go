@@ -109,18 +109,12 @@ func MustNewArray(p Params) *Array {
 	return a
 }
 
-// Params returns the array's parameters.
-func (a *Array) Params() Params { return a.p }
-
 // SetDegraded switches the array into (or out of) single-disk-failure
 // degraded mode. In RAID-3 a lost data drive is reconstructed on the fly
 // from the survivors plus parity, so the array keeps serving — but every
 // request pays an extra reconstruction pass and the aggregate transfer
 // rate drops to the surviving data drives.
 func (a *Array) SetDegraded(on bool) { a.degraded = on }
-
-// Degraded reports whether the array is in degraded mode.
-func (a *Array) Degraded() bool { return a.degraded }
 
 // SetSlow installs a straggler service-time multiplier (>= 1; 1 restores
 // nominal speed). It panics on factors below 1 — a "fast fault" would

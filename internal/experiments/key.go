@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"paragonio/internal/core"
+	"paragonio/internal/pfs"
 )
 
 // KeyVersion tags the canonical serialization underneath ConfigKey.
@@ -55,8 +56,17 @@ func ConfigKey(cfg core.Config, app string) string {
 // ints, floats — so %+v renders them deterministically, field names
 // included (a reordering of struct fields changes the string, never the
 // mapping from semantics to string).
+//
+// The paper machine's I/O-node count and stripe unit spelled out are
+// keyed as zero, the spelling that leaves them implied.
 func canonicalConfig(cfg core.Config, app string) string {
 	tiers := cfg.Tiers
+	if cfg.IONodes == pfs.DefaultIONodes {
+		cfg.IONodes = 0
+	}
+	if cfg.StripeUnit == pfs.DefaultStripeUnit {
+		cfg.StripeUnit = 0
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|app=%s|nodes=%d|ionodes=%d|stripe=%d|seed=%d|sample=%d",
 		KeyVersion,

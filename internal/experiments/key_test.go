@@ -10,12 +10,14 @@ import (
 	"paragonio/internal/core"
 	"paragonio/internal/faults"
 	"paragonio/internal/mesh"
+	"paragonio/internal/pfs"
 )
 
 // TestConfigKeySemanticEquality pins that configurations meaning the
 // same run hash equal: literally identical configs, equal-valued configs
-// behind distinct pointers, and configs differing only in the ignored
-// shard count.
+// behind distinct pointers, configs differing only in the ignored
+// shard count, and the paper machine's I/O-node count and stripe unit
+// spelled out or left zero.
 func TestConfigKeySemanticEquality(t *testing.T) {
 	base := core.Config{Seed: 1}
 	if ConfigKey(base, "escat/ethylene/C") != ConfigKey(base, "escat/ethylene/C") {
@@ -34,6 +36,12 @@ func TestConfigKeySemanticEquality(t *testing.T) {
 	b.Tiers.IONode = &cache.Config{WriteBehind: true, ReadAhead: 4, CapacityBytes: 32 << 20}
 	if ConfigKey(a, "escat/ethylene/C") != ConfigKey(b, "escat/ethylene/C") {
 		t.Error("equal-valued cache configs behind distinct pointers hash differently")
+	}
+	// The paper machine spelled out is the paper machine left implied.
+	spelled := base
+	spelled.IONodes, spelled.StripeUnit = pfs.DefaultIONodes, pfs.DefaultStripeUnit
+	if ConfigKey(spelled, "escat/ethylene/C") != ConfigKey(base, "escat/ethylene/C") {
+		t.Error("the default I/O-node count and stripe unit spelled out hash differently from zero")
 	}
 	// An empty fault plan is the healthy machine: no serialization tail.
 	c := base

@@ -56,7 +56,6 @@ func DefaultConfig(m *mesh.Mesh) Config {
 type ioNode struct {
 	idx   int
 	res   *sim.Resource
-	park  string // precomputed Suspend reason (avoids a concat per request)
 	array *disk.Array
 	cache *cache.Cache // nil when caching is disabled
 }
@@ -156,7 +155,6 @@ func New(k *sim.Kernel, cfg Config, tracer pablo.Tracer) (*FileSystem, error) {
 			res:   sim.NewResource(k, fmt.Sprintf("ionode-%d", i), 1),
 			array: disk.MustNewArray(arrays),
 		}
-		n.park = "pfs: i/o node " + n.res.Name()
 		if cfg.Tiers.IONode != nil {
 			c, err := cache.New(k, n.res, n.array, *cfg.Tiers.IONode, cfg.StripeUnit)
 			if err != nil {
@@ -273,9 +271,6 @@ func (fs *FileSystem) Rerouted() uint64 { return fs.rerouted }
 
 // Config returns the file system's configuration.
 func (fs *FileSystem) Config() Config { return fs.cfg }
-
-// Kernel returns the kernel the file system runs on.
-func (fs *FileSystem) Kernel() *sim.Kernel { return fs.k }
 
 // CreateFile installs a file of the given size without generating events
 // or consuming virtual time — used to preload application input files.

@@ -29,12 +29,6 @@ type Handle struct {
 	closed bool
 }
 
-// Node returns the compute node that owns the handle.
-func (h *Handle) Node() int { return h.node }
-
-// File returns the file's name.
-func (h *Handle) File() string { return h.f.name }
-
 // Mode returns the file's current access mode.
 func (h *Handle) Mode() Mode { return h.f.mode }
 

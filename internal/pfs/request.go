@@ -9,11 +9,12 @@ import (
 
 // The data path. One read or write becomes one request per involved I/O
 // node; a request travels the mesh, holds its node's FIFO resource for
-// the disk (or cache) service, and completes by waking the issuing
-// process or by counting down a striped request's join. Requests and
-// joins are recycled through their FileSystem's free lists, and each
-// record's steps are bound to it once, when it is first made, so the
-// steady-state data path allocates nothing.
+// the disk (or cache) service, and completes by counting down its
+// transfer's join, whose last request wakes the issuing process or runs
+// the log drain's continuation. Requests and joins are recycled through
+// their FileSystem's free lists, and a request's steps are bound once,
+// when it is first made, so the steady-state data path allocates
+// nothing.
 
 // chunk is a contiguous piece of a request living on one I/O node.
 type chunk struct {
@@ -22,7 +23,7 @@ type chunk struct {
 
 // request is one I/O-node request: the chunks one compute node moves
 // through one physical I/O node, in ascending offset order. When it
-// completes it wakes the process p, or else runs the continuation then.
+// completes it counts down its transfer's join j.
 type request struct {
 	fs     *FileSystem
 	node   int
@@ -30,8 +31,7 @@ type request struct {
 	n      *ioNode // the physical node, routed at issue
 	chunks []chunk // reused across recycles
 	write  bool
-	p      *sim.Proc
-	then   func()
+	j      *join
 	next   *request // free-list link
 
 	// The request's steps, bound once.
@@ -54,12 +54,12 @@ func (fs *FileSystem) newRequest(node int, f *file, write bool) *request {
 	return q
 }
 
-// send is the one schedule of an I/O-node request, shared by both
-// shapes: serve calls it directly, a join's hop from a zero-delay event.
-// The payload arrives after its mesh transfer time to the physical node;
-// the request then holds the node's FIFO resource for its service,
-// priced at grant time (hold), and completes at release (done). Pricing
-// at grant time and completing inside the release event's dispatch keep
+// send is the one schedule of an I/O-node request: xfer calls it for
+// its own request, a join's hop from a zero-delay event. The payload
+// arrives after its mesh transfer time to the physical node; the
+// request then holds the node's FIFO resource for its service, priced
+// at grant time (hold), and completes at release (done). Pricing at
+// grant time and completing inside the release event's dispatch keep
 // every (at, seq) allocation, and hence the trace, identical to a
 // process-shaped Acquire/Wait/Release sequence.
 func (q *request) send() {
@@ -82,32 +82,26 @@ func (q *request) hold() sim.Time {
 	return d
 }
 
-// done returns the request to the free list, holding no process, file
-// or continuation, and then wakes p or runs then, which may therefore
-// reuse the record.
+// done returns the request to the free list, holding no join, file or
+// node, and then counts down its join, which may therefore reuse the
+// record.
 func (q *request) done() {
-	fs, p, then := q.fs, q.p, q.then
-	q.p, q.then, q.f, q.n = nil, nil, nil, nil
+	fs, j := q.fs, q.j
+	q.j, q.f, q.n = nil, nil, nil
 	q.next = fs.freeReqs
 	fs.freeReqs = q
-	if p != nil {
-		fs.k.Wake(p)
-	} else if then != nil {
-		then()
-	}
+	j.done()
 }
 
-// join is a striped request's fan-out join: the count of hopped requests
-// still pending and, once its issuer has set waiting, the process to
-// wake or the continuation to run when the last one completes.
+// join is one transfer's count of pending requests, and the process to
+// wake or the continuation to run when the last one completes. Requests
+// complete in later events than their issue: by then p has parked.
 type join struct {
 	fs      *FileSystem
 	pending int
-	waiting bool
 	p       *sim.Proc
 	then    func()
-	next    *join  // free-list link
-	doneFn  func() // bound once: one hopped request completed
+	next    *join // free-list link
 }
 
 // newJoin takes a join record off the free list, or makes one.
@@ -118,28 +112,32 @@ func (fs *FileSystem) newJoin(p *sim.Proc, then func()) *join {
 		j.next = nil
 	} else {
 		j = &join{fs: fs}
-		j.doneFn = j.done
 	}
 	j.p, j.then = p, then
 	return j
 }
 
-// hop issues q as a callback-shaped request counted by j. It sends from
-// a zero-delay hop, which mirrors the start event a spawned helper
-// process would get, so fan-out requests cost no process spawns and no
-// coroutine switches. The hop is a real event, not a direct call: its
-// sequence number is part of every golden trace digest.
-func (j *join) hop(q *request) {
+// add counts q in j.
+func (j *join) add(q *request) {
 	j.pending++
-	q.then = j.doneFn
+	q.j = j
+}
+
+// hop counts q in j and sends it from a zero-delay hop, which mirrors
+// the start event a spawned helper process would get, so fan-out
+// requests cost no process spawns and no coroutine switches. The hop is
+// a real event, not a direct call: its sequence number is part of every
+// golden trace digest.
+func (j *join) hop(q *request) {
+	j.add(q)
 	j.fs.k.After(0, q.sendFn)
 }
 
-// done counts one hopped request down; the last one, once the issuer
-// waits, releases the join and wakes p or runs then.
+// done counts one request down; the last one releases the join and
+// wakes p or runs then.
 func (j *join) done() {
 	j.pending--
-	if j.pending > 0 || !j.waiting {
+	if j.pending > 0 {
 		return
 	}
 	p, then := j.p, j.then
@@ -154,7 +152,7 @@ func (j *join) done() {
 // release returns the join to the free list, holding no process or
 // continuation.
 func (j *join) release() {
-	j.p, j.then, j.waiting = nil, nil, false
+	j.p, j.then = nil, nil
 	j.next = j.fs.freeJoins
 	j.fs.freeJoins = j
 }
@@ -167,6 +165,17 @@ func (j *join) release() {
 // file system's scratch: it is valid until the next split.
 func (fs *FileSystem) split(node int, f *file, off, size int64, write bool) []*request {
 	u := fs.cfg.StripeUnit
+	qs := fs.involved[:0]
+	if size > 0 && off/u == (off+size-1)/u {
+		// One stripe unit, one I/O node, one chunk: skip the scratch
+		// (the common case for the paper's small-request workloads).
+		io := (f.base + int((off/u)%int64(len(fs.ios)))) % len(fs.ios)
+		q := fs.newRequest(node, f, write)
+		q.n = fs.ios[fs.routeTo(io)]
+		q.chunks = append(q.chunks, chunk{off: off, size: size})
+		fs.involved = append(qs, q)
+		return fs.involved
+	}
 	for size > 0 {
 		stripe := off / u
 		io := (f.base + int(stripe%int64(len(fs.ios)))) % len(fs.ios)
@@ -183,7 +192,6 @@ func (fs *FileSystem) split(node int, f *file, off, size int64, write bool) []*r
 		off += n
 		size -= n
 	}
-	qs := fs.involved[:0]
 	for io, q := range fs.byIONode {
 		if q != nil {
 			fs.byIONode[io] = nil
@@ -204,47 +212,16 @@ func (fs *FileSystem) xfer(p *sim.Proc, node int, f *file, off, size int64, writ
 		return
 	}
 	p.Wait(costRequest)
-	u := fs.cfg.StripeUnit
-	if off/u == (off+size-1)/u {
-		// Single stripe unit → single I/O node, single chunk: skip the
-		// splitter entirely (the overwhelmingly common case for the
-		// paper's small-request workloads).
-		io := (f.base + int((off/u)%int64(len(fs.ios)))) % len(fs.ios)
-		q := fs.newRequest(node, f, write)
-		q.n = fs.ios[fs.routeTo(io)]
-		q.chunks = append(q.chunks, chunk{off: off, size: size})
-		fs.serve(p, q)
-		return
-	}
 	qs := fs.split(node, f, off, size, write)
-	own := qs[0]
-	if len(qs) == 1 {
-		fs.serve(p, own)
-		return
-	}
-	// The lowest involved node is served by p itself; every other one
-	// hops. The request completes when all involved nodes have served
-	// their chunks; the last completion resumes p if it is still waiting.
+	// Every involved node but the lowest hops; the lowest is sent
+	// directly, after the hops: that order fixes every sequence number.
 	j := fs.newJoin(p, nil)
 	for _, q := range qs[1:] {
 		j.hop(q)
 	}
-	fs.serve(p, own)
-	if j.pending > 0 {
-		j.waiting = true
-		p.Suspend("xfer-join")
-		return
-	}
-	j.release()
-}
-
-// serve moves q through its I/O node, blocking p until the node
-// finishes: p suspends, and q's completion wakes it inline.
-func (fs *FileSystem) serve(p *sim.Proc, q *request) {
-	q.p = p
-	park := q.n.park
-	q.send()
-	p.Suspend(park)
+	j.add(qs[0])
+	qs[0].send()
+	p.Suspend("pfs: xfer")
 }
 
 // drainLog is the log tier's drain sink: it writes one batch of logged
@@ -254,15 +231,11 @@ func (fs *FileSystem) serve(p *sim.Proc, q *request) {
 // finishes. It runs from the log tier's drain timers.
 func (fs *FileSystem) drainLog(batch []cache.LogRecord, done func()) {
 	j := fs.newJoin(nil, done)
+	j.pending++ // the batch itself, counted down once every record is issued
 	for _, r := range batch {
 		for _, q := range fs.split(r.Node, fs.byID[r.Stream], r.Off, r.Size, true) {
 			j.hop(q)
 		}
 	}
-	if j.pending > 0 {
-		j.waiting = true
-		return
-	}
-	j.release()
-	done()
+	j.done()
 }

@@ -118,6 +118,70 @@ func TestSplitMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzSplit checks the splitter against the reference over offset,
+// size, stripe unit, I/O-node count and file base: on a healthy machine
+// every request is routed to its own I/O node and holds the reference's
+// chunks for it, in the reference's order; recycle returns every
+// request to the free list; and the splitter's scratch is left empty.
+func FuzzSplit(f *testing.F) {
+	const u = DefaultStripeUnit
+	f.Add(uint64(100), uint32(1000), uint32(u), uint8(16), uint8(9))           // single stripe unit
+	f.Add(uint64(u-10), uint32(20), uint32(u), uint8(16), uint8(3))            // straddles a stripe boundary
+	f.Add(uint64(0), uint32(16*u), uint32(u), uint8(16), uint8(5))             // one full stripe cycle
+	f.Add(uint64(7), uint32(3*3*4096+5), uint32(4096), uint8(3), uint8(2))     // wraps the cycle, unaligned
+	f.Add(uint64(1<<33+999), uint32(7*1000), uint32(1000), uint8(7), uint8(6)) // unit divides no power of two
+	f.Add(uint64(5), uint32(0), uint32(u), uint8(16), uint8(0))                // empty
+	m := testMesh(f)
+	f.Fuzz(func(t *testing.T, rawOff uint64, rawSize, rawUnit uint32, rawIONodes, rawBase uint8) {
+		unit := 1 + int64(rawUnit%(1<<20))
+		ionodes := 1 + int(rawIONodes%64)
+		off := int64(rawOff % (1 << 40))
+		size := int64(rawSize) % (unit*int64(2*ionodes+3) + 1)
+		cfg := DefaultConfig(m)
+		cfg.StripeUnit, cfg.IONodes = unit, ionodes
+		fs, err := New(sim.NewKernel(), cfg, pablo.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.CreateFile("f", 1<<41)
+		file := fs.lookup("f", false)
+		file.base = int(rawBase) % ionodes
+
+		wantLists, wantIOs := fs.chunksByIONode(file, off, size)
+		qs := fs.split(2, file, off, size, true)
+		if len(qs) != len(wantIOs) {
+			t.Fatalf("%d requests, want %d", len(qs), len(wantIOs))
+		}
+		for i, q := range qs {
+			if q.n.idx != wantIOs[i] || q.node != 2 || q.f != file || !q.write {
+				t.Fatalf("request %d on I/O node %d (from %d, write %v), want I/O node %d",
+					i, q.n.idx, q.node, q.write, wantIOs[i])
+			}
+			if !reflect.DeepEqual(q.chunks, wantLists[wantIOs[i]]) {
+				t.Fatalf("I/O node %d chunks %v, want %v", wantIOs[i], q.chunks, wantLists[wantIOs[i]])
+			}
+		}
+		for io, q := range fs.byIONode {
+			if q != nil {
+				t.Fatalf("splitter scratch keeps a request for I/O node %d", io)
+			}
+		}
+		recycle(fs, qs)
+		free := make(map[*request]bool)
+		for q := fs.freeReqs; q != nil; q = q.next {
+			free[q] = true
+		}
+		if len(free) != len(qs) {
+			t.Fatalf("free list holds %d requests after recycling %d", len(free), len(qs))
+		}
+		for i, q := range qs {
+			if !free[q] {
+				t.Fatalf("request %d did not come back to the free list", i)
+			}
+		}
+	})
+}
+
 // TestDataPathAllocatesNothing pins that a steady-state transfer
 // allocates nothing once the request and holder free lists and the
 // event queue have reached their working size: an unbuffered read
@@ -191,8 +255,8 @@ func TestDataPathAllocatesNothing(t *testing.T) {
 
 // TestFreeRecordsPinNothing: after a run that issued single-stripe and
 // striped reads and writes from several nodes, plus log-tier drains,
-// every recycled request and join holds no process, file or
-// continuation.
+// every recycled request holds no join, file or node, and every
+// recycled join no process, continuation or pending count.
 func TestFreeRecordsPinNothing(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultConfig(testMesh(t))
@@ -231,14 +295,14 @@ func TestFreeRecordsPinNothing(t *testing.T) {
 	reqs, joins := 0, 0
 	for q := fs.freeReqs; q != nil; q = q.next {
 		reqs++
-		if q.p != nil || q.then != nil || q.f != nil || q.n != nil {
-			t.Fatalf("free request %d pins p=%v then=%v f=%v n=%v", reqs, q.p, q.then != nil, q.f, q.n)
+		if q.j != nil || q.f != nil || q.n != nil {
+			t.Fatalf("free request %d pins j=%v f=%v n=%v", reqs, q.j != nil, q.f, q.n)
 		}
 	}
 	for j := fs.freeJoins; j != nil; j = j.next {
 		joins++
-		if j.p != nil || j.then != nil || j.waiting || j.pending != 0 {
-			t.Fatalf("free join %d pins p=%v then=%v (waiting %v, pending %d)", joins, j.p, j.then != nil, j.waiting, j.pending)
+		if j.p != nil || j.then != nil || j.pending != 0 {
+			t.Fatalf("free join %d pins p=%v then=%v (pending %d)", joins, j.p, j.then != nil, j.pending)
 		}
 	}
 	if reqs < 16 || joins == 0 {

@@ -132,8 +132,9 @@ func TestSimulateOKAndCacheHit(t *testing.T) {
 }
 
 // TestSpellingsShareOneContentAddress pins that every accepted spelling
-// of one run hashes to one content address: a lowercase version and the
-// long dataset name hit the cache entry of the canonical spelling, and a
+// of one run hashes to one content address: a lowercase version, the
+// long dataset name and the paper machine's I/O-node count and stripe
+// unit spelled out hit the cache entry of the canonical spelling, and a
 // sweep listing both version spellings plans one unique point.
 func TestSpellingsShareOneContentAddress(t *testing.T) {
 	s := newTestServer(t, Config{}, stubRun)
@@ -167,6 +168,10 @@ func TestSpellingsShareOneContentAddress(t *testing.T) {
 	// address (experiments.TestSuiteKeysRunsByTheDaemonsAddress).
 	if got := simulate(`{"app":"escat","version":"C"}`).Hash; got != "82dea089a7176eb4" {
 		t.Errorf("escat ethylene C at seed 1 hashes to %s, want 82dea089a7176eb4", got)
+	}
+	spelled := simulate(`{"app":"escat","version":"C","ionodes":16,"stripe_unit":65536}`)
+	if spelled.Hash != "82dea089a7176eb4" || !spelled.Cached {
+		t.Errorf("the paper machine spelled out hashes to %s cached=%v, want 82dea089a7176eb4", spelled.Hash, spelled.Cached)
 	}
 
 	resp, body := postJSON(t, ts, "/v1/sweep", `{"app":"prism","versions":["C","c"],"seeds":[3]}`)

@@ -22,9 +22,6 @@ func NewBarrier(k *Kernel, name string, n int) *Barrier {
 	return &Barrier{k: k, name: name, park: "barrier " + name, n: n}
 }
 
-// Name returns the barrier's name.
-func (b *Barrier) Name() string { return b.name }
-
 // Await blocks p until all n parties have arrived for this epoch.
 func (b *Barrier) Await(p *Proc) {
 	if b.join(p) {

@@ -113,7 +113,7 @@ func TestAfterCallback(t *testing.T) {
 	k := NewKernel()
 	var fired Time = -1
 	k.Spawn("p", func(p *Proc) {
-		p.Kernel().After(4*time.Second, func() { fired = k.Now() })
+		k.After(4*time.Second, func() { fired = k.Now() })
 		p.Wait(10 * time.Second)
 	})
 	if err := k.Run(); err != nil {

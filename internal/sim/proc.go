@@ -85,9 +85,6 @@ func (p *Proc) Name() string { return p.name }
 // ID returns the process's unique spawn-ordered identifier (1-based).
 func (p *Proc) ID() int { return p.id }
 
-// Kernel returns the kernel this process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 

@@ -76,9 +76,6 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 	return &Resource{k: k, name: name, park: "acquire " + name, capacity: capacity}
 }
 
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
-
 // QueueLen returns the number of processes waiting to acquire.
 func (r *Resource) QueueLen() int { return r.waiters.len() }
 

@@ -131,9 +131,6 @@ func (m *Machine) NewCollective(name string, n int) *Collective {
 	return &Collective{m: m, n: n, bar: sim.NewBarrier(m.K, name, n)}
 }
 
-// Size returns the number of participating nodes.
-func (c *Collective) Size() int { return c.n }
-
 // Barrier synchronizes all members and charges the mesh barrier cost.
 func (c *Collective) Barrier(n *Node) {
 	c.bar.AwaitThen(n.P, c.m.Mesh.Barrier(c.n))
