@@ -1,7 +1,7 @@
 # paragonio — reproduction of Smirni et al., HPDC 1996.
 GO ?= go
 
-.PHONY: all build test test-short test-386 vet vet-race fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke fuzz-smoke clean
+.PHONY: all build test test-short test-386 vet vet-race fmt bench bench-smoke bench-json bench-diff bench-module tables experiments docs-verify service-smoke fuzz-smoke outputs-manifest clean
 
 all: build test
 
@@ -113,6 +113,18 @@ fuzz-smoke:
 	$(GO) test ./internal/faults/ -run='^$$' -fuzz='^FuzzPlanRoundTrip$$' -fuzztime=10s
 	$(GO) test ./internal/apps/ -run='^$$' -fuzz='^FuzzLookup$$' -fuzztime=10s
 	$(GO) test ./internal/pfs/ -run='^$$' -fuzz='^FuzzSplit$$' -fuzztime=10s
+
+# Rebuild every command-line output that scripts/outputs-identical.sh
+# compares (tables, sweeps, iosim reports and SDDF traces, iotrace
+# subcommands, examples) into a temporary directory and diff their
+# sha256, size and name against testdata/outputs.sha256. A change that
+# means to move an output rewrites that file with
+# `bash scripts/outputs-identical.sh -manifest > testdata/outputs.sha256`.
+# About 20 s on 2 cores.
+outputs-manifest:
+	@f=$$(mktemp) && trap 'rm -f "$$f"' EXIT && \
+		bash scripts/outputs-identical.sh -manifest >"$$f" && \
+		diff -u testdata/outputs.sha256 "$$f"
 
 clean:
 	rm -rf artifacts

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -156,6 +157,35 @@ func TestLogTierReadBarrier(t *testing.T) {
 	}
 	if s.StallWait != stalled {
 		t.Errorf("StallWait = %v, want %v", s.StallWait, stalled)
+	}
+}
+
+// TestLogTierWokenWaiterBlocksAgain has a reader that the drain wakes
+// block on the log again at once. The drain's pass over its waiters
+// must not lose the new wait: both waits return, one drain pass each.
+func TestLogTierWokenWaiterBlocksAgain(t *testing.T) {
+	r := newLogRig(t, LogConfig{
+		CapacityBytes: 1 << 20,
+		DrainBatch:    1,
+		DrainDeadline: time.Millisecond,
+	}, time.Millisecond)
+	var waited []uint64
+	r.k.Spawn("reader", func(p *sim.Proc) {
+		r.lt.Append(0, logA, 0, 4<<10)
+		r.lt.Append(0, logA, 4<<10, 4<<10)
+		for seq := uint64(1); seq <= 2; seq++ {
+			r.lt.Wait(p, seq, true)
+			waited = append(waited, seq)
+		}
+	})
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(waited) != "[1 2]" {
+		t.Errorf("waits returned for %v, want [1 2]", waited)
+	}
+	if s := r.lt.Stats(); s.ReadBackStalls != 2 || s.DrainedRecords != 2 {
+		t.Errorf("stats = %+v, want 2 read stalls and 2 drained records", s)
 	}
 }
 

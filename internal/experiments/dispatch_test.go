@@ -33,13 +33,13 @@ func TestDispatchStreamGolden(t *testing.T) {
 	}{
 		{"escat/eth/C", eth.Nodes, func(m *workload.Machine) error {
 			return escat.Script(m, eth, escat.VersionC(), 1)
-		}, 96322, 0x8d45cd6a42e7d723},
+		}, 107390, 0x8c897a660f145a3f},
 		{"escat/co/C", co.Nodes, func(m *workload.Machine) error {
 			return escat.Script(m, co, escat.VersionCCarbonMonoxide(), 1)
-		}, 569126, 0xe0d0ab3d04491db4},
+		}, 602834, 0x6010333bef862540},
 		{"prism/C", pd.Nodes, func(m *workload.Machine) error {
 			return prism.Script(m, pd, prism.VersionC(), 1)
-		}, 287284, 0x16174b434261b159},
+		}, 292777, 0x13d70d17d79c12b4},
 	}
 	for _, g := range golden {
 		p, err := core.NewPlatform(core.Config{Nodes: g.nodes, Seed: 1})

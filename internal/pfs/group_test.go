@@ -249,22 +249,22 @@ func TestGroupRoundOutcomes(t *testing.T) {
 		hash   uint64
 		want   [3]string
 	}{
-		{MRecord, false, 62, 0x467cdf3832d2cd30, [3]string{
+		{MRecord, false, 65, 0x845ec039358e64a9, [3]string{
 			"4096 <nil> @139.03304ms; " + mismatch + " @139.13304ms; 4096 <nil> @139.66328ms;",
 			"4096 <nil> @112.82944ms; " + mismatch + " @139.13304ms; 4096 <nil> @139.66328ms;",
 			"4096 <nil> @101.51464ms; " + mismatch + " @139.13304ms; 4096 <nil> @139.66328ms;",
 		}},
-		{MRecord, true, 60, 0xfd6f57750dfa9528, [3]string{
+		{MRecord, true, 66, 0xed2ab1644eeaeef, [3]string{
 			"4096 <nil> @121.0004ms; " + mismatch + " @121.1004ms; 4096 <nil> @181.9744ms;",
 			"4096 <nil> @100.9408ms; " + mismatch + " @121.1004ms; 4096 <nil> @161.9148ms;",
 			"4096 <nil> @80.8812ms; " + mismatch + " @121.1004ms; 4096 <nil> @141.8552ms;",
 		}},
-		{MGlobal, false, 43, 0x47e087bff5e5253d, [3]string{
+		{MGlobal, false, 44, 0x73375021fa734411, [3]string{
 			"4096 <nil> @88.05984ms; " + mismatch + " @88.25984ms; 4096 <nil> @88.89248ms;",
 			"4096 <nil> @88.05984ms; " + mismatch + " @88.25984ms; 4096 <nil> @88.89248ms;",
 			"4096 <nil> @88.05984ms; " + mismatch + " @88.25984ms; 4096 <nil> @88.89248ms;",
 		}},
-		{MGlobal, true, 44, 0x9ea21e9f63f06613, [3]string{
+		{MGlobal, true, 46, 0x9b47a27e7af09550, [3]string{
 			"4096 <nil> @80.8816ms; " + mismatch + " @81.0816ms; 4096 <nil> @83.6868ms;",
 			"4096 <nil> @80.8816ms; " + mismatch + " @81.0816ms; 4096 <nil> @83.6868ms;",
 			"4096 <nil> @80.8816ms; " + mismatch + " @81.0816ms; 4096 <nil> @83.6868ms;",

@@ -107,7 +107,7 @@ func (b *Barrier) Rounds(p *Proc, n int, compute func() Time, then Time) {
 func (b *Barrier) release() {
 	for i, w := range b.arrived {
 		w.barrier = nil
-		b.k.wake(w)
+		b.k.Wake(w)
 		b.arrived[i] = nil
 	}
 	b.arrived = b.arrived[:0]

@@ -8,9 +8,8 @@ import (
 )
 
 // The inline-wait tests pin the conditions under which Proc.Wait may
-// return without parking: only the process the run loop resumed, only
-// when its own wake would be the next event, and never past a pending
-// cancellation.
+// return without parking: only when its own wake would be the next
+// event, and never past a pending cancellation.
 
 // TestInlineWaitPollsCancel runs a lone process that waits forever —
 // every wait takes the inline path — under a cancel check that fires on
@@ -67,31 +66,42 @@ func TestInlineWaitKeepsEventStream(t *testing.T) {
 	}
 }
 
-// TestWakeNestedWaitParks wakes a suspended process inline from a
-// callback; the process then waits. Its wait must park, not run inline:
-// the callback is still dispatching at its own instant and must read the
-// same clock after Wake returns.
-func TestWakeNestedWaitParks(t *testing.T) {
+// TestWakeSchedules wakes a suspended process from a callback. The wake
+// is an event of its own: the callback finishes first, an event already
+// ready at that instant runs before the resume, the resume counts once
+// in EventsProcessed, and the woken process's next Wait, with nothing
+// else due, completes inline without another switch.
+func TestWakeSchedules(t *testing.T) {
 	k := NewKernel()
-	var before, after, resumed Time
+	var order, seen []string
+	k.SetObserver(func(at Time, seq uint64) { seen = append(seen, fmt.Sprintf("%v/%d", at, seq)) })
 	p := k.Spawn("sleeper", func(p *Proc) {
 		p.Suspend("test")
+		order = append(order, fmt.Sprintf("resumed@%d", k.EventsProcessed()))
 		p.Wait(time.Second)
-		resumed = p.Now()
+		order = append(order, "waited")
 	})
+	resumes := 0
+	next := p.next
+	p.next = func() (struct{}, bool) { resumes++; return next() }
 	k.After(time.Millisecond, func() {
-		before = k.Now()
 		k.Wake(p)
-		after = k.Now()
+		order = append(order, fmt.Sprintf("callback@%d", k.EventsProcessed()))
 	})
+	// Due at the same instant as the callback and scheduled after it, so
+	// already on the ready lane when the callback wakes the sleeper.
+	k.After(time.Millisecond, func() { order = append(order, "ready") })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if before != time.Millisecond || after != before {
-		t.Errorf("callback read %v before Wake and %v after, want 1ms both", before, after)
+	if got, want := fmt.Sprint(order), "[callback@2 ready resumed@4 waited]"; got != want {
+		t.Errorf("order = %s, want %s", got, want)
 	}
-	if resumed != time.Second+time.Millisecond {
-		t.Errorf("sleeper resumed at %v, want 1.001s", resumed)
+	if got, want := fmt.Sprint(seen), "[0s/1 1ms/2 1ms/3 1ms/4 1.001s/5]"; got != want {
+		t.Errorf("observed %s, want %s", got, want)
+	}
+	if resumes != 2 {
+		t.Errorf("sleeper resumed %d times, want 2 (start and wake; the wait completes inline)", resumes)
 	}
 }
 

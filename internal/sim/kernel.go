@@ -6,8 +6,8 @@
 // in "processes": coroutines the kernel resumes and that yield back to it,
 // so exactly one process executes at a time and runs are bit-reproducible.
 // Processes block on virtual-time waits and on synchronization primitives
-// (Resource, Barrier), or Suspend until a callback Wakes them; the kernel
-// resumes them when the corresponding event fires.
+// (Resource, Barrier), or Suspend until a callback Wakes them. Each resume
+// is an event of the run loop, so whatever woke a process has returned.
 //
 // Events scheduled for the same instant are processed in scheduling order
 // (FIFO by sequence number), which — together with the single-runner
@@ -25,9 +25,9 @@
 //     switch at all. Resource.UseFn is the callback-shaped variant that
 //     lets hot non-process-shaped work (I/O-node service, cache flushes)
 //     take this path.
-//   - Inline wait: when the process the loop resumed calls Wait and its
-//     own wake would be the very next event dispatched, Wait advances the
-//     clock and accounts the event itself and returns without parking.
+//   - Inline wait: when a running process calls Wait and its own wake
+//     would be the very next event dispatched, Wait advances the clock
+//     and accounts the event itself and returns without parking.
 //   - Deferred wait: a process parked in Barrier.AwaitThen or
 //     Resource.AcquireThen named the Wait it makes on waking; its wake
 //     event schedules that wait instead of resuming the process.
@@ -82,11 +82,6 @@ type Kernel struct {
 	live      int     // processes spawned and not yet finished
 	processed uint64
 
-	// current is the process the run loop itself resumed for the event
-	// being dispatched (nil for a callback event). Only it may take the
-	// inline-wait path: a process nested through Wake runs inside another
-	// event's dispatch and must not move the clock under it.
-	current *Proc
 	// stepping is the process whose round the run loop is drawing in
 	// its place (inPlace), so that a panic in the draw names it.
 	stepping *Proc
@@ -277,7 +272,6 @@ func (k *Kernel) Run() (err error) {
 			if k.observer != nil {
 				k.observer(e.at, e.seq)
 			}
-			k.current = e.proc
 			if e.proc != nil && e.proc.step != stepNone {
 				k.inPlace(e.proc)
 			} else if e.proc != nil {
@@ -287,7 +281,6 @@ func (k *Kernel) Run() (err error) {
 			}
 		}
 	}
-	k.current = nil
 	if k.live > 0 {
 		return k.deadlockError()
 	}
@@ -340,17 +333,9 @@ func (k *Kernel) inPlace(p *Proc) {
 	k.schedule(k.now+p.then, p, nil)
 }
 
-// wake schedules p to resume at the current time (used by synchronization
-// primitives releasing a waiter).
-func (k *Kernel) wake(p *Proc) {
-	k.schedule(k.now, p, nil)
-}
-
-// Wake resumes a process parked with Proc.Suspend inline, within the
-// current event's dispatch position. It adds no event: the process
-// continuation nests inside the waking event exactly as if the process
-// itself had been executing it, which is what keeps a callback-shaped
-// completion bit-identical to the process-shaped code it replaces.
+// Wake schedules p to resume at the current instant, after every event
+// already due now, as barrier releases and resource grants do. The caller
+// runs to completion before p does.
 func (k *Kernel) Wake(p *Proc) {
-	k.dispatch(p)
+	k.schedule(k.now, p, nil)
 }

@@ -276,17 +276,18 @@ func TestManyProcessesStress(t *testing.T) {
 	}
 }
 
-// TestSuspendWake exercises the Suspend/Wake pair: the waking event's
-// handler continues the process inline, so work the process does after
-// waking is observed before the next queued event dispatches.
+// TestSuspendWake exercises the Suspend/Wake pair: Wake schedules the
+// process at the waking event's instant, so the handler finishes and an
+// event it queued earlier at that instant dispatches before the process
+// resumes.
 func TestSuspendWake(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	k.Spawn("sleeper", func(p *Proc) {
 		k.After(time.Millisecond, func() {
 			order = append(order, "wake-event")
-			// Queued before the wake, at the same instant — yet the
-			// process continuation must run first, inline.
+			// Queued before the wake, at the same instant, so it
+			// runs before the process resumes.
 			k.After(0, func() { order = append(order, "later-event") })
 			k.Wake(p)
 			order = append(order, "after-wake")
@@ -298,7 +299,7 @@ func TestSuspendWake(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"wake-event", "resumed", "after-wake", "later-event"}
+	want := []string{"wake-event", "after-wake", "later-event", "resumed"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}

@@ -51,8 +51,8 @@ const (
 // running process or callback.
 //
 // A panic in body is wrapped in a *PanicError naming the process and
-// carrying its stack, and re-raised in whoever resumed it; Run recovers
-// it there and returns it.
+// carrying its stack, and re-raised in the run loop that resumed it; Run
+// recovers it there and returns it.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{k: k, name: name, id: len(k.procs) + 1}
 	k.procs = append(k.procs, p)
@@ -65,8 +65,6 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 			k.live--
 			switch r := recover().(type) {
 			case nil, procAbort:
-			case *PanicError:
-				panic(r) // a process this one resumed inline panicked
 			default:
 				panic(&PanicError{Proc: p.name, Now: k.now, Value: r, Stack: debug.Stack()})
 			}
@@ -95,19 +93,19 @@ func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.id, p.name
 // other events scheduled at the same instant.
 //
 // When the process's own wake would be the very next event dispatched —
-// the run loop resumed it (not Kernel.Wake), nothing is ready at this
-// instant and nothing is queued at or before now+d — Wait does what that
-// event would do (take its sequence number, count it, advance the clock,
-// tell the observer) and returns without parking. A wait that moves the
-// clock starts a new instant, so it first polls the cancel check as the
-// run loop would; a pending cancellation takes the parking path.
+// nothing is ready at this instant and nothing is queued at or before
+// now+d — Wait does what that event would do (take its sequence number,
+// count it, advance the clock, tell the observer) and returns without
+// parking. A wait that moves the clock starts a new instant, so it first
+// polls the cancel check as the run loop would; a pending cancellation
+// takes the parking path.
 func (p *Proc) Wait(d Time) {
 	if d < 0 {
 		panic("sim: negative wait on " + p.name)
 	}
 	k := p.k
 	at := k.now + d
-	if k.current == p && !k.aborting && k.ready.len() == 0 &&
+	if !k.aborting && k.ready.len() == 0 &&
 		(k.queue.len() == 0 || k.queue.min().at > at) &&
 		(d == 0 || k.checkCancel() == nil) {
 		k.seq++
@@ -144,9 +142,9 @@ func (p *Proc) waitThen() {
 	}
 }
 
-// Suspend parks the process until another event resumes it via
-// Kernel.Wake. reason appears in deadlock diagnostics should the resume
-// never arrive.
+// Suspend parks the process until a callback wakes it with Kernel.Wake,
+// which schedules its resume after the callback returns. reason appears
+// in deadlock diagnostics should the wake never arrive.
 func (p *Proc) Suspend(reason string) {
 	if reason == "" {
 		reason = "suspended"

@@ -199,7 +199,7 @@ func (r *Resource) wakeNext() {
 	r.grant(next.enq)
 	if next.p != nil {
 		next.p.holds = append(next.p.holds, held{r: r, since: r.k.now})
-		r.k.wake(next.p)
+		r.k.Wake(next.p)
 		return
 	}
 	r.k.schedule(r.k.now, nil, next.h.grantFn)

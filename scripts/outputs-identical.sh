@@ -3,6 +3,7 @@
 # output byte-identical to a base revision.
 #
 #   bash scripts/outputs-identical.sh BASE-REV [CHANGE-REV]
+#   bash scripts/outputs-identical.sh -manifest
 #
 # BASE-REV is exported with `git archive` into a temporary directory and
 # built there. The change side is the working tree, uncommitted changes
@@ -26,19 +27,30 @@
 # refactor that must not move a single output byte (every golden digest
 # stays put, and so does every table) passes this check.
 #
+# With -manifest the script builds and runs the working tree only and
+# prints one line per output instead: its sha256, its size in bytes and
+# its name relative to the output directory, sorted by name. That list
+# is checked in as testdata/outputs.sha256, and `make outputs-manifest`
+# compares a fresh one against it; a change that means to move an
+# output rewrites the file with this mode.
+#
 # Run it from the repository root. It needs no network: both sides build
 # with the module proxy off. Both sides together take a few minutes on
 # two cores.
 set -euo pipefail
 
 usage() {
-    sed -n '5p' "$0" | sed 's/^# *//' >&2
+    sed -n '5,6p' "$0" | sed 's/^# *//' >&2
     exit 2
 }
 [ $# -eq 1 ] || [ $# -eq 2 ] || usage
+manifest=
+if [ "$1" = -manifest ]; then
+    [ $# -eq 1 ] || usage
+    manifest=1
+fi
 root=$(pwd)
 [ -f "$root/scripts/outputs-identical.sh" ] || { echo "outputs-identical: run from the repository root" >&2; exit 2; }
-rev=$(git rev-parse --short "$1^{commit}")
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/outputs-identical.XXXXXX")
 cleanup() {
@@ -51,12 +63,6 @@ export_rev() {
     mkdir -p "$2"
     git archive "$1" | tar -x -C "$2"
 }
-export_rev "$rev" "$tmp/src/base"
-change=$root
-if [ $# -eq 2 ]; then
-    change=$tmp/src/change
-    export_rev "$(git rev-parse --short "$2^{commit}")" "$change"
-fi
 
 # outputs SIDE SRC builds SRC's commands and writes their outputs under
 # $tmp/out/SIDE.
@@ -97,6 +103,23 @@ outputs() {
         "$ex" >"$out/example-${ex##*/}.txt"
     done
 }
+
+if [ -n "$manifest" ]; then
+    outputs change "$root"
+    cd "$tmp/out/change"
+    find . -type f | sed 's|^\./||' | LC_ALL=C sort | while IFS= read -r f; do
+        printf '%s %s %s\n' "$(sha256sum <"$f" | cut -d' ' -f1)" "$(wc -c <"$f" | tr -d ' ')" "$f"
+    done
+    exit 0
+fi
+
+rev=$(git rev-parse --short "$1^{commit}")
+export_rev "$rev" "$tmp/src/base"
+change=$root
+if [ $# -eq 2 ]; then
+    change=$tmp/src/change
+    export_rev "$(git rev-parse --short "$2^{commit}")" "$change"
+fi
 outputs base "$tmp/src/base"
 outputs change "$change"
 
