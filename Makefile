@@ -100,16 +100,19 @@ service-smoke:
 # Fuzz each decoder/validator target beyond its seed corpus (go test
 # ./... only replays the seeds): the SDDF text reader and the daemon's
 # request decoding + validation for 20 s each, then the cache-tier and
-# log-tier validators, the client tier's operation sequences, the fault
-# plan's Validate/String round trip, the run catalogue's Lookup and the
-# PFS request splitter against its reference for 10 s each. A crasher is written under the package's testdata/fuzz/ and
-# fails the target.
+# log-tier validators, the client tier's operation sequences, the
+# I/O-node cache's operation sequences against its dirty list
+# (FuzzIONodeCacheOps), the fault plan's Validate/String round trip, the
+# run catalogue's Lookup and the PFS request splitter against its
+# reference for 10 s each. A crasher is written under the package's
+# testdata/fuzz/ and fails the target.
 fuzz-smoke:
 	$(GO) test ./internal/pablo/ -run='^$$' -fuzz='^FuzzReadTrace$$' -fuzztime=20s
 	$(GO) test ./internal/server/ -run='^$$' -fuzz='^FuzzSimulateRequest$$' -fuzztime=20s
 	$(GO) test ./internal/cache/ -run='^$$' -fuzz='^FuzzTiersValidate$$' -fuzztime=10s
 	$(GO) test ./internal/cache/ -run='^$$' -fuzz='^FuzzLogConfigValidate$$' -fuzztime=10s
 	$(GO) test ./internal/cache/ -run='^$$' -fuzz='^FuzzClientTierOps$$' -fuzztime=10s
+	$(GO) test ./internal/cache/ -run='^$$' -fuzz='^FuzzIONodeCacheOps$$' -fuzztime=10s
 	$(GO) test ./internal/faults/ -run='^$$' -fuzz='^FuzzPlanRoundTrip$$' -fuzztime=10s
 	$(GO) test ./internal/apps/ -run='^$$' -fuzz='^FuzzLookup$$' -fuzztime=10s
 	$(GO) test ./internal/pfs/ -run='^$$' -fuzz='^FuzzSplit$$' -fuzztime=10s

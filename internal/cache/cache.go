@@ -20,14 +20,17 @@
 //     stride) prefetches N blocks ahead and cancels queued prefetches
 //     when the stride breaks;
 //   - a full statistics surface — hits/misses, read-ahead
-//     issued/used/cancelled, dirty-queue depth and high-water mark,
+//     issued/used/cancelled, dirty-list depth and high-water mark,
 //     forced-flush stalls — so experiments can explain *why* a
 //     configuration wins, not just that it does.
 //
 // # Flush-policy state machine
 //
-// The write-behind flusher is a small state machine with two policies,
-// selected by Config.FlushDeadline:
+// Dirty blocks sit on one intrusive list, the cache's one index of them,
+// joining its tail on each clean → dirty transition; "oldest" below
+// means the list's head, the block whose latest such transition is
+// earliest. The write-behind flusher is a small state machine with two
+// policies, selected by Config.FlushDeadline:
 //
 //   - High-water + idle (FlushDeadline == 0, the legacy policy). At most
 //     one timer is armed at a time. When a block goes dirty, the flusher
@@ -50,7 +53,7 @@
 //
 // In both policies, an eviction that finds the LRU victim dirty writes
 // it synchronously under the foreground request and counts a
-// Stats.ForcedFlushStalls — the cost of letting the dirty queue outrun
+// Stats.ForcedFlushStalls — the cost of letting the dirty list outrun
 // the flusher. Stats.DeadlineFlushes counts passes whose batch was
 // limited to deadline-expired blocks. The experiments package's
 // flushpolicy study races the two policies against bursty checkpoint
@@ -175,7 +178,7 @@ type Stats struct {
 	ForcedFlushStalls uint64 // dirty LRU victims written synchronously under a foreground request
 
 	Dirty    int // dirty blocks right now
-	MaxDirty int // dirty-queue depth high-water mark
+	MaxDirty int // dirty-list depth high-water mark
 
 	ReadAheadIssued    uint64 // blocks prefetched
 	ReadAheadUsed      uint64 // prefetched blocks later hit by a demand read
@@ -220,14 +223,14 @@ func (s *Stats) Add(o Stats) {
 	s.Blocks += o.Blocks
 }
 
-// block is one resident cache block on the intrusive LRU list.
+// block is one resident cache block on the intrusive LRU and dirty lists.
 type block struct {
-	key        blockID
-	dirty      bool
-	queued     bool     // has an entry in the dirty FIFO
-	prefetched bool     // brought in by read-ahead, not yet demanded
-	dirtyAt    sim.Time // when the block last went clean → dirty (deadline policy clock)
-	prev, next *block
+	key          blockID
+	dirty        bool     // on the dirty list
+	prefetched   bool     // brought in by read-ahead, not yet demanded
+	dirtyAt      sim.Time // when the block last went clean → dirty (deadline policy clock)
+	prev, next   *block   // LRU list
+	dprev, dnext *block   // dirty list, oldest dirtyAt first
 }
 
 // stream is the per-stream read-ahead detector state.
@@ -237,26 +240,6 @@ type stream struct {
 	stride  int64 // detected block stride (0 = no pattern)
 	run     int   // consecutive requests matching the stride
 	ahead   int64 // highest block index already scheduled for prefetch
-}
-
-// keyQueue is a simple head-indexed FIFO of block keys.
-type keyQueue struct {
-	buf  []blockID
-	head int
-}
-
-func (q *keyQueue) push(k blockID) { q.buf = append(q.buf, k) }
-func (q *keyQueue) len() int       { return len(q.buf) - q.head }
-func (q *keyQueue) peek() blockID  { return q.buf[q.head] }
-func (q *keyQueue) pop() blockID {
-	k := q.buf[q.head]
-	q.head++
-	if q.head > len(q.buf)/2 && q.head > 32 {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	return k
 }
 
 // timers is a queue of armed kernel timers, the deadline machinery both
@@ -310,12 +293,15 @@ type Cache struct {
 	blockSize int64 // the PFS stripe unit
 	capBlocks int
 
-	blocks     map[blockID]*block
-	mru, lru   *block // intrusive LRU list: mru = most recently used
-	dirtyq     keyQueue
-	dirtyCount int
-	streams    []*stream // read-ahead detector per stream id, created on first read
-	spare      *block    // the last evicted block, reused by the next insert
+	blocks   map[blockID]*block
+	mru, lru *block    // intrusive LRU list: mru = most recently used
+	streams  []*stream // read-ahead detector per stream id, created on first read
+	spare    *block    // the last evicted block, reused by the next insert
+
+	// oldest, newest: the intrusive dirty list, the one index of dirty
+	// blocks, ordered by their latest clean → dirty transition.
+	oldest, newest *block
+	dirtyCount     int
 
 	flushPending bool   // high-water + idle policy: one timer armed or pass running
 	flushq       timers // deadline policy: armed flush timers
@@ -452,16 +438,7 @@ func (c *Cache) writeBlock(k blockID, n int64) time.Duration {
 	}
 	b.prefetched = false
 	if !b.dirty {
-		b.dirty = true
-		b.dirtyAt = c.k.Now()
-		c.dirtyCount++
-		if c.dirtyCount > c.stats.MaxDirty {
-			c.stats.MaxDirty = c.dirtyCount
-		}
-	}
-	if !b.queued {
-		b.queued = true
-		c.dirtyq.push(k)
+		c.markDirty(b)
 	}
 	c.stats.WriteBehindBytes += n
 	d += hitCost + c.copyTime(n)
@@ -527,9 +504,7 @@ func (c *Cache) evictOne() time.Duration {
 	for len(c.blocks) >= c.capBlocks {
 		v := c.lru
 		if v.dirty {
-			d += c.serviceBlock(v.key)
-			v.dirty = false
-			c.dirtyCount--
+			d += c.clean(v)
 			c.stats.ForcedFlushStalls++
 		}
 		c.unlink(v)
@@ -541,32 +516,51 @@ func (c *Cache) evictOne() time.Duration {
 
 // --- write-behind flusher --------------------------------------------
 
-// oldestDirty returns the head of the dirty FIFO — the longest-dirty live
-// block — dropping stale entries for blocks that were force-flushed or
-// evicted since they were queued. Because a push happens exactly when a
-// block goes clean → dirty, the FIFO is ordered by dirtyAt.
-func (c *Cache) oldestDirty() *block {
-	for c.dirtyq.len() > 0 {
-		b := c.blocks[c.dirtyq.peek()]
-		if b == nil || !b.dirty {
-			if b != nil {
-				b.queued = false
-			}
-			c.dirtyq.pop()
-			continue
-		}
-		return b
+// markDirty makes clean block b dirty now and appends it to the dirty
+// list. Virtual time never runs backwards, so the list stays ordered by
+// dirtyAt and its head is always the longest-dirty block.
+func (c *Cache) markDirty(b *block) {
+	b.dirty = true
+	b.dirtyAt = c.k.Now()
+	b.dprev = c.newest
+	if c.newest != nil {
+		c.newest.dnext = b
+	} else {
+		c.oldest = b
 	}
-	return nil
+	c.newest = b
+	c.dirtyCount++
+	if c.dirtyCount > c.stats.MaxDirty {
+		c.stats.MaxDirty = c.dirtyCount
+	}
+}
+
+// clean writes dirty block b to the array, takes it off the dirty list
+// and returns the write's service time.
+func (c *Cache) clean(b *block) time.Duration {
+	if b.dprev != nil {
+		b.dprev.dnext = b.dnext
+	} else {
+		c.oldest = b.dnext
+	}
+	if b.dnext != nil {
+		b.dnext.dprev = b.dprev
+	} else {
+		c.newest = b.dprev
+	}
+	b.dprev, b.dnext = nil, nil
+	b.dirty = false
+	c.dirtyCount--
+	return c.serviceBlock(b.key)
 }
 
 // scheduleFlush arms the background flusher when there is dirty data.
 // Above the high-water mark the flusher runs at once; below it, the
 // high-water + idle policy waits IdleFlush, while the deadline policy
-// (FlushDeadline > 0) waits until the oldest dirty block's deadline. The
-// flusher is entirely callback-shaped: it only reschedules itself while
-// dirty blocks remain, so a cached run's event queue drains and
-// Kernel.Run terminates normally.
+// (FlushDeadline > 0) waits until the deadline of the oldest dirty block,
+// the dirty list's head. The flusher is entirely callback-shaped: it only
+// reschedules itself while dirty blocks remain, so a cached run's event
+// queue drains and Kernel.Run terminates normally.
 //
 // The two policies differ structurally: the idle policy keeps at most
 // one timer armed (it only ever arms IdleFlush or 0, which fires soon),
@@ -592,14 +586,8 @@ func (c *Cache) scheduleFlush() {
 		return
 	}
 	now := c.k.Now()
-	delay := c.cfg.IdleFlush
-	if b := c.oldestDirty(); b != nil {
-		delay = b.dirtyAt + c.cfg.FlushDeadline - now
-		if delay < 0 {
-			delay = 0
-		}
-	}
-	if c.dirtyCount >= c.cfg.DirtyHighWater {
+	delay := c.oldest.dirtyAt + c.cfg.FlushDeadline - now
+	if delay < 0 || c.dirtyCount >= c.cfg.DirtyHighWater {
 		delay = 0
 	}
 	at := now + delay
@@ -627,29 +615,22 @@ func (c *Cache) deadlineFlush() {
 }
 
 // flushHold runs at grant time on the I/O node's resource: it writes up
-// to FlushBatch of the oldest dirty blocks and prices the hold with their
-// service time. Under the deadline policy a pass below the high-water
-// mark writes only blocks whose deadline has expired, so young dirty data
-// keeps absorbing rewrites until its own deadline; high-water pressure
-// still drains a full batch regardless of age.
+// to FlushBatch of the oldest dirty blocks, each off the dirty list's
+// head, and prices the hold with their service time. Under the deadline
+// policy a pass below the high-water mark writes only blocks whose
+// deadline has expired, so young dirty data keeps absorbing rewrites
+// until its own deadline; high-water pressure still drains a full batch
+// regardless of age.
 func (c *Cache) flushHold() sim.Time {
 	expiredOnly := c.cfg.FlushDeadline > 0 && c.dirtyCount < c.cfg.DirtyHighWater
 	now := c.k.Now()
 	var d time.Duration
 	wrote := 0
-	for wrote < c.cfg.FlushBatch && c.dirtyCount > 0 {
-		b := c.oldestDirty()
-		if b == nil {
-			break
-		}
+	for b := c.oldest; b != nil && wrote < c.cfg.FlushBatch; b = c.oldest {
 		if expiredOnly && b.dirtyAt+c.cfg.FlushDeadline > now {
 			break
 		}
-		k := c.dirtyq.pop()
-		b.queued = false
-		b.dirty = false
-		c.dirtyCount--
-		d += c.serviceBlock(k)
+		d += c.clean(b)
 		c.stats.FlushedBlocks++
 		wrote++
 	}

@@ -273,6 +273,43 @@ func TestDeadlineHighWaterStillDrains(t *testing.T) {
 	}
 }
 
+// TestDeadlineHoldsAfterEvictedBlockIsRedirtied pins the dirty list's
+// order against eviction: a dirty block evicted by a forced flush and then
+// written again joins the list's tail at its new clean → dirty
+// transition, so it cannot hold back an older dirty block's deadline.
+func TestDeadlineHoldsAfterEvictedBlockIsRedirtied(t *testing.T) {
+	r := newRig(t, func(c *Config) {
+		c.CapacityBytes = 3 * testBlock
+		c.DirtyHighWater = 100
+		c.IdleFlush = time.Hour
+		c.FlushDeadline = time.Second
+	})
+	r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
+		for i := int64(0); i < 3; i++ {
+			access(0, i*testBlock, testBlock, true)
+		}
+		access(0, 0, testBlock, false)          // block 1 becomes the LRU block
+		access(0, 3*testBlock, testBlock, true) // evicts dirty block 1 with a forced flush
+		if at := r.c.blocks[packBlock(0, 3)].dirtyAt; at > 30*time.Millisecond {
+			t.Fatalf("block 3 dirtied at %v, want within 30 ms", at)
+		}
+		p.Wait(500*time.Millisecond - p.Now())
+		access(0, 1*testBlock, testBlock, true) // evicts dirty block 2; block 1 is dirty again
+		for _, want := range []struct {
+			at    time.Duration
+			dirty int
+		}{{1100 * time.Millisecond, 1}, {1400 * time.Millisecond, 1}, {1600 * time.Millisecond, 0}} {
+			p.Wait(want.at - p.Now())
+			if d := r.c.Stats().Dirty; d != want.dirty {
+				t.Errorf("Dirty = %d at %v, want %d", d, want.at, want.dirty)
+			}
+		}
+	})
+	if s := r.c.Stats(); s.ForcedFlushStalls != 2 || s.Dirty != 0 {
+		t.Fatalf("stats = %+v, want 2 forced-flush stalls and nothing dirty at the end", s)
+	}
+}
+
 func TestReadAheadSequentialStream(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.ReadAhead = 4 })
 	r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -157,6 +158,111 @@ func FuzzClientTierOps(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// FuzzIONodeCacheOps drives a 4-block write-behind I/O-node cache with
+// read-ahead 2 from one client process. The low bit of mode picks the
+// high-water + idle policy or a 5 ms deadline; its next two bits pick the
+// high-water mark (1–3 blocks, or 100: never). ops is decoded two bytes
+// per operation: the first byte's low two bits pick a write, a read or a
+// wait (3 also reads), its next three bits the block (0–7) and its sixth
+// bit the stream; the second byte sets the size (up to four blocks) or
+// the wait (up to 25.5 ms). After every operation the dirty list must
+// agree with the blocks (checkDirtyList), and at the run's end the
+// flusher must have drained every dirty block.
+func FuzzIONodeCacheOps(f *testing.F) {
+	// The deadline reproduction on 4 blocks: fill, touch block 0, evict
+	// dirty block 1 with a forced flush, write block 1 again 2.5 ms
+	// later, then let the deadlines expire.
+	f.Add(uint8(7), []byte{0, 0, 4, 0, 8, 0, 12, 0, 1, 0, 16, 0, 2, 25, 4, 0, 2, 30, 2, 30})
+	f.Add(uint8(0), []byte{0, 255, 8, 255, 1, 0, 2, 200, 32, 64, 33, 64, 5, 9, 2, 255})
+	f.Add(uint8(3), []byte{0, 0, 0, 0, 4, 0, 2, 60, 4, 0, 8, 0, 12, 0, 16, 0, 20, 0})
+	f.Fuzz(func(t *testing.T, mode uint8, ops []byte) {
+		deadline := time.Duration(0)
+		if mode&1 != 0 {
+			deadline = 5 * time.Millisecond
+		}
+		hw := int(mode>>1) & 3
+		if hw == 0 {
+			hw = 100
+		}
+		r := newRig(t, func(c *Config) {
+			c.CapacityBytes = 4 * testBlock
+			c.ReadAhead = 2
+			c.DirtyHighWater = hw
+			c.FlushDeadline = deadline
+		})
+		r.do(t, func(p *sim.Proc, access func(stream int32, off, size int64, write bool)) {
+			for i := 0; i+1 < len(ops); i += 2 {
+				op, b := ops[i], ops[i+1]
+				off, size := int64(op>>2&7)*testBlock, 1+int64(b)*(testBlock/64)
+				switch op & 3 {
+				case 0:
+					access(int32(op>>5&1), off, size, true)
+				case 2:
+					p.Wait(time.Duration(b) * 100 * time.Microsecond)
+				default:
+					access(int32(op>>5&1), off, size, false)
+				}
+				if err := checkDirtyList(r.c); err != nil {
+					t.Errorf("op %d: %v", i/2, err)
+					return
+				}
+			}
+		})
+		if err := checkDirtyList(r.c); err != nil {
+			t.Fatalf("run end: %v", err)
+		}
+		if d := r.c.Stats().Dirty; d != 0 {
+			t.Fatalf("Dirty = %d at the run's end, want 0", d)
+		}
+	})
+}
+
+// checkDirtyList reports the first way c's dirty list disagrees with its
+// blocks: every listed block is resident and dirty, dirtyAt never
+// decreases along the list, the back links mirror the forward ones, the
+// list holds exactly dirtyCount blocks and every dirty resident block,
+// and the spare block holds no dirty links.
+func checkDirtyList(c *Cache) error {
+	n := 0
+	var prev *block
+	for b := c.oldest; b != nil; prev, b = b, b.dnext {
+		if n++; n > len(c.blocks) {
+			return fmt.Errorf("dirty list longer than the %d resident blocks", len(c.blocks))
+		}
+		if c.blocks[b.key] != b {
+			return fmt.Errorf("listed block %d/%d is not resident", b.key.stream(), b.key.idx())
+		}
+		if !b.dirty {
+			return fmt.Errorf("listed block %d/%d is clean", b.key.stream(), b.key.idx())
+		}
+		if b.dprev != prev {
+			return fmt.Errorf("block %d/%d: back link does not mirror the forward link", b.key.stream(), b.key.idx())
+		}
+		if prev != nil && b.dirtyAt < prev.dirtyAt {
+			return fmt.Errorf("block %d/%d dirty at %v after a block dirty at %v", b.key.stream(), b.key.idx(), b.dirtyAt, prev.dirtyAt)
+		}
+	}
+	if c.newest != prev {
+		return fmt.Errorf("list tail is not the last listed block")
+	}
+	if n != c.dirtyCount {
+		return fmt.Errorf("%d blocks listed, dirtyCount %d", n, c.dirtyCount)
+	}
+	dirty := 0
+	for _, b := range c.blocks {
+		if b.dirty {
+			dirty++
+		}
+	}
+	if dirty != n {
+		return fmt.Errorf("%d dirty resident blocks, %d listed", dirty, n)
+	}
+	if s := c.spare; s != nil && (s.dirty || s.dprev != nil || s.dnext != nil) {
+		return fmt.Errorf("spare block %d/%d holds dirty links", s.key.stream(), s.key.idx())
+	}
+	return nil
 }
 
 // validateTiers runs each configured tier's own Validate, the I/O-node

@@ -16,14 +16,17 @@ import (
 // everything observable: for the client tier every ClientOp the observer
 // sees, every returned cost and the final Stats; for the I/O-node cache
 // every Access duration and the final Stats. A digest moves only when
-// holder, eviction, recall, dirty-FIFO or read-ahead order changes — the
+// holder, eviction, recall, dirty-list or read-ahead order changes — the
 // properties the app-level goldens pin only indirectly.
 
 // Captured on the string-keyed tiers, before block keys were interned;
-// the dense-key rewrite had to reproduce them exactly.
+// the dense-key rewrite had to reproduce them exactly. The I/O-node
+// cache's idle-policy half moved once since, when the dirty list replaced
+// a FIFO of block ids whose stale slot a block evicted dirty and dirtied
+// again could inherit, flushing it ahead of older dirty blocks.
 const (
 	clientStreamGolden = "f70c0aeff5550d6e"
-	ionodeStreamGolden = "9746c01db8284b13/6ffb4dadc51a5880"
+	ionodeStreamGolden = "621a0d90aded67b0/6ffb4dadc51a5880"
 )
 
 // Both drivers use three streams, numbered in sorted-name order. The
@@ -149,6 +152,10 @@ func ionodeStreamDigest(t *testing.T, seed int64, ops int, deadline time.Duratio
 				d := r.c.Access(streams[s], off, size, write)
 				p.Wait(d)
 				r.res.Release(p)
+				if err := checkDirtyList(r.c); err != nil {
+					t.Errorf("client %d op %d: %v", client, i, err)
+					return
+				}
 				digestf(h, "access %d %d %d %d %v %v", client, s, off, size, write, d)
 				p.Wait(time.Duration(rng.Int63n(int64(10 * time.Millisecond))))
 			}

@@ -136,7 +136,6 @@ type logWaiter struct {
 	seq   uint64
 	p     *sim.Proc
 	start sim.Time
-	read  bool // read barrier (vs append backpressure)
 }
 
 // LogTier is the per-compute-node log-structured write buffer. All
@@ -266,8 +265,7 @@ func (lt *LogTier) Wait(p *sim.Proc, seq uint64, read bool) time.Duration {
 		lt.stats.AppendStalls++
 	}
 	start := lt.k.Now()
-	lt.waiters = append(lt.waiters,
-		logWaiter{seq: seq, p: p, start: start, read: read})
+	lt.waiters = append(lt.waiters, logWaiter{seq: seq, p: p, start: start})
 	lt.scheduleDrain()
 	p.Suspend("cache: log-tier drain")
 	return lt.k.Now() - start

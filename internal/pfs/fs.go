@@ -73,15 +73,14 @@ func (n *ioNode) service(id int32, c chunk, write bool) time.Duration {
 
 // file is the server-side state of one PFS file.
 type file struct {
-	name     string
-	id       int32 // dense, in creation order: the stream every tier and array keys by
-	size     int64
-	base     int           // first stripe's I/O node (round-robin by name hash)
-	token    *sim.Resource // atomicity token
-	shared   int64         // shared file pointer (M_GLOBAL/M_SYNC/M_LOG)
-	mode     Mode          // current file access mode
-	recSize  int64         // established M_RECORD record size (0 = unset)
-	refcount int
+	name    string
+	id      int32 // dense, in creation order: the stream every tier and array keys by
+	size    int64
+	base    int           // first stripe's I/O node (round-robin by name hash)
+	token   *sim.Resource // atomicity token
+	shared  int64         // shared file pointer (M_GLOBAL/M_SYNC/M_LOG)
+	mode    Mode          // current file access mode
+	recSize int64         // established M_RECORD record size (0 = unset)
 }
 
 // FileSystem simulates one PFS instance. All methods taking a *sim.Proc
@@ -370,7 +369,6 @@ func (fs *FileSystem) Open(p *sim.Proc, node int, name string, mode Mode) (*Hand
 	fs.meta.Use(p, costOpen)
 	f := fs.lookup(name, true)
 	f.mode = mode
-	f.refcount++
 	fs.trace(node, pablo.OpOpen, name, 0, 0, start, mode)
 	return &Handle{fs: fs, f: f, node: node, buffered: true}, nil
 }

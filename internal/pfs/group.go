@@ -86,7 +86,6 @@ func (g *Group) Gopen(p *sim.Proc, node int, name string, mode Mode) (*Handle, e
 		f := g.fs.lookup(name, true)
 		f.mode = mode
 		f.recSize = 0
-		f.refcount += len(g.nodes)
 		g.file = f
 	}
 	g.bar2.AwaitThen(p, g.fs.cfg.Mesh.Barrier(len(g.nodes)))

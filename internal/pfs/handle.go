@@ -326,7 +326,6 @@ func (h *Handle) Close(p *sim.Proc) error {
 	}
 	start := p.Now()
 	p.Wait(costClose)
-	h.f.refcount--
 	h.closed = true
 	h.fs.trace(h.node, pablo.OpClose, h.f.name, 0, 0, start, h.f.mode)
 	return nil

@@ -8,13 +8,11 @@ import (
 
 // UtilSample is one periodic snapshot of the file system's servers: the
 // counters reported beside the I/O event trace (core.Result.Samples, the
-// daemon's samples block). It exposes the mechanisms the paper's results
-// hinge on: token queue depth (the M_UNIX serialization of version B's
-// seeks) and I/O node busy time.
+// daemon's samples block). It exposes the mechanism the paper's results
+// hinge on: queue depths, above all the file token's (the M_UNIX
+// serialization of version B's seeks).
 type UtilSample struct {
 	T time.Duration
-	// IONodeBusy is each array's cumulative busy time at the sample.
-	IONodeBusy []time.Duration
 	// IONodeQueue is each I/O node's instantaneous request queue length.
 	IONodeQueue []int
 	// MetaQueue is the metadata service's instantaneous queue length.
@@ -28,9 +26,8 @@ type UtilSample struct {
 // simulation. It stops itself when it is the only live process left, so
 // it extends the run by at most one interval past the application's end.
 type Sampler struct {
-	fs       *FileSystem
-	interval time.Duration
-	samples  []UtilSample
+	fs      *FileSystem
+	samples []UtilSample
 }
 
 // NewSampler installs a sampling process on the file system's kernel.
@@ -39,7 +36,7 @@ func NewSampler(fs *FileSystem, interval time.Duration) *Sampler {
 	if interval <= 0 {
 		panic("pfs: sampler interval must be positive")
 	}
-	s := &Sampler{fs: fs, interval: interval}
+	s := &Sampler{fs: fs}
 	fs.k.Spawn("pfs-sampler", func(p *sim.Proc) {
 		for {
 			// Last one standing: the application is done.
@@ -57,12 +54,10 @@ func NewSampler(fs *FileSystem, interval time.Duration) *Sampler {
 func (s *Sampler) take(now time.Duration) {
 	sample := UtilSample{
 		T:           now,
-		IONodeBusy:  make([]time.Duration, len(s.fs.ios)),
 		IONodeQueue: make([]int, len(s.fs.ios)),
 		MetaQueue:   s.fs.meta.QueueLen(),
 	}
 	for i, io := range s.fs.ios {
-		sample.IONodeBusy[i] = io.array.Stats().Busy
 		sample.IONodeQueue[i] = io.res.QueueLen()
 	}
 	for _, f := range s.fs.byID {

@@ -44,7 +44,7 @@ func TestSamplerSeesTokenContention(t *testing.T) {
 	}
 }
 
-func TestSamplerBusyMonotoneAndStops(t *testing.T) {
+func TestSamplerTimeOrderedAndStops(t *testing.T) {
 	r := newRig(t)
 	r.fs.CreateFile("f", 8<<20)
 	s := NewSampler(r.fs, 10*time.Millisecond)
@@ -64,11 +64,6 @@ func TestSamplerBusyMonotoneAndStops(t *testing.T) {
 	for i := 1; i < len(samples); i++ {
 		if samples[i].T <= samples[i-1].T {
 			t.Fatal("sample times not increasing")
-		}
-		for io := range samples[i].IONodeBusy {
-			if samples[i].IONodeBusy[io] < samples[i-1].IONodeBusy[io] {
-				t.Fatal("cumulative busy time decreased")
-			}
 		}
 	}
 	// The sampler must not extend the run by more than one interval

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"paragonio/internal/core"
 	"paragonio/internal/disk"
@@ -14,7 +15,8 @@ import (
 // FuzzSimulateRequest hardens request decoding and validation: any body
 // either fails to decode, fails validation, or yields a request whose
 // normalisation is idempotent (validating it again keeps its content
-// address) and whose tiers and faults the engine will accept.
+// address), whose tiers and faults the engine will accept, and whose
+// every *_ms value converts to a time.Duration without wrapping.
 func FuzzSimulateRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"app":"escat","dataset":"ethylene","version":"C","seed":7}`,
@@ -33,6 +35,8 @@ func FuzzSimulateRequest(f *testing.F) {
 		`{"app":"prism","version":"C","faults":[{"kind":"straggler","ionode":3,"factor":4}]}`,
 		`{"app":"prism","version":"C","tiers":{"ionode":{"read_ahead":-1}}}`,
 		`{"app":"escat","version":"C","sample_ms":-1}`,
+		`{"app":"prism","version":"C","sample_ms":18446744073710,"tiers":{"ionode":{"flush_deadline_ms":18446744073710},"client":{"lease_ttl_ms":18446744073710},"log":{"drain_deadline_ms":18446744073710}}}`,
+		`{"app":"prism","version":"C","sample_ms":9223372036854,"tiers":{"ionode":{"flush_deadline_ms":9223372036854},"client":{"lease_ttl_ms":9223372036854},"log":{"drain_deadline_ms":9223372036854}}}`,
 		`{}`,
 		``,
 	} {
@@ -59,6 +63,30 @@ func FuzzSimulateRequest(f *testing.F) {
 		}
 
 		cfg := req.config()
+		// Every *_ms value survives its conversion to a time.Duration.
+		roundTrip := func(name string, d time.Duration, ms int64) {
+			if int64(d/time.Millisecond) != ms {
+				t.Fatalf("%s %d ms became %v", name, ms, d)
+			}
+		}
+		roundTrip("sample_ms", cfg.SampleInterval, req.SampleMS)
+		if tr := req.Tiers; tr != nil {
+			if tr.IONode != nil {
+				roundTrip("flush_deadline_ms", cfg.Tiers.IONode.FlushDeadline, tr.IONode.FlushDeadlineMS)
+			}
+			if tr.Client != nil {
+				roundTrip("lease_ttl_ms", cfg.Tiers.Client.LeaseTTL, tr.Client.LeaseTTLMS)
+			}
+			if tr.Log != nil {
+				roundTrip("drain_deadline_ms", cfg.Tiers.Log.DrainDeadline, tr.Log.DrainDeadlineMS)
+			}
+		}
+		for i, f := range req.Faults {
+			got := cfg.Faults.Faults[i]
+			roundTrip("at_ms", got.At, f.AtMS)
+			roundTrip("until_ms", got.Until, f.UntilMS)
+			roundTrip("period_ms", got.Period, f.PeriodMS)
+		}
 		stripe := cfg.StripeUnit
 		if stripe == 0 {
 			stripe = pfs.DefaultStripeUnit

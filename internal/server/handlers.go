@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -272,12 +273,32 @@ func (r *SimulateRequest) validate() error {
 	if r.SampleMS < 0 {
 		return fieldErrorf("sample_ms", "sample_ms must be non-negative, got %d", r.SampleMS)
 	}
-	for i, f := range r.Faults {
-		for _, ms := range []int64{f.AtMS, f.UntilMS, f.PeriodMS} {
-			if ms > maxMS || ms < -maxMS {
-				return fieldErrorf("faults", "faults: fault %d: %d ms does not fit the nanosecond clock", i, ms)
-			}
+	// Every *_ms value must survive config's conversion to a
+	// time.Duration; the first that does not is the error.
+	fits := func(field, name string, ms int64) error {
+		if ms > maxMS || ms < -maxMS {
+			return fieldErrorf(field, "%s: %d ms does not fit the nanosecond clock", name, ms)
 		}
+		return nil
+	}
+	errs := []error{fits("sample_ms", "sample_ms", r.SampleMS)}
+	if t := r.Tiers; t != nil {
+		if t.IONode != nil {
+			errs = append(errs, fits("tiers", "tiers: ionode.flush_deadline_ms", t.IONode.FlushDeadlineMS))
+		}
+		if t.Client != nil {
+			errs = append(errs, fits("tiers", "tiers: client.lease_ttl_ms", t.Client.LeaseTTLMS))
+		}
+		if t.Log != nil {
+			errs = append(errs, fits("tiers", "tiers: log.drain_deadline_ms", t.Log.DrainDeadlineMS))
+		}
+	}
+	for i, f := range r.Faults {
+		name := fmt.Sprintf("faults: fault %d", i)
+		errs = append(errs, fits("faults", name, f.AtMS), fits("faults", name, f.UntilMS), fits("faults", name, f.PeriodMS))
+	}
+	if err := cmp.Or(errs...); err != nil {
+		return err
 	}
 	cfg := r.config()
 	if err := core.CheckIONodes(cfg); err != nil {

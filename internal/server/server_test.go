@@ -335,6 +335,14 @@ func TestSimulateBadRequests(t *testing.T) {
 			ErrCodeInvalidRequest, "faults", "does not fit the nanosecond clock"},
 		{`{"app":"prism","version":"C","faults":[{"kind":"disk-fail","at_ms":1,"until_ms":-9300000000000000}]}`,
 			ErrCodeInvalidRequest, "faults", "does not fit the nanosecond clock"},
+		{`{"app":"prism","version":"C","sample_ms":18446744073710}`,
+			ErrCodeInvalidRequest, "sample_ms", "does not fit the nanosecond clock"},
+		{`{"app":"prism","version":"C","tiers":{"ionode":{"write_behind":true,"flush_deadline_ms":18446744073710}}}`,
+			ErrCodeInvalidRequest, "tiers", "does not fit the nanosecond clock"},
+		{`{"app":"prism","version":"C","tiers":{"client":{"lease_ttl_ms":18446744073710}}}`,
+			ErrCodeInvalidRequest, "tiers", "does not fit the nanosecond clock"},
+		{`{"app":"prism","version":"C","tiers":{"log":{"drain_deadline_ms":18446744073710}}}`,
+			ErrCodeInvalidRequest, "tiers", "does not fit the nanosecond clock"},
 		{`{"app":"prism","version":"C","tiers":{"ionode":{"read_ahead":-1}}}`,
 			ErrCodeInvalidRequest, "tiers", "negative ReadAhead"},
 		{`{"app":"prism","version":"C","tiers":{"client":{"capacity_bytes":-1}}}`,
