@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 )
 
@@ -40,20 +41,23 @@ type Admitter struct {
 	slots    int
 	maxQueue int
 
-	mu      sync.Mutex
-	free    int
-	queues  map[string]*clientQueue
-	ring    []string       // clients with waiters, round-robin order
-	cursor  int            // next ring index to offer a grant
-	waiting int            // total queued waiters
-	held    map[string]int // busy slots by kind
+	mu       sync.Mutex
+	free     int
+	queues   map[string]*clientQueue
+	ring     []string       // clients with waiters, round-robin order
+	cursor   int            // next ring index to offer a grant
+	waiting  int            // total queued waiters
+	held     map[string]int // busy slots by kind
+	rejected int64          // acquires shed with ErrQueueFull
+}
 
-	// Optional observability hooks (nil-safe): queue depth, busy slots
-	// (total and per kind), rejections.
-	onQueueDepth func(int64)
-	onInFlight   func(int64)
-	onHeldKind   func(kind string, held int64)
-	onReject     func()
+// AdmitterStats is a snapshot of the admitter: queued waiters, busy
+// slots (total and by kind), and rejections since boot.
+type AdmitterStats struct {
+	Waiting  int
+	Busy     int
+	Held     map[string]int // busy slots by kind; a caller's copy
+	Rejected int64
 }
 
 type clientQueue struct {
@@ -88,11 +92,17 @@ func NewAdmitter(slots, maxQueue int) *Admitter {
 // Slots returns the pool size.
 func (a *Admitter) Slots() int { return a.slots }
 
-// QueueLen returns the total number of queued waiters across clients.
-func (a *Admitter) QueueLen() int {
+// Stats returns a snapshot of the admitter's queue, slots and
+// rejections.
+func (a *Admitter) Stats() AdmitterStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.waiting
+	return AdmitterStats{
+		Waiting:  a.waiting,
+		Busy:     a.slots - a.free,
+		Held:     maps.Clone(a.held),
+		Rejected: a.rejected,
+	}
 }
 
 // Cost returns a run's slot cost: 1, whatever weight is asked for,
@@ -113,10 +123,8 @@ func (a *Admitter) AcquireAs(ctx context.Context, client, kind string, cost int)
 	}
 	if kind != KindSweep && len(q.waiters) >= a.maxQueue && !(a.waiting == 0 && a.free > 0) {
 		busy := a.slots - a.free
+		a.rejected++
 		a.mu.Unlock()
-		if a.onReject != nil {
-			a.onReject()
-		}
 		return nil, fmt.Errorf("%w (%d waiting, %d slots busy)", ErrQueueFull, a.maxQueue, busy)
 	}
 	w := &waiter{client: client, kind: kind, ready: make(chan struct{})}
@@ -126,7 +134,6 @@ func (a *Admitter) AcquireAs(ctx context.Context, client, kind string, cost int)
 	q.waiters = append(q.waiters, w)
 	a.waiting++
 	a.grantLocked()
-	a.observeLocked()
 	a.mu.Unlock()
 
 	select {
@@ -141,7 +148,6 @@ func (a *Admitter) AcquireAs(ctx context.Context, client, kind string, cost int)
 		default:
 			a.removeWaiterLocked(w)
 		}
-		a.observeLocked()
 		a.mu.Unlock()
 		if granted {
 			a.releaseFunc(kind)()
@@ -196,7 +202,6 @@ func (a *Admitter) releaseFunc(kind string) func() {
 			a.free++
 			a.held[kind]--
 			a.grantLocked()
-			a.observeLocked()
 			a.mu.Unlock()
 		})
 	}
@@ -221,21 +226,5 @@ func (a *Admitter) grantLocked() {
 			a.cursor = (a.cursor + 1) % len(a.ring)
 		}
 		close(w.ready)
-	}
-}
-
-// observeLocked pushes queue depth and busy-slot counts (total and per
-// kind) to the hooks.
-func (a *Admitter) observeLocked() {
-	if a.onQueueDepth != nil {
-		a.onQueueDepth(int64(a.waiting))
-	}
-	if a.onInFlight != nil {
-		a.onInFlight(int64(a.slots - a.free))
-	}
-	if a.onHeldKind != nil {
-		for _, kind := range []string{KindInteractive, KindSweep} {
-			a.onHeldKind(kind, int64(a.held[kind]))
-		}
 	}
 }

@@ -73,9 +73,9 @@ func TestAdmitterOneSlotPerRun(t *testing.T) {
 // waitQueued blocks until the admitter has depth queued waiters.
 func waitQueued(t *testing.T, a *Admitter, depth int) {
 	t.Helper()
-	for i := 0; a.QueueLen() != depth; i++ {
+	for i := 0; a.Stats().Waiting != depth; i++ {
 		if i > 1000 {
-			t.Fatalf("queue depth %d, want %d", a.QueueLen(), depth)
+			t.Fatalf("queue depth %d, want %d", a.Stats().Waiting, depth)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -100,7 +100,7 @@ func TestAdmitterQueueOverflow(t *testing.T) {
 	}()
 	// …wait until it is actually queued.
 	for i := 0; ; i++ {
-		if a.QueueLen() == 1 {
+		if a.Stats().Waiting == 1 {
 			break
 		}
 		if i > 1000 {
@@ -129,7 +129,7 @@ func TestAdmitterContextCancelWhileQueued(t *testing.T) {
 		errc <- err
 	}()
 	for i := 0; ; i++ {
-		if a.QueueLen() == 1 {
+		if a.Stats().Waiting == 1 {
 			break
 		}
 		if i > 1000 {
@@ -213,7 +213,7 @@ func TestAdmitterConcurrent(t *testing.T) {
 	a.mu.Lock()
 	free := a.free
 	a.mu.Unlock()
-	if free != 4 || a.QueueLen() != 0 {
-		t.Errorf("pool state after drain: free=%d waiters=%d, want 4/0", free, a.QueueLen())
+	if free != 4 || a.Stats().Waiting != 0 {
+		t.Errorf("pool state after drain: free=%d waiters=%d, want 4/0", free, a.Stats().Waiting)
 	}
 }

@@ -39,9 +39,19 @@ type ResultCache struct {
 	entries map[string]*list.Element
 	spilled map[string]struct{} // keys with an on-disk artifact
 
-	// Optional observability hooks (nil-safe).
-	onHit, onMiss, onEvict, onSpillHit func()
-	onBytes, onEntries, onSpilled      func(int64)
+	hits, misses, spillHits, evictions int64
+}
+
+// CacheStats is a snapshot of the result cache: lookup and eviction
+// counts since boot, and the current memory and disk inventory.
+type CacheStats struct {
+	Hits      int64 // Get served from memory or the spill index
+	Misses    int64 // Get found nothing
+	SpillHits int64 // the subset of Hits read back from disk
+	Evictions int64 // LRU entries shed from memory
+	Bytes     int64 // in-memory footprint
+	Entries   int   // in-memory entries
+	Spilled   int   // keys with an on-disk artifact
 }
 
 type cacheEntry struct {
@@ -77,7 +87,12 @@ func NewResultCache(budget int64, spillDir, version string) (*ResultCache, error
 // warmStart rebuilds the spill index from a populated directory. A
 // missing or mismatched version marker invalidates every artifact: the
 // ConfigKey canonicalisation changed, so the hashes are unreachable.
+// Temporaries of spills a crash cut short are deleted.
 func (c *ResultCache) warmStart(version string) error {
+	tmps, _ := filepath.Glob(filepath.Join(c.spillDir, "*.json.tmp"))
+	for _, p := range tmps {
+		_ = os.Remove(p)
+	}
 	marker := filepath.Join(c.spillDir, versionMarker)
 	prev, err := os.ReadFile(marker)
 	fresh := err != nil || strings.TrimSpace(string(prev)) != version
@@ -104,12 +119,19 @@ func (c *ResultCache) warmStart(version string) error {
 	return nil
 }
 
-// SpilledLen returns the number of keys with an on-disk artifact —
-// after boot, the warm-start inventory.
-func (c *ResultCache) SpilledLen() int {
+// Stats returns a snapshot of the cache's counts and inventory.
+func (c *ResultCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.spilled)
+	return CacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		SpillHits: c.spillHits,
+		Evictions: c.evictions,
+		Bytes:     c.bytes,
+		Entries:   c.order.Len(),
+		Spilled:   len(c.spilled),
+	}
 }
 
 // Get returns the cached body for key, consulting memory first and then
@@ -119,31 +141,28 @@ func (c *ResultCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
+		c.hits++
 		body := el.Value.(*cacheEntry).body
 		c.mu.Unlock()
-		if c.onHit != nil {
-			c.onHit()
-		}
 		return body, true
 	}
-	_, onDisk := c.spilled[key]
+	if _, onDisk := c.spilled[key]; !onDisk {
+		c.misses++
+		c.mu.Unlock()
+		return nil, false
+	}
 	c.mu.Unlock()
-	if onDisk {
-		if body, err := os.ReadFile(c.spillPath(key)); err == nil {
-			c.putMem(key, body) // promote; the artifact is already on disk
-			if c.onSpillHit != nil {
-				c.onSpillHit()
-			}
-			if c.onHit != nil {
-				c.onHit()
-			}
-			return body, true
-		}
+	body, err := os.ReadFile(c.spillPath(key))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.misses++
+		return nil, false
 	}
-	if c.onMiss != nil {
-		c.onMiss()
-	}
-	return nil, false
+	c.hits++
+	c.spillHits++
+	c.putMemLocked(key, body) // promote; the artifact is already on disk
+	return body, true
 }
 
 // Put stores body under key: write-through to the spill directory, then
@@ -153,23 +172,22 @@ func (c *ResultCache) Put(key string, body []byte) {
 	if !hashRe.MatchString(key) {
 		return
 	}
-	if c.spill(key, body) {
-		c.mu.Lock()
+	spilled := c.spill(key, body)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if spilled {
 		c.spilled[key] = struct{}{}
-		c.observeLocked()
-		c.mu.Unlock()
 	}
-	c.putMem(key, body)
+	c.putMemLocked(key, body)
 }
 
-// putMem inserts into the in-memory LRU only — the Put path after the
-// write-through spill, and the Get promotion path (where the artifact
-// is already on disk and re-spilling it would be wasted I/O).
-func (c *ResultCache) putMem(key string, body []byte) {
-	if !hashRe.MatchString(key) || int64(len(body)) > c.budget {
+// putMemLocked inserts into the in-memory LRU only — the Put path after
+// the write-through spill, and the Get promotion path (where the
+// artifact is already on disk and re-spilling it would be wasted I/O).
+func (c *ResultCache) putMemLocked(key string, body []byte) {
+	if int64(len(body)) > c.budget {
 		return
 	}
-	c.mu.Lock()
 	if el, ok := c.entries[key]; ok { // refresh
 		e := el.Value.(*cacheEntry)
 		c.bytes += int64(len(body)) - int64(len(e.body))
@@ -180,35 +198,6 @@ func (c *ResultCache) putMem(key string, body []byte) {
 		c.bytes += int64(len(body))
 	}
 	c.evictLocked()
-	c.observeLocked()
-	c.mu.Unlock()
-}
-
-// Len returns the number of in-memory entries.
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// Bytes returns the in-memory footprint.
-func (c *ResultCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// observeLocked pushes the memory footprint to the gauge hooks.
-func (c *ResultCache) observeLocked() {
-	if c.onBytes != nil {
-		c.onBytes(c.bytes)
-	}
-	if c.onEntries != nil {
-		c.onEntries(int64(c.order.Len()))
-	}
-	if c.onSpilled != nil {
-		c.onSpilled(int64(len(c.spilled)))
-	}
 }
 
 // evictLocked drops LRU entries until the budget holds. Spill is
@@ -221,25 +210,28 @@ func (c *ResultCache) evictLocked() {
 		c.order.Remove(el)
 		delete(c.entries, e.key)
 		c.bytes -= int64(len(e.body))
-		if c.onEvict != nil {
-			c.onEvict()
-		}
+		c.evictions++
 	}
 }
 
 // spill writes an artifact to the spill directory (atomic rename so a
 // concurrent reader never sees a torn file). Reports whether the
-// artifact landed on disk; always false without a spill dir.
+// artifact landed on disk; always false without a spill dir. A failed
+// spill removes its temporary.
 func (c *ResultCache) spill(key string, body []byte) bool {
 	if c.spillDir == "" {
 		return false
 	}
 	p := c.spillPath(key)
 	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, body, 0o644); err != nil {
-		return false
+	err := os.WriteFile(tmp, body, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, p)
 	}
-	return os.Rename(tmp, p) == nil
+	if err != nil {
+		_ = os.Remove(tmp)
+	}
+	return err == nil
 }
 
 // spillPath maps a key to its on-disk artifact. Namespaced keys

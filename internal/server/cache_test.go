@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -30,8 +32,8 @@ func TestResultCachePutGet(t *testing.T) {
 	if !bytes.Equal(got, []byte(`{"a":2,"b":3}`)) {
 		t.Errorf("refreshed Get = %q", got)
 	}
-	if c.Bytes() != int64(len(`{"a":2,"b":3}`)) {
-		t.Errorf("bytes = %d after refresh", c.Bytes())
+	if c.Stats().Bytes != int64(len(`{"a":2,"b":3}`)) {
+		t.Errorf("bytes = %d after refresh", c.Stats().Bytes)
 	}
 }
 
@@ -43,11 +45,11 @@ func TestResultCacheRejectsBadKeys(t *testing.T) {
 	for _, bad := range []string{"", "nothex", "../../etc/passwd", "ADVISE/0011223344556677", "advise/short"} {
 		c.Put(bad, []byte("x"))
 	}
-	if c.Len() != 0 {
-		t.Errorf("bad keys entered the cache: len=%d", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Errorf("bad keys entered the cache: len=%d", c.Stats().Entries)
 	}
 	c.Put("advise/0011223344556677", []byte("x"))
-	if c.Len() != 1 {
+	if c.Stats().Entries != 1 {
 		t.Error("namespaced hash key rejected")
 	}
 }
@@ -70,8 +72,8 @@ func TestResultCacheLRUEviction(t *testing.T) {
 			t.Errorf("%s evicted out of order", k)
 		}
 	}
-	if c.Bytes() != 80 || c.Len() != 2 {
-		t.Errorf("footprint %d bytes / %d entries, want 80/2", c.Bytes(), c.Len())
+	if st := c.Stats(); st.Bytes != 80 || st.Entries != 2 {
+		t.Errorf("footprint %d bytes / %d entries, want 80/2", st.Bytes, st.Entries)
 	}
 }
 
@@ -119,6 +121,45 @@ func TestResultCacheDiskSpill(t *testing.T) {
 	}
 }
 
+// TestSpillLeavesNoTemporaries pins that no spill temporary outlives
+// its spill: a boot deletes one a crash left behind without indexing
+// it, and a spill whose rename fails removes its own.
+func TestSpillLeavesNoTemporaries(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, versionMarker), []byte("v1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, "0123456789abcdef.json.tmp")
+	if err := os.WriteFile(orphan, []byte(`{"torn":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewResultCache(1<<20, dir, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("boot left the orphaned temporary: %v", err)
+	}
+	if n := c.Stats().Spilled; n != 0 {
+		t.Errorf("boot indexed %d artifacts, want 0", n)
+	}
+	if _, ok := c.Get("0123456789abcdef"); ok {
+		t.Error("orphaned temporary served as a hit")
+	}
+
+	// A directory squatting on the artifact's name makes the rename fail.
+	if err := os.Mkdir(filepath.Join(dir, key(5)+".json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c.Put(key(5), []byte("x"))
+	if _, err := os.Stat(filepath.Join(dir, key(5)+".json.tmp")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("failed spill left its temporary: %v", err)
+	}
+	if n := c.Stats().Spilled; n != 0 {
+		t.Errorf("failed spill indexed %d artifacts, want 0", n)
+	}
+}
+
 func TestResultCacheConcurrent(t *testing.T) {
 	c, err := NewResultCache(1<<12, t.TempDir(), "v1")
 	if err != nil {
@@ -140,7 +181,7 @@ func TestResultCacheConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if c.Bytes() > 1<<12 {
-		t.Errorf("budget exceeded: %d", c.Bytes())
+	if c.Stats().Bytes > 1<<12 {
+		t.Errorf("budget exceeded: %d", c.Stats().Bytes)
 	}
 }

@@ -1,13 +1,21 @@
 // Package metrics is a minimal, dependency-free Prometheus exposition
-// library for the iosimd daemon: counters, gauges, histograms, and
-// labeled counter and gauge families (CounterVec, GaugeVec), rendered in
-// the Prometheus text format (version 0.0.4) by Registry.WritePrometheus.
+// library for the iosimd daemon: counters, histograms, a labeled
+// counter family (CounterVec), and values read at scrape
+// (Registry.Func), rendered in the Prometheus text format (version
+// 0.0.4) by Registry.WritePrometheus.
+//
+// A Counter or Histogram is counted where the work happens, in the
+// request path. A Func is read at exposition from the store that owns
+// the count (the daemon's result cache and admitter keep their own
+// counts under their own locks), so a store and its series never hold
+// two copies of one number that could disagree.
 //
 // It exists because the repository is stdlib-only by charter: the
 // daemon's observability layer cannot take the client_golang dependency,
-// and the subset it needs — atomic counters and gauges, fixed-bucket
-// latency histograms, dynamic label families such as per-endpoint/status
-// request counts — is small enough to hand-roll and pin with tests.
+// and the subset it needs — atomic counters, fixed-bucket latency
+// histograms, dynamic label families such as per-endpoint/status
+// request counts, and values read at scrape — is small enough to
+// hand-roll and pin with tests.
 package metrics
 
 import (
@@ -76,6 +84,18 @@ func labelPairs(names, values []string) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
+// splitPairs splits alternating name, value constant labels.
+func splitPairs(pairs []string) (names, values []string) {
+	if len(pairs)%2 != 0 {
+		panic("metrics: constant labels must be name/value pairs")
+	}
+	for i := 0; i < len(pairs); i += 2 {
+		names = append(names, pairs[i])
+		values = append(values, pairs[i+1])
+	}
+	return names, values
+}
+
 // Counter is a monotonically increasing integer counter.
 type Counter struct {
 	name, help string
@@ -107,34 +127,30 @@ func (c *Counter) write(w io.Writer) {
 	fmt.Fprintf(w, "%s%s %d\n", c.name, c.labels, c.v.Load())
 }
 
-// Gauge is a settable signed value.
-type Gauge struct {
-	name, help string
-	labels     string // pre-rendered constant label pairs, may be ""
-	v          atomic.Int64
+// funcMetric is a metric whose value is read from its owner each time
+// the registry is rendered: the owner keeps the count under its own
+// lock, and nothing is pushed to the registry between scrapes.
+type funcMetric struct {
+	name, help, typ string
+	labels          string // pre-rendered constant label pairs, may be ""
+	fn              func() int64
 }
 
-// Gauge registers a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
+// Func registers a metric of type typ ("counter" or "gauge") whose
+// value fn returns at each exposition, with optional constant labels
+// given as alternating name, value pairs ("kind", "sweep"). Several
+// Funcs of one family (distinct constant labels) share one HELP/TYPE
+// header.
+func (r *Registry) Func(name, help, typ string, fn func() int64, constLabels ...string) {
+	r.register(&funcMetric{name: name, help: help, typ: typ,
+		labels: labelPairs(splitPairs(constLabels)), fn: fn})
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (negative to decrement).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) family() string   { return g.name }
-func (g *Gauge) typeName() string { return "gauge" }
-func (g *Gauge) helpText() string { return g.help }
-func (g *Gauge) write(w io.Writer) {
-	fmt.Fprintf(w, "%s%s %d\n", g.name, g.labels, g.v.Load())
+func (f *funcMetric) family() string   { return f.name }
+func (f *funcMetric) typeName() string { return f.typ }
+func (f *funcMetric) helpText() string { return f.help }
+func (f *funcMetric) write(w io.Writer) {
+	fmt.Fprintf(w, "%s%s %d\n", f.name, f.labels, f.fn())
 }
 
 // Histogram is a fixed-bucket histogram of float64 observations
@@ -162,9 +178,6 @@ func DefaultLatencyBuckets() []float64 {
 // bounds (sorted ascending) and optional constant labels given as
 // alternating name, value pairs ("endpoint", "simulate").
 func (r *Registry) Histogram(name, help string, bounds []float64, labelPairsList ...string) *Histogram {
-	if len(labelPairsList)%2 != 0 {
-		panic("metrics: Histogram constant labels must be name/value pairs")
-	}
 	if !sort.Float64sAreSorted(bounds) {
 		panic("metrics: histogram bounds must be sorted")
 	}
@@ -174,10 +187,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labelPairsList
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]uint64, len(bounds)+1),
 	}
-	for i := 0; i < len(labelPairsList); i += 2 {
-		h.labelNames = append(h.labelNames, labelPairsList[i])
-		h.labelVals = append(h.labelVals, labelPairsList[i+1])
-	}
+	h.labelNames, h.labelVals = splitPairs(labelPairsList)
 	r.register(h)
 	return h
 }
@@ -271,64 +281,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 		v.order = append(v.order, key)
 	}
 	return c
-}
-
-// GaugeVec is a family of gauges distinguished by label values created
-// on first use — the shape of per-class queue depths and per-kind slot
-// occupancy, whose label sets grow as new classes appear.
-type GaugeVec struct {
-	name, help string
-	labelNames []string
-
-	mu       sync.Mutex
-	children map[string]*Gauge
-	order    []string // insertion-ordered child keys for stable output
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	if len(labelNames) == 0 {
-		panic("metrics: GaugeVec needs at least one label")
-	}
-	v := &GaugeVec{name: name, help: help, labelNames: labelNames,
-		children: make(map[string]*Gauge)}
-	r.register(v)
-	return v
-}
-
-// With returns the child gauge for the given label values, creating it
-// on first use. The value count must match the registered label names.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	if len(labelValues) != len(v.labelNames) {
-		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d",
-			v.name, len(v.labelNames), len(labelValues)))
-	}
-	key := strings.Join(labelValues, "\x00")
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.children[key]
-	if !ok {
-		g = &Gauge{name: v.name, help: v.help,
-			labels: labelPairs(v.labelNames, labelValues)}
-		v.children[key] = g
-		v.order = append(v.order, key)
-	}
-	return g
-}
-
-func (v *GaugeVec) family() string   { return v.name }
-func (v *GaugeVec) typeName() string { return "gauge" }
-func (v *GaugeVec) helpText() string { return v.help }
-func (v *GaugeVec) write(w io.Writer) {
-	v.mu.Lock()
-	children := make([]*Gauge, 0, len(v.order))
-	for _, k := range v.order {
-		children = append(children, v.children[k])
-	}
-	v.mu.Unlock()
-	for _, g := range children {
-		g.write(w)
-	}
 }
 
 func (v *CounterVec) family() string   { return v.name }

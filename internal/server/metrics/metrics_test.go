@@ -3,36 +3,51 @@ package metrics
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-func TestCounterGauge(t *testing.T) {
+// TestCounterFunc pins a Counter and Funcs side by side: a Func is read
+// at each exposition, carries its type and constant labels, and Funcs
+// of one family share one HELP/TYPE header.
+func TestCounterFunc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "a counter")
-	g := r.Gauge("test_depth", "a gauge")
+	depth := int64(7)
+	r.Func("test_depth", "a gauge", "gauge", func() int64 { return depth })
+	r.Func("test_held", "held by kind", "gauge", func() int64 { return 2 }, "kind", "a")
+	r.Func("test_held", "held by kind", "gauge", func() int64 { return 3 }, "kind", "b")
+	r.Func("test_seen_total", "a counter read at scrape", "counter", func() int64 { return 11 })
 	c.Inc()
 	c.Add(4)
-	g.Set(7)
-	g.Add(-2)
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
-	if g.Value() != 5 {
-		t.Errorf("gauge = %d, want 5", g.Value())
+	render := func() string {
+		var b strings.Builder
+		r.WritePrometheus(&b)
+		return b.String()
 	}
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	out := b.String()
-	for _, want := range []string{
-		"# HELP test_total a counter",
-		"# TYPE test_total counter",
-		"test_total 5",
-		"# TYPE test_depth gauge",
-		"test_depth 5",
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
+	want := `# HELP test_total a counter
+# TYPE test_total counter
+test_total 5
+# HELP test_depth a gauge
+# TYPE test_depth gauge
+test_depth 7
+# HELP test_held held by kind
+# TYPE test_held gauge
+test_held{kind="a"} 2
+test_held{kind="b"} 3
+# HELP test_seen_total a counter read at scrape
+# TYPE test_seen_total counter
+test_seen_total 11
+`
+	if got := render(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	depth = -2
+	if got := render(); !strings.Contains(got, "\ntest_depth -2\n") {
+		t.Errorf("Func not re-read at exposition:\n%s", got)
 	}
 }
 
@@ -123,7 +138,8 @@ func TestSharedFamilyHeader(t *testing.T) {
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c")
-	g := r.Gauge("g", "g")
+	var g atomic.Int64
+	r.Func("g", "g", "gauge", g.Load)
 	h := r.Histogram("h_seconds", "h", DefaultLatencyBuckets())
 	v := r.CounterVec("v_total", "v", "code")
 	var wg sync.WaitGroup

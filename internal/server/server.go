@@ -20,7 +20,10 @@
 //     dies with its client.
 //
 //   - Observability. Hand-rolled Prometheus text exposition at
-//     /metrics (request/latency/cache/admission series), plus /healthz.
+//     /metrics, plus /healthz. Request, latency and sweep series are
+//     counted in the request path; the cache and admission series are
+//     read from ResultCache.Stats and Admitter.Stats at scrape, so the
+//     stores are the one owner of their counts.
 package server
 
 import (
@@ -92,11 +95,6 @@ type Server struct {
 	advLatency  *metrics.Histogram
 	runSeconds  *metrics.Histogram
 	coalesced   *metrics.Counter
-	rejected    *metrics.Counter
-	cacheHits   *metrics.Counter
-	cacheMisses *metrics.Counter
-	cacheEvicts *metrics.Counter
-	spillHits   *metrics.Counter
 	sweepPoints *metrics.Counter
 	sweepDedup  *metrics.CounterVec
 	faultRuns   *metrics.Counter
@@ -129,7 +127,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // WarmEntries reports how many result artifacts the warm-start scan
 // indexed from the spill directory at boot.
-func (s *Server) WarmEntries() int { return s.cache.SpilledLen() }
+func (s *Server) WarmEntries() int { return s.cache.Stats().Spilled }
 
 func (s *Server) wireMetrics() {
 	r := s.reg
@@ -146,28 +144,33 @@ func (s *Server) wireMetrics() {
 		metrics.DefaultLatencyBuckets())
 	s.coalesced = r.Counter("iosimd_coalesced_total",
 		"Requests coalesced onto an identical in-flight run.")
-	s.cacheHits = r.Counter("iosimd_cache_hits_total",
-		"Result-cache hits (memory or disk spill).")
-	s.cacheMisses = r.Counter("iosimd_cache_misses_total",
-		"Result-cache misses.")
-	s.cacheEvicts = r.Counter("iosimd_cache_evictions_total",
-		"Result-cache LRU evictions.")
-	s.spillHits = r.Counter("iosimd_cache_spill_hits_total",
-		"Result-cache hits served from the disk spill index.")
-	cacheBytes := r.Gauge("iosimd_cache_bytes",
-		"Result-cache in-memory footprint in bytes.")
-	cacheEntries := r.Gauge("iosimd_cache_entries",
-		"Result-cache in-memory entry count.")
-	cacheSpilled := r.Gauge("iosimd_cache_spilled_entries",
-		"Result artifacts indexed in the disk spill directory.")
-	queueDepth := r.Gauge("iosimd_queue_depth",
-		"Requests waiting in the admission queue.")
-	inFlight := r.Gauge("iosimd_inflight_slots",
-		"Admission slots currently held by running simulations.")
-	heldKind := r.GaugeVec("iosimd_slots_held",
-		"Admission slots currently held, by request kind.", "kind")
-	s.rejected = r.Counter("iosimd_rejected_total",
-		"Requests shed with 429 because the admission queue was full.")
+
+	// The result cache and the admitter own their counts; these series
+	// read them at scrape, so they are exact from boot.
+	r.Func("iosimd_cache_hits_total", "Result-cache hits (memory or disk spill).",
+		"counter", func() int64 { return s.cache.Stats().Hits })
+	r.Func("iosimd_cache_misses_total", "Result-cache misses.",
+		"counter", func() int64 { return s.cache.Stats().Misses })
+	r.Func("iosimd_cache_evictions_total", "Result-cache LRU evictions.",
+		"counter", func() int64 { return s.cache.Stats().Evictions })
+	r.Func("iosimd_cache_spill_hits_total", "Result-cache hits served from the disk spill index.",
+		"counter", func() int64 { return s.cache.Stats().SpillHits })
+	r.Func("iosimd_cache_bytes", "Result-cache in-memory footprint in bytes.",
+		"gauge", func() int64 { return s.cache.Stats().Bytes })
+	r.Func("iosimd_cache_entries", "Result-cache in-memory entry count.",
+		"gauge", func() int64 { return int64(s.cache.Stats().Entries) })
+	r.Func("iosimd_cache_spilled_entries", "Result artifacts indexed in the disk spill directory.",
+		"gauge", func() int64 { return int64(s.cache.Stats().Spilled) })
+	r.Func("iosimd_queue_depth", "Requests waiting in the admission queue.",
+		"gauge", func() int64 { return int64(s.adm.Stats().Waiting) })
+	r.Func("iosimd_inflight_slots", "Admission slots currently held by running simulations.",
+		"gauge", func() int64 { return int64(s.adm.Stats().Busy) })
+	for _, kind := range []string{KindInteractive, KindSweep} {
+		r.Func("iosimd_slots_held", "Admission slots currently held, by request kind.",
+			"gauge", func() int64 { return int64(s.adm.Stats().Held[kind]) }, "kind", kind)
+	}
+	r.Func("iosimd_rejected_total", "Requests shed with 429 because the admission queue was full.",
+		"counter", func() int64 { return s.adm.Stats().Rejected })
 	s.sweepPoints = r.Counter("iosimd_sweep_points_total",
 		"Sweep grid points planned across all /v1/sweep requests.")
 	s.sweepDedup = r.CounterVec("iosimd_sweep_dedup_total",
@@ -177,24 +180,6 @@ func (s *Server) wireMetrics() {
 		"Admitted simulation runs carrying a non-empty fault plan.")
 	s.runPanics = r.Counter("iosimd_run_panics_total",
 		"Simulation runs that failed because the engine panicked.")
-
-	// Pre-create the label children so the gauges read zero from boot
-	// instead of appearing on first use.
-	for _, kind := range []string{KindInteractive, KindSweep} {
-		heldKind.With(kind)
-	}
-
-	s.cache.onHit = s.cacheHits.Inc
-	s.cache.onMiss = s.cacheMisses.Inc
-	s.cache.onEvict = s.cacheEvicts.Inc
-	s.cache.onSpillHit = s.spillHits.Inc
-	s.cache.onBytes = cacheBytes.Set
-	s.cache.onEntries = cacheEntries.Set
-	s.cache.onSpilled = cacheSpilled.Set
-	s.adm.onQueueDepth = queueDepth.Set
-	s.adm.onInFlight = inFlight.Set
-	s.adm.onHeldKind = func(kind string, held int64) { heldKind.With(kind).Set(held) }
-	s.adm.onReject = s.rejected.Inc
 }
 
 func (s *Server) wireRoutes() {

@@ -9,7 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +20,7 @@ import (
 
 	"paragonio/internal/cache"
 	"paragonio/internal/core"
+	"paragonio/internal/experiments"
 	"paragonio/internal/faults"
 	"paragonio/internal/pablo"
 	"paragonio/internal/policy"
@@ -104,8 +107,8 @@ func TestSimulateOKAndCacheHit(t *testing.T) {
 	if fmt.Sprintf("%+v", first) != fmt.Sprintf("%+v", second) {
 		t.Errorf("cached response diverges:\n%+v\n%+v", first, second)
 	}
-	if s.cacheHits.Value() != 1 {
-		t.Errorf("cache hits = %d, want 1", s.cacheHits.Value())
+	if s.cache.Stats().Hits != 1 {
+		t.Errorf("cache hits = %d, want 1", s.cache.Stats().Hits)
 	}
 
 	// A semantically different request misses.
@@ -593,7 +596,7 @@ func TestSimulateQueueOverflow(t *testing.T) {
 	<-started // slot holder is running
 	// Wait for the second request to be parked in the admission queue.
 	for i := 0; ; i++ {
-		if s.adm.QueueLen() == 1 {
+		if s.adm.Stats().Waiting == 1 {
 			break
 		}
 		if i > 5000 {
@@ -609,8 +612,8 @@ func TestSimulateQueueOverflow(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if s.rejected.Value() != 1 {
-		t.Errorf("rejected counter = %d, want 1", s.rejected.Value())
+	if s.adm.Stats().Rejected != 1 {
+		t.Errorf("rejected counter = %d, want 1", s.adm.Stats().Rejected)
 	}
 	release <- struct{}{}
 	release <- struct{}{}
@@ -1001,6 +1004,170 @@ func TestHealthzExperimentsMetrics(t *testing.T) {
 	}
 }
 
+// scrapeSeries reads /metrics into series → value and the family
+// names of its TYPE lines in order.
+func scrapeSeries(t *testing.T, ts *httptest.Server) (map[string]int64, []string) {
+	t.Helper()
+	resp, out := getURL(t, ts, "/metrics")
+	if resp.StatusCode != 200 {
+		t.Fatalf("metrics status %d", resp.StatusCode)
+	}
+	series := make(map[string]int64)
+	var types []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			types = append(types, typ)
+		} else if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			if v, err := strconv.ParseInt(val, 10, 64); err == nil {
+				series[name] = v
+			}
+		}
+	}
+	return series, types
+}
+
+// TestMetricsAfterWarmStart pins that a daemon booted on a populated
+// spill directory shows its warm-start inventory before any request.
+func TestMetricsAfterWarmStart(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, versionMarker), []byte(experiments.KeyVersion+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	for i := 1; i <= n; i++ {
+		if err := os.WriteFile(filepath.Join(dir, key(i)+".json"), []byte(`{}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newTestServer(t, Config{SpillDir: dir}, stubRun)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	series, _ := scrapeSeries(t, ts)
+	if v := series["iosimd_cache_spilled_entries"]; v != n {
+		t.Errorf("iosimd_cache_spilled_entries %d at boot, want %d", v, n)
+	}
+	if v := series["iosimd_cache_entries"]; v != 0 {
+		t.Errorf("iosimd_cache_entries %d at boot, want 0", v)
+	}
+}
+
+// TestMetricsMatchStats pins that /metrics is one view of the stores:
+// each cache and admission series equals the Stats field it reads,
+// after a miss, a hit, evictions under a 3 KB budget, a spill hit, a
+// 404 result, a 4-point sweep and a 429, both while a run holds the
+// only slot with one request queued and once everything has drained.
+// It also pins the order and types of every family.
+func TestMetricsMatchStats(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	run := func(ctx context.Context, req *SimulateRequest, cfg core.Config) (*core.Result, error) {
+		if req.Seed == 99 {
+			started <- struct{}{}
+			<-release
+		}
+		return stubRun(ctx, req, cfg)
+	}
+	s := newTestServer(t, Config{Slots: 1, MaxQueue: 1, CacheBytes: 3 << 10, SpillDir: t.TempDir()}, run)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	check := func(when string) {
+		t.Helper()
+		series, types := scrapeSeries(t, ts)
+		cs, as := s.cache.Stats(), s.adm.Stats()
+		for name, want := range map[string]int64{
+			"iosimd_cache_hits_total":               cs.Hits,
+			"iosimd_cache_misses_total":             cs.Misses,
+			"iosimd_cache_evictions_total":          cs.Evictions,
+			"iosimd_cache_spill_hits_total":         cs.SpillHits,
+			"iosimd_cache_bytes":                    cs.Bytes,
+			"iosimd_cache_entries":                  int64(cs.Entries),
+			"iosimd_cache_spilled_entries":          int64(cs.Spilled),
+			"iosimd_queue_depth":                    int64(as.Waiting),
+			"iosimd_inflight_slots":                 int64(as.Busy),
+			`iosimd_slots_held{kind="interactive"}`: int64(as.Held[KindInteractive]),
+			`iosimd_slots_held{kind="sweep"}`:       int64(as.Held[KindSweep]),
+			"iosimd_rejected_total":                 as.Rejected,
+		} {
+			if got, ok := series[name]; !ok || got != want {
+				t.Errorf("%s: %s = %d (present %v), Stats says %d", when, name, got, ok, want)
+			}
+		}
+		want := []string{
+			"iosimd_requests_total counter",
+			"iosimd_request_seconds histogram",
+			"iosimd_run_seconds histogram",
+			"iosimd_coalesced_total counter",
+			"iosimd_cache_hits_total counter",
+			"iosimd_cache_misses_total counter",
+			"iosimd_cache_evictions_total counter",
+			"iosimd_cache_spill_hits_total counter",
+			"iosimd_cache_bytes gauge",
+			"iosimd_cache_entries gauge",
+			"iosimd_cache_spilled_entries gauge",
+			"iosimd_queue_depth gauge",
+			"iosimd_inflight_slots gauge",
+			"iosimd_slots_held gauge",
+			"iosimd_rejected_total counter",
+			"iosimd_sweep_points_total counter",
+			"iosimd_sweep_dedup_total counter",
+			"iosimd_fault_runs_total counter",
+			"iosimd_run_panics_total counter",
+		}
+		if fmt.Sprint(types) != fmt.Sprint(want) {
+			t.Errorf("%s: metric families\n%q\nwant\n%q", when, types, want)
+		}
+	}
+	check("boot")
+
+	const prismC = `{"app":"prism","version":"C"}`
+	postJSON(t, ts, "/v1/simulate", prismC) // miss
+	postJSON(t, ts, "/v1/simulate", prismC) // hit
+	for seed := 1; seed <= 8; seed++ {      // evict prism/C to disk
+		postJSON(t, ts, "/v1/simulate", fmt.Sprintf(`{"app":"prism","version":"C","seed":%d}`, seed))
+	}
+	postJSON(t, ts, "/v1/simulate", prismC) // spill hit
+	if resp, _ := getURL(t, ts, "/v1/results/0000000000000000"); resp.StatusCode != 404 {
+		t.Errorf("unknown result status %d, want 404", resp.StatusCode)
+	}
+	if resp, out := postJSON(t, ts, "/v1/sweep", `{"app":"prism","versions":["A","B"],"seeds":[1,20]}`); resp.StatusCode != 200 {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, out)
+	}
+
+	// Hold the only slot, queue one request behind it, and shed a third.
+	var wg sync.WaitGroup
+	for _, seed := range []int{99, 98} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"app":"prism","version":"C","seed":%d}`, seed)
+			resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}()
+		if seed == 99 {
+			<-started
+		}
+	}
+	waitUntil(t, "a request queued behind the held slot", func() bool { return s.adm.Stats().Waiting == 1 })
+	if resp, out := postJSON(t, ts, "/v1/simulate", `{"app":"prism","version":"C","seed":97}`); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("overflow status %d, want 429: %s", resp.StatusCode, out)
+	}
+	check("slot held")
+	close(release)
+	wg.Wait()
+	check("drained")
+
+	cs, as := s.cache.Stats(), s.adm.Stats()
+	if cs.Hits < 2 || cs.SpillHits < 1 || cs.Evictions == 0 || cs.Misses == 0 || cs.Spilled == 0 || as.Rejected != 1 {
+		t.Errorf("probe sequence did not exercise the stores: %+v %+v", cs, as)
+	}
+}
+
 func TestSDDFStream(t *testing.T) {
 	s := newTestServer(t, Config{}, stubRun)
 	ts := httptest.NewServer(s.Handler())
@@ -1016,7 +1183,7 @@ func TestSDDFStream(t *testing.T) {
 	if !bytes.HasPrefix(out, []byte("#SDDF")) {
 		t.Errorf("stream is not SDDF: %.120s", out)
 	}
-	if s.cache.Len() != 0 {
+	if s.cache.Stats().Entries != 0 {
 		t.Error("SDDF response entered the result cache")
 	}
 }
@@ -1067,14 +1234,14 @@ func TestSDDFStreamQueuesPerClient(t *testing.T) {
 	}
 	waitQueued := func(n int, early <-chan int) {
 		t.Helper()
-		for i := 0; s.adm.QueueLen() != n; i++ {
+		for i := 0; s.adm.Stats().Waiting != n; i++ {
 			select {
 			case code := <-early:
 				t.Fatalf("request answered %d instead of queueing", code)
 			default:
 			}
 			if i > 5000 {
-				t.Fatalf("queue length %d, want %d", s.adm.QueueLen(), n)
+				t.Fatalf("queue length %d, want %d", s.adm.Stats().Waiting, n)
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"paragonio/internal/core"
 	"paragonio/internal/experiments"
 )
 
@@ -292,28 +293,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		nw.writeLine(line)
 	}
 
-	// Execute leaders through a launch window about twice the slot pool:
-	// wide enough to keep the admission queue fed (so slots never idle
-	// between points), narrow enough that a big grid does not park
-	// hundreds of goroutines in the scheduler at once.
+	// Execute leaders on about twice the slot pool's workers: enough to
+	// keep the admission queue fed (so slots never idle between
+	// points), few enough that a big grid does not park hundreds of
+	// goroutines in the scheduler at once.
 	ctx := r.Context()
 	client := clientID(r)
-	sem := make(chan struct{}, 2*s.adm.Slots())
-	var wg sync.WaitGroup
-	for _, leader := range leaders {
-		wg.Add(1)
-		go func(leader *sweepPoint) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				return // client gone; nobody reads further lines
-			}
-			s.runSweepPoint(ctx, client, nw, tally, leader, groups[leader.key])
-		}(leader)
-	}
-	wg.Wait()
+	core.Each(len(leaders), 2*s.adm.Slots(), func(i int) error {
+		if ctx.Err() == nil { // else the client is gone; nobody reads further lines
+			s.runSweepPoint(ctx, client, nw, tally, leaders[i], groups[leaders[i].key])
+		}
+		return nil
+	})
 	if ctx.Err() != nil {
 		return
 	}

@@ -376,7 +376,7 @@ func TestWarmRestart(t *testing.T) {
 			t.Error("restarted daemon invoked the engine for a spilled config")
 			return stubRun(ctx, req, cfg)
 		})
-	if n := s2.cache.SpilledLen(); n != 1 {
+	if n := s2.cache.Stats().Spilled; n != 1 {
 		t.Fatalf("warm-start index holds %d entries, want 1", n)
 	}
 	ts2 := httptest.NewServer(s2.Handler())
@@ -392,7 +392,7 @@ func TestWarmRestart(t *testing.T) {
 	if !sr.Cached {
 		t.Error("restarted daemon did not serve from the warm-start index")
 	}
-	if v := s2.spillHits.Value(); v != 1 {
+	if v := s2.cache.Stats().SpillHits; v != 1 {
 		t.Errorf("iosimd_cache_spill_hits_total = %d, want 1", v)
 	}
 
@@ -402,7 +402,7 @@ func TestWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s3cache.SpilledLen(); n != 0 {
+	if n := s3cache.Stats().Spilled; n != 0 {
 		t.Errorf("stale-version boot kept %d artifacts", n)
 	}
 }

@@ -136,13 +136,17 @@ echo "$replayed" | grep -q '"cached":true'
 # 11. Warm restart: kill the daemon, boot a fresh one on the same spill
 #    directory, and the old run is answered from disk without touching
 #    the engine. The five artifacts are prism/C, prism/A, the degraded
-#    and log-tier runs, and the prism/C advice.
+#    and log-tier runs, and the prism/C advice; /metrics shows them from
+#    boot, before any request reads one back.
 kill "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
 boot "$work/out2.log" -spill "$work/spill"
 echo "service-smoke: restarted at $base"
 grep -q '^iosimd: warm start: 5 result artifacts indexed' "$work/out2.log"
+metrics=$(curl -fsS "$base/metrics")
+echo "$metrics" | grep -q '^iosimd_cache_spilled_entries 5$'
+echo "$metrics" | grep -q '^iosimd_cache_spill_hits_total 0$'
 warm=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$req" "$base/v1/simulate")
 echo "$warm" | grep -q '"cached":true'
 echo "$warm" | grep -q '"digest":"0xbc010fbf3debceec"'
